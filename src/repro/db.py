@@ -305,10 +305,14 @@ class Database:
         cycles, incremental stat merges, benefit refreshes),
         catalog/DDL counters under ``"catalog"`` (tables, functions, DDL
         clock, invalidation sweeps, entries evicted by DDL, in-flight
-        producers aborted, version-rejected admissions), and plan
+        producers aborted, version-rejected admissions), plan
         canonicalization under ``"optimizer"`` (enabled flag,
-        per-strategy rewrite counts, cost-gated reuse skips, and the
-        recycler node match rate)."""
+        per-strategy rewrite counts, cost-gated reuse skips, the
+        recycler node match rate, and ``root_hits`` — prepares answered
+        by the root-hit fast path), and the execution service under
+        ``"service"`` (per-frontend counters, attached servers, and the
+        ``statement_cache`` block: entries, hits, misses, invalidated,
+        evicted)."""
         summary = self.recycler.summary()
         maintenance = self.maintenance.stats.as_dict()
         # the catalog owns this one: appends maintain their statistics

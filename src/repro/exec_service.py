@@ -8,7 +8,9 @@ pipeline:
 
 1. note activity (the maintenance scheduler's EWMA traffic signal);
 2. pin a catalog snapshot (unless the caller already pinned one);
-3. parse/bind/validate SQL text, or validate a prebuilt plan;
+3. look SQL text up in the statement cache — a miss parses, binds,
+   validates and canonicalizes it (and re-populates the cache) — or
+   validate a prebuilt plan;
 4. build the :class:`~repro.engine.cancellation.CancellationToken` from
    uniform ``timeout``/``deadline`` limits (unless the caller supplies
    a token it also needs for cross-thread cancellation);
@@ -33,20 +35,83 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from collections import OrderedDict
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .engine.cancellation import CancellationToken
 from .engine.executor import QueryResult, execute_plan
 from .engine.shard.pool import ShardUnavailable
-from .errors import QueryCancelled, QueryTimeout
-from .plan.logical import PlanNode
+from .errors import CatalogError, QueryCancelled, QueryTimeout
+from .plan.logical import PlanNode, Scan, TableFunctionScan
 from .plan.validate import validate_plan
 from .sql import sql_to_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .columnar.catalog import CatalogSnapshot
-    from .recycler.recycler import Recycler
+    from .columnar.table import Schema
+    from .recycler.recycler import Recycler, RootHit
+
+#: statements the cache retains (LRU by entry count).  A served
+#: dashboard or the paper's SkyServer mix repeats a few hundred distinct
+#: texts; a retained TPC-H plan costs ~10 KiB.
+STATEMENT_CACHE_ENTRIES = 256
+
+
+class Statement:
+    """One cached SQL text: its bound, validated and canonicalized plan
+    plus what must still hold for the plan to stand in for the text.
+
+    Binder, validator and optimizer read nothing from the catalog but
+    the *schemas* of the tables and table functions a statement names
+    (never statistics or row counts), so the plan stays right for any
+    snapshot in which each of those still exists with an equal schema —
+    ``append_rows`` keeps it; add/rename column, drop, and a
+    re-registration that changes a schema do not.  Immutable and shared
+    by every thread that issues the text, except :attr:`root_hit`,
+    which the recycler replaces whole."""
+
+    __slots__ = ("plan", "dependencies", "root_hit")
+
+    def __init__(self, plan: PlanNode, bound: PlanNode,
+                 snapshot: "CatalogSnapshot") -> None:
+        #: what ``Recycler.prepare`` receives — the same object on every
+        #: repeat, so its memoized schemas, hash keys and fingerprint
+        #: are computed once
+        self.plan = plan
+        # Taken from the plan as *bound*: a table the optimizer pruned
+        # away must still exist for the text to bind.
+        named = {(False, node.table) for node in bound.walk()
+                 if isinstance(node, Scan)}
+        named |= {(True, node.function) for node in bound.walk()
+                  if isinstance(node, TableFunctionScan)}
+        #: ``(is_function, name, schema)`` per table / function named
+        self.dependencies: tuple[tuple[bool, str, "Schema"], ...] = tuple(
+            (is_function, name, _schema_of(snapshot, is_function, name))
+            for is_function, name in sorted(named))
+        #: the recycler's memo of this plan's root (see
+        #: :class:`~repro.recycler.recycler.RootHit`)
+        self.root_hit: "RootHit | None" = None
+
+    def valid_for(self, snapshot: "CatalogSnapshot") -> bool:
+        """Whether every dependency exists in ``snapshot`` with the
+        schema this statement was bound against — the existence-and-
+        types property ``validate_plan`` guards."""
+        try:
+            for is_function, name, schema in self.dependencies:
+                live = _schema_of(snapshot, is_function, name)
+                if live is not schema and live != schema:
+                    return False
+        except CatalogError:
+            return False
+        return True
+
+
+def _schema_of(snapshot: "CatalogSnapshot", is_function: bool,
+               name: str) -> "Schema":
+    if is_function:
+        return snapshot.function_entry(name).schema
+    return snapshot.table_entry(name).table.schema
 
 
 @dataclass
@@ -84,6 +149,11 @@ class ExecutionService:
         self.activity = activity
         self._stats: dict[str, FrontendStats] = {}
         self._stats_lock = threading.Lock()
+        #: SQL text -> :class:`Statement`, least recently used first
+        self._statements: OrderedDict[str, Statement] = OrderedDict()
+        self._statement_stats = {"hits": 0, "misses": 0,
+                                 "invalidated": 0, "evicted": 0}
+        self._statement_lock = threading.Lock()
         #: attached :class:`~repro.server.ReproServer` instances —
         #: ``summary()`` folds their admission/connection counters in.
         self._servers: list[object] = []
@@ -100,6 +170,39 @@ class ExecutionService:
         plan = sql_to_plan(text, snapshot)
         validate_plan(plan, snapshot)
         return plan
+
+    def statement(self, text: str,
+                  snapshot: "CatalogSnapshot") -> Statement:
+        """The cached :class:`Statement` for ``text`` if it is valid for
+        ``snapshot``; otherwise plan the text in full (:meth:`plan`,
+        then the recycler's canonicalizing optimizer) and cache that.
+
+        A text that fails to parse, bind or validate raises from here
+        and leaves nothing behind.  A query pinned to an older snapshot
+        than the cached statement's simply finds it invalid and
+        re-plans against its own."""
+        stats = self._statement_stats
+        with self._statement_lock:
+            cached = self._statements.get(text)
+            if cached is not None:
+                if cached.valid_for(snapshot):
+                    self._statements.move_to_end(text)
+                    stats["hits"] += 1
+                    return cached
+                del self._statements[text]
+                stats["invalidated"] += 1
+            stats["misses"] += 1
+        bound = self.plan(text, snapshot)
+        fresh = Statement(self.recycler.optimize(bound, snapshot), bound,
+                          snapshot)
+        with self._statement_lock:
+            self._statements[text] = fresh
+            # (a concurrent miss on the same text may have put it back)
+            self._statements.move_to_end(text)
+            if len(self._statements) > STATEMENT_CACHE_ENTRIES:
+                self._statements.popitem(last=False)
+                stats["evicted"] += 1
+        return fresh
 
     # ------------------------------------------------------------------
     # the pipeline
@@ -129,6 +232,11 @@ class ExecutionService:
         :meth:`CancellationToken.from_limits` and passes
         ``cancel_token`` instead.
 
+        SQL text goes through the statement cache (:meth:`statement`):
+        a repeat whose tables and functions still have the schemas it
+        was bound against skips lex/parse/bind/validate/optimize and
+        hands the recycler the same plan object as last time.
+
         ``snapshot`` pins the catalog view end to end; one is pinned
         here otherwise.  A prebuilt plan arriving *without* a snapshot
         is re-validated against the pinned one (``validate=False``
@@ -148,8 +256,10 @@ class ExecutionService:
         pinned_here = snapshot is None
         if snapshot is None:
             snapshot = self.recycler.catalog.snapshot()
+        statement = None
         if isinstance(query, str):
-            plan = self.plan(query, snapshot)
+            statement = self.statement(query, snapshot)
+            plan = statement.plan
         else:
             plan = query
             if validate and pinned_here:
@@ -161,7 +271,7 @@ class ExecutionService:
                 plan, label=label, producer_token=producer_token,
                 block_on_inflight=block_on_inflight,
                 cancel_token=cancel_token, snapshot=snapshot,
-                remote=remote, tenant=tenant)
+                remote=remote, tenant=tenant, statement=statement)
         except QueryTimeout:
             self._account_error(frontend, "timeouts")
             raise
@@ -180,7 +290,8 @@ class ExecutionService:
                   cancel_token: CancellationToken | None,
                   snapshot: "CatalogSnapshot | None",
                   remote: object | None,
-                  tenant: str | None) -> QueryResult:
+                  tenant: str | None,
+                  statement: Statement | None) -> QueryResult:
         """prepare → remote-or-local execute → finalize, with the
         abandon path unwinding on any failure.  This is the only copy of
         the pipeline; ``Recycler.execute`` and every frontend delegate
@@ -189,7 +300,8 @@ class ExecutionService:
         prepared = recycler.prepare(plan, producer_token=producer_token,
                                     block_on_inflight=block_on_inflight,
                                     cancel_token=cancel_token,
-                                    snapshot=snapshot, tenant=tenant)
+                                    snapshot=snapshot, tenant=tenant,
+                                    statement=statement)
         try:
             result = None
             if remote is not None and remote.eligible(prepared):
@@ -276,9 +388,15 @@ class ExecutionService:
                 self._servers.remove(server)
 
     def summary(self) -> dict[str, object]:
-        """Per-frontend query counts plus, summed over every attached
-        server, admission rejections and live connections — the
-        ``"service"`` block of ``Database.summary()``."""
+        """Per-frontend query counts, the statement cache's counters
+        (``entries`` now; ``hits`` / ``misses`` lookups; ``invalidated``
+        entries dropped because a dependency's schema changed or went
+        away; ``evicted`` by the LRU bound) plus, summed over every
+        attached server, admission rejections and live connections —
+        the ``"service"`` block of ``Database.summary()``."""
+        with self._statement_lock:
+            statement_cache = {"entries": len(self._statements),
+                               **self._statement_stats}
         with self._stats_lock:
             frontends = {name: stats.as_dict()
                          for name, stats in sorted(self._stats.items())}
@@ -292,6 +410,7 @@ class ExecutionService:
         return {
             "frontends": frontends,
             "queries": sum(s["queries"] for s in frontends.values()),
+            "statement_cache": statement_cache,
             "servers": len(servers),
             "admission_rejected": rejected,
             "active_connections": connections,

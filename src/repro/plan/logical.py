@@ -66,6 +66,9 @@ class PlanNode:
     def __init__(self, children: Sequence["PlanNode"]) -> None:
         self.children: list[PlanNode] = list(children)
         self._schema_cache: Schema | None = None
+        #: memo of :func:`repro.recycler.striping.plan_fingerprint` —
+        #: like the schema, fixed once the (immutable) tree is built.
+        self._fingerprint_cache: int | None = None
 
     # -- structural interface -------------------------------------------
     def output_schema(self, catalog: Catalog) -> Schema:

@@ -34,9 +34,13 @@ from .benefit import BenefitModel
 from .graph import GraphNode
 
 
-@dataclass
+@dataclass(eq=False)
 class CacheEntry:
-    """One materialized result in the recycler cache."""
+    """One materialized result in the recycler cache.
+
+    Compared by identity (``eq=False``): a node has at most one entry,
+    and ``refresh`` finds it in its size group on every reuse — a
+    field-by-field ``__eq__`` per probed entry dominated that scan."""
 
     node: GraphNode
     table: Table

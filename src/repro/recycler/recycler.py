@@ -32,18 +32,18 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..columnar.catalog import Catalog, CatalogSnapshot
-from ..columnar.table import Table
+from ..columnar.table import Schema, Table
 from ..engine.base import PhysicalOperator
 from ..engine.cancellation import CancellationToken
 from ..engine.cost import DEFAULT_COST_MODEL, CostModel
 from ..engine.executor import ExecutionStats, QueryResult
 from ..engine.scan import ReuseScanOp
 from ..engine.store import StoreOp, StoreStats
-from ..exec_service import ExecutionService
-from ..plan.logical import PlanNode
+from ..exec_service import ExecutionService, Statement
+from ..plan.logical import CachedScan, PlanNode
 from ..plan.optimizer import PlanOptimizer
 from .benefit import BenefitModel
 from .cache import RecyclerCache
@@ -52,9 +52,27 @@ from .graph import GraphNode, RecyclerGraph
 from .inflight import InFlightRegistry
 from .matching import MatchResult, match_tree
 from .proactive import ProactiveRewriter
-from .rewriter import (ReuseInfo, StorePlanner, substitute_reuse)
+from .rewriter import (ReuseInfo, StorePlanner, current_entry,
+                       recompute_is_cheaper, substitute_reuse)
 from .striping import LockStripes, plan_fingerprint
 from .subsumption import SubsumptionIndex
+
+
+class RootHit(NamedTuple):
+    """What the last slow-path ``prepare`` of a cached statement learned
+    about its plan's root — everything the root-hit fast path needs to
+    answer the next repeat without walking the tree (kept on
+    :attr:`repro.exec_service.Statement.root_hit`, replaced whole)."""
+
+    root: GraphNode
+    #: the distinct graph nodes the plan's nodes unified with (a repeat
+    #: match would access-stamp exactly these)
+    nodes: tuple[GraphNode, ...]
+    #: plan nodes — a repeat's ``num_matched``
+    num_nodes: int
+    #: root graph column name -> this statement's column name
+    rename: dict[str, str]
+    schema: Schema
 
 
 @dataclass
@@ -72,7 +90,7 @@ class PreparedQuery:
     snapshot: CatalogSnapshot | None = None
     #: stripe key of ``original_plan`` (computed once; finalize reuses
     #: it to take the same stripe prepare rewrote under).
-    fingerprint: tuple | None = None
+    fingerprint: int | None = None
     stores: dict[int, object] = field(default_factory=dict)
     reuses: list[ReuseInfo] = field(default_factory=list)
     #: graph nodes this query would reuse/produce that a concurrent query
@@ -135,6 +153,8 @@ class Recycler:
         #: ``_optimizer_counts`` under ``_optimizer_lock``.
         self.optimizer = PlanOptimizer()
         self._optimizer_counts: Counter = Counter()
+        #: prepares answered by :meth:`_prepare_root_hit`
+        self._root_hits = 0
         self._optimizer_lock = threading.Lock()
         self.store_planner = StorePlanner(self.graph, self.model,
                                           self.cache, self.inflight,
@@ -173,7 +193,8 @@ class Recycler:
                 block_on_inflight: bool = False,
                 cancel_token: CancellationToken | None = None,
                 snapshot: CatalogSnapshot | None = None,
-                tenant: str | None = None) -> PreparedQuery:
+                tenant: str | None = None,
+                statement: Statement | None = None) -> PreparedQuery:
         """Run the full rewrite pipeline for one optimized query plan.
 
         With ``block_on_inflight`` the calling thread stalls — before the
@@ -199,6 +220,14 @@ class Recycler:
         admission callbacks carry it into
         :meth:`~repro.recycler.cache.RecyclerCache.admit`, which rejects
         publications that would push the tenant past its budget.
+
+        ``statement`` is the execution service's cached
+        :class:`~repro.exec_service.Statement` that ``plan`` belongs to
+        (``plan is statement.plan``, already canonicalized by
+        :meth:`optimize`): every slow-path prepare leaves a
+        :class:`RootHit` memo on it, and the next prepare of the same
+        object takes :meth:`_prepare_root_hit` when the root's result
+        is still cached.
         """
         if cancel_token is not None:
             cancel_token.check()
@@ -212,12 +241,10 @@ class Recycler:
         # Canonicalize *before* fingerprinting, stripe selection, and
         # matching (and before the mode check, so every mode executes
         # the same shapes): all plans in a semantic equivalence class
-        # collapse onto one graph subtree and one cached entry.
-        if self.config.optimize_plans:
-            plan, rewrites = self.optimizer.optimize(plan, snapshot)
-            if rewrites:
-                with self._optimizer_lock:
-                    self._optimizer_counts.update(rewrites)
+        # collapse onto one graph subtree and one cached entry.  A
+        # cached statement's plan went through this when it was built.
+        if statement is None:
+            plan = self.optimize(plan, snapshot)
 
         if self.config.mode == MODE_OFF:
             return PreparedQuery(query_id=query_id, original_plan=plan,
@@ -227,6 +254,17 @@ class Recycler:
         self.last_activity = time.monotonic()
         fingerprint = plan_fingerprint(plan)
         stripe = self._stripes.for_key(fingerprint)
+        # Proactive steering re-matches a rewritten variant of the plan,
+        # so ``pa`` mode always takes the slow path.
+        memoize = statement is not None and \
+            not self.config.proactive_enabled
+        if memoize and statement.root_hit is not None:
+            with stripe:
+                prepared = self._prepare_root_hit(
+                    statement.root_hit, plan, query_id, token, snapshot,
+                    fingerprint)
+            if prepared is not None:
+                return prepared
         self.graph.tick()
 
         plan_to_match = plan
@@ -320,6 +358,19 @@ class Recycler:
                     self._on_store_abort(node, _t),
                 snapshot=snapshot)
 
+        if memoize:
+            # On *every* slow-path prepare, cold ones included: the
+            # first repeat of a statement whose root this query is
+            # about to materialize must already find the memo.
+            root = matches.of(plan)
+            statement.root_hit = RootHit(
+                root=root.graph_node,
+                nodes=tuple({matches.of(node).graph_node
+                             for node in plan.walk()}),
+                num_nodes=matches.matched_count + matches.inserted_count,
+                rename={g: q for q, g in root.mapping.items()},
+                schema=plan.output_schema(snapshot))
+
         return PreparedQuery(
             query_id=query_id, original_plan=plan,
             executed_plan=outcome.plan, matches=matches,
@@ -330,6 +381,73 @@ class Recycler:
             matching_seconds=matching_seconds,
             proactive_strategies=strategies,
             proactive_executed=proactive_executed)
+
+    def optimize(self, plan: PlanNode,
+                 snapshot: CatalogSnapshot) -> PlanNode:
+        """Canonicalize ``plan`` (``config.optimize_plans``), adding the
+        rewrites performed to the ``summary()["optimizer"]`` counters.
+        Called once per plan: by :meth:`prepare` for prebuilt plans, by
+        the execution service when it builds a cached statement."""
+        if not self.config.optimize_plans:
+            return plan
+        plan, rewrites = self.optimizer.optimize(plan, snapshot)
+        if rewrites:
+            with self._optimizer_lock:
+                self._optimizer_counts.update(rewrites)
+        return plan
+
+    def _prepare_root_hit(self, memo: RootHit, plan: PlanNode,
+                          query_id: int, token: object,
+                          snapshot: CatalogSnapshot,
+                          fingerprint: int) -> PreparedQuery | None:
+        """The O(1) full-plan hit: answer a repeated statement from its
+        root's cached result without walking the plan — no matching,
+        reference bookkeeping over the tree, stall collection, reuse
+        substitution or store planning (the fingerprint is memoized on
+        the plan).  Caller holds the plan's stripe.
+
+        Taken when the memoized root still has an entry this snapshot
+        may consume and reuse pays — the two gates ``substitute_reuse``
+        applies (:func:`~repro.recycler.rewriter.current_entry`,
+        :func:`~repro.recycler.rewriter.recompute_is_cheaper`);
+        otherwise returns ``None`` having changed nothing, and the slow
+        path runs.  A materialized node is never truncated or
+        collected, and version tags only ever equal the snapshot's when
+        no DDL separates them, so the slow path would unify the plan
+        with exactly ``memo.nodes`` and substitute the root: the state
+        changes below are the ones it would have made (``tick``, access
+        stamps on every matched node, one reference on the root — its
+        descendants sit behind a materialized ancestor and get none —
+        and one noted reuse, whose refresh re-positions the entry), and
+        the query record reads the same (``num_matched`` = plan nodes,
+        ``num_inserted`` = 0, one exact reuse).
+
+        One intended difference: with ``block_on_inflight`` the slow
+        path would wait on an in-flight *descendant* of the root even
+        though the cached root needs nothing from it; this path does
+        not wait."""
+        root = memo.root
+        entry = current_entry(root, snapshot)
+        if entry is None or recompute_is_cheaper(
+                root, self.cost_model if self.config.optimize_plans
+                else None):
+            return None
+        event = self.graph.tick()
+        for node in memo.nodes:
+            node.last_access_event = event
+        self.graph.add_refs(root, 1.0)
+        self.cache.note_reuse(entry)
+        with self._optimizer_lock:
+            self._root_hits += 1
+        return PreparedQuery(
+            query_id=query_id, original_plan=plan,
+            executed_plan=CachedScan(entry, memo.schema,
+                                     rename=memo.rename,
+                                     label=f"reuse:{root.node_id}"),
+            matches=MatchResult(matched_count=memo.num_nodes),
+            producer_token=token, snapshot=snapshot,
+            fingerprint=fingerprint,
+            reuses=[ReuseInfo(root, root, "exact")])
 
     def _steering_accepts(self, matches: MatchResult,
                           anchors: list[PlanNode]) -> bool:
@@ -764,9 +882,16 @@ class Recycler:
         of queries whose every node matched an existing graph node (the
         direct measure of the shape-miss bug class: an equivalent plan
         that misses inserts a duplicate subtree and drops out of this
-        numerator)."""
+        numerator).
+
+        ``rewrites`` counts rewrites *actually performed*: a statement
+        served from the execution service's statement cache was
+        canonicalized when it was built and adds none on a hit.
+        ``root_hits`` is the number of prepares the root-hit fast path
+        answered (they count as full-plan hits in both rates)."""
         with self._optimizer_lock:
             counts = dict(self._optimizer_counts)
+            root_hits = self._root_hits
         cost_skips = counts.pop("reuse_cost_skips", 0)
         with self._records_lock:
             matched = sum(r.num_matched for r in self.records)
@@ -783,4 +908,5 @@ class Recycler:
             "nodes_inserted": inserted,
             "match_rate": matched / total if total else 0.0,
             "plan_hit_rate": full_hits / queries if queries else 0.0,
+            "root_hits": root_hits,
         }

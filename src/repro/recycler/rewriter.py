@@ -52,6 +52,28 @@ class RewriteOutcome:
     cost_skips: int = 0
 
 
+def current_entry(graph_node: GraphNode, catalog: CatalogView):
+    """The node's cached entry if a query pinned to ``catalog`` may
+    consume it — its version tags equal the snapshot's versions of the
+    same tables/functions, in either direction — else ``None``."""
+    entry = graph_node.entry
+    if entry is not None and entry.versions_match(*catalog.versions_for(
+            graph_node.tables, graph_node.functions)):
+        return entry
+    return None  # nothing cached for this catalog incarnation
+
+
+def recompute_is_cheaper(graph_node: GraphNode,
+                         cost_model: CostModel | None) -> bool:
+    """The reuse-vs-recompute gate: re-emitting the node's stored rows
+    (``rows * reuse_tuple``, the exact charge of ``ReuseScanOp``) costs
+    at least its measured base cost.  ``None`` disarms the gate (the
+    paper's behaviour, and the ``optimize_plans=False`` path)."""
+    return cost_model is not None and \
+        graph_node.bcost > 0 and graph_node.rows >= 0 and \
+        graph_node.rows * cost_model.reuse_tuple >= graph_node.bcost
+
+
 def substitute_reuse(plan: PlanNode, matches: MatchResult,
                      graph: RecyclerGraph, cache: RecyclerCache,
                      subsumption: SubsumptionIndex | None,
@@ -84,24 +106,15 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
     """
     outcome = RewriteOutcome(plan=plan)
 
-    def versions_current(graph_node: GraphNode, entry) -> bool:
-        table_versions, function_versions = catalog.versions_for(
-            graph_node.tables, graph_node.functions)
-        return entry.versions_match(table_versions, function_versions)
-
     def rewrite(node: PlanNode) -> PlanNode:
         match = matches.of(node)
         graph_node = match.graph_node
 
-        entry = graph_node.entry
-        if entry is not None and not versions_current(graph_node, entry):
-            entry = None  # another catalog incarnation's result
-        if entry is not None and cost_model is not None and \
-                graph_node.bcost > 0 and graph_node.rows >= 0 and \
-                graph_node.rows * cost_model.reuse_tuple >= \
-                graph_node.bcost:
+        entry = current_entry(graph_node, catalog)
+        if entry is not None and \
+                recompute_is_cheaper(graph_node, cost_model):
             outcome.cost_skips += 1
-            entry = None  # recomputing beats re-emitting this result
+            entry = None  # the children stay free to reuse their own
         if entry is not None:
             rename = {g: q for q, g in match.mapping.items()}
             schema = node.output_schema(catalog)
@@ -113,8 +126,8 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
 
         if subsumption is not None and config.subsumption:
             provider = subsumption.find_cached_subsumer(graph_node)
-            if provider is not None and provider.entry is not None and \
-                    versions_current(provider, provider.entry):
+            if provider is not None and \
+                    current_entry(provider, catalog) is not None:
                 child_mapping = (matches.of(node.children[0]).mapping
                                  if node.children else {})
                 compensation = build_compensation(

@@ -33,18 +33,28 @@ from typing import Iterator
 from ..plan.logical import PlanNode
 
 
-def plan_fingerprint(plan: PlanNode) -> tuple:
-    """The stripe key of a plan: anchor hashes over the whole subgraph.
+def plan_fingerprint(plan: PlanNode) -> int:
+    """The stripe key of a plan: a hash of the anchor hashes over the
+    whole subgraph.
 
-    Walk-order ``(op, params)`` pairs — mapping-independent, so
-    re-issues of one query pattern (different sessions, different
+    Hashes the walk-order ``(op, params)`` pairs — mapping-independent,
+    so re-issues of one query pattern (different sessions, different
     aliases) collide on purpose while distinct patterns spread across
     stripes.  The root hash key alone would be far too coarse (every
     ``GROUP BY`` query shares ``("aggregate", 1)``), collapsing all
     aggregation traffic onto one stripe.
+
+    Memoized on the root node: plans are structurally immutable, and a
+    cached statement (:mod:`repro.exec_service`) presents the same plan
+    object on every repeat, so prepare and finalize pay the walk once.
+    Only the hash is kept — the pairs themselves run to kilobytes per
+    retained TPC-H plan.
     """
-    return tuple((node.op_name, node.params_key(None))
-                 for node in plan.walk())
+    fingerprint = plan._fingerprint_cache
+    if fingerprint is None:
+        fingerprint = plan._fingerprint_cache = hash(tuple(
+            (node.op_name, node.params_key(None)) for node in plan.walk()))
+    return fingerprint
 
 
 class LockStripes:

@@ -1,0 +1,131 @@
+"""State equivalence of the root-hit fast path (``Recycler.prepare``).
+
+A repeated statement whose root result is cached skips fingerprinting,
+matching, reference bookkeeping, stall collection, reuse substitution
+and store planning.  The claim under test: it skips *work*, not *state
+changes* — after any stream, a database that took the fast path and one
+that never could are indistinguishable to the benefit model, the
+replacement policy and graph truncation (see ``tests/twin_replay.py``).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import Database, RecyclerConfig
+from repro.workloads import skyserver, tpch
+from repro.workloads.skyserver import queries as sky_queries
+from twin_replay import Twins
+
+#: small enough that TPC-H intermediates compete for it: admission
+#: rejects, replacement evicts
+PRESSURE_CACHE_BYTES = 256 * 1024
+
+
+def config(cache_bytes: int) -> RecyclerConfig:
+    """No background thread and no wall-clock trigger: ``maintain()``
+    fires on graph size alone, so both twins do identical work."""
+    return RecyclerConfig(
+        mode="spec", cache_capacity=cache_bytes,
+        maintenance_interval_seconds=None,
+        maintenance_graph_node_limit=40, truncate_min_idle_events=12,
+        maintenance_idle_seconds=None, maintenance_idle_gap_factor=None,
+        maintenance_budget_seconds=None)
+
+
+def sky_statements(seed: int, count: int) -> list[str]:
+    """The paper's pattern mix: mostly repeats of a few statements."""
+    return [query.sql for query in
+            sky_queries.generate_workload(count, seed=seed)]
+
+
+@pytest.fixture
+def sky_twins():
+    twins = Twins(lambda: Database(
+        config(64 * 1024 * 1024),
+        catalog=skyserver.build_catalog(4000, seed=3)))
+    yield twins
+    twins.close()
+
+
+@pytest.fixture
+def tpch_twins():
+    twins = Twins(lambda: Database(
+        config(PRESSURE_CACHE_BYTES),
+        catalog=tpch.build_catalog(0.002, seed=3)))
+    yield twins
+    twins.close()
+
+
+def append_some(table: str, rows: int):
+    """Append the table's own first ``rows`` rows (a committed update:
+    version bump, dependents evicted, graph history kept)."""
+    def op(db: Database) -> None:
+        db.append_rows(table, db.catalog.table(table).head(rows))
+    return op
+
+
+class TestSkyServerMix:
+    def test_warm_mix_is_state_identical(self, sky_twins):
+        for index, text in enumerate(sky_statements(11, 160)):
+            sky_twins.sql(text)
+            if index % 40 == 39:
+                sky_twins.assert_same_state()
+        sky_twins.assert_same_state()
+        fast_hits, slow_hits = sky_twins.root_hits()
+        assert slow_hits == 0
+        # premise: the stream is mostly repeats and they took the path
+        assert fast_hits > 100
+
+    def test_appends_maintain_and_flush_between_repeats(self, sky_twins):
+        statements = sky_statements(12, 120)
+        for index, text in enumerate(statements):
+            sky_twins.sql(text)
+            if index % 30 == 10 and "photoobj" in text:
+                sky_twins.apply(append_some("photoobj", 50))
+                # the statement survives; its cached root is stale, so
+                # the repeat must fall to the slow path and recompute
+                hits = sky_twins.root_hits()[0]
+                sky_twins.sql(text)
+                assert sky_twins.root_hits()[0] == hits
+            if index % 30 == 20:
+                sky_twins.apply(lambda db: db.maintain())
+            if index == 75:
+                sky_twins.apply(lambda db: db.flush_cache())
+        sky_twins.assert_same_state()
+        assert sky_twins.root_hits()[0] > 30
+
+    def test_root_hit_record_reads_like_a_full_match(self, sky_twins):
+        text = sky_queries.primary_pattern()
+        cold = sky_twins.sql(text)
+        warm = sky_twins.sql(text)
+        hit = sky_twins.sql(text)
+        assert cold.record.num_inserted > 0
+        assert hit.record.num_inserted == 0
+        assert hit.record.num_matched == \
+            cold.record.num_inserted + cold.record.num_matched
+        assert hit.record.num_reused == 1
+        assert warm.record.num_matched == hit.record.num_matched
+        assert sky_twins.root_hits()[0] >= 1
+
+
+class TestTpchUnderPressure:
+    def test_streams_with_eviction_appends_and_maintenance(
+            self, tpch_twins):
+        streams = tpch.generate_streams(2, 0.002, seed=5)
+        # each stream twice: qgen rarely repeats a statement by itself
+        ops = [query.sql for stream in streams
+               for query in list(stream) * 2]
+        for index, text in enumerate(ops):
+            tpch_twins.sql(text)
+            if index % 22 == 21:
+                tpch_twins.apply(lambda db: db.maintain())
+                tpch_twins.assert_same_state()
+            if index % 30 == 29:
+                tpch_twins.apply(append_some("orders", 20))
+        tpch_twins.assert_same_state()
+        counters = tpch_twins.fast.recycler.cache.counters
+        # premise: the cache was under pressure and the path was taken
+        assert counters.evicted > 0 and counters.rejected > 0
+        fast_hits, slow_hits = tpch_twins.root_hits()
+        assert fast_hits > 0 and slow_hits == 0

@@ -238,6 +238,10 @@ class TestHttpEndpoints:
                 assert "http" in metrics["service"]["frontends"]
                 assert metrics["service"]["frontends"]["http"][
                     "queries"] == 1
+                # the warm-path counters travel with the summary
+                assert metrics["service"]["statement_cache"][
+                    "misses"] == 1
+                assert metrics["optimizer"]["root_hits"] == 0
 
     def test_bad_sql_maps_to_400_and_typed_error(self, db):  # noqa: F811
         with HttpServer(db) as server:

@@ -1,0 +1,98 @@
+"""Twin replay: the warm statement path against the path it shortcuts.
+
+:class:`Twins` feeds one op stream to two identically built databases.
+``fast`` takes SQL text through ``Database.sql`` — statement cache,
+then the recycler's root-hit fast path.  ``slow`` hands
+``Database.execute`` a plan bound afresh for every call, which is never
+cached and always runs the full optimize / match / reference / rewrite /
+store-planning pipeline.  Every statement must return byte-identical
+rows and an identical query record, and at any point the two recyclers
+must be in the same state — counters, per-node statistics, cache
+content and its replacement order — which is what makes the fast path
+invisible to the paper's benefit-based policies.
+
+Shared by ``tests/recycler/test_root_hit.py`` and the hypothesis
+property in ``tests/property/`` (``tests/`` is on ``sys.path`` through
+the root ``conftest.py``).
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from repro import Database
+from repro.sql import sql_to_plan
+
+RECORD_FIELDS = ("num_reused", "num_matched", "num_inserted",
+                 "num_materialized", "num_stores_injected", "total_cost",
+                 "graph_nodes")
+
+
+def table_bytes(table) -> list:
+    """Column names, types and raw column bytes of a result."""
+    out = []
+    for name, dtype in zip(table.schema.names, table.schema.types):
+        column = table.column(name)
+        payload = column.tolist() if column.dtype == object \
+            else np.ascontiguousarray(column).tobytes()
+        out.append((name, dtype.name, payload))
+    return out
+
+
+def recycler_state(db: Database) -> dict:
+    """Everything the replacement and truncation policies read."""
+    recycler = db.recycler
+    return {
+        "counters": recycler.cache.counters,
+        "event": recycler.graph.event,
+        "nodes": {n.node_id: (n.refs_raw, n.age_event,
+                              n.last_access_event, n.exec_count,
+                              n.bcost, n.rows, n.size_bytes,
+                              n.is_materialized)
+                  for n in recycler.graph.nodes},
+        # entries() walks the size groups, each in benefit order
+        "entries": [(e.node.node_id, e.benefit, e.reuse_count,
+                     e.last_used_event, e.size)
+                    for e in recycler.cache.entries()],
+        "used": recycler.cache.used,
+    }
+
+
+class Twins:
+    def __init__(self, build: Callable[[], Database]) -> None:
+        self.fast = build()
+        self.slow = build()
+        self.statements = 0
+
+    def sql(self, text: str):
+        """Run ``text`` on both; assert equal rows and query records."""
+        fast = self.fast.sql(text)
+        slow = self.slow.execute(
+            sql_to_plan(text, self.slow.catalog.snapshot()))
+        self.statements += 1
+        assert table_bytes(fast.table) == table_bytes(slow.table), text
+        for name in RECORD_FIELDS:
+            assert getattr(fast.record, name) == \
+                getattr(slow.record, name), (name, text)
+        return fast
+
+    def apply(self, op: Callable[[Database], object]) -> None:
+        """A non-query op (append, DDL, maintain, flush) on both."""
+        op(self.fast)
+        op(self.slow)
+
+    def assert_same_state(self) -> None:
+        fast, slow = recycler_state(self.fast), recycler_state(self.slow)
+        for key in fast:
+            assert fast[key] == slow[key], key
+        self.fast.recycler.cache.check_invariants()
+
+    def root_hits(self) -> tuple[int, int]:
+        return (self.fast.summary()["optimizer"]["root_hits"],
+                self.slow.summary()["optimizer"]["root_hits"])
+
+    def close(self) -> None:
+        self.fast.close()
+        self.slow.close()
