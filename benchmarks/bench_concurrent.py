@@ -487,7 +487,7 @@ def test_bench_server_mode(benchmark):
                 timeout=60.0)
             report = generator.run()
             # streaming phase: full-table scans consumed through the
-            # v2 chunked protocol — qps plus time-to-first-byte, the
+            # chunked protocol — qps plus time-to-first-byte, the
             # latency a streaming consumer feels regardless of size
             scans = LoadGenerator(
                 host, port, ["SELECT * FROM photoobj"],
@@ -520,7 +520,7 @@ def test_bench_server_mode(benchmark):
         "=" * 47,
         report.format(),
         "",
-        "streaming scans (v2 chunked, 4 clients)",
+        "streaming scans (chunked, 4 clients)",
         "=" * 39,
         scan_report.format(),
     ]))

@@ -15,8 +15,13 @@ between processes without pickling a single batch:
   parent copies fixed-width payloads out of the ring (one memcpy, no
   pickle) so ring slots recycle immediately.
 
-Layout (all sections 8-byte aligned so int64/float64 views over the
-buffer are aligned)::
+The same encoding is the serving layer's ``result_chunk`` frame
+(:mod:`repro.server.protocol`, specified in ``docs/PROTOCOL.md``), so
+:func:`decode_table` treats its input as untrusted.
+
+Layout (every integer and fixed-width value little-endian; all
+sections 8-byte aligned so int64/float64 views over the buffer are
+aligned)::
 
     int64 magic ("RBC1")  | int64 ncols | int64 nrows
     per column:
@@ -44,7 +49,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import SchemaError, TypeError_
 from . import types as t
 from .table import Schema, Table
 
@@ -79,47 +84,58 @@ def encoded_nbytes(table: Table) -> int:
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------
+#: the numpy dtype of each fixed-width column type in the encoding: the
+#: byte order is little-endian whatever the host's.
+_WIRE_DTYPES = {dtype: np.dtype(dtype.numpy_dtype).newbyteorder("<")
+                for dtype in t.ALL_TYPES if dtype is not t.STRING}
+
+
+def _padded(raw: bytes) -> bytes:
+    return raw + bytes(-len(raw) % 8) if len(raw) % 8 else raw
+
+
+def _text(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return _INT.pack(len(raw)) + _padded(raw)
+
+
+def _sections(table: Table) -> list[bytes]:
+    """The encoding of ``table`` as consecutive byte sections (see the
+    layout in the module docstring)."""
+    schema = table.schema
+    sections = [struct.pack("<3q", _MAGIC, len(schema), table.num_rows)]
+    for name, dtype in zip(schema.names, schema.types):
+        sections.append(_text(name) + _text(dtype.name))
+        column = table.column(name)
+        if dtype is t.STRING:
+            encoded = [v.encode("utf-8") for v in column]
+            offsets = np.zeros(len(encoded) + 1, dtype="<i8")
+            if encoded:
+                np.cumsum([len(e) for e in encoded], out=offsets[1:])
+            sections.append(offsets.tobytes())
+            sections.append(_padded(b"".join(encoded)))
+        else:
+            sections.append(_padded(np.ascontiguousarray(
+                column, dtype=_WIRE_DTYPES[dtype]).tobytes()))
+    return sections
+
+
 def encode_table(table: Table, buf, offset: int = 0) -> int:
     """Encode ``table`` into ``buf`` (a writable buffer) starting at
     ``offset``; returns the end offset.  The caller sizes ``buf`` with
     :func:`encoded_nbytes`."""
     buf = memoryview(buf)
     pos = offset
-    _INT.pack_into(buf, pos, _MAGIC)
-    _INT.pack_into(buf, pos + 8, len(table.schema))
-    _INT.pack_into(buf, pos + 16, table.num_rows)
-    pos += 24
-    for name in table.schema.names:
-        dtype = table.schema.type_of(name)
-        pos = _put_str(buf, pos, name)
-        pos = _put_str(buf, pos, dtype.name)
-        column = table.column(name)
-        if dtype is t.STRING:
-            encoded = [v.encode("utf-8") for v in column]
-            offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-            if encoded:
-                np.cumsum([len(e) for e in encoded],
-                          out=offsets[1:], dtype=np.int64)
-            pos = _put_bytes(buf, pos, offsets.tobytes())
-            pos = _put_bytes(buf, pos, b"".join(encoded))
-        else:
-            arr = np.ascontiguousarray(column,
-                                       dtype=np.dtype(dtype.numpy_dtype))
-            pos = _put_bytes(buf, pos, arr.tobytes())
+    for section in _sections(table):
+        buf[pos:pos + len(section)] = section
+        pos += len(section)
     return pos
 
 
-def _put_str(buf: memoryview, pos: int, text: str) -> int:
-    raw = text.encode("utf-8")
-    _INT.pack_into(buf, pos, len(raw))
-    pos += 8
-    buf[pos:pos + len(raw)] = raw
-    return pos + _align8(len(raw))
-
-
-def _put_bytes(buf: memoryview, pos: int, raw: bytes) -> int:
-    buf[pos:pos + len(raw)] = raw
-    return pos + _align8(len(raw))
+def encode_bytes(table: Table) -> bytes:
+    """``table`` encoded into a fresh ``bytes`` (the wire's chunk
+    frames): one pass, no sizing walk beforehand."""
+    return b"".join(_sections(table))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +144,16 @@ def _put_bytes(buf: memoryview, pos: int, raw: bytes) -> int:
 def decode_table(buf, offset: int = 0,
                  copy: bool = True) -> tuple[Table, int]:
     """Decode one table from ``buf`` at ``offset``; returns ``(table,
-    end_offset)``.
+    end_offset)``; see :func:`decode_columns`."""
+    names, dtypes, columns, end = decode_columns(buf, offset, copy)
+    return Table(Schema(names, dtypes), dict(zip(names, columns))), end
+
+
+def decode_columns(buf, offset: int = 0, copy: bool = True,
+                   ) -> tuple[list[str], list[t.DataType],
+                              list[np.ndarray], int]:
+    """Decode one table from ``buf`` at ``offset`` as ``(names, dtypes,
+    column arrays, end_offset)``.
 
     With ``copy=False`` fixed-width columns are zero-copy
     ``np.frombuffer`` views into ``buf`` — the caller must keep the
@@ -136,49 +161,85 @@ def decode_table(buf, offset: int = 0,
     registered tables).  With ``copy=True`` every column owns its data
     (parent-side ring decode: the slot recycles immediately).  STRING
     columns are always materialized as fresh object arrays.
+
+    The buffer may come from outside the process (a wire frame): every
+    count and offset in it is checked against the bytes actually
+    present *before* anything is sized from it, and a buffer that does
+    not hold what its header promises raises :class:`SchemaError`.
     """
     buf = memoryview(buf)
     pos = offset
-    magic = _INT.unpack_from(buf, pos)[0]
+    if len(buf) - pos < 24:
+        raise SchemaError("truncated table header")
+    magic, ncols, nrows = struct.unpack_from("<3q", buf, pos)
     if magic != _MAGIC:
         raise SchemaError(f"bad shared-memory table header: {magic:#x}")
-    ncols = _INT.unpack_from(buf, pos + 8)[0]
-    nrows = _INT.unpack_from(buf, pos + 16)[0]
     pos += 24
+    # a column is at least its two length words
+    if not 0 <= ncols <= (len(buf) - pos) // 16:
+        raise SchemaError(f"column count {ncols} does not fit the buffer")
+    if nrows < 0 or (nrows and not ncols):
+        raise SchemaError(f"bad row count {nrows}")
     names: list[str] = []
     dtypes: list[t.DataType] = []
-    columns: dict[str, np.ndarray] = {}
+    columns: list[np.ndarray] = []
     for _ in range(ncols):
         name, pos = _get_str(buf, pos)
         dtype_name, pos = _get_str(buf, pos)
-        dtype = t.type_from_name(dtype_name)
+        try:
+            dtype = t.type_from_name(dtype_name)
+        except TypeError_ as exc:
+            raise SchemaError(str(exc)) from None
         names.append(name)
         dtypes.append(dtype)
         if dtype is t.STRING:
-            offsets = np.frombuffer(buf, dtype=np.int64, count=nrows + 1,
-                                    offset=pos)
-            pos += _align8(8 * (nrows + 1))
-            blob_len = int(offsets[-1]) if nrows else 0
+            offsets = _view(buf, pos, np.dtype("<i8"), nrows + 1)
+            pos += 8 * (nrows + 1)
+            blob_len = int(offsets[-1])
+            if offsets[0] != 0 or (np.diff(offsets) < 0).any() \
+                    or blob_len > len(buf) - pos:
+                raise SchemaError(
+                    f"string offsets of column {name!r} point outside"
+                    f" the buffer")
             blob = bytes(buf[pos:pos + blob_len])
             pos += _align8(blob_len)
+            bounds = offsets.tolist()
             values = np.empty(nrows, dtype=object)
-            for i in range(nrows):
-                values[i] = blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-            columns[name] = values
+            try:
+                values[:] = [blob[a:b].decode("utf-8")
+                             for a, b in zip(bounds, bounds[1:])]
+            except UnicodeDecodeError as exc:
+                raise SchemaError(
+                    f"column {name!r} is not UTF-8: {exc}") from None
+            columns.append(values)
         else:
-            np_dtype = np.dtype(dtype.numpy_dtype)
-            arr = np.frombuffer(buf, dtype=np_dtype, count=nrows,
-                                offset=pos)
-            columns[name] = arr.copy() if copy else arr
-            pos += _align8(nrows * np_dtype.itemsize)
-    return Table(Schema(names, dtypes), columns), pos
+            arr = _view(buf, pos, _WIRE_DTYPES[dtype], nrows)
+            columns.append(arr.copy() if copy else arr)
+            pos += _align8(arr.nbytes)
+    return names, dtypes, columns, pos
+
+
+def _view(buf: memoryview, pos: int, dtype: np.dtype,
+          count: int) -> np.ndarray:
+    """``count`` values of ``dtype`` at ``pos``, as a view of ``buf``."""
+    if not 0 <= count * dtype.itemsize <= len(buf) - pos:
+        raise SchemaError(
+            f"{count} {dtype.name} values do not fit the buffer")
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
 
 
 def _get_str(buf: memoryview, pos: int) -> tuple[str, int]:
+    if len(buf) - pos < 8:
+        raise SchemaError("truncated column header")
     length = _INT.unpack_from(buf, pos)[0]
     pos += 8
-    raw = bytes(buf[pos:pos + length])
-    return raw.decode("utf-8"), pos + _align8(length)
+    if not 0 <= length <= len(buf) - pos:
+        raise SchemaError(f"name of {length} bytes does not fit the buffer")
+    try:
+        text = bytes(buf[pos:pos + length]).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"name is not UTF-8: {exc}") from None
+    return text, pos + _align8(length)
 
 
 # ---------------------------------------------------------------------------

@@ -106,13 +106,10 @@ class ServerUnavailable(ServerError):
     accepts no new queries."""
 
 
-class ResultTooLarge(ServerError):
-    """A result does not fit in one protocol-v1 frame (the 64 MB cap).
-
-    Only v1 connections can hit this: protocol v2 ships results as
-    bounded ``result_chunk`` frames, so arbitrarily large tables stream
-    without ever approaching the per-frame cap.  Reconnect with a v2
-    client (the default) or add a LIMIT."""
+class ProtocolError(ServerError):
+    """A malformed frame or request crossed the wire (bad header,
+    oversized, undecodable, wrong protocol version, non-numeric
+    timeout)."""
 
 
 class WorkloadError(ReproError):

@@ -361,7 +361,7 @@ class ExecutionService:
 
     def account_stream(self, frontend: str, *, chunks: int,
                        rows: int) -> None:
-        """Record one completed streamed reply (protocol v2 / HTTP
+        """Record one completed streamed reply (TCP / HTTP
         chunked responses) against the frontend's counters.  ``rows``
         is unused today — the row total was already accounted by
         :meth:`_account` when the query executed — but keeps the

@@ -37,6 +37,7 @@ streaming API (the large-result path).
 from __future__ import annotations
 
 import argparse
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,8 +49,22 @@ from ..server import HttpClient, ServerClient
 REJECT_BACKOFF_SECONDS = 0.01
 
 
+def nearest_rank(sorted_values: list[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 1]) over pre-sorted values:
+    the ``ceil(q * n)``-th smallest, so ``n - ceil(q * n)`` samples lie
+    beyond it — the definition of ``bench/stats.py``."""
+    if not sorted_values:
+        return 0.0
+    index = min(len(sorted_values), max(1, math.ceil(q * len(sorted_values))))
+    return sorted_values[index - 1]
+
+
 def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 1]) over pre-sorted values."""
+    """The sample at rank ``round(q * (n - 1))`` — *not* the nearest
+    rank (4 samples, q = 0.5 picks the third).  Nothing here uses it:
+    it stays only because ``bench/test_bench_harness.py``, frozen with
+    the benchmark, asserts that it differs from ``bench/stats.py``.
+    Reports use :func:`nearest_rank`."""
     if not sorted_values:
         return 0.0
     index = min(len(sorted_values) - 1,
@@ -79,10 +94,10 @@ class LoadReport:
         return self.served / self.duration_seconds
 
     def latency(self, q: float) -> float:
-        return percentile(sorted(self.latencies), q)
+        return nearest_rank(sorted(self.latencies), q)
 
     def ttfb(self, q: float) -> float:
-        return percentile(sorted(self.ttfbs), q)
+        return nearest_rank(sorted(self.ttfbs), q)
 
     def as_dict(self) -> dict:
         d = {

@@ -16,17 +16,20 @@ everything that must behave identically whichever port a client picks:
   holds its admission slot until the trailer is written, so drain
   accounting covers bytes-in-flight, not just queries-in-flight;
 * **disconnect-aware execution** — while a query executes on the
-  worker pool, the event loop watches the connection for EOF (v2 and
-  HTTP forbid pipelining, so any inbound byte mid-query is a protocol
-  violation); a vanished client cancels the query's
+  worker pool, the event loop watches the connection for EOF (no
+  frontend allows pipelining, so any inbound byte mid-query is a
+  protocol violation); a vanished client cancels the query's
   :class:`~repro.engine.cancellation.CancellationToken`, the producer
   aborts at its next batch boundary, and the recycler's abandon path
   guarantees no cache entry is published for it;
 * **streaming** — one driver turns a materialized result into a
-  ``result_header`` / ``result_chunk``* / ``result_end`` sequence with
-  per-chunk serialization pushed onto the worker pool (the event loop
-  never JSON-encodes more than it writes) and backpressure via the
-  transport's ``drain()`` between frames.
+  ``result_header`` / ``result_chunk``* / ``result_end`` sequence:
+  chunks are serialized on the worker pool (the first by the worker
+  that ran the query, so a reply of one chunk is one ``write``), in
+  the columnar or the JSON-lines encoding as the client can read, with
+  backpressure via the transport's ``drain()`` between chunks;
+* **request validation** — client-supplied durations (``timeout``,
+  ``deadline``) are checked once, here, and refused typed.
 
 Subclasses implement ``_handle_connection`` (their wire format) and set
 ``frontend`` (the :class:`~repro.exec_service.ExecutionService`
@@ -38,16 +41,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import gc
-import json
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import TYPE_CHECKING
 
 from ..errors import (QueryCancelled, QueryTimeout, ServerOverloaded,
                       ServerUnavailable)
 from .protocol import (DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_ROWS,
-                       encode_result_chunk, error_payload,
+                       ProtocolError, encode_json, encode_result_chunk,
+                       error_payload, iter_columnar_chunks,
                        iter_result_chunks, result_end_payload,
                        result_header_payload)
 
@@ -61,8 +64,8 @@ class ClientDisconnected(Exception):
 
 
 def query_stats_payload(record) -> dict | None:
-    """The recycler's per-query counters as a wire-ready dict (shared
-    by the v1 single frame, the v2 ``result_header``, and HTTP)."""
+    """The recycler's per-query counters as a wire-ready dict (the
+    ``stats`` of a ``result_header``)."""
     if record is None:
         return None
     return {
@@ -329,23 +332,59 @@ class ServingBase:
             self._slots.release()
 
     # ------------------------------------------------------------------
+    # request validation
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _seconds(value, what: str) -> float | None:
+        """A client-supplied duration (``timeout`` / ``deadline``) as
+        seconds, or a typed refusal: it arrives as arbitrary JSON."""
+        if value is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value) or value < 0:
+            raise ProtocolError(
+                f"{what} must be a finite number of seconds >= 0,"
+                f" got {value!r}")
+        return float(value)
+
+    # ------------------------------------------------------------------
     # disconnect-aware execution
     # ------------------------------------------------------------------
-    async def _run_query(self, call, *, token, reader=None):
-        """Run the blocking service ``call`` on the worker pool.
+    def _chunks(self, table, *, columnar: bool, stream_id: int):
+        """The result as ``(result_chunk payload, row count)`` pieces in
+        the encoding the client can read."""
+        if columnar:
+            return iter_columnar_chunks(table, chunk_rows=self.chunk_rows,
+                                        chunk_bytes=self.chunk_bytes)
+        return ((encode_result_chunk(stream_id, seq, rows), len(rows))
+                for seq, rows in enumerate(iter_result_chunks(
+                    table, chunk_rows=self.chunk_rows,
+                    chunk_bytes=self.chunk_bytes)))
 
-        With ``reader`` given (v2 / HTTP — protocols that forbid
-        pipelining), the event loop concurrently watches the connection:
-        any inbound event while the query runs means the client hung up
-        (EOF) or broke protocol, so the query's token is cancelled, the
-        producer unwinds through the recycler's abandon path (no cache
-        publish), and :class:`ClientDisconnected` tells the handler to
-        drop the connection.
+    async def _run_query(self, call, *, token, reader, columnar: bool,
+                         stream_id: int):
+        """Run the blocking service ``call`` on the worker pool and
+        return ``(result, chunks, first)``: the worker that executed
+        the query also encodes its first chunk (``first``, None for an
+        empty result), so a small reply needs no second trip to the
+        pool; ``chunks`` yields the rest.
+
+        Meanwhile the event loop watches the connection (no frontend
+        allows pipelining): any inbound event while the query runs
+        means the client hung up (EOF) or broke protocol, so the
+        query's token is cancelled, the producer unwinds through the
+        recycler's abandon path (no cache publish), and
+        :class:`ClientDisconnected` tells the handler to drop the
+        connection.
         """
+        def work():
+            result = call()
+            chunks = self._chunks(result.table, columnar=columnar,
+                                  stream_id=stream_id)
+            return result, chunks, next(chunks, None)
+
         future = asyncio.ensure_future(
-            self._loop.run_in_executor(self._pool, call))
-        if reader is None:
-            return await future
+            self._loop.run_in_executor(self._pool, work))
         watcher = self._loop.create_task(self._watch_disconnect(reader))
         try:
             await asyncio.wait({future, watcher},
@@ -377,51 +416,60 @@ class ServingBase:
     # ------------------------------------------------------------------
     # streaming
     # ------------------------------------------------------------------
-    async def _stream_result(self, result, *, token, send,
-                             stream_id: int) -> None:
+    async def _stream_result(self, result, chunks, first, *, token,
+                             writer, frame, stream_id: int,
+                             head: bytes = b"", tail: bytes = b"") -> None:
         """Drive one streamed reply: ``result_header``, bounded
         ``result_chunk`` frames, ``result_end`` (or an ``error``
         trailer if the token cancels mid-stream).
 
-        ``send`` is the transport's async "write one payload and
-        drain" callable — frame-wrapped on TCP, chunk-wrapped NDJSON on
-        HTTP; its ``drain()`` is the backpressure, so a slow consumer
-        throttles the producer instead of growing a server-side buffer.
-        Chunk serialization runs on the worker pool: the event loop
-        only ever holds one encoded chunk.  A ConnectionError from
-        ``send`` propagates to the caller (client gone mid-stream).
+        ``frame`` wraps one payload for the transport (length prefix on
+        TCP, an HTTP chunk around a frame or an NDJSON line on HTTP);
+        ``head`` and ``tail`` are the transport's own bytes before the
+        first and after the last frame.  Whatever is ready goes out in
+        one ``write``: the header with the first chunk — and with the
+        trailer when that chunk was the whole result, so a small reply
+        is one write and one drain.  Between chunks the ``drain()`` is
+        the backpressure (a slow consumer throttles the producer
+        instead of growing a server-side buffer), the token is checked
+        before every chunk, and each further chunk is serialized on the
+        worker pool only once the previous one has drained, so at most
+        one encoded chunk exists at a time.  A ConnectionError from
+        the writer propagates to the caller (client gone mid-stream).
         """
         table = result.table
-        header = result_header_payload(
-            stream_id, table, query_stats_payload(result.record))
-        await send(json.dumps(header, separators=(",", ":"))
-                   .encode("utf-8"))
-        chunks = 0
-        rows = 0
-        iterator = iter_result_chunks(table, chunk_rows=self.chunk_rows,
-                                      chunk_bytes=self.chunk_bytes)
-        while True:
-            if token is not None and (token.cancelled or token.expired):
-                exc = QueryTimeout("stream deadline expired") \
+        out = [head, frame(encode_json(result_header_payload(
+            stream_id, table, query_stats_payload(result.record))))]
+        sent_chunks = sent_rows = 0
+        piece = first
+        aborted = None
+        while piece is not None:
+            if token.cancelled or token.expired:
+                aborted = QueryTimeout("stream deadline expired") \
                     if token.expired \
                     else QueryCancelled("stream cancelled")
-                trailer = dict(error_payload(exc), stream=stream_id)
-                await send(json.dumps(trailer, separators=(",", ":"))
-                           .encode("utf-8"))
-                self._count("stream_aborted")
-                return
-            encoded_rows = await self._loop.run_in_executor(
-                self._pool, partial(next, iterator, None))
-            if encoded_rows is None:
                 break
-            await send(encode_result_chunk(stream_id, chunks,
-                                           encoded_rows))
-            chunks += 1
-            rows += len(encoded_rows)
-        trailer = result_end_payload(stream_id, chunks=chunks, rows=rows)
-        await send(json.dumps(trailer, separators=(",", ":"))
-                   .encode("utf-8"))
+            payload, count = piece
+            out.append(frame(payload))
+            sent_chunks += 1
+            sent_rows += count
+            piece = None
+            if sent_rows < table.num_rows:
+                writer.write(b"".join(out))
+                await writer.drain()
+                out = []
+                piece = await self._loop.run_in_executor(
+                    self._pool, next, chunks, None)
+        trailer = dict(error_payload(aborted), stream=stream_id) \
+            if aborted is not None \
+            else result_end_payload(stream_id, chunks=sent_chunks,
+                                    rows=sent_rows)
+        writer.write(b"".join(out + [frame(encode_json(trailer)), tail]))
+        await writer.drain()
+        if aborted is not None:
+            self._count("stream_aborted")
+            return
         self._count("streams")
-        self._count("stream_chunks", chunks)
-        self.service.account_stream(self.frontend, chunks=chunks,
-                                    rows=rows)
+        self._count("stream_chunks", sent_chunks)
+        self.service.account_stream(self.frontend, chunks=sent_chunks,
+                                    rows=sent_rows)

@@ -8,11 +8,10 @@ server raises :class:`~repro.errors.QueryTimeout` here exactly as it
 would in process, and an admission reject raises
 :class:`~repro.errors.ServerOverloaded`.
 
-On connect the client sends a ``hello`` and negotiates protocol v2
-(streamed results) when the server speaks it; against an older v1
-server it falls back transparently.  :meth:`ServerClient.query` always
-returns the fully assembled :class:`ClientResult` whatever the
-negotiated version — chunking is invisible.
+On connect the client sends a ``hello``, which fails typed
+(:class:`~repro.errors.ProtocolError`) if the server speaks
+another protocol version.  :meth:`ServerClient.query` returns the
+fully assembled :class:`ClientResult` — chunking is invisible.
 :meth:`ServerClient.execute_stream` instead exposes the stream as an
 iterator of rows (:class:`StreamingResult`), so a 100 MB result can be
 consumed with bounded client-side memory, or abandoned mid-way (closing
@@ -31,6 +30,20 @@ from .protocol import (PROTOCOL_VERSION, raise_error, read_frame,
                        write_frame)
 
 
+def read_reply_frame(read: Callable[[int], bytes],
+                     close: Callable[[], None], peer: str) -> dict:
+    """The next reply frame through ``read`` (see
+    :func:`~repro.server.protocol.read_frame`) — the one frame reader
+    of both clients.  A connection that breaks or ends inside a reply
+    is closed and surfaces as :class:`ServerUnavailable`."""
+    try:
+        return read_frame(read)
+    except (OSError, EOFError) as exc:
+        close()
+        raise ServerUnavailable(
+            f"connection to {peer} lost: {exc}") from exc
+
+
 @dataclass
 class ClientResult:
     """A query result decoded from the wire: schema names/types, plain
@@ -40,8 +53,8 @@ class ClientResult:
     types: list[str]
     rows: list[tuple]
     stats: dict = field(default_factory=dict)
-    #: how many ``result_chunk`` frames carried the rows (0 on a v1
-    #: single-frame reply) — observability for tests and benchmarks.
+    #: how many ``result_chunk`` frames carried the rows —
+    #: observability for tests and benchmarks.
     chunks: int = 0
 
     @property
@@ -70,9 +83,10 @@ class StreamingResult:
     one: the trailer's chunk/row totals are checked against what
     arrived, and a missing trailer raises.
 
-    The frame source is a callable returning decoded frame dicts, so
-    the same class drives TCP length-prefixed frames and HTTP NDJSON
-    lines.
+    The frame source is a callable returning decoded frames
+    (:func:`~repro.server.protocol.decode_frame`: a chunk's ``rows``
+    are tuples when it travelled columnar, lists when as JSON), so the
+    same class drives the TCP socket and the HTTP response body.
     """
 
     def __init__(self, header: dict, next_frame: Callable[[], dict],
@@ -129,6 +143,13 @@ class StreamingResult:
         """Drain the remainder into a list (convenience for tests)."""
         return list(self)
 
+    def result(self) -> ClientResult:
+        """Drain the stream into one assembled :class:`ClientResult`."""
+        rows = self.fetchall()
+        return ClientResult(columns=self.columns, types=self.types,
+                            rows=rows, stats=self.stats,
+                            chunks=self.chunks)
+
     def close(self) -> None:
         """Finish with the stream.  If it was not fully consumed, the
         underlying connection is closed to stop the producer."""
@@ -156,8 +177,7 @@ class ServerClient:
     """
 
     def __init__(self, host: str, port: int, *,
-                 connect_timeout: float | None = 10.0,
-                 protocol: int = PROTOCOL_VERSION) -> None:
+                 connect_timeout: float | None = 10.0) -> None:
         self.host = host
         self.port = port
         try:
@@ -168,27 +188,17 @@ class ServerClient:
                 f"cannot reach server at {host}:{port}: {exc}") from exc
         # queries block until the server responds (or rejects).
         self._sock.settimeout(None)
+        self._reader = self._sock.makefile("rb")
         self._closed = False
-        #: what the server advertised in the hello reply (empty on v1).
-        self.server_limits: dict = {}
-        self.protocol_version = 1
-        if protocol >= 2:
-            self._negotiate(protocol)
-
-    def _negotiate(self, requested: int) -> None:
-        """The hello handshake; an old server that rejects the op (or a
-        weird one that answers without a version) leaves us on v1."""
         try:
-            reply = self._request({"op": "hello", "version": requested})
-        except ServerUnavailable:
+            reply = self._request({"op": "hello",
+                                   "version": PROTOCOL_VERSION})
+        except ServerError:  # refused (another protocol version)
+            self.close()
             raise
-        except ServerError:
-            return
-        try:
-            self.protocol_version = max(1, int(reply.get("version", 1)))
-        except (TypeError, ValueError):
-            return
-        self.server_limits = {
+        self.protocol_version: int = reply["version"]
+        #: the streaming bounds the server advertised in its hello reply.
+        self.server_limits: dict = {
             k: reply[k] for k in ("chunk_rows", "chunk_bytes",
                                   "max_frame_bytes") if k in reply}
 
@@ -196,6 +206,7 @@ class ServerClient:
         if not self._closed:
             self._closed = True
             try:
+                self._reader.close()
                 self._sock.close()
             except OSError:
                 pass
@@ -207,13 +218,8 @@ class ServerClient:
         self.close()
 
     def _read(self) -> dict:
-        try:
-            return read_frame(self._sock)
-        except (ConnectionError, OSError) as exc:
-            self.close()
-            raise ServerUnavailable(
-                f"connection to {self.host}:{self.port} lost: {exc}"
-            ) from exc
+        return read_reply_frame(self._reader.read, self.close,
+                                f"{self.host}:{self.port}")
 
     def _request(self, message: dict) -> dict:
         if self._closed:
@@ -249,50 +255,30 @@ class ServerClient:
 
         ``timeout`` is enforced server-side (maps onto the query's
         CancellationToken; expiry raises
-        :class:`~repro.errors.QueryTimeout` here).  On a v2 connection
-        the reply arrives chunked and is reassembled here; rows are
-        identical to a v1 single-frame reply.
+        :class:`~repro.errors.QueryTimeout` here).  The reply arrives
+        chunked and is reassembled here.
         """
-        response = self._request(
-            self._query_message(sql, label, timeout, tenant))
-        if response.get("kind") == "result_header":
-            stream = self._stream_from_header(response)
-            rows = stream.fetchall()
-            return ClientResult(columns=stream.columns,
-                                types=stream.types, rows=rows,
-                                stats=stream.stats,
-                                chunks=stream.chunks)
-        return ClientResult(
-            columns=list(response.get("columns", [])),
-            types=list(response.get("types", [])),
-            rows=[tuple(row) for row in response.get("rows", [])],
-            stats=dict(response.get("stats", {})))
+        stream = self.execute_stream(sql, label=label, timeout=timeout,
+                                     tenant=tenant)
+        return stream.result()
 
     def execute_stream(self, sql: str, *, label: str = "",
                        timeout: float | None = None,
                        tenant: str | None = None) -> StreamingResult:
         """Execute ``sql`` and iterate the result incrementally.
 
-        Requires a protocol-v2 connection (the default against a
-        current server).  Returns once the ``result_header`` arrives —
-        before any rows — so large results start flowing immediately
-        and the client never holds more than one chunk.  The connection
-        is dedicated to the stream until it is exhausted or closed.
+        Returns once the ``result_header`` arrives — before any rows —
+        so large results start flowing immediately and the client never
+        holds more than one chunk.  The connection is dedicated to the
+        stream until it is exhausted or closed.
         """
-        if self.protocol_version < 2:
-            raise ServerError(
-                "execute_stream needs protocol v2; this connection"
-                " negotiated v1 (old server?)")
         response = self._request(
             self._query_message(sql, label, timeout, tenant))
         if response.get("kind") != "result_header":
             raise ServerError(
                 f"expected a result_header frame, got"
                 f" {response.get('kind')!r}")
-        return self._stream_from_header(response)
-
-    def _stream_from_header(self, header: dict) -> StreamingResult:
-        return StreamingResult(header, self._read, self.close)
+        return StreamingResult(response, self._read, self.close)
 
     def ping(self) -> bool:
         return bool(self._request({"op": "ping"}).get("pong"))

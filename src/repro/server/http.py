@@ -10,12 +10,16 @@ HTTP/1.1 for the three endpoints:
 
 ``POST /v1/query``
     Body ``{"sql": ..., "label"?, "timeout"?, "tenant"?}``.  The reply
-    is a **chunked** ``application/x-ndjson`` stream whose lines are
-    exactly the protocol-v2 frame payloads: one ``result_header``, then
-    bounded ``result_chunk`` lines, then a ``result_end`` trailer (or
-    an ``error`` trailer mid-stream) — ``curl -N`` shows rows as they
-    ship, and a 100 MB result never exists as one buffer on either
-    side.  Errors *before* the stream starts map onto status codes:
+    is a **chunked** stream of the TCP protocol's frames: one
+    ``result_header``, then bounded ``result_chunk`` frames, then a
+    ``result_end`` trailer (or an ``error`` trailer mid-stream) — a
+    100 MB result never exists as one buffer on either side.  The
+    request's ``Accept`` header picks the encoding: a client that
+    accepts ``application/x-repro-frames`` (:class:`HttpClient`) gets
+    the length-prefixed frames themselves, columnar chunks included;
+    anyone else gets ``application/x-ndjson``, one JSON payload per
+    line, so ``curl -N`` shows rows as they ship.
+    Errors *before* the stream starts map onto status codes:
     503 (overloaded / draining), 504 (server-side query timeout), 400
     (bad SQL or malformed request), 500 (anything else), each with the
     typed JSON error payload as the body.
@@ -28,7 +32,7 @@ HTTP/1.1 for the three endpoints:
     ``Database.summary()`` as JSON: recycler cache/graph state plus the
     per-frontend service counters (queries, reuse, streams).
 
-Disconnect behaviour matches the TCP v2 path: while a query executes,
+Disconnect behaviour matches the TCP path: while a query executes,
 the loop watches the connection; a vanished client cancels the
 producer's token at the next batch boundary and nothing is published
 to the cache.  Pipelining is not supported (send one request per
@@ -45,8 +49,9 @@ from ..engine.cancellation import CancellationToken
 from ..errors import (QueryTimeout, ReproError, ServerError,
                       ServerOverloaded, ServerUnavailable)
 from .base import ClientDisconnected, ServingBase
-from .client import ClientResult, StreamingResult
-from .protocol import (MAX_FRAME_BYTES, ProtocolError, error_payload,
+from .client import ClientResult, StreamingResult, read_reply_frame
+from .protocol import (FRAMES_MEDIA_TYPE, MAX_FRAME_BYTES, ProtocolError,
+                       encode_json, encode_raw_frame, error_payload,
                        raise_error)
 
 #: request header block cap — nothing legitimate comes close.
@@ -139,8 +144,8 @@ class HttpServer(ServingBase):
                 return
             method, path, headers, body = request
             keep_alive = headers.get("connection", "").lower() != "close"
-            if not await self._route(connection, method, path, body,
-                                     reader, writer):
+            if not await self._route(connection, method, path, headers,
+                                     body, reader, writer):
                 return
             if not keep_alive:
                 return
@@ -181,15 +186,17 @@ class HttpServer(ServingBase):
         return method, path, headers, body
 
     async def _route(self, connection, method: str, path: str,
-                     body: bytes, reader, writer) -> bool:
+                     headers: dict[str, str], body: bytes, reader,
+                     writer) -> bool:
         path = path.split("?", 1)[0]
         if path == "/v1/query":
             if method != "POST":
                 return await self._respond(
                     writer, 405,
                     error_payload(ProtocolError("use POST /v1/query")))
-            return await self._handle_query(connection, body, reader,
-                                            writer)
+            columnar = FRAMES_MEDIA_TYPE in headers.get("accept", "")
+            return await self._handle_query(connection, body, columnar,
+                                            reader, writer)
         if path == "/healthz":
             if method != "GET":
                 return await self._respond(
@@ -215,7 +222,7 @@ class HttpServer(ServingBase):
                        close: bool = False) -> bool:
         """One complete (non-streamed) JSON response; returns False when
         the connection should drop."""
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body = encode_json(payload)
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
@@ -232,7 +239,8 @@ class HttpServer(ServingBase):
     # the query endpoint
     # ------------------------------------------------------------------
     async def _handle_query(self, connection: _HttpConnection,
-                            body: bytes, reader, writer) -> bool:
+                            body: bytes, columnar: bool, reader,
+                            writer) -> bool:
         try:
             request = json.loads(body.decode("utf-8"))
             if not isinstance(request, dict):
@@ -240,7 +248,10 @@ class HttpServer(ServingBase):
             sql = request["sql"]
             if not isinstance(sql, str):
                 raise ValueError("'sql' must be a string")
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            timeout = self._seconds(
+                request.get("timeout", self.default_timeout), "timeout")
+        except (ValueError, KeyError, UnicodeDecodeError,
+                ProtocolError) as exc:
             return await self._respond(
                 writer, 400,
                 error_payload(ProtocolError(f"bad query body: {exc}")))
@@ -250,14 +261,13 @@ class HttpServer(ServingBase):
             return await self._respond(writer, _status_for(rejected),
                                        error_payload(rejected))
         async with self._slot():
-            return await self._execute(connection, request, sql, reader,
-                                       writer)
+            return await self._execute(connection, request, sql, timeout,
+                                       columnar, reader, writer)
 
     async def _execute(self, connection: _HttpConnection, request: dict,
-                       sql: str, reader, writer) -> bool:
-        timeout = request.get("timeout", self.default_timeout)
-        token = CancellationToken(
-            timeout=None if timeout is None else float(timeout))
+                       sql: str, timeout: float | None, columnar: bool,
+                       reader, writer) -> bool:
+        token = CancellationToken(timeout=timeout)
         tenant = request.get("tenant")
         connection.tokens.add(token)
         try:
@@ -268,9 +278,11 @@ class HttpServer(ServingBase):
                                 connection.next_seq()),
                 block_on_inflight=True, cancel_token=token,
                 tenant=None if tenant is None else str(tenant))
+            stream_id = connection.next_seq()
             try:
-                result = await self._run_query(call, token=token,
-                                               reader=reader)
+                result, chunks, first = await self._run_query(
+                    call, token=token, reader=reader, columnar=columnar,
+                    stream_id=stream_id)
             except ClientDisconnected:
                 return False
             except ReproError as exc:
@@ -284,18 +296,17 @@ class HttpServer(ServingBase):
                     writer, 503,
                     error_payload(ServerUnavailable(str(exc))))
             self._count("served")
-            head = ("HTTP/1.1 200 OK\r\n"
-                    "Content-Type: application/x-ndjson\r\n"
-                    "Transfer-Encoding: chunked\r\n"
-                    "\r\n").encode("latin-1")
+            media_type = FRAMES_MEDIA_TYPE if columnar \
+                else "application/x-ndjson"
+            head = (f"HTTP/1.1 200 OK\r\n"
+                    f"Content-Type: {media_type}\r\n"
+                    f"Transfer-Encoding: chunked\r\n"
+                    f"\r\n").encode("latin-1")
             try:
-                writer.write(head)
                 await self._stream_result(
-                    result, token=token,
-                    stream_id=connection.next_seq(),
-                    send=partial(self._send_ndjson_chunk, writer))
-                writer.write(b"0\r\n\r\n")
-                await writer.drain()
+                    result, chunks, first, token=token, writer=writer,
+                    frame=_frame_chunk if columnar else _ndjson_chunk,
+                    stream_id=stream_id, head=head, tail=b"0\r\n\r\n")
             except (ConnectionError, RuntimeError):
                 # client gone mid-stream: stop producing chunks
                 self._count("stream_aborted")
@@ -305,13 +316,19 @@ class HttpServer(ServingBase):
         finally:
             connection.tokens.discard(token)
 
-    @staticmethod
-    async def _send_ndjson_chunk(writer, payload: bytes) -> None:
-        """One frame payload as one NDJSON line inside one HTTP chunk
-        (the drain is the per-chunk backpressure)."""
-        line = payload + b"\n"
-        writer.write(b"%x\r\n" % len(line) + line + b"\r\n")
-        await writer.drain()
+
+def _http_chunk(data: bytes) -> bytes:
+    return b"%x\r\n%b\r\n" % (len(data), data)
+
+
+def _frame_chunk(payload: bytes) -> bytes:
+    """One payload as a length-prefixed frame inside one HTTP chunk."""
+    return _http_chunk(encode_raw_frame(payload))
+
+
+def _ndjson_chunk(payload: bytes) -> bytes:
+    """One JSON payload as one NDJSON line inside one HTTP chunk."""
+    return _http_chunk(payload + b"\n")
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +340,8 @@ class HttpClient:
     :class:`~repro.server.client.ServerClient` where it overlaps:
     ``query`` returns a :class:`~repro.server.client.ClientResult`,
     ``execute_stream`` a :class:`~repro.server.client.StreamingResult`
-    over the NDJSON lines."""
+    over the frames in the chunked response body (it asks for
+    ``application/x-repro-frames``, so chunks arrive columnar)."""
 
     def __init__(self, host: str, port: int, *,
                  timeout: float | None = None) -> None:
@@ -374,22 +392,19 @@ class HttpClient:
     def query(self, sql: str, *, label: str = "",
               timeout: float | None = None,
               tenant: str | None = None) -> ClientResult:
-        """Execute ``sql``; the chunked NDJSON reply is reassembled
-        into one :class:`ClientResult` (rows identical to TCP)."""
-        stream = self.execute_stream(sql, label=label, timeout=timeout,
-                                     tenant=tenant)
-        rows = stream.fetchall()
-        return ClientResult(columns=stream.columns, types=stream.types,
-                            rows=rows, stats=stream.stats,
-                            chunks=stream.chunks)
+        """Execute ``sql``; the chunked reply is reassembled into one
+        :class:`ClientResult` (rows identical to TCP)."""
+        return self.execute_stream(sql, label=label, timeout=timeout,
+                                   tenant=tenant).result()
 
     def execute_stream(self, sql: str, *, label: str = "",
                        timeout: float | None = None,
                        tenant: str | None = None) -> StreamingResult:
-        """POST the query and return once the ``result_header`` line
+        """POST the query and return once the ``result_header`` frame
         arrives — rows then stream with bounded client-side memory.
         Closing the stream before exhaustion drops the connection,
         which cancels the server-side producer."""
+        from http.client import HTTPException  # loaded by __init__
         if self._closed:
             raise ServerUnavailable("client is closed")
         body = {"sql": sql}
@@ -403,27 +418,38 @@ class HttpClient:
             self._conn.request(
                 "POST", "/v1/query",
                 body=json.dumps(body).encode("utf-8"),
-                headers={"Content-Type": "application/json"})
+                headers={"Content-Type": "application/json",
+                         "Accept": FRAMES_MEDIA_TYPE})
             response = self._conn.getresponse()
             if response.status != 200:
                 payload = json.loads(response.read().decode("utf-8"))
                 raise_error(payload.get("error") or {})
-            header = json.loads(response.readline())
         except (ConnectionError, OSError, EOFError) as exc:
             self._conn.close()
             raise ServerUnavailable(
                 f"cannot reach http server at {self.host}:{self.port}:"
                 f" {exc}") from exc
+
+        def read(n: int) -> bytes:
+            # a body cut short is http.client.IncompleteRead, which is
+            # not an OSError: hand the frame reader what it expects
+            try:
+                return response.read(n)
+            except HTTPException as exc:
+                raise ConnectionError(f"truncated response: {exc!r}") \
+                    from exc
+
+        def next_frame() -> dict:
+            return read_reply_frame(read, self._conn.close,
+                                    f"{self.host}:{self.port}")
+
+        header = next_frame()
         if not header.get("ok"):
             raise_error(header.get("error") or {})
         if header.get("kind") != "result_header":
             raise ServerError(
-                f"expected a result_header line, got"
+                f"expected a result_header frame, got"
                 f" {header.get('kind')!r}")
-
-        def next_frame() -> dict:
-            return json.loads(response.readline())
-
         # on_finish drains the chunked-body terminator so http.client
         # marks the response complete and keep-alive reuse works.
         return StreamingResult(header, next_frame, self._conn.close,

@@ -11,14 +11,12 @@ control, drain, and the streaming driver live in
 :class:`~repro.server.base.ServingBase`, shared with the HTTP frontend
 (:mod:`repro.server.http`); this module is only the TCP wire format.
 
-**Protocol versions.**  A connection that opens with a ``hello`` op
-negotiates protocol v2: query replies become ``result_header`` /
-``result_chunk``* / ``result_end`` streams with bounded frames (see
-``docs/PROTOCOL.md``), backpressure via ``drain()``, and disconnect
-detection while the query executes.  A connection that never says hello
-speaks v1: one reply frame per query, and a result too large for the
-64 MB frame cap fails with a typed
-:class:`~repro.errors.ResultTooLarge` instead of an oversized frame.
+**One reply path.**  Every query reply is a ``result_header`` /
+``result_chunk``* / ``result_end`` stream of bounded frames (see
+``docs/PROTOCOL.md``) whose chunks are columnar, with backpressure via
+``drain()`` and disconnect detection while the query executes.  The
+``hello`` op only checks that client and server speak the same
+protocol version and advertises the streaming bounds.
 
 **Admission control and backpressure.**  At most ``max_in_flight``
 queries execute at once; up to ``max_queue`` more may wait for a slot.
@@ -32,7 +30,7 @@ responsive (rejects cost microseconds).  During drain, new queries get
 (``configure`` op, seconds of budget for everything that follows) map
 onto one :class:`~repro.engine.cancellation.CancellationToken` — the
 earlier bound wins, exactly the session semantics.  Client disconnect
-cancels the connection's in-flight queries the same way — on v2 the
+cancels the connection's in-flight queries the same way — the
 disconnect is noticed *while* the query executes (the loop watches the
 socket), so an abandoned query stops at its next batch boundary and
 publishes nothing.
@@ -54,11 +52,11 @@ import asyncio
 from functools import partial
 
 from ..engine.cancellation import CancellationToken
-from ..errors import ReproError, ResultTooLarge, ServerUnavailable
-from .base import ClientDisconnected, ServingBase, query_stats_payload
-from .protocol import (HEADER, MAX_FRAME_BYTES, PROTOCOL_VERSION,
-                       ProtocolError, encode_frame, error_payload,
-                       read_frame_async, table_payload)
+from ..errors import ReproError, ServerUnavailable
+from .base import ClientDisconnected, ServingBase
+from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError,
+                       encode_frame, encode_raw_frame, error_payload,
+                       read_frame_async)
 
 
 class ReproServer(ServingBase):
@@ -102,8 +100,7 @@ class ReproServer(ServingBase):
             return await self._handle_query(connection, request, reader,
                                             writer)
         if op == "hello":
-            return await self._send(
-                writer, self._handle_hello(connection, request))
+            return await self._send(writer, self._handle_hello(request))
         if op == "ping":
             return await self._send(writer, {
                 "ok": True, "pong": True, "draining": self._draining})
@@ -117,18 +114,17 @@ class ReproServer(ServingBase):
         return await self._send(
             writer, error_payload(ProtocolError(f"unknown op: {op!r}")))
 
-    def _handle_hello(self, connection: "_Connection",
-                      request: dict) -> dict:
-        """Version negotiation: the connection speaks
-        ``min(client, server)`` from here on (v2 enables streaming
-        replies); the reply also advertises the server's streaming
-        bounds so clients can size their buffers."""
-        try:
-            requested = int(request.get("version", 1))
-        except (TypeError, ValueError):
-            return error_payload(ProtocolError("bad hello version"))
-        connection.version = max(1, min(requested, PROTOCOL_VERSION))
-        return {"ok": True, "version": connection.version,
+    def _handle_hello(self, request: dict) -> dict:
+        """The version check: this build speaks exactly
+        ``PROTOCOL_VERSION``, and a client that names another learns so
+        before it sends a query.  The reply advertises the server's
+        streaming bounds so clients can size their buffers."""
+        requested = request.get("version")
+        if requested != PROTOCOL_VERSION or isinstance(requested, bool):
+            return error_payload(ProtocolError(
+                f"this server speaks protocol version"
+                f" {PROTOCOL_VERSION}, not {requested!r}"))
+        return {"ok": True, "version": PROTOCOL_VERSION,
                 "chunk_rows": self.chunk_rows,
                 "chunk_bytes": self.chunk_bytes,
                 "max_frame_bytes": MAX_FRAME_BYTES}
@@ -139,10 +135,13 @@ class ReproServer(ServingBase):
         everything that follows on this connection, mapped onto every
         query's CancellationToken) and ``tenant`` (default tenant for
         subsequent queries)."""
-        deadline = request.get("deadline")
+        try:
+            deadline = self._seconds(request.get("deadline"), "deadline")
+        except ProtocolError as exc:
+            return error_payload(exc)
         if deadline is not None:
-            token = CancellationToken(timeout=float(deadline))
-            connection.deadline = token.deadline
+            connection.deadline = CancellationToken(
+                timeout=deadline).deadline
         if "tenant" in request:
             tenant = request.get("tenant")
             connection.tenant = None if tenant is None else str(tenant)
@@ -166,16 +165,16 @@ class ReproServer(ServingBase):
     async def _execute(self, connection: "_Connection", request: dict,
                        reader, writer) -> bool:
         sql = request.get("sql")
-        if not isinstance(sql, str):
-            return await self._send(
-                writer, error_payload(ProtocolError(
-                    "query needs 'sql' text")))
-        timeout = request.get("timeout", self.default_timeout)
-        token = CancellationToken(
-            timeout=None if timeout is None else float(timeout),
-            deadline=connection.deadline)
+        try:
+            if not isinstance(sql, str):
+                raise ProtocolError("query needs 'sql' text")
+            timeout = self._seconds(
+                request.get("timeout", self.default_timeout), "timeout")
+        except ProtocolError as exc:
+            return await self._send(writer, error_payload(exc))
+        token = CancellationToken(timeout=timeout,
+                                  deadline=connection.deadline)
         tenant = request.get("tenant", connection.tenant)
-        streaming = connection.version >= 2
         connection.tokens.add(token)
         try:
             call = partial(
@@ -185,10 +184,11 @@ class ReproServer(ServingBase):
                                 connection.next_seq()),
                 block_on_inflight=True, cancel_token=token,
                 tenant=None if tenant is None else str(tenant))
+            stream_id = connection.next_seq()
             try:
-                result = await self._run_query(
-                    call, token=token,
-                    reader=reader if streaming else None)
+                result, chunks, first = await self._run_query(
+                    call, token=token, reader=reader, columnar=True,
+                    stream_id=stream_id)
             except ClientDisconnected:
                 return False
             except ReproError as exc:
@@ -200,12 +200,10 @@ class ReproServer(ServingBase):
                 return await self._send(
                     writer, error_payload(ServerUnavailable(str(exc))))
             self._count("served")
-            if not streaming:
-                return await self._reply_single_frame(writer, result)
             try:
                 await self._stream_result(
-                    result, token=token, stream_id=connection.next_seq(),
-                    send=partial(self._send_frame, writer))
+                    result, chunks, first, token=token, writer=writer,
+                    frame=encode_raw_frame, stream_id=stream_id)
             except (ConnectionError, RuntimeError):
                 # client gone mid-stream: stop producing chunks
                 self._count("stream_aborted")
@@ -215,49 +213,14 @@ class ReproServer(ServingBase):
         finally:
             connection.tokens.discard(token)
 
-    async def _reply_single_frame(self, writer, result) -> bool:
-        """The v1 reply: the whole result in one frame, encoded off the
-        event loop; a result over the frame cap fails typed (v2 streams
-        it instead)."""
-        payload = {"ok": True, **table_payload(result.table)}
-        stats = query_stats_payload(result.record)
-        if stats is not None:
-            payload["stats"] = stats
-
-        def encode() -> bytes:
-            try:
-                return encode_frame(payload)
-            except ProtocolError as exc:
-                return encode_frame(error_payload(ResultTooLarge(
-                    f"result does not fit one v1 frame ({exc});"
-                    f" reconnect with a protocol-v2 client to stream"
-                    f" it")))
-
-        frame = await self._loop.run_in_executor(self._pool, encode)
-        try:
-            writer.write(frame)
-            await writer.drain()
-            return True
-        except (ConnectionError, RuntimeError):
-            return False
-
-    async def _send_frame(self, writer, payload: bytes) -> None:
-        """Streaming send: frame-wrap one encoded payload and drain
-        (the drain is the per-chunk backpressure)."""
-        writer.write(HEADER.pack(len(payload)) + payload)
-        await writer.drain()
-
 
 class _Connection:
     """Per-connection state the handler threads may touch."""
 
-    __slots__ = ("writer", "version", "deadline", "tenant", "tokens",
-                 "_seq")
+    __slots__ = ("writer", "deadline", "tenant", "tokens", "_seq")
 
     def __init__(self, writer) -> None:
         self.writer = writer
-        #: negotiated protocol version (1 until a ``hello`` arrives).
-        self.version = 1
         #: absolute monotonic deadline every query inherits (configure).
         self.deadline: float | None = None
         #: default tenant for queries on this connection.

@@ -1,28 +1,36 @@
-"""Streaming-protocol and HTTP-frontend tests: v2 negotiation, chunk
-determinism, over-the-frame-cap results, mid-stream disconnects (no
-cache publish), and the HTTP endpoints sharing one recycler with TCP."""
+"""Streaming-protocol and HTTP-frontend tests: the hello version check,
+chunk determinism, over-the-frame-cap results, one write per small
+reply, backpressure and the mid-stream error trailer, mid-stream
+disconnects (no cache publish), request validation, and the HTTP
+endpoints sharing one recycler with TCP."""
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro import Database, RecyclerConfig, Table
-from repro.columnar import FLOAT64, INT64, Schema
-from repro.errors import ResultTooLarge, ServerError, SqlError
+from repro.columnar import FLOAT64, INT64, STRING, Schema
+from repro.errors import (QueryTimeout, ServerError, ServerUnavailable,
+                          SqlError)
 from repro.server import (HttpClient, HttpServer, MAX_FRAME_BYTES,
-                          PROTOCOL_VERSION, ReproServer, ServerClient,
-                          StreamingResult)
-from repro.server.protocol import iter_result_chunks
+                          PROTOCOL_VERSION, ProtocolError, ReproServer,
+                          ServerClient, StreamingResult)
+from repro.server.protocol import (FRAMES_MEDIA_TYPE, decode_columnar_chunk,
+                                   encode_frame, iter_columnar_chunks,
+                                   iter_result_chunks, read_frame,
+                                   write_frame)
 
 from test_server import QUERY, db  # noqa: F401  (shared fixture)
 
-# a result comfortably over the 64 MB v1 frame cap: 8 int64 columns of
-# ~18-digit values encode to ~150 JSON bytes per row.
+# a result comfortably over the 64 MB frame cap as JSON (8 int64 columns
+# of ~18-digit values encode to ~150 JSON bytes per row; 28 MB columnar).
 BIG_ROWS = 460_000
 BIG_QUERY = "SELECT * FROM big"
 
@@ -48,8 +56,33 @@ def wait_for(predicate, timeout=5.0):
     return False
 
 
-class TestNegotiation:
-    def test_default_client_negotiates_v2(self, db):  # noqa: F811
+def wire_rows(table):
+    return [tuple(v.item() if hasattr(v, "item") else v for v in row)
+            for row in table.to_rows()]
+
+
+def record_writes(server):
+    """Make ``server`` log every ``write`` its connections' transports
+    receive; returns the log (one ``bytes`` per write)."""
+    writes = []
+    make_connection = server._make_connection
+
+    def recording(writer):
+        write = writer.write
+
+        def logged(data):
+            writes.append(bytes(data))
+            write(data)
+
+        writer.write = logged
+        return make_connection(writer)
+
+    server._make_connection = recording
+    return writes
+
+
+class TestHello:
+    def test_client_says_hello(self, db):  # noqa: F811
         with ReproServer(db) as server:
             with ServerClient(*server.address) as client:
                 assert client.protocol_version == PROTOCOL_VERSION
@@ -57,43 +90,44 @@ class TestNegotiation:
                 assert client.server_limits["max_frame_bytes"] \
                     == MAX_FRAME_BYTES
 
-    def test_v1_client_stays_v1(self, db):  # noqa: F811
+    def test_other_versions_are_refused_typed(self, db):  # noqa: F811
         with ReproServer(db) as server:
-            with ServerClient(*server.address, protocol=1) as client:
-                assert client.protocol_version == 1
-                result = client.query(QUERY)
-                assert result.chunks == 0
-                assert result.num_rows > 0
-                with pytest.raises(ServerError):
-                    client.execute_stream(QUERY)
+            with ServerClient(*server.address) as client:
+                for version in (1, 2, 99, "3", True, None):
+                    with pytest.raises(ProtocolError, match="version"):
+                        client._request({"op": "hello",
+                                         "version": version})
+                # a refusal is an answer, not a hang-up
+                assert client.ping()
 
-    def test_server_caps_requested_version(self, db):  # noqa: F811
-        from repro.server.protocol import read_frame, write_frame
+    def test_hello_is_optional(self, db):  # noqa: F811
+        """There is one reply path: a client that skips the handshake
+        gets the same stream."""
         with ReproServer(db) as server:
-            with ServerClient(*server.address, protocol=1) as client:
-                write_frame(client._sock,
-                            {"op": "hello", "version": 99})
-                reply = read_frame(client._sock)
-                assert reply["version"] == PROTOCOL_VERSION
+            with socket.create_connection(server.address) as sock:
+                write_frame(sock, {"op": "query", "sql": QUERY})
+                reader = sock.makefile("rb")
+                kinds = []
+                while not kinds or kinds[-1] != "result_end":
+                    kinds.append(read_frame(reader.read)["kind"])
+        assert kinds == ["result_header", "result_chunk", "result_end"]
 
 
 class TestChunkDeterminism:
-    def test_v2_rows_identical_to_v1_across_boundaries(self, db):  # noqa: F811
+    def test_rows_identical_across_chunk_boundaries(self, db):  # noqa: F811
         """Chunking is an encoding detail: whatever the chunk size,
-        reassembled rows match the v1 single frame exactly."""
+        reassembled rows match the in-process result exactly."""
+        expected = db.sql(QUERY).table
         with ReproServer(db, chunk_rows=3) as server:
-            with ServerClient(*server.address, protocol=1) as v1:
-                baseline = v1.query(QUERY)
-            with ServerClient(*server.address) as v2:
-                chunked = v2.query(QUERY)
-                with v2.execute_stream(QUERY) as stream:
+            with ServerClient(*server.address) as client:
+                chunked = client.query(QUERY)
+                with client.execute_stream(QUERY) as stream:
                     streamed = list(stream)
-        assert baseline.chunks == 0
-        assert chunked.chunks == -(-baseline.num_rows // 3)
-        assert chunked.rows == baseline.rows
-        assert chunked.columns == baseline.columns
-        assert chunked.types == baseline.types
-        assert streamed == baseline.rows
+        assert chunked.chunks == -(-expected.num_rows // 3)
+        assert chunked.rows == wire_rows(expected)
+        assert chunked.columns == list(expected.schema.names)
+        assert chunked.types == [t.name for t in expected.schema.types]
+        assert streamed == chunked.rows
 
     def test_stream_header_carries_schema_and_rowcount(self, db):  # noqa: F811
         expected = db.sql(QUERY).table
@@ -102,9 +136,7 @@ class TestChunkDeterminism:
                 with client.execute_stream(QUERY) as stream:
                     assert stream.columns == list(expected.schema.names)
                     assert stream.rowcount == expected.num_rows
-                    assert list(stream) \
-                        == [tuple(v.item() for v in row)
-                            for row in expected.to_rows()]
+                    assert list(stream) == wire_rows(expected)
 
     def test_iter_result_chunks_bounds(self):
         table = Table(Schema(["a"], [INT64]),
@@ -118,6 +150,28 @@ class TestChunkDeterminism:
         tiny = list(iter_result_chunks(table, chunk_rows=100,
                                        chunk_bytes=1))
         assert all(len(c) == 1 for c in tiny)
+
+    def test_iter_columnar_chunks_bounds(self):
+        table = Table(Schema(["a", "s"], [INT64, STRING]),
+                      {"a": np.arange(100, dtype=np.int64),
+                       "s": np.array(["x" * (i % 40) for i in range(100)],
+                                     dtype=object)})
+        chunks = list(iter_columnar_chunks(table, chunk_rows=7,
+                                           chunk_bytes=1 << 20))
+        assert all(count <= 7 for _, count in chunks)
+        assert [row for payload, _ in chunks
+                for row in decode_columnar_chunk(payload)] \
+            == wire_rows(table)
+        # the byte bound cuts where the rows are wide, never below a row
+        bounded = list(iter_columnar_chunks(table, chunk_rows=100,
+                                            chunk_bytes=600))
+        assert sum(count for _, count in bounded) == 100
+        assert all(len(payload) <= 600 or count == 1
+                   for payload, count in bounded)
+        assert len(bounded) > 1
+        tiny = list(iter_columnar_chunks(table, chunk_rows=100,
+                                         chunk_bytes=1))
+        assert all(count == 1 for _, count in tiny)
 
     def test_truncated_stream_is_detected(self):
         frames = iter([
@@ -135,10 +189,9 @@ class TestChunkDeterminism:
 
 
 class TestLargeResults:
-    """The point of v2: results beyond the 64 MB frame cap stream with
-    bounded frames; v1 fails them with a typed error."""
+    """Results beyond the 64 MB frame cap stream with bounded frames."""
 
-    def test_big_result_streams_on_v2(self, big_db):
+    def test_big_result_streams(self, big_db):
         with ReproServer(big_db) as server:
             with ServerClient(*server.address) as client:
                 result = client.query(BIG_QUERY)
@@ -149,14 +202,6 @@ class TestLargeResults:
             i for i in range(8))
         assert result.rows[-1][0] \
             == (BIG_ROWS - 1) * 1_234_567_890_123
-
-    def test_big_result_fails_typed_on_v1(self, big_db):
-        with ReproServer(big_db) as server:
-            with ServerClient(*server.address, protocol=1) as client:
-                with pytest.raises(ResultTooLarge):
-                    client.query(BIG_QUERY)
-                # the connection survives the typed failure
-                assert client.ping()
 
     def test_big_result_streams_over_http(self, big_db):
         with HttpServer(big_db) as server:
@@ -170,6 +215,178 @@ class TestLargeResults:
                         last = row
         assert count == BIG_ROWS
         assert last[0] == (BIG_ROWS - 1) * 1_234_567_890_123
+
+
+class TestOneWrite:
+    """A reply of one chunk reaches the transport as a single write:
+    header, chunk and trailer together."""
+
+    def test_tcp_single_chunk_reply_is_one_write(self, db):  # noqa: F811
+        with ReproServer(db) as server:
+            writes = record_writes(server)
+            with ServerClient(*server.address) as client:
+                del writes[:]  # the hello reply
+                result = client.query(QUERY)
+        assert result.chunks == 1
+        assert len(writes) == 1
+        frames = iter(writes[0])
+        read = lambda n: bytes(next(frames) for _ in range(n))  # noqa: E731
+        header, chunk, end = (read_frame(read) for _ in range(3))
+        assert next(frames, None) is None  # nothing after the trailer
+        assert header["kind"] == "result_header"
+        assert chunk["rows"] == result.rows
+        assert (end["kind"], end["chunks"], end["rows"]) \
+            == ("result_end", 1, result.num_rows)
+
+    @pytest.mark.parametrize("accept", [FRAMES_MEDIA_TYPE, "*/*"])
+    def test_http_single_chunk_reply_is_one_write(self, db, accept):  # noqa: F811
+        with HttpServer(db) as server:
+            writes = record_writes(server)
+            conn = http.client.HTTPConnection(*server.address, timeout=5.0)
+            conn.request("POST", "/v1/query",
+                         body=json.dumps({"sql": QUERY}).encode(),
+                         headers={"Accept": accept})
+            response = conn.getresponse()
+            body = response.read()
+            conn.close()
+        assert response.status == 200
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
+        assert writes[0].endswith(b"0\r\n\r\n")
+        assert body.count(b"result_end") == 1
+
+    def test_an_empty_result_is_one_write_without_chunks(self, db):  # noqa: F811
+        with ReproServer(db) as server:
+            writes = record_writes(server)
+            with ServerClient(*server.address) as client:
+                del writes[:]
+                result = client.query("SELECT g FROM t WHERE g < 0")
+        assert (result.rows, result.chunks) == ([], 0)
+        assert len(writes) == 1
+
+    def test_every_further_chunk_is_its_own_write(self, db):  # noqa: F811
+        """Beyond the first, each chunk waits for the previous drain:
+        n chunks are n writes (the last one carries the trailer)."""
+        with ReproServer(db, chunk_rows=3) as server:
+            writes = record_writes(server)
+            with ServerClient(*server.address) as client:
+                del writes[:]
+                result = client.query(QUERY)
+        assert result.chunks == 3
+        assert len(writes) == 3
+
+
+class TestBackpressure:
+    def test_slow_consumer_throttles_and_deadline_ends_stream(self, big_db):
+        """While the client does not read, ``drain()`` holds the
+        producer back (it does not encode the result into a server-side
+        buffer); a deadline that expires meanwhile ends the stream with
+        a typed ``error`` trailer, and the connection stays usable."""
+        total_chunks = -(-BIG_ROWS // 8192)
+        with ReproServer(big_db) as server:
+            writes = record_writes(server)
+            with ServerClient(*server.address) as client:
+                client.query(BIG_QUERY)  # warm: the next run is quick
+                del writes[:]
+                stream = client.execute_stream(BIG_QUERY, timeout=1.0)
+                time.sleep(1.2)  # not reading; the deadline passes
+                assert 1 <= len(writes) < total_chunks // 2
+                with pytest.raises(QueryTimeout, match="stream deadline"):
+                    list(stream)
+                assert server.stats()["stream_aborted"] == 1
+                assert client.ping()
+
+
+class TestRequestValidation:
+    """A duration that is not a finite number >= 0 is refused typed on
+    both frontends; the connection stays usable."""
+
+    BAD = ["soon", True, -1, float("nan"), float("inf"), [1], {}]
+
+    def test_tcp_bad_timeout_and_deadline(self, db):  # noqa: F811
+        with ReproServer(db) as server:
+            with ServerClient(*server.address) as client:
+                for bad in self.BAD:
+                    with pytest.raises(ProtocolError, match="timeout"):
+                        client.query(QUERY, timeout=bad)
+                    with pytest.raises(ProtocolError, match="deadline"):
+                        client.configure(deadline=bad)
+                assert client.query(QUERY, timeout=5).num_rows == 8
+                assert server.stats()["active_connections"] == 1
+
+    def test_http_bad_timeout_is_400(self, db):  # noqa: F811
+        with HttpServer(db) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=5.0)
+            for bad in self.BAD:
+                conn.request("POST", "/v1/query", body=json.dumps(
+                    {"sql": QUERY, "timeout": bad}).encode())
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 400
+                assert payload["error"]["type"] == "ProtocolError"
+                assert "timeout" in payload["error"]["message"]
+            conn.close()
+            with HttpClient(*server.address) as client:
+                with pytest.raises(ProtocolError):
+                    client.query(QUERY, timeout="soon")
+                assert client.query(QUERY, timeout=5.0).num_rows == 8
+
+
+class TestHttpClientTruncation:
+    """The server vanishing after the header surfaces as
+    ServerUnavailable, however http.client reports the short body."""
+
+    @staticmethod
+    def serve_once(reply: bytes):
+        """A one-connection HTTP 'server' that reads a request, sends
+        ``reply`` and shuts the socket."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def run():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(reply)
+                conn.shutdown(socket.SHUT_RDWR)
+            listener.close()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return listener.getsockname(), thread
+
+    HEAD = (b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-repro-frames\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n")
+
+    @staticmethod
+    def http_chunk(data: bytes) -> bytes:
+        return b"%x\r\n%b\r\n" % (len(data), data)
+
+    @pytest.mark.parametrize("cut", ["between_chunks", "inside_chunk",
+                                     "inside_frame"])
+    def test_truncated_body_raises_server_unavailable(self, cut):
+        header = encode_frame({
+            "ok": True, "kind": "result_header", "stream": 1,
+            "columns": ["a"], "types": ["INT64"], "rowcount": 2})
+        chunk = encode_frame({"kind": "result_chunk", "rows": [[1], [2]]})
+        reply = self.HEAD + self.http_chunk(header) + {
+            "between_chunks": b"",
+            "inside_chunk": self.http_chunk(chunk)[:-12],
+            # a whole HTTP chunk that holds only half the frame, then
+            # a clean end of the body
+            "inside_frame": self.http_chunk(chunk[:10]) + b"0\r\n\r\n",
+        }[cut]
+        address, thread = self.serve_once(reply)
+        client = HttpClient(*address, timeout=5.0)
+        stream = client.execute_stream("SELECT 1 AS a")
+        assert stream.rowcount == 2
+        with pytest.raises(ServerUnavailable, match="lost"):
+            list(stream)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        # the connection was closed, not left half-read
+        assert client._conn.sock is None
+        client.close()
 
 
 class TestDisconnects:
@@ -242,6 +459,39 @@ class TestHttpEndpoints:
                 assert metrics["service"]["statement_cache"][
                     "misses"] == 1
                 assert metrics["optimizer"]["root_hits"] == 0
+
+    def test_accept_header_picks_the_encoding(self, db):  # noqa: F811
+        """Frames for a client that asks for them, NDJSON lines (the
+        same header and trailer, rows as JSON) for everyone else."""
+        expected = wire_rows(db.sql(QUERY).table)
+        body = json.dumps({"sql": QUERY}).encode()
+        with HttpServer(db, chunk_rows=3) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=5.0)
+            conn.request("POST", "/v1/query", body=body)
+            response = conn.getresponse()
+            assert response.getheader("Content-Type") \
+                == "application/x-ndjson"
+            lines = [json.loads(line)
+                     for line in response.read().splitlines()]
+            conn.request("POST", "/v1/query", body=body,
+                         headers={"Accept": FRAMES_MEDIA_TYPE})
+            response = conn.getresponse()
+            assert response.getheader("Content-Type") == FRAMES_MEDIA_TYPE
+            frames = []
+            while not frames or frames[-1]["kind"] != "result_end":
+                frames.append(read_frame(response.read))
+            assert response.read() == b""
+            conn.close()
+        for messages in (lines, frames):
+            assert [m["kind"] for m in messages] == [
+                "result_header", "result_chunk", "result_chunk",
+                "result_chunk", "result_end"]
+            assert [tuple(row) for m in messages[1:-1]
+                    for row in m["rows"]] == expected
+        assert [(m["stream"], m["seq"]) for m in lines[1:-1]] \
+            == [(lines[0]["stream"], seq) for seq in range(3)]
+        assert all(lines[0][key] == frames[0][key]
+                   for key in ("columns", "types", "rowcount"))
 
     def test_bad_sql_maps_to_400_and_typed_error(self, db):  # noqa: F811
         with HttpServer(db) as server:
