@@ -48,8 +48,10 @@ recompute (``stats_refresh_appends``) so retained sets can never drift
 from a bug for long.  Retained sets are capped at
 ``stats_uniques_limit`` distinct values — the incremental path targets
 the low-cardinality group/selection columns the proactive rules read;
-a unique-key-like column drops its set (bounding stat memory) and pays
-the full recompute on append instead.
+a unique-key-like column drops its set (bounding stat memory) and then
+merges only appends whose values lie wholly outside its range (a
+monotone key: the distinct counts add), paying the full recompute for
+any other.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ class ColumnStats:
     #: incremental append stats *exact* instead of approximate.  ``None``
     #: when the column is empty, when its cardinality exceeds the
     #: catalog's ``stats_uniques_limit`` (retaining a near-copy of a
-    #: unique-key column would double its memory; such columns fall
-    #: back to the full recompute on append), or when the stats were
+    #: unique-key column would double its memory; such columns merge
+    #: only appends outside their value range), or when the stats were
     #: built by a legacy path.  Excluded from equality so
     #: incremental-vs-full comparisons test the visible statistics.
     uniques: object | None = field(default=None, repr=False, compare=False)
@@ -371,7 +373,8 @@ class Catalog(CatalogView):
 
     #: cardinality cap on retained unique sets: beyond this many
     #: distinct values a column's uniques are dropped (bounding stat
-    #: memory) and its appends pay the full recompute instead — the
+    #: memory) and its appends pay the full recompute unless their
+    #: values lie outside the column's range — the
     #: incremental win targets the low-cardinality group/selection
     #: columns the proactive rules care about anyway.
     DEFAULT_STATS_UNIQUES_LIMIT = 65536
@@ -470,7 +473,8 @@ class Catalog(CatalogView):
         instead of rescanning the merged table — O(delta + distinct)
         instead of O(table) per append.  Every
         ``stats_refresh_appends``-th append (or whenever the existing
-        entry lacks retained uniques) the full recompute runs instead.
+        entry lacks retained uniques for a column whose value range the
+        delta overlaps) the full recompute runs instead.
 
         Optimistic under concurrent DDL: the merge runs outside the
         lock, and if another DDL swapped the table meanwhile the append
@@ -647,8 +651,9 @@ def _capped(stats: ColumnStats,
             uniques_limit: int | None) -> ColumnStats:
     """Drop the retained unique set when it exceeds the cardinality
     cap: the visible statistics stay exact, but the column's next
-    append pays the full recompute instead of carrying a near-copy of
-    a unique-key column around forever."""
+    append that overlaps its value range pays the full recompute
+    instead of carrying a near-copy of a unique-key column around
+    forever."""
     if uniques_limit is not None and stats.uniques is not None and \
             stats.distinct_count > uniques_limit:
         stats.uniques = None
@@ -695,11 +700,16 @@ def _merge_stats(old: dict[str, ColumnStats], delta: Table,
                  ) -> dict[str, ColumnStats] | None:
     """Merge the delta batch's statistics into ``old`` exactly.
 
+    A column whose retained set was dropped (cardinality cap) still
+    merges when the delta's value range lies wholly outside the prior
+    one — the distinct counts add — which is every append to a monotone
+    key such as a timestamp.
+
     Returns ``None`` when any column cannot be merged losslessly — no
     prior stats (registered with ``compute_stats=False``) or a non-empty
-    column without retained uniques (cardinality cap hit, legacy
-    construction) — signalling the caller to fall back to a full
-    recompute of the merged table.
+    column without retained uniques whose range the delta overlaps —
+    signalling the caller to fall back to a full recompute of the
+    merged table.
     """
     delta_stats = _compute_stats(delta, uniques_limit=uniques_limit)
     merged: dict[str, ColumnStats] = {}
@@ -715,7 +725,17 @@ def _merge_stats(old: dict[str, ColumnStats], delta: Table,
             merged[name] = prior
             continue
         if prior.uniques is None or fresh.uniques is None:
-            return None
+            # A retained set is missing (cardinality cap, legacy
+            # construction): exact only when no value can be in both.
+            if prior.min_value is None or not (
+                    fresh.min_value > prior.max_value
+                    or fresh.max_value < prior.min_value):
+                return None
+            merged[name] = ColumnStats(
+                distinct_count=prior.distinct_count + fresh.distinct_count,
+                min_value=min(prior.min_value, fresh.min_value),
+                max_value=max(prior.max_value, fresh.max_value))
+            continue
         if isinstance(prior.uniques, frozenset):
             uniques = prior.uniques | fresh.uniques
             merged[name] = _capped(
@@ -724,13 +744,25 @@ def _merge_stats(old: dict[str, ColumnStats], delta: Table,
                             max_value=max(uniques),
                             uniques=uniques), uniques_limit)
         else:
-            uniques = np.union1d(prior.uniques, fresh.uniques)
+            uniques = _merge_sorted_uniques(prior.uniques, fresh.uniques)
             merged[name] = _capped(
                 ColumnStats(distinct_count=int(len(uniques)),
                             min_value=uniques[0].item(),
                             max_value=uniques[-1].item(),
                             uniques=uniques), uniques_limit)
     return merged
+
+
+def _merge_sorted_uniques(prior: np.ndarray,
+                          fresh: np.ndarray) -> np.ndarray:
+    """Union of two sorted duplicate-free arrays, sorted: only the
+    values ``prior`` lacks are inserted (``prior`` itself when there are
+    none), instead of re-sorting both."""
+    slots = np.searchsorted(prior, fresh)
+    new = prior[np.minimum(slots, len(prior) - 1)] != fresh
+    if not new.any():
+        return prior
+    return np.insert(prior, slots[new], fresh[new])
 
 
 __all__ = [

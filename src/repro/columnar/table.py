@@ -82,7 +82,7 @@ class Schema:
 class Table:
     """A fully materialized relation."""
 
-    __slots__ = ("schema", "_columns", "_nrows")
+    __slots__ = ("schema", "_columns", "_nrows", "_nbytes")
 
     def __init__(self, schema: Schema,
                  columns: Mapping[str, np.ndarray]) -> None:
@@ -94,6 +94,7 @@ class Table:
         if len(lengths) > 1:
             raise SchemaError(f"ragged table: column lengths {sorted(lengths)}")
         self._nrows = lengths.pop() if lengths else 0
+        self._nbytes: int | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -133,12 +134,18 @@ class Table:
             ) from None
 
     def nbytes(self) -> int:
-        """Payload bytes — the quantity the recycler cache budgets."""
-        total = 0
-        for name in self.schema.names:
-            total += t.array_nbytes(self._columns[name],
-                                    self.schema.type_of(name))
-        return total
+        """Payload bytes — the quantity the recycler cache budgets.
+
+        Memoized (tables are immutable): a stored result is sized when
+        the store completes and again at cache admission, and counting a
+        STRING column's characters is the expensive part.
+        """
+        if self._nbytes is None:
+            self._nbytes = sum(
+                t.array_nbytes(self._columns[name],
+                               self.schema.type_of(name))
+                for name in self.schema.names)
+        return self._nbytes
 
     # ------------------------------------------------------------------
     # transformation / iteration
@@ -148,8 +155,11 @@ class Table:
                      {n: self._columns[n] for n in names})
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
-        return Table(self.schema.rename(mapping),
-                     {mapping.get(n, n): a for n, a in self._columns.items()})
+        renamed = Table(self.schema.rename(mapping),
+                        {mapping.get(n, n): a
+                         for n, a in self._columns.items()})
+        renamed._nbytes = self._nbytes  # same columns, same payload
+        return renamed
 
     def filter(self, mask: np.ndarray) -> "Table":
         return Table(self.schema,

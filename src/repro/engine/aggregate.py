@@ -153,7 +153,9 @@ def _scalar_agg(func: str, rows: int,
     if values is None:
         raise ExecutionError(f"aggregate {func} missing its argument")
     if func == "count_distinct":
-        return np.array([len(np.unique(values))], dtype=np.int64)
+        distinct = set(values.tolist()) if values.dtype.kind == "O" \
+            else np.unique(values)
+        return np.array([len(distinct)], dtype=np.int64)
     if func == "sum":
         return np.array([_widen_for_sum(values).sum()])
     if func == "count":

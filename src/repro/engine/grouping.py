@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..columnar import types as t
+
 
 def factorize(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """Encode rows of multiple key columns into dense int64 group codes.
@@ -17,7 +19,7 @@ def factorize(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
     combined = np.zeros(n, dtype=np.int64)
     radix = 1
     for arr in arrays:
-        _, inverse = np.unique(arr, return_inverse=True)
+        _, inverse = t.key_codes(arr)
         cardinality = int(inverse.max()) + 1 if n else 1
         combined = combined * cardinality + inverse.astype(np.int64)
         radix *= max(cardinality, 1)
@@ -80,7 +82,7 @@ def count_distinct_per_group(codes: np.ndarray,
     """
     if len(codes) == 0:
         return np.zeros(0, dtype=np.int64)
-    _, value_codes = np.unique(values, return_inverse=True)
+    _, value_codes = t.key_codes(values)
     pair = codes.astype(np.int64) * (int(value_codes.max()) + 1) \
         + value_codes.astype(np.int64)
     order = np.argsort(pair, kind="stable")

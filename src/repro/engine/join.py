@@ -49,7 +49,7 @@ class _BuildIndex:
     A single integer key sorts the build values once (stable) and
     probes by binary search.  Every other key shape — multi-column,
     strings, floats, dates — is *packed* onto that same path: each key
-    column factorizes to dense per-column codes (``np.unique``), the
+    column factorizes to dense per-column codes (``types.key_codes``), the
     codes radix-combine into one int64 per row, and whenever the
     combined code space would approach int64 overflow the partial codes
     re-densify through another ``np.unique`` pass.  Probing maps probe
@@ -88,7 +88,7 @@ class _BuildIndex:
         codes: np.ndarray | None = None
         card = 1
         for arr in key_arrays:
-            uniques, col_codes = np.unique(arr, return_inverse=True)
+            uniques, col_codes = t.key_codes(arr)
             col_codes = col_codes.astype(np.int64, copy=False)
             self._uniques.append(uniques)
             col_card = max(len(uniques), 1)

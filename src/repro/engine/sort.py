@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..columnar import types as t
 from ..columnar.batch import Batch, concat_batches
 from ..plan.logical import Sort
 from .base import PhysicalOperator, QueryContext
@@ -18,22 +19,17 @@ def sort_indices(batch: Batch,
                  sort_keys: list[tuple[str, bool]]) -> np.ndarray:
     """Row order for multi-key sorting with per-key direction.
 
-    Descending string keys are handled by sorting on negated dictionary
-    codes (numpy cannot negate object arrays).
+    String keys sort by their dictionary codes (``types.string_codes``;
+    numpy cannot negate object arrays, and would compare them in Python).
     """
     columns = []
     for name, ascending in reversed(sort_keys):  # lexsort: last = primary
         values = batch.column(name)
+        if values.dtype.kind == "O":
+            _, values = t.string_codes(values)
         if not ascending:
-            if values.dtype.kind == "O":
-                _, codes = np.unique(values, return_inverse=True)
-                values = -codes.astype(np.int64)
-            else:
-                values = -values.astype(np.float64) \
-                    if values.dtype.kind == "f" else -values.astype(np.int64)
-        elif values.dtype.kind == "O":
-            _, codes = np.unique(values, return_inverse=True)
-            values = codes.astype(np.int64)
+            values = -values.astype(np.float64) \
+                if values.dtype.kind == "f" else -values.astype(np.int64)
         columns.append(values)
     return np.lexsort(columns)
 

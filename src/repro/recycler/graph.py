@@ -77,12 +77,16 @@ class GraphNode:
         self.version = 0
         # dependency sets (catalog versioning): which base tables and
         # table functions this node's whole subtree reads — precomputed
-        # so cache admission/invalidation never re-walks the plan.
-        self.tables = frozenset(
-            p.table for p in plan.walk() if isinstance(p, Scan))
-        self.functions = frozenset(
-            p.function for p in plan.walk()
-            if isinstance(p, TableFunctionScan))
+        # so cache admission/invalidation never re-walks the plan, and
+        # built from the children's sets (``plan``'s children are the
+        # children's plans) so insertion does not walk it either.
+        self.tables = frozenset().union(
+            *(c.tables for c in children),
+            (plan.table,) if isinstance(plan, Scan) else ())
+        self.functions = frozenset().union(
+            *(c.functions for c in children),
+            (plan.function,) if isinstance(plan, TableFunctionScan)
+            else ())
         # incarnation stamps of the inserting query's snapshot (set by
         # RecyclerGraph.insert_node): a drop or re-register bumps the
         # live incarnation past these, making the node *version-dead* —
@@ -655,3 +659,10 @@ class RecyclerGraph:
             if not node.children:
                 if node not in self.leaf_index.get(node.hashkey, []):
                     raise RecyclerError(f"leaf index misses {node!r}")
+            walked = list(node.plan.walk())
+            if node.tables != {p.table for p in walked
+                               if isinstance(p, Scan)} or \
+                    node.functions != {p.function for p in walked
+                                       if isinstance(p, TableFunctionScan)}:
+                raise RecyclerError(
+                    f"dependency sets of {node!r} miss its subtree's")

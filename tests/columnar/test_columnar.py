@@ -109,6 +109,18 @@ class TestSchemaTable:
         assert table.to_batches() == []
         assert table.nbytes() == 0
 
+    def test_nbytes_is_sized_once_and_survives_rename(self, monkeypatch):
+        table = Table.from_rows(["x", "s"], [INT64, STRING],
+                                [(1, "ab"), (2, ""), (3, "cde")])
+        assert table.nbytes() == 3 * 8 + 5
+        renamed = table.rename({"s": "label"})
+
+        def fail(values, dtype):
+            raise AssertionError("sized again")
+        monkeypatch.setattr(t, "array_nbytes", fail)
+        assert table.nbytes() == renamed.nbytes() == 29
+        assert renamed.schema.names == ["x", "label"]
+
     def test_sorted_rows_is_order_insensitive(self):
         a = Table.from_rows(["x"], [INT64], [(2,), (1,)])
         b = Table.from_rows(["x"], [INT64], [(1,), (2,)])

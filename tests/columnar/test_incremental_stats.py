@@ -65,6 +65,19 @@ class TestIncrementalEqualsFull:
             len(batches)
         assert catalog.stats_counters["full_recomputes"] == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(base=BATCH, batches=st.lists(BATCH, min_size=1, max_size=8))
+    def test_random_appends_under_a_small_cap(self, base, batches):
+        """With retained sets dropped early, each append either merges
+        by disjoint ranges or recomputes — exact after every one."""
+        catalog = Catalog(stats_refresh_appends=1_000_000,
+                          stats_uniques_limit=2)
+        catalog.register_table("t", batch_table(base))
+        for rows in batches:
+            catalog.append_rows("t", batch_table(rows))
+            entry = catalog.table_entry("t")
+            assert entry.column_stats == _compute_stats(entry.table)
+
     def test_nan_aware_merge(self):
         catalog = Catalog()
         catalog.register_table("t", make_table(
@@ -133,8 +146,10 @@ class TestStaleness:
 
     def test_uniques_cardinality_cap(self):
         """A high-cardinality column drops its retained set (bounded
-        stat memory) and its appends fall back to the full recompute;
-        visible statistics stay exact either way."""
+        stat memory); an append whose values lie wholly outside the
+        prior range still merges (the distinct counts add), one that
+        overlaps it falls back to the full recompute; visible
+        statistics stay exact either way."""
         catalog = Catalog(stats_uniques_limit=4)
         catalog.register_table("t", make_table(
             [1, 2, 3, 4, 5], [1.0] * 5, ["a"] * 5))
@@ -143,9 +158,40 @@ class TestStaleness:
         assert entry.column_stats["i"].distinct_count == 5  # still exact
         assert entry.column_stats["s"].uniques is not None  # 1 <= 4
         catalog.append_rows("t", make_table([6], [2.0], ["b"]))
-        assert catalog.stats_counters["full_recomputes"] == 1
+        assert catalog.stats_counters == {"incremental_merges": 1,
+                                          "full_recomputes": 0}
         assert catalog.distinct_count("t", "i") == 6
         assert catalog.column_range("t", "i") == (1, 6)
+        catalog.append_rows("t", make_table([-1, 0], [2.0] * 2,
+                                            ["b"] * 2))
+        assert catalog.stats_counters["incremental_merges"] == 2
+        assert catalog.column_range("t", "i") == (-1, 6)
+        # 3 is inside [-1, 6]: whether it is new cannot be known
+        catalog.append_rows("t", make_table([3, 9], [2.0] * 2,
+                                            ["b"] * 2))
+        assert catalog.stats_counters == {"incremental_merges": 2,
+                                          "full_recomputes": 1}
+        assert catalog.distinct_count("t", "i") == 9
+        entry = catalog.table_entry("t")
+        assert entry.column_stats == _compute_stats(entry.table)
+
+    def test_capped_string_and_float_columns_merge_by_range(self):
+        catalog = Catalog(stats_uniques_limit=2)
+        catalog.register_table("t", make_table(
+            [1, 1, 1], [1.5, np.nan, 2.5], ["b", "c", "d"]))
+        catalog.append_rows("t", make_table(
+            [1, 1], [np.nan, 3.5], ["e", "f"]))     # all above
+        catalog.append_rows("t", make_table(
+            [1, 1, 1], [0.5, 0.25, 0.5], ["a", "a", "a"]))  # all below
+        assert catalog.stats_counters == {"incremental_merges": 2,
+                                          "full_recomputes": 0}
+        entry = catalog.table_entry("t")
+        assert entry.column_stats == _compute_stats(entry.table)
+        assert entry.column_stats["s"].uniques is None
+        catalog.append_rows("t", make_table([1], [9.0], ["c"]))  # inside
+        assert catalog.stats_counters["full_recomputes"] == 1
+        entry = catalog.table_entry("t")
+        assert entry.column_stats == _compute_stats(entry.table)
 
 
 class TestFacadeCounter:

@@ -136,6 +136,25 @@ class TestJoinsAndMultiChildren:
         assert result.inserted_count == 0
         assert result.matched_count == 4
 
+    def test_dependency_sets_cover_the_whole_subtree(self, graph,
+                                                     sales_catalog):
+        """Built from the children's sets at insertion, not by walking
+        the plan: every level must still name every table below it."""
+        stores = (q.scan("stores", ["store_id", "city"])
+                   .project([("s_id", Col("store_id")), "city"]))
+        plan = (q.scan("sales", ["quantity", "store_id"])
+                 .join(stores, on=[("store_id", "s_id")])
+                 .filter(Cmp(">", Col("quantity"), Lit(2)))
+                 .aggregate(keys=["city"],
+                            aggs=[("sum", Col("quantity"), "total")])
+                 .build())
+        result = match_tree(plan, graph, sales_catalog, query_id=1)
+        assert result.of(plan).graph_node.tables == {"sales", "stores"}
+        assert sorted(len(n.tables) for n in graph.nodes) == \
+            [1, 1, 1, 2, 2, 2]
+        assert all(n.functions == frozenset() for n in graph.nodes)
+        graph.check_invariants()  # compares each set with a plan walk
+
     def test_join_key_mismatch_differs(self, graph, sales_catalog):
         match_tree(self.join_plan(), graph, sales_catalog, query_id=1)
         stores = (q.scan("stores", ["store_id", "city"])

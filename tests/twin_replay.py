@@ -13,7 +13,9 @@ invisible to the paper's benefit-based policies.
 
 Shared by ``tests/recycler/test_root_hit.py`` and the hypothesis
 property in ``tests/property/`` (``tests/`` is on ``sys.path`` through
-the root ``conftest.py``).
+the root ``conftest.py``).  :func:`replay` is the one-database form:
+``tests/engine/test_string_kernel_routes.py`` replays a stream under the
+engine's STRING kernels and under their naive references and compares.
 """
 
 from __future__ import annotations
@@ -58,6 +60,23 @@ def recycler_state(db: Database) -> dict:
                     for e in recycler.cache.entries()],
         "used": recycler.cache.used,
     }
+
+
+def replay(db: Database, ops) -> tuple[list, dict]:
+    """Run ``ops`` — SQL texts, or callables taking the database — on
+    one database; returns what every statement produced (result bytes
+    and query-record fields) and the recycler's final state, for
+    comparison with a replay under different conditions."""
+    produced = []
+    for op in ops:
+        if callable(op):
+            op(db)
+            continue
+        result = db.sql(op)
+        produced.append((table_bytes(result.table),
+                         tuple(getattr(result.record, name)
+                               for name in RECORD_FIELDS)))
+    return produced, recycler_state(db)
 
 
 class Twins:

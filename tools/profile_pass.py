@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Profile one pass of a benchmark workload: where does the time go?
+
+    python tools/profile_pass.py --workload ts_append --mode spec
+    python tools/profile_pass.py --workload tpch_pressure --mode off --sort tottime
+
+replays the op list of a ``bench.workloads`` workload (same seed, same
+size, same database builder as ``bench/run.py``; read-only on ``bench/``)
+twice, each time on a fresh database:
+
+1. plain, with wall-clock wrappers around the per-element STRING work —
+   ``types.array_nbytes`` on STRING columns, key coding of object
+   arrays (``types.string_codes``, and ``np.unique`` on an object
+   array, which the engine no longer calls) and the comparison kernels
+   of ``Cmp`` on object operands — and prints their share of the pass.
+   Timed without a profiler because cProfile charges every Python call
+   but no native loop, which inflates exactly these shares;
+2. under cProfile, and prints the top functions.
+
+A hot-spot hunt starts here; a claim is measured with ``bench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import contextlib
+import pstats
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
+
+import numpy as np  # noqa: E402
+
+from bench import hostspeed  # noqa: E402
+from bench.harness import execute_op  # noqa: E402
+from bench.workloads import WORKLOADS  # noqa: E402
+from repro.columnar import types  # noqa: E402
+from repro.expr.nodes import Cmp  # noqa: E402
+
+DEFAULT_SEED = 7
+
+
+class StringShare:
+    """Seconds and calls spent inside the wrapped STRING kernels."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self.calls: dict[str, int] = {}
+
+    def timed(self, label: str, function, is_string):
+        """``function`` timed under ``label`` for the calls whose
+        arguments ``is_string`` accepts (no wrapped kernel calls
+        another, so the times add up)."""
+        def wrapper(*args, **kwargs):
+            if not is_string(*args, **kwargs):
+                return function(*args, **kwargs)
+            started = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - started
+                self.seconds[label] = self.seconds.get(label, 0.0) + elapsed
+                self.calls[label] = self.calls.get(label, 0) + 1
+        return wrapper
+
+    @contextlib.contextmanager
+    def installed(self):
+        def first_is_object(values, *args, **kwargs):
+            return getattr(values, "dtype", None) == object
+
+        def either_is_object(left, right, *args, **kwargs):
+            return first_is_object(left) or first_is_object(right)
+
+        saved = (types.array_nbytes, types.string_codes, np.unique,
+                 Cmp._FUNCS)
+        types.array_nbytes = self.timed(
+            "array_nbytes(STRING)", types.array_nbytes,
+            lambda values, dtype: dtype is types.STRING)
+        types.string_codes = self.timed(
+            "string_codes", types.string_codes, first_is_object)
+        np.unique = self.timed(
+            "np.unique(object)", np.unique, first_is_object)
+        Cmp._FUNCS = {
+            op: self.timed("Cmp on object operands", kernel,
+                           either_is_object)
+            for op, kernel in Cmp._FUNCS.items()}
+        try:
+            yield
+        finally:
+            (types.array_nbytes, types.string_codes, np.unique,
+             Cmp._FUNCS) = saved
+
+
+def replay(workload, ops, seed: int, size: float, mode: str) -> float:
+    """Set up as the benchmark does, replay ``ops`` once; seconds the
+    ops took (set-up and priming excluded)."""
+    db = workload.build(seed, size, mode)
+    try:
+        for statement in workload.priming(ops):
+            db.sql(statement)
+        started = time.perf_counter()
+        for op in ops:
+            execute_op(db, op, seed)
+        return time.perf_counter() - started
+    finally:
+        db.close()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", required=True,
+                        choices=sorted(WORKLOADS))
+    parser.add_argument("--mode", required=True, choices=("spec", "off"),
+                        help="recycler mode of the pass")
+    parser.add_argument("--sort", default="cumulative",
+                        choices=("cumulative", "tottime"))
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--size", type=float, default=1.0)
+    parser.add_argument("--top", type=int, default=30,
+                        help="profile rows to print")
+    args = parser.parse_args(argv)
+
+    hostspeed.steady_allocator()
+    workload = WORKLOADS[args.workload]
+    ops = workload.make_ops(args.seed, args.size)
+    print(f"# workload={workload.name} mode={args.mode} seed={args.seed}"
+          f" size={args.size} ops={len(ops)} (in process)")
+
+    share = StringShare()
+    with share.installed():
+        seconds = replay(workload, ops, args.seed, args.size, args.mode)
+    print(f"# pass: {seconds * 1e3:.1f} ms unprofiled")
+    for label in sorted(share.seconds, key=share.seconds.get,
+                        reverse=True):
+        print(f"string  {label:<24} {share.seconds[label] * 1e3:9.1f} ms"
+              f" {share.seconds[label] / seconds:6.1%}"
+              f" {share.calls[label]:8d} calls")
+    print(f"string_share {sum(share.seconds.values()) / seconds:.4f}")
+
+    profiler = cProfile.Profile()
+    profiler.runcall(replay, workload, ops, args.seed, args.size,
+                     args.mode)
+    pstats.Stats(profiler).sort_stats(args.sort).print_stats(args.top)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
