@@ -18,8 +18,12 @@ from . import types as t
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .table import Schema
 
-#: Default number of tuples per vector, mirroring Vectorwise's ~1K vectors.
-VECTOR_SIZE = 1024
+#: Tuples per vector — the one size every query runs at.  Vectorwise's
+#: ~1K vectors are sized to stay cache-resident; here each ``next()`` is
+#: tens of interpreter calls under numpy, and the size is the measured
+#: one that amortises them (``docs/ARCHITECTURE.md``, "Engine fixed
+#: costs").
+VECTOR_SIZE = 4096
 
 
 class Batch:
@@ -38,6 +42,18 @@ class Batch:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def _aligned(cls, columns: dict[str, np.ndarray]) -> "Batch":
+        """Internal: wrap ``columns`` — a dict the caller hands over,
+        whose arrays have one length by construction (the same mask,
+        index or slice applied to every column of a batch or table) —
+        without the copy and the ragged check of ``Batch(...)``."""
+        batch = cls.__new__(cls)
+        batch._columns = columns
+        batch._length = len(next(iter(columns.values()))) if columns else 0
+        batch._nbytes = None
+        return batch
+
     @classmethod
     def empty(cls, names: Sequence[str],
               dtypes: Sequence[t.DataType]) -> "Batch":
@@ -93,11 +109,14 @@ class Batch:
     # ------------------------------------------------------------------
     def select(self, names: Sequence[str]) -> "Batch":
         """Keep only ``names``, in the given order."""
-        return Batch({n: self.column(n) for n in names})
+        return Batch._aligned({n: self.column(n) for n in names})
 
     def rename(self, mapping: Mapping[str, str]) -> "Batch":
         """Rename columns; names absent from ``mapping`` are kept."""
-        return Batch({mapping.get(n, n): a for n, a in self._columns.items()})
+        renamed = Batch._aligned({mapping.get(n, n): a
+                                  for n, a in self._columns.items()})
+        renamed._nbytes = self._nbytes  # same columns, same payload
+        return renamed
 
     def with_column(self, name: str, values: np.ndarray) -> "Batch":
         """Return a copy with ``name`` added or replaced."""
@@ -113,21 +132,26 @@ class Batch:
         """Keep rows where ``mask`` is true."""
         if mask.dtype.kind != "b":
             raise SchemaError("filter mask must be boolean")
-        return Batch({n: a[mask] for n, a in self._columns.items()})
+        return Batch._aligned({n: a[mask]
+                               for n, a in self._columns.items()})
 
     def take(self, indices: np.ndarray) -> "Batch":
         """Gather rows by position."""
-        return Batch({n: a[indices] for n, a in self._columns.items()})
+        return Batch._aligned({n: a[indices]
+                               for n, a in self._columns.items()})
 
     def slice(self, start: int, stop: int) -> "Batch":
         """Rows ``start:stop`` (zero-copy views for fixed-width columns)."""
-        return Batch({n: a[start:stop] for n, a in self._columns.items()})
+        return Batch._aligned({n: a[start:stop]
+                               for n, a in self._columns.items()})
 
     # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
     def nbytes(self) -> int:
-        """Payload bytes of this batch (see :func:`types.array_nbytes`).
+        """Payload bytes of this batch: ``arr.nbytes`` of every
+        fixed-width column, the character count of every STRING column
+        (:func:`types.array_nbytes`, the only per-element walk).
 
         Memoized: every operator's ``next()`` accounting asks for it,
         and batches are immutable, so the O(columns) walk runs once.
@@ -135,7 +159,10 @@ class Batch:
         if self._nbytes is None:
             total = 0
             for arr in self._columns.values():
-                total += t.array_nbytes(arr, t.infer_type(arr))
+                if arr.dtype.kind in "OUS":
+                    total += t.array_nbytes(arr, t.STRING)
+                else:
+                    total += arr.nbytes
             self._nbytes = total
         return self._nbytes
 

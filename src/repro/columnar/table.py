@@ -147,6 +147,13 @@ class Table:
                 for name in self.schema.names)
         return self._nbytes
 
+    def freeze(self) -> None:
+        """Make every column array read-only, object arrays included
+        (the recycler cache does this to what it publishes: full-plan
+        hits hand these very arrays to callers)."""
+        for array in self._columns.values():
+            array.flags.writeable = False
+
     # ------------------------------------------------------------------
     # transformation / iteration
     # ------------------------------------------------------------------
@@ -160,6 +167,20 @@ class Table:
                          for n, a in self._columns.items()})
         renamed._nbytes = self._nbytes  # same columns, same payload
         return renamed
+
+    def project(self, schema: Schema,
+                rename: Mapping[str, str]) -> "Table":
+        """This table's columns as ``schema`` names and orders them:
+        ``rename`` maps names here to names there (absent names are
+        kept), columns ``schema`` does not list are dropped.  The
+        arrays are shared, not copied — how a cached result reaches the
+        query that reuses it."""
+        source = {rename.get(name, name): name for name in self._columns}
+        projected = Table(schema, {name: self._columns[source[name]]
+                                   for name in schema.names})
+        if len(schema) == len(self._columns):
+            projected._nbytes = self._nbytes  # same columns, same payload
+        return projected
 
     def filter(self, mask: np.ndarray) -> "Table":
         return Table(self.schema,
@@ -175,18 +196,15 @@ class Table:
 
     def to_batches(self, vector_size: int = VECTOR_SIZE) -> list[Batch]:
         """Split the table into engine-sized vectors."""
-        if self._nrows == 0:
-            return []
-        out = []
-        for start in range(0, self._nrows, vector_size):
-            stop = min(start + vector_size, self._nrows)
-            out.append(Batch({n: a[start:stop]
-                              for n, a in self._columns.items()}))
-        return out
+        return [self.to_batch(start, start + vector_size)
+                for start in range(0, self._nrows, vector_size)]
 
-    def to_batch(self) -> Batch:
-        """The whole table as a single batch."""
-        return Batch(dict(self._columns))
+    def to_batch(self, start: int = 0, stop: int | None = None) -> Batch:
+        """Rows ``start:stop`` as one batch of zero-copy column views —
+        the whole table by default (what the leaf scans emit a vector
+        at a time)."""
+        return Batch._aligned({n: a[start:stop]
+                               for n, a in self._columns.items()})
 
     def to_rows(self) -> list[tuple]:
         """All rows as Python tuples (tests and small results only)."""

@@ -62,15 +62,13 @@ class Database:
 
     def __init__(self, config: RecyclerConfig | None = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 vector_size: int = 1024,
                  catalog: Catalog | None = None) -> None:
         #: ``catalog`` lets a prebuilt catalog (e.g. a generated workload
         #: substrate) be served directly.
         self.catalog = catalog if catalog is not None else Catalog()
         self.config = config or RecyclerConfig()
         self.recycler = Recycler(self.catalog, self.config,
-                                 cost_model=cost_model,
-                                 vector_size=vector_size)
+                                 cost_model=cost_model)
         #: EWMA of inter-query gaps — the cost-aware maintenance
         #: scheduler's traffic signal, fed by the execution service on
         #: every query, whichever frontend it arrives through.

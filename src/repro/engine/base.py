@@ -2,10 +2,19 @@
 
 Operators follow the pull-based, vector-at-a-time model: ``next()``
 returns a :class:`~repro.columnar.batch.Batch` of up to ``vector_size``
-tuples, or ``None`` at end of stream.  Every operator tracks
+tuples, or ``None`` at end of stream.  Every ``next()`` is a few dozen
+interpreter calls whatever the vector holds, so the vector size
+(:data:`~repro.columnar.batch.VECTOR_SIZE`, measured — see
+``docs/ARCHITECTURE.md``, "Engine fixed costs") is what amortises
+them; ``QueryContext.vector_size`` exists for tests that pin tiny
+vectors.  Every operator tracks
 
 * ``self_cost`` — deterministic cost units charged by this operator alone;
-* ``rows_out`` / ``bytes_out`` — output volume (recycler annotations);
+* ``rows_out`` / ``bytes_out`` — output volume (recycler annotations).
+  ``bytes_out`` is exact: :meth:`Batch.nbytes` is ``arr.nbytes`` per
+  fixed-width column and a character count per STRING column,
+  memoized on the batch, so a batch that passes through a filter, a
+  store or a limit unchanged is sized once;
 * ``progress()`` — the paper's progress-meter value in [0, 1] (Section
   III-D): scans and blocking operators know their own progress, everything
   else inherits from its left-deep descendant.

@@ -10,7 +10,7 @@ from ..columnar.batch import VECTOR_SIZE
 from ..columnar.catalog import CatalogView
 from ..columnar.table import Table
 from ..errors import QueryAborted
-from ..plan.logical import PlanNode
+from ..plan.logical import CachedScan, PlanNode
 from .base import PhysicalOperator, QueryContext
 from .cancellation import CancellationToken
 from .compile import compile_plan
@@ -90,6 +90,8 @@ def execute_plan(plan: PlanNode, catalog: CatalogView,
     pending store operators *reject* instead of draining their input
     (see ``StoreOp._close``), so an aborted run never feeds the cache.
     """
+    if isinstance(plan, CachedScan) and not stores:
+        return _serve_cached(plan, vector_size, cost_model, token)
     ctx = QueryContext(catalog, vector_size=vector_size,
                        cost_model=cost_model, query_id=query_id,
                        token=token)
@@ -116,6 +118,36 @@ def execute_plan(plan: PlanNode, catalog: CatalogView,
     schema = plan.output_schema(catalog)
     table = Table.from_batches(schema, batches)
     stats = collect_stats(root, ctx, wall, plan=plan)
+    return QueryResult(table=table, stats=stats)
+
+
+def _serve_cached(plan: CachedScan, vector_size: int,
+                  cost_model: CostModel,
+                  token: CancellationToken | None) -> QueryResult:
+    """A full-plan hit: the plan is one :class:`CachedScan`, so the
+    answer is the cache entry's table under the query's column names.
+    Hands it over without compiling, pulling and re-concatenating a
+    one-operator tree, with the result and statistics a
+    :class:`~repro.engine.scan.ReuseScanOp` run would have produced —
+    the same ``reuse_tuple`` charge accumulated per vector, so
+    ``total_cost`` agrees to the bit — except that the columns are the
+    entry's own read-only arrays instead of a copy, and there is no
+    ``physical_root`` (a reuse scan at the root annotates nothing in
+    the recycler graph)."""
+    started = time.perf_counter()
+    table = plan.handle.table.project(plan.schema, plan.rename)
+    rows = table.num_rows
+    cost = 0.0
+    for start in range(0, rows, vector_size):
+        cost += min(vector_size, rows - start) * cost_model.reuse_tuple
+    if token is not None:
+        token.check()
+    node = NodeStats(self_cost=cost, cumulative_cost=cost, rows_out=rows,
+                     bytes_out=table.nbytes(), exhausted=True)
+    stats = ExecutionStats(total_cost=cost,
+                           wall_seconds=time.perf_counter() - started,
+                           node_stats={0: node}, reuse_cost=cost,
+                           num_reused=1)
     return QueryResult(table=table, stats=stats)
 
 

@@ -19,7 +19,7 @@ class FilterOp(PhysicalOperator):
 
     def _next(self) -> Batch | None:
         while True:
-            self.ctx.token.check()  # per-input-batch cancellation point
+            # the child's next() is the per-input-batch cancellation point
             batch = self.children[0].next()
             if batch is None:
                 return None

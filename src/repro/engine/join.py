@@ -301,7 +301,8 @@ class HashJoinOp(PhysicalOperator):
             columns[name] = batch.column(name)[probe_pos]
         for name in self._right_schema.names:
             columns[name] = self._index.data.column(name)[build_pos]
-        return Batch(columns)
+        # probe_pos and build_pos are aligned: one length by construction
+        return Batch._aligned(columns)
 
     def _pad(self, probe_rows: Batch) -> Batch:
         columns = dict(probe_rows.arrays)

@@ -37,7 +37,7 @@ class TableScanOp(PhysicalOperator):
             return None
         stop = min(self._offset + self.ctx.vector_size,
                    self._table.num_rows)
-        batch = self._table.to_batch().slice(self._offset, stop)
+        batch = self._table.to_batch(self._offset, stop)
         self._offset = stop
         self.charge(len(batch) * self.ctx.cost_model.scan_tuple)
         return batch
@@ -74,7 +74,7 @@ class TableFunctionOp(PhysicalOperator):
             return None
         stop = min(self._offset + self.ctx.vector_size,
                    self._table.num_rows)
-        batch = self._table.to_batch().slice(self._offset, stop)
+        batch = self._table.to_batch(self._offset, stop)
         self._offset = stop
         self.charge(len(batch) * self.ctx.cost_model.table_function_tuple)
         return batch
@@ -103,12 +103,9 @@ class ReuseScanOp(PhysicalOperator):
         self._table: Table | None = None
 
     def _open(self) -> None:
-        table = self._handle.table
-        if self._rename:
-            table = table.rename(self._rename)
-        # Project/order to the expected schema (cached results may carry
-        # extra columns when column subsumption applied).
-        self._table = table.select(self.schema.names)
+        # the query's names and column order; a cached result may carry
+        # extra columns when column subsumption applied
+        self._table = self._handle.table.project(self.schema, self._rename)
 
     def _next(self) -> Batch | None:
         assert self._table is not None, "operator not opened"
@@ -116,7 +113,7 @@ class ReuseScanOp(PhysicalOperator):
             return None
         stop = min(self._offset + self.ctx.vector_size,
                    self._table.num_rows)
-        batch = self._table.to_batch().slice(self._offset, stop)
+        batch = self._table.to_batch(self._offset, stop)
         self._offset = stop
         self.charge(len(batch) * self.ctx.cost_model.reuse_tuple)
         return batch

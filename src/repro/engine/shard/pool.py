@@ -33,10 +33,10 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import threading
-import time
 from typing import TYPE_CHECKING
 
 from ...columnar import shm as shm_codec
+from ...columnar.batch import VECTOR_SIZE
 from ...errors import ReproError
 from ...plan.logical import CachedScan, PlanNode, Scan, TableFunctionScan
 from ..executor import ExecutionStats, NodeStats
@@ -101,7 +101,6 @@ class ShardRuntime:
         self.workers = workers
         self.ring_bytes = ring_bytes
         self.retry_limit = retry_limit
-        self._vector_size = db.recycler.vector_size
         self._cost_model = db.recycler.cost_model
         self._ctx = multiprocessing.get_context("spawn")
         self._closed = False
@@ -158,8 +157,7 @@ class ShardRuntime:
         process = self._ctx.Process(
             target=worker_main,
             args=(index, child_conn, ring.name, self._table_specs,
-                  self._function_specs, self._vector_size,
-                  self._cost_model),
+                  self._function_specs, VECTOR_SIZE, self._cost_model),
             name=f"repro-shard-{index}", daemon=True)
         process.start()
         child_conn.close()

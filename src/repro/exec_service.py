@@ -39,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
+from .columnar.batch import VECTOR_SIZE
 from .engine.cancellation import CancellationToken
 from .engine.executor import QueryResult, execute_plan
 from .engine.shard.pool import ShardUnavailable
@@ -322,7 +323,7 @@ class ExecutionService:
                                       prepared.snapshot or
                                       recycler.catalog,
                                       stores=prepared.stores,
-                                      vector_size=recycler.vector_size,
+                                      vector_size=VECTOR_SIZE,
                                       cost_model=recycler.cost_model,
                                       query_id=prepared.query_id,
                                       token=cancel_token)

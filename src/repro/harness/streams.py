@@ -25,6 +25,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from ..columnar.batch import VECTOR_SIZE
 from ..columnar.catalog import Catalog
 from ..engine.executor import execute_plan
 from ..plan.logical import PlanNode
@@ -188,7 +189,7 @@ class StreamSimulator:
             # never runs DDL, but execution must agree with the rewrite
             prepared.snapshot or self.catalog,
             stores=prepared.stores,
-            vector_size=self.recycler.vector_size,
+            vector_size=VECTOR_SIZE,
             cost_model=self.recycler.cost_model,
             query_id=prepared.query_id)
         self.recycler.finalize(prepared, exec_result.stats, label=label)

@@ -341,6 +341,10 @@ class RecyclerCache:
         holds ``_lock``."""
         if benefit is None:
             benefit = self.model.benefit(node, size_override=size)
+        # Reuse scans slice these arrays zero-copy and a full-plan hit
+        # returns them as the query's result: a caller writing through
+        # its result must fail, not corrupt every later hit.
+        table.freeze()
         entry = CacheEntry(node=node, table=table, size=size,
                            benefit=benefit,
                            admitted_event=self.model.graph.event,

@@ -131,12 +131,10 @@ class Recycler:
 
     def __init__(self, catalog: Catalog,
                  config: RecyclerConfig | None = None,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 vector_size: int = 1024) -> None:
+                 cost_model: CostModel = DEFAULT_COST_MODEL) -> None:
         self.catalog = catalog
         self.config = config or RecyclerConfig()
         self.cost_model = cost_model
-        self.vector_size = vector_size
         self.graph = RecyclerGraph(catalog, alpha=self.config.alpha)
         self.model = BenefitModel(self.graph,
                                   speculation_h=self.config.speculation_h)

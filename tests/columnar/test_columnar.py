@@ -59,6 +59,38 @@ class TestBatch:
         assert list(batch.take(np.array([3, 1])).column("a")) == [3, 1]
         assert list(batch.slice(1, 3).column("a")) == [1, 2]
 
+    def test_derived_batches_skip_the_check_the_public_one_keeps(self):
+        # filter / take / slice / select / rename build their result
+        # through the trusted constructor; ``Batch(...)`` still checks
+        batch = Batch({"a": np.arange(4), "b": np.arange(4) * 2.0})
+        for derived, rows in [
+                (batch.filter(np.array([True, False, True, False])), 2),
+                (batch.take(np.array([3, 3, 0])), 3),
+                (batch.slice(1, 4), 3), (batch.slice(2, 99), 2),
+                (batch.select(["b"]), 4), (batch.rename({"a": "x"}), 4)]:
+            assert len(derived) == rows
+            assert {len(a) for a in derived.arrays.values()} == {rows}
+        with pytest.raises(SchemaError):
+            Batch({"a": np.arange(4), "b": np.arange(3)})
+        with pytest.raises(SchemaError):
+            Batch(dict(batch.arrays, c=np.arange(5)))
+
+    def test_zero_column_batch_keeps_length_zero(self):
+        empty = Batch({})
+        assert len(empty) == 0
+        assert len(empty.filter(np.zeros(0, dtype=bool))) == 0
+        assert len(empty.take(np.array([0, 0, 0]))) == 0
+        assert len(empty.slice(0, 5)) == 0
+        assert len(empty.select([])) == 0 and empty.nbytes() == 0
+
+    def test_nbytes_survives_rename(self, monkeypatch):
+        words = np.empty(3, dtype=object)
+        words[:] = ["ab", "", "cde"]
+        batch = Batch({"s": words, "d": np.arange(3, dtype=np.int32)})
+        assert batch.nbytes() == 5 + 12
+        monkeypatch.setattr(t, "array_nbytes", None)  # would raise
+        assert batch.rename({"s": "x"}).nbytes() == 17
+
     def test_rename_and_select(self):
         batch = Batch({"a": np.arange(2), "b": np.arange(2)})
         renamed = batch.rename({"a": "x"})
@@ -102,6 +134,21 @@ class TestSchemaTable:
         assert [len(b) for b in batches] == [3, 3, 3, 1]
         rebuilt = Table.from_batches(table.schema, batches)
         assert rebuilt.to_rows() == table.to_rows()
+
+    def test_to_batch_is_a_window_of_views_and_freeze_reaches_them(self):
+        table = Table.from_rows(["x", "s"], [INT64, STRING],
+                                [(i, str(i)) for i in range(10)])
+        window = table.to_batch(3, 7)
+        assert window.column("x").tolist() == [3, 4, 5, 6]
+        assert np.shares_memory(window.column("x"), table.column("x"))
+        assert len(table.to_batch()) == 10
+        assert len(table.to_batch(8, 99)) == 2
+        table.freeze()
+        for name, value in (("x", 1), ("s", "q")):
+            with pytest.raises(ValueError):
+                table.column(name)[0] = value
+            with pytest.raises(ValueError):
+                table.to_batch(0, 2).column(name)[0] = value
 
     def test_empty_table(self):
         table = Table.empty(Schema(["x", "s"], [INT64, STRING]))

@@ -14,6 +14,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.columnar import FLOAT64, INT64, Catalog, Schema, Table
+from repro.columnar.batch import VECTOR_SIZE
 from repro.engine import (CancellationToken, MODE_MATERIALIZE,
                           StoreRequest, execute_plan)
 from repro.errors import QueryCancelled, QueryTimeout
@@ -99,6 +101,39 @@ class TestExecutorAbort:
         # strictly fewer batches than the uncancelled run
         assert predicate.calls == 3
         assert predicate.calls < baseline.calls
+
+    def test_cancel_lands_within_one_vector_at_the_engine_size(self):
+        # No ``vector_size=``: the size every Database query runs at.
+        # A larger constant must not widen the cancellation window
+        # beyond one vector, nor let the aborted run feed the cache.
+        vectors = 4
+        rows = (vectors - 1) * VECTOR_SIZE + 7
+        catalog = Catalog()
+        catalog.register_table("wide", Table(
+            Schema(["k", "grp", "val"], [INT64, INT64, FLOAT64]),
+            {"k": np.arange(rows), "grp": np.arange(rows) % 25,
+             "val": np.linspace(0.0, 1.0, rows)}))
+        baseline = CountingPredicate()
+        assert execute_plan(filtered_scan(baseline),
+                            catalog).table.num_rows == rows
+        assert baseline.calls == vectors
+
+        token = CancellationToken()
+        predicate = CountingPredicate(token, cancel_at=2)  # mid-scan
+        plan = filtered_scan(predicate)
+        completed: list[object] = []
+        aborted: list[object] = []
+        request = StoreRequest(
+            mode=MODE_MATERIALIZE, tag="node",
+            on_complete=lambda table, stats, tag: completed.append(tag),
+            on_abort=aborted.append)
+        with pytest.raises(QueryCancelled):
+            execute_plan(plan, catalog, stores={id(plan): request},
+                         token=token)
+        # the vector that tripped the token was the last one evaluated
+        assert predicate.calls == 2 < vectors
+        assert completed == []
+        assert aborted == ["node"]
 
     def test_cancel_mid_blocking_sort(self, wide_catalog):
         token = CancellationToken()

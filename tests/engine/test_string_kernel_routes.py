@@ -20,7 +20,7 @@ import pytest
 from repro import Database, RecyclerConfig, Table
 from repro.columnar import FLOAT64, INT64, STRING, types
 from repro.workloads import timeseries, tpch
-from twin_replay import replay
+from twin_replay import quiet_config, replay
 
 
 # ----------------------------------------------------------------------
@@ -113,20 +113,11 @@ def _naive_codes(values: np.ndarray):
     return np.unique(values, return_inverse=True)
 
 
-def _config(cache_bytes: int) -> RecyclerConfig:
-    # no thread, no wall-clock trigger: both replays do identical work
-    return RecyclerConfig(
-        mode="spec", cache_capacity=cache_bytes,
-        maintenance_interval_seconds=None,
-        maintenance_idle_seconds=None, maintenance_idle_gap_factor=None,
-        maintenance_budget_seconds=None)
-
-
 def _tpch_stream():
     streams = tpch.generate_streams(2, 0.002, seed=5)
     ops = [query.sql for stream in streams for query in list(stream) * 2]
     ops.insert(len(ops) // 2, lambda db: db.maintain())
-    return (lambda: Database(_config(256 * 1024),
+    return (lambda: Database(quiet_config(256 * 1024),
                              catalog=tpch.build_catalog(0.002, seed=3)),
             ops)
 
@@ -144,7 +135,7 @@ def _dashboard_stream():
                     timeseries.alerts(rows),
                     timeseries.hot_sensors(rows),
                     timeseries.site_rollup(initial)] * 2)
-    return (lambda: Database(_config(64 * 1024 * 1024),
+    return (lambda: Database(quiet_config(64 * 1024 * 1024),
                              catalog=timeseries.build_catalog(
                                  initial, seed=7)),
             ops)

@@ -24,12 +24,22 @@ from typing import Callable
 
 import numpy as np
 
-from repro import Database
+from repro import Database, RecyclerConfig
 from repro.sql import sql_to_plan
 
 RECORD_FIELDS = ("num_reused", "num_matched", "num_inserted",
                  "num_materialized", "num_stores_injected", "total_cost",
                  "graph_nodes")
+
+
+def quiet_config(cache_bytes: int) -> RecyclerConfig:
+    """``spec`` mode with no maintenance thread and no wall-clock
+    trigger, so two replays of one stream do identical work."""
+    return RecyclerConfig(
+        mode="spec", cache_capacity=cache_bytes,
+        maintenance_interval_seconds=None,
+        maintenance_idle_seconds=None, maintenance_idle_gap_factor=None,
+        maintenance_budget_seconds=None)
 
 
 def table_bytes(table) -> list:

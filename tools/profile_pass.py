@@ -12,9 +12,12 @@ twice, each time on a fresh database:
    ``types.array_nbytes`` on STRING columns, key coding of object
    arrays (``types.string_codes``, and ``np.unique`` on an object
    array, which the engine no longer calls) and the comparison kernels
-   of ``Cmp`` on object operands — and prints their share of the pass.
-   Timed without a profiler because cProfile charges every Python call
-   but no native loop, which inflates exactly these shares;
+   of ``Cmp`` on object operands — and prints their share of the pass,
+   then the counts behind the engine's per-batch floor
+   (``PhysicalOperator.next`` calls, ``Batch`` objects built, batches
+   per statement).  Timed without a profiler because cProfile charges
+   every Python call but no native loop, which inflates exactly these
+   shares;
 2. under cProfile, and prints the top functions.
 
 A hot-spot hunt starts here; a claim is measured with ``bench/run.py``.
@@ -39,8 +42,10 @@ import numpy as np  # noqa: E402
 
 from bench import hostspeed  # noqa: E402
 from bench.harness import execute_op  # noqa: E402
-from bench.workloads import WORKLOADS  # noqa: E402
+from bench.workloads import SCAN, SQL, WORKLOADS  # noqa: E402
 from repro.columnar import types  # noqa: E402
+from repro.columnar.batch import Batch  # noqa: E402
+from repro.engine.base import PhysicalOperator  # noqa: E402
 from repro.expr.nodes import Cmp  # noqa: E402
 
 DEFAULT_SEED = 7
@@ -97,6 +102,43 @@ class StringShare:
              Cmp._FUNCS) = saved
 
 
+class BatchFloor:
+    """Calls that cost the same whatever the vector holds — the
+    engine's per-batch floor: ``PhysicalOperator.next`` calls and
+    ``Batch`` objects built (by either constructor)."""
+
+    def __init__(self) -> None:
+        self.next_calls = 0
+        self.batches_built = 0
+
+    @contextlib.contextmanager
+    def installed(self):
+        saved = (PhysicalOperator.next, Batch.__init__,
+                 Batch.__dict__["_aligned"])
+        pull, build, aligned = saved[0], saved[1], saved[2].__func__
+
+        def counted_next(op):
+            self.next_calls += 1
+            return pull(op)
+
+        def counted_init(batch, columns):
+            self.batches_built += 1
+            build(batch, columns)
+
+        def counted_aligned(cls, columns):
+            self.batches_built += 1
+            return aligned(cls, columns)
+
+        PhysicalOperator.next = counted_next
+        Batch.__init__ = counted_init
+        Batch._aligned = classmethod(counted_aligned)
+        try:
+            yield
+        finally:
+            (PhysicalOperator.next, Batch.__init__,
+             Batch._aligned) = saved
+
+
 def replay(workload, ops, seed: int, size: float, mode: str) -> float:
     """Set up as the benchmark does, replay ``ops`` once; seconds the
     ops took (set-up and priming excluded)."""
@@ -133,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
           f" size={args.size} ops={len(ops)} (in process)")
 
     share = StringShare()
-    with share.installed():
+    floor = BatchFloor()
+    with share.installed(), floor.installed():
         seconds = replay(workload, ops, args.seed, args.size, args.mode)
     print(f"# pass: {seconds * 1e3:.1f} ms unprofiled")
     for label in sorted(share.seconds, key=share.seconds.get,
@@ -142,6 +185,10 @@ def main(argv: list[str] | None = None) -> int:
               f" {share.seconds[label] / seconds:6.1%}"
               f" {share.calls[label]:8d} calls")
     print(f"string_share {sum(share.seconds.values()) / seconds:.4f}")
+    queries = sum(op.kind in (SQL, SCAN) for op in ops)
+    print(f"next_calls {floor.next_calls}")
+    print(f"batches_built {floor.batches_built}")
+    print(f"batches_per_op {floor.batches_built / queries:.1f}")
 
     profiler = cProfile.Profile()
     profiler.runcall(replay, workload, ops, args.seed, args.size,
