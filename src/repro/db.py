@@ -49,7 +49,7 @@ from .engine.cost import DEFAULT_COST_MODEL, CostModel
 from .engine.executor import QueryResult
 from .plan.logical import PlanNode, render_plan
 from .recycler.config import RecyclerConfig
-from .recycler.maintenance import ActivityTracker, MaintenanceManager
+from .recycler.maintenance import MaintenanceManager
 from .recycler.recycler import Recycler
 from .session import Session, SessionPool
 
@@ -69,23 +69,16 @@ class Database:
         self.config = config or RecyclerConfig()
         self.recycler = Recycler(self.catalog, self.config,
                                  cost_model=cost_model)
-        #: EWMA of inter-query gaps — the cost-aware maintenance
-        #: scheduler's traffic signal, fed by the execution service on
-        #: every query, whichever frontend it arrives through.
-        self.activity = ActivityTracker(
-            alpha=self.config.activity_ewma_alpha)
         #: the one canonical execution pipeline
         #: (:class:`~repro.exec_service.ExecutionService`) — shared by
         #: this facade, sessions, the DB-API, and the server, so every
-        #: frontend's queries meet in one recycler *and* one activity /
+        #: frontend's queries meet in one recycler *and* one
         #: per-frontend statistics stream.
         self.service = self.recycler.service
-        self.service.activity = self.activity
         #: background GC/truncate/refresh driver; its thread only starts
         #: when ``config.maintenance_interval_seconds`` is set, but
         #: ``maintain()`` applies the triggers on demand regardless.
-        self.maintenance = MaintenanceManager(self.recycler,
-                                              activity=self.activity)
+        self.maintenance = MaintenanceManager(self.recycler)
         self.maintenance.start()
         self._session_counter = 0
         self._session_lock = threading.Lock()
@@ -183,7 +176,9 @@ class Database:
     # ------------------------------------------------------------------
     def plan(self, sql: str,
              snapshot: CatalogSnapshot | None = None) -> PlanNode:
-        """Parse + bind + validate SQL into an optimized logical plan.
+        """Parse + bind + validate SQL into the *as-bound* logical plan —
+        before the recycler's canonicalizing optimizer
+        (:meth:`explain` shows the plan after it).
 
         Binding and validation resolve against ``snapshot`` (one is
         pinned here otherwise), so a concurrent DDL cannot slide under
@@ -216,8 +211,11 @@ class Database:
                                     label=label, timeout=timeout)
 
     def explain(self, sql: str) -> str:
-        """The optimized logical plan as a printable tree."""
-        return render_plan(self.plan(sql))
+        """The canonical plan — the one the recycler fingerprints and
+        matches — as a printable tree.  Goes through the statement
+        cache, so explaining a statement also warms it."""
+        return render_plan(self.service.statement(
+            sql, self.catalog.snapshot()).plan)
 
     # ------------------------------------------------------------------
     # sessions & concurrency
@@ -298,7 +296,7 @@ class Database:
     def summary(self) -> dict:
         """Aggregate counters: the recycler view (queries, graph, cache,
         costs), background-maintenance counters under ``"maintenance"``
-        (cycles, triggers incl. predicted-idle, truncate runs, nodes
+        (cycles, size/idle triggers, truncate runs, nodes
         truncated, bytes reclaimed, GC nodes collected, budget-exhausted
         cycles, incremental stat merges, benefit refreshes),
         catalog/DDL counters under ``"catalog"`` (tables, functions, DDL

@@ -122,14 +122,15 @@ def _run_task(catalog: Catalog, ring: ShmRing, msg: tuple,
     return sections
 
 
-def worker_main(worker_id: int, conn, ring_name: str,
-                table_specs: list[tuple[str, str]],
-                function_specs: list[tuple[str, bytes, object, float]],
-                vector_size: int, cost_model: CostModel) -> None:
-    """Entry point of one shard worker process (spawn target)."""
+def _serve(worker_id: int, conn, ring_name: str,
+           table_specs: list[tuple[str, str]],
+           function_specs: list[tuple[str, bytes, object, float]],
+           vector_size: int, cost_model: CostModel,
+           segments: list) -> None:
+    """Attach the shared tables (their mappings go into ``segments``)
+    and run tasks until told to stop or the parent goes away."""
     ring = ShmRing.attach(ring_name)
     catalog = Catalog()
-    segments = []  # keep the mappings alive behind the zero-copy views
     for table_name, segment_name in table_specs:
         table, segment = shm_codec.attach_table(segment_name)
         segments.append(segment)
@@ -164,7 +165,24 @@ def worker_main(worker_id: int, conn, ring_name: str,
             # an exception that cannot pickle: degrade to its repr
             conn.send(("err", seq,
                        ExecutionError(f"shard worker failed: {reply!r}")))
+
+
+def worker_main(worker_id: int, conn, ring_name: str,
+                table_specs: list[tuple[str, str]],
+                function_specs: list[tuple[str, bytes, object, float]],
+                vector_size: int, cost_model: CostModel) -> None:
+    """Entry point of one shard worker process (spawn target)."""
+    segments: list = []
     try:
-        conn.close()
-    except OSError:  # pragma: no cover - teardown best effort
-        pass
+        _serve(worker_id, conn, ring_name, table_specs, function_specs,
+               vector_size, cost_model, segments)
+    finally:
+        # The catalog's zero-copy views died with ``_serve``'s frame; a
+        # segment still exporting buffers at exit makes
+        # ``SharedMemory.__del__`` print a BufferError traceback.
+        for segment in segments:
+            shm_codec.close_segment(segment)
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - teardown best effort
+            pass

@@ -6,17 +6,16 @@ server (:mod:`repro.server`) — funnels queries through one
 :class:`ExecutionService`.  The service owns the **single** canonical
 pipeline:
 
-1. note activity (the maintenance scheduler's EWMA traffic signal);
-2. pin a catalog snapshot (unless the caller already pinned one);
-3. look SQL text up in the statement cache — a miss parses, binds,
+1. pin a catalog snapshot (unless the caller already pinned one);
+2. look SQL text up in the statement cache — a miss parses, binds,
    validates and canonicalizes it (and re-populates the cache) — or
    validate a prebuilt plan;
-4. build the :class:`~repro.engine.cancellation.CancellationToken` from
+3. build the :class:`~repro.engine.cancellation.CancellationToken` from
    uniform ``timeout``/``deadline`` limits (unless the caller supplies
    a token it also needs for cross-thread cancellation);
-5. ``Recycler.prepare`` → remote-or-local execution → ``finalize``
+4. ``Recycler.prepare`` → remote-or-local execution → ``finalize``
    (with ``abandon`` unwinding on any failure);
-6. account the outcome into per-frontend statistics.
+5. account the outcome into per-frontend statistics.
 
 Historically that pipeline existed four times — ``Database.sql`` /
 ``Database.execute``, ``Session.execute``, ``SessionPool.submit``, and
@@ -139,15 +138,11 @@ class ExecutionService:
 
     Constructed by :class:`~repro.recycler.recycler.Recycler` (so the
     recycler's own ``execute`` keeps working standalone) and shared by
-    the :class:`~repro.db.Database` facade, which attaches its
-    :class:`~repro.recycler.maintenance.ActivityTracker`.
+    the :class:`~repro.db.Database` facade.
     """
 
-    def __init__(self, recycler: "Recycler", activity=None) -> None:
+    def __init__(self, recycler: "Recycler") -> None:
         self.recycler = recycler
-        #: the maintenance scheduler's EWMA traffic signal; ``None``
-        #: (standalone recycler) disables the activity feed.
-        self.activity = activity
         self._stats: dict[str, FrontendStats] = {}
         self._stats_lock = threading.Lock()
         #: SQL text -> :class:`Statement`, least recently used first
@@ -249,8 +244,6 @@ class ExecutionService:
         attributes cache admissions to a per-tenant byte budget (see
         :meth:`~repro.recycler.recycler.Recycler.set_tenant_budget`).
         """
-        if self.activity is not None:
-            self.activity.note_query()
         if cancel_token is None:
             cancel_token = CancellationToken.from_limits(
                 timeout=timeout, deadline=deadline)

@@ -21,13 +21,15 @@ from .graph import GraphNode, RecyclerGraph
 from .matching import MatchResult
 
 
+#: the paper's constant importance factor for speculative decisions.
+SPECULATION_H = 0.001
+
+
 class BenefitModel:
     """Benefit computation plus hR bookkeeping over a recycler graph."""
 
-    def __init__(self, graph: RecyclerGraph,
-                 speculation_h: float = 0.001) -> None:
+    def __init__(self, graph: RecyclerGraph) -> None:
         self.graph = graph
-        self.speculation_h = speculation_h
 
     # ------------------------------------------------------------------
     # Eq. 2 and Eq. 1
@@ -52,7 +54,7 @@ class BenefitModel:
 
     def speculative_benefit(self, est_cost: float, est_size: int) -> float:
         """Eq. 1 with the paper's small constant importance factor."""
-        return est_cost * self.speculation_h / max(est_size, 1)
+        return est_cost * SPECULATION_H / max(est_size, 1)
 
     def truncation_score(self, node: GraphNode) -> float:
         """Victim-ordering key for cost-aware truncation: Eq. 1 is

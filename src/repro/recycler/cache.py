@@ -4,8 +4,7 @@ A finite in-memory store of materialized results.  Managed as a knapsack
 along Dantzig's greedy lines: entries are classified into groups by the
 logarithm of their size and kept in increasing-benefit order inside each
 group.  Admission materializes while space lasts; replacement evicts a
-lower-average-benefit set from the new result's own size group (scanning
-all groups is available as an explicitly non-paper extension).
+lower-average-benefit set from the new result's own size group.
 
 Admission and eviction drive the hR adjustments of Algorithm 2 / Eq. 4
 through the :class:`~repro.recycler.benefit.BenefitModel`, and refresh the
@@ -92,11 +91,9 @@ class RecyclerCache:
 
     def __init__(self, model: BenefitModel,
                  capacity: int | None = None,
-                 scan_all_groups: bool = False,
                  live_versions=None) -> None:
         self.model = model
         self.capacity = capacity
-        self.scan_all_groups = scan_all_groups
         #: ``live_versions(tables, functions) -> (dict, dict)`` — the
         #: *live* catalog's :meth:`~repro.columnar.catalog.CatalogView.
         #: versions_for`; admission compares entry tags against it.
@@ -370,10 +367,7 @@ class RecyclerCache:
         the average exceeds the new result's benefit (reject) or enough
         space is freed (accept).
         """
-        if self.scan_all_groups:
-            pool = sorted(self.entries(), key=lambda e: e.benefit)
-        else:
-            pool = self._groups.get(self.group_of(size), [])
+        pool = self._groups.get(self.group_of(size), [])
         victims: list[CacheEntry] = []
         freed = self.free
         benefit_sum = 0.0

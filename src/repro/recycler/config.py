@@ -15,8 +15,7 @@ The four modes mirror the paper's evaluation (Section V):
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MODE_OFF = "off"
 MODE_HIST = "hist"
@@ -26,30 +25,13 @@ MODE_PA = "pa"
 ALL_MODES = (MODE_OFF, MODE_HIST, MODE_SPEC, MODE_PA)
 
 
-def _optimize_plans_default() -> bool:
-    """Default for ``optimize_plans``, overridable via the environment
-    (``REPRO_OPTIMIZE_PLANS=0`` — the CI optimizer-off job leg runs the
-    stress suites through the legacy as-bound matching path)."""
-    return os.environ.get("REPRO_OPTIMIZE_PLANS", "1").lower() \
-        not in ("0", "false", "off", "no")
-
-
 @dataclass
 class RecyclerConfig:
-    """Tunable parameters of the recycler (paper defaults where given)."""
+    """Tunable parameters of the recycler (paper defaults where given).
+    A field only when two callers need different values
+    (``docs/API.md`` says who); the rest are constants by their reader."""
 
     mode: str = MODE_SPEC
-
-    #: run the canonicalizing plan-optimizer pass
-    #: (:class:`~repro.plan.optimizer.PlanOptimizer`) in
-    #: ``Recycler.prepare`` *before* fingerprinting and matching, so
-    #: semantically equivalent plan shapes (stacked filters vs. one AND,
-    #: ``1`` vs. ``1.0`` literals, identity projections, ...) normalize
-    #: to one fingerprint and share one cached entry.  Also arms the
-    #: per-subplan cost gate on reuse substitution.  ``False`` restores
-    #: the legacy as-bound matching bit for bit.  Defaults from the
-    #: ``REPRO_OPTIMIZE_PLANS`` environment variable (unset = on).
-    optimize_plans: bool = field(default_factory=_optimize_plans_default)
 
     #: recycler cache capacity in bytes; ``None`` = unlimited.
     cache_capacity: int | None = 256 * 1024 * 1024
@@ -58,10 +40,6 @@ class RecyclerConfig:
     #: event (Eq. 5); 1.0 disables aging.
     alpha: float = 0.995
 
-    #: minimum effective references for a history-mode store decision —
-    #: "only materializes results that have been seen before".
-    store_min_refs: float = 1.0
-
     #: minimum benefit (Eq. 1) for injecting a history store at all; keeps
     #: cheap-but-large results (plain scans) from being materialized.
     benefit_threshold: float = 0.02
@@ -69,42 +47,15 @@ class RecyclerConfig:
     #: minimum base cost for a history store; pure overhead below this.
     min_store_cost: float = 100.0
 
-    #: a history store must save at least this multiple of its own
-    #: materialize+reuse overhead per reuse; keeps cheap-to-recompute
-    #: results (plain scans) out of the cache even when referenced often.
-    store_overhead_factor: float = 1.5
-
-    #: the paper's constant importance factor for speculative decisions.
-    speculation_h: float = 0.001
-
-    #: speculative benefit must exceed this to materialize.  The paper
-    #: admits every speculated result while cache space lasts (the cache
-    #: policies are the gate), so the faithful default is 0; raise it for
-    #: the ablation benches.
-    speculation_benefit_threshold: float = 0.0
-
     #: minimum extrapolated cost for a speculative store to proceed.
     speculation_min_cost: float = 100.0
-
-    #: progress fraction required before a speculative decision is made.
-    speculation_min_progress: float = 0.05
-
-    #: buffered bytes after which a speculative store is forced to decide.
-    speculation_buffer_bytes: int = 32 * 1024 * 1024
 
     #: enable subsumption matching (Section IV-A).
     subsumption: bool = True
 
-    #: proactive top-N: limit used for the proactively cached topN.
-    proactive_topn_limit: int = 10000
-
     #: proactive cube caching: maximum distinct values of the selection
     #: column(s) pulled into the GROUP BY (Section IV-B heuristic).
     proactive_group_threshold: int = 64
-
-    #: extension (off = paper-faithful): let the replacement policy scan
-    #: all size groups instead of only the new result's own group.
-    replacement_scan_all_groups: bool = False
 
     #: benefit-steered proactive execution (paper Section IV-B): execute
     #: the proactive variant only once its aggregate has a cached result or
@@ -118,13 +69,6 @@ class RecyclerConfig:
     #: releases its registrations, so the timeout only matters for
     #: pathological cases such as a producer thread dying uncleanly.
     inflight_wait_timeout: float | None = 30.0
-
-    #: number of rewrite/finalize lock stripes.  A query's critical
-    #: sections take the stripe selected by its plan fingerprint (root
-    #: anchor hash), so rewrites of disjoint plan subgraphs proceed in
-    #: parallel while identical plans stay serialized.  ``1`` reproduces
-    #: the old coarse-lock behaviour exactly (benchmark baseline).
-    lock_stripes: int = 16
 
     #: background maintenance cadence in seconds; ``None`` disables the
     #: :class:`~repro.recycler.maintenance.MaintenanceManager` thread
@@ -148,7 +92,7 @@ class RecyclerConfig:
     #: cost-aware maintenance: byte budget per cycle — a budgeted
     #: truncation stops once reclaiming the next victim would push the
     #: cycle past this many bytes (victims fall lowest benefit-per-byte
-    #: first).  ``None`` removes the cap (legacy whole-sweep behaviour).
+    #: first).  ``None`` removes the cap.
     maintenance_budget_bytes: int | None = 64 * 1024 * 1024
 
     #: cost-aware maintenance: wall-clock budget per cycle in seconds —
@@ -157,42 +101,12 @@ class RecyclerConfig:
     #: ``None`` disables the time budget.
     maintenance_budget_seconds: float | None = 0.25
 
-    #: predicted-idle trigger: a maintenance cycle spends its budget
-    #: when the current inter-query gap exceeds this multiple of the
-    #: EWMA gap (the activity signal threaded from ``Database`` /
-    #: ``Session``) — maintenance lands in the lulls traffic actually
-    #: leaves instead of waiting out ``maintenance_idle_seconds``.
-    #: ``None`` disables prediction (threshold triggers only).
-    maintenance_idle_gap_factor: float | None = 8.0
-
-    #: absolute floor under the predicted-idle threshold: the current
-    #: gap must also exceed this many seconds, so a back-to-back burst
-    #: (EWMA gap near zero) cannot make every instant "predict idle"
-    #: and grab the rewrite stripes mid-traffic.
-    maintenance_idle_gap_floor_seconds: float = 0.05
-
-    #: EWMA weight of the newest inter-query gap in the activity
-    #: tracker (higher adapts faster, lower smooths bursts).
-    activity_ewma_alpha: float = 0.2
-
-    #: hit-rate feedback on the per-cycle byte budget: the effective
-    #: budget is ``maintenance_budget_bytes * (1 + factor * (1 - h))``
-    #: where ``h`` is the cache hit rate (reuses per query) observed
-    #: since the previous cycle.  A cache that is not earning reuses is
-    #: mostly dead bookkeeping, so maintenance may spend up to
-    #: ``1 + factor`` times the base budget clearing it; a hot cache
-    #: keeps the base budget.  ``None`` disables feedback (the budget
-    #: is always exactly ``maintenance_budget_bytes``).
-    maintenance_hit_rate_budget_factor: float | None = None
-
     def __post_init__(self) -> None:
         if self.mode not in ALL_MODES:
             raise ValueError(f"unknown recycler mode {self.mode!r};"
                              f" expected one of {ALL_MODES}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.lock_stripes < 1:
-            raise ValueError("lock_stripes must be >= 1")
         if self.maintenance_interval_seconds is not None and \
                 self.maintenance_interval_seconds <= 0:
             raise ValueError(
@@ -207,20 +121,6 @@ class RecyclerConfig:
                 self.maintenance_budget_seconds <= 0:
             raise ValueError(
                 "maintenance_budget_seconds must be positive or None")
-        if self.maintenance_idle_gap_factor is not None and \
-                self.maintenance_idle_gap_factor <= 0:
-            raise ValueError(
-                "maintenance_idle_gap_factor must be positive or None")
-        if self.maintenance_idle_gap_floor_seconds < 0:
-            raise ValueError(
-                "maintenance_idle_gap_floor_seconds must be >= 0")
-        if not 0.0 < self.activity_ewma_alpha <= 1.0:
-            raise ValueError("activity_ewma_alpha must be in (0, 1]")
-        if self.maintenance_hit_rate_budget_factor is not None and \
-                self.maintenance_hit_rate_budget_factor < 0:
-            raise ValueError(
-                "maintenance_hit_rate_budget_factor must be >= 0 or"
-                " None")
 
     @property
     def history_enabled(self) -> bool:

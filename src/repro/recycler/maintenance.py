@@ -4,26 +4,13 @@ The paper notes the recycler graph "has to be truncated periodically,
 e.g. by periodically removing subtrees that have not been accessed for
 some time".  The :class:`MaintenanceManager` is that caller — a daemon
 thread owned by :class:`~repro.db.Database` that wakes on a configurable
-cadence — but its cycles are **scheduled and bounded by cost**, not by
-blunt thresholds alone:
+cadence — whose cycles are **bounded by cost**:
 
-* **Activity signal** — an :class:`ActivityTracker` keeps an EWMA of
-  inter-query gaps, fed by ``Database.sql``/``execute`` and
-  ``Session.execute`` (the facade layer, so the signal reflects real
-  client traffic).  A cycle predicts an idle window when the current
-  gap exceeds ``maintenance_idle_gap_factor`` × the EWMA gap and spends
-  its budget there, instead of waiting out the coarse
-  ``maintenance_idle_seconds`` threshold.
 * **Budget** — each cycle spends at most
   ``maintenance_budget_bytes`` of reclaimed graph bookkeeping and
   ``maintenance_budget_seconds`` of wall clock; work left at the cut
   carries over to the next cycle
-  (``stats.budget_exhausted_cycles`` counts the cuts).  With
-  ``maintenance_hit_rate_budget_factor`` set, the byte budget scales
-  with the cache hit rate observed since the previous cycle: a cold
-  window (no reuses) is mostly dead bookkeeping, so the cycle may spend
-  up to ``1 + factor`` × the base budget clearing it, while a hot cache
-  keeps the base budget.
+  (``stats.budget_exhausted_cycles`` counts the cuts).
 * **Victim ordering** — budgeted truncation drains idle subtrees
   *lowest benefit-per-byte first* (Eq. 1 via the shared
   :class:`~repro.recycler.benefit.BenefitModel`) rather than by idle
@@ -37,10 +24,10 @@ blunt thresholds alone:
   snapshot, so they are collected regardless of benefit or idle age
   and do not count against the byte budget.
 
-The classic triggers remain: *size* (graph outgrew
+Two triggers decide when the budget is spent: *size* (graph outgrew
 ``maintenance_graph_node_limit``) and *idle*
-(``maintenance_idle_seconds`` of silence, which also refreshes cached
-benefits against the aged clock).
+(``maintenance_idle_seconds`` since ``Recycler.last_activity``, which
+also refreshes cached benefits against the aged clock).
 
 ``Database.close()`` (or the manager's :meth:`stop`) shuts the thread
 down cleanly; :meth:`run_once` applies one cycle synchronously for
@@ -59,7 +46,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .recycler import Recycler
@@ -67,68 +54,6 @@ from .recycler import Recycler
 
 def _never_stop() -> bool:
     return False
-
-
-class ActivityTracker:
-    """EWMA of inter-query gaps — the maintenance scheduler's traffic
-    signal.
-
-    ``note_query`` is called by the facade layer (``Database.sql`` /
-    ``Database.execute`` / ``Session.execute``) on every query start;
-    :meth:`predicts_idle` answers whether the *current* silence already
-    exceeds ``factor`` × the typical gap — i.e. the stream has likely
-    paused and a maintenance cycle can spend its budget without
-    competing with queries.  Thread-safe (queries arrive from every
-    session thread); timestamps are ``time.monotonic`` unless a test
-    passes its own clock.
-    """
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self._lock = threading.Lock()
-        #: monotonic timestamp of the most recent query (None = never).
-        self.last_query: float | None = None
-        #: EWMA of inter-query gaps in seconds (None until two queries).
-        self.ewma_gap: float | None = None
-        self.queries = 0
-
-    def note_query(self, now: float | None = None) -> None:
-        """Record one query arrival and fold its gap into the EWMA."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            if self.last_query is not None:
-                gap = max(now - self.last_query, 0.0)
-                self.ewma_gap = gap if self.ewma_gap is None else \
-                    (1.0 - self.alpha) * self.ewma_gap + self.alpha * gap
-            self.last_query = now
-            self.queries += 1
-
-    def current_gap(self, now: float | None = None) -> float | None:
-        """Seconds since the last query (None when none was seen)."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            if self.last_query is None:
-                return None
-            return max(now - self.last_query, 0.0)
-
-    def predicts_idle(self, now: float | None = None,
-                      factor: float = 8.0,
-                      floor: float = 0.0) -> bool:
-        """True when the current gap already exceeds ``factor`` × the
-        EWMA gap — the stream has likely paused.  Conservatively False
-        until at least one gap was observed.  ``floor`` is an absolute
-        lower bound on the threshold: a back-to-back burst drives the
-        EWMA gap toward zero, and without the floor *any* instant would
-        count as idle — maintenance would grab the rewrite stripes in
-        the middle of peak traffic."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            if self.last_query is None or self.ewma_gap is None:
-                return False
-            threshold = max(factor * self.ewma_gap, floor)
-            return now - self.last_query >= threshold
 
 
 @dataclass
@@ -139,9 +64,6 @@ class MaintenanceStats:
     cycles: int = 0
     size_triggers: int = 0
     idle_triggers: int = 0
-    #: cycles the EWMA activity signal predicted an idle window before
-    #: the coarse idle threshold would have fired.
-    predicted_idle_triggers: int = 0
     #: truncations that actually removed nodes (a trigger may fire and
     #: find nothing idle enough; that is not a run).
     truncate_runs: int = 0
@@ -156,34 +78,22 @@ class MaintenanceStats:
     #: remaining (it carries over to the next cycle).
     budget_exhausted_cycles: int = 0
     benefits_refreshed: int = 0
-    last_cycle_at: float = field(default=0.0, repr=False)
 
     def as_dict(self) -> dict[str, int]:
-        """Plain-dict snapshot (``last_cycle_at`` excluded: monotonic
-        timestamps mean nothing outside the process)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "last_cycle_at"}
+        return asdict(self)
 
 
 class MaintenanceManager:
     """Cost-aware truncate/GC/refresh driver for one recycler."""
 
-    def __init__(self, recycler: Recycler,
-                 activity: ActivityTracker | None = None) -> None:
+    def __init__(self, recycler: Recycler) -> None:
         self.recycler = recycler
         self.config = recycler.config
         self.stats = MaintenanceStats()
-        #: the EWMA traffic signal; the :class:`~repro.db.Database`
-        #: facade and every :class:`~repro.session.Session` feed it.
-        self.activity = activity if activity is not None else \
-            ActivityTracker(alpha=self.config.activity_ewma_alpha)
         self._wakeup = threading.Event()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
-        #: (queries, reuses) high-water marks of the previous cycle —
-        #: the hit-rate feedback window is per-cycle deltas.
-        self._feedback_marks = (0, 0)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -232,47 +142,19 @@ class MaintenanceManager:
     # ------------------------------------------------------------------
     # one cycle
     # ------------------------------------------------------------------
-    def _budget_with_feedback(self) -> tuple[int | None, float | None]:
-        """The cycle's byte budget, scaled by cache hit-rate feedback.
-
-        Hit rate is reuses-per-query over the window since the previous
-        cycle (clamped to [0, 1] — subsumption can reuse several entries
-        for one query).  A cold window scales the budget up to
-        ``1 + factor`` × the base: entries nobody reuses are dead
-        bookkeeping and worth spending more of the cycle clearing.  A
-        window with no queries (or feedback disabled) keeps the base
-        budget and reports no rate.
-        """
-        config = self.config
-        base = config.maintenance_budget_bytes
-        queries = self.activity.queries
-        reuses = self.recycler.cache.counters.reuses
-        last_queries, last_reuses = self._feedback_marks
-        self._feedback_marks = (queries, reuses)
-        factor = config.maintenance_hit_rate_budget_factor
-        if factor is None or base is None:
-            return base, None
-        query_delta = queries - last_queries
-        if query_delta <= 0:
-            return base, None
-        hit_rate = min(max((reuses - last_reuses) / query_delta, 0.0),
-                       1.0)
-        return int(base * (1.0 + factor * (1.0 - hit_rate))), hit_rate
-
     def run_once(self, now: float | None = None,
                  stop: Callable[[], bool] | None = None
-                 ) -> dict[str, float]:
+                 ) -> dict[str, int]:
         """Spend one budgeted maintenance cycle; returns what fired.
 
         The cycle runs, in order: (1) version-dead GC — dead subtrees
         are pure waste, so they go first and skip the byte budget;
         (2) the *size* trigger — budgeted, benefit-per-byte-ordered
         truncation when the graph outgrew its node limit; (3) the
-        *idle* triggers — the coarse ``maintenance_idle_seconds``
-        threshold **or** the EWMA-predicted idle window — budgeted
-        truncation plus a cached-benefit refresh.  Every phase consults
-        the combined stop hook (external ``stop`` + the cycle's time
-        budget), and a byte budget left over from the size trigger is
+        *idle* trigger — ``maintenance_idle_seconds`` without a query —
+        budgeted truncation plus a cached-benefit refresh.  Every phase
+        consults the combined stop hook (external ``stop`` + the cycle's
+        time budget), and a byte budget left over from the size trigger is
         what the idle truncation may still spend.
 
         Safe from any thread (truncation takes every rewrite stripe);
@@ -305,10 +187,8 @@ class MaintenanceManager:
         gc_removed = 0
         size_fired = False
         idle_fired = False
-        predicted_fired = False
         exhausted = False
-        bytes_left, hit_rate = self._budget_with_feedback()
-        bytes_left_initial = bytes_left
+        bytes_left = config.maintenance_budget_bytes
 
         def budgeted_truncate() -> None:
             nonlocal removed, truncate_runs, exhausted, bytes_left
@@ -330,26 +210,19 @@ class MaintenanceManager:
             gc_removed = recycler.collect_version_dead(
                 stop=cut_short, stats=truncate_stats)
 
-        # Phase 2 — size pressure overrides idle prediction: the graph
-        # is too big *now*.
+        # Phase 2 — size pressure: the graph is too big *now*.
         limit = config.maintenance_graph_node_limit
         if limit is not None and len(recycler.graph.nodes) > limit \
                 and not cut_short():
             size_fired = True
             budgeted_truncate()
 
-        # Phase 3 — idle window: the coarse threshold, or the EWMA
-        # signal predicting the stream has paused.
+        # Phase 3 — idle window: no query for maintenance_idle_seconds.
         idle_after = config.maintenance_idle_seconds
-        genuinely_idle = idle_after is not None and \
-            now - recycler.last_activity >= idle_after
-        factor = config.maintenance_idle_gap_factor
-        predicted_fired = not genuinely_idle and factor is not None and \
-            self.activity.predicts_idle(
-                now, factor,
-                floor=config.maintenance_idle_gap_floor_seconds)
-        if (genuinely_idle or predicted_fired) and not cut_short():
-            idle_fired = genuinely_idle
+        if idle_after is not None and \
+                now - recycler.last_activity >= idle_after \
+                and not cut_short():
+            idle_fired = True
             budgeted_truncate()
             if not cut_short():
                 refreshed = recycler.refresh_cached_benefits(
@@ -362,7 +235,6 @@ class MaintenanceManager:
             self.stats.cycles += 1
             self.stats.size_triggers += int(size_fired)
             self.stats.idle_triggers += int(idle_fired)
-            self.stats.predicted_idle_triggers += int(predicted_fired)
             self.stats.truncate_runs += truncate_runs
             self.stats.nodes_truncated += removed
             self.stats.bytes_reclaimed += \
@@ -370,16 +242,10 @@ class MaintenanceManager:
             self.stats.gc_nodes_collected += gc_removed
             self.stats.budget_exhausted_cycles += int(exhausted)
             self.stats.benefits_refreshed += refreshed
-            self.stats.last_cycle_at = now
-        outcome: dict[str, float] = {
+        return {
             "size_trigger": int(size_fired),
             "idle_trigger": int(idle_fired),
-            "predicted_idle_trigger": int(predicted_fired),
             "nodes_truncated": removed,
             "gc_nodes_collected": gc_removed,
             "budget_exhausted": int(exhausted),
             "benefits_refreshed": refreshed}
-        if hit_rate is not None:
-            outcome["hit_rate"] = hit_rate
-            outcome["budget_bytes"] = bytes_left_initial
-        return outcome

@@ -12,9 +12,9 @@ inserted node extends it with pairs for the output names it newly assigns
 (query alias -> graph-unique name).  Parameter equality is always checked
 under the mapping, so differing aliases across queries still unify.
 
-Canonical-form invariant: with ``RecyclerConfig.optimize_plans`` on (the
-default), every tree reaching this module has already been rewritten to
-canonical form by ``plan.optimizer.PlanOptimizer`` — stacked Selects
+Canonical-form invariant: every tree reaching this module has already
+been rewritten to canonical form by ``plan.optimizer.PlanOptimizer``
+(``Recycler.optimize``) — stacked Selects
 merged with sorted conjuncts, identity Projects elided, literals
 dtype-normalized, commutative children ordered.  Matching itself stays
 purely structural; equivalence is resolved *before* it, never here.

@@ -36,6 +36,9 @@ from ..plan.logical import (Aggregate, Limit, PlanNode, Project, Scan,
                             Select, TopN, UnionAll, map_plan)
 from .config import RecyclerConfig
 
+#: proactive top-N: limit used for the proactively cached topN.
+PROACTIVE_TOPN_LIMIT = 10000
+
 
 @dataclass
 class ProactiveApplication:
@@ -95,10 +98,10 @@ class ProactiveRewriter:
                   result: ProactiveResult) -> PlanNode | None:
         if not isinstance(node, TopN):
             return None
-        n_max = self.config.proactive_topn_limit
-        if node.limit + node.offset >= n_max:
+        if node.limit + node.offset >= PROACTIVE_TOPN_LIMIT:
             return None
-        inner = TopN(node.children[0], node.sort_keys, n_max, 0)
+        inner = TopN(node.children[0], node.sort_keys,
+                     PROACTIVE_TOPN_LIMIT, 0)
         result.applications.append(
             ProactiveApplication("topn", anchor=inner))
         return Limit(inner, node.limit, node.offset)

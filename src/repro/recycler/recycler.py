@@ -52,8 +52,9 @@ from .graph import GraphNode, RecyclerGraph
 from .inflight import InFlightRegistry
 from .matching import MatchResult, match_tree
 from .proactive import ProactiveRewriter
-from .rewriter import (ReuseInfo, StorePlanner, current_entry,
-                       recompute_is_cheaper, substitute_reuse)
+from .rewriter import (STORE_MIN_REFS, ReuseInfo, StorePlanner,
+                       current_entry, recompute_is_cheaper,
+                       substitute_reuse)
 from .striping import LockStripes, plan_fingerprint
 from .subsumption import SubsumptionIndex
 
@@ -136,19 +137,17 @@ class Recycler:
         self.config = config or RecyclerConfig()
         self.cost_model = cost_model
         self.graph = RecyclerGraph(catalog, alpha=self.config.alpha)
-        self.model = BenefitModel(self.graph,
-                                  speculation_h=self.config.speculation_h)
+        self.model = BenefitModel(self.graph)
         self.cache = RecyclerCache(
             self.model, capacity=self.config.cache_capacity,
-            scan_all_groups=self.config.replacement_scan_all_groups,
             live_versions=catalog.versions_for)
         self.subsumption = SubsumptionIndex(self.graph) \
             if self.config.subsumption else None
         self.inflight = InFlightRegistry()
         self.proactive = ProactiveRewriter(catalog, self.config)
-        #: the canonicalizing pre-match pass (``config.optimize_plans``);
-        #: stateless — per-query rewrite counts aggregate into
-        #: ``_optimizer_counts`` under ``_optimizer_lock``.
+        #: the canonicalizing pre-match pass; stateless — per-query
+        #: rewrite counts aggregate into ``_optimizer_counts`` under
+        #: ``_optimizer_lock``.
         self.optimizer = PlanOptimizer()
         self._optimizer_counts: Counter = Counter()
         #: prepares answered by :meth:`_prepare_root_hit`
@@ -162,10 +161,9 @@ class Recycler:
         self._query_counter = 0
         #: striped locks for the rewrite/finalize critical sections:
         #: stripe = hash(plan fingerprint) % n, so disjoint plan shapes
-        #: never contend.  ``lock_stripes=1`` is the coarse-lock
-        #: baseline.  Matching, execution, and store callbacks run
+        #: never contend.  Matching, execution, and store callbacks run
         #: outside every stripe.
-        self._stripes = LockStripes(self.config.lock_stripes)
+        self._stripes = LockStripes()
         self._id_lock = threading.Lock()
         self._records_lock = threading.Lock()
         #: DDL observability: invalidation sweeps, entries they evicted,
@@ -178,9 +176,8 @@ class Recycler:
         self.last_activity = time.monotonic()
         #: the one canonical prepare→execute→record pipeline.  Every
         #: frontend — ``Database``, sessions, the DB-API, the server —
-        #: shares this instance (``Database`` attaches its activity
-        #: tracker); :meth:`execute` delegates to it, so a standalone
-        #: recycler keeps its historical surface.
+        #: shares this instance; :meth:`execute` delegates to it, so a
+        #: standalone recycler keeps its historical surface.
         self.service = ExecutionService(self)
 
     # ------------------------------------------------------------------
@@ -339,9 +336,7 @@ class Recycler:
             outcome = substitute_reuse(matched_plan, matches, self.graph,
                                        self.cache, self.subsumption,
                                        self.config, snapshot,
-                                       cost_model=self.cost_model
-                                       if self.config.optimize_plans
-                                       else None)
+                                       self.cost_model)
             if outcome.cost_skips:
                 with self._optimizer_lock:
                     self._optimizer_counts["reuse_cost_skips"] += \
@@ -382,12 +377,10 @@ class Recycler:
 
     def optimize(self, plan: PlanNode,
                  snapshot: CatalogSnapshot) -> PlanNode:
-        """Canonicalize ``plan`` (``config.optimize_plans``), adding the
-        rewrites performed to the ``summary()["optimizer"]`` counters.
-        Called once per plan: by :meth:`prepare` for prebuilt plans, by
-        the execution service when it builds a cached statement."""
-        if not self.config.optimize_plans:
-            return plan
+        """Canonicalize ``plan``, adding the rewrites performed to the
+        ``summary()["optimizer"]`` counters.  Called once per plan: by
+        :meth:`prepare` for prebuilt plans, by the execution service
+        when it builds a cached statement."""
         plan, rewrites = self.optimizer.optimize(plan, snapshot)
         if rewrites:
             with self._optimizer_lock:
@@ -426,9 +419,7 @@ class Recycler:
         not wait."""
         root = memo.root
         entry = current_entry(root, snapshot)
-        if entry is None or recompute_is_cheaper(
-                root, self.cost_model if self.config.optimize_plans
-                else None):
+        if entry is None or recompute_is_cheaper(root, self.cost_model):
             return None
         event = self.graph.tick()
         for node in memo.nodes:
@@ -457,8 +448,7 @@ class Recycler:
             node = matches.of(anchor).graph_node
             if node.is_materialized:
                 return True
-            if self.graph.effective_refs(node) >= \
-                    self.config.store_min_refs:
+            if self.graph.effective_refs(node) >= STORE_MIN_REFS:
                 return True
         return not anchors  # no anchors -> nothing to steer on
 
@@ -899,7 +889,6 @@ class Recycler:
             queries = len(self.records)
         total = matched + inserted
         return {
-            "enabled": self.config.optimize_plans,
             "rewrites": dict(sorted(counts.items())),
             "reuse_cost_skips": cost_skips,
             "nodes_matched": matched,

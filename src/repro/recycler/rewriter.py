@@ -64,13 +64,11 @@ def current_entry(graph_node: GraphNode, catalog: CatalogView):
 
 
 def recompute_is_cheaper(graph_node: GraphNode,
-                         cost_model: CostModel | None) -> bool:
+                         cost_model: CostModel) -> bool:
     """The reuse-vs-recompute gate: re-emitting the node's stored rows
     (``rows * reuse_tuple``, the exact charge of ``ReuseScanOp``) costs
-    at least its measured base cost.  ``None`` disarms the gate (the
-    paper's behaviour, and the ``optimize_plans=False`` path)."""
-    return cost_model is not None and \
-        graph_node.bcost > 0 and graph_node.rows >= 0 and \
+    at least its measured base cost."""
+    return graph_node.bcost > 0 and graph_node.rows >= 0 and \
         graph_node.rows * cost_model.reuse_tuple >= graph_node.bcost
 
 
@@ -79,8 +77,7 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
                      subsumption: SubsumptionIndex | None,
                      config: RecyclerConfig,
                      catalog: CatalogView,
-                     cost_model: CostModel | None = None
-                     ) -> RewriteOutcome:
+                     cost_model: CostModel) -> RewriteOutcome:
     """Top-down reuse substitution over a matched query tree.
 
     Replaced subtrees disappear from the executed plan; untouched nodes
@@ -96,13 +93,11 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
     and a pre-DDL query must not reuse a post-DDL result (it owes its
     caller the snapshot it pinned).
 
-    ``cost_model`` (passed when the plan optimizer is enabled) arms the
-    per-subplan reuse-vs-recompute gate: a cached entry whose re-emission
-    (``rows * reuse_tuple``, the exact charge of ``ReuseScanOp``) costs
-    at least the subtree's measured base cost is *skipped* — recomputing
-    is no slower and the children below it stay free to reuse their own,
-    genuinely profitable, entries.  ``None`` reuses unconditionally (the
-    paper's behaviour, and the ``optimize_plans=False`` path).
+    ``cost_model`` prices the per-subplan reuse-vs-recompute gate: a
+    cached entry whose re-emission (``rows * reuse_tuple``, the exact
+    charge of ``ReuseScanOp``) costs at least the subtree's measured
+    base cost is *skipped* — recomputing is no slower and the children
+    below it stay free to reuse their own, genuinely profitable, entries.
     """
     outcome = RewriteOutcome(plan=plan)
 
@@ -153,6 +148,15 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
     outcome.plan = rewrite(plan)
     return outcome
 
+
+#: minimum effective references for a history-mode store decision —
+#: "only materializes results that have been seen before".
+STORE_MIN_REFS = 1.0
+
+#: a history store must save at least this multiple of its own
+#: materialize+reuse overhead per reuse; keeps cheap-to-recompute
+#: results (plain scans) out of the cache even when referenced often.
+STORE_OVERHEAD_FACTOR = 1.5
 
 #: node types the paper designates for speculative stores: expected to be
 #: expensive with small results ("e.g., the final result of a query, or
@@ -259,8 +263,7 @@ class StorePlanner:
                        and graph_node.size_bytes >= 0)
         if not seen_before:
             return None
-        if self.graph.effective_refs(graph_node) < \
-                self.config.store_min_refs:
+        if self.graph.effective_refs(graph_node) < STORE_MIN_REFS:
             return None
         if graph_node.bcost < self.config.min_store_cost:
             return None
@@ -273,7 +276,7 @@ class StorePlanner:
                     * (self.cost_model.store_materialize_tuple
                        + self.cost_model.reuse_tuple))
         if self.model.true_cost(graph_node) < \
-                self.config.store_overhead_factor * overhead:
+                STORE_OVERHEAD_FACTOR * overhead:
             return None
         benefit = self.model.benefit(graph_node)
         if benefit < self.config.benefit_threshold:
@@ -296,17 +299,14 @@ class StorePlanner:
             return None
         return StoreRequest(
             mode=MODE_SPECULATE, tag=graph_node,
-            on_complete=on_complete, decide=self._decide, on_abort=on_abort,
-            buffer_budget_bytes=self.config.speculation_buffer_bytes,
-            min_progress=self.config.speculation_min_progress)
+            on_complete=on_complete, decide=self._decide, on_abort=on_abort)
 
     def _decide(self, estimate, graph_node: GraphNode) -> bool:
         """Run-time speculative decision (paper Section III-D): Eq. 1 with
-        the constant importance factor, checked against the cache."""
+        the constant importance factor; the paper admits every speculated
+        result while cache space lasts, so the cache is the only gate."""
         if estimate.est_cost < self.config.speculation_min_cost:
             return False
         benefit = self.model.speculative_benefit(
             estimate.est_cost, estimate.est_size_bytes)
-        if benefit < self.config.speculation_benefit_threshold:
-            return False
         return self.cache.would_admit(benefit, estimate.est_size_bytes)

@@ -1,10 +1,9 @@
 """Striped locks for the recycler's rewrite/finalize critical sections.
 
-PR 1 funnelled every rewrite and finalize through one coarse ``RLock``,
-serializing sessions even when their plans shared nothing.  The stripe
-table shards that lock: each query hashes its *plan-subgraph
-fingerprint* — the root anchor hash key of the (sub)plan it rewrites —
-to one of N stripes, so
+One lock around every rewrite and finalize would serialize sessions
+even when their plans share nothing.  The stripe table shards it: each
+query hashes its *plan-subgraph fingerprint* — the root anchor hash key
+of the (sub)plan it rewrites — to one of ``LOCK_STRIPES`` stripes, so
 
 * two sessions rewriting the **same** plan shape land on the same stripe
   and stay serialized (store planning's check-then-register on a shared
@@ -57,23 +56,20 @@ def plan_fingerprint(plan: PlanNode) -> int:
     return fingerprint
 
 
+#: rewrite/finalize lock stripes per recycler
+LOCK_STRIPES = 16
+
+
 class LockStripes:
     """A fixed table of reentrant locks indexed by key hash."""
 
-    def __init__(self, n_stripes: int) -> None:
-        if n_stripes < 1:
-            raise ValueError("need at least one stripe")
-        self._locks = tuple(threading.RLock() for _ in range(n_stripes))
-
-    def __len__(self) -> int:
-        return len(self._locks)
-
-    def index_of(self, key: object) -> int:
-        return hash(key) % len(self._locks)
+    def __init__(self) -> None:
+        self._locks = tuple(threading.RLock()
+                            for _ in range(LOCK_STRIPES))
 
     def for_key(self, key: object) -> threading.RLock:
         """The stripe guarding ``key`` (stable within this process)."""
-        return self._locks[self.index_of(key)]
+        return self._locks[hash(key) % LOCK_STRIPES]
 
     @contextmanager
     def all(self) -> Iterator[None]:

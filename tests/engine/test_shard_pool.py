@@ -8,6 +8,9 @@ thousand rows.  The 64-session replays live in
 from __future__ import annotations
 
 import glob
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +31,21 @@ def _make_table(num_rows: int = 4000, seed: int = 3) -> Table:
          "name": np.array([f"n{i % 31}" for i in range(num_rows)],
                           dtype=object)})
 
+
+#: six SkyServer statements through a 2-worker process pool, then exit
+_SHUTDOWN_SCRIPT = """\
+from repro import Database, RecyclerConfig
+from repro.workloads.skyserver.data import build_catalog
+from repro.workloads.skyserver.queries import generate_workload
+
+if __name__ == "__main__":
+    db = Database(RecyclerConfig(mode="spec"),
+                  catalog=build_catalog(num_rows=4000))
+    with db.pool(workers=2, mode="processes") as pool:
+        results = pool.run([q.sql for q in generate_workload(6)])
+    db.close()
+    print(len(results))
+"""
 
 QUERIES = [
     "SELECT g, sum(v) AS sv FROM t GROUP BY g ORDER BY g",
@@ -187,6 +205,22 @@ class TestLifecycle:
             assert pool._shard_runtime.stats["remote_queries"] > 0
         assert pool._shard_runtime.closed  # pool close owns the runtime
         db.close()
+
+    def test_clean_shutdown_is_silent(self, tmp_path):
+        """A worker that exits with zero-copy views still alive over
+        its table segments prints a ``BufferError`` traceback from
+        ``SharedMemory.__del__`` — one per worker, on every clean
+        close."""
+        script = tmp_path / "process_pool_run.py"
+        script.write_text(_SHUTDOWN_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        before = set(glob.glob("/dev/shm/*"))
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "6"
+        assert done.stderr == ""
+        assert set(glob.glob("/dev/shm/*")) <= before
 
     def test_pool_mode_validated(self):
         db = Database(RecyclerConfig(mode="spec"))

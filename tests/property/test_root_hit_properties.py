@@ -42,7 +42,7 @@ def build() -> Database:
         min_store_cost=0.0, speculation_min_cost=0.0,
         maintenance_interval_seconds=None,
         maintenance_graph_node_limit=12, truncate_min_idle_events=6,
-        maintenance_idle_seconds=None, maintenance_idle_gap_factor=None,
+        maintenance_idle_seconds=None,
         maintenance_budget_seconds=None), catalog=catalog)
 
 

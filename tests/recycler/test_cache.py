@@ -121,16 +121,6 @@ class TestReplacement:
         # Big result's own (empty) group cannot free enough space.
         assert not cache.admit(big, table_of_bytes(3000))
 
-    def test_scan_all_groups_extension(self, env):
-        graph, model, make_node = env
-        cache = RecyclerCache(model, capacity=4096, scan_all_groups=True)
-        for _ in range(8):
-            node = make_node(refs=0.1, bcost=10.0)
-            cache.admit(node, table_of_bytes(500))
-        big = make_node(refs=100.0, bcost=100000.0)
-        assert cache.admit(big, table_of_bytes(3000))
-        cache.check_invariants()
-
     def test_would_admit_is_side_effect_free(self, env):
         graph, model, make_node = env
         cache = RecyclerCache(model, capacity=2048)

@@ -3,8 +3,9 @@
 ``tests/plan/test_optimizer.py`` proves the three reproduced miss bugs
 now share a fingerprint; these tests prove the part the user observes:
 a warm query in one shape is *served from the cache entry produced by
-the other shape*, byte-identical, in both directions — and that
-``optimize_plans=False`` restores the old per-shape behaviour.
+the other shape*, byte-identical, in both directions.  Where a test
+needs a reference that saw no canonicalization, it runs the as-built
+plan straight through ``execute_plan`` — no optimizer, no recycler.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import pytest
 
 from repro import Database
 from repro.columnar import Catalog, FLOAT64, INT64, Table
+from repro.engine import execute_plan
 from repro.expr import And, Arith, Cmp, Col, Lit
 from repro.plan import q
-from repro.recycler import Recycler, RecyclerConfig
+from repro.recycler import (Recycler, RecyclerConfig, RecyclerGraph,
+                            match_tree)
 
 
 @pytest.fixture
@@ -97,7 +100,7 @@ class TestCrossShapeReuse:
     @pytest.mark.parametrize("cold_shape,warm_shape", SHAPE_PAIRS)
     def test_warm_shape_served_from_cold_entry(self, big_catalog,
                                                cold_shape, warm_shape):
-        recycler = Recycler(big_catalog, RecyclerConfig(mode="spec", optimize_plans=True))
+        recycler = Recycler(big_catalog, RecyclerConfig(mode="spec"))
         cold = recycler.execute(cold_shape())
         warm = recycler.execute(warm_shape())
         assert warm.stats.num_reused >= 1
@@ -110,26 +113,11 @@ class TestCrossShapeReuse:
     @pytest.mark.parametrize("cold_shape,warm_shape", SHAPE_PAIRS)
     def test_reverse_direction(self, big_catalog, cold_shape,
                                warm_shape):
-        recycler = Recycler(big_catalog, RecyclerConfig(mode="spec", optimize_plans=True))
+        recycler = Recycler(big_catalog, RecyclerConfig(mode="spec"))
         cold = recycler.execute(warm_shape())
         warm = recycler.execute(cold_shape())
         assert warm.stats.num_reused >= 1
         assert_tables_identical(cold.table, warm.table)
-
-    @pytest.mark.parametrize("cold_shape,warm_shape", SHAPE_PAIRS)
-    def test_optimizer_off_reproduces_the_miss(self, big_catalog,
-                                               cold_shape, warm_shape):
-        recycler = Recycler(big_catalog, RecyclerConfig(
-            mode="spec", optimize_plans=False))
-        recycler.execute(cold_shape())
-        warm = recycler.execute(warm_shape())
-        # legacy as-bound matching: the equivalent shape misses at
-        # least one node and grows the graph with a duplicate subtree
-        assert warm.record.num_inserted >= 1
-        # ... while the byte-identical shape still hits
-        again = recycler.execute(warm_shape())
-        assert again.stats.num_reused >= 1
-        assert again.record.num_inserted == 0
 
 
 class TestCostGatedReuse:
@@ -138,8 +126,7 @@ class TestCostGatedReuse:
         # re-emit row by row; the cost gate skips its cached entry and
         # counts the skip.
         recycler = Recycler(big_catalog, RecyclerConfig(
-            mode="spec", optimize_plans=True,
-            speculation_min_cost=0.0))
+            mode="spec", speculation_min_cost=0.0))
         plan = q.scan("t", ["k"]).build()
         first = recycler.execute(plan)
         second = recycler.execute(plan)
@@ -149,7 +136,7 @@ class TestCostGatedReuse:
             assert_tables_identical(first.table, second.table)
 
     def test_expensive_result_still_reused(self, big_catalog):
-        recycler = Recycler(big_catalog, RecyclerConfig(mode="spec", optimize_plans=True))
+        recycler = Recycler(big_catalog, RecyclerConfig(mode="spec"))
         recycler.execute(stacked_filters())
         warm = recycler.execute(stacked_filters())
         assert warm.stats.num_reused >= 1
@@ -158,11 +145,10 @@ class TestCostGatedReuse:
 class TestObservability:
     def test_database_summary_exposes_optimizer_section(self,
                                                         big_catalog):
-        db = Database(RecyclerConfig(mode="spec", optimize_plans=True), catalog=big_catalog)
+        db = Database(RecyclerConfig(mode="spec"), catalog=big_catalog)
         db.execute(stacked_filters())
         db.execute(merged_filter())
         section = db.summary()["optimizer"]
-        assert section["enabled"] is True
         assert section["rewrites"]["merge_selects"] >= 1
         assert section["nodes_matched"] >= 1
         assert 0.0 < section["match_rate"] <= 1.0
@@ -170,29 +156,19 @@ class TestObservability:
             section["nodes_matched"]
             / (section["nodes_matched"] + section["nodes_inserted"]))
 
-    def test_disabled_section_reports_no_rewrites(self, big_catalog):
-        db = Database(RecyclerConfig(mode="spec",
-                                     optimize_plans=False),
-                      catalog=big_catalog)
-        db.execute(stacked_filters())
-        section = db.summary()["optimizer"]
-        assert section["enabled"] is False
-        assert section["rewrites"] == {}
-
     def test_expression_layer_still_canonicalizes_alone(self,
                                                         big_catalog):
-        # sanity: And-arg order never split fingerprints, even without
-        # the optimizer — the pass closes *plan*-shape misses only.
-        recycler = Recycler(big_catalog, RecyclerConfig(
-            mode="spec", optimize_plans=False))
+        # sanity: And-arg order never split fingerprints, even before
+        # the optimizer runs — the pass closes *plan*-shape misses only.
         flip = (q.scan("t", ["k", "g", "v"])
                  .filter(And([Cmp("<", Col("k"), Lit(20000)),
                               Cmp(">", Col("v"), Lit(45.0))]))
                  .aggregate(keys=["g"], aggs=[("sum", Col("v"), "sv")])
                  .build())
-        recycler.execute(merged_filter())
-        warm = recycler.execute(flip)
-        assert warm.stats.num_reused >= 1
+        graph = RecyclerGraph(big_catalog)
+        match_tree(merged_filter(), graph, big_catalog, query_id=1)
+        warm = match_tree(flip, graph, big_catalog, query_id=2)
+        assert warm.inserted_count == 0
 
 
 class TestPassThroughNameMapping:
@@ -218,20 +194,16 @@ class TestPassThroughNameMapping:
               .build())
         return a, a2, b
 
-    @pytest.mark.parametrize("optimize", [True, False])
-    def test_group_by_other_column_never_reuses(self, big_catalog,
-                                                optimize):
+    def test_group_by_other_column_never_reuses(self, big_catalog):
         # regression: with positional output pairing the reordered scan
         # mapped g<->k, so the GROUP BY k query *reused the GROUP BY g
         # entry* — wrong rows, silently
         a, _, b = self._shapes()
         recycler = Recycler(big_catalog, RecyclerConfig(
-            mode="spec", optimize_plans=optimize,
-            speculation_min_cost=0.0))
+            mode="spec", speculation_min_cost=0.0))
         recycler.execute(a)
         got = recycler.execute(b)
-        reference = Recycler(big_catalog,
-                             RecyclerConfig(mode="off")).execute(b)
+        reference = execute_plan(b, big_catalog.snapshot())
         assert_tables_identical(reference.table, got.table)
 
     def test_reordered_scan_spelling_shares(self, big_catalog):
@@ -240,38 +212,24 @@ class TestPassThroughNameMapping:
         # scans to base-table column order (the order is invisible
         # below the Aggregate), so they are one graph leaf
         a, a2, _ = self._shapes()
-        recycler = Recycler(big_catalog, RecyclerConfig(
-            mode="spec", optimize_plans=True))
+        recycler = Recycler(big_catalog, RecyclerConfig(mode="spec"))
         cold = recycler.execute(a)
         warm = recycler.execute(a2)
         assert warm.stats.num_reused >= 1
         assert warm.record.num_inserted == 0
         assert_tables_identical(cold.table, warm.table)
 
-    def test_reordered_scan_conservative_miss_when_off(self,
-                                                       big_catalog):
-        # legacy matching keys scans on the ordered column tuple, so
-        # the reordered spelling misses — never shares unsoundly
-        a, a2, _ = self._shapes()
-        recycler = Recycler(big_catalog, RecyclerConfig(
-            mode="spec", optimize_plans=False))
-        cold = recycler.execute(a)
-        warm = recycler.execute(a2)
-        assert warm.record.num_inserted >= 1
-        assert_tables_identical(cold.table, warm.table)
-
 
 class TestLiteralNormalizationSafety:
     def test_arith_literal_dtype_preserved(self, big_catalog):
-        # v + 1.0 must stay FLOAT64 arithmetic: optimizer on and off
-        # return byte-identical columns.
+        # v + 1.0 must stay FLOAT64 arithmetic: the canonicalized plan
+        # and the as-built one return byte-identical columns.
         plan = (q.scan("t", ["k", "v"])
                  .project([("k", Col("k")),
                            ("v1", Arith("+", Col("v"), Lit(1.0)))])
                  .filter(Cmp(">", Col("v1"), Lit(60)))
                  .build())
         on = Recycler(big_catalog,
-                      RecyclerConfig(mode="spec", optimize_plans=True)).execute(plan)
-        off = Recycler(big_catalog, RecyclerConfig(
-            mode="spec", optimize_plans=False)).execute(plan)
-        assert_tables_identical(off.table, on.table)
+                      RecyclerConfig(mode="spec")).execute(plan)
+        as_built = execute_plan(plan, big_catalog.snapshot())
+        assert_tables_identical(as_built.table, on.table)

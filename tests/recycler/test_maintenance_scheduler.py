@@ -1,9 +1,9 @@
-"""Cost-aware maintenance scheduling: EWMA activity signal, per-cycle
-budgets, and benefit-per-byte victim ordering.
+"""Cost-aware maintenance: per-cycle budgets, the idle trigger on a
+synthetic clock, and benefit-per-byte victim ordering.
 
-Deterministic ``run_once``-style tests — synthetic clocks feed the
-activity tracker and the trigger clock, and victim statistics are
-planted directly on graph nodes, so every assertion is exact.
+Deterministic ``run_once``-style tests — ``now`` feeds the trigger
+clock, and victim statistics are planted directly on graph nodes, so
+every assertion is exact.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from repro import Database, RecyclerConfig, Table
 from repro.columnar import Catalog, FLOAT64, INT64
 from repro.expr import Cmp, Col, Lit
 from repro.plan import q
-from repro.recycler import (ActivityTracker, BenefitModel, RecyclerGraph,
-                            match_tree)
+from repro.recycler import BenefitModel, RecyclerGraph, match_tree
+from twin_replay import recycler_state
 
 N_COLS = 6
 
@@ -49,50 +49,6 @@ def planted_graph():
         nodes.append(node)
     graph.tick()  # every node now idle beyond min_idle_events=0
     return graph, model, nodes
-
-
-class TestActivityTracker:
-    def test_ewma_of_gaps(self):
-        tracker = ActivityTracker(alpha=0.5)
-        assert tracker.ewma_gap is None
-        tracker.note_query(now=0.0)
-        assert tracker.ewma_gap is None  # one arrival, no gap yet
-        tracker.note_query(now=2.0)
-        assert tracker.ewma_gap == pytest.approx(2.0)
-        tracker.note_query(now=6.0)     # gap 4 -> 0.5*2 + 0.5*4
-        assert tracker.ewma_gap == pytest.approx(3.0)
-        assert tracker.queries == 3
-        assert tracker.current_gap(now=7.0) == pytest.approx(1.0)
-
-    def test_predicts_idle_against_typical_gap(self):
-        tracker = ActivityTracker(alpha=0.5)
-        # steady stream: one query per second
-        for t in range(5):
-            tracker.note_query(now=float(t))
-        assert tracker.ewma_gap == pytest.approx(1.0)
-        # 2s of silence is not idle at factor 4 ... yet
-        assert not tracker.predicts_idle(now=6.0, factor=4.0)
-        # ... 5s is
-        assert tracker.predicts_idle(now=9.0, factor=4.0)
-
-    def test_no_prediction_before_any_gap(self):
-        tracker = ActivityTracker()
-        assert not tracker.predicts_idle(now=100.0, factor=1.0)
-        tracker.note_query(now=0.0)
-        assert not tracker.predicts_idle(now=100.0, factor=1.0)
-
-    def test_floor_blocks_prediction_during_bursts(self):
-        """Back-to-back arrivals drive the EWMA gap to ~0; without an
-        absolute floor every instant would 'predict idle' and put
-        maintenance in the middle of peak traffic."""
-        tracker = ActivityTracker(alpha=0.5)
-        for _ in range(10):
-            tracker.note_query(now=5.0)   # zero-gap burst
-        assert tracker.ewma_gap == 0.0
-        assert tracker.predicts_idle(now=5.001, factor=8.0)  # floorless
-        assert not tracker.predicts_idle(now=5.001, factor=8.0,
-                                         floor=0.05)
-        assert tracker.predicts_idle(now=5.1, factor=8.0, floor=0.05)
 
 
 class TestBenefitPerByteOrdering:
@@ -221,7 +177,6 @@ class TestBudgetedCycles:
     def test_budget_exhaustion_mid_cycle_and_carry_over(self):
         db = scheduler_db(maintenance_graph_node_limit=5,
                           maintenance_idle_seconds=None,
-                          maintenance_idle_gap_factor=None,
                           maintenance_budget_bytes=1,
                           maintenance_budget_seconds=None,
                           truncate_min_idle_events=2,
@@ -245,44 +200,56 @@ class TestBudgetedCycles:
         db.recycler.graph.check_invariants()
         db.close()
 
-    def test_predicted_idle_window_triggers_budget_spend(self):
+    def test_idle_trigger_follows_the_given_clock(self):
         db = scheduler_db(maintenance_graph_node_limit=None,
-                          maintenance_idle_seconds=None,
-                          maintenance_idle_gap_factor=4.0,
+                          maintenance_idle_seconds=5.0,
                           truncate_min_idle_events=0,
                           speculation_min_cost=1e18)
         for sql in distinct_queries(6):
             db.sql(sql)
-        # replace the wall-clock arrivals with a synthetic steady
-        # stream: one query per second, last one at t=10
-        tracker = ActivityTracker(alpha=0.5)
-        for t in range(11):
-            tracker.note_query(now=float(t))
-        db.maintenance.activity = tracker
-        # t=12: a 2s gap against an EWMA of 1s — no prediction yet
-        outcome = db.maintenance.run_once(now=12.0)
-        assert outcome["predicted_idle_trigger"] == 0
+        last = db.recycler.last_activity
+        # 2 s after the last query: not idle yet
+        outcome = db.maintenance.run_once(now=last + 2.0)
         assert outcome["idle_trigger"] == 0
-        # t=15: 5s of silence >= 4 x EWMA -> predicted idle, budget spent
-        outcome = db.maintenance.run_once(now=15.0)
-        assert outcome["predicted_idle_trigger"] == 1
-        assert outcome["idle_trigger"] == 0  # coarse trigger disabled
+        assert outcome["nodes_truncated"] == 0
+        # 5 s of silence: the idle trigger spends the budget
+        outcome = db.maintenance.run_once(now=last + 5.0)
+        assert outcome["idle_trigger"] == 1
         assert outcome["nodes_truncated"] > 0
-        stats = db.summary()["maintenance"]
-        assert stats["predicted_idle_triggers"] == 1
+        assert db.summary()["maintenance"]["idle_triggers"] == 1
         db.recycler.graph.check_invariants()
         db.close()
 
-    def test_legacy_idle_threshold_still_fires(self):
-        db = scheduler_db(maintenance_idle_seconds=0.0,
-                          maintenance_graph_node_limit=None,
-                          maintenance_idle_gap_factor=None,
-                          truncate_min_idle_events=0)
-        db.sql(distinct_queries(1)[0])
-        outcome = db.maintain()
-        assert outcome["idle_trigger"] == 1
-        assert outcome["predicted_idle_trigger"] == 0
-        db.close()
+    def test_cycle_is_a_pure_function_of_graph_and_clock(self):
+        """With no time budget a cycle reads nothing but the graph and
+        ``now``: identically built databases end identically."""
+        def cycle():
+            db = scheduler_db(maintenance_graph_node_limit=8,
+                              maintenance_idle_seconds=5.0,
+                              maintenance_budget_bytes=4096,
+                              maintenance_budget_seconds=None,
+                              truncate_min_idle_events=1)
+            queries = distinct_queries(8)
+            for sql in queries[:4] + queries[:2]:
+                db.sql(sql)        # materialized, reused: pinned entries
+            db.config.speculation_min_cost = 1e18
+            for sql in queries[4:]:
+                db.sql(sql)        # never stored: truncatable subtrees
+            last = db.recycler.last_activity
+            outcomes = [db.maintenance.run_once(now=last + gap)
+                        for gap in (1.0, 6.0, 7.0)]
+            state = recycler_state(db)
+            db.close()
+            return outcomes, state
+
+        first_outcomes, first_state = cycle()
+        second_outcomes, second_state = cycle()
+        assert first_outcomes == second_outcomes
+        assert first_state == second_state
+        assert first_outcomes[0]["size_trigger"] == 1
+        assert first_outcomes[1]["idle_trigger"] == 1
+        assert sum(o["nodes_truncated"] for o in first_outcomes) > 0
+        assert first_outcomes[1]["benefits_refreshed"] > 0
 
     def test_summary_gains_scheduler_counters(self):
         db = scheduler_db(maintenance_idle_seconds=None,
@@ -291,7 +258,7 @@ class TestBudgetedCycles:
         db.maintain()
         stats = db.summary()["maintenance"]
         for key in ("gc_nodes_collected", "stats_incremental_merges",
-                    "budget_exhausted_cycles", "predicted_idle_triggers"):
+                    "budget_exhausted_cycles"):
             assert key in stats
             assert stats[key] == 0
         db.close()
@@ -301,87 +268,3 @@ class TestBudgetedCycles:
             RecyclerConfig(maintenance_budget_seconds=0.0)
         with pytest.raises(ValueError):
             RecyclerConfig(maintenance_budget_bytes=-1)
-        with pytest.raises(ValueError):
-            RecyclerConfig(maintenance_idle_gap_factor=0.0)
-        with pytest.raises(ValueError):
-            RecyclerConfig(activity_ewma_alpha=0.0)
-
-
-class TestHitRateFeedback:
-    """Cache hit rate feeds the per-cycle byte budget: cold windows
-    (no reuses) scale it up to ``1 + factor`` x, hot windows keep the
-    base budget."""
-
-    BASE = 1000
-
-    def feedback_db(self):
-        return scheduler_db(maintenance_graph_node_limit=None,
-                            maintenance_idle_seconds=None,
-                            maintenance_idle_gap_factor=None,
-                            maintenance_budget_bytes=self.BASE,
-                            maintenance_hit_rate_budget_factor=1.0,
-                            speculation_min_cost=1e18)
-
-    def test_cold_window_doubles_budget(self):
-        db = self.feedback_db()
-        for sql in distinct_queries(5):  # all distinct: zero reuses
-            db.sql(sql)
-        outcome = db.maintain()
-        assert outcome["hit_rate"] == 0.0
-        assert outcome["budget_bytes"] == 2 * self.BASE
-        db.close()
-
-    def test_hot_window_keeps_base_budget(self):
-        db = self.feedback_db()
-        query = distinct_queries(1)[0]
-        for _ in range(10):  # 1 cold + 9 warm
-            db.sql(query)
-        reuses = db.recycler.cache.counters.reuses
-        assert reuses > 0
-        expected_rate = min(reuses / 10, 1.0)
-        outcome = db.maintain()
-        assert outcome["hit_rate"] == pytest.approx(expected_rate)
-        assert outcome["budget_bytes"] == \
-            int(self.BASE * (2.0 - expected_rate))
-        assert outcome["budget_bytes"] < 2 * self.BASE
-        db.close()
-
-    def test_window_is_per_cycle_not_cumulative(self):
-        db = self.feedback_db()
-        query = distinct_queries(1)[0]
-        db.sql(query)          # cold
-        db.sql(query)          # warms the cache fully
-        db.maintain()          # consumes the cold+warm window
-        reuses_mark = db.recycler.cache.counters.reuses
-        for _ in range(4):
-            db.sql(query)      # all warm now
-        window_rate = \
-            (db.recycler.cache.counters.reuses - reuses_mark) / 4
-        assert window_rate == pytest.approx(1.0)  # fully warm window
-        outcome = db.maintain()
-        # the rate reflects only this window, not the cold history
-        assert outcome["hit_rate"] == pytest.approx(1.0)
-        assert outcome["budget_bytes"] == self.BASE
-        db.close()
-
-    def test_empty_window_reports_no_rate(self):
-        db = self.feedback_db()
-        db.sql(distinct_queries(1)[0])
-        db.maintain()
-        outcome = db.maintain()  # no queries since the last cycle
-        assert "hit_rate" not in outcome
-        assert "budget_bytes" not in outcome
-        db.close()
-
-    def test_feedback_disabled_by_default(self):
-        db = scheduler_db(maintenance_graph_node_limit=None,
-                          maintenance_idle_seconds=None,
-                          maintenance_idle_gap_factor=None)
-        db.sql(distinct_queries(1)[0])
-        outcome = db.maintain()
-        assert "hit_rate" not in outcome
-        db.close()
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RecyclerConfig(maintenance_hit_rate_budget_factor=-0.5)

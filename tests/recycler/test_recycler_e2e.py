@@ -85,8 +85,7 @@ class TestReuseCorrectness:
 
     def test_partial_subtree_reuse(self, big_catalog):
         recycler = Recycler(big_catalog, RecyclerConfig(
-            mode="spec", speculation_min_cost=0.0,
-            speculation_benefit_threshold=0.0))
+            mode="spec", speculation_min_cost=0.0))
         recycler.execute(agg_plan())
         # A different query sharing only the aggregate's input subtree
         # cannot reuse the aggregate itself; but one sharing the whole

@@ -18,7 +18,7 @@ def run_naive(plan, catalog):
 def recycler(sales_catalog):
     return Recycler(sales_catalog, RecyclerConfig(
         mode="spec", cache_capacity=None,
-        speculation_min_cost=0.0, speculation_benefit_threshold=0.0,
+        speculation_min_cost=0.0,
         min_store_cost=0.0, benefit_threshold=0.0))
 
 
@@ -189,7 +189,6 @@ class TestScanColumnSubsumption:
     def test_scan_subset_served_from_wider_scan(self, sales_catalog):
         config = RecyclerConfig(mode="spec", cache_capacity=None,
                                 speculation_min_cost=0.0,
-                                speculation_benefit_threshold=0.0,
                                 min_store_cost=0.0, benefit_threshold=0.0)
         recycler = Recycler(sales_catalog, config)
         # Make the scan itself cacheable by forcing it through speculation.

@@ -9,8 +9,8 @@ exemplar, each case here is executed on **four** paths that must agree:
 * **warm** — the same text again on the same database: the plan must
   fully unify with the recycler graph (``num_inserted == 0``) and the
   result must be byte-identical to the cold run, including row order;
-* **optimizer-off** — a database with ``optimize_plans=False``
-  (the ``REPRO_OPTIMIZE_PLANS=0`` CI leg): same row multiset;
+* **engine-only** — the *as-bound* plan (``db.plan``) straight through
+  ``execute_plan``: no optimizer, no recycler — same row multiset;
 * **process-mode** — a session routing cold plans to shard worker
   processes: same row multiset.
 
@@ -28,9 +28,10 @@ import math
 import numpy as np
 import pytest
 
-from repro import Database, RecyclerConfig
+from repro import Database
 from repro.columnar import (Catalog, DATE, FLOAT64, INT64, STRING, Table,
                             date_to_days)
+from repro.engine import execute_plan
 
 NAN = float("nan")
 
@@ -502,14 +503,6 @@ def warm_db():
 
 
 @pytest.fixture(scope="module")
-def nopt_db():
-    db = Database(RecyclerConfig(optimize_plans=False),
-                  catalog=build_catalog())
-    yield db
-    db.close()
-
-
-@pytest.fixture(scope="module")
 def proc_session():
     db = Database(catalog=build_catalog())
     runtime = db.shard_runtime(2)
@@ -524,7 +517,7 @@ def case_id(case) -> str:
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_battery(case, warm_db, nopt_db, proc_session):
+def test_battery(case, warm_db, proc_session):
     sql, rows, cols = case
     cold = warm_db.sql(sql)
     assert (cold.table.num_rows, len(cold.table.schema.names)) \
@@ -537,9 +530,10 @@ def test_battery(case, warm_db, nopt_db, proc_session):
     assert warm.record.num_matched > 0, sql
     assert_byte_identical(cold.table, warm.table)
 
-    # optimizer-off: same multiset of rows
-    off = nopt_db.sql(sql)
-    assert canon_rows(off.table) == reference, sql
+    # engine-only, as bound: same multiset of rows
+    snapshot = warm_db.catalog.snapshot()
+    bare = execute_plan(warm_db.plan(sql, snapshot), snapshot)
+    assert canon_rows(bare.table) == reference, sql
 
     # process-mode: same multiset of rows
     session, _ = proc_session

@@ -141,15 +141,3 @@ class TestTpch64Sessions:
         db.recycler.cache.check_invariants()
         assert len(db.recycler.inflight) == 0
         db.close()
-
-    def test_coarse_baseline_identical(self, tpch_setup):
-        """lock_stripes=1 (the PR 1 coarse lock) must agree byte-for-
-        byte with the striped default — same workload, same seed."""
-        scale, streams, reference = tpch_setup
-        db = Database(RecyclerConfig(mode="spec", lock_stripes=1),
-                      catalog=tpch.build_catalog(scale_factor=scale))
-        runner = DeterministicInterleaver(db, seed=SEEDS[0], slots=16)
-        result = runner.run(streams)
-        for key, rows in result.rows.items():
-            assert rows == reference[key], key
-        db.close()

@@ -8,6 +8,7 @@ import pytest
 from repro import Database, RecyclerConfig, Table
 from repro.columnar import FLOAT64, INT64, STRING, Schema
 from repro.errors import PlanError, SqlError
+from repro.plan.logical import render_plan
 
 
 @pytest.fixture
@@ -41,6 +42,22 @@ class TestFacade:
         text = db.explain("SELECT kind FROM events WHERE value > 5.0")
         assert "scan(events" in text
         assert "select" in text
+
+    def test_explain_renders_the_plan_the_recycler_matches(self, db):
+        # a stacked filter with a float literal: the optimizer merges
+        # the Selects and normalizes 5.0, so as-bound != canonical
+        sql = ("SELECT kind FROM (SELECT kind, value FROM events"
+               " WHERE value > 5.0) sub WHERE value < 9")
+        snapshot = db.catalog.snapshot()
+        bound = db.plan(sql, snapshot)
+        canonical = render_plan(db.recycler.optimize(bound, snapshot))
+        assert canonical != render_plan(bound)
+        assert db.explain(sql) == canonical
+        # ... and it is the statement the next execution will hit
+        hits = db.summary()["service"]["statement_cache"]["hits"]
+        db.sql(sql)
+        assert db.summary()["service"]["statement_cache"]["hits"] == \
+            hits + 1
 
     def test_invalid_sql_raises(self, db):
         with pytest.raises(SqlError):

@@ -68,8 +68,6 @@ class TestHits:
         assert cache_stats(db)["hits"] == 2
 
     def test_hit_adds_no_optimizer_rewrites(self, db):
-        if not db.config.optimize_plans:
-            pytest.skip("the legacy path performs no rewrites at all")
         text = "SELECT k FROM t WHERE k < 10 AND 1 = 1"
         db.sql(text)
         rewrites = db.summary()["optimizer"]["rewrites"]

@@ -20,11 +20,16 @@ exist — deleting or renaming API.md, ARCHITECTURE.md, PROTOCOL.md, or
 OPERATIONS.md without updating this checker fails the docs job instead
 of silently shrinking the checked surface.
 
+Finally, the ``RecyclerConfig`` table of ``docs/API.md`` must list
+exactly ``dataclasses.fields(RecyclerConfig)`` — an option added or
+removed without its row (default, meaning, why it is an option) fails.
+
 Usage: ``python tools/check_docs.py [repo_root]``
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -86,6 +91,30 @@ def check_backtick(doc: Path, token: str, root: Path) -> str | None:
     return f"{doc.relative_to(root)}: missing file pointer -> {token}"
 
 
+#: a row of the RecyclerConfig table: ``| `field` | default | ...``
+CONFIG_ROW = re.compile(r"^\| `(\w+)` \|", re.MULTILINE)
+
+
+def check_config_table(root: Path) -> list[str]:
+    """The ``## RecyclerConfig`` section of docs/API.md against the
+    dataclass itself."""
+    api = root / "docs" / "API.md"
+    if not api.exists():
+        return []  # reported as a missing required document
+    text = api.read_text(encoding="utf-8")
+    section = text.partition("\n## RecyclerConfig\n")[2] \
+        .partition("\n## ")[0]
+    sys.path.insert(0, str(root / "src"))
+    from repro.recycler.config import RecyclerConfig
+    documented = set(CONFIG_ROW.findall(section))
+    actual = {f.name for f in dataclasses.fields(RecyclerConfig)}
+    return [f"docs/API.md: RecyclerConfig table {what} -> {name}"
+            for what, names in (("lacks field", actual - documented),
+                                ("lists unknown field",
+                                 documented - actual))
+            for name in sorted(names)]
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 \
         else Path(__file__).resolve().parent.parent
@@ -107,6 +136,7 @@ def main(argv: list[str]) -> int:
             problem = check_backtick(doc, match.group(1), root)
             if problem:
                 problems.append(problem)
+    problems.extend(check_config_table(root))
     for problem in problems:
         print(problem)
     checked = ", ".join(str(f.relative_to(root)) for f in files)
