@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import datetime
 import itertools
+import math
 import threading
 from typing import Iterable, Sequence
 
@@ -173,7 +174,11 @@ def _render_literal(value: object) -> str:
     if isinstance(value, int):
         return repr(value)
     if isinstance(value, float):
-        return repr(value)
+        if not math.isfinite(value):
+            raise ProgrammingError(
+                f"{value!r} parameters are not supported (no literal"
+                " spells a non-finite number)")
+        return repr(value)      # (may carry an exponent: ``1e-05``)
     if isinstance(value, datetime.date):
         return f"DATE '{value.isoformat()}'"
     if isinstance(value, str):

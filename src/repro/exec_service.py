@@ -7,9 +7,11 @@ server (:mod:`repro.server`) — funnels queries through one
 pipeline:
 
 1. pin a catalog snapshot (unless the caller already pinned one);
-2. look SQL text up in the statement cache — a miss parses, binds,
-   validates and canonicalizes it (and re-populates the cache) — or
-   validate a prebuilt plan;
+2. look SQL text up in the statement cache — a miss binds the text,
+   from its statement template when another text of the same shape was
+   bound before, else by lex / parse / bind, then validates and
+   canonicalizes it (and re-populates the cache) — or validate a
+   prebuilt plan;
 3. build the :class:`~repro.engine.cancellation.CancellationToken` from
    uniform ``timeout``/``deadline`` limits (unless the caller supplies
    a token it also needs for cross-thread cancellation);
@@ -39,64 +41,51 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .columnar.batch import VECTOR_SIZE
+from .columnar.types import date_to_days
 from .engine.cancellation import CancellationToken
 from .engine.executor import QueryResult, execute_plan
 from .engine.shard.pool import ShardUnavailable
 from .errors import CatalogError, QueryCancelled, QueryTimeout
 from .plan.logical import PlanNode, Scan, TableFunctionScan
 from .plan.validate import validate_plan
-from .sql import sql_to_plan
+from .sql import scan_literals, sql_to_plan, sql_to_template
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .columnar.catalog import CatalogSnapshot
     from .columnar.table import Schema
     from .recycler.recycler import Recycler, RootHit
 
-#: statements the cache retains (LRU by entry count).  A served
-#: dashboard or the paper's SkyServer mix repeats a few hundred distinct
-#: texts; a retained TPC-H plan costs ~10 KiB.
+    #: ``(is_function, name, schema)`` per table / function a text names
+    Dependencies = tuple[tuple[bool, str, Schema], ...]
+
+#: statements the cache retains, and statement templates (each LRU by
+#: entry count).  A served dashboard or the paper's SkyServer mix
+#: repeats a few hundred distinct texts; a retained TPC-H plan costs
+#: ~10 KiB.
 STATEMENT_CACHE_ENTRIES = 256
 
 
-class Statement:
-    """One cached SQL text: its bound, validated and canonicalized plan
-    plus what must still hold for the plan to stand in for the text.
+class _BoundText:
+    """A plan bound from SQL text plus what must still hold for the
+    plan to stand in for the text.
 
     Binder, validator and optimizer read nothing from the catalog but
     the *schemas* of the tables and table functions a statement names
     (never statistics or row counts), so the plan stays right for any
     snapshot in which each of those still exists with an equal schema —
     ``append_rows`` keeps it; add/rename column, drop, and a
-    re-registration that changes a schema do not.  Immutable and shared
-    by every thread that issues the text, except :attr:`root_hit`,
-    which the recycler replaces whole."""
+    re-registration that changes a schema do not."""
 
-    __slots__ = ("plan", "dependencies", "root_hit")
+    __slots__ = ("dependencies",)
 
-    def __init__(self, plan: PlanNode, bound: PlanNode,
-                 snapshot: "CatalogSnapshot") -> None:
-        #: what ``Recycler.prepare`` receives — the same object on every
-        #: repeat, so its memoized schemas, hash keys and fingerprint
-        #: are computed once
-        self.plan = plan
-        # Taken from the plan as *bound*: a table the optimizer pruned
-        # away must still exist for the text to bind.
-        named = {(False, node.table) for node in bound.walk()
-                 if isinstance(node, Scan)}
-        named |= {(True, node.function) for node in bound.walk()
-                  if isinstance(node, TableFunctionScan)}
+    def __init__(self, dependencies: "Dependencies") -> None:
         #: ``(is_function, name, schema)`` per table / function named
-        self.dependencies: tuple[tuple[bool, str, "Schema"], ...] = tuple(
-            (is_function, name, _schema_of(snapshot, is_function, name))
-            for is_function, name in sorted(named))
-        #: the recycler's memo of this plan's root (see
-        #: :class:`~repro.recycler.recycler.RootHit`)
-        self.root_hit: "RootHit | None" = None
+        self.dependencies = dependencies
 
     def valid_for(self, snapshot: "CatalogSnapshot") -> bool:
         """Whether every dependency exists in ``snapshot`` with the
-        schema this statement was bound against — the existence-and-
-        types property ``validate_plan`` guards."""
+        schema the text was bound against — the existence-and-types
+        property ``validate_plan`` guards."""
         try:
             for is_function, name, schema in self.dependencies:
                 live = _schema_of(snapshot, is_function, name)
@@ -105,6 +94,110 @@ class Statement:
         except CatalogError:
             return False
         return True
+
+
+class Statement(_BoundText):
+    """One cached SQL text: its bound, validated and canonicalized
+    plan.  Immutable and shared by every thread that issues the text,
+    except :attr:`root_hit`, which the recycler replaces whole."""
+
+    __slots__ = ("plan", "root_hit")
+
+    def __init__(self, plan: PlanNode, dependencies: Dependencies) -> None:
+        super().__init__(dependencies)
+        #: what ``Recycler.prepare`` receives — the same object on every
+        #: repeat, so its memoized schemas, hash keys and fingerprint
+        #: are computed once
+        self.plan = plan
+        #: the recycler's memo of this plan's root (see
+        #: :class:`~repro.recycler.recycler.RootHit`)
+        self.root_hit: "RootHit | None" = None
+
+
+class StatementTemplate(_BoundText):
+    """The plan one text was bound to, as a recipe for every text that
+    differs from it only in the values of its literals.
+
+    ``bound`` is the plan as the binder left it, its literals tagged
+    with the slots they came from (:func:`repro.expr.nodes.slot_value`);
+    substituting another text's literal values gives the plan a fresh
+    bind of that text would produce — same classes, same argument
+    order — because everything else the binder reads from a literal's
+    *value* is part of the key a text finds its template under
+    (:func:`_template_key`).  Immutable."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: PlanNode, dependencies: Dependencies) -> None:
+        super().__init__(dependencies)
+        self.bound = bound
+
+    def bind(self, values: list) -> PlanNode:
+        """The bound plan of the text whose literals, as the binder
+        reads them, are ``values``."""
+        return self.bound.substituted(values)
+
+
+def _coincidences(values: list) -> tuple[int, ...]:
+    """The equality partition of ``values`` and the constants the
+    binder makes up itself (``0``: unary minus, a missing ``ELSE``;
+    ``1``: ``EXISTS``, key-less joins): per value, the rank of its
+    class by first appearance.  Python equality, so ``1``, ``1.0`` and
+    ``TRUE`` are one class — every comparison of expression keys the
+    binder makes is at least that fine."""
+    first: dict[object, int] = {0: 0, 1: 1}
+    return tuple([first.setdefault(value, len(first)) for value in values])
+
+
+def _template_key(shape: tuple, roles: tuple, values: list
+                  ) -> tuple[tuple, list]:
+    """The key of the template that may serve a text, and the text's
+    literal values as the binder reads them.
+
+    ``shape`` is the text with its literals stripped plus the literals'
+    types (an ``int`` and a ``float`` bind to different plans);
+    ``roles`` what the parser made of the literals of that shape: the
+    slots it read as ``DATE '…'``, which reach the binder as day
+    counts, and the slots it consumed into plan parameters that are
+    not expressions (``LIMIT``, ``OFFSET``), which no substitution
+    reaches — their values stay in the key.  The rest of the key is
+    which literals coincide: the binder folds two equal aggregates into
+    one and names a group key after an equal select item, so texts
+    share a template only if every such comparison comes out the same
+    — among the values as written, and (a date can be spelled two
+    ways, and equals its day count in an ``IN`` list) as read."""
+    dates, pinned = roles
+    resolved = values
+    if dates:
+        resolved = list(values)
+        for slot in dates:
+            resolved[slot] = date_to_days(values[slot])
+    return (shape, _coincidences(values),
+            tuple([values[slot] for slot in pinned]),
+            _coincidences(resolved) if dates else None), resolved
+
+
+def _lru_put(cache: OrderedDict, key: object, value: object) -> bool:
+    """Make ``key`` the most recently used entry of ``cache``; whether
+    the bound then evicted the least recently used one."""
+    cache[key] = value
+    cache.move_to_end(key)
+    if len(cache) > STATEMENT_CACHE_ENTRIES:
+        cache.popitem(last=False)
+        return True
+    return False
+
+
+def _dependencies(bound: PlanNode,
+                  snapshot: "CatalogSnapshot") -> Dependencies:
+    # Taken from the plan as *bound*: a table the optimizer pruned
+    # away must still exist for the text to bind.
+    named = {(False, node.table) for node in bound.walk()
+             if isinstance(node, Scan)}
+    named |= {(True, node.function) for node in bound.walk()
+              if isinstance(node, TableFunctionScan)}
+    return tuple((is_function, name, _schema_of(snapshot, is_function, name))
+                 for is_function, name in sorted(named))
 
 
 def _schema_of(snapshot: "CatalogSnapshot", is_function: bool,
@@ -147,8 +240,15 @@ class ExecutionService:
         self._stats_lock = threading.Lock()
         #: SQL text -> :class:`Statement`, least recently used first
         self._statements: OrderedDict[str, Statement] = OrderedDict()
+        #: shape -> roles, then key -> :class:`StatementTemplate` (see
+        #: :func:`_template_key`), each least recently used first
+        self._literal_roles: OrderedDict[tuple, tuple] = OrderedDict()
+        self._templates: OrderedDict[tuple, StatementTemplate] = \
+            OrderedDict()
         self._statement_stats = {"hits": 0, "misses": 0,
-                                 "invalidated": 0, "evicted": 0}
+                                 "invalidated": 0, "evicted": 0,
+                                 "template_hits": 0, "template_misses": 0,
+                                 "template_invalidated": 0}
         self._statement_lock = threading.Lock()
         #: attached :class:`~repro.server.ReproServer` instances —
         #: ``summary()`` folds their admission/connection counters in.
@@ -170,8 +270,9 @@ class ExecutionService:
     def statement(self, text: str,
                   snapshot: "CatalogSnapshot") -> Statement:
         """The cached :class:`Statement` for ``text`` if it is valid for
-        ``snapshot``; otherwise plan the text in full (:meth:`plan`,
-        then the recycler's canonicalizing optimizer) and cache that.
+        ``snapshot``; otherwise bind the text (:meth:`_bind`), validate
+        the plan, run the recycler's canonicalizing optimizer over it
+        and cache that.
 
         A text that fails to parse, bind or validate raises from here
         and leaves nothing behind.  A query pinned to an older snapshot
@@ -188,17 +289,68 @@ class ExecutionService:
                 del self._statements[text]
                 stats["invalidated"] += 1
             stats["misses"] += 1
-        bound = self.plan(text, snapshot)
-        fresh = Statement(self.recycler.optimize(bound, snapshot), bound,
-                          snapshot)
+        bound, dependencies = self._bind(text, snapshot)
+        validate_plan(bound, snapshot)
+        # The optimizer normalizes literal types and splits conjuncts by
+        # value, so it runs on the plan of *this* text, never on a
+        # template.
+        fresh = Statement(self.recycler.optimize(bound, snapshot),
+                          dependencies)
         with self._statement_lock:
-            self._statements[text] = fresh
             # (a concurrent miss on the same text may have put it back)
-            self._statements.move_to_end(text)
-            if len(self._statements) > STATEMENT_CACHE_ENTRIES:
-                self._statements.popitem(last=False)
+            if _lru_put(self._statements, text, fresh):
                 stats["evicted"] += 1
         return fresh
+
+    def _bind(self, text: str, snapshot: "CatalogSnapshot"
+              ) -> tuple[PlanNode, Dependencies]:
+        """``text`` bound against ``snapshot``, and its dependencies.
+
+        One scan strips the literals from the text; if a text of that
+        shape was bound before, a :class:`StatementTemplate` valid for
+        ``snapshot`` may be waiting under :func:`_template_key`, and
+        substituting this text's values into it is the bind.  Anything
+        else takes lex → parse → bind and leaves the plan behind as the
+        template — unless scan and lexer read the text differently."""
+        stats = self._statement_stats
+        stripped, values = scan_literals(text)
+        shape = (stripped, tuple([type(value) for value in values]))
+        template = None
+        with self._statement_lock:
+            roles = self._literal_roles.get(shape)
+            if roles is not None:
+                self._literal_roles.move_to_end(shape)
+                try:
+                    key, resolved = _template_key(shape, roles, values)
+                except ValueError:      # a date: the binder reports it
+                    key = None
+                template = self._templates.get(key)
+            if template is not None:
+                if template.valid_for(snapshot):
+                    self._templates.move_to_end(key)
+                else:
+                    del self._templates[key]
+                    stats["template_invalidated"] += 1
+                    template = None
+            stats["template_misses" if template is None
+                  else "template_hits"] += 1
+        if template is not None:
+            return template.bind(resolved), template.dependencies
+        bound, literals = sql_to_template(text, snapshot)
+        dependencies = _dependencies(bound, snapshot)
+        if [(type(v), v) for v in literals.values] != \
+                [(type(v), v) for v in values]:     # (``1 == 1.0``)
+            return bound, dependencies
+        roles = (literals.dates, literals.pinned)
+        try:
+            key, _ = _template_key(shape, roles, values)
+        except ValueError:      # a date in a subtree the binder dropped
+            return bound, dependencies
+        with self._statement_lock:
+            _lru_put(self._literal_roles, shape, roles)
+            _lru_put(self._templates, key,
+                     StatementTemplate(bound, dependencies))
+        return bound, dependencies
 
     # ------------------------------------------------------------------
     # the pipeline
@@ -383,13 +535,18 @@ class ExecutionService:
 
     def summary(self) -> dict[str, object]:
         """Per-frontend query counts, the statement cache's counters
-        (``entries`` now; ``hits`` / ``misses`` lookups; ``invalidated``
-        entries dropped because a dependency's schema changed or went
-        away; ``evicted`` by the LRU bound) plus, summed over every
+        (``entries`` now; ``hits`` / ``misses`` lookups by text;
+        ``invalidated`` entries dropped because a dependency's schema
+        changed or went away; ``evicted`` by the LRU bound;
+        ``templates`` now; of the misses, ``template_hits`` bound by
+        substituting literals into a template and ``template_misses``
+        by lex / parse / bind; ``template_invalidated`` like
+        ``invalidated``) plus, summed over every
         attached server, admission rejections and live connections —
         the ``"service"`` block of ``Database.summary()``."""
         with self._statement_lock:
             statement_cache = {"entries": len(self._statements),
+                               "templates": len(self._templates),
                                **self._statement_stats}
         with self._stats_lock:
             frontends = {name: stats.as_dict()

@@ -13,6 +13,11 @@ Three capabilities matter to the rest of the system:
 
 Commutative operators canonicalize their operand order inside ``key`` so
 that ``a = b`` matches ``b = a`` and conjunct order does not matter.
+
+A literal that came from SQL text carries the *slot* of its token (see
+:func:`slot_value`), and ``substituted(values)`` builds the expression
+another text of the same statement template binds to.  Slots are no
+part of ``key()``: they say where a value came from, not what it is.
 """
 
 from __future__ import annotations
@@ -71,6 +76,13 @@ class Expr:
         """A copy with referenced columns renamed via ``mapping``."""
         raise NotImplementedError
 
+    def substituted(self, values: Sequence[object]) -> "Expr":
+        """The expression with every slot-tagged literal taking its
+        slot's value from ``values`` (see :func:`slot_value`), rebuilt
+        through the constructors and untagged.  A subtree that holds no
+        tagged literal is returned as it is, not copied."""
+        return self
+
     # -- sugar ----------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expr):
@@ -97,6 +109,33 @@ def _mapped(name: str, mapping: NameMapping | None) -> str:
     if mapping is None:
         return name
     return mapping.get(name, name)
+
+
+def slot_value(slot: int, values: Sequence[object]) -> object:
+    """What a slot reference stands for given the literal ``values`` of
+    a statement text: slot ``k >= 0`` is the ``k``-th literal, ``~k``
+    its negation (the binder folds ``-5`` into one literal)."""
+    return values[slot] if slot >= 0 else -values[~slot]
+
+
+def slot_values(own: Sequence[object], slots: Sequence[int | None],
+                values: Sequence[object]) -> list[object]:
+    """``own`` with every value that came from a slot replaced by what
+    the slot stands for in ``values`` (``IN`` lists, table-function
+    arguments: raw values beside the slots they came from)."""
+    return [mine if slot is None else slot_value(slot, values)
+            for mine, slot in zip(own, slots)]
+
+
+def all_substituted(items: Sequence, values: Sequence[object]
+                    ) -> "list | None":
+    """``items`` (expressions or aggregate specifications), each
+    ``substituted(values)`` — or ``None`` when none of them changed."""
+    out = [item.substituted(values) for item in items]
+    for new, old in zip(out, items):
+        if new is not old:
+            return out
+    return None
 
 
 class Col(Expr):
@@ -126,18 +165,27 @@ class Col(Expr):
 class Lit(Expr):
     """A literal constant with an explicit type."""
 
-    __slots__ = ("value", "_dtype")
+    __slots__ = ("value", "_dtype", "slot")
 
-    def __init__(self, value: object, dtype: t.DataType | None = None) -> None:
+    def __init__(self, value: object, dtype: t.DataType | None = None,
+                 slot: int | None = None) -> None:
         if dtype is None:
             dtype = _infer_literal_type(value)
         self.value = value
         self._dtype = dtype
+        #: where the value came from in the SQL text (:func:`slot_value`);
+        #: ``None`` for a constant
+        self.slot = slot
 
     @classmethod
-    def date(cls, iso: str) -> "Lit":
+    def date(cls, iso: str, slot: int | None = None) -> "Lit":
         """A DATE literal from an ISO string."""
-        return cls(t.date_to_days(iso), t.DATE)
+        return cls(t.date_to_days(iso), t.DATE, slot)
+
+    def negated(self) -> "Lit":
+        """The literal ``-value`` (a numeric literal under unary minus)."""
+        return Lit(-self.value,
+                   slot=None if self.slot is None else ~self.slot)
 
     def dtype(self, schema: Schema) -> t.DataType:
         return self._dtype
@@ -155,6 +203,11 @@ class Lit(Expr):
 
     def rename(self, mapping: NameMapping) -> "Lit":
         return self
+
+    def substituted(self, values: Sequence[object]) -> "Lit":
+        if self.slot is None:
+            return self
+        return Lit(slot_value(self.slot, values), self._dtype)
 
     def __repr__(self) -> str:
         if self._dtype is t.DATE:
@@ -217,6 +270,13 @@ class Arith(Expr):
         return Arith(self.op, self.left.rename(mapping),
                      self.right.rename(mapping))
 
+    def substituted(self, values: Sequence[object]) -> "Arith":
+        left = self.left.substituted(values)
+        right = self.right.substituted(values)
+        if left is self.left and right is self.right:
+            return self
+        return Arith(self.op, left, right)
+
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -265,6 +325,13 @@ class Cmp(Expr):
         return Cmp(self.op, self.left.rename(mapping),
                    self.right.rename(mapping))
 
+    def substituted(self, values: Sequence[object]) -> "Cmp":
+        left = self.left.substituted(values)
+        right = self.right.substituted(values)
+        if left is self.left and right is self.right:
+            return self
+        return Cmp(self.op, left, right)
+
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -302,6 +369,10 @@ class And(Expr):
 
     def rename(self, mapping: NameMapping) -> "And":
         return And([a.rename(mapping) for a in self.args])
+
+    def substituted(self, values: Sequence[object]) -> "And":
+        args = all_substituted(self.args, values)
+        return self if args is None else And(args)
 
     def __repr__(self) -> str:
         return "(" + " AND ".join(map(repr, self.args)) + ")"
@@ -341,6 +412,10 @@ class Or(Expr):
     def rename(self, mapping: NameMapping) -> "Or":
         return Or([a.rename(mapping) for a in self.args])
 
+    def substituted(self, values: Sequence[object]) -> "Or":
+        args = all_substituted(self.args, values)
+        return self if args is None else Or(args)
+
     def __repr__(self) -> str:
         return "(" + " OR ".join(map(repr, self.args)) + ")"
 
@@ -368,6 +443,10 @@ class Not(Expr):
     def rename(self, mapping: NameMapping) -> "Not":
         return Not(self.arg.rename(mapping))
 
+    def substituted(self, values: Sequence[object]) -> "Not":
+        arg = self.arg.substituted(values)
+        return self if arg is self.arg else Not(arg)
+
     def __repr__(self) -> str:
         return f"(NOT {self.arg!r})"
 
@@ -384,13 +463,17 @@ class InList(Expr):
     every ``v`` on the positive side.
     """
 
-    __slots__ = ("arg", "values", "negated")
+    __slots__ = ("arg", "values", "negated", "slots")
 
     def __init__(self, arg: Expr, values: Sequence[object],
-                 negated: bool = False) -> None:
+                 negated: bool = False,
+                 slots: Sequence[int | None] | None = None) -> None:
         self.arg = arg
         self.values = tuple(values)
         self.negated = bool(negated)
+        #: per value, the slot it came from (as :attr:`Lit.slot`);
+        #: ``None`` when no value is tagged
+        self.slots = tuple(slots) if slots is not None else None
 
     def dtype(self, schema: Schema) -> t.DataType:
         return t.BOOL
@@ -423,7 +506,16 @@ class InList(Expr):
         return base
 
     def rename(self, mapping: NameMapping) -> "InList":
-        return InList(self.arg.rename(mapping), self.values, self.negated)
+        return InList(self.arg.rename(mapping), self.values, self.negated,
+                      self.slots)
+
+    def substituted(self, values: Sequence[object]) -> "InList":
+        arg = self.arg.substituted(values)
+        if self.slots is None:
+            return self if arg is self.arg else \
+                InList(arg, self.values, self.negated)
+        return InList(arg, slot_values(self.values, self.slots, values),
+                      self.negated)
 
     def __repr__(self) -> str:
         op = "NOT IN" if self.negated else "IN"
@@ -478,13 +570,16 @@ class Like(Expr):
     path, with compilation cached per pattern (:func:`_like_to_regex`).
     """
 
-    __slots__ = ("arg", "pattern", "negated", "_regex", "_kind",
+    __slots__ = ("arg", "pattern", "negated", "slot", "_regex", "_kind",
                  "_literal")
 
-    def __init__(self, arg: Expr, pattern: str, negated: bool = False) -> None:
+    def __init__(self, arg: Expr, pattern: str, negated: bool = False,
+                 slot: int | None = None) -> None:
         self.arg = arg
         self.pattern = pattern
         self.negated = negated
+        #: the slot the pattern came from (as :attr:`Lit.slot`)
+        self.slot = slot
         self._regex = _like_to_regex(pattern)
         self._kind, self._literal = _classify_like(pattern)
 
@@ -518,7 +613,15 @@ class Like(Expr):
         return ("like", self.arg.key(mapping), self.pattern, self.negated)
 
     def rename(self, mapping: NameMapping) -> "Like":
-        return Like(self.arg.rename(mapping), self.pattern, self.negated)
+        return Like(self.arg.rename(mapping), self.pattern, self.negated,
+                    self.slot)
+
+    def substituted(self, values: Sequence[object]) -> "Like":
+        arg = self.arg.substituted(values)
+        if self.slot is None:
+            return self if arg is self.arg else \
+                Like(arg, self.pattern, self.negated)
+        return Like(arg, slot_value(self.slot, values), self.negated)
 
     def __repr__(self) -> str:
         op = "NOT LIKE" if self.negated else "LIKE"
@@ -620,6 +723,10 @@ class Func(Expr):
     def rename(self, mapping: NameMapping) -> "Func":
         return Func(self.name, [a.rename(mapping) for a in self.args])
 
+    def substituted(self, values: Sequence[object]) -> "Func":
+        args = all_substituted(self.args, values)
+        return self if args is None else Func(self.name, args)
+
     def __repr__(self) -> str:
         return f"{self.name}({', '.join(map(repr, self.args))})"
 
@@ -709,6 +816,12 @@ class Case(Expr):
                      for c, v in self.whens],
                     self.otherwise.rename(mapping))
 
+    def substituted(self, values: Sequence[object]) -> "Case":
+        parts = all_substituted(self.children(), values)
+        if parts is None:
+            return self
+        return Case(list(zip(parts[:-1:2], parts[1:-1:2])), parts[-1])
+
     def __repr__(self) -> str:
         parts = " ".join(f"WHEN {c!r} THEN {v!r}" for c, v in self.whens)
         return f"(CASE {parts} ELSE {self.otherwise!r} END)"
@@ -756,6 +869,13 @@ class AggSpec:
     def rename(self, mapping: NameMapping) -> "AggSpec":
         arg = self.arg.rename(mapping) if self.arg is not None else None
         return AggSpec(self.func, arg, self.name)
+
+    def substituted(self, values: Sequence[object]) -> "AggSpec":
+        """As :meth:`Expr.substituted`, on the argument."""
+        if self.arg is None:
+            return self
+        arg = self.arg.substituted(values)
+        return self if arg is self.arg else AggSpec(self.func, arg, self.name)
 
     def with_name(self, name: str) -> "AggSpec":
         return AggSpec(self.func, self.arg, name)

@@ -14,7 +14,10 @@ of these nodes (with graph-unique column names), so every node supports:
 * ``hashkey()`` — a coarse, mapping-independent key used to index matching
   candidates (paper Section III-A);
 * ``signature()`` — a 64-bit column bitmask used to prune candidates;
-* ``remapped(input_mapping, assigned_mapping)`` — the copy the graph keeps.
+* ``remapped(input_mapping, assigned_mapping)`` — the copy the graph keeps;
+* ``substituted(values)`` — the plan another text of the same statement
+  template binds to: slot-tagged literals (see
+  :func:`repro.expr.nodes.slot_value`) take their values from ``values``.
 
 Output schemas are resolved lazily against a catalog via
 :func:`output_schema`.
@@ -27,7 +30,8 @@ from typing import Callable, Mapping, Sequence
 from ..columnar.catalog import Catalog
 from ..columnar.table import Schema
 from ..errors import PlanError
-from ..expr.nodes import AggSpec, Col, Expr
+from ..expr.nodes import (AggSpec, Col, Expr, all_substituted,
+                          slot_values)
 
 NameMapping = Mapping[str, str]
 
@@ -116,6 +120,29 @@ class PlanNode:
         """Copy with replaced children, parameters unchanged."""
         return self.remapped({}, {}, children)
 
+    def substituted(self, values: Sequence[object]) -> "PlanNode":
+        """The plan with every slot-tagged literal taking its slot's
+        value from ``values``.  Only nodes with such a literal in or
+        beneath them are rebuilt, through their constructors; any other
+        subtree is shared with this plan, memoized schema and
+        fingerprint included."""
+        children = [child.substituted(values) for child in self.children]
+        if all(new is old for new, old in zip(children, self.children)):
+            children = self.children
+        node = self._substituted(values, children)
+        # a slot's value changes, never its type: same output schema
+        node._schema_cache = self._schema_cache
+        return node
+
+    def _substituted(self, values: Sequence[object],
+                     children: "list[PlanNode]") -> "PlanNode":
+        """This node over ``children`` with its own parameters
+        substituted; ``self`` when ``children`` are its own and the
+        parameters hold no tagged literal."""
+        if children is self.children:
+            return self
+        return self.with_children(children)
+
     # -- traversal helpers ----------------------------------------------
     def walk(self):
         """Yield every node, children before parents (post-order)."""
@@ -128,6 +155,17 @@ class PlanNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return render_plan(self)
+
+
+def _named_substituted(named: Sequence[tuple[str, Expr]],
+                       values: Sequence[object]
+                       ) -> "list[tuple[str, Expr]] | None":
+    """``(name, expression)`` pairs with the expressions substituted,
+    or ``None`` when none of them changed."""
+    exprs = all_substituted([expr for _, expr in named], values)
+    if exprs is None:
+        return None
+    return [(name, expr) for (name, _), expr in zip(named, exprs)]
 
 
 # ----------------------------------------------------------------------
@@ -179,10 +217,14 @@ class TableFunctionScan(PlanNode):
 
     op_name = "table_function"
 
-    def __init__(self, function: str, args: Sequence[object]) -> None:
+    def __init__(self, function: str, args: Sequence[object],
+                 slots: Sequence[int | None] | None = None) -> None:
         super().__init__([])
         self.function = function.lower()
         self.args = tuple(args)
+        #: per argument, the slot it came from (as ``Lit.slot``);
+        #: ``None`` when no argument is tagged
+        self.slots = tuple(slots) if slots is not None else None
 
     def _compute_schema(self, catalog: Catalog) -> Schema:
         return catalog.function_entry(self.function).schema
@@ -200,6 +242,13 @@ class TableFunctionScan(PlanNode):
                  assigned_mapping: NameMapping,
                  children: Sequence[PlanNode]) -> "TableFunctionScan":
         return TableFunctionScan(self.function, self.args)
+
+    def _substituted(self, values: Sequence[object],
+                     children: list[PlanNode]) -> "TableFunctionScan":
+        if self.slots is None:
+            return self
+        return TableFunctionScan(
+            self.function, slot_values(self.args, self.slots, values))
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +283,13 @@ class Select(PlanNode):
                  assigned_mapping: NameMapping,
                  children: Sequence[PlanNode]) -> "Select":
         return Select(children[0], self.predicate.rename(input_mapping))
+
+    def _substituted(self, values: Sequence[object],
+                     children: list[PlanNode]) -> "Select":
+        predicate = self.predicate.substituted(values)
+        if predicate is self.predicate and children is self.children:
+            return self
+        return Select(children[0], predicate)
 
 
 class Project(PlanNode):
@@ -290,6 +346,13 @@ class Project(PlanNode):
                 new_name = assigned_mapping.get(name, name)
             outputs.append((new_name, new_expr))
         return Project(children[0], outputs)
+
+    def _substituted(self, values: Sequence[object],
+                     children: list[PlanNode]) -> "Project":
+        outputs = _named_substituted(self.outputs, values)
+        if outputs is None and children is self.children:
+            return self
+        return Project(children[0], outputs or self.outputs)
 
 
 class Aggregate(PlanNode):
@@ -372,6 +435,16 @@ class Aggregate(PlanNode):
             for a in self.aggregates
         ]
         return Aggregate(children[0], group_keys, aggregates)
+
+    def _substituted(self, values: Sequence[object],
+                     children: list[PlanNode]) -> "Aggregate":
+        group_keys = _named_substituted(self.group_keys, values)
+        aggregates = all_substituted(self.aggregates, values)
+        if group_keys is None and aggregates is None \
+                and children is self.children:
+            return self
+        return Aggregate(children[0], group_keys or self.group_keys,
+                         aggregates or self.aggregates)
 
 
 class TopN(PlanNode):
@@ -583,6 +656,15 @@ class Join(PlanNode):
                     [input_mapping.get(c, c) for c in self.left_keys],
                     [input_mapping.get(c, c) for c in self.right_keys],
                     extra)
+
+    def _substituted(self, values: Sequence[object],
+                     children: list[PlanNode]) -> "Join":
+        extra = self.extra.substituted(values) \
+            if self.extra is not None else None
+        if extra is self.extra and children is self.children:
+            return self
+        return Join(children[0], children[1], self.kind, self.left_keys,
+                    self.right_keys, extra)
 
 
 class UnionAll(PlanNode):

@@ -5,6 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def _slot() -> int | None:
+    """A literal's ordinal among the number and string tokens of the
+    text (``None`` when the binder made the node up).  The binder hands
+    it on to the plan so that a statement template knows where each
+    literal of the text went; it is no part of what the node *means* —
+    two literals with one value compare and print alike."""
+    return field(default=None, repr=False, compare=False)
+
+
 # ----------------------------------------------------------------------
 # scalar expressions
 # ----------------------------------------------------------------------
@@ -24,21 +33,21 @@ class Identifier(SqlExpr):
 
 @dataclass
 class NumberLit(SqlExpr):
-    text: str
-
-    @property
-    def value(self):
-        return float(self.text) if "." in self.text else int(self.text)
+    #: an int, or a float when the text had a fraction or an exponent
+    value: int | float
+    slot: int | None = _slot()
 
 
 @dataclass
 class StringLit(SqlExpr):
     value: str
+    slot: int | None = _slot()
 
 
 @dataclass
 class DateLit(SqlExpr):
     iso: str
+    slot: int | None = _slot()
 
 
 @dataclass
@@ -79,6 +88,7 @@ class LikeExpr(SqlExpr):
     operand: SqlExpr
     pattern: str
     negated: bool = False
+    slot: int | None = _slot()      # of the pattern
 
 
 @dataclass
@@ -165,3 +175,23 @@ class SelectStmt:
     offset: int = 0
     #: UNION ALL chain: additional SELECTs appended to this one.
     union_all: list["SelectStmt"] = field(default_factory=list)
+    #: On the statement :func:`~repro.sql.parser.parse` returns (not on
+    #: the SELECTs nested in it): what the parser made of the text's
+    #: literals — see :class:`Literals`.
+    literals: "Literals | None" = field(default=None, repr=False,
+                                        compare=False)
+
+
+@dataclass(frozen=True)
+class Literals:
+    """The number and string literals of one statement text, by slot."""
+
+    #: every literal's value, in text order
+    values: tuple[int | float | str, ...]
+    #: slots read as ``DATE '…'``: the binder only ever sees their day
+    #: count
+    dates: tuple[int, ...]
+    #: slots the parser consumed into something that is not an
+    #: expression (``LIMIT n``, ``OFFSET k``), so no plan node can be
+    #: tagged with them
+    pinned: tuple[int, ...]

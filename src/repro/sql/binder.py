@@ -153,7 +153,8 @@ class _Binder:
             alias = ref.alias or f"__dt{order}"
         elif ref.function is not None:
             args = [_literal_value(a) for a in ref.function_args]
-            plan = TableFunctionScan(ref.function, args)
+            plan = TableFunctionScan(ref.function, [v for v, _ in args],
+                                     _slots([slot for _, slot in args]))
             columns = plan.output_schema(self.catalog).names
             alias = ref.alias or ref.function
         else:
@@ -596,12 +597,10 @@ class _Binder:
         if isinstance(expr, ast.Identifier):
             _, plan_name = scope.resolve(expr)
             return e.Col(plan_name)
-        if isinstance(expr, ast.NumberLit):
-            return e.Lit(expr.value)
-        if isinstance(expr, ast.StringLit):
-            return e.Lit(expr.value)
+        if isinstance(expr, (ast.NumberLit, ast.StringLit)):
+            return e.Lit(expr.value, slot=expr.slot)
         if isinstance(expr, ast.DateLit):
-            return e.Lit.date(expr.iso)
+            return e.Lit.date(expr.iso, expr.slot)
         if isinstance(expr, ast.BoolLit):
             return e.Lit(expr.value)
         if isinstance(expr, ast.Unary):
@@ -610,7 +609,7 @@ class _Binder:
             operand = self.bind_scalar(expr.operand, scope)
             if isinstance(operand, e.Lit) and \
                     isinstance(operand.value, (int, float)):
-                return e.Lit(-operand.value)
+                return operand.negated()
             return e.Arith("-", e.Lit(0), operand)
         if isinstance(expr, ast.Binary):
             left = self.bind_scalar(expr.left, scope)
@@ -636,14 +635,15 @@ class _Binder:
                 bound = self.bind_scalar(value, scope)
                 if not isinstance(bound, e.Lit):
                     raise SqlError("IN list values must be literals")
-                values.append(bound.value)
+                values.append(bound)
             # negation lives inside InList (not a Not wrapper) so the
             # NaN-excluding NOT IN semantics apply and the fingerprint
             # distinguishes the two forms.
-            return e.InList(operand, values, expr.negated)
+            return e.InList(operand, [v.value for v in values],
+                            expr.negated, _slots([v.slot for v in values]))
         if isinstance(expr, ast.LikeExpr):
             operand = self.bind_scalar(expr.operand, scope)
-            return e.Like(operand, expr.pattern, expr.negated)
+            return e.Like(operand, expr.pattern, expr.negated, expr.slot)
         if isinstance(expr, ast.CaseExpr):
             whens = [(self.bind_scalar(c, scope),
                       self.bind_scalar(v, scope))
@@ -871,7 +871,7 @@ class _Decorrelator:
         on, items = self._pull_correlation(sub, alias, n)
         # EXISTS only asks whether rows exist; its select list is
         # replaced by the correlation columns (or a constant).
-        sub.items = items or [ast.SelectItem(ast.NumberLit("1"),
+        sub.items = items or [ast.SelectItem(ast.NumberLit(1),
                                              alias=f"__e{n}")]
         sub.distinct = False
         self.stmt.joins.append(ast.JoinClause(
@@ -1029,17 +1029,23 @@ def _ast_equal(a: ast.SqlExpr, b: ast.SqlExpr) -> bool:
     return repr(a) == repr(b)   # dataclass reprs are structural
 
 
-def _literal_value(expr: ast.SqlExpr):
-    if isinstance(expr, ast.NumberLit):
-        return expr.value
-    if isinstance(expr, ast.StringLit):
-        return expr.value
+def _literal_value(expr: ast.SqlExpr) -> tuple[object, int | None]:
+    """A table-function argument's value and the slot it came from (as
+    :attr:`repro.expr.nodes.Lit.slot`)."""
+    if isinstance(expr, (ast.NumberLit, ast.StringLit)):
+        return expr.value, expr.slot
     if isinstance(expr, ast.DateLit):
         from ..columnar.types import date_to_days
-        return date_to_days(expr.iso)
+        return date_to_days(expr.iso), expr.slot
     if isinstance(expr, ast.Unary) and expr.op == "-":
-        return -_literal_value(expr.operand)
+        value, slot = _literal_value(expr.operand)
+        return -value, None if slot is None else ~slot
     raise SqlError("table function arguments must be literals")
+
+
+def _slots(slots: list[int | None]) -> list[int | None] | None:
+    """``slots``, or ``None`` when no value is tagged."""
+    return slots if any(slot is not None for slot in slots) else None
 
 
 def _zero_like(value: e.Expr) -> e.Expr:

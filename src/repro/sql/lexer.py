@@ -1,8 +1,18 @@
-"""SQL lexer: text -> token stream."""
+"""SQL lexer: text -> token stream, and the literal scan that shares
+its grammar.
+
+The sub-patterns below are the only definition of what a comment, a
+word, a number and a string literal look like.  :func:`tokenize` runs
+them as one master regex; :func:`scan_literals` — how the statement
+cache tells the texts of one statement template apart without lexing
+them — runs the same ones, so the two cannot drift
+(``tests/property/`` holds them together on arbitrary accepted text).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import SqlError
 
@@ -18,14 +28,67 @@ KEYWORDS = {
 SYMBOLS = ("<=", ">=", "<>", "!=", "||", "(", ")", ",", "+", "-", "*",
            "/", "%", "<", ">", "=", ".", ";")
 
+# The grammar of the tokens that can hold a literal, or hide something
+# that looks like one.  Each is split after its first character: the
+# lexer dispatches on that character inside one alternation, the scan
+# finds it with a character-set search (which ``re`` runs far faster
+# than an alternation) and looks back at it — the tails are shared.
+#: after ``-``: a second dash makes a comment, up to the end of the line
+_COMMENT_TAIL = r"-[^\n]*"
+#: after the opening quote: ``''`` inside is an escaped quote, so the
+#: closing quote is one that no quote follows
+_STRING_TAIL = r"[^']*(?:''[^']*)*'(?!')"
+_EXPONENT = r"(?:[eE][+-]?\d+)?"
+#: after a number's first digit: ``12``, ``1.5``, ``1e-05``; a dot that
+#: no digit follows is left for the qualifier in ``t.c``
+_DIGIT_TAIL = rf"\d*(?:\.\d+)?{_EXPONENT}"
+#: after a leading dot: ``.5``
+_DOT_TAIL = rf"\d+{_EXPONENT}"
+#: identifiers and keywords: a letter or ``_``, then letters, digits, ``_``
+_WORD = r"[^\W\d]\w*"
 
-@dataclass(frozen=True)
-class Token:
+# One match per token, newline or comment; blanks are skipped as a
+# prefix, and a newline is a match of its own so that line and column
+# need no search.  (A newline inside a string literal does not start a
+# line.)
+_TOKEN = re.compile(
+    r"[^\S\n]*(?:"
+    rf"({_WORD})"
+    rf"|(\d{_DIGIT_TAIL}|\.{_DOT_TAIL})"
+    rf"|('{_STRING_TAIL})"
+    rf"|-{_COMMENT_TAIL}"
+    r"|(" + "|".join(map(re.escape, SYMBOLS)) + ")"
+    r"|(\n))")
+_WORD_GROUP, _NUMBER_GROUP, _STRING_GROUP, _SYMBOL_GROUP, _NEWLINE_GROUP = \
+    range(1, 6)
+
+# Where the lexer starts a number: at a digit that no word or number is
+# still running over — not after a word character (``t1``, the ``5`` of
+# ``e5``) nor after a dot, which belongs to the number already matched
+# (``1.5``) or starts one itself — and at any dot a digit follows
+# (``t.5`` lexes as ``t`` and ``.5``).  With that guard the scan need not
+# match words, only comments (which may hold quotes and digits).
+_LITERAL = re.compile(
+    r"[-'.\d](?:"
+    rf"(?<=-){_COMMENT_TAIL}"
+    rf"|(?<=')({_STRING_TAIL})"
+    rf"|(?<=\d)(?<![\w.]\d)({_DIGIT_TAIL})"
+    rf"|(?<=\.)({_DOT_TAIL}))")
+
+#: what :func:`scan_literals` leaves where a literal stood; the lexer
+#: rejects the character, so no statement that binds contains it outside
+#: a string or a comment
+PLACEHOLDER = "?"
+
+
+class Token(NamedTuple):
     kind: str       # "ident" | "keyword" | "number" | "string" | "symbol"
                     # | "eof"
     value: str
     line: int
     column: int
+    #: for number and string tokens, the literal's ordinal in the text
+    slot: int | None = None
 
     def is_keyword(self, *names: str) -> bool:
         return self.kind == "keyword" and self.value in names
@@ -34,82 +97,81 @@ class Token:
         return self.kind == "symbol" and self.value in symbols
 
 
+def number_value(text: str) -> int | float:
+    """The value of a number token: a float when the text has a
+    fraction or an exponent."""
+    return int(text) if text.isdecimal() else float(text)
+
+
+def _string_value(quoted: str) -> str:
+    return quoted[1:-1].replace("''", "'")
+
+
 def tokenize(text: str) -> list[Token]:
     """Lex SQL text into tokens; raises :class:`SqlError` on bad input."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    line_start = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            line_start = i + 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        column = i - line_start + 1
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
+    newline_at = -1     # a token's column is its offset less this
+    slot = 0
+    match = None
+    for match in iter(_TOKEN.scanner(text).match, None):
+        group = match.lastindex
+        if group == _WORD_GROUP:
+            word = match.group(group)
             lower = word.lower()
-            kind = "keyword" if lower in KEYWORDS else "ident"
-            value = lower if kind == "keyword" else word
-            tokens.append(Token(kind, value, line, column))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n
-                            and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            while i < n and (text[i].isdigit()
-                             or (text[i] == "." and not seen_dot)):
-                if text[i] == ".":
-                    # a trailing qualifier dot like "t.c" must not be
-                    # swallowed into a number
-                    if i + 1 >= n or not text[i + 1].isdigit():
-                        break
-                    seen_dot = True
-                i += 1
-            tokens.append(Token("number", text[start:i], line, column))
-            continue
-        if ch == "'":
-            i += 1
-            start = i
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise SqlError("unterminated string literal", line,
-                                   column)
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":  # escaped quote
-                        parts.append(text[start:i + 1])
-                        i += 2
-                        start = i
-                        continue
-                    break
-                i += 1
-            parts.append(text[start:i])
-            i += 1
-            tokens.append(Token("string", "".join(parts), line, column))
-            continue
-        matched = False
-        for symbol in SYMBOLS:
-            if text.startswith(symbol, i):
-                value = "<>" if symbol == "!=" else symbol
-                tokens.append(Token("symbol", value, line, column))
-                i += len(symbol)
-                matched = True
-                break
-        if not matched:
-            raise SqlError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("eof", "", line, n - line_start + 1))
+            if lower in KEYWORDS:
+                append(Token("keyword", lower, line,
+                             match.start(group) - newline_at))
+            else:
+                append(Token("ident", word, line,
+                             match.start(group) - newline_at))
+        elif group == _SYMBOL_GROUP:
+            symbol = match.group(group)
+            append(Token("symbol", "<>" if symbol == "!=" else symbol,
+                         line, match.start(group) - newline_at))
+        elif group == _NUMBER_GROUP:
+            append(Token("number", match.group(group), line,
+                         match.start(group) - newline_at, slot))
+            slot += 1
+        elif group == _STRING_GROUP:
+            append(Token("string", _string_value(match.group(group)), line,
+                         match.start(group) - newline_at, slot))
+            slot += 1
+        elif group == _NEWLINE_GROUP:
+            line += 1
+            newline_at = match.start(group)
+        # (a comment produces nothing)
+    end = match.end() if match is not None else 0
+    stopped = len(text) - len(text[end:].lstrip())
+    if stopped < len(text):
+        column = stopped - newline_at
+        if text[stopped] == "'":
+            raise SqlError("unterminated string literal", line, column)
+        raise SqlError(f"unexpected character {text[stopped]!r}", line,
+                       column)
+    tokens.append(Token("eof", "", line, len(text) - newline_at))
     return tokens
+
+
+def scan_literals(text: str) -> tuple[str, list[int | float | str]]:
+    """``text`` with every number and string literal replaced by
+    :data:`PLACEHOLDER`, and the literals' values in text order — for
+    any text :func:`tokenize` accepts, exactly the values of its number
+    and string tokens (:func:`number_value` applied to the numbers)."""
+    pieces: list[str] = []
+    values: list[int | float | str] = []
+    last = 0
+    for match in _LITERAL.finditer(text):
+        group = match.lastindex
+        if group is None:       # a comment: stays in the stripped text
+            continue
+        start, end = match.span()
+        pieces.append(text[last:start])
+        last = end
+        if group == 1:
+            values.append(_string_value(match.group()))
+        else:
+            values.append(number_value(match.group()))
+    pieces.append(text[last:])
+    return PLACEHOLDER.join(pieces), values

@@ -20,24 +20,36 @@ from __future__ import annotations
 
 from ..errors import SqlError
 from . import ast
-from .lexer import Token, tokenize
+from .lexer import Token, number_value, tokenize
 
 
 def parse(text: str) -> ast.SelectStmt:
     """Parse one SELECT statement (with optional UNION ALL chain)."""
-    return _Parser(tokenize(text)).parse_statement()
+    tokens = tokenize(text)
+    parser = _Parser(tokens)
+    stmt = parser.parse_statement()
+    stmt.literals = ast.Literals(
+        tuple(number_value(token.value) if token.kind == "number"
+              else token.value
+              for token in tokens if token.slot is not None),
+        tuple(parser.date_slots), tuple(parser.pinned_slots))
+    return stmt
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+        # ``peek(1)`` at the end of input reads the EOF token again
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
+        #: see :class:`ast.Literals`
+        self.date_slots: list[int] = []
+        self.pinned_slots: list[int] = []
 
     # ------------------------------------------------------------------
     # token plumbing
     # ------------------------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -211,10 +223,11 @@ class _Parser:
 
     def _int_literal(self) -> int:
         token = self.peek()
-        if token.kind != "number" or "." in token.value:
+        if token.kind != "number" or not token.value.isdecimal():
             raise SqlError(f"expected integer, got {token.value!r}",
                            token.line, token.column)
         self.advance()
+        self.pinned_slots.append(token.slot)
         return int(token.value)
 
     # ------------------------------------------------------------------
@@ -294,7 +307,7 @@ class _Parser:
                 raise SqlError("LIKE requires a string literal pattern",
                                pattern.line, pattern.column)
             self.advance()
-            return ast.LikeExpr(left, pattern.value, negated)
+            return ast.LikeExpr(left, pattern.value, negated, pattern.slot)
         return left
 
     def _additive(self) -> ast.SqlExpr:
@@ -336,10 +349,10 @@ class _Parser:
             return expr
         if token.kind == "number":
             self.advance()
-            return ast.NumberLit(token.value)
+            return ast.NumberLit(number_value(token.value), token.slot)
         if token.kind == "string":
             self.advance()
-            return ast.StringLit(token.value)
+            return ast.StringLit(token.value, token.slot)
         if token.is_keyword("date"):
             self.advance()
             literal = self.peek()
@@ -347,7 +360,8 @@ class _Parser:
                 raise SqlError("DATE requires a string literal",
                                literal.line, literal.column)
             self.advance()
-            return ast.DateLit(literal.value)
+            self.date_slots.append(literal.slot)
+            return ast.DateLit(literal.value, literal.slot)
         if token.is_keyword("true"):
             self.advance()
             return ast.BoolLit(True)

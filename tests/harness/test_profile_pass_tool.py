@@ -4,6 +4,10 @@ Its STRING share is measured by wrapping ``types.array_nbytes`` (and
 the other per-element kernels) *by module attribute*: if the engine
 sized STRING columns through any other name the tool would go on
 printing a smaller share without failing.  So run it, small, and look.
+The same goes for the statement cache's template path, which it times
+by wrapping ``exec_service.scan_literals`` and
+``StatementTemplate.bind`` — and there the tool is also the alarm: it
+exits non-zero when texts share shapes and no template was hit.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
     assert done.returncode == 0, done.stderr[-2000:]
     lines = [line.split() for line in done.stdout.splitlines()]
     values = {words[0]: float(words[1]) for words in lines
-              if len(words) == 2 and words[0] in (
-                  "string_share", "next_calls", "batches_built",
-                  "batches_per_op")}
+              if len(words) == 2 and words[0] != "#"}
     assert 0.0 < values["string_share"] < 1.0
     # the dashboard's ``status`` / ``site`` columns were sized per
     # batch through the wrapped name
@@ -35,3 +37,33 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
     assert sizing and int(sizing[0][-2]) > 0
     assert values["next_calls"] > 0 and values["batches_built"] > 0
     assert values["batches_per_op"] > 0.0
+    # the dashboard: 51 texts at this size, 5 shapes — every text but
+    # the first of its shape binds from a template, and the tool saw
+    # each scan and each substitution
+    assert values["distinct_shapes"] == 5
+    assert values["statement_cache.template_misses"] == 5
+    hits = values["statement_cache.template_hits"]
+    assert hits == values["distinct_texts"] - 5 > 0
+    timed = {words[1]: int(words[-2]) for words in lines
+             if words[:1] == ["template"]}
+    assert timed == {"scan_literals": values["statement_cache.misses"],
+                     "StatementTemplate.bind": hits}
+
+
+def test_tool_fails_when_the_template_path_stops_firing():
+    """A statement cache that binds every text in full (here: a scan
+    that gives every text a shape of its own) is what no other test
+    turns red on."""
+    broken = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import profile_pass;"
+        " from repro import exec_service;"
+        " exec_service.scan_literals = lambda text: (text, []);"
+        " sys.exit(profile_pass.main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", broken, str(ROOT / "tools"),
+         "--workload", "ts_append", "--mode", "spec", "--size", "0.04",
+         "--top", "1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert "no statement template was hit" in done.stderr
+    assert "statement_cache.template_hits 0" in done.stdout

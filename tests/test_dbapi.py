@@ -155,6 +155,24 @@ class TestParameters:
                     (datetime.date(1972, 3, 11), True))
         assert [int(r[0]) for r in cur.fetchall()] == [2, 3]
 
+    def test_float_parameters_rendered_with_an_exponent(self, conn):
+        """``repr(0.00001)`` is ``1e-05``: the lexer reads the exponent
+        as part of the number, not as an identifier after it."""
+        cur = conn.cursor()
+        for value, expected in ((1e-05, 5000), (1e+16, 0), (-2.5e-05, 5000)):
+            assert "e" in repr(value)
+            cur.execute("SELECT count(*) AS n FROM t WHERE v > ?", (value,))
+            assert cur.fetchall() == [(expected,)], value
+        cur.execute("SELECT id FROM names WHERE id * ? > ? ORDER BY id",
+                    (1e+16, 1.5e16))
+        assert [int(r[0]) for r in cur.fetchall()] == [2, 3]
+
+    def test_non_finite_float_parameter_rejected(self, conn):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(dbapi.ProgrammingError, match="non-finite"):
+                conn.cursor().execute(
+                    "SELECT id FROM names WHERE id > ?", (value,))
+
     def test_parameter_count_mismatch(self, conn):
         cur = conn.cursor()
         with pytest.raises(dbapi.ProgrammingError):

@@ -6,6 +6,12 @@ the text names still exists with an equal schema in the query's pinned
 snapshot.  The bar: a cached statement may save work, never change an
 answer — appends keep it (and the next read is cold and correct), DDL
 that changes what the text binds to drops it.
+
+Behind the texts sit statement templates: a text that misses binds by
+substituting its literals into the plan of an earlier text of the same
+shape.  They live and die by the same rule (``TestTemplates``); that a
+substituted plan is the plan a fresh bind produces is
+``tests/sql/test_statement_templates.py``.
 """
 
 from __future__ import annotations
@@ -54,8 +60,10 @@ class TestHits:
         first = cached(db, ROLLUP)
         again = cached(db, ROLLUP)
         assert again is first and again.plan is first.plan
-        assert cache_stats(db) == {"entries": 1, "hits": 1, "misses": 1,
-                                   "invalidated": 0, "evicted": 0}
+        assert cache_stats(db) == {
+            "entries": 1, "hits": 1, "misses": 1, "invalidated": 0,
+            "evicted": 0, "templates": 1, "template_hits": 0,
+            "template_misses": 1, "template_invalidated": 0}
 
     def test_every_frontend_shares_one_entry(self, db):
         db.sql(ROLLUP)
@@ -198,7 +206,144 @@ class TestInvalidation:
         assert len(db.sql(STAR).table.schema.names) == 4
 
 
+def below(n: int) -> str:
+    return f"SELECT * FROM t WHERE k < {n}"
+
+
+class TestTemplates:
+    def test_a_text_hit_never_reaches_the_templates(self, db):
+        db.sql(below(5))
+        db.sql(below(6))
+        before = cache_stats(db)
+        assert (before["templates"], before["template_misses"],
+                before["template_hits"]) == (1, 1, 1)
+        for _ in range(3):
+            db.sql(below(5))
+        after = cache_stats(db)
+        assert after["hits"] == before["hits"] + 3
+        assert {k: v for k, v in after.items() if k != "hits"} == \
+            {k: v for k, v in before.items() if k != "hits"}
+
+    def test_dbapi_parameters_are_literals_like_any_other(self, db):
+        """``_substitute`` renders the parameters into the text and the
+        scan strips them again: one operation, one template."""
+        connection = dbapi.connect(db)
+        cursor = connection.cursor()
+        operation = "SELECT count(*) AS n FROM t WHERE grp = ? AND val < ?"
+        assert cursor.execute(operation, (2, 0.5)).fetchall() == \
+            db.sql("SELECT count(*) AS n FROM t WHERE grp = 2 AND val < 0.5"
+                   ).table.to_rows()
+        cursor.execute(operation, (3, 0.25))
+        connection.close()
+        stats = cache_stats(db)
+        assert (stats["template_misses"], stats["template_hits"]) == (1, 1)
+        assert stats["hits"] == 1       # (the same text through db.sql)
+
+    def test_append_keeps_the_template(self, db):
+        assert db.sql(below(5)).table.num_rows == 5
+        db.append_rows("t", make_table(500, offset=3000))
+        assert db.sql(below(3004)).table.num_rows == 3004
+        stats = cache_stats(db)
+        assert (stats["template_hits"], stats["template_invalidated"]) == \
+            (1, 0)
+
+    def test_add_column_invalidates_the_template(self, db):
+        assert db.sql(below(5)).table.schema.names == ["grp", "k", "val"]
+        db.alter_table_add_column("t", "tag", STRING, default="x")
+        assert db.sql(below(6)).table.schema.names == \
+            ["grp", "k", "tag", "val"]
+        stats = cache_stats(db)
+        assert (stats["template_invalidated"], stats["template_misses"],
+                stats["template_hits"], stats["templates"]) == (1, 2, 0, 1)
+        assert db.sql(below(7)).table.num_rows == 7     # the new template
+        assert cache_stats(db)["template_hits"] == 1
+
+    def test_rename_column_invalidates_the_template(self, db):
+        text = "SELECT val FROM t WHERE k < {}"
+        db.sql(text.format(5))
+        db.rename_column("t", "val", "amount")
+        with pytest.raises(SqlError):
+            db.sql(text.format(6))                  # ``val`` is gone
+        stats = cache_stats(db)
+        assert (stats["template_invalidated"], stats["templates"]) == (1, 0)
+
+    def test_drop_table_raises_typed_error_not_a_stale_template(self, db):
+        db.sql(below(5))
+        db.drop_table("t")
+        with pytest.raises(CatalogError):
+            db.sql(below(6))
+        stats = cache_stats(db)
+        assert (stats["template_invalidated"], stats["templates"]) == (1, 0)
+
+    def test_older_pinned_snapshot_binds_afresh(self, db):
+        old = db.catalog.snapshot()
+        db.alter_table_add_column("t", "tag", STRING)
+        assert len(db.sql(below(5)).table.schema.names) == 4
+        pinned = db.service.execute(below(6), snapshot=old)
+        assert pinned.table.schema.names == ["grp", "k", "val"]
+        assert pinned.table.num_rows == 6
+        # the template now stands for the older schema; the newer one
+        # re-binds in its turn — never a plan from the wrong snapshot
+        assert len(db.sql(below(7)).table.schema.names) == 4
+        assert cache_stats(db)["template_invalidated"] == 2
+
+    def test_lru_bound(self, db, monkeypatch):
+        monkeypatch.setattr(exec_service, "STATEMENT_CACHE_ENTRIES", 3)
+        shapes = [f"SELECT k, val FROM t WHERE k < {{}} AND grp {op} 2"
+                  for op in ("<>", "=", "<", ">", "<=")]
+        for shape in shapes[:3]:
+            db.sql(shape.format(50))
+        db.sql(shapes[0].format(51))        # touch: most recently used
+        for shape in shapes[3:]:
+            db.sql(shape.format(50))        # evicts shapes[1], shapes[2]
+        stats = cache_stats(db)
+        assert stats["templates"] == 3 and stats["template_hits"] == 1
+        db.sql(shapes[0].format(52))
+        assert cache_stats(db)["template_hits"] == 2
+        db.sql(shapes[1].format(52))
+        assert cache_stats(db)["template_hits"] == 2
+        with db.service._statement_lock:
+            assert len(db.service._literal_roles) <= 3
+
+
 class TestConcurrency:
+    def test_threads_missing_one_template_leave_one_entry(self, db):
+        """Every thread issues its own texts of one shape: all miss by
+        text, the first few miss the template too (a race none of them
+        loses: each binds in full), and one template is left."""
+        threads, repeats = 8, 25
+        wrong: list = []
+
+        def worker(index: int) -> None:
+            for repeat in range(repeats):
+                n = 1 + index * repeats + repeat
+                rows = db.sql(below(n)).table.num_rows
+                if rows != n:
+                    wrong.append((n, rows))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=worker, args=(index,))
+                    for index in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert not wrong
+        stats = cache_stats(db)
+        # (n = 1 equals the binder's own constant: a template of its own)
+        assert stats["templates"] == 2
+        assert stats["misses"] == threads * repeats
+        assert stats["template_hits"] + stats["template_misses"] == \
+            stats["misses"]
+        assert stats["template_misses"] <= threads + 1
+        db.recycler.cache.check_invariants()
+        db.recycler.graph.check_invariants()
+
     def test_one_text_from_many_threads(self, db):
         """More threads than cores, a short switch interval: every
         thread gets the reference rows, and no lookup is lost from the

@@ -15,10 +15,16 @@ twice, each time on a fresh database:
    of ``Cmp`` on object operands — and prints their share of the pass,
    then the counts behind the engine's per-batch floor
    (``PhysicalOperator.next`` calls, ``Batch`` objects built, batches
-   per statement).  Timed without a profiler because cProfile charges
-   every Python call but no native loop, which inflates exactly these
-   shares;
+   per statement), then the statement cache's counters and what its
+   template path cost: the literal scan of every text that missed and
+   the substitutions that replaced a lex / parse / bind.  Timed without
+   a profiler because cProfile charges every Python call but no native
+   loop, which inflates exactly these shares;
 2. under cProfile, and prints the top functions.
+
+Exits non-zero if texts of the op list share a shape (so a template
+could have served one of them) and the pass reports no template hit:
+a template path that has silently stopped firing fails no test.
 
 A hot-spot hunt starts here; a claim is measured with ``bench/run.py``.
 """
@@ -43,27 +49,29 @@ import numpy as np  # noqa: E402
 from bench import hostspeed  # noqa: E402
 from bench.harness import execute_op  # noqa: E402
 from bench.workloads import SCAN, SQL, WORKLOADS  # noqa: E402
+from repro import exec_service  # noqa: E402
 from repro.columnar import types  # noqa: E402
 from repro.columnar.batch import Batch  # noqa: E402
 from repro.engine.base import PhysicalOperator  # noqa: E402
 from repro.expr.nodes import Cmp  # noqa: E402
+from repro.sql import scan_literals  # noqa: E402
 
 DEFAULT_SEED = 7
 
 
-class StringShare:
-    """Seconds and calls spent inside the wrapped STRING kernels."""
+class Share:
+    """Seconds and calls spent inside wrapped functions, by label."""
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = {}
         self.calls: dict[str, int] = {}
 
-    def timed(self, label: str, function, is_string):
+    def timed(self, label: str, function, counts=lambda *a, **k: True):
         """``function`` timed under ``label`` for the calls whose
-        arguments ``is_string`` accepts (no wrapped kernel calls
+        arguments ``counts`` accepts (no wrapped function calls
         another, so the times add up)."""
         def wrapper(*args, **kwargs):
-            if not is_string(*args, **kwargs):
+            if not counts(*args, **kwargs):
                 return function(*args, **kwargs)
             started = time.perf_counter()
             try:
@@ -73,6 +81,18 @@ class StringShare:
                 self.seconds[label] = self.seconds.get(label, 0.0) + elapsed
                 self.calls[label] = self.calls.get(label, 0) + 1
         return wrapper
+
+    def report(self, prefix: str, seconds: float) -> None:
+        for label in sorted(self.seconds, key=self.seconds.get,
+                            reverse=True):
+            print(f"{prefix:<8} {label:<24} "
+                  f"{self.seconds[label] * 1e3:9.1f} ms"
+                  f" {self.seconds[label] / seconds:6.1%}"
+                  f" {self.calls[label]:8d} calls")
+
+
+class StringShare(Share):
+    """The per-element STRING kernels."""
 
     @contextlib.contextmanager
     def installed(self):
@@ -100,6 +120,26 @@ class StringShare:
         finally:
             (types.array_nbytes, types.string_codes, np.unique,
              Cmp._FUNCS) = saved
+
+
+class TemplateShare(Share):
+    """The statement cache's template path: the literal scan every text
+    miss pays, and the substitution a template hit pays in place of
+    lex / parse / bind (both wrapped by the name ``exec_service`` calls
+    them by)."""
+
+    @contextlib.contextmanager
+    def installed(self):
+        saved = (exec_service.scan_literals,
+                 exec_service.StatementTemplate.bind)
+        exec_service.scan_literals = self.timed("scan_literals", saved[0])
+        exec_service.StatementTemplate.bind = self.timed(
+            "StatementTemplate.bind", saved[1])
+        try:
+            yield
+        finally:
+            (exec_service.scan_literals,
+             exec_service.StatementTemplate.bind) = saved
 
 
 class BatchFloor:
@@ -139,9 +179,11 @@ class BatchFloor:
              Batch._aligned) = saved
 
 
-def replay(workload, ops, seed: int, size: float, mode: str) -> float:
+def replay(workload, ops, seed: int, size: float, mode: str
+           ) -> tuple[float, dict[str, int]]:
     """Set up as the benchmark does, replay ``ops`` once; seconds the
-    ops took (set-up and priming excluded)."""
+    ops took (set-up and priming excluded) and the statement cache's
+    counters at the end (priming included)."""
     db = workload.build(seed, size, mode)
     try:
         for statement in workload.priming(ops):
@@ -149,7 +191,8 @@ def replay(workload, ops, seed: int, size: float, mode: str) -> float:
         started = time.perf_counter()
         for op in ops:
             execute_op(db, op, seed)
-        return time.perf_counter() - started
+        seconds = time.perf_counter() - started
+        return seconds, db.summary()["service"]["statement_cache"]
     finally:
         db.close()
 
@@ -176,19 +219,28 @@ def main(argv: list[str] | None = None) -> int:
 
     share = StringShare()
     floor = BatchFloor()
-    with share.installed(), floor.installed():
-        seconds = replay(workload, ops, args.seed, args.size, args.mode)
+    templates = TemplateShare()
+    with share.installed(), floor.installed(), templates.installed():
+        seconds, statement_cache = replay(workload, ops, args.seed,
+                                          args.size, args.mode)
     print(f"# pass: {seconds * 1e3:.1f} ms unprofiled")
-    for label in sorted(share.seconds, key=share.seconds.get,
-                        reverse=True):
-        print(f"string  {label:<24} {share.seconds[label] * 1e3:9.1f} ms"
-              f" {share.seconds[label] / seconds:6.1%}"
-              f" {share.calls[label]:8d} calls")
+    share.report("string", seconds)
     print(f"string_share {sum(share.seconds.values()) / seconds:.4f}")
+    texts = {op.text for op in ops if op.kind in (SQL, SCAN)}
     queries = sum(op.kind in (SQL, SCAN) for op in ops)
     print(f"next_calls {floor.next_calls}")
     print(f"batches_built {floor.batches_built}")
     print(f"batches_per_op {floor.batches_built / queries:.1f}")
+    templates.report("template", seconds)
+    for name, value in statement_cache.items():
+        print(f"statement_cache.{name} {value}")
+    shapes = {scan_literals(text)[0] for text in texts}
+    print(f"distinct_texts {len(texts)}")
+    print(f"distinct_shapes {len(shapes)}")
+    if len(shapes) < len(texts) and not statement_cache["template_hits"]:
+        print("error: texts share shapes but no statement template was"
+              " hit", file=sys.stderr)
+        return 1
 
     profiler = cProfile.Profile()
     profiler.runcall(replay, workload, ops, args.seed, args.size,
