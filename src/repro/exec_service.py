@@ -267,12 +267,13 @@ class ExecutionService:
         validate_plan(plan, snapshot)
         return plan
 
-    def statement(self, text: str,
-                  snapshot: "CatalogSnapshot") -> Statement:
+    def statement(self, text: str, snapshot: "CatalogSnapshot",
+                  warm_only: bool = False) -> Statement | None:
         """The cached :class:`Statement` for ``text`` if it is valid for
         ``snapshot``; otherwise bind the text (:meth:`_bind`), validate
         the plan, run the recycler's canonicalizing optimizer over it
-        and cache that.
+        and cache that — or, ``warm_only``, return ``None`` with
+        the cache and its counters as they were.
 
         A text that fails to parse, bind or validate raises from here
         and leaves nothing behind.  A query pinned to an older snapshot
@@ -281,11 +282,17 @@ class ExecutionService:
         stats = self._statement_stats
         with self._statement_lock:
             cached = self._statements.get(text)
-            if cached is not None:
-                if cached.valid_for(snapshot):
-                    self._statements.move_to_end(text)
+            if cached is not None and cached.valid_for(snapshot):
+                self._statements.move_to_end(text)
+                # a warm-only lookup is a hit once the statement is
+                # answered (``execute`` counts it then): one that falls
+                # through to a full ``execute`` is counted there, once
+                if not warm_only:
                     stats["hits"] += 1
-                    return cached
+                return cached
+            if warm_only:
+                return None
+            if cached is not None:
                 del self._statements[text]
                 stats["invalidated"] += 1
             stats["misses"] += 1
@@ -365,7 +372,8 @@ class ExecutionService:
                 snapshot: "CatalogSnapshot | None" = None,
                 remote: object | None = None,
                 tenant: str | None = None,
-                validate: bool = True) -> QueryResult:
+                validate: bool = True,
+                warm_only: bool = False) -> QueryResult | None:
         """Run one query (SQL text or a prebuilt plan) end to end.
 
         ``frontend`` names the caller for the per-caller statistics
@@ -395,6 +403,15 @@ class ExecutionService:
         :class:`~repro.engine.shard.pool.ShardRuntime`; ``tenant``
         attributes cache admissions to a per-tenant byte budget (see
         :meth:`~repro.recycler.recycler.Recycler.set_tenant_budget`).
+
+        ``warm_only`` answers the query only if that takes no more than
+        a statement-cache hit and a full-plan hit of the recycler
+        (``Recycler.prepare(warm_only=True)``) — O(1) in the data, no
+        waiting, safe on a server's event loop — through the same
+        lines as any other query.  Otherwise the call returns ``None``
+        and nothing records that it was made: no counter of the
+        statement cache, the recycler or the frontend has moved, so
+        calling again without the flag is the query's one execution.
         """
         if cancel_token is None:
             cancel_token = CancellationToken.from_limits(
@@ -404,7 +421,9 @@ class ExecutionService:
             snapshot = self.recycler.catalog.snapshot()
         statement = None
         if isinstance(query, str):
-            statement = self.statement(query, snapshot)
+            statement = self.statement(query, snapshot, warm_only)
+            if statement is None:
+                return None
             plan = statement.plan
         else:
             plan = query
@@ -417,7 +436,8 @@ class ExecutionService:
                 plan, label=label, producer_token=producer_token,
                 block_on_inflight=block_on_inflight,
                 cancel_token=cancel_token, snapshot=snapshot,
-                remote=remote, tenant=tenant, statement=statement)
+                remote=remote, tenant=tenant, statement=statement,
+                warm_only=warm_only)
         except QueryTimeout:
             self._account_error(frontend, "timeouts")
             raise
@@ -427,6 +447,11 @@ class ExecutionService:
         except Exception:
             self._account_error(frontend, "errors")
             raise
+        if result is None:      # a ``warm_only`` prepare declined
+            return None
+        if warm_only:
+            with self._statement_lock:
+                self._statement_stats["hits"] += 1
         self._account(frontend, result, time.perf_counter() - started)
         return result
 
@@ -437,17 +462,21 @@ class ExecutionService:
                   snapshot: "CatalogSnapshot | None",
                   remote: object | None,
                   tenant: str | None,
-                  statement: Statement | None) -> QueryResult:
+                  statement: Statement | None,
+                  warm_only: bool) -> QueryResult | None:
         """prepare → remote-or-local execute → finalize, with the
         abandon path unwinding on any failure.  This is the only copy of
         the pipeline; ``Recycler.execute`` and every frontend delegate
-        here."""
+        here.  ``None`` when a ``warm_only`` prepare declined."""
         recycler = self.recycler
         prepared = recycler.prepare(plan, producer_token=producer_token,
                                     block_on_inflight=block_on_inflight,
                                     cancel_token=cancel_token,
                                     snapshot=snapshot, tenant=tenant,
-                                    statement=statement)
+                                    statement=statement,
+                                    warm_only=warm_only)
+        if prepared is None:
+            return None
         try:
             result = None
             if remote is not None and remote.eligible(prepared):
@@ -542,8 +571,10 @@ class ExecutionService:
         substituting literals into a template and ``template_misses``
         by lex / parse / bind; ``template_invalidated`` like
         ``invalidated``) plus, summed over every
-        attached server, admission rejections and live connections —
-        the ``"service"`` block of ``Database.summary()``."""
+        attached server, admission rejections, live connections and
+        the queries answered ``inline`` (on a server's event loop, not
+        its worker pool) — the ``"service"`` block of
+        ``Database.summary()``."""
         with self._statement_lock:
             statement_cache = {"entries": len(self._statements),
                                "templates": len(self._templates),
@@ -554,10 +585,12 @@ class ExecutionService:
             servers = list(self._servers)
         rejected = 0
         connections = 0
+        inline = 0
         for server in servers:
             stats = server.stats()
             rejected += stats.get("rejected", 0)
             connections += stats.get("active_connections", 0)
+            inline += stats.get("inline", 0)
         return {
             "frontends": frontends,
             "queries": sum(s["queries"] for s in frontends.values()),
@@ -565,4 +598,5 @@ class ExecutionService:
             "servers": len(servers),
             "admission_rejected": rejected,
             "active_connections": connections,
+            "inline": inline,
         }

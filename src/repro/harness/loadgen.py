@@ -312,6 +312,15 @@ def main(argv: list[str] | None = None) -> int:
         if not report.served:
             print("FAIL: no queries served")
             return 1
+        if server is not None:
+            stats = server.stats()
+            print(f"server: served {stats['served']},"
+                  f" inline {stats['inline']}")
+            if not stats["inline"]:
+                # every statement of either scenario repeats
+                print("FAIL: no warm statement was answered on the"
+                      " event loop")
+                return 1
         return 0
     finally:
         if server is not None:

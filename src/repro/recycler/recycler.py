@@ -189,7 +189,8 @@ class Recycler:
                 cancel_token: CancellationToken | None = None,
                 snapshot: CatalogSnapshot | None = None,
                 tenant: str | None = None,
-                statement: Statement | None = None) -> PreparedQuery:
+                statement: Statement | None = None,
+                warm_only: bool = False) -> PreparedQuery | None:
         """Run the full rewrite pipeline for one optimized query plan.
 
         With ``block_on_inflight`` the calling thread stalls — before the
@@ -223,15 +224,28 @@ class Recycler:
         :class:`RootHit` memo on it, and the next prepare of the same
         object takes :meth:`_prepare_root_hit` when the root's result
         is still cached.
+
+        ``warm_only`` is for a caller that must not block or run for
+        long (a server's event loop): the prepare is that root hit or
+        nothing.  Where it would otherwise optimize, match, wait on an
+        in-flight producer or plan stores — no memo yet, a gate of
+        :meth:`_prepare_root_hit` declines, ``off`` or ``pa`` mode — it
+        returns ``None`` instead, having taken no query id and changed
+        no recycler state (the activity stamp aside, which the caller's
+        ordinary ``prepare`` sets again).
         """
         if cancel_token is not None:
             cancel_token.check()
         if snapshot is None:
             snapshot = self.catalog.snapshot()
-        with self._id_lock:
-            self._query_counter += 1
-            query_id = self._query_counter
-        token = producer_token if producer_token is not None else query_id
+        off = self.config.mode == MODE_OFF
+        # Proactive steering re-matches a rewritten variant of the plan,
+        # so ``pa`` mode always takes the slow path.
+        memoize = statement is not None and not off and \
+            not self.config.proactive_enabled
+        memo = statement.root_hit if memoize else None
+        if warm_only and memo is None:
+            return None
 
         # Canonicalize *before* fingerprinting, stripe selection, and
         # matching (and before the mode check, so every mode executes
@@ -241,7 +255,8 @@ class Recycler:
         if statement is None:
             plan = self.optimize(plan, snapshot)
 
-        if self.config.mode == MODE_OFF:
+        if off:
+            query_id, token = self._new_query(producer_token)
             return PreparedQuery(query_id=query_id, original_plan=plan,
                                  executed_plan=plan, matches=None,
                                  producer_token=token, snapshot=snapshot)
@@ -249,17 +264,13 @@ class Recycler:
         self.last_activity = time.monotonic()
         fingerprint = plan_fingerprint(plan)
         stripe = self._stripes.for_key(fingerprint)
-        # Proactive steering re-matches a rewritten variant of the plan,
-        # so ``pa`` mode always takes the slow path.
-        memoize = statement is not None and \
-            not self.config.proactive_enabled
-        if memoize and statement.root_hit is not None:
+        if memo is not None:
             with stripe:
                 prepared = self._prepare_root_hit(
-                    statement.root_hit, plan, query_id, token, snapshot,
-                    fingerprint)
-            if prepared is not None:
+                    memo, plan, producer_token, snapshot, fingerprint)
+            if prepared is not None or warm_only:
                 return prepared
+        query_id, token = self._new_query(producer_token)
         self.graph.tick()
 
         plan_to_match = plan
@@ -387,8 +398,18 @@ class Recycler:
                 self._optimizer_counts.update(rewrites)
         return plan
 
+    def _new_query(self, producer_token: object | None
+                   ) -> tuple[int, object]:
+        """The next query id, and the token the query's in-flight
+        registrations go under: the caller's, else that id."""
+        with self._id_lock:
+            self._query_counter += 1
+            query_id = self._query_counter
+        return query_id, \
+            query_id if producer_token is None else producer_token
+
     def _prepare_root_hit(self, memo: RootHit, plan: PlanNode,
-                          query_id: int, token: object,
+                          producer_token: object | None,
                           snapshot: CatalogSnapshot,
                           fingerprint: int) -> PreparedQuery | None:
         """The O(1) full-plan hit: answer a repeated statement from its
@@ -421,6 +442,7 @@ class Recycler:
         entry = current_entry(root, snapshot)
         if entry is None or recompute_is_cheaper(root, self.cost_model):
             return None
+        query_id, token = self._new_query(producer_token)
         event = self.graph.tick()
         for node in memo.nodes:
             node.last_access_event = event

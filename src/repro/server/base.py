@@ -15,6 +15,11 @@ everything that must behave identically whichever port a client picks:
   typed :class:`~repro.errors.ServerUnavailable`.  A streaming reply
   holds its admission slot until the trailer is written, so drain
   accounting covers bytes-in-flight, not just queries-in-flight;
+* **warm statements stay on the loop** — a query the statement cache
+  and a full-plan hit of the recycler can answer
+  (``ExecutionService.execute(warm_only=True)``: O(1) in the data, no
+  waiting) is executed by the event loop itself, under the admission
+  slot it holds; everything else goes to the worker pool;
 * **disconnect-aware execution** — while a query executes on the
   worker pool, the event loop watches the connection for EOF (no
   frontend allows pipelining, so any inbound byte mid-query is a
@@ -24,10 +29,12 @@ everything that must behave identically whichever port a client picks:
   guarantees no cache entry is published for it;
 * **streaming** — one driver turns a materialized result into a
   ``result_header`` / ``result_chunk``* / ``result_end`` sequence:
-  chunks are serialized on the worker pool (the first by the worker
-  that ran the query, so a reply of one chunk is one ``write``), in
-  the columnar or the JSON-lines encoding as the client can read, with
-  backpressure via the transport's ``drain()`` between chunks;
+  chunks are serialized on the worker pool (the first by the thread
+  that ran the query — unless that is the loop and the chunk is not
+  cheap, :data:`INLINE_ENCODE_BYTES` — so a reply of one chunk is one
+  ``write``), in the columnar or the JSON-lines encoding as the client
+  can read, with backpressure via the transport's ``drain()`` between
+  chunks;
 * **request validation** — client-supplied durations (``timeout``,
   ``deadline``) are checked once, here, and refused typed.
 
@@ -46,6 +53,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
+from ..columnar.types import STRING
+from ..engine.cancellation import CancellationToken
 from ..errors import (QueryCancelled, QueryTimeout, ServerOverloaded,
                       ServerUnavailable)
 from .protocol import (DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_ROWS,
@@ -58,9 +67,37 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..db import Database
 
 
+#: the largest result, in payload bytes (``Table.nbytes()``), whose
+#: first chunk the event loop encodes itself when the encoding touches
+#: every value — NDJSON, or a columnar chunk with a STRING column.
+#: Such a chunk costs 15-40 µs plus 8-29 ns a byte
+#: (``docs/ARCHITECTURE.md``, "What runs on the loop thread"), so this
+#: keeps the loop's share near 0.1 ms; a fixed-width columnar chunk is
+#: copied buffers — work the loop repeats to join and write it — and
+#: is encoded inline whatever its size.
+INLINE_ENCODE_BYTES = 4096
+
+
 class ClientDisconnected(Exception):
     """Internal: the client vanished (or spoke out of turn) while its
     query executed or streamed — the handler closes the connection."""
+
+
+class Connection:
+    """Per-connection state, touched by the event loop only."""
+
+    __slots__ = ("writer", "tokens", "_seq")
+
+    def __init__(self, writer) -> None:
+        self.writer = writer
+        #: CancellationTokens of queries currently executing (cancelled
+        #: when the connection goes away).
+        self.tokens: set[CancellationToken] = set()
+        self._seq = 0
+
+    def next_seq(self) -> int:
+        self._seq += 1
+        return self._seq
 
 
 def query_stats_payload(record) -> dict | None:
@@ -129,8 +166,8 @@ class ServingBase:
 
         self._stats_lock = threading.Lock()
         self._counters = {
-            "served": 0, "rejected": 0, "errors": 0, "timeouts": 0,
-            "cancelled": 0, "connections_total": 0,
+            "served": 0, "inline": 0, "rejected": 0, "errors": 0,
+            "timeouts": 0, "cancelled": 0, "connections_total": 0,
             "streams": 0, "stream_chunks": 0, "stream_aborted": 0,
         }
 
@@ -258,10 +295,8 @@ class ServingBase:
     # ------------------------------------------------------------------
     # what subclasses provide
     # ------------------------------------------------------------------
-    def _make_connection(self, writer) -> object:
-        """Per-connection state; must expose ``writer``, a ``tokens``
-        set of live CancellationTokens, and ``next_seq()``."""
-        raise NotImplementedError
+    def _make_connection(self, writer) -> Connection:
+        return Connection(writer)
 
     async def _handle_connection(self, connection, reader,
                                  writer) -> None:
@@ -278,7 +313,8 @@ class ServingBase:
     def stats(self) -> dict[str, int]:
         """Admission/served/streaming counters plus live connection
         count (folded into ``Database.summary()["service"]`` while
-        attached)."""
+        attached).  Of the ``served`` queries, ``inline`` were answered
+        on the event-loop thread; the rest went to the worker pool."""
         with self._stats_lock:
             counters = dict(self._counters)
         counters["active_connections"] = len(self._connections)
@@ -363,20 +399,42 @@ class ServingBase:
 
     async def _run_query(self, call, *, token, reader, columnar: bool,
                          stream_id: int):
-        """Run the blocking service ``call`` on the worker pool and
-        return ``(result, chunks, first)``: the worker that executed
-        the query also encodes its first chunk (``first``, None for an
-        empty result), so a small reply needs no second trip to the
-        pool; ``chunks`` yields the rest.
+        """Run the service ``call`` and return ``(result, chunks,
+        first)``: ``first`` is the result's first encoded chunk (None
+        for an empty result), ``chunks`` yields the rest.
 
-        Meanwhile the event loop watches the connection (no frontend
-        allows pipelining): any inbound event while the query runs
-        means the client hung up (EOF) or broke protocol, so the
-        query's token is cancelled, the producer unwinds through the
-        recycler's abandon path (no cache publish), and
-        :class:`ClientDisconnected` tells the handler to drop the
-        connection.
+        A warm statement is answered here, on the loop: ``call`` is
+        tried ``warm_only`` first, which either returns at once having
+        recorded nothing, or is the query's whole execution — no
+        binding, matching, waiting or operator.  The loop also encodes
+        the first chunk when that is cheap (:data:`INLINE_ENCODE_BYTES`)
+        and fetches it from the pool, like every later chunk, when it
+        is not.
+
+        Any other query blocks, so it runs on the worker pool, and the
+        worker that executed it also encodes its first chunk: a small
+        reply needs no second trip to the pool.  Meanwhile the event
+        loop watches the connection (no frontend allows pipelining):
+        any inbound event while the query runs means the client hung
+        up (EOF) or broke protocol, so the query's token is cancelled,
+        the producer unwinds through the recycler's abandon path (no
+        cache publish), and :class:`ClientDisconnected` tells the
+        handler to drop the connection.
         """
+        result = call(warm_only=True)
+        if result is not None:
+            self._count("inline")
+            table = result.table
+            chunks = self._chunks(table, columnar=columnar,
+                                  stream_id=stream_id)
+            if (columnar and STRING not in table.schema.types) \
+                    or table.nbytes() <= INLINE_ENCODE_BYTES:
+                first = next(chunks, None)
+            else:
+                first = await self._loop.run_in_executor(
+                    self._pool, next, chunks, None)
+            return result, chunks, first
+
         def work():
             result = call()
             chunks = self._chunks(result.table, columnar=columnar,

@@ -113,9 +113,11 @@ class StreamingResult:
             kind = frame.get("kind")
             if kind == "result_chunk":
                 chunks += 1
-                for row in frame.get("rows", []):
-                    rows += 1
-                    yield tuple(row)
+                chunk = frame.get("rows", [])
+                if chunk and type(chunk[0]) is not tuple:   # JSON rows
+                    chunk = list(map(tuple, chunk))
+                rows += len(chunk)
+                yield from chunk
             elif kind == "result_end":
                 self._exhausted = True
                 self.chunks = chunks

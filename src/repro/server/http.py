@@ -48,7 +48,7 @@ from functools import partial
 from ..engine.cancellation import CancellationToken
 from ..errors import (QueryTimeout, ReproError, ServerError,
                       ServerOverloaded, ServerUnavailable)
-from .base import ClientDisconnected, ServingBase
+from .base import ClientDisconnected, Connection, ServingBase
 from .client import ClientResult, StreamingResult, read_reply_frame
 from .protocol import (FRAMES_MEDIA_TYPE, MAX_FRAME_BYTES, ProtocolError,
                        encode_json, encode_raw_frame, error_payload,
@@ -100,22 +100,6 @@ class _BadRequest(Exception):
     """Malformed HTTP framing; the connection is answered 400/closed."""
 
 
-class _HttpConnection:
-    """Per-connection state (the serving core cancels ``tokens`` when
-    the connection goes away)."""
-
-    __slots__ = ("writer", "tokens", "_seq")
-
-    def __init__(self, writer) -> None:
-        self.writer = writer
-        self.tokens: set[CancellationToken] = set()
-        self._seq = 0
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-
 class HttpServer(ServingBase):
     """The HTTP/JSON frontend for one :class:`~repro.db.Database`."""
 
@@ -124,10 +108,7 @@ class HttpServer(ServingBase):
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    def _make_connection(self, writer) -> _HttpConnection:
-        return _HttpConnection(writer)
-
-    async def _handle_connection(self, connection: _HttpConnection,
+    async def _handle_connection(self, connection: Connection,
                                  reader, writer) -> None:
         while True:
             try:
@@ -238,7 +219,7 @@ class HttpServer(ServingBase):
     # ------------------------------------------------------------------
     # the query endpoint
     # ------------------------------------------------------------------
-    async def _handle_query(self, connection: _HttpConnection,
+    async def _handle_query(self, connection: Connection,
                             body: bytes, columnar: bool, reader,
                             writer) -> bool:
         try:
@@ -264,7 +245,7 @@ class HttpServer(ServingBase):
             return await self._execute(connection, request, sql, timeout,
                                        columnar, reader, writer)
 
-    async def _execute(self, connection: _HttpConnection, request: dict,
+    async def _execute(self, connection: Connection, request: dict,
                        sql: str, timeout: float | None, columnar: bool,
                        reader, writer) -> bool:
         token = CancellationToken(timeout=timeout)

@@ -53,7 +53,7 @@ from functools import partial
 
 from ..engine.cancellation import CancellationToken
 from ..errors import ReproError, ServerUnavailable
-from .base import ClientDisconnected, ServingBase
+from .base import ClientDisconnected, Connection, ServingBase
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError,
                        encode_frame, encode_raw_frame, error_payload,
                        read_frame_async)
@@ -214,25 +214,14 @@ class ReproServer(ServingBase):
             connection.tokens.discard(token)
 
 
-class _Connection:
-    """Per-connection state the handler threads may touch."""
+class _Connection(Connection):
+    """A TCP connection also carries what ``configure`` set."""
 
-    __slots__ = ("writer", "deadline", "tenant", "tokens", "_seq")
+    __slots__ = ("deadline", "tenant")
 
     def __init__(self, writer) -> None:
-        self.writer = writer
+        super().__init__(writer)
         #: absolute monotonic deadline every query inherits (configure).
         self.deadline: float | None = None
         #: default tenant for queries on this connection.
         self.tenant: str | None = None
-        #: CancellationTokens of queries currently executing.
-        self.tokens: set[CancellationToken] = set()
-        self._seq = 0
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def cancel_tokens(self) -> None:
-        for token in list(self.tokens):
-            token.cancel()

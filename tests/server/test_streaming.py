@@ -23,7 +23,8 @@ from repro.server import (HttpClient, HttpServer, MAX_FRAME_BYTES,
                           PROTOCOL_VERSION, ProtocolError, ReproServer,
                           ServerClient, StreamingResult)
 from repro.server.protocol import (FRAMES_MEDIA_TYPE, decode_columnar_chunk,
-                                   encode_frame, iter_columnar_chunks,
+                                   decode_frame, encode_frame,
+                                   encode_result_chunk, iter_columnar_chunks,
                                    iter_result_chunks, read_frame,
                                    write_frame)
 
@@ -172,6 +173,32 @@ class TestChunkDeterminism:
         tiny = list(iter_columnar_chunks(table, chunk_rows=100,
                                          chunk_bytes=1))
         assert all(count == 1 for _, count in tiny)
+
+    def test_both_encodings_yield_tuples(self):
+        """Rows reach the caller as tuples whichever way their chunk
+        travelled; a columnar chunk's are the decoder's own tuples, not
+        copies made row by row."""
+        table = Table(Schema(["a", "s"], [INT64, STRING]),
+                      {"a": np.arange(5, dtype=np.int64),
+                       "s": np.array(list("vwxyz"), dtype=object)})
+        (columnar, _), = iter_columnar_chunks(table)
+        (encoded,) = iter_result_chunks(table)
+        json_frame = decode_frame(encode_result_chunk(1, 0, encoded))
+        columnar_frame = decode_frame(columnar)
+        assert type(json_frame["rows"][0]) is list
+        for frame in (json_frame, columnar_frame):
+            frames = iter([frame, {"ok": True, "kind": "result_end",
+                                   "stream": 1, "chunks": 1, "rows": 5}])
+            stream = StreamingResult(
+                {"ok": True, "kind": "result_header", "stream": 1,
+                 "columns": ["a", "s"], "types": ["INT64", "STRING"],
+                 "rowcount": 5},
+                lambda: next(frames), lambda: None)
+            rows = list(stream)
+            assert rows == wire_rows(table)
+            assert all(type(row) is tuple for row in rows)
+        assert all(got is sent for got, sent
+                   in zip(rows, columnar_frame["rows"]))
 
     def test_truncated_stream_is_detected(self):
         frames = iter([

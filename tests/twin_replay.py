@@ -16,6 +16,10 @@ property in ``tests/property/`` (``tests/`` is on ``sys.path`` through
 the root ``conftest.py``).  :func:`replay` is the one-database form:
 ``tests/engine/test_string_kernel_routes.py`` replays a stream under the
 engine's STRING kernels and under their naive references and compares.
+:class:`WireTwins` is the wire case: ``fast`` sits behind a server —
+which answers warm statements on its event loop — and ``slow`` takes
+the same texts through ``Database.sql``
+(``tests/server/test_inline_warm.py``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro import Database, RecyclerConfig
+from repro.server.base import query_stats_payload
 from repro.sql import sql_to_plan
 
 RECORD_FIELDS = ("num_reused", "num_matched", "num_inserted",
@@ -125,3 +130,47 @@ class Twins:
     def close(self) -> None:
         self.fast.close()
         self.slow.close()
+
+
+def wire_rows(table) -> list[tuple]:
+    """A result's rows as a wire client decodes them: tuples of plain
+    Python values."""
+    return list(zip(*[table.column(name).tolist()
+                      for name in table.schema.names]))
+
+
+def statement_cache(db: Database) -> dict:
+    return db.summary()["service"]["statement_cache"]
+
+
+class WireTwins(Twins):
+    """A served database against an in-process one.
+
+    ``query`` is a client's ``query`` method (``ServerClient``,
+    ``HttpClient``, or anything returning ``rows`` and the reply
+    header's ``stats``) connected to a server over ``fast``; ``slow``
+    runs each text through ``Database.sql``.  One client, so both
+    databases see one statement at a time in one order, and everything
+    the recycler and the statement cache count must come out equal —
+    query ids included."""
+
+    def __init__(self, build: Callable[[], Database]) -> None:
+        super().__init__(build)
+        self.query = None
+
+    def sql(self, text: str):
+        served = self.query(text)
+        local = self.slow.sql(text)
+        self.statements += 1
+        assert served.rows == wire_rows(local.table), text
+        assert served.stats == query_stats_payload(local.record), text
+        record = self.fast.recycler.records[-1]
+        for name in ("query_id",) + RECORD_FIELDS:
+            assert getattr(record, name) == \
+                getattr(local.record, name), (name, text)
+        return served
+
+    def assert_same_state(self) -> None:
+        super().assert_same_state()
+        # a warm attempt that fell through to the pool is one hit
+        assert statement_cache(self.fast) == statement_cache(self.slow)

@@ -26,6 +26,15 @@ Exits non-zero if texts of the op list share a shape (so a template
 could have served one of them) and the pass reports no template hit:
 a template path that has silently stopped firing fails no test.
 
+With ``--wire`` the op list travels instead: statements through a
+``ServerClient``, scans streamed through an ``HttpClient``, against a
+TCP and an HTTP server started in this process, with cProfile enabled
+on the TCP server's event-loop thread only — what the loop does per
+statement now that it answers warm ones itself — and each server's
+``served`` / ``inline`` counts printed after the frames:
+
+    python tools/profile_pass.py --workload served_mix --mode spec --wire
+
 A hot-spot hunt starts here; a claim is measured with ``bench/run.py``.
 """
 
@@ -36,6 +45,7 @@ import cProfile
 import contextlib
 import pstats
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -54,6 +64,8 @@ from repro.columnar import types  # noqa: E402
 from repro.columnar.batch import Batch  # noqa: E402
 from repro.engine.base import PhysicalOperator  # noqa: E402
 from repro.expr.nodes import Cmp  # noqa: E402
+from repro.server import (HttpClient, HttpServer, ReproServer,  # noqa: E402
+                          ServerClient)
 from repro.sql import scan_literals  # noqa: E402
 
 DEFAULT_SEED = 7
@@ -197,6 +209,52 @@ def replay(workload, ops, seed: int, size: float, mode: str
         db.close()
 
 
+def replay_wire(workload, ops, seed: int, size: float, mode: str,
+                sort: str, top: int) -> None:
+    """Set up as the benchmark does, then send ``ops`` over the wire to
+    servers in this process, profiling the TCP server's loop thread."""
+    db = workload.build(seed, size, mode)
+    servers = {"tcp": ReproServer(db), "http": HttpServer(db)}
+    profiler = cProfile.Profile()
+
+    def on_tcp_loop(function) -> None:
+        # cProfile profiles the thread that enables it
+        done = threading.Event()
+        servers["tcp"]._loop.call_soon_threadsafe(
+            lambda: (function(), done.set()))
+        done.wait(10.0)
+
+    try:
+        with ServerClient(*servers["tcp"].start()) as tcp, \
+                HttpClient(*servers["http"].start()) as http:
+            for statement in workload.priming(ops):
+                tcp.query(statement)
+            on_tcp_loop(profiler.enable)
+            started = time.perf_counter()
+            for op in ops:
+                if op.kind == SQL:
+                    tcp.query(op.text)
+                elif op.kind == SCAN:
+                    with http.execute_stream(op.text) as stream:
+                        for _ in stream:
+                            pass
+                else:
+                    execute_op(db, op, seed)
+            seconds = time.perf_counter() - started
+            on_tcp_loop(profiler.disable)
+        print(f"# pass: {seconds * 1e3:.1f} ms over the wire, the TCP"
+              f" loop thread profiled")
+        pstats.Stats(profiler).sort_stats(sort).print_stats(top)
+        for name, server in servers.items():
+            stats = server.stats()
+            print(f"{name}.served {stats['served']}")
+            print(f"{name}.inline {stats['inline']}")
+    finally:
+        for server in servers.values():
+            server.stop()
+        db.close()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True,
@@ -209,13 +267,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--size", type=float, default=1.0)
     parser.add_argument("--top", type=int, default=30,
                         help="profile rows to print")
+    parser.add_argument("--wire", action="store_true",
+                        help="replay over TCP / HTTP against in-process"
+                             " servers and profile the TCP loop thread")
     args = parser.parse_args(argv)
 
     hostspeed.steady_allocator()
     workload = WORKLOADS[args.workload]
     ops = workload.make_ops(args.seed, args.size)
     print(f"# workload={workload.name} mode={args.mode} seed={args.seed}"
-          f" size={args.size} ops={len(ops)} (in process)")
+          f" size={args.size} ops={len(ops)}"
+          f" ({'over the wire' if args.wire else 'in process'})")
+    if args.wire:
+        replay_wire(workload, ops, args.seed, args.size, args.mode,
+                    args.sort, args.top)
+        return 0
 
     share = StringShare()
     floor = BatchFloor()
