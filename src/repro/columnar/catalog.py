@@ -39,6 +39,14 @@ the incarnations its inserting snapshot read; nodes whose stamps can
 never match the live catalog again are *version-dead* and are swept by
 maintenance GC (see :mod:`repro.recycler.graph`).
 
+Between the two sits each table's **base version**
+(:attr:`TableEntry.base_version`): the version of its last change that
+was not an append.  A result computed at version *v* with
+``base_version <= v < version`` read a prefix of today's rows — the
+recycler extends such results over the appended rows instead of
+evicting them (:meth:`CatalogView.appended_since`,
+:meth:`CatalogSnapshot.appended_rows`).
+
 Statistics are maintained **incrementally** across appends:
 :meth:`Catalog.append_rows` merges the delta batch's per-column
 min/max/NaN-aware uniques into the existing :class:`ColumnStats`
@@ -165,6 +173,10 @@ class TableEntry:
     #: incremental stat merges since the last full recompute — the
     #: staleness counter that triggers a periodic full rescan.
     stats_appends: int = 0
+    #: the table version of the last change that was *not* an append:
+    #: a result computed at a version ``>=`` this one read a prefix of
+    #: today's rows (see :meth:`CatalogView.appended_since`).
+    base_version: int = 0
 
     @property
     def num_rows(self) -> int:
@@ -244,6 +256,19 @@ class CatalogView:
         snapshot)."""
         return ({name: self.table_version(name) for name in tables},
                 {name: self.function_version(name) for name in functions})
+
+    def appended_since(self, name: str, version: int) -> bool:
+        """Whether ``name`` changed after ``version``, and only by
+        appends: the rows it held at ``version`` are a prefix of the
+        rows it holds now."""
+        entry = self._tables.get(name.lower())
+        return entry is not None and \
+            entry.base_version <= version < self.table_version(name)
+
+    def row_counts(self, tables: Iterable[str]) -> dict[str, int]:
+        """Rows per table of a dependency set — what a cache entry
+        records, so the rows appended since it was computed are known."""
+        return {name: self.table_entry(name).num_rows for name in tables}
 
     # ------------------------------------------------------------------
     # incarnations
@@ -353,6 +378,20 @@ class CatalogSnapshot(CatalogView):
         #: value of the catalog's global DDL counter at capture time.
         self.ddl_clock = ddl_clock
 
+    def appended_rows(self, name: str, start: int) -> "CatalogSnapshot":
+        """This snapshot with table ``name`` cut down to its rows from
+        ``start`` on — what a cached result's plan runs against to
+        compute its result over the rows appended since it was cached."""
+        key = name.lower()
+        table = self.table(key)
+        delta = Table(table.schema, {column: table.column(column)[start:]
+                                     for column in table.schema.names})
+        return CatalogSnapshot(
+            {**self._tables, key: TableEntry(name=key, table=delta)},
+            self._functions, self._table_versions,
+            self._function_versions, self.ddl_clock,
+            self._table_incarnations, self._function_incarnations)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CatalogSnapshot(ddl_clock={self.ddl_clock},"
                 f" tables={sorted(self._tables)})")
@@ -440,8 +479,7 @@ class Catalog(CatalogView):
             entry.column_stats = _compute_stats(
                 table, uniques_limit=self.stats_uniques_limit)
         with self._lock:
-            self._tables[key] = entry
-            self._bump_table(key)
+            self._publish(key, entry)
             self._bump_incarnation(key)
         return entry
 
@@ -481,6 +519,13 @@ class Catalog(CatalogView):
         re-reads and re-merges (appends serialize, they never fail
         spuriously and never lose rows).  Only a genuine schema change
         racing in raises :class:`~repro.errors.SchemaError`.
+
+        Appending zero rows changes nothing — no version bump, no
+        statistics merge — and returns the current entry unchanged.
+        The version bump of a real append leaves the entry's
+        ``base_version`` where it was, which is what lets the recycler
+        extend cached results over the new rows instead of dropping
+        them.
         """
         key = name.lower()
         extra: Table | None = rows if isinstance(rows, Table) else None
@@ -495,12 +540,15 @@ class Catalog(CatalogView):
                 raise SchemaError(
                     f"append to {name!r}: schema {extra.schema!r} does"
                     f" not match {schema!r}")
+            if extra.num_rows == 0:
+                return old  # nothing changed: no version to bump
             merged = Table(schema, {
                 column: np.concatenate([old.table.column(column),
                                         extra.column(column)])
                 for column in schema.names})
             entry = TableEntry(name=key, table=merged,
-                               binnings=old.binnings)
+                               binnings=old.binnings,
+                               base_version=old.base_version)
             incremental = False
             if compute_stats:
                 merged_stats = None
@@ -518,8 +566,7 @@ class Catalog(CatalogView):
             with self._lock:
                 if self._tables.get(key) is not old:
                     continue  # concurrent DDL swapped mid-merge; redo
-                self._tables[key] = entry
-                self._bump_table(key)
+                self._publish(key, entry, append=True)
                 if compute_stats:
                     counter = "incremental_merges" if incremental \
                         else "full_recomputes"
@@ -572,8 +619,7 @@ class Catalog(CatalogView):
                                column_stats=stats,
                                binnings=old.binnings,
                                stats_appends=old.stats_appends)
-            self._tables[key] = entry
-            self._bump_table(key)
+            self._publish(key, entry)
         return entry
 
     def rename_column(self, name: str, old_name: str,
@@ -604,8 +650,7 @@ class Catalog(CatalogView):
             entry = TableEntry(name=key, table=old.table.rename(mapping),
                                column_stats=stats, binnings=binnings,
                                stats_appends=old.stats_appends)
-            self._tables[key] = entry
-            self._bump_table(key)
+            self._publish(key, entry)
             self._bump_incarnation(key)
         return entry
 
@@ -620,6 +665,16 @@ class Catalog(CatalogView):
             binnings = dict(entry.binnings)
             binnings[spec.column] = spec
             self._tables[entry.name] = replace(entry, binnings=binnings)
+
+    def _publish(self, key: str, entry: TableEntry,
+                 append: bool = False) -> None:
+        """Swap ``entry`` in and bump the table's version (caller holds
+        the lock); any change but an append also moves the entry's
+        base version to the new version."""
+        if not append:
+            entry.base_version = self.table_version(key) + 1
+        self._tables[key] = entry
+        self._bump_table(key)
 
     def _bump_table(self, key: str) -> None:
         self._table_versions[key] = self._table_versions.get(key, 0) + 1

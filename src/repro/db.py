@@ -34,7 +34,9 @@ results are aborted in the registry (waking stalled consumers), and
 version-tagged cache admission rejects any result computed from a
 superseded table, exactly the paper's committed-update eviction made
 safe under concurrency.  See ``docs/ARCHITECTURE.md`` ("Catalog
-versioning and online DDL").
+versioning and online DDL").  An append evicts less: a cached result
+that can be extended over the appended rows stays, and the next query
+reusing it extends it ("Append-aware recycling").
 """
 
 from __future__ import annotations
@@ -124,9 +126,13 @@ class Database:
         """Append rows (a schema-compatible :class:`~repro.columnar.
         table.Table` or an iterable of row tuples) to a base table —
         the committed-update fast path of the paper's Fig. 6 model:
-        one atomic swap-and-bump, then dependent eviction."""
-        self.catalog.append_rows(name, rows)
-        self.recycler.invalidate_table(name)
+        one atomic swap-and-bump, then the invalidation sweep, which
+        keeps every cached dependent that can be extended over the new
+        rows (the next query that reuses one pays for the extension)
+        and evicts the rest.  Appending no rows changes nothing."""
+        before = self.catalog.table_entry(name)
+        if self.catalog.append_rows(name, rows) is not before:
+            self.recycler.invalidate_table(name)
 
     def alter_table_add_column(self, name: str, column: str, dtype,
                                default: object | None = None) -> None:
@@ -300,8 +306,9 @@ class Database:
         truncated, bytes reclaimed, GC nodes collected, budget-exhausted
         cycles, incremental stat merges, benefit refreshes),
         catalog/DDL counters under ``"catalog"`` (tables, functions, DDL
-        clock, invalidation sweeps, entries evicted by DDL, in-flight
-        producers aborted, version-rejected admissions), plan
+        clock, invalidation sweeps, entries evicted by DDL, entries
+        extended over appended rows, in-flight producers aborted,
+        version-rejected admissions), plan
         canonicalization under ``"optimizer"`` (enabled flag,
         per-strategy rewrite counts, cost-gated reuse skips, the
         recycler node match rate, and ``root_hits`` — prepares answered
@@ -323,6 +330,7 @@ class Database:
             "ddl_clock": self.catalog.ddl_clock,
             "invalidations": ddl["invalidations"],
             "entries_evicted": ddl["entries_evicted"],
+            "entries_extended": self.recycler.cache.counters.extended,
             "inflight_aborted": ddl["inflight_aborted"],
             "version_rejected":
                 self.recycler.cache.counters.version_rejected,

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..columnar import types as t
 from ..columnar.batch import Batch, concat_batches
+from ..columnar.table import Table
 from ..errors import ExecutionError
 from ..plan.logical import Aggregate, Distinct
 from .base import PhysicalOperator, QueryContext
@@ -175,6 +176,39 @@ def _scalar_agg(func: str, rows: int,
             return out
         return np.array([values.max()], dtype=values.dtype)
     raise ExecutionError(f"unknown aggregate {func!r}")
+
+
+#: per aggregate, the aggregate that combines its results over disjoint
+#: inputs into its result over their union, bit for bit — given integer
+#: sums (a float sum re-associates) and groups (a scalar min/max over
+#: an empty input is 0, which merges wrongly).  ``avg`` and
+#: ``count_distinct`` do not decompose.
+PARTIAL_MERGE = {"count": "sum", "count_star": "sum", "sum": "sum",
+                 "min": "min", "max": "max"}
+
+
+def merge_groups(logical: Aggregate, old: Table, new: Table) -> Table:
+    """``logical``'s result over the union of two inputs, from its
+    results ``old`` and ``new`` over each: their rows re-aggregate
+    through :data:`PARTIAL_MERGE`.  Groups come out in key order, each
+    key as its first occurrence (``old``'s before ``new``'s) — what the
+    operator itself emits over the union."""
+    data = concat_batches([old.to_batch(), new.to_batch()],
+                          schema=old.schema)
+    columns: dict[str, np.ndarray] = {}
+    if logical.group_keys:
+        keys = [data.column(name) for name, _ in logical.group_keys]
+        grouped = GroupedRows(factorize(keys)[0])
+        for (name, _), values in zip(logical.group_keys, keys):
+            columns[name] = grouped.representatives(values)
+        for agg in logical.aggregates:
+            columns[agg.name] = _grouped_agg(
+                PARTIAL_MERGE[agg.func], grouped, data.column(agg.name))
+    else:
+        for agg in logical.aggregates:
+            columns[agg.name] = _scalar_agg(
+                PARTIAL_MERGE[agg.func], len(data), data.column(agg.name))
+    return Table(old.schema, columns)
 
 
 def _widen_for_sum(values: np.ndarray) -> np.ndarray:

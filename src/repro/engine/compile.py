@@ -10,15 +10,15 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..errors import PlanError
-from ..plan.logical import (Aggregate, CachedScan, Distinct, Join, Limit,
-                            PlanNode, Project, Scan, Select, Sort,
-                            TableFunctionScan, TopN, UnionAll)
+from ..plan.logical import (Aggregate, CachedScan, Distinct, ExtendedScan,
+                            Join, Limit, PlanNode, Project, Scan, Select,
+                            Sort, TableFunctionScan, TopN, UnionAll)
 from .aggregate import AggregateOp, DistinctOp
 from .base import PhysicalOperator, QueryContext
 from .filter import FilterOp
 from .join import HashJoinOp
 from .project import ProjectOp
-from .scan import ReuseScanOp, TableFunctionOp, TableScanOp
+from .scan import ExtendScanOp, ReuseScanOp, TableFunctionOp, TableScanOp
 from .setops import LimitOp, UnionAllOp
 from .sort import SortOp
 from .store import StoreOp, StoreRequest
@@ -50,6 +50,10 @@ def _compile_bare(node: PlanNode, ctx: QueryContext,
         return TableScanOp(ctx, node)
     if isinstance(node, TableFunctionScan):
         return TableFunctionOp(ctx, node)
+    if isinstance(node, ExtendedScan):
+        delta_ctx = QueryContext(node.delta_catalog, ctx.vector_size,
+                                 ctx.cost_model, ctx.query_id, ctx.token)
+        return ExtendScanOp(ctx, node, _compile(node.delta, delta_ctx, {}))
     if isinstance(node, CachedScan):
         return ReuseScanOp(ctx, node, node.handle, node.rename, node.schema)
     if isinstance(node, Select):

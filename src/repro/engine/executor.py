@@ -90,7 +90,7 @@ def execute_plan(plan: PlanNode, catalog: CatalogView,
     pending store operators *reject* instead of draining their input
     (see ``StoreOp._close``), so an aborted run never feeds the cache.
     """
-    if isinstance(plan, CachedScan) and not stores:
+    if type(plan) is CachedScan and not stores:  # not an ExtendedScan
         return _serve_cached(plan, vector_size, cost_model, token)
     ctx = QueryContext(catalog, vector_size=vector_size,
                        cost_model=cost_model, query_id=query_id,

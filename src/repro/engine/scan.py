@@ -1,4 +1,5 @@
-"""Leaf operators: base-table scan, table-function scan, cached-result scan.
+"""Leaf operators: base-table scan, table-function scan, cached-result
+scan, and the cached-result scan extended over appended rows.
 
 Leaves emit one vector per ``next()`` call, so the base class's
 per-batch token check makes every scan loop a cancellation point; the
@@ -19,7 +20,9 @@ from __future__ import annotations
 
 from ..columnar.batch import Batch
 from ..columnar.table import Schema, Table
-from ..plan.logical import PlanNode, Scan, TableFunctionScan
+from ..plan.logical import (Aggregate, ExtendedScan, PlanNode, Scan,
+                            TableFunctionScan)
+from .aggregate import merge_groups
 from .base import PhysicalOperator, QueryContext
 
 
@@ -123,3 +126,45 @@ class ReuseScanOp(PhysicalOperator):
             return 0.0
         total = self._table.num_rows
         return 1.0 if total == 0 else self._offset / total
+
+
+class ExtendScanOp(ReuseScanOp):
+    """Stream a cached result extended over the rows appended to one of
+    its tables since it was computed (an
+    :class:`~repro.plan.logical.ExtendedScan`).
+
+    On open it runs ``delta`` — the replaced subtree, compiled against
+    the appended rows alone — to completion, merges that output with the
+    cached rows (after them for a row-level subtree; re-aggregated with
+    them, :func:`~repro.engine.aggregate.merge_groups`, for an
+    aggregate), hands the merged table to the recycler, and streams it
+    like any reuse scan.  It is charged the delta run's cost on top of
+    the ``reuse_tuple`` per emitted row.
+    """
+
+    def __init__(self, ctx: QueryContext, logical: ExtendedScan,
+                 delta: PhysicalOperator) -> None:
+        super().__init__(ctx, logical, logical.handle, logical.rename,
+                         logical.schema)
+        self._delta = delta
+
+    def _open(self) -> None:
+        delta = self._delta
+        batches = []
+        delta.open()
+        try:
+            while (batch := delta.next()) is not None:
+                batches.append(batch)
+        finally:
+            delta.close()
+        cost = delta.cumulative_cost()
+        self.charge(cost)
+        merged = self._handle.table.project(self.schema, self._rename)
+        new = Table.from_batches(self.schema, batches)
+        if new.num_rows and isinstance(self.logical.delta, Aggregate):
+            merged = merge_groups(self.logical.delta, merged, new)
+        elif new.num_rows:
+            merged = Table.from_batches(self.schema, [merged.to_batch(),
+                                                      new.to_batch()])
+        self.logical.publish(merged, cost)
+        self._table = merged

@@ -733,6 +733,38 @@ class CachedScan(PlanNode):
         return CachedScan(self.handle, self.schema, self.rename, self.label)
 
 
+class ExtendedScan(CachedScan):
+    """A cached result brought up to date over the rows appended to one
+    of its tables since it was computed (the recycler's append-aware
+    reuse).
+
+    ``delta`` is the subtree the result stands for, to be run against
+    ``delta_catalog`` — the query's snapshot with that table cut down
+    to the appended rows — with no reuse and no stores inside; its
+    output follows the cached rows, or re-aggregates with them when
+    ``delta`` is an :class:`Aggregate`.  ``publish(table, delta_cost)``
+    hands the merged result back to the recycler.  ``delta`` is not a
+    child: it reads another catalog, and nothing in it is matched.
+    """
+
+    op_name = "extended_scan"
+
+    def __init__(self, handle, schema: Schema, rename: Mapping[str, str],
+                 delta: PlanNode, delta_catalog: Catalog,
+                 publish: Callable[..., None], label: str = "") -> None:
+        super().__init__(handle, schema, rename, label)
+        self.delta = delta
+        self.delta_catalog = delta_catalog
+        self.publish = publish
+
+    def remapped(self, input_mapping: NameMapping,
+                 assigned_mapping: NameMapping,
+                 children: Sequence[PlanNode]) -> "ExtendedScan":
+        return ExtendedScan(self.handle, self.schema, self.rename,
+                            self.delta, self.delta_catalog, self.publish,
+                            self.label)
+
+
 # ----------------------------------------------------------------------
 # utilities
 # ----------------------------------------------------------------------

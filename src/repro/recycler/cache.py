@@ -20,13 +20,19 @@ permanently stale entry.  Because DDL bumps the version *before* its
 invalidation sweep takes this same lock, every interleaving is covered:
 an entry published before the sweep is evicted by it, and one
 publishing after the sweep fails the version re-check.
+
+Appends: an entry also records the row count of every table it read,
+and :meth:`RecyclerCache.republish` swaps an entry for its result
+extended over the rows appended since — same node, newer tags — under
+the same lock and the same version gate (see
+:mod:`repro.recycler.rewriter`, "append-aware recycling").
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..columnar.table import Table
 from .benefit import BenefitModel
@@ -56,6 +62,9 @@ class CacheEntry:
     #: tenant whose byte budget this entry is charged against (``None``
     #: = unattributed); eviction credits the bytes back.
     tenant: str | None = None
+    #: table name -> rows it held in the producing snapshot: the rows
+    #: appended since are the ones from here on (``None``: untagged)
+    table_rows: dict[str, int] | None = None
 
     def versions_match(self, table_versions: dict[str, int],
                        function_versions: dict[str, int]) -> bool:
@@ -84,6 +93,9 @@ class CacheCounters:
     #: admissions refused because they would push the producing tenant
     #: past its byte budget (``RecyclerCache.set_tenant_budget``)
     tenant_rejected: int = 0
+    #: entries replaced by their result extended over appended rows
+    #: (``RecyclerCache.republish``)
+    extended: int = 0
 
 
 class RecyclerCache:
@@ -230,7 +242,8 @@ class RecyclerCache:
     def admit(self, node: GraphNode, table: Table,
               table_versions: dict[str, int] | None = None,
               function_versions: dict[str, int] | None = None,
-              tenant: str | None = None) -> bool:
+              tenant: str | None = None,
+              table_rows: dict[str, int] | None = None) -> bool:
         """Materialize ``node``'s result into the cache (atomically).
 
         Returns False when the replacement policy rejects it.  On success
@@ -243,6 +256,7 @@ class RecyclerCache:
         structure lock, immediately before publication** — the only
         point where it races neither a version bump nor the invalidation
         sweep (both serialize on this lock; see the module docstring).
+        ``table_rows`` records the rows each of those tables held.
 
         ``tenant`` charges the entry against that tenant's byte budget
         (:meth:`set_tenant_budget`); an admission that would exceed it
@@ -256,6 +270,9 @@ class RecyclerCache:
             with self._lock:
                 self.counters.rejected += 1
             return False
+        tags = dict(table_versions=table_versions,
+                    function_versions=function_versions, tenant=tenant,
+                    table_rows=table_rows)
         if self._try_reserve(size):
             # Fast path: bytes secured, publish without a victim scan.
             with self._lock:
@@ -267,51 +284,91 @@ class RecyclerCache:
                         self._tenant_over_budget(tenant, size):
                     self._unreserve(size)
                     return False
-                self._publish(node, table, size,
-                              table_versions=table_versions,
-                              function_versions=function_versions,
-                              tenant=tenant)
+                self._publish(node, table, size, **tags)
                 return True
         with self._lock:
-            # Budget pressure: full replacement policy.  The victims'
-            # bytes are swapped for this entry's reservation in one
-            # atomic step, so a fast-path racer can never steal the
-            # space an eviction frees — and nothing is evicted unless
-            # the admission actually goes through.
+            # Budget pressure: full replacement policy.
             if node.entry is not None:
                 return True
             if self._versions_behind(table_versions, function_versions) \
                     or self._tenant_over_budget(tenant, size):
                 return False
             benefit = self.model.benefit(node, size_override=size)
-            for _ in range(8):
-                if self._try_reserve(size):
-                    self._publish(node, table, size, benefit=benefit,
-                                  table_versions=table_versions,
-                                  function_versions=function_versions,
-                                  tenant=tenant)
-                    return True
-                victims = self._find_victims(benefit, size)
-                if victims is None:
-                    break
-                freed = sum(victim.size for victim in victims)
-                with self._space_lock:
-                    fits = self.capacity is None or \
-                        self.used - freed + size <= self.capacity
-                    if fits:
-                        self.used += size - freed
-                        self._pending += size
-                if not fits:
-                    continue  # a racer reserved meanwhile; re-scan
-                for victim in victims:
-                    self._remove_entry(victim)
-                self._publish(node, table, size, benefit=benefit,
-                              table_versions=table_versions,
-                              function_versions=function_versions,
-                              tenant=tenant)
+            if self._reserve(benefit, size):
+                self._publish(node, table, size, benefit=benefit, **tags)
                 return True
             self.counters.rejected += 1
             return False
+
+    def _reserve(self, benefit: float, size: int) -> bool:
+        """Reserve ``size`` bytes for a result of ``benefit``, evicting
+        a lower-benefit victim set from its size group when free space
+        is short (caller holds ``_lock``).  The victims' bytes are
+        swapped for the reservation in one atomic step, so a fast-path
+        racer can never steal the space an eviction frees — and nothing
+        is evicted unless the reservation goes through."""
+        for _ in range(8):
+            if self._try_reserve(size):
+                return True
+            victims = self._find_victims(benefit, size)
+            if victims is None:
+                return False
+            freed = sum(victim.size for victim in victims)
+            with self._space_lock:
+                fits = self.capacity is None or \
+                    self.used - freed + size <= self.capacity
+                if fits:
+                    self.used += size - freed
+                    self._pending += size
+            if not fits:
+                continue  # a racer reserved meanwhile; re-scan
+            for victim in victims:
+                self._remove_entry(victim)
+            return True
+        return False
+
+    def republish(self, old: CacheEntry, table: Table,
+                  table_versions: dict[str, int],
+                  function_versions: dict[str, int],
+                  table_rows: dict[str, int]) -> bool:
+        """Replace ``old`` by ``table`` — its result extended over the
+        rows appended since it was computed — tagged with the newer
+        versions and row counts.  The node stays materialized, so no
+        Algorithm-2 adjustment runs, and the entry keeps its reuse
+        history.
+
+        Refused, with ``old`` left in place, when ``old`` is no longer
+        its node's entry (a concurrent reader republished first, or a
+        sweep evicted it) or the live catalog has moved past the new
+        tags (``version_rejected``; the next reader extends ``old``
+        over a longer run of rows).  When the grown result does not fit
+        — no victim set in its size group, or its tenant's budget
+        spent — the node loses its entry: an ordinary eviction.
+        """
+        size = table.nbytes()
+        node = old.node
+        with self._lock:
+            if node.entry is not old or \
+                    self._versions_behind(table_versions,
+                                          function_versions):
+                return False
+            # Out of its size group (so never its own victim), bytes
+            # returned, but still the node's entry: evictions made for
+            # the grown result see the node materialized, as it stays.
+            self._unlink(old)
+            self._release_bytes(old.size)
+            benefit = self.model.benefit(node, size_override=size)
+            if self._tenant_over_budget(old.tenant, size) or \
+                    not self._reserve(benefit, size):
+                self._evicted(old)
+                return False
+            self._install(replace(old, table=table, size=size,
+                                  benefit=benefit,
+                                  table_versions=table_versions,
+                                  function_versions=function_versions,
+                                  table_rows=table_rows))
+            self.counters.extended += 1
+            return True
 
     def _versions_behind(self, table_versions: dict[str, int] | None,
                          function_versions: dict[str, int] | None) -> bool:
@@ -333,30 +390,35 @@ class RecyclerCache:
                  benefit: float | None = None,
                  table_versions: dict[str, int] | None = None,
                  function_versions: dict[str, int] | None = None,
-                 tenant: str | None = None) -> None:
+                 tenant: str | None = None,
+                 table_rows: dict[str, int] | None = None) -> None:
         """Insert the (space-reserved) entry and run Algorithm 2.  Caller
         holds ``_lock``."""
         if benefit is None:
             benefit = self.model.benefit(node, size_override=size)
-        # Reuse scans slice these arrays zero-copy and a full-plan hit
-        # returns them as the query's result: a caller writing through
-        # its result must fail, not corrupt every later hit.
-        table.freeze()
-        entry = CacheEntry(node=node, table=table, size=size,
-                           benefit=benefit,
-                           admitted_event=self.model.graph.event,
-                           table_versions=table_versions,
-                           function_versions=function_versions,
-                           tenant=tenant)
-        node.entry = entry
-        if tenant is not None:
-            self.tenant_used[tenant] = \
-                self.tenant_used.get(tenant, 0) + size
-        self._commit_reservation(size)
-        self._insert_sorted(entry)
+        self._install(CacheEntry(node=node, table=table, size=size,
+                                 benefit=benefit,
+                                 admitted_event=self.model.graph.event,
+                                 table_versions=table_versions,
+                                 function_versions=function_versions,
+                                 tenant=tenant, table_rows=table_rows))
         self.counters.admitted += 1
         adjusted = self.model.on_admit(node)
         self._refresh_affected(node, adjusted)
+
+    def _install(self, entry: CacheEntry) -> None:
+        """Make the space-reserved ``entry`` its node's.  Caller holds
+        ``_lock``."""
+        # Reuse scans slice these arrays zero-copy and a full-plan hit
+        # returns them as the query's result: a caller writing through
+        # its result must fail, not corrupt every later hit.
+        entry.table.freeze()
+        entry.node.entry = entry
+        if entry.tenant is not None:
+            self.tenant_used[entry.tenant] = \
+                self.tenant_used.get(entry.tenant, 0) + entry.size
+        self._commit_reservation(entry.size)
+        self._insert_sorted(entry)
 
     def _find_victims(self, benefit: float,
                       size: int) -> list[CacheEntry] | None:
@@ -396,21 +458,33 @@ class RecyclerCache:
         """Structural eviction only — the caller (holding ``_lock``)
         settles the byte budget (release, or atomic swap for an
         admission under pressure)."""
+        if not self._unlink(entry):
+            return False  # already evicted by a concurrent invalidation
+        self._evicted(entry)
+        return True
+
+    def _unlink(self, entry: CacheEntry) -> bool:
+        """Take ``entry`` out of its size group and its tenant's usage;
+        False when it was not there.  Caller holds ``_lock``."""
         group = self._groups.get(self.group_of(entry.size), [])
         if entry not in group:
-            return False  # already evicted by a concurrent invalidation
+            return False
         group.remove(entry)
-        entry.node.entry = None
         if entry.tenant is not None:
             remaining = self.tenant_used.get(entry.tenant, 0) - entry.size
             if remaining > 0:
                 self.tenant_used[entry.tenant] = remaining
             else:
                 self.tenant_used.pop(entry.tenant, None)
+        return True
+
+    def _evicted(self, entry: CacheEntry) -> None:
+        """``entry``'s node is no longer materialized: Eq. 4.  Caller
+        holds ``_lock``."""
+        entry.node.entry = None
         self.counters.evicted += 1
         adjusted = self.model.on_evict(entry.node)
         self._refresh_affected(entry.node, adjusted)
-        return True
 
     def flush(self) -> int:
         """Evict everything (simulates update-driven invalidation of the
@@ -422,12 +496,14 @@ class RecyclerCache:
             self.counters.flushes += 1
             return len(entries)
 
-    def invalidate_table(self, table: str) -> int:
+    def invalidate_table(self, table: str, keep=None) -> int:
         """Evict every cached result that reads ``table`` (paper: evict
-        dependents when a transaction commits updates)."""
+        dependents when a transaction commits updates), except those
+        ``keep(entry)`` holds for."""
         with self._lock:
             victims = [e for e in self.entries()
-                       if _depends_on_table(e.node, table)]
+                       if _depends_on_table(e.node, table)
+                       and not (keep is not None and keep(e))]
             for victim in victims:
                 self.evict(victim)
             self.counters.invalidations += len(victims)
@@ -460,8 +536,9 @@ class RecyclerCache:
             if entry is None:
                 return
             group = self._groups.get(self.group_of(entry.size), [])
-            if entry in group:
-                group.remove(entry)
+            if entry not in group:
+                return  # unlinked while ``republish`` replaces it
+            group.remove(entry)
             entry.benefit = self.model.benefit(node,
                                                size_override=entry.size)
             self._insert_sorted(entry)

@@ -53,8 +53,8 @@ from .inflight import InFlightRegistry
 from .matching import MatchResult, match_tree
 from .proactive import ProactiveRewriter
 from .rewriter import (STORE_MIN_REFS, ReuseInfo, StorePlanner,
-                       current_entry, recompute_is_cheaper,
-                       substitute_reuse)
+                       appended_table, current_entry,
+                       recompute_is_cheaper, substitute_reuse)
 from .striping import LockStripes, plan_fingerprint
 from .subsumption import SubsumptionIndex
 
@@ -699,12 +699,14 @@ class Recycler:
         # renamed onto it.
         to_graph = dict(zip(table.schema.names,
                             graph_node.schema.names))
-        versions = (snapshot or self.catalog).versions_for(
-            graph_node.tables, graph_node.functions)
+        view = snapshot or self.catalog
+        versions = view.versions_for(graph_node.tables,
+                                     graph_node.functions)
         self.cache.admit(graph_node, table.rename(to_graph),
                          table_versions=versions[0],
                          function_versions=versions[1],
-                         tenant=tenant)
+                         tenant=tenant,
+                         table_rows=view.row_counts(graph_node.tables))
         self.inflight.release(graph_node, token)
 
     def _on_store_abort(self, graph_node: GraphNode,
@@ -734,8 +736,14 @@ class Recycler:
             return self.cache.flush()
 
     def invalidate_table(self, table: str) -> int:
-        """Evict every cached dependent of ``table`` and abort its
-        in-flight producers.
+        """Evict every cached dependent of ``table`` the live catalog
+        cannot extend, and abort its in-flight producers.
+
+        After an append, a dependent whose plan is append-monotone in
+        ``table`` and which is behind on nothing else stays cached
+        (:func:`~repro.recycler.rewriter.appended_table`): its next
+        reader extends it over the appended rows.  Every other change
+        to ``table`` moves its base version, so nothing survives it.
 
         The abort is the ``on_abort`` release path, applied per node:
         each in-flight registration on a node that reads ``table`` is
@@ -754,7 +762,9 @@ class Recycler:
         :mod:`repro.recycler.cache`)."""
         return self._invalidate(
             lambda node: table.lower() in node.tables,
-            lambda: self.cache.invalidate_table(table))
+            lambda: self.cache.invalidate_table(
+                table, keep=lambda entry:
+                    appended_table(entry, self.catalog) is not None))
 
     def invalidate_function(self, function: str) -> int:
         """Evict every cached result derived from ``function`` (and

@@ -8,6 +8,14 @@ This module implements
   :class:`~repro.plan.logical.CachedScan`; when exact matching found no
   cached result, subsumption edges are consulted and a compensation plan
   is built instead (Section IV-A);
+* **append-aware reuse**: a cached result that is behind the query's
+  snapshot only by rows appended to one table, and whose plan is
+  *append-monotone* in that table (:func:`extends_over_appends`), is
+  replaced by an :class:`~repro.plan.logical.ExtendedScan` — the entry
+  merged with the subtree run over the appended rows — and the merged
+  result is republished for the next reader.  The paper evicts every
+  dependent on an update; the invalidation sweep keeps these instead
+  (:func:`appended_table`);
 * **store planning**: deciding which nodes of the plan-to-execute receive
   ``store`` operators — history-based materialize decisions at rewrite
   time, and speculation stores on never-executed expensive-looking nodes
@@ -18,12 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..columnar.catalog import CatalogView
+from ..columnar import types as t
+from ..columnar.catalog import CatalogSnapshot, CatalogView
+from ..columnar.table import Table
+from ..engine.aggregate import PARTIAL_MERGE
 from ..engine.cost import CostModel
 from ..engine.store import (MODE_MATERIALIZE, MODE_SPECULATE, StoreRequest)
-from ..plan.logical import (Aggregate, CachedScan, Distinct, PlanNode,
+from ..plan.logical import (Aggregate, CachedScan, Distinct, ExtendedScan,
+                            Join, PlanNode, Project, Scan, Select,
                             TableFunctionScan, TopN)
-from .cache import RecyclerCache
+from .cache import CacheEntry, RecyclerCache
 from .benefit import BenefitModel
 from .config import RecyclerConfig
 from .graph import GraphNode, RecyclerGraph
@@ -38,7 +50,7 @@ class ReuseInfo:
 
     target: GraphNode        # the query node's graph node
     provider: GraphNode      # whose cached result was used
-    kind: str                # "exact" | "subsumption"
+    kind: str                # "exact" | "extended" | "subsumption"
 
 
 @dataclass
@@ -72,6 +84,96 @@ def recompute_is_cheaper(graph_node: GraphNode,
         graph_node.rows * cost_model.reuse_tuple >= graph_node.bcost
 
 
+def extends_over_appends(graph_node: GraphNode, table: str) -> bool:
+    """Whether the node's plan is *append-monotone* in ``table``: its
+    result over ``table`` grown by appended rows is, byte for byte, its
+    old result merged with the plan run over the appended rows alone.
+
+    That holds for a chain of scan / select / project, and of inner,
+    semi or anti joins whose probe (left) side leads to the one scan of
+    ``table`` — the output follows the probe rows, each row's matches
+    in build order, so the new rows' output follows the old.  Beneath
+    a grouped aggregate whose every aggregate merges exactly (count,
+    min, max, integer sum — :data:`~repro.engine.aggregate.PARTIAL_MERGE`;
+    a scalar aggregate only without min / max) left joins qualify too:
+    a left join emits each probe batch's padded rows after its matches,
+    an order that depends on where batches break, which re-aggregation
+    ignores."""
+    plan = graph_node.plan
+    if not isinstance(plan, Aggregate):
+        return _row_monotone(graph_node, table, ("inner", "semi", "anti"))
+    types = graph_node.schema.types[len(plan.group_keys):]
+    for agg, dtype in zip(plan.aggregates, types):
+        if agg.func not in PARTIAL_MERGE or \
+                (agg.func == "sum" and dtype is t.FLOAT64) or \
+                (agg.func in ("min", "max") and not plan.group_keys):
+            return False
+    return _row_monotone(graph_node.children[0], table,
+                         ("inner", "left", "semi", "anti"))
+
+
+def _row_monotone(graph_node: GraphNode, table: str,
+                  joins: tuple[str, ...]) -> bool:
+    plan = graph_node.plan
+    if isinstance(plan, Scan):
+        return plan.table == table
+    if isinstance(plan, (Select, Project)):
+        return _row_monotone(graph_node.children[0], table, joins)
+    if isinstance(plan, Join):
+        return plan.kind in joins and \
+            table not in graph_node.children[1].tables and \
+            _row_monotone(graph_node.children[0], table, joins)
+    return False
+
+
+def appended_table(entry: CacheEntry, catalog: CatalogView) -> str | None:
+    """The table ``entry`` can be extended over in ``catalog``: the one
+    table it is behind on, changed since only by appends, with the
+    entry's plan append-monotone in it.  ``None`` when there is none —
+    current, untagged, newer than ``catalog``, behind on a non-append
+    change or on two tables, or not append-monotone."""
+    node = entry.node
+    if entry.table_rows is None or \
+            (entry.function_versions or {}) != \
+            catalog.versions_for((), node.functions)[1]:
+        return None
+    behind = [name for name in node.tables
+              if entry.table_versions[name] != catalog.table_version(name)]
+    if len(behind) != 1:
+        return None
+    table = behind[0]
+    if not catalog.appended_since(table, entry.table_versions[table]) or \
+            not extends_over_appends(node, table):
+        return None
+    return table
+
+
+def _extended_scan(node: PlanNode, graph_node: GraphNode,
+                   entry: CacheEntry, table: str, rename: dict[str, str],
+                   graph: RecyclerGraph, cache: RecyclerCache,
+                   snapshot: CatalogSnapshot) -> ExtendedScan:
+    """Reuse of ``entry`` extended over the rows of ``table`` appended
+    since it was computed: ``node`` runs over those rows alone, and the
+    merged result is republished under ``snapshot``'s versions."""
+
+    def publish(result: Table, delta_cost: float) -> None:
+        # in the graph namespace, as a store admits it
+        stored = result.rename(dict(zip(result.schema.names,
+                                        graph_node.schema.names)))
+        table_versions, function_versions = snapshot.versions_for(
+            graph_node.tables, graph_node.functions)
+        if cache.republish(entry, stored, table_versions, function_versions,
+                           snapshot.row_counts(graph_node.tables)):
+            graph.record_measurement(graph_node,
+                                     graph_node.bcost + delta_cost,
+                                     stored.num_rows, stored.nbytes())
+
+    return ExtendedScan(entry, node.output_schema(snapshot), rename, node,
+                        snapshot.appended_rows(table,
+                                               entry.table_rows[table]),
+                        publish, label=f"extend:{graph_node.node_id}")
+
+
 def substitute_reuse(plan: PlanNode, matches: MatchResult,
                      graph: RecyclerGraph, cache: RecyclerCache,
                      subsumption: SubsumptionIndex | None,
@@ -98,6 +200,10 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
     charge of ``ReuseScanOp``) costs at least the subtree's measured
     base cost is *skipped* — recomputing is no slower and the children
     below it stay free to reuse their own, genuinely profitable, entries.
+
+    An entry behind ``catalog`` only by rows appended to one table is
+    reused extended over them (:func:`appended_table`), the extension
+    charged to this query.
     """
     outcome = RewriteOutcome(plan=plan)
 
@@ -106,17 +212,27 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
         graph_node = match.graph_node
 
         entry = current_entry(graph_node, catalog)
+        appended = None
+        stale = graph_node.entry if entry is None else None
+        if stale is not None:
+            appended = appended_table(stale, catalog)
+            if appended is not None:
+                entry = stale
         if entry is not None and \
                 recompute_is_cheaper(graph_node, cost_model):
             outcome.cost_skips += 1
             entry = None  # the children stay free to reuse their own
         if entry is not None:
             rename = {g: q for q, g in match.mapping.items()}
-            schema = node.output_schema(catalog)
-            outcome.reuses.append(
-                ReuseInfo(graph_node, graph_node, "exact"))
             cache.note_reuse(entry)
-            return CachedScan(entry, schema, rename=rename,
+            outcome.reuses.append(ReuseInfo(
+                graph_node, graph_node,
+                "exact" if appended is None else "extended"))
+            if appended is not None:
+                return _extended_scan(node, graph_node, entry, appended,
+                                      rename, graph, cache, catalog)
+            return CachedScan(entry, node.output_schema(catalog),
+                              rename=rename,
                               label=f"reuse:{graph_node.node_id}")
 
         if subsumption is not None and config.subsumption:

@@ -7,7 +7,8 @@ printing a smaller share without failing.  So run it, small, and look.
 The same goes for the statement cache's template path, which it times
 by wrapping ``exec_service.scan_literals`` and
 ``StatementTemplate.bind`` — and there the tool is also the alarm: it
-exits non-zero when texts share shapes and no template was hit.
+exits non-zero when texts share shapes and no template was hit, and
+when a recycling pass appends and no cached result was extended.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
              if words[:1] == ["template"]}
     assert timed == {"scan_literals": values["statement_cache.misses"],
                      "StatementTemplate.bind": hits}
+    # appends left the dashboard's stable aggregates cached, extended
+    assert values["extended"] > 0 and values["ddl_evicted"] > 0
 
 
 def test_tool_fails_when_the_template_path_stops_firing():
@@ -67,3 +70,22 @@ def test_tool_fails_when_the_template_path_stops_firing():
     assert done.returncode == 1, done.stderr[-2000:]
     assert "no statement template was hit" in done.stderr
     assert "statement_cache.template_hits 0" in done.stdout
+
+
+def test_tool_fails_when_appends_stop_extending():
+    """Recycling that quietly went back to evicting every dependent on
+    an append still returns right answers, only slower — the tool is
+    what notices."""
+    broken = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import profile_pass;"
+        " from repro.recycler import rewriter;"
+        " rewriter.appended_table = lambda entry, catalog: None;"
+        " sys.exit(profile_pass.main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", broken, str(ROOT / "tools"),
+         "--workload", "ts_append", "--mode", "spec", "--size", "0.04",
+         "--top", "1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert "no cached result was extended" in done.stderr
+    assert "extended 0" in done.stdout.splitlines()

@@ -244,6 +244,30 @@ class TestOnlineDdlApi:
         assert db.sql(q).table.sorted_rows() == [(0, 6.0), (1, 2.0)]
         db.close()
 
+    def test_empty_append_changes_nothing(self):
+        """Appending zero rows used to bump the version and evict every
+        dependent, so the next read ran cold.  It is a no-op now: same
+        version, no sweep, no statistics merge, the next read warm."""
+        db, _ = make_db(group_table(seed=5, n=2000), gated=False)
+        q = "SELECT g, sum(v) AS sv, count(*) AS n FROM t GROUP BY g"
+        expected = db.sql(q).table.to_rows()
+        assert len(db.recycler.cache) == 1  # premise: the root is cached
+        before = db.summary()
+        merges = db.catalog.stats_counters["incremental_merges"]
+        db.append_rows("t", [])
+        db.append_rows("t", Table(T_SCHEMA, {"g": np.array([], np.int64),
+                                             "v": np.array([])}))
+        assert db.catalog.table_version("t") == 1
+        assert db.catalog.stats_counters["incremental_merges"] == merges
+        after = db.summary()["catalog"]
+        assert after["invalidations"] == before["catalog"]["invalidations"]
+        assert after["ddl_clock"] == before["catalog"]["ddl_clock"]
+        assert len(db.recycler.cache) == 1
+        result = db.sql(q)
+        assert result.table.to_rows() == expected
+        assert result.record.num_reused == 1
+        db.close()
+
     def test_register_function_invalidates(self):
         """Re-registering a table function evicts its cached dependents
         (used to be silently skipped, unlike ``register_table`` —

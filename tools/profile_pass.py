@@ -22,9 +22,14 @@ twice, each time on a fresh database:
    loop, which inflates exactly these shares;
 2. under cProfile, and prints the top functions.
 
+It also prints the pass's ``ddl_evicted`` (cached results an
+invalidation sweep evicted) and ``extended`` (cached results extended
+over appended rows instead).
+
 Exits non-zero if texts of the op list share a shape (so a template
-could have served one of them) and the pass reports no template hit:
-a template path that has silently stopped firing fails no test.
+could have served one of them) and the pass reports no template hit,
+or if a recycling pass appends and reports no extension: a template or
+extension path that has silently stopped firing fails no test.
 
 With ``--wire`` the op list travels instead: statements through a
 ``ServerClient``, scans streamed through an ``HttpClient``, against a
@@ -58,7 +63,7 @@ import numpy as np  # noqa: E402
 
 from bench import hostspeed  # noqa: E402
 from bench.harness import execute_op  # noqa: E402
-from bench.workloads import SCAN, SQL, WORKLOADS  # noqa: E402
+from bench.workloads import APPEND, SCAN, SQL, WORKLOADS  # noqa: E402
 from repro import exec_service  # noqa: E402
 from repro.columnar import types  # noqa: E402
 from repro.columnar.batch import Batch  # noqa: E402
@@ -192,10 +197,10 @@ class BatchFloor:
 
 
 def replay(workload, ops, seed: int, size: float, mode: str
-           ) -> tuple[float, dict[str, int]]:
+           ) -> tuple[float, dict]:
     """Set up as the benchmark does, replay ``ops`` once; seconds the
-    ops took (set-up and priming excluded) and the statement cache's
-    counters at the end (priming included)."""
+    ops took (set-up and priming excluded) and ``Database.summary()``
+    at the end (priming included)."""
     db = workload.build(seed, size, mode)
     try:
         for statement in workload.priming(ops):
@@ -204,7 +209,7 @@ def replay(workload, ops, seed: int, size: float, mode: str
         for op in ops:
             execute_op(db, op, seed)
         seconds = time.perf_counter() - started
-        return seconds, db.summary()["service"]["statement_cache"]
+        return seconds, db.summary()
     finally:
         db.close()
 
@@ -287,8 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     floor = BatchFloor()
     templates = TemplateShare()
     with share.installed(), floor.installed(), templates.installed():
-        seconds, statement_cache = replay(workload, ops, args.seed,
-                                          args.size, args.mode)
+        seconds, summary = replay(workload, ops, args.seed, args.size,
+                                  args.mode)
+    statement_cache = summary["service"]["statement_cache"]
     print(f"# pass: {seconds * 1e3:.1f} ms unprofiled")
     share.report("string", seconds)
     print(f"string_share {sum(share.seconds.values()) / seconds:.4f}")
@@ -303,9 +309,17 @@ def main(argv: list[str] | None = None) -> int:
     shapes = {scan_literals(text)[0] for text in texts}
     print(f"distinct_texts {len(texts)}")
     print(f"distinct_shapes {len(shapes)}")
+    catalog = summary["catalog"]
+    print(f"ddl_evicted {catalog['entries_evicted']}")
+    print(f"extended {catalog['entries_extended']}")
     if len(shapes) < len(texts) and not statement_cache["template_hits"]:
         print("error: texts share shapes but no statement template was"
               " hit", file=sys.stderr)
+        return 1
+    if args.mode != "off" and not catalog["entries_extended"] and \
+            any(op.kind == APPEND for op in ops):
+        print("error: the pass appends but no cached result was extended"
+              " over appended rows", file=sys.stderr)
         return 1
 
     profiler = cProfile.Profile()
