@@ -7,9 +7,10 @@ server (:mod:`repro.server`) — funnels queries through one
 pipeline:
 
 1. pin a catalog snapshot (unless the caller already pinned one);
-2. look SQL text up in the statement cache — a miss binds the text,
-   from its statement template when another text of the same shape was
-   bound before, else by lex / parse / bind, then validates and
+2. look SQL text up in the statement cache — a miss takes the plan of
+   its statement template when another text of the same shape was
+   planned before (substituting the text's literals), else binds the
+   text (from the template, or by lex / parse / bind), validates and
    canonicalizes it (and re-populates the cache) — or validate a
    prebuilt plan;
 3. build the :class:`~repro.engine.cancellation.CancellationToken` from
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -47,6 +48,7 @@ from .engine.executor import QueryResult, execute_plan
 from .engine.shard.pool import ShardUnavailable
 from .errors import CatalogError, QueryCancelled, QueryTimeout
 from .plan.logical import PlanNode, Scan, TableFunctionScan
+from .plan.optimizer import OptimizeContext, normalizes
 from .plan.validate import validate_plan
 from .sql import scan_literals, sql_to_plan, sql_to_template
 
@@ -101,9 +103,10 @@ class Statement(_BoundText):
     plan.  Immutable and shared by every thread that issues the text,
     except :attr:`root_hit`, which the recycler replaces whole."""
 
-    __slots__ = ("plan", "root_hit")
+    __slots__ = ("plan", "root_hit", "template")
 
-    def __init__(self, plan: PlanNode, dependencies: Dependencies) -> None:
+    def __init__(self, plan: PlanNode, dependencies: Dependencies,
+                 template: "StatementTemplate | None" = None) -> None:
         super().__init__(dependencies)
         #: what ``Recycler.prepare`` receives — the same object on every
         #: repeat, so its memoized schemas, hash keys and fingerprint
@@ -112,6 +115,9 @@ class Statement(_BoundText):
         #: the recycler's memo of this plan's root (see
         #: :class:`~repro.recycler.recycler.RootHit`)
         self.root_hit: "RootHit | None" = None
+        #: the template whose :attr:`~StatementTemplate.plan` ``plan``
+        #: was substituted from (or is), whose memo matching replays
+        self.template = template
 
 
 class StatementTemplate(_BoundText):
@@ -124,18 +130,54 @@ class StatementTemplate(_BoundText):
     bind of that text would produce — same classes, same argument
     order — because everything else the binder reads from a literal's
     *value* is part of the key a text finds its template under
-    (:func:`_template_key`).  Immutable."""
+    (:func:`_template_key`).
 
-    __slots__ = ("bound",)
+    ``plan`` is ``bound`` validated and canonicalized, kept when no
+    rewrite of the optimizer read a literal's value (its template
+    check, ``OptimizeContext.template``): the rest of what the
+    optimizer reads of a literal is part of the key too, so
+    substituting another text's values into ``plan`` gives the plan the
+    optimizer makes of that text's bound plan, in the same rewrites
+    (``rewrites``); and ``validate_plan`` reads nothing but the names
+    and types :meth:`valid_for` checks.  ``matches`` is the recycler's
+    memo of how the literal-free subtrees of ``plan`` — shared by every
+    plan substituted from it — matched the graph (``match_tree``'s
+    ``memo``).  With ``plan`` ``None`` every text of the template is
+    validated and optimized on its own.  Immutable, but for the entries
+    of ``matches``."""
 
-    def __init__(self, bound: PlanNode, dependencies: Dependencies) -> None:
+    __slots__ = ("bound", "plan", "rewrites", "matches")
+
+    def __init__(self, bound: PlanNode, dependencies: Dependencies,
+                 plan: PlanNode | None = None,
+                 rewrites: Counter | None = None,
+                 values: list | None = None) -> None:
         super().__init__(dependencies)
         self.bound = bound
+        self.plan = plan
+        self.rewrites = rewrites
+        #: ``id`` of each maximal literal-free subtree of ``plan`` (the
+        #: parts substituting ``values`` leaves in place) -> its entry
+        self.matches = None if plan is None else dict.fromkeys(
+            id(node) for node in _shared(plan, plan.substituted(values)))
 
     def bind(self, values: list) -> PlanNode:
         """The bound plan of the text whose literals, as the binder
         reads them, are ``values``."""
         return self.bound.substituted(values)
+
+    def planned(self, values: list) -> PlanNode:
+        """The validated, canonical plan of that text (``plan`` is set)."""
+        return self.plan.substituted(values)
+
+
+def _shared(plan: PlanNode, instance: PlanNode) -> list[PlanNode]:
+    """The maximal subtrees of ``plan`` that ``instance`` — ``plan``
+    substituted — shares."""
+    if instance is plan:
+        return [plan]
+    return [shared for child, copy in zip(plan.children, instance.children)
+            for shared in _shared(child, copy)]
 
 
 def _coincidences(values: list) -> tuple[int, ...]:
@@ -165,7 +207,10 @@ def _template_key(shape: tuple, roles: tuple, values: list
     one and names a group key after an equal select item, so texts
     share a template only if every such comparison comes out the same
     — among the values as written, and (a date can be spelled two
-    ways, and equals its day count in an ``IN`` list) as read."""
+    ways, and equals its day count in an ``IN`` list) as read.  Last is
+    what the optimizer reads of a value: per float literal, whether
+    ``normalize_literals`` types it INT64, and whether it types its
+    negation so (the binder folds a minus into the literal)."""
     dates, pinned = roles
     resolved = values
     if dates:
@@ -174,7 +219,9 @@ def _template_key(shape: tuple, roles: tuple, values: list
             resolved[slot] = date_to_days(values[slot])
     return (shape, _coincidences(values),
             tuple([values[slot] for slot in pinned]),
-            _coincidences(resolved) if dates else None), resolved
+            _coincidences(resolved) if dates else None,
+            tuple([(normalizes(value), normalizes(-value))
+                   for value in values if type(value) is float])), resolved
 
 
 def _lru_put(cache: OrderedDict, key: object, value: object) -> bool:
@@ -248,7 +295,8 @@ class ExecutionService:
         self._statement_stats = {"hits": 0, "misses": 0,
                                  "invalidated": 0, "evicted": 0,
                                  "template_hits": 0, "template_misses": 0,
-                                 "template_invalidated": 0}
+                                 "template_invalidated": 0,
+                                 "template_plans": 0}
         self._statement_lock = threading.Lock()
         #: attached :class:`~repro.server.ReproServer` instances —
         #: ``summary()`` folds their admission/connection counters in.
@@ -270,10 +318,11 @@ class ExecutionService:
     def statement(self, text: str, snapshot: "CatalogSnapshot",
                   warm_only: bool = False) -> Statement | None:
         """The cached :class:`Statement` for ``text`` if it is valid for
-        ``snapshot``; otherwise bind the text (:meth:`_bind`), validate
-        the plan, run the recycler's canonicalizing optimizer over it
-        and cache that — or, ``warm_only``, return ``None`` with
-        the cache and its counters as they were.
+        ``snapshot``; otherwise plan the text (:meth:`_plan`: bind it,
+        validate the plan and run the recycler's canonicalizing
+        optimizer over it, or take all that from its statement
+        template) and cache that — or, ``warm_only``, return ``None``
+        with the cache and its counters as they were.
 
         A text that fails to parse, bind or validate raises from here
         and leaves nothing behind.  A query pinned to an older snapshot
@@ -296,29 +345,25 @@ class ExecutionService:
                 del self._statements[text]
                 stats["invalidated"] += 1
             stats["misses"] += 1
-        bound, dependencies = self._bind(text, snapshot)
-        validate_plan(bound, snapshot)
-        # The optimizer normalizes literal types and splits conjuncts by
-        # value, so it runs on the plan of *this* text, never on a
-        # template.
-        fresh = Statement(self.recycler.optimize(bound, snapshot),
-                          dependencies)
+        fresh = self._plan(text, snapshot)
         with self._statement_lock:
             # (a concurrent miss on the same text may have put it back)
             if _lru_put(self._statements, text, fresh):
                 stats["evicted"] += 1
         return fresh
 
-    def _bind(self, text: str, snapshot: "CatalogSnapshot"
-              ) -> tuple[PlanNode, Dependencies]:
-        """``text`` bound against ``snapshot``, and its dependencies.
+    def _plan(self, text: str, snapshot: "CatalogSnapshot") -> Statement:
+        """``text`` bound against ``snapshot``, validated and
+        canonicalized.
 
         One scan strips the literals from the text; if a text of that
-        shape was bound before, a :class:`StatementTemplate` valid for
-        ``snapshot`` may be waiting under :func:`_template_key`, and
-        substituting this text's values into it is the bind.  Anything
-        else takes lex → parse → bind and leaves the plan behind as the
-        template — unless scan and lexer read the text differently."""
+        shape was planned before, a :class:`StatementTemplate` valid for
+        ``snapshot`` may be waiting under :func:`_template_key`.  When it
+        holds a plan, substituting this text's values into that is the
+        whole of planning; otherwise substituting them into its bound
+        plan is the bind.  Anything else takes lex → parse → bind and
+        leaves the plan behind as the template — unless scan and lexer
+        read the text differently."""
         stats = self._statement_stats
         stripped, values = scan_literals(text)
         shape = (stripped, tuple([type(value) for value in values]))
@@ -339,25 +384,47 @@ class ExecutionService:
                     del self._templates[key]
                     stats["template_invalidated"] += 1
                     template = None
-            stats["template_misses" if template is None
-                  else "template_hits"] += 1
+            if template is None:
+                stats["template_misses"] += 1
+            else:
+                stats["template_hits"] += 1
+                if template.plan is not None:
+                    stats["template_plans"] += 1
         if template is not None:
-            return template.bind(resolved), template.dependencies
+            if template.plan is not None:
+                self.recycler.count_rewrites(template.rewrites)
+                return Statement(template.planned(resolved),
+                                 template.dependencies, template)
+            bound = template.bind(resolved)
+            validate_plan(bound, snapshot)
+            return Statement(self.recycler.optimize(bound, snapshot),
+                             template.dependencies)
         bound, literals = sql_to_template(text, snapshot)
         dependencies = _dependencies(bound, snapshot)
-        if [(type(v), v) for v in literals.values] != \
+        validate_plan(bound, snapshot)
+        key = None
+        if [(type(v), v) for v in literals.values] == \
                 [(type(v), v) for v in values]:     # (``1 == 1.0``)
-            return bound, dependencies
-        roles = (literals.dates, literals.pinned)
-        try:
-            key, _ = _template_key(shape, roles, values)
-        except ValueError:      # a date in a subtree the binder dropped
-            return bound, dependencies
+            roles = (literals.dates, literals.pinned)
+            try:
+                key, resolved = _template_key(shape, roles, values)
+            except ValueError:  # a date in a subtree the binder dropped
+                pass
+        if key is None:
+            return Statement(self.recycler.optimize(bound, snapshot),
+                             dependencies)
+        ctx = OptimizeContext(snapshot, template=True)
+        plan = self.recycler.optimize(bound, snapshot, ctx)
+        if ctx.value_dependent:
+            template = StatementTemplate(bound, dependencies)
+        else:
+            template = StatementTemplate(bound, dependencies, plan,
+                                         ctx.counts, resolved)
         with self._statement_lock:
             _lru_put(self._literal_roles, shape, roles)
-            _lru_put(self._templates, key,
-                     StatementTemplate(bound, dependencies))
-        return bound, dependencies
+            _lru_put(self._templates, key, template)
+        return Statement(plan, dependencies,
+                         None if template.plan is None else template)
 
     # ------------------------------------------------------------------
     # the pipeline
@@ -569,8 +636,11 @@ class ExecutionService:
         changed or went away; ``evicted`` by the LRU bound;
         ``templates`` now; of the misses, ``template_hits`` bound by
         substituting literals into a template and ``template_misses``
-        by lex / parse / bind; ``template_invalidated`` like
-        ``invalidated``) plus, summed over every
+        by lex / parse / bind; of the template hits, ``template_plans``
+        planned by substituting them into the template's validated,
+        canonical plan, with no validation or optimizer run;
+        ``template_invalidated`` like ``invalidated``) plus, summed
+        over every
         attached server, admission rejections, live connections and
         the queries answered ``inline`` (on a server's event loop, not
         its worker pool) — the ``"service"`` block of

@@ -207,7 +207,12 @@ class Lit(Expr):
     def substituted(self, values: Sequence[object]) -> "Lit":
         if self.slot is None:
             return self
-        return Lit(slot_value(self.slot, values), self._dtype)
+        value = slot_value(self.slot, values)
+        if self._dtype is t.INT64 and isinstance(value, float):
+            # an integral float the optimizer typed INT64
+            # (``normalize_literals``), as that rule writes it
+            value = int(value)
+        return Lit(value, self._dtype)
 
     def __repr__(self) -> str:
         if self._dtype is t.DATE:
@@ -568,10 +573,12 @@ class Like(Expr):
     / ``in`` — several times cheaper per row than ``re.match``.
     Everything else (inner ``%``, any ``_``) takes the compiled-regex
     path, with compilation cached per pattern (:func:`_like_to_regex`).
+    The pattern is classified when the node is evaluated, not built: the
+    optimizer's check of a statement template builds nodes over a
+    placeholder pattern that are never evaluated.
     """
 
-    __slots__ = ("arg", "pattern", "negated", "slot", "_regex", "_kind",
-                 "_literal")
+    __slots__ = ("arg", "pattern", "negated", "slot")
 
     def __init__(self, arg: Expr, pattern: str, negated: bool = False,
                  slot: int | None = None) -> None:
@@ -580,15 +587,13 @@ class Like(Expr):
         self.negated = negated
         #: the slot the pattern came from (as :attr:`Lit.slot`)
         self.slot = slot
-        self._regex = _like_to_regex(pattern)
-        self._kind, self._literal = _classify_like(pattern)
 
     def dtype(self, schema: Schema) -> t.DataType:
         return t.BOOL
 
     def eval(self, batch: Batch) -> np.ndarray:
         data = self.arg.eval(batch)
-        kind, literal = self._kind, self._literal
+        kind, literal = _classify_like(self.pattern)
         if kind == "exact":
             result = np.asarray(data == literal, dtype=bool)
         elif kind == "prefix":
@@ -601,7 +606,7 @@ class Like(Expr):
             result = np.fromiter((literal in v for v in data),
                                  dtype=bool, count=len(data))
         else:
-            match = self._regex.match
+            match = _like_to_regex(self.pattern).match
             result = np.fromiter((match(v) is not None for v in data),
                                  dtype=bool, count=len(data))
         return ~result if self.negated else result

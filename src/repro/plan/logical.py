@@ -25,6 +25,7 @@ Output schemas are resolved lazily against a catalog via
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from ..columnar.catalog import Catalog
@@ -36,6 +37,9 @@ from ..expr.nodes import (AggSpec, Col, Expr, all_substituted,
 NameMapping = Mapping[str, str]
 
 
+# Bounded: graph-assigned names (``x@q17``) grow with the query id, so
+# an unbounded memo would grow for the life of a server.
+@lru_cache(maxsize=65536)
 def _sig_bit(name: str) -> int:
     # Stable across processes (hash() is salted; use a simple FNV-1a).
     h = 2166136261

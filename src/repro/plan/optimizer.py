@@ -46,6 +46,7 @@ recycler's serial-vs-concurrent identity checks keep holding.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -66,12 +67,100 @@ class OptimizeContext:
 
     catalog: CatalogView
     counts: Counter = field(default_factory=Counter)
+    #: the plan is a statement template's, its literals tagged with
+    #: slots: the two rules whose output can depend on a slot's value
+    #: (conjunct order, ``UNION ALL`` input order) check whether it did
+    template: bool = False
+    #: set by that check — the output is right for this text only, and
+    #: every other text of the template is optimized on its own
+    value_dependent: bool = False
 
 
-def _sorted_conjuncts(conjuncts: list[e.Expr]) -> list[e.Expr]:
+def normalizes(value: float) -> bool:
+    """Whether :class:`NormalizeLiterals` types a FLOAT64 literal of
+    ``value`` INT64: integral and within int64."""
+    return value.is_integer() and _INT64_MIN <= value <= _INT64_MAX
+
+
+def _sorted_conjuncts(conjuncts: list[e.Expr],
+                      ctx: OptimizeContext) -> list[e.Expr]:
     """Deterministic conjunct order (``repr`` of the canonical key —
     plain tuple comparison can raise on heterogeneous literal types)."""
-    return sorted(conjuncts, key=lambda c: repr(c.key()))
+    ordered = sorted(conjuncts, key=lambda c: repr(c.key()))
+    if ctx.template and not ctx.value_dependent \
+            and not _order_fixed(ordered):
+        ctx.value_dependent = True
+    return ordered
+
+
+# ----------------------------------------------------------------------
+# literal independence of a statement template
+# ----------------------------------------------------------------------
+class _ValueRead(Exception):
+    """Canonicalizing a key compared a slot's value."""
+
+
+#: what a :class:`_Placeholder` prints as — a character the ``repr`` of
+#: no real value contains (``repr`` escapes it inside strings)
+_MARK = "\x00"
+
+
+class _Placeholder:
+    """A slot's value, unknown: it prints as :data:`_MARK`, and comparing
+    it with anything but itself raises :class:`_ValueRead`."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return _MARK
+
+    def __neg__(self) -> "_Placeholder":
+        return _Placeholder()
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        raise _ValueRead
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    def __lt__(self, other: object) -> bool:
+        raise _ValueRead
+
+    __le__ = __gt__ = __ge__ = __lt__
+    __hash__ = object.__hash__
+
+
+class _Placeholders:
+    """The ``values`` of ``substituted(values)`` that put a fresh
+    :class:`_Placeholder` in every slot."""
+
+    def __getitem__(self, slot: int) -> _Placeholder:
+        return _Placeholder()
+
+
+_PLACEHOLDERS = _Placeholders()
+
+
+def _order_fixed(ordered: list[e.Expr]) -> bool:
+    """Whether every instance of a template sorts its conjuncts as they
+    sort here (``ordered``, by ``repr`` of the key): computing the keys
+    with every slot a placeholder compares no slot's value, and each
+    adjacent pair's keys first differ before the first place a slot's
+    value takes in either — the characters up to there, and the one
+    that decides, are then the same in every instance."""
+    if len(ordered) < 2:
+        return True
+    try:
+        keys = [repr(c.substituted(_PLACEHOLDERS).key()) for c in ordered]
+    except _ValueRead:
+        return False
+    for a, b in zip(keys, keys[1:]):
+        decided = len(os.path.commonprefix([a, b])) + 1
+        if _MARK in a[:decided] or _MARK in b[:decided]:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +183,10 @@ class NormalizeLiterals(Strategy):
     Only direct ``Cmp`` operands are touched — a literal inside
     arithmetic (``x + 1.0``) changes the expression's dtype and, for
     int64 values beyond 2**53, its result, so it stays as written.
+
+    A rewritten literal keeps its slot (and substitutes as
+    ``int(value)``): whether a value is rewritten (:func:`normalizes`)
+    is part of the key a text finds its statement template under.
     """
 
     name = "normalize_literals"
@@ -136,10 +229,9 @@ class NormalizeLiterals(Strategy):
         if not isinstance(expr, e.Lit) or expr._dtype is not t.FLOAT64:
             return None
         value = expr.value
-        if not (isinstance(value, float) and value.is_integer()
-                and _INT64_MIN <= value <= _INT64_MAX):
+        if not (isinstance(value, float) and normalizes(value)):
             return None
-        return e.Lit(int(value))
+        return e.Lit(int(value), slot=expr.slot)
 
 
 class MergeSelects(Strategy):
@@ -157,7 +249,7 @@ class MergeSelects(Strategy):
         conjuncts = split_conjuncts(node.child.predicate) \
             + split_conjuncts(node.predicate)
         return Select(node.child.child,
-                      conjoin(_sorted_conjuncts(conjuncts)))
+                      conjoin(_sorted_conjuncts(conjuncts, ctx)))
 
 
 class ElideIdentityProject(Strategy):
@@ -243,14 +335,16 @@ class PushdownSelectJoin(Strategy):
                 kept.append(conjunct)
         if not to_left and not to_right:
             return None
-        left = Select(join.left, conjoin(_sorted_conjuncts(to_left))) \
+        left = Select(join.left,
+                      conjoin(_sorted_conjuncts(to_left, ctx))) \
             if to_left else join.left
-        right = Select(join.right, conjoin(_sorted_conjuncts(to_right))) \
+        right = Select(join.right,
+                       conjoin(_sorted_conjuncts(to_right, ctx))) \
             if to_right else join.right
         pushed = Join(left, right, join.kind, join.left_keys,
                       join.right_keys, join.extra)
         if kept:
-            return Select(pushed, conjoin(_sorted_conjuncts(kept)))
+            return Select(pushed, conjoin(_sorted_conjuncts(kept, ctx)))
         return pushed
 
 
@@ -322,7 +416,10 @@ class OrderUnionInputs(Strategy):
     types — names come from child 0, so anything else would relabel
     columns) are sorted by fingerprint.  Row order changes, but
     deterministically and identically for every query in the
-    equivalence class, which is what result reuse requires."""
+    equivalence class, which is what result reuse requires.
+
+    Fingerprints hold literal values: over a statement template's
+    inputs with a slot in them, the order is taken as the value's."""
 
     name = "order_union_inputs"
 
@@ -335,6 +432,8 @@ class OrderUnionInputs(Strategy):
         if any(s.names != first.names or s.types != first.types
                for s in schemas[1:]):
             return None
+        if ctx.template and node.substituted(_PLACEHOLDERS) is not node:
+            ctx.value_dependent = True
         keyed = [(repr(plan_fingerprint(c)), i, c)
                  for i, c in enumerate(node.children)]
         ordered = sorted(keyed)
@@ -364,8 +463,8 @@ class SplitSargableSelect(Strategy):
         if not sargable or not residual:
             return None
         inner = Select(node.child,
-                       conjoin(_sorted_conjuncts(sargable)))
-        return Select(inner, conjoin(_sorted_conjuncts(residual)))
+                       conjoin(_sorted_conjuncts(sargable, ctx)))
+        return Select(inner, conjoin(_sorted_conjuncts(residual, ctx)))
 
 
 #: fixpoint strategies, in application order per node.
@@ -410,14 +509,23 @@ class PlanOptimizer:
         self.final_strategies = final_strategies \
             if final_strategies is not None else FINAL_STRATEGIES
 
-    def optimize(self, plan: PlanNode, catalog: CatalogView
+    def optimize(self, plan: PlanNode, catalog: CatalogView,
+                 ctx: OptimizeContext | None = None
                  ) -> tuple[PlanNode, Counter]:
         """Return ``(canonical plan, per-strategy rewrite counts)``.
 
         Untouched subtrees keep their identity (``is``), so a plan
         already in canonical form passes through unchanged.
+
+        ``ctx`` (over ``catalog``) is for a caller that reads more back
+        than the counts: a statement template's plan is optimized under
+        ``OptimizeContext(catalog, template=True)``, and where no rule
+        set ``value_dependent``, substituting another text's literals
+        into the output gives the plan this method returns for that
+        text — the same ``render_plan``, and the same counts.
         """
-        ctx = OptimizeContext(catalog)
+        if ctx is None:
+            ctx = OptimizeContext(catalog)
         current = self._order_scans(plan, ctx, order_visible=True)
         for _ in range(self.MAX_PASSES):
             rewritten = self._pass(current, ctx, self.strategies)

@@ -34,7 +34,19 @@ from typing import Callable, Iterator
 from ..columnar.catalog import Catalog, CatalogView
 from ..columnar.table import Schema
 from ..errors import ConcurrencyConflict, RecyclerError
-from ..plan.logical import PlanNode, Scan, TableFunctionScan
+from ..plan.logical import NameMapping, PlanNode, Scan, TableFunctionScan
+
+#: ``(params, hashkey, sig)`` — see :func:`node_keys`
+NodeKeys = tuple[tuple, tuple, int]
+
+
+def node_keys(node: PlanNode, mapping: NameMapping) -> NodeKeys:
+    """``node``'s parameter key, hash key and column signature, its
+    input columns read through the query->graph name ``mapping`` (a
+    leaf reads none): what Algorithm-1 matching compares, and what the
+    graph copy of ``node`` keeps — renaming the copy's inputs by
+    ``mapping`` leaves exactly these keys."""
+    return node.params_key(mapping), node.hashkey(), node.signature(mapping)
 
 
 class GraphNode:
@@ -46,18 +58,16 @@ class GraphNode:
         "refs_raw", "age_event", "bcost", "rows", "size_bytes",
         "exec_count", "inserted_by", "last_access_event",
         "entry", "subsumers", "version", "tables", "functions",
-        "table_incarnations", "function_incarnations",
+        "table_incarnations", "function_incarnations", "__weakref__",
     )
 
-    def __init__(self, node_id: int, plan: PlanNode,
+    def __init__(self, node_id: int, plan: PlanNode, keys: NodeKeys,
                  children: list["GraphNode"], assigned: list[str],
                  schema: Schema, inserted_by: int) -> None:
         self.node_id = node_id
         self.plan = plan
         self.op_name = plan.op_name
-        self.params = plan.params_key(None)
-        self.hashkey = plan.hashkey()
-        self.sig = plan.signature(None)
+        self.params, self.hashkey, self.sig = keys
         self.children = children
         self.parent_index: dict[tuple, list[GraphNode]] = {}
         self.assigned = assigned
@@ -248,7 +258,7 @@ class RecyclerGraph:
     # ------------------------------------------------------------------
     # insertion (optimistic, node granularity)
     # ------------------------------------------------------------------
-    def insert_node(self, query_node: PlanNode,
+    def insert_node(self, query_node: PlanNode, keys: NodeKeys,
                     graph_children: list[GraphNode],
                     input_mapping: dict[str, str],
                     assigned_mapping: dict[str, str],
@@ -258,6 +268,9 @@ class RecyclerGraph:
                     catalog: CatalogView | None = None
                     ) -> GraphNode:
         """Copy ``query_node`` into the graph (atomically).
+
+        ``keys`` is ``node_keys(query_node, input_mapping)``, which the
+        inserting matcher has just compared: the copy keeps them.
 
         ``expected_versions`` carries the versions of the anchor children
         observed during matching; ``expected_leaf_version`` carries the
@@ -278,11 +291,10 @@ class RecyclerGraph:
                             f"node {child.node_id} changed during"
                             f" matching")
             if not graph_children and expected_leaf_version is not None \
-                    and self._leaf_versions.get(query_node.hashkey(), 0) \
+                    and self._leaf_versions.get(keys[1], 0) \
                     != expected_leaf_version:
                 raise ConcurrencyConflict(
-                    f"leaf bucket {query_node.hashkey()!r} changed"
-                    f" during matching")
+                    f"leaf bucket {keys[1]!r} changed during matching")
             graph_plan = query_node.remapped(
                 input_mapping, assigned_mapping,
                 [c.plan for c in graph_children])
@@ -291,8 +303,8 @@ class RecyclerGraph:
             schema = self._graph_schema(query_node, input_mapping,
                                         assigned_mapping, self._next_id,
                                         catalog or self.catalog)
-            node = GraphNode(self._next_id, graph_plan, graph_children,
-                             assigned, schema, query_id)
+            node = GraphNode(self._next_id, graph_plan, keys,
+                             graph_children, assigned, schema, query_id)
             view = catalog or self.catalog
             node.table_incarnations, node.function_incarnations = \
                 view.incarnations_for(node.tables, node.functions)

@@ -22,17 +22,22 @@ purely structural; equivalence is resolved *before* it, never here.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from ..columnar.catalog import CatalogView
 from ..errors import ConcurrencyConflict
 from ..plan.logical import PlanNode
-from .graph import GraphNode, RecyclerGraph
+from .graph import GraphNode, RecyclerGraph, node_keys
 
 #: how often a conflicting insertion is retried before giving up; real
 #: concurrent sessions (``Database.pool``) hit retries whenever two
 #: threads race to insert the same neighbourhood.
 MAX_INSERT_RETRIES = 16
+
+#: per node of a memoized subtree, post-order: the plan node, its graph
+#: node (weakly held) and its output mapping
+MemoEntry = list[tuple[PlanNode, "weakref.ref[GraphNode]", dict[str, str]]]
 
 
 @dataclass
@@ -55,6 +60,10 @@ class MatchResult:
     matched_count: int = 0
     #: OCC restarts performed during this pass (Section III-B).
     conflicts: int = 0
+    #: plan nodes matched by replaying a memo entry, and memo entries
+    #: that failed validation (and were matched afresh)
+    memo_nodes: int = 0
+    memo_stale: int = 0
 
     def of(self, node: PlanNode) -> NodeMatch:
         return self.by_node[id(node)]
@@ -67,25 +76,45 @@ class MatchResult:
 
 
 def match_tree(plan: PlanNode, graph: RecyclerGraph, catalog: CatalogView,
-               query_id: int,
-               subsumption_hook=None) -> MatchResult:
+               query_id: int, subsumption_hook=None,
+               memo: dict[int, MemoEntry | None] | None = None
+               ) -> MatchResult:
     """Run the Algorithm-1 pass over ``plan``.
 
     ``subsumption_hook(graph_node)`` is invoked for every *inserted* node
     so the subsumption index can add edges (Section IV-A) without this
     module depending on it.
+
+    ``memo`` is a statement template's record of how the literal-free
+    subtrees of its plan matched, keyed by ``id`` of each subtree's
+    root — a node of the template's plan, which every instance shares
+    (``exec_service.StatementTemplate``); ``None`` until first matched.
+    Such a subtree is the same plan in every instance, so its match
+    changes only when the graph does: an entry is replayed — stamping
+    ``last_access_event`` and counting ``matched_count`` exactly as a
+    match would — while every graph node in it is still live and every
+    leaf's incarnation stamps agree with ``catalog`` (the checks the
+    statement's ``RootHit`` memo passes).  Then matching would find the
+    same nodes: a live node stays in the indexes matching reads, an
+    exact match is unique, and everything above the leaves is found by
+    child identity.  Otherwise the subtree is matched afresh and its
+    entry overwritten.
     """
     result = MatchResult()
-    _match_node(plan, graph, catalog, query_id, result, subsumption_hook)
+    _match_node(plan, graph, catalog, query_id, result, subsumption_hook,
+                memo)
     return result
 
 
 def _match_node(node: PlanNode, graph: RecyclerGraph, catalog: CatalogView,
                 query_id: int, result: MatchResult,
-                subsumption_hook) -> NodeMatch:
+                subsumption_hook, memo) -> NodeMatch:
+    if memo is not None and id(node) in memo:
+        return _match_memoized(node, graph, catalog, query_id, result,
+                               subsumption_hook, memo)
     child_matches = [
         _match_node(child, graph, catalog, query_id, result,
-                    subsumption_hook)
+                    subsumption_hook, memo)
         for child in node.children
     ]
     for attempt in range(MAX_INSERT_RETRIES):
@@ -105,20 +134,63 @@ def _match_node(node: PlanNode, graph: RecyclerGraph, catalog: CatalogView,
     return match
 
 
+def _match_memoized(node: PlanNode, graph: RecyclerGraph,
+                    catalog: CatalogView, query_id: int,
+                    result: MatchResult, subsumption_hook,
+                    memo: dict[int, MemoEntry | None]) -> NodeMatch:
+    """Match the literal-free subtree under ``node`` from its memo entry
+    when that is still valid, else afresh (see :func:`match_tree`)."""
+    entry = memo[id(node)]
+    if entry is not None:
+        replay = _replayable(entry, graph, catalog)
+        if replay is not None:
+            event = graph.event
+            for plan_node, graph_node, mapping in replay:
+                graph_node.last_access_event = event
+                match = NodeMatch(graph_node, mapping, inserted=False)
+                result.register(plan_node, match)
+            result.matched_count += len(replay)
+            result.memo_nodes += len(replay)
+            return match
+        result.memo_stale += 1
+    match = _match_node(node, graph, catalog, query_id, result,
+                        subsumption_hook, None)
+    matches = [(each, result.of(each)) for each in node.walk()]
+    memo[id(node)] = [(each, weakref.ref(m.graph_node), m.mapping)
+                      for each, m in matches]
+    return match
+
+
+def _replayable(entry: MemoEntry, graph: RecyclerGraph,
+                catalog: CatalogView
+                ) -> list[tuple[PlanNode, GraphNode, dict[str, str]]] | None:
+    """``entry`` with its graph nodes, if every one is live and every
+    leaf still of the catalog's incarnation; else ``None``."""
+    out = []
+    for plan_node, ref, mapping in entry:
+        graph_node = ref()
+        if graph_node is None or not graph.is_live(graph_node):
+            return None
+        if not graph_node.children and \
+                not graph_node.matches_incarnations(catalog):
+            return None
+        out.append((plan_node, graph_node, mapping))
+    return out
+
+
 def _match_or_insert(node: PlanNode, child_matches: list[NodeMatch],
                      graph: RecyclerGraph, catalog: CatalogView, query_id: int,
                      subsumption_hook) -> NodeMatch:
     input_mapping = _merge_mappings(child_matches)
     output_names = node.output_schema(catalog).names
+    keys = params, hashkey, sig = node_keys(node, input_mapping)
 
     if not node.children:
         # Read the bucket version BEFORE scanning candidates: leaf
         # insertion validates it, so a racing insert into this bucket
         # forces a re-match instead of a duplicate leaf.
-        expected_leaf_version = graph.leaf_bucket_version(node.hashkey())
-        candidate_pool = graph.candidate_leaves(node.hashkey(),
-                                                node.signature(None))
-        params = node.params_key(None)
+        expected_leaf_version = graph.leaf_bucket_version(hashkey)
+        candidate_pool = graph.candidate_leaves(hashkey, sig)
         expected_versions: list[int] = []
     else:
         expected_leaf_version = None
@@ -128,9 +200,7 @@ def _match_or_insert(node: PlanNode, child_matches: list[NodeMatch],
         # of slipping a duplicate past a stale candidate snapshot.
         expected_versions = [m.graph_node.version for m in child_matches]
         anchor = child_matches[0].graph_node
-        candidate_pool = anchor.candidate_parents(
-            node.hashkey(), node.signature(input_mapping))
-        params = node.params_key(input_mapping)
+        candidate_pool = anchor.candidate_parents(hashkey, sig)
 
     graph_children = [m.graph_node for m in child_matches]
     for candidate in candidate_pool:
@@ -158,7 +228,7 @@ def _match_or_insert(node: PlanNode, child_matches: list[NodeMatch],
 
     assigned_mapping = {name: f"{name}@q{query_id}"
                         for name in node.assigned_names()}
-    inserted = graph.insert_node(node, graph_children, input_mapping,
+    inserted = graph.insert_node(node, keys, graph_children, input_mapping,
                                  assigned_mapping, query_id,
                                  expected_versions or None,
                                  expected_leaf_version,

@@ -44,7 +44,7 @@ from ..engine.scan import ReuseScanOp
 from ..engine.store import StoreOp, StoreStats
 from ..exec_service import ExecutionService, Statement
 from ..plan.logical import CachedScan, PlanNode
-from ..plan.optimizer import PlanOptimizer
+from ..plan.optimizer import OptimizeContext, PlanOptimizer
 from .benefit import BenefitModel
 from .cache import RecyclerCache
 from .config import MODE_OFF, RecyclerConfig
@@ -152,6 +152,10 @@ class Recycler:
         self._optimizer_counts: Counter = Counter()
         #: prepares answered by :meth:`_prepare_root_hit`
         self._root_hits = 0
+        #: plan nodes matched from statement templates' memos, and memo
+        #: entries that failed validation (``MatchResult`` fields)
+        self._memo_nodes = 0
+        self._memo_stale = 0
         self._optimizer_lock = threading.Lock()
         self.store_planner = StorePlanner(self.graph, self.model,
                                           self.cache, self.inflight,
@@ -223,7 +227,9 @@ class Recycler:
         :meth:`optimize`): every slow-path prepare leaves a
         :class:`RootHit` memo on it, and the next prepare of the same
         object takes :meth:`_prepare_root_hit` when the root's result
-        is still cached.
+        is still cached.  When the plan was substituted from a
+        statement template's plan, matching replays the template's
+        memo of its literal-free subtrees (``match_tree``'s ``memo``).
 
         ``warm_only`` is for a caller that must not block or run for
         long (a server's event loop): the prepare is that root hit or
@@ -246,6 +252,8 @@ class Recycler:
         memo = statement.root_hit if memoize else None
         if warm_only and memo is None:
             return None
+        subtrees = statement.template.matches \
+            if memoize and statement.template is not None else None
 
         # Canonicalize *before* fingerprinting, stripe selection, and
         # matching (and before the mode check, so every mode executes
@@ -289,8 +297,13 @@ class Recycler:
         started = time.perf_counter()
         hook = self.subsumption.on_insert if self.subsumption else None
         matches = match_tree(plan_to_match, self.graph, snapshot,
-                             query_id, subsumption_hook=hook)
+                             query_id, subsumption_hook=hook,
+                             memo=subtrees)
         matching_seconds = time.perf_counter() - started
+        if matches.memo_nodes or matches.memo_stale:
+            with self._optimizer_lock:
+                self._memo_nodes += matches.memo_nodes
+                self._memo_stale += matches.memo_stale
 
         # Phase 2 — steering + reference bookkeeping (mutates hR).
         with stripe:
@@ -386,17 +399,24 @@ class Recycler:
             proactive_strategies=strategies,
             proactive_executed=proactive_executed)
 
-    def optimize(self, plan: PlanNode,
-                 snapshot: CatalogSnapshot) -> PlanNode:
+    def optimize(self, plan: PlanNode, snapshot: CatalogSnapshot,
+                 ctx: OptimizeContext | None = None) -> PlanNode:
         """Canonicalize ``plan``, adding the rewrites performed to the
         ``summary()["optimizer"]`` counters.  Called once per plan: by
         :meth:`prepare` for prebuilt plans, by the execution service
-        when it builds a cached statement."""
-        plan, rewrites = self.optimizer.optimize(plan, snapshot)
+        when it builds a cached statement (with ``ctx`` when the plan
+        is a statement template's: see ``PlanOptimizer.optimize``)."""
+        plan, rewrites = self.optimizer.optimize(plan, snapshot, ctx)
+        self.count_rewrites(rewrites)
+        return plan
+
+    def count_rewrites(self, rewrites: Counter) -> None:
+        """Add ``rewrites`` to the ``summary()["optimizer"]`` counters —
+        also for a plan substituted from a statement template's, which
+        counts the rewrites that template's plan took."""
         if rewrites:
             with self._optimizer_lock:
                 self._optimizer_counts.update(rewrites)
-        return plan
 
     def _new_query(self, producer_token: object | None
                    ) -> tuple[int, object]:
@@ -908,10 +928,15 @@ class Recycler:
         served from the execution service's statement cache was
         canonicalized when it was built and adds none on a hit.
         ``root_hits`` is the number of prepares the root-hit fast path
-        answered (they count as full-plan hits in both rates)."""
+        answered (they count as full-plan hits in both rates).
+        ``memo_nodes`` counts the plan nodes matched by replaying a
+        statement template's memo of a literal-free subtree (part of
+        ``nodes_matched``), ``memo_stale`` the memo entries that failed
+        validation and were matched afresh."""
         with self._optimizer_lock:
             counts = dict(self._optimizer_counts)
             root_hits = self._root_hits
+            memo_nodes, memo_stale = self._memo_nodes, self._memo_stale
         cost_skips = counts.pop("reuse_cost_skips", 0)
         with self._records_lock:
             matched = sum(r.num_matched for r in self.records)
@@ -928,4 +953,6 @@ class Recycler:
             "match_rate": matched / total if total else 0.0,
             "plan_hit_rate": full_hits / queries if queries else 0.0,
             "root_hits": root_hits,
+            "memo_nodes": memo_nodes,
+            "memo_stale": memo_stale,
         }

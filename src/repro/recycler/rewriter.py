@@ -262,6 +262,10 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
         return replacement
 
     outcome.plan = rewrite(plan)
+    # ``rewrite`` refers to itself: unbound, the snapshot (and the table
+    # versions) it closes over are freed now, not at the next cyclic
+    # collection
+    del rewrite
     return outcome
 
 

@@ -83,5 +83,9 @@ class TestCaching:
     def test_rename_reuses_compiled_pattern(self):
         first = Like(Col("s"), "n1%")
         renamed = first.rename({"s": "t"})
-        assert renamed._regex is first._regex  # lru_cache hit
-        assert renamed._kind == first._kind == "prefix"
+        # evaluation classifies and compiles per pattern: lru_cache hits
+        assert _like_to_regex(renamed.pattern) is \
+            _like_to_regex(first.pattern)
+        assert _classify_like(renamed.pattern) == ("prefix", "n1")
+        values = np.array(["n1", "x"], dtype=object)
+        assert renamed.eval(Batch({"t": values})).tolist() == [True, False]

@@ -6,9 +6,10 @@ sized STRING columns through any other name the tool would go on
 printing a smaller share without failing.  So run it, small, and look.
 The same goes for the statement cache's template path, which it times
 by wrapping ``exec_service.scan_literals`` and
-``StatementTemplate.bind`` — and there the tool is also the alarm: it
-exits non-zero when texts share shapes and no template was hit, and
-when a recycling pass appends and no cached result was extended.
+``StatementTemplate.bind`` / ``.planned`` — and there the tool is also
+the alarm: it exits non-zero when texts share shapes and no template
+was hit or no plan node was matched from a template's memo, and when a
+recycling pass appends and no cached result was extended.
 """
 
 from __future__ import annotations
@@ -39,16 +40,20 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
     assert values["next_calls"] > 0 and values["batches_built"] > 0
     assert values["batches_per_op"] > 0.0
     # the dashboard: 51 texts at this size, 5 shapes — every text but
-    # the first of its shape binds from a template, and the tool saw
-    # each scan and each substitution
+    # the first of its shape is planned from its template's plan, and
+    # the tool saw each scan and each substitution
     assert values["distinct_shapes"] == 5
     assert values["statement_cache.template_misses"] == 5
     hits = values["statement_cache.template_hits"]
     assert hits == values["distinct_texts"] - 5 > 0
+    assert values["statement_cache.template_plans"] == hits
     timed = {words[1]: int(words[-2]) for words in lines
              if words[:1] == ["template"]}
     assert timed == {"scan_literals": values["statement_cache.misses"],
-                     "StatementTemplate.bind": hits}
+                     "StatementTemplate.planned": hits}
+    # their literal-free subtrees matched from the templates' memos
+    assert values["memo_nodes"] > 0
+    assert values["gc_ms"] >= 0.0 and values["gc_gen2"] >= 0
     # appends left the dashboard's stable aggregates cached, extended
     assert values["extended"] > 0 and values["ddl_evicted"] > 0
 
@@ -70,6 +75,25 @@ def test_tool_fails_when_the_template_path_stops_firing():
     assert done.returncode == 1, done.stderr[-2000:]
     assert "no statement template was hit" in done.stderr
     assert "statement_cache.template_hits 0" in done.stdout
+
+
+def test_tool_fails_when_the_memo_stops_replaying():
+    """Matching every literal-free subtree afresh is as right as
+    replaying it, only slower — the tool is what notices."""
+    broken = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import profile_pass;"
+        " from repro.recycler import matching;"
+        " matching._match_memoized = lambda node, *args: ("
+        "matching._match_node(node, *args[:-1], None));"
+        " sys.exit(profile_pass.main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", broken, str(ROOT / "tools"),
+         "--workload", "ts_append", "--mode", "spec", "--size", "0.04",
+         "--top", "1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert "no plan node was matched" in done.stderr
+    assert "memo_nodes 0" in done.stdout.splitlines()
 
 
 def test_tool_fails_when_appends_stop_extending():

@@ -15,9 +15,20 @@
    whatever order the texts arrive in, each binds (through whichever
    template is there, or none) to the plan a fresh bind produces, or
    fails with the error a fresh bind fails with.
+
+3. *Template plan = fresh optimize.*  A template plans once: a text
+   served from its template's plan gets the plan the optimizer makes of
+   the text — same ``render_plan``, not merely the same fingerprint —
+   for literals drawn from wide domains: integral and fractional
+   floats, negatives, ``IN`` lists, ``LIKE`` patterns, dates.  Where an
+   optimizer rule orders by value (``UNION ALL`` inputs over literals,
+   conjuncts that differ only in one), the template must plan every
+   text on its own.
 """
 
 from __future__ import annotations
+
+import datetime
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -102,12 +113,12 @@ HOLES = {"n": NUMBERS, "i": INTS, "s": STRINGS, "d": DATES, "l": LIMITS}
 
 
 @st.composite
-def instance(draw, shape: str) -> str:
+def instance(draw, shape: str, holes: dict = HOLES) -> str:
     out = []
     rest = shape
     while "{" in rest:
         head, _, tail = rest.partition("{")
-        out += [head, draw(HOLES[tail[0]])]
+        out += [head, draw(holes[tail[0]])]
         rest = tail[2:]
     return "".join(out + [rest])
 
@@ -172,3 +183,68 @@ def test_template_path_binds_what_a_fresh_bind_binds(texts):
             seen["misses"]
     finally:
         db.close()
+
+
+# ---------------------------------------------------------------------
+# 3. template plan = fresh optimize
+# ---------------------------------------------------------------------
+#: ``{f}`` a float — integral (``normalize_literals`` types it INT64)
+#: or not; ``{i}`` an int, ``{s}`` a string, ``{d}`` a date.  Numbers
+#: are written unsigned: a shape writes ``-{f}`` for a negative one
+WIDE = {
+    "f": st.one_of(
+        st.integers(0, 300).map(lambda i: f"{i}.0"),
+        st.floats(0, 300, allow_nan=False).map(repr)),
+    "i": st.integers(0, 70).map(str),
+    "s": st.sampled_from(["'a'", "'b'", "'a%'", "'%b'", "'a_'", "'it''s'"]),
+    "d": st.dates(datetime.date(2022, 12, 20),
+                  datetime.date(2023, 3, 10)).map(
+                      lambda day: f"'{day.isoformat()}'"),
+    "l": LIMITS,
+}
+
+#: ``True``: the shape orders by a literal's value, so its template
+#: must not plan (every text of it is optimized on its own)
+PLAN_SHAPES = {
+    "SELECT k FROM t WHERE v < {f} AND v > -{f}": False,
+    "SELECT k FROM t WHERE v >= {f} AND v <= {f} AND s LIKE {s}": False,
+    "SELECT g, count(*) AS c FROM t WHERE k IN ({i}, {i}, -{i})"
+    " AND v > {f} GROUP BY g": False,
+    "SELECT k FROM t WHERE d >= DATE {d} AND d < DATE {d}"
+    " AND s NOT LIKE {s}": False,
+    "SELECT a.k FROM t a, t b WHERE a.k = b.k AND a.v > {f}"
+    " AND b.g <> {i} AND b.s LIKE {s}": False,
+    "SELECT k, v FROM t WHERE v < -{f} ORDER BY k LIMIT {l}": False,
+    "SELECT k FROM t WHERE k > {i} AND k > {i} AND s LIKE {s}": True,
+    "SELECT k FROM t WHERE k < {i} UNION ALL"
+    " SELECT k FROM t WHERE k < {i}": True,
+}
+
+PLAN_TEXT_LISTS = st.sampled_from(sorted(PLAN_SHAPES)).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.lists(
+        instance(shape, WIDE), min_size=2, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_texts=PLAN_TEXT_LISTS)
+def test_template_plan_is_the_plan_a_fresh_optimize_makes(shape_texts):
+    shape, texts = shape_texts
+    db = build()
+    try:
+        snapshot = db.catalog.snapshot()
+        for text in texts:
+            served = db.service.statement(text, snapshot)
+            assert outcome(lambda: served.plan) == outcome(
+                lambda: db.recycler.optimize(sql_to_plan(text, snapshot),
+                                             snapshot)), text
+            assert sorted(db.sql(text).table.to_rows()) == sorted(
+                execute_plan(db.plan(text), db.catalog)
+                .table.to_rows()), text
+        seen = db.summary()["service"]["statement_cache"]
+        if PLAN_SHAPES[shape]:
+            assert seen["template_plans"] == 0
+        else:
+            assert seen["template_plans"] == seen["template_hits"]
+    finally:
+        db.close()
+

@@ -133,18 +133,18 @@ class TestOptimisticInsertion:
         real_insert = recycler.graph.insert_node
         raced = {"done": False}
 
-        def racing_insert(query_node, graph_children, input_mapping,
+        def racing_insert(query_node, keys, graph_children, input_mapping,
                           assigned_mapping, query_id,
                           expected_versions=None,
                           expected_leaf_version=None, catalog=None):
             if not raced["done"] and graph_children:
                 raced["done"] = True
                 # a concurrent session inserts the same node first …
-                real_insert(query_node, graph_children, input_mapping,
+                real_insert(query_node, keys, graph_children, input_mapping,
                             dict(assigned_mapping), 999)
                 # … so this insert's validation must now conflict.
-            return real_insert(query_node, graph_children, input_mapping,
-                               assigned_mapping, query_id,
+            return real_insert(query_node, keys, graph_children,
+                               input_mapping, assigned_mapping, query_id,
                                expected_versions, expected_leaf_version,
                                catalog=catalog)
 
@@ -159,16 +159,16 @@ class TestOptimisticInsertion:
         real_insert = recycler.graph.insert_node
         raced = {"done": False}
 
-        def racing_insert(query_node, graph_children, input_mapping,
+        def racing_insert(query_node, keys, graph_children, input_mapping,
                           assigned_mapping, query_id,
                           expected_versions=None,
                           expected_leaf_version=None, catalog=None):
             if not raced["done"] and not graph_children:
                 raced["done"] = True
-                real_insert(query_node, graph_children, input_mapping,
+                real_insert(query_node, keys, graph_children, input_mapping,
                             dict(assigned_mapping), 999)
-            return real_insert(query_node, graph_children, input_mapping,
-                               assigned_mapping, query_id,
+            return real_insert(query_node, keys, graph_children,
+                               input_mapping, assigned_mapping, query_id,
                                expected_versions, expected_leaf_version,
                                catalog=catalog)
 
@@ -186,7 +186,8 @@ class TestOptimisticInsertion:
                       if n.children == [leaf])
         with pytest.raises(ConcurrencyConflict):
             recycler.graph.insert_node(
-                parent.plan, [leaf], {}, {}, query_id=7,
+                parent.plan, (parent.params, parent.hashkey, parent.sig),
+                [leaf], {}, {}, query_id=7,
                 expected_versions=[leaf.version - 1])
 
     def test_threaded_matching_never_duplicates(self):

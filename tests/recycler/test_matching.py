@@ -8,6 +8,7 @@ from repro.errors import ConcurrencyConflict
 from repro.expr import Arith, Cmp, Col, Lit
 from repro.plan import q
 from repro.recycler import RecyclerGraph, match_tree
+from repro.recycler.graph import node_keys
 
 
 @pytest.fixture
@@ -199,8 +200,9 @@ class TestOptimisticConcurrency:
         match_tree(other, graph, sales_catalog, query_id=2)
         assert leaf.version != stale_version
         with pytest.raises(ConcurrencyConflict):
-            graph.insert_node(select, [leaf], {"product": "product"},
-                              {}, query_id=3,
+            mapping = {"product": "product"}
+            graph.insert_node(select, node_keys(select, mapping), [leaf],
+                              mapping, {}, query_id=3,
                               expected_versions=[stale_version])
 
     def test_match_tree_retries_after_conflict(self, graph, sales_catalog,

@@ -334,12 +334,31 @@ class TestValueCoincidences:
         shape = "SELECT k FROM t WHERE v < {}"
         bind_all(db, [shape.format("100"), shape.format("100.00"),
                       shape.format("7")], hits=1, misses=2)
-        # as bound (the optimizer casts the literal to the column's type)
-        snapshot = db.catalog.snapshot()
-        assert "(v < 8)" in render_plan(
-            db.service._bind(shape.format("8"), snapshot)[0])
-        assert "(v < 8.0)" in render_plan(
-            db.service._bind(shape.format("8.00"), snapshot)[0])
+        # as bound (the optimizer casts the integral float to INT64)
+        bound = [render_plan(template.bound)
+                 for template in db.service._templates.values()]
+        assert any("(v < 100)" in plan for plan in bound)
+        assert any("(v < 100.0)" in plan for plan in bound)
+
+    def test_integral_and_fractional_floats_are_different_templates(
+            self, db):
+        """``normalize_literals`` types an integral float INT64, so
+        whether a float is integral — and its negation: ``-2**63`` is an
+        int64, ``2**63`` is not — is part of the key, and each template
+        plans once."""
+        shape = "SELECT k FROM t WHERE v < {} AND v > -{}"
+        _, integral, _, fractional = bind_all(db, [
+            shape.format("8.0", "2.0"), shape.format("9.0", "3.0"),
+            shape.format("8.5", "2.0"), shape.format("9.5", "3.0")],
+            hits=2, misses=2)
+        assert "(v < 9)" in render_plan(integral.plan)
+        assert "(v < 9.5)" in render_plan(fractional.plan)
+        assert "(v > -3)" in render_plan(fractional.plan)
+        edge = "SELECT k FROM t WHERE v > -{}"
+        bind_all(db, [edge.format("9223372036854775808.0"),
+                      edge.format("1e30"), edge.format("1e31")],
+                 hits=1, misses=2)
+        assert stats(db)["template_plans"] == 3
 
     def test_int_equal_to_float_in_in_lists(self, db):
         """``IN (1, 2.0)`` and ``IN (1.0, 2)`` have equal keys (Python
@@ -438,21 +457,29 @@ class TestShape:
         assert nodes(limited, Limit)[0].limit == 3
 
     def test_literal_free_subtrees_are_shared(self, db):
-        """Only the spine above a literal is rebuilt: the scan below
-        the filter is the template's own node, memoized schema and
-        all."""
+        """Only the spine above a literal is rebuilt: the scans below
+        the filter are the template plan's own nodes, memoized schema
+        and all — the subtrees whose matches the template memoizes."""
         shape = "SELECT a.k FROM t a, t b WHERE a.k = b.k AND a.v > {}"
         snapshot = db.catalog.snapshot()
-        first, _ = db.service._bind(shape.format(1.5), snapshot)
-        second, _ = db.service._bind(shape.format(2.5), snapshot)
-        assert stats(db)["template_hits"] == 1
+        first = db.service.statement(shape.format(1.5), snapshot)
+        second = db.service.statement(shape.format(2.5), snapshot)
+        assert stats(db)["template_plans"] == 1
+        assert second.template is first.template is not None
+        assert first.plan is first.template.plan
         first_select, second_select = (
-            [n for n in plan.walk() if isinstance(n, Select)][0]
-            for plan in (first, second))
+            [n for n in statement.plan.walk() if isinstance(n, Select)][0]
+            for statement in (first, second))
         assert second_select is not first_select
         assert second_select.child is first_select.child
-        assert second.children[0].children[1] is \
-            first.children[0].children[1]
+        # project(join(select(scan), project(scan))): the scan under the
+        # filter and the renaming projection of the other side
+        join = first.plan.children[0]
+        shared = [node for node in second.plan.walk()
+                  if any(node is mine for mine in first.plan.walk())]
+        assert shared == [first_select.child, join.right.child, join.right]
+        assert set(first.template.matches) == \
+            {id(first_select.child), id(join.right)}
 
     def test_errors_leave_no_template(self, db):
         for text in ("SELEC 1", "SELECT nope FROM t WHERE k < 3",

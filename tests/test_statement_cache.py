@@ -63,7 +63,8 @@ class TestHits:
         assert cache_stats(db) == {
             "entries": 1, "hits": 1, "misses": 1, "invalidated": 0,
             "evicted": 0, "templates": 1, "template_hits": 0,
-            "template_misses": 1, "template_invalidated": 0}
+            "template_misses": 1, "template_invalidated": 0,
+            "template_plans": 0}
 
     def test_every_frontend_shares_one_entry(self, db):
         db.sql(ROLLUP)

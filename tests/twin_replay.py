@@ -13,7 +13,9 @@ invisible to the paper's benefit-based policies.
 
 Shared by ``tests/recycler/test_root_hit.py`` and the hypothesis
 property in ``tests/property/`` (``tests/`` is on ``sys.path`` through
-the root ``conftest.py``).  :func:`replay` is the one-database form:
+the root ``conftest.py``).  :class:`TemplateTwins` puts the plan-once
+statement template against its memo-less twin
+(``tests/recycler/test_template_plans.py``).  :func:`replay` is the one-database form:
 ``tests/engine/test_string_kernel_routes.py`` replays a stream under the
 engine's STRING kernels and under their naive references and compares.
 :class:`WireTwins` is the wire case: ``fast`` sits behind a server —
@@ -103,14 +105,17 @@ class Twins:
     def sql(self, text: str):
         """Run ``text`` on both; assert equal rows and query records."""
         fast = self.fast.sql(text)
-        slow = self.slow.execute(
-            sql_to_plan(text, self.slow.catalog.snapshot()))
+        slow = self.slow_sql(text)
         self.statements += 1
         assert table_bytes(fast.table) == table_bytes(slow.table), text
         for name in RECORD_FIELDS:
             assert getattr(fast.record, name) == \
                 getattr(slow.record, name), (name, text)
         return fast
+
+    def slow_sql(self, text: str):
+        return self.slow.execute(
+            sql_to_plan(text, self.slow.catalog.snapshot()))
 
     def apply(self, op: Callable[[Database], object]) -> None:
         """A non-query op (append, DDL, maintain, flush) on both."""
@@ -130,6 +135,47 @@ class Twins:
     def close(self) -> None:
         self.fast.close()
         self.slow.close()
+
+
+def plan_every_text(db: Database) -> None:
+    """Make ``db``'s statement templates keep no plan: every text is
+    then bound from its template but validated, optimized and matched
+    in full, with no memo — how the statement cache planned before
+    templates kept plans."""
+    optimize = db.recycler.optimize
+
+    def every_text(plan, snapshot, ctx=None):
+        planned = optimize(plan, snapshot, ctx)
+        if ctx is not None:
+            ctx.value_dependent = True
+        return planned
+
+    db.recycler.optimize = every_text
+
+
+class TemplateTwins(Twins):
+    """``fast`` plans each statement template once and matches the
+    template's literal-free subtrees from its memo; ``slow`` is its
+    memo-less twin (:func:`plan_every_text`).  Both take the text
+    through ``Database.sql`` — one statement cache, one order of root
+    hits — so besides rows, records and recycler state, the optimizer's
+    counters must agree: the rewrites a template hit counts are the
+    ones a fresh optimize of its text performs."""
+
+    def __init__(self, build: Callable[[], Database]) -> None:
+        super().__init__(build)
+        plan_every_text(self.slow)
+
+    def slow_sql(self, text: str):
+        return self.slow.sql(text)
+
+    def assert_same_state(self) -> None:
+        super().assert_same_state()
+        fast, slow = (db.summary()["optimizer"]
+                      for db in (self.fast, self.slow))
+        for key in ("rewrites", "nodes_matched", "nodes_inserted",
+                    "root_hits"):
+            assert fast[key] == slow[key], key
 
 
 def wire_rows(table) -> list[tuple]:

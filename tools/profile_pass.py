@@ -17,9 +17,14 @@ twice, each time on a fresh database:
    (``PhysicalOperator.next`` calls, ``Batch`` objects built, batches
    per statement), then the statement cache's counters and what its
    template path cost: the literal scan of every text that missed and
-   the substitutions that replaced a lex / parse / bind.  Timed without
-   a profiler because cProfile charges every Python call but no native
-   loop, which inflates exactly these shares;
+   the substitutions that replaced a lex / parse / bind (``bind``) or
+   all of planning (``planned``), then the plan nodes matched from the
+   templates' memos (``memo_nodes``) and the memo entries found stale
+   (``memo_stale``), then the cyclic garbage collector's pauses during
+   the ops (``gc_ms``, its share, and the generation-2 collections'
+   count and pause).  Timed without a profiler because cProfile charges
+   every Python call but no native loop, which inflates exactly these
+   shares;
 2. under cProfile, and prints the top functions.
 
 It also prints the pass's ``ddl_evicted`` (cached results an
@@ -27,8 +32,9 @@ invalidation sweep evicted) and ``extended`` (cached results extended
 over appended rows instead).
 
 Exits non-zero if texts of the op list share a shape (so a template
-could have served one of them) and the pass reports no template hit,
-or if a recycling pass appends and reports no extension: a template or
+could have served one of them) and the pass reports no template hit —
+or, recycling, no plan node matched from a template's memo — or if a
+recycling pass appends and reports no extension: a template, memo or
 extension path that has silently stopped firing fails no test.
 
 With ``--wire`` the op list travels instead: statements through a
@@ -48,6 +54,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import contextlib
+import gc
 import pstats
 import sys
 import threading
@@ -142,21 +149,51 @@ class StringShare(Share):
 class TemplateShare(Share):
     """The statement cache's template path: the literal scan every text
     miss pays, and the substitution a template hit pays in place of
-    lex / parse / bind (both wrapped by the name ``exec_service`` calls
-    them by)."""
+    lex / parse / bind (``bind``) or of all of planning (``planned``),
+    each wrapped by the name ``exec_service`` calls it by."""
 
     @contextlib.contextmanager
     def installed(self):
-        saved = (exec_service.scan_literals,
-                 exec_service.StatementTemplate.bind)
+        template = exec_service.StatementTemplate
+        saved = (exec_service.scan_literals, template.bind,
+                 template.planned)
         exec_service.scan_literals = self.timed("scan_literals", saved[0])
-        exec_service.StatementTemplate.bind = self.timed(
-            "StatementTemplate.bind", saved[1])
+        template.bind = self.timed("StatementTemplate.bind", saved[1])
+        template.planned = self.timed("StatementTemplate.planned",
+                                      saved[2])
         try:
             yield
         finally:
-            (exec_service.scan_literals,
-             exec_service.StatementTemplate.bind) = saved
+            (exec_service.scan_literals, template.bind,
+             template.planned) = saved
+
+
+class GcPauses:
+    """The cyclic garbage collector's pauses, from ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.gen2 = 0
+        self.gen2_seconds = 0.0
+        self._started = 0.0
+
+    def _callback(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        elapsed = time.perf_counter() - self._started
+        self.seconds += elapsed
+        if info["generation"] == 2:
+            self.gen2 += 1
+            self.gen2_seconds += elapsed
+
+    @contextlib.contextmanager
+    def installed(self):
+        gc.callbacks.append(self._callback)
+        try:
+            yield
+        finally:
+            gc.callbacks.remove(self._callback)
 
 
 class BatchFloor:
@@ -196,19 +233,21 @@ class BatchFloor:
              Batch._aligned) = saved
 
 
-def replay(workload, ops, seed: int, size: float, mode: str
-           ) -> tuple[float, dict]:
-    """Set up as the benchmark does, replay ``ops`` once; seconds the
-    ops took (set-up and priming excluded) and ``Database.summary()``
-    at the end (priming included)."""
+def replay(workload, ops, seed: int, size: float, mode: str,
+           around_ops=contextlib.nullcontext) -> tuple[float, dict]:
+    """Set up as the benchmark does, replay ``ops`` once (inside the
+    context ``around_ops()``); seconds the ops took (set-up and priming
+    excluded) and ``Database.summary()`` at the end (priming
+    included)."""
     db = workload.build(seed, size, mode)
     try:
         for statement in workload.priming(ops):
             db.sql(statement)
-        started = time.perf_counter()
-        for op in ops:
-            execute_op(db, op, seed)
-        seconds = time.perf_counter() - started
+        with around_ops():
+            started = time.perf_counter()
+            for op in ops:
+                execute_op(db, op, seed)
+            seconds = time.perf_counter() - started
         return seconds, db.summary()
     finally:
         db.close()
@@ -291,9 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     share = StringShare()
     floor = BatchFloor()
     templates = TemplateShare()
+    pauses = GcPauses()
     with share.installed(), floor.installed(), templates.installed():
         seconds, summary = replay(workload, ops, args.seed, args.size,
-                                  args.mode)
+                                  args.mode, around_ops=pauses.installed)
     statement_cache = summary["service"]["statement_cache"]
     print(f"# pass: {seconds * 1e3:.1f} ms unprofiled")
     share.report("string", seconds)
@@ -306,6 +346,13 @@ def main(argv: list[str] | None = None) -> int:
     templates.report("template", seconds)
     for name, value in statement_cache.items():
         print(f"statement_cache.{name} {value}")
+    optimizer = summary["optimizer"]
+    print(f"memo_nodes {optimizer['memo_nodes']}")
+    print(f"memo_stale {optimizer['memo_stale']}")
+    print(f"gc_ms {pauses.seconds * 1e3:.1f}")
+    print(f"gc_share {pauses.seconds / seconds:.4f}")
+    print(f"gc_gen2 {pauses.gen2}")
+    print(f"gc_gen2_ms {pauses.gen2_seconds * 1e3:.1f}")
     shapes = {scan_literals(text)[0] for text in texts}
     print(f"distinct_texts {len(texts)}")
     print(f"distinct_shapes {len(shapes)}")
@@ -315,6 +362,11 @@ def main(argv: list[str] | None = None) -> int:
     if len(shapes) < len(texts) and not statement_cache["template_hits"]:
         print("error: texts share shapes but no statement template was"
               " hit", file=sys.stderr)
+        return 1
+    if args.mode != "off" and len(shapes) < len(texts) and \
+            not optimizer["memo_nodes"]:
+        print("error: texts share shapes but no plan node was matched"
+              " from a statement template's memo", file=sys.stderr)
         return 1
     if args.mode != "off" and not catalog["entries_extended"] and \
             any(op.kind == APPEND for op in ops):
