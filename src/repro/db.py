@@ -226,7 +226,8 @@ class Database:
     # ------------------------------------------------------------------
     # sessions & concurrency
     # ------------------------------------------------------------------
-    def connect(self, executor: object | None = None) -> Session:
+    def connect(self, executor: object | None = None,
+                frontend: str = "session") -> Session:
         """Open a new session (one logical connection).
 
         Sessions share this database's recycler: results one session
@@ -238,11 +239,15 @@ class Database:
         :meth:`shard_runtime`): the session's cold queries then execute
         in worker processes; warm queries and queries the runtime
         cannot serve run in-process as usual.
+
+        ``frontend`` names the caller in
+        ``summary()["service"]["frontends"]`` (the DB-API and the
+        servers open one session per connection under their own name).
         """
         with self._session_lock:
             self._session_counter += 1
             return Session(self, self._session_counter,
-                           executor=executor)
+                           executor=executor, frontend=frontend)
 
     def pool(self, workers: int, mode: str = "threads") -> SessionPool:
         """A pool of ``workers`` concurrent sessions.

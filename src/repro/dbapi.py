@@ -1,9 +1,10 @@
-"""PEP 249 (DB-API 2.0) interface over the execution service.
+"""PEP 249 (DB-API 2.0) interface over :class:`~repro.session.Session`.
 
 The standard Python database adapter shape — ``connect()`` /
-:class:`Connection` / :class:`Cursor` — built **only** on the
-transport-agnostic :class:`~repro.exec_service.ExecutionService`; no
-recycler internals leak through.  Connections opened against one shared
+:class:`Connection` / :class:`Cursor` — as a thin skin over one
+:class:`~repro.session.Session` per connection, which mints producer
+tokens, bounds and cancels the queries; no recycler internals leak
+through.  Connections opened against one shared
 :class:`~repro.db.Database` share its recycler: a result one
 connection's query materializes is reused by every other connection
 (and by sessions, the server, and the facade).
@@ -30,9 +31,9 @@ has no NULL literal, so ``None`` parameters raise
 :class:`ProgrammingError`.
 
 Threading: ``threadsafety == 2`` — the module and connections may be
-shared across threads (every query funnels into the fully thread-safe
-service); a single :class:`Cursor` is single-threaded, like the
-:class:`~repro.session.Session` it mirrors.
+shared across threads (a :class:`~repro.session.Session` lets several
+threads run queries at once); a single :class:`Cursor` is
+single-threaded.
 
 Exceptions follow the PEP 249 hierarchy (:class:`Error`,
 :class:`InterfaceError`, :class:`DatabaseError`, ...), each carrying the
@@ -44,19 +45,17 @@ from __future__ import annotations
 import datetime
 import itertools
 import math
-import threading
 from typing import Iterable, Sequence
 
 from .columnar.types import DataType
 from .db import Database
-from .engine.cancellation import CancellationToken
 from .errors import (CatalogError, ExpressionError, PlanError, QueryAborted,
                      RecyclerError, ReproError, SchemaError, SqlError,
                      TypeError_)
 
 apilevel = "2.0"
-#: threads may share the module and connections (the service layer is
-#: fully thread-safe); cursors are single-threaded.
+#: threads may share the module and connections (a session runs
+#: queries from several threads at once); cursors are single-threaded.
 threadsafety = 2
 paramstyle = "qmark"
 
@@ -234,9 +233,6 @@ def _substitute(operation: str, parameters: Sequence) -> str:
 # ----------------------------------------------------------------------
 # connections & cursors
 # ----------------------------------------------------------------------
-_connection_ids = itertools.count(1)
-
-
 def connect(database: Database | None = None, *,
             timeout: float | None = None, **db_kwargs) -> "Connection":
     """Open a DB-API connection.
@@ -281,26 +277,16 @@ class Connection:
         #: the underlying :class:`~repro.db.Database` — schema
         #: management (``register_table`` etc.) stays on it.
         self.database = database
-        self._service = database.service
         self._owns_database = owns_database
         self.default_timeout = default_timeout
-        self.connection_id = next(_connection_ids)
-        self._seq = 0
-        self._seq_lock = threading.Lock()
-        self._closed = False
+        #: every cursor's queries are issued through this one session
+        self._session = database.connect(frontend="dbapi")
+        self.connection_id = self._session.session_id
 
     # -- internal ------------------------------------------------------
     def _check_open(self) -> None:
-        if self._closed:
+        if self._session.closed:
             raise InterfaceError("connection is closed")
-
-    def _next_token(self) -> tuple:
-        """Producer token for one query — unique per connection and
-        statement, so in-flight sharing and cancel bookkeeping treat
-        DB-API queries exactly like session queries."""
-        with self._seq_lock:
-            self._seq += 1
-            return ("dbapi", self.connection_id, self._seq)
 
     # -- PEP 249 -------------------------------------------------------
     def cursor(self) -> "Cursor":
@@ -319,15 +305,15 @@ class Connection:
         """Close the connection (idempotent).  A private database
         created by :func:`connect` is closed too; a shared one is left
         running for its other frontends."""
-        if self._closed:
+        if self._session.closed:
             return
-        self._closed = True
+        self._session.close()
         if self._owns_database:
             self.database.close()
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self._session.closed
 
     def __enter__(self) -> "Connection":
         return self
@@ -336,7 +322,7 @@ class Connection:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
+        state = "closed" if self.closed else "open"
         return f"Connection#{self.connection_id}({state})"
 
 
@@ -374,12 +360,9 @@ class Cursor:
     def _run(self, sql: str, timeout: float | None) -> None:
         if timeout is None:
             timeout = self.connection.default_timeout
-        token = CancellationToken.from_limits(timeout=timeout)
         try:
-            result = self.connection._service.execute(
-                sql, frontend="dbapi", label=sql,
-                producer_token=self.connection._next_token(),
-                block_on_inflight=True, cancel_token=token)
+            result = self.connection._session.run(sql, label=sql,
+                                                  timeout=timeout)
         except ReproError as exc:
             raise _map_error(exc) from exc
         table = result.table
@@ -391,16 +374,11 @@ class Cursor:
             (name, dtype, None, None, None, None, None)
             for name, dtype in zip(table.schema.names,
                                    table.schema.types)]
-        record = result.record
-        if record is not None:
-            stats = self.statistics
-            stats["queries"] += 1
-            stats["num_reused"] += record.num_reused
-            stats["num_materialized"] += record.num_materialized
-            stats["num_matched"] += record.num_matched
-            stats["num_inserted"] += record.num_inserted
-            stats["total_cost"] += record.total_cost
-            stats["stall_seconds"] += record.stall_seconds
+        stats = self.statistics
+        stats["queries"] += 1
+        for key in ("num_reused", "num_materialized", "num_matched",
+                    "num_inserted", "total_cost", "stall_seconds"):
+            stats[key] += getattr(result.record, key)
 
     # -- PEP 249: execution --------------------------------------------
     def execute(self, operation: str, parameters: Sequence | None = None,

@@ -1,8 +1,9 @@
 """The transport-agnostic execution core.
 
-Every frontend — the :class:`~repro.db.Database` facade, sessions and
-session pools, the PEP 249 DB-API (:mod:`repro.dbapi`), and the TCP
-server (:mod:`repro.server`) — funnels queries through one
+Every frontend — the :class:`~repro.db.Database` facade and the
+:class:`~repro.session.Session` that session pools, the PEP 249 DB-API
+(:mod:`repro.dbapi`) and both servers (:mod:`repro.server`) issue
+their queries through — funnels queries through one
 :class:`ExecutionService`.  The service owns the **single** canonical
 pipeline:
 
@@ -19,13 +20,6 @@ pipeline:
 4. ``Recycler.prepare`` → remote-or-local execution → ``finalize``
    (with ``abandon`` unwinding on any failure);
 5. account the outcome into per-frontend statistics.
-
-Historically that pipeline existed four times — ``Database.sql`` /
-``Database.execute``, ``Session.execute``, ``SessionPool.submit``, and
-the shard-pool parent path inside ``Recycler.execute`` — with subtly
-different timeout and snapshot handling.  All four are now thin callers
-of :meth:`ExecutionService.execute`; ``grep prepare(`` finds exactly one
-execution pipeline in the tree (this module).
 
 Concurrency: the service adds no locking of its own around execution —
 the recycler is fully thread-safe — and keeps its per-frontend counters
@@ -451,9 +445,9 @@ class ExecutionService:
         earlier wins; past either the query aborts with
         :class:`~repro.errors.QueryTimeout` within one batch boundary.
         A caller that needs the token for cross-thread cancellation
-        (sessions, the server) builds it with
-        :meth:`CancellationToken.from_limits` and passes
-        ``cancel_token`` instead.
+        passes ``cancel_token`` instead: a
+        :class:`~repro.session.Session`, through which the DB-API and
+        both servers issue their queries, builds one per query.
 
         SQL text goes through the statement cache (:meth:`statement`):
         a repeat whose tables and functions still have the schemas it
@@ -601,14 +595,9 @@ class ExecutionService:
             stats = self._frontend(frontend)
             setattr(stats, kind, getattr(stats, kind) + 1)
 
-    def account_stream(self, frontend: str, *, chunks: int,
-                       rows: int) -> None:
+    def account_stream(self, frontend: str, *, chunks: int) -> None:
         """Record one completed streamed reply (TCP / HTTP
-        chunked responses) against the frontend's counters.  ``rows``
-        is unused today — the row total was already accounted by
-        :meth:`_account` when the query executed — but keeps the
-        call-site honest about what a stream shipped."""
-        del rows
+        chunked responses) against the frontend's counters."""
         with self._stats_lock:
             stats = self._frontend(frontend)
             stats.streams += 1

@@ -20,13 +20,20 @@ everything that must behave identically whichever port a client picks:
   (``ExecutionService.execute(warm_only=True)``: O(1) in the data, no
   waiting) is executed by the event loop itself, under the admission
   slot it holds; everything else goes to the worker pool;
+* **one query-issuing path** — each connection owns a
+  :class:`~repro.session.Session`, and both frontends issue every query
+  through :meth:`ServingBase._execute`, which begins it on that session
+  (producer token, cancellation token from the request's ``timeout``
+  and the connection's deadline), runs it and streams the reply;
 * **disconnect-aware execution** — while a query executes on the
   worker pool, the event loop watches the connection for EOF (no
   frontend allows pipelining, so any inbound byte mid-query is a
-  protocol violation); a vanished client cancels the query's
-  :class:`~repro.engine.cancellation.CancellationToken`, the producer
-  aborts at its next batch boundary, and the recycler's abandon path
-  guarantees no cache entry is published for it;
+  protocol violation); a vanished client — or drain running out of
+  time — cancels the connection's session
+  (:meth:`~repro.session.Session.cancel`): the producer aborts at its
+  next batch boundary, a query stalled on another's in-flight result
+  wakes at once, and the recycler's abandon path guarantees no cache
+  entry is published for it;
 * **streaming** — one driver turns a materialized result into a
   ``result_header`` / ``result_chunk``* / ``result_end`` sequence:
   chunks are serialized on the worker pool (the first by the thread
@@ -38,9 +45,9 @@ everything that must behave identically whichever port a client picks:
 * **request validation** — client-supplied durations (``timeout``,
   ``deadline``) are checked once, here, and refused typed.
 
-Subclasses implement ``_handle_connection`` (their wire format) and set
-``frontend`` (the :class:`~repro.exec_service.ExecutionService`
-statistics label).
+Subclasses implement ``_handle_connection``, ``_reply_error`` and
+``_framing`` (their wire format) and set ``frontend`` (the
+:class:`~repro.exec_service.ExecutionService` statistics label).
 """
 
 from __future__ import annotations
@@ -51,12 +58,12 @@ import gc
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..columnar.types import STRING
-from ..engine.cancellation import CancellationToken
-from ..errors import (QueryCancelled, QueryTimeout, ServerOverloaded,
-                      ServerUnavailable)
+from ..errors import (QueryCancelled, QueryTimeout, ReproError,
+                      ServerOverloaded, ServerUnavailable)
 from .protocol import (DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_ROWS,
                        ProtocolError, encode_json, encode_result_chunk,
                        error_payload, iter_columnar_chunks,
@@ -65,6 +72,7 @@ from .protocol import (DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_ROWS,
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..db import Database
+    from ..session import Session
 
 
 #: the largest result, in payload bytes (``Table.nbytes()``), whose
@@ -86,18 +94,15 @@ class ClientDisconnected(Exception):
 class Connection:
     """Per-connection state, touched by the event loop only."""
 
-    __slots__ = ("writer", "tokens", "_seq")
+    __slots__ = ("writer", "session", "tenant")
 
-    def __init__(self, writer) -> None:
+    def __init__(self, writer, session: "Session") -> None:
         self.writer = writer
-        #: CancellationTokens of queries currently executing (cancelled
-        #: when the connection goes away).
-        self.tokens: set[CancellationToken] = set()
-        self._seq = 0
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+        #: every query on the connection is issued, bounded and
+        #: cancelled through this session
+        self.session = session
+        #: default tenant of its queries (a TCP ``configure`` sets it)
+        self.tenant: str | None = None
 
 
 def query_stats_payload(record) -> dict | None:
@@ -234,7 +239,7 @@ class ServingBase:
         except asyncio.TimeoutError:
             pass
         for connection in list(self._connections):
-            self._cancel_connection(connection)
+            connection.session.cancel()
             connection.writer.close()
         # close() only *schedules* connection_lost; if the loop exits
         # first, the accepted fd outlives it inside this process and a
@@ -261,7 +266,8 @@ class ServingBase:
             self._connections.discard(connection)
             # client gone: abort whatever it still has executing, so a
             # dropped connection never pins an execution slot
-            self._cancel_connection(connection)
+            connection.session.cancel()
+            connection.session.close()
             writer.close()
 
     def stop(self) -> None:
@@ -296,16 +302,22 @@ class ServingBase:
     # what subclasses provide
     # ------------------------------------------------------------------
     def _make_connection(self, writer) -> Connection:
-        return Connection(writer)
+        return Connection(writer, self.db.connect(frontend=self.frontend))
 
     async def _handle_connection(self, connection, reader,
                                  writer) -> None:
         """The wire format: read requests, dispatch, write replies."""
         raise NotImplementedError
 
-    def _cancel_connection(self, connection) -> None:
-        for token in list(connection.tokens):
-            token.cancel()
+    async def _reply_error(self, writer, exc: BaseException) -> bool:
+        """Answer a query with ``exc`` before its stream started;
+        returns False when the connection should drop."""
+        raise NotImplementedError
+
+    def _framing(self, columnar: bool) -> tuple:
+        """``(frame, head, tail)`` of a streamed reply (see
+        :meth:`_stream_result`)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # observability
@@ -384,6 +396,48 @@ class ServingBase:
         return float(value)
 
     # ------------------------------------------------------------------
+    # the one query-issuing path
+    # ------------------------------------------------------------------
+    async def _execute(self, connection: Connection, sql: str, *,
+                       label: str, timeout: float | None, tenant,
+                       columnar: bool, reader, writer) -> bool:
+        """Issue ``sql`` on the connection's session, under the
+        admission slot the caller holds, and stream the reply; returns
+        False when the connection should drop.
+
+        The query is registered with the session from before its warm
+        attempt until its trailer is written, so one producer token and
+        one cancellation token cover the warm attempt, the pool
+        fall-through and the stream, and a cancel of the session
+        (disconnect, drain) reaches it in every phase."""
+        with connection.session.begin(timeout=timeout) as query:
+            call = partial(query.execute, sql, label=label,
+                           tenant=None if tenant is None else str(tenant))
+            try:
+                result, chunks, first = await self._run_query(
+                    query, call, reader=reader, columnar=columnar)
+            except ClientDisconnected:
+                return False
+            except ReproError as exc:
+                self._count_query_error(exc)
+                return await self._reply_error(writer, exc)
+            except RuntimeError as exc:
+                # pool shut down mid-drain: the query never started
+                self._count("rejected")
+                return await self._reply_error(
+                    writer, ServerUnavailable(str(exc)))
+            self._count("served")
+            try:
+                await self._stream_result(query, result, chunks, first,
+                                          writer=writer, columnar=columnar)
+            except (ConnectionError, RuntimeError):
+                # client gone mid-stream: stop producing chunks
+                self._count("stream_aborted")
+                query.cancel()
+                return False
+            return True
+
+    # ------------------------------------------------------------------
     # disconnect-aware execution
     # ------------------------------------------------------------------
     def _chunks(self, table, *, columnar: bool, stream_id: int):
@@ -397,9 +451,8 @@ class ServingBase:
                     table, chunk_rows=self.chunk_rows,
                     chunk_bytes=self.chunk_bytes)))
 
-    async def _run_query(self, call, *, token, reader, columnar: bool,
-                         stream_id: int):
-        """Run the service ``call`` and return ``(result, chunks,
+    async def _run_query(self, query, call, *, reader, columnar: bool):
+        """Run ``query`` through ``call`` and return ``(result, chunks,
         first)``: ``first`` is the result's first encoded chunk (None
         for an empty result), ``chunks`` yields the rest.
 
@@ -416,11 +469,14 @@ class ServingBase:
         reply needs no second trip to the pool.  Meanwhile the event
         loop watches the connection (no frontend allows pipelining):
         any inbound event while the query runs means the client hung
-        up (EOF) or broke protocol, so the query's token is cancelled,
-        the producer unwinds through the recycler's abandon path (no
-        cache publish), and :class:`ClientDisconnected` tells the
-        handler to drop the connection.
+        up (EOF) or broke protocol, so the query's session is
+        cancelled — the query wakes if it is stalled on another's
+        in-flight result, the producer unwinds through the recycler's
+        abandon path (no cache publish) — and
+        :class:`ClientDisconnected` tells the handler to drop the
+        connection.
         """
+        stream_id = query.seq
         result = call(warm_only=True)
         if result is not None:
             self._count("inline")
@@ -450,7 +506,7 @@ class ServingBase:
             if future.done():
                 return future.result()
             # the client vanished mid-execution: stop the producer
-            token.cancel()
+            query.session.cancel()
             try:
                 await future
             except Exception:
@@ -474,14 +530,13 @@ class ServingBase:
     # ------------------------------------------------------------------
     # streaming
     # ------------------------------------------------------------------
-    async def _stream_result(self, result, chunks, first, *, token,
-                             writer, frame, stream_id: int,
-                             head: bytes = b"", tail: bytes = b"") -> None:
+    async def _stream_result(self, query, result, chunks, first, *,
+                             writer, columnar: bool) -> None:
         """Drive one streamed reply: ``result_header``, bounded
         ``result_chunk`` frames, ``result_end`` (or an ``error``
-        trailer if the token cancels mid-stream).
+        trailer if the query's token cancels mid-stream).
 
-        ``frame`` wraps one payload for the transport (length prefix on
+        :meth:`_framing`'s ``frame`` wraps one payload for the transport (length prefix on
         TCP, an HTTP chunk around a frame or an NDJSON line on HTTP);
         ``head`` and ``tail`` are the transport's own bytes before the
         first and after the last frame.  Whatever is ready goes out in
@@ -495,6 +550,8 @@ class ServingBase:
         one encoded chunk exists at a time.  A ConnectionError from
         the writer propagates to the caller (client gone mid-stream).
         """
+        token, stream_id = query.cancel_token, query.seq
+        frame, head, tail = self._framing(columnar)
         table = result.table
         out = [head, frame(encode_json(result_header_payload(
             stream_id, table, query_stats_payload(result.record))))]
@@ -529,5 +586,4 @@ class ServingBase:
             return
         self._count("streams")
         self._count("stream_chunks", sent_chunks)
-        self.service.account_stream(self.frontend, chunks=sent_chunks,
-                                    rows=sent_rows)
+        self.service.account_stream(self.frontend, chunks=sent_chunks)

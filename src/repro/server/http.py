@@ -32,10 +32,12 @@ HTTP/1.1 for the three endpoints:
     ``Database.summary()`` as JSON: recycler cache/graph state plus the
     per-frontend service counters (queries, reuse, streams).
 
-Disconnect behaviour matches the TCP path: while a query executes,
-the loop watches the connection; a vanished client cancels the
-producer's token at the next batch boundary and nothing is published
-to the cache.  Pipelining is not supported (send one request per
+Disconnect behaviour matches the TCP path (both issue queries through
+``ServingBase._execute`` on the connection's
+:class:`~repro.session.Session`): while a query executes, the loop
+watches the connection; a vanished client cancels the session, the
+producer stops at the next batch boundary and nothing is published to
+the cache.  Pipelining is not supported (send one request per
 connection at a time, as every mainstream HTTP client does).
 """
 
@@ -43,12 +45,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from functools import partial
 
-from ..engine.cancellation import CancellationToken
 from ..errors import (QueryTimeout, ReproError, ServerError,
                       ServerOverloaded, ServerUnavailable)
-from .base import ClientDisconnected, Connection, ServingBase
+from .base import Connection, ServingBase
 from .client import ClientResult, StreamingResult, read_reply_frame
 from .protocol import (FRAMES_MEDIA_TYPE, MAX_FRAME_BYTES, ProtocolError,
                        encode_json, encode_raw_frame, error_payload,
@@ -242,60 +242,24 @@ class HttpServer(ServingBase):
             return await self._respond(writer, _status_for(rejected),
                                        error_payload(rejected))
         async with self._slot():
-            return await self._execute(connection, request, sql, timeout,
-                                       columnar, reader, writer)
+            return await self._execute(
+                connection, sql, label=str(request.get("label", "")),
+                timeout=timeout, tenant=request.get("tenant"),
+                columnar=columnar, reader=reader, writer=writer)
 
-    async def _execute(self, connection: Connection, request: dict,
-                       sql: str, timeout: float | None, columnar: bool,
-                       reader, writer) -> bool:
-        token = CancellationToken(timeout=timeout)
-        tenant = request.get("tenant")
-        connection.tokens.add(token)
-        try:
-            call = partial(
-                self.service.execute, sql, frontend=self.frontend,
-                label=str(request.get("label", "")),
-                producer_token=(self.frontend, id(connection),
-                                connection.next_seq()),
-                block_on_inflight=True, cancel_token=token,
-                tenant=None if tenant is None else str(tenant))
-            stream_id = connection.next_seq()
-            try:
-                result, chunks, first = await self._run_query(
-                    call, token=token, reader=reader, columnar=columnar,
-                    stream_id=stream_id)
-            except ClientDisconnected:
-                return False
-            except ReproError as exc:
-                self._count_query_error(exc)
-                return await self._respond(writer, _status_for(exc),
-                                           error_payload(exc))
-            except RuntimeError as exc:
-                # pool shut down mid-drain: the query never started
-                self._count("rejected")
-                return await self._respond(
-                    writer, 503,
-                    error_payload(ServerUnavailable(str(exc))))
-            self._count("served")
-            media_type = FRAMES_MEDIA_TYPE if columnar \
-                else "application/x-ndjson"
-            head = (f"HTTP/1.1 200 OK\r\n"
-                    f"Content-Type: {media_type}\r\n"
-                    f"Transfer-Encoding: chunked\r\n"
-                    f"\r\n").encode("latin-1")
-            try:
-                await self._stream_result(
-                    result, chunks, first, token=token, writer=writer,
-                    frame=_frame_chunk if columnar else _ndjson_chunk,
-                    stream_id=stream_id, head=head, tail=b"0\r\n\r\n")
-            except (ConnectionError, RuntimeError):
-                # client gone mid-stream: stop producing chunks
-                self._count("stream_aborted")
-                token.cancel()
-                return False
-            return True
-        finally:
-            connection.tokens.discard(token)
+    async def _reply_error(self, writer, exc: BaseException) -> bool:
+        return await self._respond(writer, _status_for(exc),
+                                   error_payload(exc))
+
+    def _framing(self, columnar: bool) -> tuple:
+        media_type = FRAMES_MEDIA_TYPE if columnar \
+            else "application/x-ndjson"
+        head = (f"HTTP/1.1 200 OK\r\n"
+                f"Content-Type: {media_type}\r\n"
+                f"Transfer-Encoding: chunked\r\n"
+                f"\r\n").encode("latin-1")
+        return (_frame_chunk if columnar else _ndjson_chunk), head, \
+            b"0\r\n\r\n"
 
 
 def _http_chunk(data: bytes) -> bytes:

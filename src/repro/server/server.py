@@ -26,14 +26,16 @@ buffers unboundedly and never hangs, so an overloaded server stays
 responsive (rejects cost microseconds).  During drain, new queries get
 :class:`~repro.errors.ServerUnavailable`.
 
-**Deadlines.**  A per-request ``timeout`` and a per-connection deadline
-(``configure`` op, seconds of budget for everything that follows) map
-onto one :class:`~repro.engine.cancellation.CancellationToken` — the
-earlier bound wins, exactly the session semantics.  Client disconnect
-cancels the connection's in-flight queries the same way — the
-disconnect is noticed *while* the query executes (the loop watches the
-socket), so an abandoned query stops at its next batch boundary and
-publishes nothing.
+**Deadlines.**  Each connection owns a :class:`~repro.session.Session`
+that every query is issued through.  A per-request ``timeout`` and a
+per-connection deadline (``configure`` op, seconds of budget for
+everything that follows: the session's ``deadline``) map onto one
+:class:`~repro.engine.cancellation.CancellationToken` — the earlier
+bound wins, exactly the session semantics.  Client disconnect cancels
+the session's in-flight queries — the disconnect is noticed *while*
+the query executes (the loop watches the socket), so an abandoned
+query stops at its next batch boundary (or wakes, if it is stalled on
+another query's in-flight result) and publishes nothing.
 
 **Tenancy.**  A connection may declare a tenant (per query or via
 ``configure``); the recycler charges whatever those queries materialize
@@ -49,11 +51,9 @@ zero.
 from __future__ import annotations
 
 import asyncio
-from functools import partial
+import time
 
-from ..engine.cancellation import CancellationToken
-from ..errors import ReproError, ServerUnavailable
-from .base import ClientDisconnected, Connection, ServingBase
+from .base import Connection, ServingBase
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError,
                        encode_frame, encode_raw_frame, error_payload,
                        read_frame_async)
@@ -67,10 +67,7 @@ class ReproServer(ServingBase):
     # ------------------------------------------------------------------
     # connection handling (event-loop thread)
     # ------------------------------------------------------------------
-    def _make_connection(self, writer) -> "_Connection":
-        return _Connection(writer)
-
-    async def _handle_connection(self, connection: "_Connection",
+    async def _handle_connection(self, connection: Connection,
                                  reader, writer) -> None:
         while True:
             try:
@@ -92,7 +89,7 @@ class ReproServer(ServingBase):
         except (ConnectionError, RuntimeError):
             return False
 
-    async def _dispatch(self, connection: "_Connection", request: dict,
+    async def _dispatch(self, connection: Connection, request: dict,
                         reader, writer) -> bool:
         """Handle one request; returns False to drop the connection."""
         op = request.get("op")
@@ -129,19 +126,18 @@ class ReproServer(ServingBase):
                 "chunk_bytes": self.chunk_bytes,
                 "max_frame_bytes": MAX_FRAME_BYTES}
 
-    def _handle_configure(self, connection: "_Connection",
+    def _handle_configure(self, connection: Connection,
                           request: dict) -> dict:
         """Per-connection settings: ``deadline`` (seconds of budget for
-        everything that follows on this connection, mapped onto every
-        query's CancellationToken) and ``tenant`` (default tenant for
-        subsequent queries)."""
+        everything that follows on this connection: the session's
+        deadline, which every query's CancellationToken inherits) and
+        ``tenant`` (default tenant for subsequent queries)."""
         try:
             deadline = self._seconds(request.get("deadline"), "deadline")
         except ProtocolError as exc:
             return error_payload(exc)
         if deadline is not None:
-            connection.deadline = CancellationToken(
-                timeout=deadline).deadline
+            connection.session.deadline = time.monotonic() + deadline
         if "tenant" in request:
             tenant = request.get("tenant")
             connection.tenant = None if tenant is None else str(tenant)
@@ -150,7 +146,7 @@ class ReproServer(ServingBase):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    async def _handle_query(self, connection: "_Connection",
+    async def _handle_query(self, connection: Connection,
                             request: dict, reader, writer) -> bool:
         # Admission control: a free slot admits immediately; a full
         # server with queue headroom waits; beyond that, typed reject.
@@ -159,69 +155,24 @@ class ReproServer(ServingBase):
             self._count("rejected")
             return await self._send(writer, error_payload(rejected))
         async with self._slot():
-            return await self._execute(connection, request, reader,
-                                       writer)
-
-    async def _execute(self, connection: "_Connection", request: dict,
-                       reader, writer) -> bool:
-        sql = request.get("sql")
-        try:
-            if not isinstance(sql, str):
-                raise ProtocolError("query needs 'sql' text")
-            timeout = self._seconds(
-                request.get("timeout", self.default_timeout), "timeout")
-        except ProtocolError as exc:
-            return await self._send(writer, error_payload(exc))
-        token = CancellationToken(timeout=timeout,
-                                  deadline=connection.deadline)
-        tenant = request.get("tenant", connection.tenant)
-        connection.tokens.add(token)
-        try:
-            call = partial(
-                self.service.execute, sql, frontend=self.frontend,
-                label=str(request.get("label", "")),
-                producer_token=(self.frontend, id(connection),
-                                connection.next_seq()),
-                block_on_inflight=True, cancel_token=token,
-                tenant=None if tenant is None else str(tenant))
-            stream_id = connection.next_seq()
+            sql = request.get("sql")
             try:
-                result, chunks, first = await self._run_query(
-                    call, token=token, reader=reader, columnar=True,
-                    stream_id=stream_id)
-            except ClientDisconnected:
-                return False
-            except ReproError as exc:
-                self._count_query_error(exc)
+                if not isinstance(sql, str):
+                    raise ProtocolError("query needs 'sql' text")
+                timeout = self._seconds(
+                    request.get("timeout", self.default_timeout),
+                    "timeout")
+            except ProtocolError as exc:
                 return await self._send(writer, error_payload(exc))
-            except RuntimeError as exc:
-                # pool shut down mid-drain: the query never started
-                self._count("rejected")
-                return await self._send(
-                    writer, error_payload(ServerUnavailable(str(exc))))
-            self._count("served")
-            try:
-                await self._stream_result(
-                    result, chunks, first, token=token, writer=writer,
-                    frame=encode_raw_frame, stream_id=stream_id)
-            except (ConnectionError, RuntimeError):
-                # client gone mid-stream: stop producing chunks
-                self._count("stream_aborted")
-                token.cancel()
-                return False
-            return True
-        finally:
-            connection.tokens.discard(token)
+            return await self._execute(
+                connection, sql, label=str(request.get("label", "")),
+                timeout=timeout,
+                tenant=request.get("tenant", connection.tenant),
+                columnar=True, reader=reader, writer=writer)
 
+    async def _reply_error(self, writer, exc: BaseException) -> bool:
+        return await self._send(writer, error_payload(exc))
 
-class _Connection(Connection):
-    """A TCP connection also carries what ``configure`` set."""
+    def _framing(self, columnar: bool) -> tuple:
+        return encode_raw_frame, b"", b""
 
-    __slots__ = ("deadline", "tenant")
-
-    def __init__(self, writer) -> None:
-        super().__init__(writer)
-        #: absolute monotonic deadline every query inherits (configure).
-        self.deadline: float | None = None
-        #: default tenant for queries on this connection.
-        self.tenant: str | None = None

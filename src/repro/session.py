@@ -14,12 +14,13 @@ real-threads counterpart of that setup:
 
 Cancellation and deadlines: every query additionally carries a
 :class:`~repro.engine.cancellation.CancellationToken`.
-:meth:`Session.cancel` (any thread) trips it, and
-``execute(deadline=...)`` / ``sql(timeout=...)`` arm it with a
-monotonic deadline; the executing query then aborts *mid-execution*,
-within one batch boundary, raising
+:meth:`Session.cancel` (any thread) trips it *and* retires the query's
+producer token in the recycler, and ``execute(deadline=...)`` /
+``sql(timeout=...)`` arm it with a monotonic deadline; the executing
+query then aborts *mid-execution*, within one batch boundary, raising
 :class:`~repro.errors.QueryCancelled` or
-:class:`~repro.errors.QueryTimeout` — it does not run to completion.
+:class:`~repro.errors.QueryTimeout` — it does not run to completion,
+and a query stalled on another's in-flight result wakes at once.
 Aborted queries leave no recycler side effects (no cache entry, no
 stale in-flight registration; stalled consumers are woken).
 
@@ -35,17 +36,20 @@ Usage::
         results = pool.run(["SELECT ...", "SELECT ..."])
     print(db.summary())                    # merged recycler view
 
-A :class:`Session` is *not* itself thread-safe: it models one
-connection, so one thread uses it at a time (exactly like a DB-API
-connection).  All cross-session coordination happens inside the
-recycler, which is fully thread-safe.
+The DB-API (:mod:`repro.dbapi`) and both servers (:mod:`repro.server`)
+own one session per connection and issue every query through it, so
+query identity and cancellation follow one rule.  Threads may share a
+session (DB-API ``threadsafety == 2``): each call issues its own query
+with its own tokens.  All cross-session coordination happens inside
+the recycler, which is fully thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Iterable, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .engine.cancellation import CancellationToken
 from .engine.executor import QueryResult
@@ -58,39 +62,89 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class SessionError(ReproError):
-    """A session was used after close, or from the wrong thread."""
+    """A session was used after close."""
+
+
+class SessionQuery:
+    """One query issued on a :class:`Session` (:meth:`Session.begin`):
+    its producer token and its cancellation token."""
+
+    __slots__ = ("session", "seq", "token", "cancel_token")
+
+    def __init__(self, session: "Session", seq: int,
+                 cancel_token: CancellationToken) -> None:
+        self.session = session
+        #: the query's number on its session (a server's stream id)
+        self.seq = seq
+        #: the producer token the recycler files the query's in-flight
+        #: registrations under, unique across the database's frontends
+        self.token = (session.frontend, session.session_id, seq)
+        self.cancel_token = cancel_token
+
+    def execute(self, query: str | PlanNode, *, label: str = "",
+                snapshot=None, tenant: str | None = None,
+                warm_only: bool = False) -> QueryResult | None:
+        """Run the query through the shared
+        :class:`~repro.exec_service.ExecutionService` under its tokens
+        (a declined ``warm_only`` call leaves them unused, so the next
+        call is still the query's one execution).  The service pins the
+        snapshot, blocks on in-flight producers and abandons the
+        prepared query if execution aborts or fails."""
+        session = self.session
+        result = session._db.service.execute(
+            query, frontend=session.frontend, label=label,
+            producer_token=self.token, block_on_inflight=True,
+            cancel_token=self.cancel_token, snapshot=snapshot,
+            remote=session._executor, tenant=tenant, warm_only=warm_only)
+        if result is not None:
+            session.records.append(result.record)
+        return result
+
+    def cancel(self) -> None:
+        """Trip the cancellation token (the executing thread stops
+        within one batch boundary) *and* retire the producer token in
+        the recycler: only that wakes a query stalled on another
+        query's in-flight result — the token alone leaves it asleep
+        until ``inflight_wait_timeout`` — drops its own registrations
+        (waking queries stalled on *it*) and refuses any store it would
+        plant later, so it never publishes a partial result."""
+        self.cancel_token.cancel()
+        self.session._db.recycler.cancel(self.token)
 
 
 class Session:
     """One logical connection to a :class:`~repro.db.Database`.
 
     Open with :meth:`Database.connect`; close with :meth:`close` or use
-    as a context manager.  A session is *not* thread-safe (one thread
-    at a time, like a DB-API connection), with one deliberate
-    exception: :meth:`cancel` may be called from any thread to abort
-    the query the session is currently executing.
+    as a context manager.  Threads may share a session; :meth:`cancel`
+    (from any thread) aborts every query in flight on it.
     """
 
     def __init__(self, db: "Database", session_id: int,
-                 executor: object | None = None) -> None:
+                 executor: object | None = None,
+                 frontend: str = "session") -> None:
         self._db = db
         self.session_id = session_id
+        #: the caller's name in ``Database.summary()["service"]
+        #: ["frontends"]`` and in every producer token of this session
+        self.frontend = frontend
         #: optional :class:`~repro.engine.shard.pool.ShardRuntime` —
         #: cold queries on this session execute in a worker process
         #: (``Database.pool(mode="processes")`` wires one in).
         self._executor = executor
-        #: per-session query log (the recycler keeps the merged log).
+        #: absolute :func:`time.monotonic` deadline every query on this
+        #: session inherits (a TCP connection's ``configure`` sets it).
+        self.deadline: float | None = None
+        #: per-session query log in completion order (the recycler keeps
+        #: the merged log).
         self.records: list[QueryRecord] = []
-        self._seq = 0
         self._closed = False
-        #: (producer token, cancellation token) of the query currently
-        #: executing on this session, if any — one attribute so
-        #: :meth:`cancel`, called from other threads, always sees a
-        #: matched pair.
-        self._active: tuple[tuple, CancellationToken] | None = None
-        #: set by :meth:`cancel_all`: every query started afterwards is
-        #: born cancelled (closes the pool-shutdown race where a worker
-        #: dequeued a query but has not yet registered it).
+        #: guards the query sequence, :attr:`_active` and the
+        #: :meth:`cancel_all` order, so a query is either registered
+        #: before a cancel sweep or born cancelled after it.
+        self._lock = threading.Lock()
+        self._seq = 0
+        self._active: set[SessionQuery] = set()
         self._cancel_all = False
 
     # ------------------------------------------------------------------
@@ -143,63 +197,49 @@ class Session:
             timeout: float | None = None,
             deadline: float | None = None,
             snapshot=None) -> QueryResult:
-        """The session's one entry into the shared
-        :class:`~repro.exec_service.ExecutionService` pipeline
-        (:meth:`sql` and :meth:`execute` both land here).
+        """:meth:`begin` one query and execute it (:meth:`sql` and
+        :meth:`execute` both land here)."""
+        with self.begin(timeout=timeout, deadline=deadline) as issued:
+            return issued.execute(query, label=label, snapshot=snapshot)
 
-        The cancellation token is built *before* the service call and
-        published in :attr:`_active` so :meth:`cancel`, from any thread,
-        always finds a matched (producer token, cancel token) pair.
-        """
+    @contextmanager
+    def begin(self, timeout: float | None = None,
+              deadline: float | None = None) -> Iterator[SessionQuery]:
+        """Issue one query: mint its producer token, build its
+        cancellation token from ``timeout`` / ``deadline`` and the
+        session's :attr:`deadline` (the earliest wins) and register it
+        for :meth:`cancel` until the ``with`` block ends."""
         if self._closed:
             raise SessionError(
                 f"session {self.session_id} is closed")
-        self._seq += 1
-        token = ("session", self.session_id, self._seq)
+        if self.deadline is not None:
+            deadline = self.deadline if deadline is None \
+                else min(deadline, self.deadline)
         cancel_token = CancellationToken(deadline=deadline,
                                          timeout=timeout)
-        # The service pins the snapshot, plans SQL text, blocks on
-        # in-flight producers, abandons the prepared query if execution
-        # aborts or fails (so stalled sessions never wait on a dead
-        # producer), and attaches the QueryRecord.
-        # Publish before reading the flag: whichever order a concurrent
-        # cancel_all() interleaves, either it sees this query in
-        # _active and cancels it, or this read sees its flag.
-        self._active = (token, cancel_token)
-        if self._cancel_all:
-            cancel_token.cancel()
+        with self._lock:
+            self._seq += 1
+            query = SessionQuery(self, self._seq, cancel_token)
+            self._active.add(query)
+            born_cancelled = self._cancel_all
+        if born_cancelled:
+            query.cancel()
         try:
-            result = self._db.service.execute(
-                query, frontend="session", label=label,
-                producer_token=token, block_on_inflight=True,
-                cancel_token=cancel_token, snapshot=snapshot,
-                remote=self._executor)
+            yield query
         finally:
-            self._active = None
-        self.records.append(result.record)
-        return result
+            with self._lock:
+                self._active.discard(query)
 
     def cancel(self) -> bool:
-        """Abort the query currently executing on this session, from
-        any thread (used by pool shutdown mid-query).
-
-        Trips the query's cancellation token — the executing thread
-        stops within one batch boundary, raising
-        :class:`~repro.errors.QueryCancelled` — and retires its
-        producer token in the recycler: the query is woken if it is
-        blocked on an in-flight producer, its own in-flight
-        registrations are dropped (waking consumers stalled on *it*),
-        and any store registration it would plant afterwards is
-        refused, so a cancelled query can never leave a stale entry or
-        publish a partial result.  Returns True when there was a query
-        to cancel."""
-        active = self._active
-        if active is None:
-            return False
-        token, cancel_token = active
-        cancel_token.cancel()
-        self._db.recycler.cancel(token)
-        return True
+        """Abort every query in flight on this session, from any thread
+        (:meth:`SessionQuery.cancel` each: trip its token and retire
+        its producer token).  Returns True when there was a query to
+        cancel."""
+        with self._lock:
+            active = list(self._active)
+        for query in active:
+            query.cancel()
+        return bool(active)
 
     def cancel_all(self) -> bool:
         """:meth:`cancel` plus a standing order: every query this
@@ -207,7 +247,8 @@ class Session:
         first batch check.  Pool shutdown uses this so a query a worker
         dequeued but has not yet registered cannot slip past the cancel
         sweep and run to completion.  Returns :meth:`cancel`'s result."""
-        self._cancel_all = True
+        with self._lock:
+            self._cancel_all = True
         return self.cancel()
 
     # ------------------------------------------------------------------
@@ -247,9 +288,10 @@ class SessionPool:
     """N worker threads, each owning one session on a shared database.
 
     Work is submitted from the application thread; every worker thread
-    lazily opens its own :class:`Session` (sessions are single-threaded
-    by contract), so up to ``workers`` queries run truly concurrently
-    against the shared recycler.
+    lazily opens its own :class:`Session` (so each session's
+    :attr:`~Session.records` is one worker's log), and up to
+    ``workers`` queries run truly concurrently against the shared
+    recycler.
     """
 
     def __init__(self, db: "Database", workers: int,

@@ -32,7 +32,7 @@ from repro.server.base import INLINE_ENCODE_BYTES
 from repro.server.protocol import write_frame
 from repro.workloads import skyserver
 from repro.workloads.skyserver import queries as sky_queries
-from test_streaming import wait_for
+from test_server import wait_for
 from twin_replay import (WireTwins, quiet_config, statement_cache,
                          wire_rows)
 
@@ -313,9 +313,9 @@ class TestLimitsStillApply:
                 assert wait_for(lambda: server.stats()["in_flight"] == 1)
             # the hang-up is noticed while the producer is still gated
             assert wait_for(lambda: any(
-                token.cancelled
+                query.cancel_token.cancelled
                 for connection in list(server._connections)
-                for token in list(connection.tokens)))
+                for query in list(connection.session._active)))
             gate.set()
             assert wait_for(lambda: server.stats()["cancelled"] == 1)
             assert wait_for(lambda: server.stats()["in_flight"] == 0)

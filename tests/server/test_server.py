@@ -4,6 +4,8 @@ shared recycler)."""
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -14,7 +16,8 @@ import repro.dbapi as dbapi
 from repro import Database, RecyclerConfig, Table
 from repro.columnar import FLOAT64, INT64, Schema
 from repro.errors import (QueryTimeout, ServerOverloaded, ServerUnavailable)
-from repro.server import ReproServer, ServerClient
+from repro.server import HttpClient, HttpServer, ReproServer, ServerClient
+from repro.server.protocol import write_frame
 from repro.workloads.skyserver import build_catalog, primary_pattern
 
 SLOW_SCHEMA = Schema(["x"], [INT64])
@@ -45,6 +48,15 @@ def db():
 
 
 QUERY = "SELECT g, sum(v) AS s FROM t GROUP BY g ORDER BY g"
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
 
 
 class TestProtocolBasics:
@@ -300,3 +312,133 @@ class TestCrossFrontendRecycling:
         cold = db.sql(QUERY)  # warm by now: nothing else to insert
         assert cold.record.num_inserted == 0
         assert total_inserted <= 3  # one plan's worth of stores, once
+
+
+STALL_QUERY = "SELECT g, sum(v) AS s FROM gated_groups() GROUP BY g"
+TRANSPORTS = {"tcp": (ReproServer, ServerClient),
+              "http": (HttpServer, HttpClient)}
+
+
+class Stall:
+    """Connection A runs ``STALL_QUERY`` and parks inside
+    ``gated_groups`` until :attr:`gate` opens; its aggregate is worth
+    caching, so it is the in-flight producer, and connection B sending
+    the same statement stalls behind it in
+    ``InFlightRegistry.wait_for`` (:attr:`stalled` is set then)."""
+
+    def __init__(self, db) -> None:
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.stalled = threading.Event()
+        self.outcome: list[object] = []
+        table = db.catalog.snapshot().table_entry("t").table
+
+        def gated_groups() -> Table:
+            self.entered.set()
+            self.gate.wait(30.0)
+            return table
+
+        db.register_function("gated_groups", gated_groups, table.schema,
+                             invocation_cost=50_000.0)
+        registry = db.recycler.inflight
+        wait_for_producer = registry.wait_for
+
+        def recording(node, token, timeout=None):
+            if registry.producer_of(node) not in (None, token):
+                self.stalled.set()
+            return wait_for_producer(node, token, timeout)
+
+        registry.wait_for = recording
+
+    def produce(self, client_cls, server) -> threading.Thread:
+        """Start connection A; its rows (or error) land in
+        :attr:`outcome`."""
+        def run():
+            try:
+                with client_cls(*server.address) as client:
+                    self.outcome.append(client.query(STALL_QUERY).rows)
+            except Exception as exc:  # noqa: BLE001 - asserted by caller
+                self.outcome.append(exc)
+
+        producer = threading.Thread(target=run)
+        producer.start()
+        assert self.entered.wait(10)
+        assert wait_for(lambda: server.stats()["in_flight"] == 1)
+        return producer
+
+    def stall_consumer(self, server) -> socket.socket:
+        """Connection B: send ``STALL_QUERY`` without reading the reply
+        and wait until it stalls behind A.  Close the socket to hang
+        up."""
+        sock = socket.create_connection(server.address)
+        if isinstance(server, HttpServer):
+            body = json.dumps({"sql": STALL_QUERY}).encode()
+            sock.sendall(b"POST /v1/query HTTP/1.1\r\n"
+                         b"Content-Length: %d\r\n\r\n%b"
+                         % (len(body), body))
+        else:
+            write_frame(sock, {"op": "query", "sql": STALL_QUERY})
+        assert self.stalled.wait(10)
+        assert server.stats()["in_flight"] == 2
+        return sock
+
+
+def service_cancelled(db, frontend: str) -> int:
+    return db.summary()["service"]["frontends"][frontend]["cancelled"]
+
+
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+class TestStalledConsumerCancel:
+    """A query stalled on another query's in-flight result must wake
+    when its connection goes away — tripping its cancellation token is
+    not enough, the recycler must retire its producer token too — or
+    it holds its pool thread and admission slot until
+    ``inflight_wait_timeout`` (30 s)."""
+
+    def test_hang_up_frees_the_stalled_query_at_once(self, db, transport):
+        server_cls, client_cls = TRANSPORTS[transport]
+        stall = Stall(db)
+        try:
+            with server_cls(db) as server:
+                producer = stall.produce(client_cls, server)
+                stall.stall_consumer(server).close()
+                assert wait_for(lambda: server.stats()["in_flight"] == 1,
+                                timeout=1.0)
+                assert server.stats()["cancelled"] == 1
+                stall.gate.set()
+                producer.join(10)
+                assert not producer.is_alive()
+                assert stall.outcome == [db.sql(STALL_QUERY).table
+                                         .to_rows()]
+                assert len(db.recycler.inflight) == 0
+            # A published its result: the repeat above reused it
+            assert db.recycler.records[-1].num_reused >= 1
+        finally:
+            stall.gate.set()
+
+    def test_stop_without_drain_retires_both_queries(self, db, transport):
+        server_cls, client_cls = TRANSPORTS[transport]
+        stall = Stall(db)
+        server = server_cls(db, drain_seconds=0)
+        server.start()
+        try:
+            producer = stall.produce(client_cls, server)
+            consumer = stall.stall_consumer(server)
+            server.stop()
+            # B wakes and aborts, and A's registration is dropped, while
+            # A is still parked inside the table function
+            assert wait_for(lambda: service_cancelled(db, server.frontend)
+                            == 1, timeout=1.0)
+            assert len(db.recycler.inflight) == 0
+            stall.gate.set()
+            producer.join(10)
+            assert not producer.is_alive()
+            assert wait_for(lambda: service_cancelled(db, server.frontend)
+                            == 2)
+            assert len(db.recycler.inflight) == 0
+            consumer.close()
+            # the cancelled producer published nothing
+            assert db.sql(STALL_QUERY).record.num_reused == 0
+        finally:
+            stall.gate.set()
+            server.stop()

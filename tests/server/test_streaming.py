@@ -28,7 +28,7 @@ from repro.server.protocol import (FRAMES_MEDIA_TYPE, decode_columnar_chunk,
                                    iter_result_chunks, read_frame,
                                    write_frame)
 
-from test_server import QUERY, db  # noqa: F401  (shared fixture)
+from test_server import QUERY, db, wait_for  # noqa: F401  (shared fixture)
 
 # a result comfortably over the 64 MB frame cap as JSON (8 int64 columns
 # of ~18-digit values encode to ~150 JSON bytes per row; 28 MB columnar).
@@ -46,15 +46,6 @@ def big_db():
          + i for i, name in enumerate(names)}))
     yield db
     db.close()
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
 
 
 def wire_rows(table):
