@@ -427,7 +427,10 @@ class Catalog(CatalogView):
         self._table_incarnations: dict[str, int] = {}
         self._function_incarnations: dict[str, int] = {}
         #: total DDL operations ever applied (monotonic observability
-        #: clock; per-name versions drive correctness).
+        #: clock; per-name versions drive correctness — but two
+        #: snapshots of one catalog at one clock hold the same tables
+        #: and statistics, which ``exec_service.Statement.pruned`` keys
+        #: its proof on).
         self.ddl_clock = 0
         self.stats_refresh_appends = (
             self.DEFAULT_STATS_REFRESH_APPENDS

@@ -33,7 +33,7 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .columnar.batch import VECTOR_SIZE
 from .columnar.types import date_to_days
@@ -41,7 +41,9 @@ from .engine.cancellation import CancellationToken
 from .engine.executor import QueryResult, execute_plan
 from .engine.shard.pool import ShardUnavailable
 from .errors import CatalogError, QueryCancelled, QueryTimeout
-from .plan.logical import PlanNode, Scan, TableFunctionScan
+from .expr.analysis import conjoin, split_conjuncts, window_bound
+from .expr.nodes import Expr
+from .plan.logical import PlanNode, Scan, Select, TableFunctionScan
 from .plan.optimizer import OptimizeContext, normalizes
 from .plan.validate import validate_plan
 from .sql import scan_literals, sql_to_plan, sql_to_template
@@ -70,7 +72,9 @@ class _BoundText:
     (never statistics or row counts), so the plan stays right for any
     snapshot in which each of those still exists with an equal schema —
     ``append_rows`` keeps it; add/rename column, drop, and a
-    re-registration that changes a schema do not."""
+    re-registration that changes a schema do not.  (What a snapshot's
+    statistics prove about the plan is decided per query, by
+    ``Recycler.prepare``: see :class:`Window`.)"""
 
     __slots__ = ("dependencies",)
 
@@ -95,9 +99,11 @@ class _BoundText:
 class Statement(_BoundText):
     """One cached SQL text: its bound, validated and canonicalized
     plan.  Immutable and shared by every thread that issues the text,
-    except :attr:`root_hit`, which the recycler replaces whole."""
+    except :attr:`root_hit`, which the recycler replaces whole, and the
+    variants of ``plan`` :meth:`pruned` adds to."""
 
-    __slots__ = ("plan", "root_hit", "template")
+    __slots__ = ("plan", "root_hit", "template", "windows", "_variants",
+                 "_proof")
 
     def __init__(self, plan: PlanNode, dependencies: Dependencies,
                  template: "StatementTemplate | None" = None) -> None:
@@ -112,6 +118,120 @@ class Statement(_BoundText):
         #: the template whose :attr:`~StatementTemplate.plan` ``plan``
         #: was substituted from (or is), whose memo matching replays
         self.template = template
+        #: the conjuncts of ``plan`` a snapshot may prove (see
+        #: :class:`Window`), found once; empty for most statements
+        self.windows = windows_of(plan, {
+            name: schema for is_function, name, schema in dependencies
+            if not is_function}.__getitem__)
+        #: proof outcome (:func:`proved_windows`) -> ``plan`` without
+        #: the conjuncts it proves
+        self._variants = {0: plan} if self.windows else None
+        #: the last :meth:`pruned`: ``(snapshot.ddl_clock, proved, plan)``
+        self._proof: tuple[int, int, PlanNode] | None = None
+
+    def pruned(self, snapshot: "CatalogSnapshot") -> tuple[int, PlanNode]:
+        """The :attr:`windows` ``snapshot`` proves (the bits of
+        :func:`proved_windows`) and ``plan`` without them — one plan
+        object per outcome, so each keeps its memoized schemas and
+        fingerprint.  Proved again only when the snapshot's DDL clock
+        moved: within one catalog it names the state of every table,
+        statistics included."""
+        last = self._proof
+        if last is not None and last[0] == snapshot.ddl_clock:
+            return last[1], last[2]
+        proved = proved_windows(self.windows, snapshot)
+        plan = self._variants.get(proved)
+        if plan is None:
+            plan = self._variants.setdefault(
+                proved, without_windows(self.plan, self.windows, proved))
+        self._proof = (snapshot.ddl_clock, proved, plan)
+        return proved, plan
+
+
+class Window(NamedTuple):
+    """A conjunct of a ``Select`` directly over a ``Scan`` that a
+    snapshot's statistics may prove true of every row the scan reads:
+    every value of ``column`` below ``limit`` (``upper``) or above it
+    satisfies it (:func:`repro.expr.analysis.window_bound`).  A
+    dashboard's ``WHERE ts < <rows now>`` is one, and once the
+    snapshot's max ``ts`` lies below the bound the conjunct filters
+    nothing: ``Recycler.prepare`` drops it, so the plan is the
+    same one every time the bound moves and the recycler can reuse — or
+    extend over appended rows — what the last one cached.
+
+    Found in the canonical plan, not by the optimizer, and cached per
+    proof outcome (:meth:`Statement.pruned`), never per text: a plan
+    kept per text must stay right for every snapshot."""
+
+    select: Select
+    conjunct: Expr
+    table: str
+    column: str
+    upper: bool
+    limit: int
+
+
+def windows_of(plan: PlanNode, schema_of: "Callable[[str], Schema]"
+               ) -> tuple[Window, ...]:
+    """The :class:`Window` conjuncts of ``plan``, ``schema_of`` giving a
+    scanned table's schema; never one above a join."""
+    windows = []
+    pending = [plan]
+    while pending:      # (``walk``'s nested generators cost 3x this)
+        node = pending.pop()
+        if not (isinstance(node, Select) and isinstance(node.child, Scan)):
+            pending += node.children
+            continue
+        table = node.child.table
+        for conjunct in split_conjuncts(node.predicate):
+            bound = window_bound(conjunct, schema_of(table))
+            if bound is not None:
+                windows.append(Window(node, conjunct, table, *bound))
+    return tuple(windows)
+
+
+def proved_windows(windows: tuple[Window, ...],
+                   snapshot: "CatalogSnapshot") -> int:
+    """Bit ``i`` set when the min / max of ``snapshot`` prove
+    ``windows[i]`` true of every row."""
+    proved = 0
+    for bit, (_, _, table, column, upper, limit) in enumerate(windows):
+        span = snapshot.column_range(table, column)    # None: unknown
+        if span is not None and (span[1] < limit if upper
+                                 else span[0] > limit):
+            proved |= 1 << bit
+    return proved
+
+
+def without_windows(plan: PlanNode, windows: tuple[Window, ...],
+                    proved: int) -> PlanNode:
+    """``plan`` without the ``windows`` whose bits ``proved`` sets; a
+    ``Select`` left with no conjunct disappears.  Only the spine above
+    a changed ``Select`` is rebuilt; every other subtree is shared."""
+    dropped: dict[int, set[int]] = {}
+    for bit, window in enumerate(windows):
+        if proved >> bit & 1:
+            dropped.setdefault(id(window.select), set()).add(
+                id(window.conjunct))
+    return _without(plan, dropped)
+
+
+def _without(node: PlanNode, dropped: dict[int, set[int]]) -> PlanNode:
+    gone = dropped.get(id(node))
+    if gone is not None:
+        kept = [conjunct for conjunct in split_conjuncts(node.predicate)
+                if id(conjunct) not in gone]
+        if not kept:
+            return node.child
+        pruned = Select(node.child, conjoin(kept))
+    else:
+        children = [_without(child, dropped) for child in node.children]
+        if all(new is old for new, old in zip(children, node.children)):
+            return node
+        pruned = node.with_children(children)
+    # dropping a filter changes no column of any operator above it
+    pruned._schema_cache = node._schema_cache
+    return pruned
 
 
 class StatementTemplate(_BoundText):

@@ -2,13 +2,17 @@
 
 These utilities feed the subsumption implication test and the proactive
 binning rule, which both need to reason about what a selection predicate
-constrains.
+constrains — and the recycler's moving-window step, which drops the
+range conjuncts a snapshot's column statistics prove true of every row
+(:func:`window_bound`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..columnar import types as t
+from ..columnar.table import Schema
 from .nodes import And, Cmp, Col, Expr, InList, Lit
 
 #: Sentinels for unbounded range endpoints.
@@ -189,3 +193,26 @@ def _parse_range_conjunct(expr: Expr):
     if op == ">=":
         return left.name, "low", (value, True)
     return None  # <> is treated as residual
+
+
+def window_bound(conjunct: Expr, schema: Schema
+                 ) -> tuple[str, bool, int] | None:
+    """``(column, upper, limit)`` when ``conjunct`` is a range conjunct
+    (``<``, ``<=``, ``>``, ``>=``, the literal on either side) of an
+    INT64 or DATE column of ``schema`` against an integer literal — the
+    class whose truth for every row a snapshot's exact min / max can
+    prove: it holds for every value below ``limit`` (``upper``: ``<`` /
+    ``<=``) or above it, so it holds for every row when the column's
+    max lies below ``limit`` or its min above.  Never equality, ``<>``
+    or ``IN``, and never a FLOAT column: its min / max skip NaN."""
+    parsed = _parse_range_conjunct(conjunct)
+    if parsed is None or parsed[1] == "values":
+        return None
+    column, kind, (bound, inclusive) = parsed
+    if type(bound) is not int or \
+            schema.type_of(column) not in (t.INT64, t.DATE):
+        return None
+    # integers: ``v <= b`` is ``v < b + 1``, ``v >= b`` is ``v > b - 1``
+    if kind == "high":
+        return column, True, bound + 1 if inclusive else bound
+    return column, False, bound - 1 if inclusive else bound

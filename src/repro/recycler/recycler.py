@@ -42,7 +42,8 @@ from ..engine.cost import DEFAULT_COST_MODEL, CostModel
 from ..engine.executor import ExecutionStats, QueryResult
 from ..engine.scan import ReuseScanOp
 from ..engine.store import StoreOp, StoreStats
-from ..exec_service import ExecutionService, Statement
+from ..exec_service import (ExecutionService, Statement, proved_windows,
+                            windows_of, without_windows)
 from ..plan.logical import CachedScan, PlanNode
 from ..plan.optimizer import OptimizeContext, PlanOptimizer
 from .benefit import BenefitModel
@@ -74,6 +75,10 @@ class RootHit(NamedTuple):
     #: root graph column name -> this statement's column name
     rename: dict[str, str]
     schema: Schema
+    #: the statement's windows the snapshot proved (the bits of
+    #: :func:`~repro.exec_service.proved_windows`): the memo stands for
+    #: that variant of the plan only
+    proved: int
 
 
 @dataclass
@@ -156,6 +161,9 @@ class Recycler:
         #: entries that failed validation (``MatchResult`` fields)
         self._memo_nodes = 0
         self._memo_stale = 0
+        #: window conjuncts dropped because the snapshot proved them
+        #: (under ``_id_lock``: counted by :meth:`_new_query`)
+        self._conjuncts_proved = 0
         self._optimizer_lock = threading.Lock()
         self.store_planner = StorePlanner(self.graph, self.model,
                                           self.cache, self.inflight,
@@ -231,6 +239,14 @@ class Recycler:
         statement template's plan, matching replays the template's
         memo of its literal-free subtrees (``match_tree``'s ``memo``).
 
+        Every mode runs the plan without the range conjuncts the
+        snapshot's min / max prove true of every row (moving windows,
+        :class:`~repro.exec_service.Window`): a cached statement's
+        variant for that proof outcome (:meth:`~repro.exec_service.
+        Statement.pruned`), or a prebuilt plan pruned after it is
+        optimized.  The root-hit memo records its variant and serves
+        only that one.
+
         ``warm_only`` is for a caller that must not block or run for
         long (a server's event loop): the prepare is that root hit or
         nothing.  Where it would otherwise optimize, match, wait on an
@@ -250,6 +266,17 @@ class Recycler:
         memoize = statement is not None and not off and \
             not self.config.proactive_enabled
         memo = statement.root_hit if memoize else None
+        # Moving windows (``exec_service.Window``): drop the conjuncts
+        # this snapshot's statistics prove true of every row, before the
+        # mode check (every mode executes the same plan), fingerprinting
+        # and matching.  A root-hit memo stands for the variant it was
+        # made for: served under another, a window whose bound no
+        # longer covers the table would read a node extended past it.
+        proved = 0
+        if statement is not None and statement.windows:
+            proved, plan = statement.pruned(snapshot)
+            if memo is not None and memo.proved != proved:
+                memo = None
         if warm_only and memo is None:
             return None
         subtrees = statement.template.matches \
@@ -262,9 +289,14 @@ class Recycler:
         # cached statement's plan went through this when it was built.
         if statement is None:
             plan = self.optimize(plan, snapshot)
+            windows = windows_of(
+                plan, lambda name: snapshot.table(name).schema)
+            proved = proved_windows(windows, snapshot)
+            if proved:
+                plan = without_windows(plan, windows, proved)
 
         if off:
-            query_id, token = self._new_query(producer_token)
+            query_id, token = self._new_query(producer_token, proved)
             return PreparedQuery(query_id=query_id, original_plan=plan,
                                  executed_plan=plan, matches=None,
                                  producer_token=token, snapshot=snapshot)
@@ -278,7 +310,7 @@ class Recycler:
                     memo, plan, producer_token, snapshot, fingerprint)
             if prepared is not None or warm_only:
                 return prepared
-        query_id, token = self._new_query(producer_token)
+        query_id, token = self._new_query(producer_token, proved)
         self.graph.tick()
 
         plan_to_match = plan
@@ -386,7 +418,7 @@ class Recycler:
                              for node in plan.walk()}),
                 num_nodes=matches.matched_count + matches.inserted_count,
                 rename={g: q for q, g in root.mapping.items()},
-                schema=plan.output_schema(snapshot))
+                schema=plan.output_schema(snapshot), proved=proved)
 
         return PreparedQuery(
             query_id=query_id, original_plan=plan,
@@ -418,13 +450,17 @@ class Recycler:
             with self._optimizer_lock:
                 self._optimizer_counts.update(rewrites)
 
-    def _new_query(self, producer_token: object | None
+    def _new_query(self, producer_token: object | None, proved: int
                    ) -> tuple[int, object]:
         """The next query id, and the token the query's in-flight
-        registrations go under: the caller's, else that id."""
+        registrations go under: the caller's, else that id.  ``proved``
+        is the query's proved windows, counted here — once the prepare
+        is committed to the query."""
         with self._id_lock:
             self._query_counter += 1
             query_id = self._query_counter
+            if proved:
+                self._conjuncts_proved += proved.bit_count()
         return query_id, \
             query_id if producer_token is None else producer_token
 
@@ -436,7 +472,9 @@ class Recycler:
         root's cached result without walking the plan — no matching,
         reference bookkeeping over the tree, stall collection, reuse
         substitution or store planning (the fingerprint is memoized on
-        the plan).  Caller holds the plan's stripe.
+        the plan).  Caller holds the plan's stripe, and has checked
+        that the snapshot proves the windows ``memo`` was made under
+        (``memo.proved``): ``plan`` is the variant ``memo`` describes.
 
         Taken when the memoized root still has an entry this snapshot
         may consume and reuse pays — the two gates ``substitute_reuse``
@@ -462,7 +500,7 @@ class Recycler:
         entry = current_entry(root, snapshot)
         if entry is None or recompute_is_cheaper(root, self.cost_model):
             return None
-        query_id, token = self._new_query(producer_token)
+        query_id, token = self._new_query(producer_token, memo.proved)
         event = self.graph.tick()
         for node in memo.nodes:
             node.last_access_event = event
@@ -932,11 +970,16 @@ class Recycler:
         ``memo_nodes`` counts the plan nodes matched by replaying a
         statement template's memo of a literal-free subtree (part of
         ``nodes_matched``), ``memo_stale`` the memo entries that failed
-        validation and were matched afresh."""
+        validation and were matched afresh.  ``conjuncts_proved``
+        counts, over all prepares, the range conjuncts dropped because
+        the query's snapshot proved them true of every row (moving
+        windows: ``exec_service.Window``)."""
         with self._optimizer_lock:
             counts = dict(self._optimizer_counts)
             root_hits = self._root_hits
             memo_nodes, memo_stale = self._memo_nodes, self._memo_stale
+        with self._id_lock:
+            conjuncts_proved = self._conjuncts_proved
         cost_skips = counts.pop("reuse_cost_skips", 0)
         with self._records_lock:
             matched = sum(r.num_matched for r in self.records)
@@ -955,4 +998,5 @@ class Recycler:
             "root_hits": root_hits,
             "memo_nodes": memo_nodes,
             "memo_stale": memo_stale,
+            "conjuncts_proved": conjuncts_proved,
         }

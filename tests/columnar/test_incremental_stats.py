@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, RecyclerConfig, Table
-from repro.columnar import FLOAT64, INT64, Schema, STRING
+from repro.columnar import DATE, FLOAT64, INT64, Schema, STRING
 from repro.columnar.catalog import Catalog, _compute_stats
 
 SCHEMA = Schema(["i", "f", "s"], [INT64, FLOAT64, STRING])
@@ -193,6 +193,84 @@ class TestStaleness:
         assert catalog.stats_counters["full_recomputes"] == 1
         entry = catalog.table_entry("t")
         assert entry.column_stats == _compute_stats(entry.table)
+
+
+#: one DDL step of :class:`TestExactRanges`: register (with or without
+#: statistics), append (rows may be none; with or without statistics),
+#: add a column, rename one
+DDL = st.one_of(
+    st.tuples(st.just("register"), st.lists(st.integers(-9, 9),
+                                            max_size=6), st.booleans()),
+    st.tuples(st.just("append"), st.lists(st.integers(-9, 9), max_size=6),
+              st.booleans()),
+    st.tuples(st.just("add"), st.sampled_from([INT64, DATE, FLOAT64]),
+              st.integers(-9, 9)),
+    st.tuples(st.just("rename"), st.integers(0, 10)),
+)
+
+
+def typed_rows(schema: Schema, seeds: list[int]) -> Table:
+    """One row per seed, each column's value derived from it."""
+    columns = {}
+    for position, (name, dtype) in enumerate(zip(schema.names,
+                                                 schema.types)):
+        values = [seed * (position + 1) for seed in seeds]
+        if dtype is STRING:
+            columns[name] = np.array([f"s{v}" for v in values],
+                                     dtype=object)
+        elif dtype is FLOAT64:
+            columns[name] = np.array([np.nan if v == 0 else v / 4
+                                      for v in values], dtype=np.float64)
+        elif dtype is DATE:
+            columns[name] = np.array([18_000 + v for v in values],
+                                     dtype=np.int32)
+        else:
+            columns[name] = np.array(values, dtype=np.int64)
+    return Table(schema, columns)
+
+
+class TestExactRanges:
+    """The premise of dropping moving windows (``Recycler.prepare``):
+    on any snapshot, an INT64 / DATE ``column_range`` is unknown or the
+    exact min / max of that snapshot's column — whatever DDL led there."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.lists(DDL, min_size=1, max_size=10),
+           refresh=st.sampled_from([2, 1_000_000]),
+           cap=st.sampled_from([2, 65536]))
+    def test_every_snapshot_has_exact_ranges(self, steps, refresh, cap):
+        catalog = Catalog(stats_refresh_appends=refresh,
+                          stats_uniques_limit=cap)
+        schema = Schema(["i", "d", "f", "s"], [INT64, DATE, FLOAT64, STRING])
+        catalog.register_table("t", typed_rows(schema, [1, 2]))
+        snapshots = [catalog.snapshot()]
+        for number, (kind, *args) in enumerate(steps):
+            schema = catalog.table("t").schema
+            if kind == "register":
+                seeds, stats = args
+                catalog.register_table("t", typed_rows(schema, seeds),
+                                       compute_stats=stats)
+            elif kind == "append":
+                seeds, stats = args
+                catalog.append_rows("t", typed_rows(schema, seeds),
+                                    compute_stats=stats)
+            elif kind == "add":
+                dtype, default = args
+                catalog.alter_table_add_column("t", f"a{number}", dtype,
+                                               default)
+            else:
+                old = schema.names[args[0] % len(schema.names)]
+                catalog.rename_column("t", old, f"r{number}")
+            snapshots.append(catalog.snapshot())
+        for snapshot in snapshots:
+            table = snapshot.table("t")
+            for name, dtype in zip(table.schema.names, table.schema.types):
+                if dtype not in (INT64, DATE):
+                    continue
+                span = snapshot.column_range("t", name)
+                values = table.column(name)
+                assert span is None or (len(values) and span == (
+                    values.min().item(), values.max().item())), name
 
 
 class TestFacadeCounter:

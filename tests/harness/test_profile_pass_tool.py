@@ -9,7 +9,8 @@ by wrapping ``exec_service.scan_literals`` and
 ``StatementTemplate.bind`` / ``.planned`` — and there the tool is also
 the alarm: it exits non-zero when texts share shapes and no template
 was hit or no plan node was matched from a template's memo, and when a
-recycling pass appends and no cached result was extended.
+recycling pass appends and no cached result was extended or no
+moving-window conjunct was proved.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
     assert values["gc_ms"] >= 0.0 and values["gc_gen2"] >= 0
     # appends left the dashboard's stable aggregates cached, extended
     assert values["extended"] > 0 and values["ddl_evicted"] > 0
+    # the dashboard's windows that cover every row ran without them
+    assert values["conjuncts_proved"] > 0
 
 
 def test_tool_fails_when_the_template_path_stops_firing():
@@ -113,3 +116,23 @@ def test_tool_fails_when_appends_stop_extending():
     assert done.returncode == 1, done.stderr[-2000:]
     assert "no cached result was extended" in done.stderr
     assert "extended 0" in done.stdout.splitlines()
+
+
+def test_tool_fails_when_windows_stop_being_proved():
+    """Moving windows that are never dropped still read right answers,
+    only cold after every append — the tool is what notices."""
+    broken = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import profile_pass;"
+        " from repro import exec_service;"
+        " from repro.recycler import recycler;"
+        " exec_service.proved_windows = recycler.proved_windows ="
+        " lambda windows, snapshot: 0;"
+        " sys.exit(profile_pass.main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", broken, str(ROOT / "tools"),
+         "--workload", "ts_append", "--mode", "spec", "--size", "0.04",
+         "--top", "1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert "no moving-window conjunct was proved" in done.stderr
+    assert "conjuncts_proved 0" in done.stdout.splitlines()

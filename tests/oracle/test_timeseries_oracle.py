@@ -10,6 +10,11 @@ after an append (cold, or extended over the appended rows) and as a
 repeat (warm).  A divergence in the first names the engine, in the
 other two the recycler.
 
+After each append every earlier cycle's moving-window texts are issued
+again: their bounds now cut the data, while the same statement's memo —
+and the windowless node it named, extended since — was made when the
+bound covered every row.
+
 Integers and strings must match exactly; float aggregates to 1e-9
 relative, because SQLite sums in another order.
 """
@@ -43,6 +48,18 @@ GROWING = [
     ts.site_rollup(10 ** 7),
     "SELECT ts, sensor, temp FROM metrics WHERE status = 'crit'",
 ]
+
+
+def moving_windows(bounds: list[int], batch: int) -> list[str]:
+    """The dashboard's texts whose window ends at the row count: one set
+    per cycle so far — each earlier cycle's bound now cuts the data,
+    the last one covers it (and is dropped as a window) — plus a set
+    whose bound lies inside the last batch."""
+    inside = bounds[-1] - batch // 2
+    return [text for rows in bounds for text in (
+        ts.range_scan(rows - batch, rows), ts.site_rollup(rows),
+        ts.alerts(rows), ts.hot_sensors(rows))] + [
+        ts.site_rollup(inside), ts.alerts(inside), ts.hot_sensors(inside)]
 
 
 def load(connection: sqlite3.Connection, name: str, table) -> None:
@@ -93,6 +110,7 @@ def test_dashboard_matches_sqlite_off_cold_and_warm(seed):
     connection = oracle(off)
     checked = {"off": 0, "cold": 0, "warm": 0}
     seen: set[str] = set()
+    bounds: list[int] = []
 
     def check(text: str) -> None:
         expected = connection.execute(text).fetchall()
@@ -114,9 +132,12 @@ def test_dashboard_matches_sqlite_off_cold_and_warm(seed):
                 db.append_rows("metrics", batch)
             load(connection, "metrics", batch)
             seen.clear()
-            for text in GROWING * 2:
+            rows = op.start_row + op.rows
+            bounds.append(rows)
+            for text in (GROWING + moving_windows(bounds, op.rows)) * 2:
                 check(text)
         assert spec.summary()["catalog"]["entries_extended"] > 0
+        assert spec.summary()["optimizer"]["conjuncts_proved"] > 0
         assert min(checked.values()) > 0
     finally:
         connection.close()

@@ -39,8 +39,11 @@ EXTENDED = {
     "grouped": ("SELECT sensor, count(*) AS n, max(temp) AS hi,"
                 " min(status) AS worst, sum(ts) AS s FROM metrics"
                 " WHERE temp > 20 GROUP BY sensor"),
-    # inner join, ``metrics`` probing a static build side
+    # inner join, ``metrics`` probing a static build side; the window
+    # covers every row, so it runs without it (moving windows) ...
     "join": ts.site_rollup(10 ** 6),
+    # ... and with a window that cuts the data
+    "join window": ts.site_rollup(INITIAL // 2),
     # a left join qualifies beneath an aggregate
     "left join": ("SELECT site, count(*) AS n, min(temp) AS lo"
                   " FROM metrics LEFT JOIN sensors"
@@ -63,8 +66,11 @@ EVICTED = {
     "float avg": ts.sensor_rollup(),
     # pairwise summation: sum(old) + sum(new) is not sum(old ++ new)
     "float sum": "SELECT sensor, sum(temp) AS s FROM metrics GROUP BY sensor",
+    # (windows covering every row, dropped, and windows cutting the data)
     "top-n": ts.alerts(10 ** 6),
+    "top-n window": ts.alerts(INITIAL // 2),
     "build side reads metrics": ts.hot_sensors(10 ** 6),
+    "build side window": ts.hot_sensors(INITIAL // 2),
     "self-join": ("SELECT m1.sensor, count(*) AS n FROM metrics m1"
                   " JOIN metrics m2 ON m1.ts = m2.ts GROUP BY m1.sensor"),
     # row level, a left join puts each probe batch's padded rows after
@@ -157,6 +163,20 @@ class TestEligibility:
         assert pair.sql(text).record.num_reused == 1
         assert pair.db.summary()["optimizer"]["root_hits"] == hits + 1
         assert pair.extended() == before + 1
+
+    @pytest.mark.parametrize("covering, cutting", [
+        (EXTENDED["join"], EXTENDED["join window"]),
+        (EVICTED["top-n"], EVICTED["top-n window"]),
+        (EVICTED["build side reads metrics"], EVICTED["build side window"]),
+    ], ids=["join", "top-n", "build side"])
+    def test_only_covering_windows_are_dropped(self, pair, covering,
+                                               cutting):
+        def proved(text):
+            before = pair.db.summary()["optimizer"]["conjuncts_proved"]
+            pair.sql(text)
+            return pair.db.summary()["optimizer"]["conjuncts_proved"] - \
+                before
+        assert (proved(covering), proved(cutting)) == (1, 0)
 
     @pytest.mark.parametrize("name", sorted(EVICTED))
     def test_other_shapes_are_evicted(self, pair, name):

@@ -1,6 +1,9 @@
 """Append-aware recycling under concurrency: ingest racing its readers.
 
-Stream 0 appends to ``metrics`` and probes it; fifteen more streams
+Stream 0 appends to ``metrics`` and probes it — with the dashboard's
+moving windows too, this cycle's (which cover every row, so run as the
+plan without the window, the same plan every cycle) and the last
+cycle's (which cut the data again); fifteen more streams
 read fixed past windows of it — rows no append can change, over cached
 results every append leaves behind and the next reader extends.  So
 concurrent readers race each other to extend and republish the same
@@ -55,7 +58,11 @@ def streams() -> list[list[object]]:
     for batch in range(APPENDS):
         ingest.append(ts.append_unit(batch, rows, BATCH, seed=77))
         rows += BATCH
+        # the moving windows: the current cycle's cover every row (and
+        # run without the window), the last cycle's now cut the data
         ingest += [ts.range_scan(rows - BATCH, rows), ts.site_rollup(rows),
+                   ts.alerts(rows), ts.hot_sensors(rows),
+                   ts.site_rollup(rows - BATCH), ts.alerts(rows - BATCH),
                    "SELECT count(*) AS n FROM metrics", PAST[0]]
     out = [ingest]
     for stream_id in range(1, N_STREAMS):
@@ -87,6 +94,7 @@ def test_concurrent_extension_is_byte_identical_to_serial(reference, seed):
         recycler.cache.check_invariants()
         assert len(recycler.inflight) == 0
         assert db.summary()["catalog"]["entries_extended"] > 0
+        assert db.summary()["optimizer"]["conjuncts_proved"] > 0
         for entry in recycler.cache.entries():
             tables, functions = db.catalog.versions_for(
                 entry.node.tables, entry.node.functions)

@@ -28,14 +28,16 @@ twice, each time on a fresh database:
 2. under cProfile, and prints the top functions.
 
 It also prints the pass's ``ddl_evicted`` (cached results an
-invalidation sweep evicted) and ``extended`` (cached results extended
-over appended rows instead).
+invalidation sweep evicted), ``extended`` (cached results extended
+over appended rows instead) and ``conjuncts_proved`` (moving-window
+conjuncts dropped because the snapshot proved them true of every row).
 
 Exits non-zero if texts of the op list share a shape (so a template
 could have served one of them) and the pass reports no template hit —
 or, recycling, no plan node matched from a template's memo — or if a
-recycling pass appends and reports no extension: a template, memo or
-extension path that has silently stopped firing fails no test.
+recycling pass appends and reports no extension or no proved conjunct:
+a template, memo, extension or moving-window path that has silently
+stopped firing fails no test.
 
 With ``--wire`` the op list travels instead: statements through a
 ``ServerClient``, scans streamed through an ``HttpClient``, against a
@@ -359,6 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     catalog = summary["catalog"]
     print(f"ddl_evicted {catalog['entries_evicted']}")
     print(f"extended {catalog['entries_extended']}")
+    print(f"conjuncts_proved {optimizer['conjuncts_proved']}")
     if len(shapes) < len(texts) and not statement_cache["template_hits"]:
         print("error: texts share shapes but no statement template was"
               " hit", file=sys.stderr)
@@ -368,10 +371,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: texts share shapes but no plan node was matched"
               " from a statement template's memo", file=sys.stderr)
         return 1
-    if args.mode != "off" and not catalog["entries_extended"] and \
-            any(op.kind == APPEND for op in ops):
+    appends = any(op.kind == APPEND for op in ops)
+    if args.mode != "off" and appends and not catalog["entries_extended"]:
         print("error: the pass appends but no cached result was extended"
               " over appended rows", file=sys.stderr)
+        return 1
+    if args.mode != "off" and appends and \
+            not optimizer["conjuncts_proved"]:
+        print("error: the pass appends but no moving-window conjunct was"
+              " proved", file=sys.stderr)
         return 1
 
     profiler = cProfile.Profile()
