@@ -428,9 +428,10 @@ class Catalog(CatalogView):
         self._function_incarnations: dict[str, int] = {}
         #: total DDL operations ever applied (monotonic observability
         #: clock; per-name versions drive correctness — but two
-        #: snapshots of one catalog at one clock hold the same tables
-        #: and statistics, which ``exec_service.Statement.pruned`` keys
-        #: its proof on).
+        #: snapshots of one catalog at one clock hold the same tables,
+        #: statistics and binning specs, which
+        #: ``exec_service.Statement.variant`` keys its window proof and
+        #: proactive rewrite on).
         self.ddl_clock = 0
         self.stats_refresh_appends = (
             self.DEFAULT_STATS_REFRESH_APPENDS
@@ -662,12 +663,13 @@ class Catalog(CatalogView):
         is replaced (never mutated), keeping snapshots immutable.  No
         version bump — a binning spec changes plan shapes the proactive
         rules may produce, not the table's contents, so existing cached
-        results stay valid."""
+        results stay valid — but the DDL clock moves."""
         with self._lock:
             entry = self.table_entry(table)
             binnings = dict(entry.binnings)
             binnings[spec.column] = spec
             self._tables[entry.name] = replace(entry, binnings=binnings)
+            self.ddl_clock += 1
 
     def _publish(self, key: str, entry: TableEntry,
                  append: bool = False) -> None:

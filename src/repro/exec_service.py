@@ -97,23 +97,24 @@ class _BoundText:
 
 
 class Statement(_BoundText):
-    """One cached SQL text: its bound, validated and canonicalized
-    plan.  Immutable and shared by every thread that issues the text,
-    except :attr:`root_hit`, which the recycler replaces whole, and the
-    variants of ``plan`` :meth:`pruned` adds to."""
+    """One SQL text's bound, validated and canonicalized plan — or a
+    prebuilt plan (:meth:`prebuilt`), which is never cached.  Immutable
+    and shared by every thread that issues the text, except
+    :attr:`root_hit`, which the recycler replaces whole, and the
+    :class:`Variant` :meth:`variant` resolves."""
 
-    __slots__ = ("plan", "root_hit", "template", "windows", "_variants",
-                 "_proof")
+    __slots__ = ("plan", "root_hit", "template", "windows", "_pruned",
+                 "_variant")
 
     def __init__(self, plan: PlanNode, dependencies: Dependencies,
                  template: "StatementTemplate | None" = None) -> None:
         super().__init__(dependencies)
-        #: what ``Recycler.prepare`` receives — the same object on every
-        #: repeat, so its memoized schemas, hash keys and fingerprint
-        #: are computed once
+        #: what ``Recycler.prepare`` resolves its variants from — the
+        #: same object on every repeat, so its memoized schemas, hash
+        #: keys and fingerprint are computed once
         self.plan = plan
-        #: the recycler's memo of this plan's root (see
-        #: :class:`~repro.recycler.recycler.RootHit`)
+        #: the recycler's memo of the root of the plan the last slow
+        #: path ran (see :class:`~repro.recycler.recycler.RootHit`)
         self.root_hit: "RootHit | None" = None
         #: the template whose :attr:`~StatementTemplate.plan` ``plan``
         #: was substituted from (or is), whose memo matching replays
@@ -125,27 +126,61 @@ class Statement(_BoundText):
             if not is_function}.__getitem__)
         #: proof outcome (:func:`proved_windows`) -> ``plan`` without
         #: the conjuncts it proves
-        self._variants = {0: plan} if self.windows else None
-        #: the last :meth:`pruned`: ``(snapshot.ddl_clock, proved, plan)``
-        self._proof: tuple[int, int, PlanNode] | None = None
+        self._pruned = {0: plan} if self.windows else None
+        #: the last :meth:`variant`
+        self._variant: Variant | None = None
 
-    def pruned(self, snapshot: "CatalogSnapshot") -> tuple[int, PlanNode]:
-        """The :attr:`windows` ``snapshot`` proves (the bits of
-        :func:`proved_windows`) and ``plan`` without them — one plan
-        object per outcome, so each keeps its memoized schemas and
-        fingerprint.  Proved again only when the snapshot's DDL clock
-        moved: within one catalog it names the state of every table,
-        statistics included."""
-        last = self._proof
-        if last is not None and last[0] == snapshot.ddl_clock:
-            return last[1], last[2]
-        proved = proved_windows(self.windows, snapshot)
-        plan = self._variants.get(proved)
-        if plan is None:
-            plan = self._variants.setdefault(
-                proved, without_windows(self.plan, self.windows, proved))
-        self._proof = (snapshot.ddl_clock, proved, plan)
-        return proved, plan
+    @classmethod
+    def prebuilt(cls, plan: PlanNode, snapshot: "CatalogSnapshot",
+                 optimize: "Callable[[PlanNode, CatalogSnapshot], PlanNode]"
+                 ) -> Statement:
+        """A plan built without SQL text, canonicalized by ``optimize``
+        (``Recycler.optimize``).  Never cached: built per execution."""
+        plan = optimize(plan, snapshot)
+        return cls(plan, _dependencies(plan, snapshot))
+
+    def variant(
+            self, snapshot: "CatalogSnapshot",
+            rewrite: "Callable[[Variant, CatalogSnapshot], Variant] | None"
+            = None) -> Variant:
+        """What this statement runs under ``snapshot``: ``plan`` without
+        the :attr:`windows` the snapshot proves — one plan object per
+        proof outcome, so each keeps its memoized schemas and
+        fingerprint — passed through ``rewrite`` (the recycler's
+        proactive rewrite).  Resolved again only when the snapshot's DDL
+        clock moved: within one catalog it names the state of every
+        table, statistics and binning specs included."""
+        last = self._variant
+        if last is not None and last.clock == snapshot.ddl_clock:
+            return last
+        proved, plan = 0, self.plan
+        if self.windows:
+            proved = proved_windows(self.windows, snapshot)
+            plan = self._pruned.get(proved)
+            if plan is None:
+                plan = self._pruned.setdefault(proved, without_windows(
+                    self.plan, self.windows, proved))
+        variant = Variant(snapshot.ddl_clock, proved, plan, (plan,))
+        if rewrite is not None:
+            variant = rewrite(variant, snapshot)
+        self._variant = variant
+        return variant
+
+
+class Variant(NamedTuple):
+    """A :class:`Statement` as the snapshots of one DDL clock run it."""
+
+    clock: int
+    #: the windows proved (bits of :func:`proved_windows`), and the
+    #: statement's plan without them
+    proved: int
+    plan: PlanNode
+    #: the plans to run, in order: a proactive rewrite of ``plan``,
+    #: then ``plan`` if steering may fall back to it; else ``(plan,)``
+    candidates: tuple[PlanNode, ...]
+    #: the proactive strategies applied, and the subtrees steering reads
+    strategies: tuple[str, ...] = ()
+    anchors: tuple[PlanNode, ...] = ()
 
 
 class Window(NamedTuple):
@@ -160,7 +195,7 @@ class Window(NamedTuple):
     extend over appended rows — what the last one cached.
 
     Found in the canonical plan, not by the optimizer, and cached per
-    proof outcome (:meth:`Statement.pruned`), never per text: a plan
+    proof outcome (:meth:`Statement.variant`), never per text: a plan
     kept per text must stay right for every snapshot."""
 
     select: Select
@@ -600,25 +635,20 @@ class ExecutionService:
         pinned_here = snapshot is None
         if snapshot is None:
             snapshot = self.recycler.catalog.snapshot()
-        statement = None
         if isinstance(query, str):
-            statement = self.statement(query, snapshot, warm_only)
-            if statement is None:
+            query = self.statement(query, snapshot, warm_only)
+            if query is None:
                 return None
-            plan = statement.plan
-        else:
-            plan = query
-            if validate and pinned_here:
-                validate_plan(plan, snapshot)
+        elif validate and pinned_here:
+            validate_plan(query, snapshot)
 
         started = time.perf_counter()
         try:
             result = self._pipeline(
-                plan, label=label, producer_token=producer_token,
+                query, label=label, producer_token=producer_token,
                 block_on_inflight=block_on_inflight,
                 cancel_token=cancel_token, snapshot=snapshot,
-                remote=remote, tenant=tenant, statement=statement,
-                warm_only=warm_only)
+                remote=remote, tenant=tenant, warm_only=warm_only)
         except QueryTimeout:
             self._account_error(frontend, "timeouts")
             raise
@@ -636,25 +666,23 @@ class ExecutionService:
         self._account(frontend, result, time.perf_counter() - started)
         return result
 
-    def _pipeline(self, plan: PlanNode, *, label: str,
+    def _pipeline(self, query: Statement | PlanNode, *, label: str,
                   producer_token: object | None,
                   block_on_inflight: bool,
                   cancel_token: CancellationToken | None,
                   snapshot: "CatalogSnapshot | None",
                   remote: object | None,
                   tenant: str | None,
-                  statement: Statement | None,
                   warm_only: bool) -> QueryResult | None:
         """prepare → remote-or-local execute → finalize, with the
         abandon path unwinding on any failure.  This is the only copy of
         the pipeline; ``Recycler.execute`` and every frontend delegate
         here.  ``None`` when a ``warm_only`` prepare declined."""
         recycler = self.recycler
-        prepared = recycler.prepare(plan, producer_token=producer_token,
+        prepared = recycler.prepare(query, producer_token=producer_token,
                                     block_on_inflight=block_on_inflight,
                                     cancel_token=cancel_token,
                                     snapshot=snapshot, tenant=tenant,
-                                    statement=statement,
                                     warm_only=warm_only)
         if prepared is None:
             return None

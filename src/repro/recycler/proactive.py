@@ -57,23 +57,18 @@ class ProactiveResult:
 
 
 class ProactiveRewriter:
-    """Applies the three proactive strategies to a logical plan."""
+    """Applies the three proactive strategies to a logical plan.
+
+    ``catalog`` — for the recycler, the query's pinned
+    :class:`~repro.columnar.catalog.CatalogSnapshot` — holds the
+    statistics and binning specs the rules read, so a concurrent DDL
+    cannot steer a rewrite against tables the query will not scan."""
 
     def __init__(self, catalog: CatalogView, config: RecyclerConfig) -> None:
         self.catalog = catalog
         self.config = config
 
-    def apply(self, plan: PlanNode,
-              catalog: CatalogView | None = None) -> ProactiveResult:
-        """Rewrite ``plan``; ``catalog`` (a per-query
-        :class:`~repro.columnar.catalog.CatalogSnapshot`) pins the
-        statistics and binning specs the rules read, so a concurrent DDL
-        cannot steer a rewrite against tables the query will not scan.
-        """
-        if catalog is not None and catalog is not self.catalog:
-            # Rewriters are stateless beyond (catalog, config): rebinding
-            # per query keeps the shared instance thread-safe.
-            return ProactiveRewriter(catalog, self.config).apply(plan)
+    def apply(self, plan: PlanNode) -> ProactiveResult:
         result = ProactiveResult(plan=plan)
 
         def visit(node: PlanNode, children: list[PlanNode]) -> PlanNode:

@@ -42,8 +42,7 @@ from ..engine.cost import DEFAULT_COST_MODEL, CostModel
 from ..engine.executor import ExecutionStats, QueryResult
 from ..engine.scan import ReuseScanOp
 from ..engine.store import StoreOp, StoreStats
-from ..exec_service import (ExecutionService, Statement, proved_windows,
-                            windows_of, without_windows)
+from ..exec_service import ExecutionService, Statement, Variant
 from ..plan.logical import CachedScan, PlanNode
 from ..plan.optimizer import OptimizeContext, PlanOptimizer
 from .benefit import BenefitModel
@@ -61,11 +60,15 @@ from .subsumption import SubsumptionIndex
 
 
 class RootHit(NamedTuple):
-    """What the last slow-path ``prepare`` of a cached statement learned
-    about its plan's root — everything the root-hit fast path needs to
-    answer the next repeat without walking the tree (kept on
+    """What the last slow-path ``prepare`` of a statement learned about
+    the root of the plan it ran — everything the root-hit fast path
+    needs to answer the next repeat without walking the tree (kept on
     :attr:`repro.exec_service.Statement.root_hit`, replaced whole)."""
 
+    #: the plan the memo describes: the one candidate of the
+    #: :class:`~repro.exec_service.Variant` it was made under, served
+    #: only to a prepare that resolved that same object
+    plan: PlanNode
     root: GraphNode
     #: the distinct graph nodes the plan's nodes unified with (a repeat
     #: match would access-stamp exactly these)
@@ -75,10 +78,17 @@ class RootHit(NamedTuple):
     #: root graph column name -> this statement's column name
     rename: dict[str, str]
     schema: Schema
-    #: the statement's windows the snapshot proved (the bits of
-    #: :func:`~repro.exec_service.proved_windows`): the memo stands for
-    #: that variant of the plan only
-    proved: int
+
+    @classmethod
+    def of(cls, plan: PlanNode, matches: MatchResult,
+           snapshot: CatalogSnapshot) -> RootHit:
+        root = matches.of(plan)
+        return cls(plan, root.graph_node,
+                   tuple({matches.of(node).graph_node
+                          for node in plan.walk()}),
+                   matches.matched_count + matches.inserted_count,
+                   {g: q for q, g in root.mapping.items()},
+                   plan.output_schema(snapshot))
 
 
 @dataclass
@@ -106,7 +116,7 @@ class PreparedQuery:
     #: wall-clock seconds actually spent blocked on in-flight producers.
     stall_seconds: float = 0.0
     matching_seconds: float = 0.0
-    proactive_strategies: list[str] = field(default_factory=list)
+    proactive_strategies: tuple[str, ...] = ()
     proactive_executed: bool = False
 
 
@@ -149,7 +159,6 @@ class Recycler:
         self.subsumption = SubsumptionIndex(self.graph) \
             if self.config.subsumption else None
         self.inflight = InFlightRegistry()
-        self.proactive = ProactiveRewriter(catalog, self.config)
         #: the canonicalizing pre-match pass; stateless — per-query
         #: rewrite counts aggregate into ``_optimizer_counts`` under
         #: ``_optimizer_lock``.
@@ -195,108 +204,61 @@ class Recycler:
     # ------------------------------------------------------------------
     # the rewrite phase
     # ------------------------------------------------------------------
-    def prepare(self, plan: PlanNode,
+    def prepare(self, query: PlanNode | Statement,
                 producer_token: object | None = None,
                 block_on_inflight: bool = False,
                 cancel_token: CancellationToken | None = None,
                 snapshot: CatalogSnapshot | None = None,
                 tenant: str | None = None,
-                statement: Statement | None = None,
                 warm_only: bool = False) -> PreparedQuery | None:
-        """Run the full rewrite pipeline for one optimized query plan.
+        """Run the rewrite pipeline (paper Figure 1) for one
+        :class:`~repro.exec_service.Statement` — the execution service's
+        cached one for a SQL text, or a prebuilt plan made one here
+        (``Statement.prebuilt``: canonicalized, never cached).
+
+        One sequence: resolve the statement's variant for ``snapshot``
+        (``Statement.variant``: the plan without the moving-window
+        conjuncts the snapshot proves true, then in ``pa`` the proactive
+        rewrite) → the root-hit memo, if it was made for that variant's
+        one plan to run (:meth:`_prepare_root_hit`) → the slow path:
+        Algorithm-1 matching, reference bookkeeping, in-flight waits,
+        reuse substitution and store planning, leaving a memo for the
+        next repeat.  A steered proactive variant has two plans to run
+        (steering may fall back to the unrewritten one) and always takes
+        the slow path.  ``off`` runs the variant's plan as it is.
 
         With ``block_on_inflight`` the calling thread stalls — before the
         rewrite critical section, holding no locks — on every matched
-        node a concurrent query is currently producing, then reuses the
-        materialized entries the producers left behind.
-
-        ``cancel_token`` makes the rewrite phase abortable: the token is
-        checked on entry and after every in-flight wait (whose timeout
-        it also bounds, so a deadline fires even while stalled).  No
-        check runs after store planning — once registrations exist, only
-        ``execute``'s abandon path may unwind, so an abort can never
-        leak a registration out of ``prepare``.
-
-        ``snapshot`` is the query's pinned catalog view (one is captured
-        here when the caller did not pin earlier, e.g. around SQL
-        binding): the proactive rules, matching, reuse substitution, and
-        store planning all resolve against it, and the admission
-        callbacks tag the produced entries with its versions.
-
-        ``tenant`` attributes whatever this query materializes to a
-        per-tenant cache byte budget (:meth:`set_tenant_budget`): the
-        admission callbacks carry it into
-        :meth:`~repro.recycler.cache.RecyclerCache.admit`, which rejects
-        publications that would push the tenant past its budget.
-
-        ``statement`` is the execution service's cached
-        :class:`~repro.exec_service.Statement` that ``plan`` belongs to
-        (``plan is statement.plan``, already canonicalized by
-        :meth:`optimize`): every slow-path prepare leaves a
-        :class:`RootHit` memo on it, and the next prepare of the same
-        object takes :meth:`_prepare_root_hit` when the root's result
-        is still cached.  When the plan was substituted from a
-        statement template's plan, matching replays the template's
-        memo of its literal-free subtrees (``match_tree``'s ``memo``).
-
-        Every mode runs the plan without the range conjuncts the
-        snapshot's min / max prove true of every row (moving windows,
-        :class:`~repro.exec_service.Window`): a cached statement's
-        variant for that proof outcome (:meth:`~repro.exec_service.
-        Statement.pruned`), or a prebuilt plan pruned after it is
-        optimized.  The root-hit memo records its variant and serves
-        only that one.
+        node a concurrent query is producing, then reuses what the
+        producers left behind.  ``cancel_token`` is checked on entry and
+        after every such wait (whose timeout it bounds); never after
+        store planning, so an abort cannot leak a registration.
+        ``snapshot`` is the query's pinned catalog view (captured here
+        otherwise): everything above resolves against it, and admission
+        tags entries with its versions.  ``tenant`` attributes what the
+        query materializes to a per-tenant cache budget
+        (:meth:`set_tenant_budget`).
 
         ``warm_only`` is for a caller that must not block or run for
         long (a server's event loop): the prepare is that root hit or
-        nothing.  Where it would otherwise optimize, match, wait on an
-        in-flight producer or plan stores — no memo yet, a gate of
-        :meth:`_prepare_root_hit` declines, ``off`` or ``pa`` mode — it
-        returns ``None`` instead, having taken no query id and changed
-        no recycler state (the activity stamp aside, which the caller's
-        ordinary ``prepare`` sets again).
-        """
+        nothing.  Otherwise it returns ``None`` having taken no query id
+        and changed no recycler state (the activity stamp aside)."""
         if cancel_token is not None:
             cancel_token.check()
         if snapshot is None:
             snapshot = self.catalog.snapshot()
-        off = self.config.mode == MODE_OFF
-        # Proactive steering re-matches a rewritten variant of the plan,
-        # so ``pa`` mode always takes the slow path.
-        memoize = statement is not None and not off and \
-            not self.config.proactive_enabled
-        memo = statement.root_hit if memoize else None
-        # Moving windows (``exec_service.Window``): drop the conjuncts
-        # this snapshot's statistics prove true of every row, before the
-        # mode check (every mode executes the same plan), fingerprinting
-        # and matching.  A root-hit memo stands for the variant it was
-        # made for: served under another, a window whose bound no
-        # longer covers the table would read a node extended past it.
-        proved = 0
-        if statement is not None and statement.windows:
-            proved, plan = statement.pruned(snapshot)
-            if memo is not None and memo.proved != proved:
-                memo = None
+        statement = query if isinstance(query, Statement) else \
+            Statement.prebuilt(query, snapshot, self.optimize)
+        variant = statement.variant(snapshot, self._proactive_variant)
+        plan, candidates = variant.plan, variant.candidates
+        memo = statement.root_hit
+        if memo is not None and memo.plan is not candidates[0]:
+            memo = None
         if warm_only and memo is None:
             return None
-        subtrees = statement.template.matches \
-            if memoize and statement.template is not None else None
-
-        # Canonicalize *before* fingerprinting, stripe selection, and
-        # matching (and before the mode check, so every mode executes
-        # the same shapes): all plans in a semantic equivalence class
-        # collapse onto one graph subtree and one cached entry.  A
-        # cached statement's plan went through this when it was built.
-        if statement is None:
-            plan = self.optimize(plan, snapshot)
-            windows = windows_of(
-                plan, lambda name: snapshot.table(name).schema)
-            proved = proved_windows(windows, snapshot)
-            if proved:
-                plan = without_windows(plan, windows, proved)
-
-        if off:
-            query_id, token = self._new_query(producer_token, proved)
+        if self.config.mode == MODE_OFF:
+            query_id, token = self._new_query(producer_token,
+                                              variant.proved)
             return PreparedQuery(query_id=query_id, original_plan=plan,
                                  executed_plan=plan, matches=None,
                                  producer_token=token, snapshot=snapshot)
@@ -307,89 +269,24 @@ class Recycler:
         if memo is not None:
             with stripe:
                 prepared = self._prepare_root_hit(
-                    memo, plan, producer_token, snapshot, fingerprint)
+                    memo, variant, producer_token, snapshot, fingerprint)
             if prepared is not None or warm_only:
                 return prepared
-        query_id, token = self._new_query(producer_token, proved)
+        query_id, token = self._new_query(producer_token, variant.proved)
         self.graph.tick()
 
-        plan_to_match = plan
-        strategies: list[str] = []
-        anchors: list[PlanNode] = []
-        if self.config.proactive_enabled:
-            proactive = self.proactive.apply(plan, catalog=snapshot)
-            if proactive.applications:
-                plan_to_match = proactive.plan
-                strategies = [a.strategy for a in proactive.applications]
-                anchors = [a.anchor for a in proactive.applications
-                           if a.anchor is not None]
-
-        # Phase 1 — Algorithm-1 matching, lock-free: concurrent inserts
-        # are caught by the graph's optimistic validation and re-matched.
-        started = time.perf_counter()
-        hook = self.subsumption.on_insert if self.subsumption else None
-        matches = match_tree(plan_to_match, self.graph, snapshot,
-                             query_id, subsumption_hook=hook,
-                             memo=subtrees)
-        matching_seconds = time.perf_counter() - started
-        if matches.memo_nodes or matches.memo_stale:
-            with self._optimizer_lock:
-                self._memo_nodes += matches.memo_nodes
-                self._memo_stale += matches.memo_stale
-
-        # Phase 2 — steering + reference bookkeeping (mutates hR).
-        with stripe:
-            executed_plan = plan_to_match
-            proactive_executed = bool(strategies)
-            credited: list[GraphNode] = []
-            if strategies and self.config.proactive_benefit_steered:
-                # Reference the proactive variant first — each trigger
-                # raises the benefit of its common parts (paper Section
-                # IV-B) — then decide whether to actually execute it.
-                credited = self.model.record_query_references(
-                    plan_to_match, matches)
-                if not self._steering_accepts(matches, anchors):
-                    started2 = time.perf_counter()
-                    matches = match_tree(plan, self.graph, snapshot,
-                                         query_id, subsumption_hook=hook)
-                    matching_seconds += time.perf_counter() - started2
-                    executed_plan = plan
-                    proactive_executed = False
-                    credited += self.model.record_query_references(
-                        plan, matches)
-            matched_plan = executed_plan
-
-            if not credited:
-                credited = self.model.record_query_references(
-                    matched_plan, matches)
-            for node in credited:
-                if node.is_materialized:
-                    self.cache.refresh(node)
-
-        # Phase 3 — in-flight sharing.  Collect the matched nodes some
-        # concurrent query is producing; when blocking, wait (lock-free)
-        # for each producer's store to complete or abort.
-        stalls = self._collect_stalls(matched_plan, matches, token)
-        stall_seconds = 0.0
-        if block_on_inflight:
-            for node in stalls:
-                timeout = self.config.inflight_wait_timeout
-                if cancel_token is not None:
-                    # A deadline must fire even while stalled on a
-                    # producer; a cancel wakes the wait via
-                    # ``inflight.cancel`` and is re-raised here.
-                    timeout = cancel_token.bound_timeout(timeout)
-                stall_seconds += self.inflight.wait_for(
-                    node, token, timeout=timeout)
-                if cancel_token is not None:
-                    cancel_token.check()
+        executed, matches, matching_seconds = self._match(
+            statement, variant, snapshot, query_id, stripe)
+        stalls = self._collect_stalls(executed, matches, token)
+        stall_seconds = self._await_producers(stalls, token, cancel_token) \
+            if block_on_inflight else 0.0
 
         # Phase 4 — reuse substitution + store planning; entries admitted
         # by awaited producers are picked up here as ordinary reuses.
         # The callbacks carry the producer token so completion releases
         # only this query's own registrations (owner-checked).
         with stripe:
-            outcome = substitute_reuse(matched_plan, matches, self.graph,
+            outcome = substitute_reuse(executed, matches, self.graph,
                                        self.cache, self.subsumption,
                                        self.config, snapshot,
                                        self.cost_model)
@@ -406,19 +303,11 @@ class Recycler:
                 on_abort=lambda node, _t=token:
                     self._on_store_abort(node, _t),
                 snapshot=snapshot)
-
-        if memoize:
+        if len(candidates) == 1:
             # On *every* slow-path prepare, cold ones included: the
-            # first repeat of a statement whose root this query is
-            # about to materialize must already find the memo.
-            root = matches.of(plan)
-            statement.root_hit = RootHit(
-                root=root.graph_node,
-                nodes=tuple({matches.of(node).graph_node
-                             for node in plan.walk()}),
-                num_nodes=matches.matched_count + matches.inserted_count,
-                rename={g: q for q, g in root.mapping.items()},
-                schema=plan.output_schema(snapshot), proved=proved)
+            # first repeat of a statement whose root this query is about
+            # to materialize must already find the memo.
+            statement.root_hit = RootHit.of(executed, matches, snapshot)
 
         return PreparedQuery(
             query_id=query_id, original_plan=plan,
@@ -428,16 +317,91 @@ class Recycler:
             stores=store_plan.requests, reuses=outcome.reuses,
             stalls=stalls, stall_seconds=stall_seconds,
             matching_seconds=matching_seconds,
-            proactive_strategies=strategies,
-            proactive_executed=proactive_executed)
+            proactive_strategies=variant.strategies,
+            proactive_executed=executed is not plan)
+
+    def _match(self, statement: Statement, variant: Variant,
+               snapshot: CatalogSnapshot, query_id: int, stripe
+               ) -> tuple[PlanNode, MatchResult, float]:
+        """Phases 1–2 of the slow path, per candidate of ``variant``:
+        Algorithm-1 matching, lock-free (concurrent inserts are caught
+        by the graph's optimistic validation and re-matched), then under
+        ``stripe`` the references (hR) — each proactive trigger raises
+        the benefit of its common parts (paper Section IV-B) — and
+        steering: a candidate but the last runs only once its anchor
+        pays.  Returns the plan to run, its matches and the seconds
+        spent matching."""
+        hook = self.subsumption.on_insert if self.subsumption else None
+        subtrees = statement.template.matches \
+            if statement.template is not None else None
+        seconds = 0.0
+        credited: list[GraphNode] = []
+        for plan in variant.candidates:
+            started = time.perf_counter()
+            matches = match_tree(plan, self.graph, snapshot, query_id,
+                                 subsumption_hook=hook, memo=subtrees)
+            seconds += time.perf_counter() - started
+            if matches.memo_nodes or matches.memo_stale:
+                with self._optimizer_lock:
+                    self._memo_nodes += matches.memo_nodes
+                    self._memo_stale += matches.memo_stale
+            with stripe:
+                credited += self.model.record_query_references(
+                    plan, matches)
+                if plan is variant.candidates[-1] or \
+                        self._steering_accepts(matches, variant.anchors):
+                    for node in credited:
+                        if node.is_materialized:
+                            self.cache.refresh(node)
+                    return plan, matches, seconds
+
+    def _await_producers(self, stalls: list[GraphNode], token: object,
+                         cancel_token: CancellationToken | None) -> float:
+        """Phase 3 — in-flight sharing: wait, lock-free, for each
+        producer of ``stalls`` to complete or abort its store; the
+        seconds spent waiting."""
+        seconds = 0.0
+        for node in stalls:
+            timeout = self.config.inflight_wait_timeout
+            if cancel_token is not None:
+                # A deadline must fire even while stalled on a
+                # producer; a cancel wakes the wait via
+                # ``inflight.cancel`` and is re-raised here.
+                timeout = cancel_token.bound_timeout(timeout)
+            seconds += self.inflight.wait_for(node, token, timeout=timeout)
+            if cancel_token is not None:
+                cancel_token.check()
+        return seconds
+
+    def _proactive_variant(self, variant: Variant,
+                           snapshot: CatalogSnapshot) -> Variant:
+        """``variant`` proactively rewritten (``pa``, paper Section
+        IV-B; any other mode leaves it as it is).  Benefit-steered, the
+        rewrite is a candidate before the unrewritten plan — unless it
+        has no anchor to steer on, when steering would always run it."""
+        if not self.config.proactive_enabled:
+            return variant
+        proactive = ProactiveRewriter(snapshot, self.config).apply(
+            variant.plan)
+        if not proactive.applications:
+            return variant
+        anchors = tuple(a.anchor for a in proactive.applications
+                        if a.anchor is not None)
+        steered = self.config.proactive_benefit_steered and anchors
+        return variant._replace(
+            candidates=(proactive.plan, variant.plan) if steered
+            else (proactive.plan,),
+            strategies=tuple(a.strategy
+                             for a in proactive.applications),
+            anchors=anchors)
 
     def optimize(self, plan: PlanNode, snapshot: CatalogSnapshot,
                  ctx: OptimizeContext | None = None) -> PlanNode:
         """Canonicalize ``plan``, adding the rewrites performed to the
         ``summary()["optimizer"]`` counters.  Called once per plan: by
-        :meth:`prepare` for prebuilt plans, by the execution service
-        when it builds a cached statement (with ``ctx`` when the plan
-        is a statement template's: see ``PlanOptimizer.optimize``)."""
+        ``Statement.prebuilt`` for prebuilt plans, by the execution
+        service when it builds a cached statement (with ``ctx`` when the
+        plan is a statement template's: see ``PlanOptimizer.optimize``)."""
         plan, rewrites = self.optimizer.optimize(plan, snapshot, ctx)
         self.count_rewrites(rewrites)
         return plan
@@ -464,7 +428,7 @@ class Recycler:
         return query_id, \
             query_id if producer_token is None else producer_token
 
-    def _prepare_root_hit(self, memo: RootHit, plan: PlanNode,
+    def _prepare_root_hit(self, memo: RootHit, variant: Variant,
                           producer_token: object | None,
                           snapshot: CatalogSnapshot,
                           fingerprint: int) -> PreparedQuery | None:
@@ -473,8 +437,7 @@ class Recycler:
         reference bookkeeping over the tree, stall collection, reuse
         substitution or store planning (the fingerprint is memoized on
         the plan).  Caller holds the plan's stripe, and has checked
-        that the snapshot proves the windows ``memo`` was made under
-        (``memo.proved``): ``plan`` is the variant ``memo`` describes.
+        that ``memo`` was made for ``variant``'s one plan to run.
 
         Taken when the memoized root still has an entry this snapshot
         may consume and reuse pays — the two gates ``substitute_reuse``
@@ -490,7 +453,8 @@ class Recycler:
         descendants sit behind a materialized ancestor and get none —
         and one noted reuse, whose refresh re-positions the entry), and
         the query record reads the same (``num_matched`` = plan nodes,
-        ``num_inserted`` = 0, one exact reuse).
+        ``num_inserted`` = 0, one exact reuse, the variant's proactive
+        strategies).
 
         One intended difference: with ``block_on_inflight`` the slow
         path would wait on an in-flight *descendant* of the root even
@@ -500,7 +464,7 @@ class Recycler:
         entry = current_entry(root, snapshot)
         if entry is None or recompute_is_cheaper(root, self.cost_model):
             return None
-        query_id, token = self._new_query(producer_token, memo.proved)
+        query_id, token = self._new_query(producer_token, variant.proved)
         event = self.graph.tick()
         for node in memo.nodes:
             node.last_access_event = event
@@ -509,28 +473,25 @@ class Recycler:
         with self._optimizer_lock:
             self._root_hits += 1
         return PreparedQuery(
-            query_id=query_id, original_plan=plan,
+            query_id=query_id, original_plan=variant.plan,
             executed_plan=CachedScan(entry, memo.schema,
                                      rename=memo.rename,
                                      label=f"reuse:{root.node_id}"),
             matches=MatchResult(matched_count=memo.num_nodes),
             producer_token=token, snapshot=snapshot,
             fingerprint=fingerprint,
-            reuses=[ReuseInfo(root, root, "exact")])
+            reuses=[ReuseInfo(root, root, "exact")],
+            proactive_strategies=variant.strategies,
+            proactive_executed=memo.plan is not variant.plan)
 
     def _steering_accepts(self, matches: MatchResult,
-                          anchors: list[PlanNode]) -> bool:
+                          anchors: tuple[PlanNode, ...]) -> bool:
         """Benefit-steered proactive execution: run the expensive variant
-        only once its shared anchor is cached or recurring."""
-        for anchor in anchors:
-            if not matches.contains(anchor):
-                continue
-            node = matches.of(anchor).graph_node
-            if node.is_materialized:
-                return True
-            if self.graph.effective_refs(node) >= STORE_MIN_REFS:
-                return True
-        return not anchors  # no anchors -> nothing to steer on
+        only once a shared anchor of it is cached or recurring."""
+        nodes = (matches.of(anchor).graph_node for anchor in anchors
+                 if matches.contains(anchor))
+        return any(node.is_materialized or self.graph.effective_refs(node)
+                   >= STORE_MIN_REFS for node in nodes)
 
     def _collect_stalls(self, plan: PlanNode, matches: MatchResult,
                         token: object) -> list[GraphNode]:

@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING
 from ..columnar.types import STRING
 from ..errors import (QueryCancelled, QueryTimeout, ReproError,
                       ServerOverloaded, ServerUnavailable)
+from ..session import cancel_sessions
 from .protocol import (DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_ROWS,
                        ProtocolError, encode_json, encode_result_chunk,
                        error_payload, iter_columnar_chunks,
@@ -238,8 +239,9 @@ class ServingBase:
                                    timeout=self.drain_seconds)
         except asyncio.TimeoutError:
             pass
-        for connection in list(self._connections):
-            connection.session.cancel()
+        connections = list(self._connections)
+        cancel_sessions([connection.session for connection in connections])
+        for connection in connections:
             connection.writer.close()
         # close() only *schedules* connection_lost; if the loop exits
         # first, the accepted fd outlives it inside this process and a

@@ -112,6 +112,23 @@ class SessionQuery:
         self.session._db.recycler.cancel(self.token)
 
 
+def cancel_sessions(sessions: list["Session"]) -> bool:
+    """Abort every query in flight on ``sessions``, from any thread:
+    trip every token, *then* retire the producer tokens
+    (:meth:`SessionQuery.cancel`), so a query woken by a retired
+    producer aborts instead of computing the result itself.  Returns
+    True when there was a query to cancel."""
+    active: list[SessionQuery] = []
+    for session in sessions:
+        with session._lock:
+            active += session._active
+    for query in active:
+        query.cancel_token.cancel()
+    for query in active:
+        query.cancel()
+    return bool(active)
+
+
 class Session:
     """One logical connection to a :class:`~repro.db.Database`.
 
@@ -232,14 +249,9 @@ class Session:
 
     def cancel(self) -> bool:
         """Abort every query in flight on this session, from any thread
-        (:meth:`SessionQuery.cancel` each: trip its token and retire
-        its producer token).  Returns True when there was a query to
-        cancel."""
-        with self._lock:
-            active = list(self._active)
-        for query in active:
-            query.cancel()
-        return bool(active)
+        (:func:`cancel_sessions`).  Returns True when there was a query
+        to cancel."""
+        return cancel_sessions([self])
 
     def cancel_all(self) -> bool:
         """:meth:`cancel` plus a standing order: every query this

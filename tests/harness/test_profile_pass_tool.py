@@ -8,8 +8,9 @@ The same goes for the statement cache's template path, which it times
 by wrapping ``exec_service.scan_literals`` and
 ``StatementTemplate.bind`` / ``.planned`` — and there the tool is also
 the alarm: it exits non-zero when texts share shapes and no template
-was hit or no plan node was matched from a template's memo, and when a
-recycling pass appends and no cached result was extended or no
+was hit or no plan node was matched from a template's memo, when a
+recycling pass repeats a text and no statement took the root-hit path,
+and when it appends and no cached result was extended or no
 moving-window conjunct was proved.
 """
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -54,6 +57,8 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
                      "StatementTemplate.planned": hits}
     # their literal-free subtrees matched from the templates' memos
     assert values["memo_nodes"] > 0
+    # the dashboard's repeats were answered from their root-hit memos
+    assert values["root_hits"] > 0
     assert values["gc_ms"] >= 0.0 and values["gc_gen2"] >= 0
     # appends left the dashboard's stable aggregates cached, extended
     assert values["extended"] > 0 and values["ddl_evicted"] > 0
@@ -99,6 +104,27 @@ def test_tool_fails_when_the_memo_stops_replaying():
     assert "memo_nodes 0" in done.stdout.splitlines()
 
 
+@pytest.mark.parametrize("mode", ["spec", "pa"])
+def test_tool_fails_when_root_hits_stop(mode):
+    """A repeat that re-matches its whole plan returns the same rows
+    and leaves the same recycler state, only slower — the tool is what
+    notices, under ``pa`` as under ``spec``."""
+    broken = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import profile_pass;"
+        " from repro.recycler import recycler;"
+        " recycler.Recycler._prepare_root_hit = lambda *args: None;"
+        " sys.exit(profile_pass.main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", broken, str(ROOT / "tools"),
+         "--workload", "sky_warm", "--mode", mode, "--size", "0.04",
+         "--top", "1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert "no statement was answered from its root-hit memo" \
+        in done.stderr
+    assert "root_hits 0" in done.stdout.splitlines()
+
+
 def test_tool_fails_when_appends_stop_extending():
     """Recycling that quietly went back to evicting every dependent on
     an append still returns right answers, only slower — the tool is
@@ -124,9 +150,7 @@ def test_tool_fails_when_windows_stop_being_proved():
     broken = (
         "import sys; sys.path.insert(0, sys.argv[1]); import profile_pass;"
         " from repro import exec_service;"
-        " from repro.recycler import recycler;"
-        " exec_service.proved_windows = recycler.proved_windows ="
-        " lambda windows, snapshot: 0;"
+        " exec_service.proved_windows = lambda windows, snapshot: 0;"
         " sys.exit(profile_pass.main(sys.argv[2:]))")
     done = subprocess.run(
         [sys.executable, "-c", broken, str(ROOT / "tools"),

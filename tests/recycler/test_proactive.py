@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import Database
 from repro.columnar import (BinningSpec, Catalog, DATE, FLOAT64, INT64,
                             STRING, Table, date_to_days)
 from repro.engine import execute_plan
@@ -179,6 +180,22 @@ class TestCubeWithBinning:
         rewriter = ProactiveRewriter(lineitem_catalog, config())
         result = rewriter.apply(self.plan())
         assert not result.applications
+
+    def test_a_cached_statement_sees_a_later_binning_spec(
+            self, lineitem_catalog):
+        """A statement resolves its proactive variant once per DDL
+        clock; declaring a binning spec moves the clock."""
+        lineitem_catalog.table_entry("items").binnings.clear()
+        db = Database(config(), catalog=lineitem_catalog)
+        text = ("SELECT returnflag, sum(quantity) AS sum_qty,"
+                " count(*) AS n FROM items"
+                " WHERE shipdate <= DATE '1998-03-01' GROUP BY returnflag")
+        try:
+            assert db.sql(text).record.proactive == ()
+            db.register_binning("items", BinningSpec("shipdate", "year"))
+            assert db.sql(text).record.proactive == ("cube_binning",)
+        finally:
+            db.close()
 
 
 class TestBenefitSteering:

@@ -6,16 +6,32 @@ and store planning.  The claim under test: it skips *work*, not *state
 changes* — after any stream, a database that took the fast path and one
 that never could are indistinguishable to the benefit model, the
 replacement policy and graph truncation (see ``tests/twin_replay.py``).
+
+Under ``pa`` the memo stands for the variant the proactive rewriter
+made of the statement: its unrewritten plan, or the rewrite when that
+is the one plan to run.  A benefit-steered rewrite may fall back to the
+unrewritten plan, so it always takes the slow path.
 """
 
 from __future__ import annotations
 
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro import Database, RecyclerConfig
-from repro.workloads import skyserver, tpch
+from repro.workloads import skyserver, timeseries, tpch
 from repro.workloads.skyserver import queries as sky_queries
-from twin_replay import Twins
+from twin_replay import Twins, quiet_config
+
+ROOT = Path(__file__).resolve().parents[2]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench.harness import execute_op  # noqa: E402
+from bench.workloads import SQL, WORKLOADS  # noqa: E402
 
 #: small enough that TPC-H intermediates compete for it: admission
 #: rejects, replacement evicts
@@ -129,3 +145,97 @@ class TestTpchUnderPressure:
         assert counters.evicted > 0 and counters.rejected > 0
         fast_hits, slow_hits = tpch_twins.root_hits()
         assert fast_hits > 0 and slow_hits == 0
+
+
+# ---------------------------------------------------------------------
+# proactive mode
+# ---------------------------------------------------------------------
+PA_SEED = 7
+
+
+def pa_twins(build, steered: bool) -> Twins:
+    """Twins of ``build``'s ``pa`` databases with benefit steering set
+    to ``steered`` before their first query (the benchmark's builders
+    take no config)."""
+    def pa_build() -> Database:
+        db = build()
+        db.recycler.config.proactive_benefit_steered = steered
+        return db
+    twins = Twins(pa_build)
+    assert twins.fast.recycler.config.proactive_enabled
+    return twins
+
+
+@pytest.mark.parametrize("steered", [True, False],
+                         ids=["steered", "unsteered"])
+@pytest.mark.parametrize("name", ["sky_warm", "ts_append",
+                                  "tpch_pressure"])
+def test_pa_replay_is_state_identical(name, steered):
+    """A benchmark op list at a quarter size, two passes, appends and
+    maintenance cycles included: the statements the rewriter leaves
+    alone — and, unsteered, those it rewrites — take the root-hit path
+    as under ``spec``; a steered rewrite never does."""
+    workload = WORKLOADS[name]
+    twins = pa_twins(lambda: workload.build(PA_SEED, 0.25, "pa"), steered)
+    steered_rewrites = 0
+    try:
+        for op in workload.make_ops(PA_SEED, 0.25) * 2:
+            if op.kind != SQL:
+                twins.apply(lambda db: execute_op(db, op, PA_SEED))
+                twins.assert_same_state()
+                continue
+            hits = twins.root_hits()[0]
+            result = twins.sql(op.text)
+            if steered and result.record.proactive:
+                steered_rewrites += 1
+                assert twins.root_hits()[0] == hits, op.text
+            if twins.statements % 25 == 0:
+                twins.assert_same_state()
+        twins.assert_same_state()
+        fast_hits, slow_hits = twins.root_hits()
+        assert fast_hits > 0 and slow_hits == 0
+        if steered and name != "tpch_pressure":
+            # premise: a TopN the rewriter changed was issued
+            assert steered_rewrites > 0
+    finally:
+        twins.close()
+
+
+@pytest.mark.parametrize("steered", [True, False],
+                         ids=["steered", "unsteered"])
+def test_pa_memo_stands_for_its_window_variant(steered):
+    """``site_rollup(k)`` covers every row, so it runs without its
+    window and memoizes that plan's root.  An append moves the maximum
+    past ``k``; ``site_rollup(k + 64)`` extends the windowless root over
+    the new rows, and ``site_rollup(k)`` — no longer covering the table
+    — must not be served that root.  ``alerts`` is a TopN over a window:
+    its variant is a proactive rewrite of the pruned plan."""
+    def build() -> Database:
+        catalog = timeseries.build_catalog(2048, seed=9090)
+        return Database(replace(quiet_config(64 * 1024 * 1024),
+                                mode="pa"), catalog=catalog)
+
+    twins = pa_twins(build, steered)
+    rows = 2048
+    try:
+        for cycle in range(3):
+            texts = [timeseries.site_rollup(rows),
+                     timeseries.alerts(rows)]
+            for text in texts * 3:
+                twins.sql(text)
+            twins.assert_same_state()
+            append = timeseries.append_unit(cycle, rows, 64)
+            twins.apply(lambda db: append(db, None))
+            rows += 64
+            # the new bound first: it extends the root the old one
+            # memoized, which the old one must then not be served
+            twins.sql(timeseries.site_rollup(rows))
+            for text in texts:
+                twins.sql(text)
+            twins.assert_same_state()
+        summary = twins.fast.summary()
+        assert summary["catalog"]["entries_extended"] > 0
+        assert summary["optimizer"]["conjuncts_proved"] > 0
+        assert twins.root_hits()[0] > 0
+    finally:
+        twins.close()

@@ -113,9 +113,10 @@ class TestPruned:
         statement = pair.db.service.statement(text, snapshot)
         assert any(isinstance(node, Select)
                    for node in statement.plan.walk())
-        proved, plan = statement.pruned(snapshot)
-        assert proved == 0b11
-        assert not any(isinstance(node, Select) for node in plan.walk())
+        variant = statement.variant(snapshot)
+        assert variant.proved == 0b11
+        assert not any(isinstance(node, Select)
+                       for node in variant.plan.walk())
 
     def test_only_the_proved_conjuncts_go(self, pair):
         # the lower bound is proved, the upper one cuts the data
@@ -232,9 +233,12 @@ class TestVariantMemo:
         old = ts.site_rollup(pair.rows)
         pair.sql(old)
         pair.sql(old)
-        memo = pair.db.service.statement(
-            old, pair.db.catalog.snapshot()).root_hit
-        assert memo.proved == 1 and memo.root.entry is not None
+        snapshot = pair.db.catalog.snapshot()
+        statement = pair.db.service.statement(old, snapshot)
+        memo = statement.root_hit
+        assert statement.variant(snapshot).proved == 1
+        assert memo.plan is statement.variant(snapshot).plan
+        assert memo.root.entry is not None
         pair.append()
         new = ts.site_rollup(pair.rows)
         extended = pair.db.summary()["catalog"]["entries_extended"]

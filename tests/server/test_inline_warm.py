@@ -175,9 +175,8 @@ class TestFallsThroughToThePool:
             assert cache["hits"] == hits and cache["invalidated"] == 1
             assert server.stats()["served"] == 5
 
-    @pytest.mark.parametrize("mode", ["off", "pa"])
-    def test_off_and_pa_never_answer_inline(self, mode):
-        db = sky_db(mode)
+    def test_off_never_answers_inline(self):
+        db = sky_db("off")
         try:
             reference = wire_rows(db.sql(SCAN).table)
             with ReproServer(db) as tcp, HttpServer(db) as http, \
@@ -190,6 +189,32 @@ class TestFallsThroughToThePool:
                 assert http.stats()["served"] == 3
                 assert tcp.stats()["inline"] == 0
                 assert http.stats()["inline"] == 0
+        finally:
+            db.close()
+
+    def test_pa_answers_what_it_runs_unrewritten_inline(self):
+        """``pa`` leaves ``SCAN`` as it is, so a repeat is warm as under
+        ``spec``; it rewrites a TopN into a larger one that steering may
+        decline, which has two plans to run and is never warm."""
+        db = sky_db("pa")
+        rewritten = sky_queries.nearest_variant()
+        try:
+            reference = wire_rows(db.sql(SCAN).table)
+            expected = db.sql(rewritten)
+            assert expected.record.proactive == ("topn",)
+            expected = wire_rows(expected.table)
+            with ReproServer(db) as tcp, HttpServer(db) as http, \
+                    ServerClient(*tcp.address) as tcp_client, \
+                    HttpClient(*http.address) as http_client:
+                for _ in range(3):
+                    assert tcp_client.query(SCAN).rows == reference
+                    assert http_client.query(SCAN).rows == reference
+                    assert tcp_client.query(rewritten).rows == expected
+                    assert http_client.query(rewritten).rows == expected
+                assert tcp.stats()["served"] == 6
+                assert http.stats()["served"] == 6
+                assert tcp.stats()["inline"] == 3
+                assert http.stats()["inline"] == 3
         finally:
             db.close()
 
@@ -311,17 +336,28 @@ class TestLimitsStillApply:
                 write_frame(client._sock, {
                     "op": "query", "sql": "SELECT x FROM gated(5)"})
                 assert wait_for(lambda: server.stats()["in_flight"] == 1)
+                # the connection's third query, held here: a hung-up
+                # connection leaves ``server._connections``
+                assert wait_for(lambda: active_query(server, 3))
+                gated = active_query(server, 3)
             # the hang-up is noticed while the producer is still gated
-            assert wait_for(lambda: any(
-                query.cancel_token.cancelled
-                for connection in list(server._connections)
-                for query in list(connection.session._active)))
+            assert wait_for(lambda: gated.cancel_token.cancelled)
             gate.set()
             assert wait_for(lambda: server.stats()["cancelled"] == 1)
             assert wait_for(lambda: server.stats()["in_flight"] == 0)
             assert server.stats()["served"] == 2
         # the abandoned query published nothing
         assert db.sql("SELECT x FROM gated(5)").record.num_reused == 0
+
+
+def active_query(server, seq: int):
+    """Query ``seq`` (its number on its session) if it is in flight on
+    one of ``server``'s live connections."""
+    for connection in list(server._connections):
+        for query in list(connection.session._active):
+            if query.seq == seq:
+                return query
+    return None
 
 
 def record_chunk_threads(server) -> list[tuple[str, list[str]]]:

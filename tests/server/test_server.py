@@ -384,7 +384,10 @@ class Stall:
 
 
 def service_cancelled(db, frontend: str) -> int:
-    return db.summary()["service"]["frontends"][frontend]["cancelled"]
+    """Queries of ``frontend`` the service counted as cancelled: 0 until
+    it accounts the frontend's first query."""
+    frontends = db.summary()["service"]["frontends"]
+    return frontends.get(frontend, {}).get("cancelled", 0)
 
 
 @pytest.mark.parametrize("transport", sorted(TRANSPORTS))

@@ -27,16 +27,18 @@ twice, each time on a fresh database:
    shares;
 2. under cProfile, and prints the top functions.
 
-It also prints the pass's ``ddl_evicted`` (cached results an
-invalidation sweep evicted), ``extended`` (cached results extended
-over appended rows instead) and ``conjuncts_proved`` (moving-window
-conjuncts dropped because the snapshot proved them true of every row).
+It also prints the pass's ``root_hits`` (repeats answered from their
+root-hit memo), ``ddl_evicted`` (cached results an invalidation sweep
+evicted), ``extended`` (cached results extended over appended rows
+instead) and ``conjuncts_proved`` (moving-window conjuncts dropped
+because the snapshot proved them true of every row).
 
 Exits non-zero if texts of the op list share a shape (so a template
 could have served one of them) and the pass reports no template hit —
-or, recycling, no plan node matched from a template's memo — or if a
-recycling pass appends and reports no extension or no proved conjunct:
-a template, memo, extension or moving-window path that has silently
+or, recycling, no plan node matched from a template's memo — if a
+recycling pass repeats a text and reports no root hit, or if it
+appends and reports no extension or no proved conjunct: a template,
+memo, root-hit, extension or moving-window path that has silently
 stopped firing fails no test.
 
 With ``--wire`` the op list travels instead: statements through a
@@ -305,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True,
                         choices=sorted(WORKLOADS))
-    parser.add_argument("--mode", required=True, choices=("spec", "off"),
+    parser.add_argument("--mode", required=True,
+                        choices=("spec", "pa", "off"),
                         help="recycler mode of the pass")
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime"))
@@ -349,6 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, value in statement_cache.items():
         print(f"statement_cache.{name} {value}")
     optimizer = summary["optimizer"]
+    print(f"root_hits {optimizer['root_hits']}")
     print(f"memo_nodes {optimizer['memo_nodes']}")
     print(f"memo_stale {optimizer['memo_stale']}")
     print(f"gc_ms {pauses.seconds * 1e3:.1f}")
@@ -370,6 +374,11 @@ def main(argv: list[str] | None = None) -> int:
             not optimizer["memo_nodes"]:
         print("error: texts share shapes but no plan node was matched"
               " from a statement template's memo", file=sys.stderr)
+        return 1
+    if args.mode != "off" and len(texts) < queries and \
+            not optimizer["root_hits"]:
+        print("error: the pass repeats texts but no statement was"
+              " answered from its root-hit memo", file=sys.stderr)
         return 1
     appends = any(op.kind == APPEND for op in ops)
     if args.mode != "off" and appends and not catalog["entries_extended"]:
