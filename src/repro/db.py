@@ -299,17 +299,18 @@ class Database:
         return self.recycler.invalidate_function(name)
 
     def maintain(self) -> dict[str, int]:
-        """Run one budgeted maintenance cycle now (version-dead GC,
-        size/idle truncate triggers, cached-benefit refresh) regardless
-        of the background cadence."""
+        """Run one maintenance cycle now (version-dead GC, one
+        truncation when the size or idle trigger fires, cached-benefit
+        refresh on the idle trigger) regardless of the background
+        cadence."""
         return self.maintenance.run_once()
 
     def summary(self) -> dict:
         """Aggregate counters: the recycler view (queries, graph, cache,
         costs), background-maintenance counters under ``"maintenance"``
         (cycles, size/idle triggers, truncate runs, nodes
-        truncated, bytes reclaimed, GC nodes collected, budget-exhausted
-        cycles, incremental stat merges, benefit refreshes),
+        truncated, GC nodes collected, incremental stat merges, benefit
+        refreshes),
         catalog/DDL counters under ``"catalog"`` (tables, functions, DDL
         clock, invalidation sweeps, entries evicted by DDL, entries
         extended over appended rows, in-flight producers aborted,

@@ -56,14 +56,6 @@ class BenefitModel:
         """Eq. 1 with the paper's small constant importance factor."""
         return est_cost * SPECULATION_H / max(est_size, 1)
 
-    def truncation_score(self, node: GraphNode) -> float:
-        """Victim-ordering key for cost-aware truncation: Eq. 1 is
-        already benefit *per byte* (true cost × aged references / size),
-        so the cheapest nodes to lose are exactly the lowest-benefit
-        ones.  Never-executed nodes (unknown size/cost) score 0 and go
-        first — they carry no measured value at all."""
-        return self.benefit(node)
-
     # ------------------------------------------------------------------
     # reference bookkeeping after matching (Section III-C)
     # ------------------------------------------------------------------

@@ -548,7 +548,7 @@ class RecyclerCache:
         with the event clock even while a result sits unused).  Returns
         the number of refreshed entries.
 
-        ``stop`` is the maintenance manager's budget/shutdown hook,
+        ``stop`` is the maintenance manager's shutdown hook,
         consulted per entry: a refresh cut short leaves the remaining
         entries at their previous (still internally consistent)
         benefits — they are recomputed lazily on reuse or by the next

@@ -89,18 +89,6 @@ class RecyclerConfig:
     #: been accessed for some time").
     truncate_min_idle_events: int = 256
 
-    #: cost-aware maintenance: byte budget per cycle — a budgeted
-    #: truncation stops once reclaiming the next victim would push the
-    #: cycle past this many bytes (victims fall lowest benefit-per-byte
-    #: first).  ``None`` removes the cap.
-    maintenance_budget_bytes: int | None = 64 * 1024 * 1024
-
-    #: cost-aware maintenance: wall-clock budget per cycle in seconds —
-    #: GC, truncation, and benefit refresh all consult the deadline and
-    #: cut the cycle short, carrying the remainder to the next cycle.
-    #: ``None`` disables the time budget.
-    maintenance_budget_seconds: float | None = 0.25
-
     def __post_init__(self) -> None:
         if self.mode not in ALL_MODES:
             raise ValueError(f"unknown recycler mode {self.mode!r};"
@@ -113,14 +101,6 @@ class RecyclerConfig:
                 "maintenance_interval_seconds must be positive or None")
         if self.truncate_min_idle_events < 0:
             raise ValueError("truncate_min_idle_events must be >= 0")
-        if self.maintenance_budget_bytes is not None and \
-                self.maintenance_budget_bytes < 0:
-            raise ValueError(
-                "maintenance_budget_bytes must be >= 0 or None")
-        if self.maintenance_budget_seconds is not None and \
-                self.maintenance_budget_seconds <= 0:
-            raise ValueError(
-                "maintenance_budget_seconds must be positive or None")
 
     @property
     def history_enabled(self) -> bool:

@@ -27,7 +27,6 @@ optimistic protocol sound under real threads.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from typing import Callable, Iterator
 
@@ -175,6 +174,9 @@ class RecyclerGraph:
         #: store planning can skip nodes truncated while the planning
         #: query was blocked on an in-flight producer.
         self._live: set[int] = set()
+        #: catalog DDL clock at the last version-dead sweep that left no
+        #: dead node behind (``None``: a sweep is due) — see :meth:`gc_due`.
+        self._swept_clock: int | None = None
         #: guards all mutations; matching reads stay lock-free (OCC).
         self._lock = threading.RLock()
 
@@ -308,6 +310,10 @@ class RecyclerGraph:
             view = catalog or self.catalog
             node.table_incarnations, node.function_incarnations = \
                 view.incarnations_for(node.tables, node.functions)
+            if view.ddl_clock < self.catalog.ddl_clock:
+                # stamped from a snapshot older than the live catalog: it
+                # may be dead already, behind a sweep that closed the gate
+                self._swept_clock = None
             self._next_id += 1
             node.age_event = self.event
             # A fresh node counts as accessed *now*: its inserting query
@@ -418,8 +424,7 @@ class RecyclerGraph:
     # ------------------------------------------------------------------
     def truncate(self, min_idle_events: int,
                  pinned: set[int] | frozenset[int] = frozenset(),
-                 stop: Callable[[], bool] | None = None,
-                 stats: dict | None = None) -> int:
+                 stop: Callable[[], bool] | None = None) -> int:
         """Remove nodes idle for more than ``min_idle_events`` query
         events.
 
@@ -436,10 +441,7 @@ class RecyclerGraph:
         phase boundaries — before the keep-set scan and again before
         the mutation is applied — and a fired stop abandons the cycle
         with the graph untouched, so shutdown mid-maintenance is prompt
-        and never leaves a half-truncated graph.  ``stats``, when
-        given, receives ``bytes_reclaimed`` — the summed result-size
-        annotations of the removed nodes (sizes are unknown, counted 0,
-        for nodes that never executed).
+        and never leaves a half-truncated graph.
         """
         with self._lock:
             if stop is not None and stop():
@@ -454,7 +456,7 @@ class RecyclerGraph:
             if stop is not None and stop():
                 return 0
             removed = [n for n in self.nodes if n.node_id not in keep]
-            return self._remove_nodes(removed, stats)
+            return self._remove_nodes(removed)
 
     def _keep_closure(self, seeds: list[GraphNode]) -> set[int]:
         """Ids of ``seeds`` plus every (transitive) child — the set a
@@ -471,18 +473,12 @@ class RecyclerGraph:
             stack.extend(node.children)
         return keep
 
-    def _remove_nodes(self, removed: list[GraphNode],
-                      stats: dict | None = None) -> int:
+    def _remove_nodes(self, removed: list[GraphNode]) -> int:
         """Detach ``removed`` from every index (caller holds the lock
         and guarantees the complement is child-closed).  Returns the
-        number of removed nodes; accumulates ``bytes_reclaimed`` into
-        ``stats``."""
+        number of removed nodes."""
         if not removed:
             return 0
-        if stats is not None:
-            stats["bytes_reclaimed"] = \
-                stats.get("bytes_reclaimed", 0) + sum(
-                    n.size_bytes for n in removed if n.size_bytes > 0)
         removed_ids = {n.node_id for n in removed}
         self.nodes = [n for n in self.nodes
                       if n.node_id not in removed_ids]
@@ -505,89 +501,6 @@ class RecyclerGraph:
                                   if s.node_id not in removed_ids]
         return len(removed)
 
-    def truncate_budgeted(self, min_idle_events: int,
-                          pinned: set[int] | frozenset[int] = frozenset(),
-                          budget_bytes: int | None = None,
-                          score: Callable[[GraphNode], float] | None = None,
-                          stop: Callable[[], bool] | None = None,
-                          stats: dict | None = None) -> tuple[int, bool]:
-        """Cost-aware truncation: remove idle subtrees **lowest
-        benefit-per-byte first**, stopping at a byte budget.
-
-        Eligibility is the same as :meth:`truncate` (idle beyond
-        ``min_idle_events``, not materialized, not pinned, not below a
-        kept node); the difference is the order and the stopping rule —
-        victims are drained through a min-heap on ``score`` (the
-        recycler passes Eq. 1 benefit, which is already per byte), a
-        node only becomes eligible once every parent was removed (so
-        the survivor set stays child-closed at every prefix), and the
-        cycle honours the byte budget: a victim whose size would push
-        reclaimed bytes past ``budget_bytes`` is *skipped* — not taken,
-        and its children stay locked this cycle — while smaller victims
-        keep draining, so one oversized idle subtree can never starve
-        truncation of everything behind it.  ``stop`` (the maintenance
-        manager folds its time budget and the shutdown flag into it)
-        ends the drain outright.
-
-        Returns ``(removed, exhausted)`` where ``exhausted`` is True
-        when eligible victims remained at the cut — the signal behind
-        ``Database.summary()["maintenance"]["budget_exhausted_cycles"]``.
-        """
-        with self._lock:
-            if stop is not None and stop():
-                return 0, False
-            cutoff = self.event - min_idle_events
-            keep = self._keep_closure([
-                node for node in self.nodes
-                if node.is_materialized or
-                node.node_id in pinned or
-                node.last_access_event >= cutoff
-            ])
-            candidates = [n for n in self.nodes if n.node_id not in keep]
-            if not candidates:
-                return 0, False
-            if score is None:
-                def score(node: GraphNode) -> float:
-                    return 0.0  # degenerate order: structure-only drain
-            # Every parent of a candidate is itself a candidate (the
-            # keep set is child-closed), so counting raw parents gives
-            # the in-candidate in-degree directly.
-            pending_parents = {
-                n.node_id: sum(1 for _ in n.parents())
-                for n in candidates}
-            heap = [(score(n), n.node_id, n) for n in candidates
-                    if pending_parents[n.node_id] == 0]
-            heapq.heapify(heap)
-            selected: list[GraphNode] = []
-            selected_ids: set[int] = set()
-            reclaimed = 0
-            exhausted = False
-            while heap:
-                if stop is not None and stop():
-                    exhausted = True
-                    break
-                _, _, node = heapq.heappop(heap)
-                size = max(node.size_bytes, 0)
-                if budget_bytes is not None and \
-                        reclaimed + size > budget_bytes:
-                    # over budget: skip this victim (its children stay
-                    # locked behind it this cycle) but keep draining —
-                    # smaller victims may still fit
-                    exhausted = True
-                    continue
-                selected.append(node)
-                selected_ids.add(node.node_id)
-                reclaimed += size
-                for child in node.children:
-                    if child.node_id in keep or \
-                            child.node_id in selected_ids:
-                        continue
-                    pending_parents[child.node_id] -= 1
-                    if pending_parents[child.node_id] == 0:
-                        heapq.heappush(
-                            heap, (score(child), child.node_id, child))
-            return self._remove_nodes(selected, stats), exhausted
-
     # ------------------------------------------------------------------
     # version-dead GC (online DDL follow-up): a drop or re-register
     # bumps a table's *incarnation*, so nodes stamped with the old
@@ -604,21 +517,20 @@ class RecyclerGraph:
         with self._lock:
             return sum(1 for n in self.nodes if self.is_version_dead(n))
 
-    def has_version_dead(self) -> bool:
-        """Lock-free probe: is there anything for GC to sweep?
+    def gc_due(self) -> bool:
+        """Whether a version-dead sweep could find anything: False only
+        while the catalog's DDL clock still reads what it read at the
+        last sweep that left no dead node behind, and no node was
+        inserted since from a snapshot older than the live catalog.
 
-        Deliberately takes no lock — incarnation stamps are immutable
-        after insertion and the node list is only ever appended or
-        wholesale-replaced, so the scan is safe and at worst misses a
-        node racing in (the next cycle catches it).  The maintenance
-        path uses this so a DDL-free cycle never acquires the rewrite
-        stripes just to find an empty sweep."""
-        return any(self.is_version_dead(n) for n in list(self.nodes))
+        Lock-free (two integer reads), so a DDL-free maintenance cycle
+        costs O(1) and never acquires the rewrite stripes.  A stale read
+        is harmless: the DDL or insert it missed is seen next cycle."""
+        return self._swept_clock != self.catalog.ddl_clock
 
     def collect_version_dead(self,
                              pinned: set[int] | frozenset[int] = frozenset(),
-                             stop: Callable[[], bool] | None = None,
-                             stats: dict | None = None) -> int:
+                             stop: Callable[[], bool] | None = None) -> int:
         """Sweep every version-dead subtree, pinning in-flight nodes.
 
         Keeps a dead node when it is **pinned** (an in-flight producer
@@ -629,22 +541,35 @@ class RecyclerGraph:
         as :meth:`truncate`.  Idle age is irrelevant here: dead nodes
         are collected however recently they were accessed, because no
         future snapshot can reference them.
+
+        Deadness is judged against one catalog snapshot, so a DDL half
+        applied while the sweep runs (clock moved, incarnation not yet)
+        is never recorded as swept.  A sweep that leaves no dead node
+        behind records the snapshot's DDL clock, closing
+        :meth:`gc_due` until the clock moves again.
         """
         with self._lock:
             if stop is not None and stop():
                 return 0
-            if not any(self.is_version_dead(n) for n in self.nodes):
+            if not self.gc_due():
                 return 0
+            view = self.catalog.snapshot()
+            dead = {n.node_id for n in self.nodes
+                    if not n.matches_incarnations(view)}
             keep = self._keep_closure([
                 node for node in self.nodes
-                if not self.is_version_dead(node) or
+                if node.node_id not in dead or
                 node.is_materialized or
                 node.node_id in pinned
             ])
             if stop is not None and stop():
                 return 0
             removed = [n for n in self.nodes if n.node_id not in keep]
-            return self._remove_nodes(removed, stats)
+            if len(removed) == len(dead):
+                self._swept_clock = view.ddl_clock
+            else:
+                self._swept_clock = None
+            return self._remove_nodes(removed)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
@@ -661,9 +586,16 @@ class RecyclerGraph:
             }
 
     def check_invariants(self) -> None:
-        """Structural sanity checks (used by tests and debug builds)."""
+        """Structural sanity checks (used by tests and debug builds),
+        child-closure included: a sweep never removes a child of a node
+        it keeps."""
+        present = {node.node_id for node in self.nodes}
         for node in self.nodes:
             for child in node.children:
+                if child.node_id not in present or \
+                        child.node_id not in self._live:
+                    raise RecyclerError(
+                        f"{node!r} survived its removed child {child!r}")
                 bucket = child.parent_index.get(node.hashkey, [])
                 if node not in bucket:
                     raise RecyclerError(

@@ -827,8 +827,7 @@ class Recycler:
         return len(tokens)
 
     def truncate_idle(self, min_idle_events: int | None = None,
-                      stop: Callable[[], bool] | None = None,
-                      stats: dict | None = None) -> int:
+                      stop: Callable[[], bool] | None = None) -> int:
         """Truncate graph subtrees idle beyond ``min_idle_events``
         (config default), pinning every in-flight node.
 
@@ -839,39 +838,19 @@ class Recycler:
         recency — their matched nodes were just access-stamped — and
         via the store planner's liveness re-check.
 
-        ``stop``/``stats`` pass through to
+        ``stop`` passes through to
         :meth:`~repro.recycler.graph.RecyclerGraph.truncate` — the
-        maintenance manager uses them for prompt shutdown and for its
-        bytes-reclaimed counter.
+        maintenance manager uses it for prompt shutdown.
         """
         if min_idle_events is None:
             min_idle_events = self.config.truncate_min_idle_events
         with self._stripes.all():
             return self.graph.truncate(
                 min_idle_events, pinned=self.inflight.active_nodes(),
-                stop=stop, stats=stats)
+                stop=stop)
 
-    def truncate_budgeted(self, min_idle_events: int | None = None,
-                          budget_bytes: int | None = None,
-                          stop: Callable[[], bool] | None = None,
-                          stats: dict | None = None) -> tuple[int, bool]:
-        """Cost-aware truncation (the maintenance scheduler's workhorse):
-        same eligibility and pinning as :meth:`truncate_idle`, but
-        victims fall **lowest benefit-per-byte first** (Eq. 1 via the
-        shared :class:`~repro.recycler.benefit.BenefitModel`) and the
-        cycle stops at ``budget_bytes`` reclaimed or when ``stop`` fires
-        (time budget / shutdown).  Returns ``(removed, exhausted)``."""
-        if min_idle_events is None:
-            min_idle_events = self.config.truncate_min_idle_events
-        with self._stripes.all():
-            return self.graph.truncate_budgeted(
-                min_idle_events, pinned=self.inflight.active_nodes(),
-                budget_bytes=budget_bytes,
-                score=self.model.truncation_score,
-                stop=stop, stats=stats)
-
-    def collect_version_dead(self, stop: Callable[[], bool] | None = None,
-                             stats: dict | None = None) -> int:
+    def collect_version_dead(self, stop: Callable[[], bool] | None = None
+                             ) -> int:
         """Sweep graph subtrees whose incarnation stamps a drop or full
         re-register left permanently behind the live catalog
         (:meth:`~repro.recycler.graph.RecyclerGraph.collect_version_dead`).
@@ -879,21 +858,20 @@ class Recycler:
         Holds **all** stripes for the same reason :meth:`truncate_idle`
         does: the in-flight pin snapshot must be complete — no rewrite
         can register a new producer while dead nodes are collected, so
-        a producer's node can never be swept out from under it.  The
-        common no-DDL cycle skips the stripes entirely via a lock-free
-        probe: with nothing dead there is nothing to pin against."""
-        if not self.graph.has_version_dead():
+        a producer's node can never be swept out from under it.  A cycle
+        with no DDL since a clean sweep skips the stripes entirely
+        (:meth:`~repro.recycler.graph.RecyclerGraph.gc_due`)."""
+        if not self.graph.gc_due():
             return 0
         with self._stripes.all():
             return self.graph.collect_version_dead(
-                pinned=self.inflight.active_nodes(), stop=stop,
-                stats=stats)
+                pinned=self.inflight.active_nodes(), stop=stop)
 
     def refresh_cached_benefits(self,
                                 stop: Callable[[], bool] | None = None
                                 ) -> int:
         """Recompute every cached entry's benefit (aging moved on);
-        ``stop`` lets a budgeted maintenance cycle cut the pass short."""
+        ``stop`` lets a maintenance cycle abandon the pass on shutdown."""
         return self.cache.refresh_all(stop=stop)
 
     def summary(self) -> dict[str, object]:

@@ -1,4 +1,4 @@
-"""Pins the ``RecyclerConfig`` surface: 16 fields, each with a caller
+"""Pins the ``RecyclerConfig`` surface: 14 fields, each with a caller
 that needs it to differ (``docs/API.md`` says which).  A removed option
 must not drift back — its value is a module constant beside its reader.
 """
@@ -17,7 +17,6 @@ FIELDS = {
     "proactive_benefit_steered", "min_store_cost", "benefit_threshold",
     "inflight_wait_timeout", "maintenance_interval_seconds",
     "maintenance_graph_node_limit", "maintenance_idle_seconds",
-    "maintenance_budget_bytes", "maintenance_budget_seconds",
     "truncate_min_idle_events",
 }
 
@@ -28,10 +27,11 @@ REMOVED = (
     "store_min_refs", "store_overhead_factor", "speculation_h",
     "speculation_benefit_threshold", "speculation_min_progress",
     "speculation_buffer_bytes", "proactive_topn_limit",
+    "maintenance_budget_bytes", "maintenance_budget_seconds",
 )
 
 
-def test_exactly_the_sixteen_fields():
+def test_exactly_the_fourteen_fields():
     assert {f.name for f in fields(RecyclerConfig)} == FIELDS
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro import Database, RecyclerConfig, Table
 from repro.columnar import FLOAT64, INT64
+from twin_replay import recycler_state
 
 
 @pytest.fixture
@@ -43,6 +44,27 @@ class TestTriggers:
         outcome = db.maintain()
         assert outcome["size_trigger"] == 1
         assert outcome["nodes_truncated"] > 0
+        db.recycler.graph.check_invariants()
+        db.close()
+
+    def test_size_trigger_alone_refreshes_no_benefit(self, db_factory):
+        """Only the idle trigger refreshes cached benefits; the size
+        trigger runs one truncation and leaves the cache's benefits as
+        they were."""
+        db = db_factory(maintenance_graph_node_limit=1,
+                        maintenance_idle_seconds=None,
+                        truncate_min_idle_events=0)
+        for sql in distinct_queries(6) * 2:
+            db.sql(sql)
+        assert len(db.recycler.cache) > 0
+        outcome = db.maintain()
+        assert outcome["size_trigger"] == 1
+        assert outcome["idle_trigger"] == 0
+        assert outcome["benefits_refreshed"] == 0
+        maintenance = db.summary()["maintenance"]
+        assert maintenance["benefits_refreshed"] == 0
+        assert maintenance["truncate_runs"] == int(
+            outcome["nodes_truncated"] > 0)
         db.recycler.graph.check_invariants()
         db.close()
 
@@ -86,6 +108,57 @@ class TestTriggers:
         summary = db.summary()
         assert summary["cache"].reuses > 0
         db.close()
+
+
+class TestTriggerClock:
+    def test_idle_trigger_follows_the_given_clock(self, db_factory):
+        db = db_factory(maintenance_graph_node_limit=None,
+                        maintenance_idle_seconds=5.0,
+                        truncate_min_idle_events=0,
+                        speculation_min_cost=1e18)
+        for sql in distinct_queries(6):
+            db.sql(sql)
+        last = db.recycler.last_activity
+        # 2 s after the last query: not idle yet
+        outcome = db.maintenance.run_once(now=last + 2.0)
+        assert outcome["idle_trigger"] == 0
+        assert outcome["nodes_truncated"] == 0
+        # 5 s of silence: the idle trigger truncates
+        outcome = db.maintenance.run_once(now=last + 5.0)
+        assert outcome["idle_trigger"] == 1
+        assert outcome["nodes_truncated"] > 0
+        assert db.summary()["maintenance"]["idle_triggers"] == 1
+        db.recycler.graph.check_invariants()
+        db.close()
+
+    def test_cycle_is_a_pure_function_of_graph_and_clock(self, db_factory):
+        """A cycle reads nothing but the graph and ``now``: identically
+        built databases end identically."""
+        def cycle():
+            db = db_factory(maintenance_graph_node_limit=8,
+                            maintenance_idle_seconds=5.0,
+                            truncate_min_idle_events=1)
+            queries = distinct_queries(8)
+            for sql in queries[:4] + queries[:2]:
+                db.sql(sql)        # materialized, reused: pinned entries
+            db.config.speculation_min_cost = 1e18
+            for sql in queries[4:]:
+                db.sql(sql)        # never stored: truncatable subtrees
+            last = db.recycler.last_activity
+            outcomes = [db.maintenance.run_once(now=last + gap)
+                        for gap in (1.0, 6.0, 7.0)]
+            state = recycler_state(db)
+            db.close()
+            return outcomes, state
+
+        first_outcomes, first_state = cycle()
+        second_outcomes, second_state = cycle()
+        assert first_outcomes == second_outcomes
+        assert first_state == second_state
+        assert first_outcomes[0]["size_trigger"] == 1
+        assert first_outcomes[1]["idle_trigger"] == 1
+        assert sum(o["nodes_truncated"] for o in first_outcomes) > 0
+        assert first_outcomes[1]["benefits_refreshed"] > 0
 
 
 class TestBackgroundThread:
@@ -146,9 +219,20 @@ class TestStats:
         assert stats["size_triggers"] >= 1
         assert stats["truncate_runs"] >= 1
         assert stats["nodes_truncated"] > 0
-        # the truncated nodes carry measured result sizes, so the
-        # bytes-reclaimed counter moves too
-        assert stats["bytes_reclaimed"] > 0
+        db.close()
+
+    def test_summary_keys(self, db_factory):
+        db = db_factory(maintenance_idle_seconds=None,
+                        maintenance_graph_node_limit=None)
+        db.sql(distinct_queries(1)[0])
+        db.maintain()
+        stats = db.summary()["maintenance"]
+        assert sorted(stats) == [
+            "benefits_refreshed", "cycles", "gc_nodes_collected",
+            "idle_triggers", "nodes_truncated", "size_triggers",
+            "stats_incremental_merges", "truncate_runs"]
+        for key in ("gc_nodes_collected", "stats_incremental_merges"):
+            assert stats[key] == 0
         db.close()
 
     def test_idle_cycle_counts_refreshes(self, db_factory):
@@ -169,7 +253,6 @@ class TestStats:
         stats = db.summary()["maintenance"]
         assert stats["cycles"] == 1
         assert stats["truncate_runs"] == 0
-        assert stats["bytes_reclaimed"] == 0
         db.close()
 
 
@@ -217,11 +300,8 @@ class TestShutdownCancelsTruncation:
         assert graph.truncate(min_idle_events=0, stop=lambda: True) == 0
         assert len(graph.nodes) == before
         # the same truncation goes through once stop stays clear
-        stats: dict = {}
-        removed = graph.truncate(min_idle_events=0, stop=lambda: False,
-                                 stats=stats)
+        removed = graph.truncate(min_idle_events=0, stop=lambda: False)
         assert removed > 0
-        assert stats.get("bytes_reclaimed", 0) >= 0
         graph.check_invariants()
         db.close()
 

@@ -45,8 +45,7 @@ def config(cache_bytes: int) -> RecyclerConfig:
         mode="spec", cache_capacity=cache_bytes,
         maintenance_interval_seconds=None,
         maintenance_graph_node_limit=40, truncate_min_idle_events=12,
-        maintenance_idle_seconds=None,
-        maintenance_budget_seconds=None)
+        maintenance_idle_seconds=None)
 
 
 def sky_statements(seed: int, count: int) -> list[str]:

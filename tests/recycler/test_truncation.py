@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.errors import RecyclerError
 from repro.expr import Cmp, Col, Lit
 from repro.plan import q
 from repro.recycler import Recycler, RecyclerConfig, RecyclerGraph, \
@@ -74,3 +77,18 @@ class TestTruncation:
                             query_id=52)
         assert result.inserted_count == 1
         graph.check_invariants()
+
+    def test_invariant_rejects_a_removed_child_of_a_survivor(
+            self, sales_catalog):
+        graph = RecyclerGraph(sales_catalog)
+        graph.tick()
+        plan = select_plan(1)
+        root = match_tree(plan, graph, sales_catalog,
+                          query_id=1).of(plan).graph_node
+        graph.check_invariants()
+        # a sweep that ignored child-closure: the leaf goes, its
+        # parent stays
+        with graph._lock:
+            graph._remove_nodes([root.children[0]])
+        with pytest.raises(RecyclerError, match="removed child"):
+            graph.check_invariants()

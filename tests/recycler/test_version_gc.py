@@ -14,6 +14,7 @@ import numpy as np
 
 from repro import Database, RecyclerConfig, Table
 from repro.columnar import FLOAT64, INT64
+from repro.recycler.graph import GraphNode
 
 SCHEMA = Table.from_rows(["g", "v"], [INT64, FLOAT64], []).schema
 
@@ -110,10 +111,13 @@ class TestVersionDeadSweep:
         graph = db.recycler.graph
         dead_before = graph.version_dead_count()
         assert dead_before == 0
+        # a clean sweep closes the GC gate; the re-register reopens it
+        assert db.maintain()["gc_nodes_collected"] == 0
+        assert not graph.gc_due()
         db.register_function("f", lambda: Table(
             b_schema, {"x": np.arange(3)}), b_schema)
         assert graph.version_dead_count() > 0
-        db.maintain()
+        assert db.maintain()["gc_nodes_collected"] > 0
         assert graph.version_dead_count() == 0
         assert db.sql("SELECT sum(x) AS s FROM f()").table.to_rows() == \
             [(3,)]
@@ -180,3 +184,131 @@ class TestPinningAndIsolation:
         assert db.sql(QUERIES[1]).table.to_rows() == expected
         db.close()
         reference.close()
+
+
+class TestGcGate:
+    """A cycle skips the sweep while the catalog's DDL clock reads what
+    it read at the last sweep that left nothing dead behind; each case
+    below must still be swept once that gate is closed."""
+
+    def test_ddl_free_cycle_checks_no_incarnation(self, monkeypatch):
+        db = make_db(maintenance_idle_seconds=None,
+                     maintenance_graph_node_limit=None)
+        for sql in QUERIES:
+            db.sql(sql)
+        populated = len(db.recycler.graph.nodes)
+        db.drop_table("t")
+        db.register_table("t", make_table(seed=6))
+        assert db.maintain()["gc_nodes_collected"] == populated
+        for sql in QUERIES:
+            db.sql(sql)        # live nodes a sweep would have to check
+        calls = []
+        checked = GraphNode.matches_incarnations
+        monkeypatch.setattr(
+            GraphNode, "matches_incarnations",
+            lambda node, view: calls.append(node) or checked(node, view))
+        for _ in range(3):
+            assert db.maintain()["gc_nodes_collected"] == 0
+        assert calls == []
+        db.close()
+
+    def test_materialized_dead_node_is_swept_after_its_eviction(self):
+        """A dead node the cache still holds survives its sweep; the
+        DDL eviction frees it later without moving the DDL clock."""
+        db = make_db(maintenance_idle_seconds=None,
+                     maintenance_graph_node_limit=None)
+        recycler = db.recycler
+        for sql in QUERIES[:1] * 2:
+            db.sql(sql)
+        assert len(recycler.cache) >= 1
+        # deadness at the catalog level: the incarnation bump without
+        # the facade's eviction sweep
+        db.catalog.drop_table("t")
+        db.catalog.register_table("t", make_table(seed=7))
+        db.maintain()
+        assert recycler.graph.version_dead_count() > 0
+        clock = db.catalog.ddl_clock
+        assert recycler.invalidate_table("t") >= 1
+        assert db.catalog.ddl_clock == clock
+        assert db.maintain()["gc_nodes_collected"] > 0
+        assert recycler.graph.version_dead_count() == 0
+        recycler.graph.check_invariants()
+        db.close()
+
+    def test_stale_snapshot_insert_after_a_sweep_is_swept(self):
+        """A query pinned before a drop inserts old-incarnation nodes
+        after the sweep that followed the drop: the insert reopens the
+        gate."""
+        db = make_db(maintenance_idle_seconds=None,
+                     maintenance_graph_node_limit=None,
+                     speculation_min_cost=1e18)
+        old_snapshot = db.catalog.snapshot()
+        old_plan = db.plan(QUERIES[2], snapshot=old_snapshot)
+        db.drop_table("t")
+        db.register_table("t", make_table(seed=8))
+        db.maintain()
+        graph = db.recycler.graph
+        assert not graph.gc_due()
+        db.recycler.execute(old_plan, snapshot=old_snapshot)
+        stale = graph.version_dead_count()
+        assert stale > 0
+        assert db.maintain()["gc_nodes_collected"] == stale
+        assert graph.version_dead_count() == 0
+        db.close()
+
+    def test_append_reopens_the_gate_and_collects_nothing(self,
+                                                          monkeypatch):
+        """An append moves the DDL clock without orphaning history: the
+        next cycle sweeps, finds every node live, and closes the gate
+        again."""
+        db = make_db(maintenance_idle_seconds=None,
+                     maintenance_graph_node_limit=None)
+        for sql in QUERIES:
+            db.sql(sql)
+        graph = db.recycler.graph
+        populated = len(graph.nodes)
+        db.maintain()
+        assert not graph.gc_due()
+        db.append_rows("t", [(3, 0.5)])
+        assert graph.gc_due()
+        calls = []
+        checked = GraphNode.matches_incarnations
+        monkeypatch.setattr(
+            GraphNode, "matches_incarnations",
+            lambda node, view: calls.append(node) or checked(node, view))
+        assert db.maintain()["gc_nodes_collected"] == 0
+        assert len(calls) == populated
+        assert len(graph.nodes) == populated
+        assert not graph.gc_due()
+        calls.clear()
+        assert db.maintain()["gc_nodes_collected"] == 0
+        assert calls == []
+        db.close()
+
+    def test_pinned_dead_node_keeps_the_gate_open(self):
+        """A sweep that must keep an in-flight dead node does not close
+        the gate, so the cycle after the producer lets go collects it
+        with no further DDL."""
+        db = make_db(maintenance_idle_seconds=None,
+                     maintenance_graph_node_limit=None)
+        recycler = db.recycler
+        graph = recycler.graph
+        prepared = recycler.prepare(db.plan(QUERIES[0]),
+                                    producer_token="pinned")
+        producing = recycler.inflight.active_nodes()
+        assert producing
+        # deadness at the catalog level, as in TestPinningAndIsolation
+        db.catalog.drop_table("t")
+        db.catalog.register_table("t", make_table(seed=9))
+        db.maintain()
+        assert producing <= {node.node_id for node in graph.nodes}
+        assert graph.version_dead_count() > 0
+        assert graph.gc_due()
+        clock = db.catalog.ddl_clock
+        recycler.abandon(prepared)
+        assert db.catalog.ddl_clock == clock
+        assert db.maintain()["gc_nodes_collected"] > 0
+        assert graph.version_dead_count() == 0
+        assert not graph.gc_due()
+        graph.check_invariants()
+        db.close()

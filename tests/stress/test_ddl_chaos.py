@@ -192,6 +192,10 @@ class TestDdlChaosReplay:
         db.recycler.graph.check_invariants()
         db.recycler.cache.check_invariants()
         assert len(db.recycler.inflight) == 0
+        # the GC gate must not have closed over a dead node: a sweep
+        # racing a DDL or a stale-snapshot insert would leave one behind
+        db.maintain()
+        assert db.recycler.graph.version_dead_count() == 0
         db.close()
 
 

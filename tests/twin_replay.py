@@ -45,8 +45,7 @@ def quiet_config(cache_bytes: int) -> RecyclerConfig:
     return RecyclerConfig(
         mode="spec", cache_capacity=cache_bytes,
         maintenance_interval_seconds=None,
-        maintenance_idle_seconds=None,
-        maintenance_budget_seconds=None)
+        maintenance_idle_seconds=None)
 
 
 def table_bytes(table) -> list:
