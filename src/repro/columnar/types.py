@@ -217,8 +217,49 @@ def string_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniques, inverse
 
 
+#: an integer key column is coded by counting (:func:`dense_codes`)
+#: when its values span at most ``DENSE_SPAN_PER_ROW`` values per row
+#: plus ``DENSE_SPAN_SLACK``: the counts then cost O(rows) time and a
+#: few int64s per row of memory, whatever the values are.
+DENSE_SPAN_PER_ROW = 4
+DENSE_SPAN_SLACK = 1024
+
+
+def dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """What ``np.unique(values, return_inverse=True)`` returns for a
+    non-empty integer column whose values lie in a dense range, without
+    its sort: a presence bitmap over ``[min, max]`` (``bincount``), its
+    running count (the rank of every present value among the present
+    ones, so the uniques come out sorted and the codes dense) and one
+    gather per row.  ``None`` when the range is too wide to count over.
+
+    The range is checked in Python ints, so no span can overflow.  The
+    offsets from ``min`` are taken in int64 arithmetic and the uniques
+    rebuilt in the column's dtype; either may wrap (a uint64 column
+    above 2^63, an int8 column spanning more than 127) but lands on the
+    true value, which fits.
+    """
+    lo, hi = values.min(), values.max()
+    if int(hi) - int(lo) > DENSE_SPAN_PER_ROW * len(values) + \
+            DENSE_SPAN_SLACK:
+        return None
+    offsets = np.subtract(values, lo, dtype=np.int64, casting="unsafe")
+    present = np.bincount(offsets) > 0
+    rank = np.cumsum(present) - 1
+    uniques = np.flatnonzero(present).astype(values.dtype) + lo
+    return uniques, rank[offsets]
+
+
 def key_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(sorted uniques, inverse)`` of a key column of any type."""
-    if values.dtype.kind == "O":
+    """``(sorted uniques, inverse)`` of a key column of any type —
+    ``np.unique(values, return_inverse=True)``'s result, by counting
+    for an integer column over a dense range (:func:`dense_codes`) and
+    by :func:`string_codes` for a STRING column."""
+    kind = values.dtype.kind
+    if kind == "O":
         return string_codes(values)
+    if kind in ("i", "u") and len(values):
+        coded = dense_codes(values)
+        if coded is not None:
+            return coded
     return np.unique(values, return_inverse=True)

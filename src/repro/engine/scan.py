@@ -18,12 +18,13 @@ never make one query observe a mix of old and new rows.
 
 from __future__ import annotations
 
-from ..columnar.batch import Batch
+from ..columnar.batch import Batch, concat_batches
 from ..columnar.table import Schema, Table
 from ..plan.logical import (Aggregate, ExtendedScan, PlanNode, Scan,
-                            TableFunctionScan)
+                            TableFunctionScan, TopN)
 from .aggregate import merge_groups
 from .base import PhysicalOperator, QueryContext
+from .topn import top_rows
 
 
 class TableScanOp(PhysicalOperator):
@@ -137,7 +138,8 @@ class ExtendScanOp(ReuseScanOp):
     the appended rows alone — to completion, merges that output with the
     cached rows (after them for a row-level subtree; re-aggregated with
     them, :func:`~repro.engine.aggregate.merge_groups`, for an
-    aggregate), hands the merged table to the recycler, and streams it
+    aggregate; ranked after them, :func:`~repro.engine.topn.top_rows`,
+    for a TopN), hands the merged table to the recycler, and streams it
     like any reuse scan.  It is charged the delta run's cost on top of
     the ``reuse_tuple`` per emitted row.
     """
@@ -161,10 +163,14 @@ class ExtendScanOp(ReuseScanOp):
         self.charge(cost)
         merged = self._handle.table.project(self.schema, self._rename)
         new = Table.from_batches(self.schema, batches)
-        if new.num_rows and isinstance(self.logical.delta, Aggregate):
-            merged = merge_groups(self.logical.delta, merged, new)
+        delta_plan = self.logical.delta
+        if new.num_rows and isinstance(delta_plan, Aggregate):
+            merged = merge_groups(delta_plan, merged, new)
         elif new.num_rows:
-            merged = Table.from_batches(self.schema, [merged.to_batch(),
-                                                      new.to_batch()])
+            rows = [merged.to_batch(), new.to_batch()]
+            if isinstance(delta_plan, TopN):
+                rows = [top_rows(concat_batches(rows), delta_plan.sort_keys,
+                                 delta_plan.limit)]
+            merged = Table.from_batches(self.schema, rows)
         self.logical.publish(merged, cost)
         self._table = merged

@@ -15,23 +15,25 @@ from ..plan.logical import Sort
 from .base import PhysicalOperator, QueryContext
 
 
+def ascending_key(values: np.ndarray, ascending: bool) -> np.ndarray:
+    """A sort key column whose ascending order is ``values``' order in
+    the given direction: string values as their dictionary codes
+    (``types.string_codes``; numpy cannot negate object arrays, and
+    would compare them in Python), descending keys negated."""
+    if values.dtype.kind == "O":
+        _, values = t.string_codes(values)
+    if not ascending:
+        values = -values.astype(np.float64) \
+            if values.dtype.kind == "f" else -values.astype(np.int64)
+    return values
+
+
 def sort_indices(batch: Batch,
                  sort_keys: list[tuple[str, bool]]) -> np.ndarray:
-    """Row order for multi-key sorting with per-key direction.
-
-    String keys sort by their dictionary codes (``types.string_codes``;
-    numpy cannot negate object arrays, and would compare them in Python).
-    """
-    columns = []
-    for name, ascending in reversed(sort_keys):  # lexsort: last = primary
-        values = batch.column(name)
-        if values.dtype.kind == "O":
-            _, values = t.string_codes(values)
-        if not ascending:
-            values = -values.astype(np.float64) \
-                if values.dtype.kind == "f" else -values.astype(np.int64)
-        columns.append(values)
-    return np.lexsort(columns)
+    """Row order for multi-key sorting with per-key direction."""
+    return np.lexsort([ascending_key(batch.column(name), ascending)
+                       # lexsort: last = primary
+                       for name, ascending in reversed(sort_keys)])
 
 
 class SortOp(PhysicalOperator):

@@ -2,18 +2,55 @@
 
 Vectorwise's ``topN`` keeps a heap of N rows at O(M log N); the vectorized
 equivalent here accumulates candidates and periodically compacts them down
-to the best ``limit + offset`` rows, giving the same bounded memory and an
-amortized cost charged per input tuple.  Output is emitted in sort order,
-so ``Limit(k)`` over a cached ``topN(10000)`` result — the proactive top-N
+to the best ``limit + offset`` rows (:func:`top_rows`), giving the same
+bounded memory and an amortized cost charged per input tuple.  A
+compaction sorts only the rows that can still make the cut: one linear
+``np.partition`` finds the N-th best primary key, and the rows strictly
+worse are dropped before the sort.  Output is emitted in sort order, so
+``Limit(k)`` over a cached ``topN(10000)`` result — the proactive top-N
 strategy — is exact.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..columnar.batch import Batch, concat_batches
 from ..plan.logical import TopN
 from .base import PhysicalOperator, QueryContext
-from .sort import sort_indices
+from .sort import ascending_key, sort_indices
+
+
+def top_rows(batch: Batch, sort_keys: list[tuple[str, bool]],
+             keep: int) -> Batch:
+    """The first ``keep`` rows of ``batch`` in ``sort_keys`` order —
+    ``batch.take(sort_indices(batch, sort_keys)[:keep])`` — sorting
+    only the rows whose primary key is no worse than the ``keep``-th
+    best.
+
+    Exact: at least ``keep`` rows are no worse than that bound, and they
+    all sort before the rest; the survivors keep their input order, so
+    the stable sort breaks their ties as the full sort would (ties with
+    the bound survive).  When the bound is NaN (fewer than ``keep``
+    non-NaN keys; NaN sorts last) nothing is dropped, and a STRING
+    primary key is not filtered (its codes would be built twice).  The
+    same stability makes the top rows of ``A ++ B`` the top rows of
+    ``top_rows(A) ++ top_rows(B)`` — what compaction and a TopN result
+    extended over appended rows rely on.
+    """
+    name, ascending = sort_keys[0]
+    values = batch.column(name)
+    if 0 < keep < len(batch) and values.dtype.kind != "O":
+        key = ascending_key(values, ascending)
+        bound = np.partition(key, keep - 1)[keep - 1]
+        if bound == bound:
+            rows = np.flatnonzero(key <= bound)
+            if len(rows) < len(batch):
+                survivors = Batch({key_name: batch.column(key_name)[rows]
+                                   for key_name, _ in sort_keys})
+                return batch.take(
+                    rows[sort_indices(survivors, sort_keys)[:keep]])
+    return batch.take(sort_indices(batch, sort_keys)[:keep])
 
 
 class TopNOp(PhysicalOperator):
@@ -56,9 +93,8 @@ class TopNOp(PhysicalOperator):
         self._done_building = True
 
     def _best(self, candidates: list[Batch]) -> Batch:
-        data = concat_batches(candidates, schema=self.schema)
-        order = sort_indices(data, self._sort_keys)
-        return data.take(order[:self._keep])
+        return top_rows(concat_batches(candidates, schema=self.schema),
+                        self._sort_keys, self._keep)
 
     def _next(self) -> Batch | None:
         if not self._done_building:

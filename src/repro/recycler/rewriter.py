@@ -98,8 +98,15 @@ def extends_over_appends(graph_node: GraphNode, table: str) -> bool:
     a scalar aggregate only without min / max) left joins qualify too:
     a left join emits each probe batch's padded rows after its matches,
     an order that depends on where batches break, which re-aggregation
-    ignores."""
+    ignores.  A TopN without an offset over a row-level chain qualifies
+    as well: its stable sort breaks ties by input position, where the
+    old rows precede the new, so the top N of old ∪ Δ is the top N of
+    the old top N followed by Δ's (with an offset the cached rows lack
+    the first ``offset``)."""
     plan = graph_node.plan
+    if isinstance(plan, TopN):
+        return plan.offset == 0 and _row_monotone(
+            graph_node.children[0], table, ("inner", "semi", "anti"))
     if not isinstance(plan, Aggregate):
         return _row_monotone(graph_node, table, ("inner", "semi", "anti"))
     types = graph_node.schema.types[len(plan.group_keys):]

@@ -3,7 +3,9 @@
 Its STRING share is measured by wrapping ``types.array_nbytes`` (and
 the other per-element kernels) *by module attribute*: if the engine
 sized STRING columns through any other name the tool would go on
-printing a smaller share without failing.  So run it, small, and look.
+printing a smaller share without failing.  Its sort share wraps the
+sorting kernels under every name ``repro`` binds them to — and would
+print 0 the same way.  So run it, small, and look.
 The same goes for the statement cache's template path, which it times
 by wrapping ``exec_service.scan_literals`` and
 ``StatementTemplate.bind`` / ``.planned`` — and there the tool is also
@@ -41,6 +43,11 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
     sizing = [words for words in lines
               if words[:2] == ["string", "array_nbytes(STRING)"]]
     assert sizing and int(sizing[0][-2]) > 0
+    # the sorting left on the cold path: the dashboard's GROUP BYs coded
+    # and ordered their keys, its alerts ranked their rows
+    assert 0.0 < values["sort_share"] < 1.0
+    sorted_by = {words[1] for words in lines if words[:1] == ["sort"]}
+    assert {"key_codes", "GroupedRows", "top_rows"} <= sorted_by
     assert values["next_calls"] > 0 and values["batches_built"] > 0
     assert values["batches_per_op"] > 0.0
     # the dashboard: 51 texts at this size, 5 shapes — every text but

@@ -59,6 +59,10 @@ EXTENDED = {
     # merge identity
     "scalar count": (f"SELECT count(*) AS n, sum(sensor) AS s FROM metrics"
                      f" WHERE ts >= {ts.T0 + INITIAL * ts.TICK}"),
+    # top N of (old top N ++ Δ's top N), ties broken by position (windows
+    # covering every row, dropped, and windows cutting the data)
+    "top-n": ts.alerts(10 ** 6),
+    "top-n window": ts.alerts(INITIAL // 2),
 }
 
 #: cached roots an append must evict
@@ -66,9 +70,16 @@ EVICTED = {
     "float avg": ts.sensor_rollup(),
     # pairwise summation: sum(old) + sum(new) is not sum(old ++ new)
     "float sum": "SELECT sensor, sum(temp) AS s FROM metrics GROUP BY sensor",
+    # the cached rows lack the first ``offset`` of old ∪ Δ
+    "top-n offset": ts.alerts(10 ** 6) + " OFFSET 2",
+    # a row-level left join under the TopN
+    "top-n left join": ("SELECT ts, site, temp FROM metrics LEFT JOIN"
+                        " sensors ON metrics.sensor = sensors.sensor"
+                        " ORDER BY temp DESC, ts LIMIT 5"),
+    # the TopN's build side reads ``metrics`` (``hot_sensors``)
+    "top-n build side": (ts.hot_sensors(10 ** 6)
+                         + " ORDER BY sensor DESC LIMIT 3"),
     # (windows covering every row, dropped, and windows cutting the data)
-    "top-n": ts.alerts(10 ** 6),
-    "top-n window": ts.alerts(INITIAL // 2),
     "build side reads metrics": ts.hot_sensors(10 ** 6),
     "build side window": ts.hot_sensors(INITIAL // 2),
     "self-join": ("SELECT m1.sensor, count(*) AS n FROM metrics m1"
@@ -84,10 +95,12 @@ EVICTED = {
 
 
 class Pair:
-    """A ``spec`` database and its ``off`` reference, fed alike."""
+    """A recycling database (``spec`` unless ``mode`` says otherwise)
+    and its ``off`` reference, fed alike."""
 
-    def __init__(self, cache_bytes: int | None = None) -> None:
-        self.db = Database(RecyclerConfig(mode="spec",
+    def __init__(self, cache_bytes: int | None = None,
+                 mode: str = "spec") -> None:
+        self.db = Database(RecyclerConfig(mode=mode,
                                           cache_capacity=cache_bytes),
                            catalog=ts.build_catalog(INITIAL))
         self.off = Database(RecyclerConfig(mode="off"),
@@ -102,9 +115,16 @@ class Pair:
         self.db.recycler.cache.check_invariants()
         return result
 
-    def append(self, rows: int = BATCH) -> None:
+    def append(self, rows: int = BATCH, temps=None) -> None:
+        """Append the feed's next ``rows`` rows, their ``temp`` column
+        replaced by ``temps`` when given."""
         self.batches += 1
         batch = ts._batch(self.rows, rows, 500 + self.batches)
+        if temps is not None:
+            batch = Table(batch.schema, {
+                **{name: batch.column(name)
+                   for name in batch.schema.names},
+                "temp": np.asarray(temps, dtype=np.float64)})
         self.rows += rows
         for db in (self.db, self.off):
             db.append_rows("metrics", batch)
@@ -166,7 +186,7 @@ class TestEligibility:
 
     @pytest.mark.parametrize("covering, cutting", [
         (EXTENDED["join"], EXTENDED["join window"]),
-        (EVICTED["top-n"], EVICTED["top-n window"]),
+        (EXTENDED["top-n"], EXTENDED["top-n window"]),
         (EVICTED["build side reads metrics"], EVICTED["build side window"]),
     ], ids=["join", "top-n", "build side"])
     def test_only_covering_windows_are_dropped(self, pair, covering,
@@ -266,6 +286,57 @@ class TestDelta:
             assert cache.used <= cache.capacity
             cache.check_invariants()
             pair.db.recycler.graph.check_invariants()
+        finally:
+            pair.close()
+
+
+class TestTopN:
+    """A TopN's cached rows merge with Δ's top rows; each read below is
+    compared byte for byte with the ``off`` twin by ``Pair.sql``."""
+
+    TEXT = ("SELECT ts, sensor, temp FROM metrics"
+            " ORDER BY temp DESC LIMIT 6")
+
+    def test_ties_straddle_old_rows_and_delta(self, pair):
+        root = warm(pair, self.TEXT)
+        temps = root.entry.table.column("temp")
+        # Δ ties the 2nd and the 6th best and beats the best: the old
+        # tied rows must stay ahead of Δ's, and the 6th-best ties drop
+        pair.append(8, [temps[1], temps[5], temps[0] + 1.0, temps[5],
+                        temps[1], 0.0, temps[5], temps[0] + 1.0])
+        before = pair.extended()
+        rows = pair.sql(self.TEXT).table
+        assert pair.extended() == before + 1
+        assert rows.column("temp").tolist() == [
+            temps[0] + 1.0, temps[0] + 1.0, temps[0], temps[1], temps[1],
+            temps[1]]
+        # the primary key alone: ties are all but two of old ∪ Δ
+        text = "SELECT ts, sensor FROM metrics ORDER BY sensor LIMIT 4"
+        warm(pair, text)
+        pair.append(3 * ts.NUM_SENSORS)
+        pair.sql(text)
+        assert pair.extended() == before + 2
+
+    def test_two_appends_between_reads(self, pair):
+        root = warm(pair, self.TEXT)
+        best = root.entry.table.column("temp")[0]
+        pair.append(BATCH, np.full(BATCH, best))
+        pair.append(7, np.linspace(best - 1.0, best + 1.0, 7))
+        before = pair.extended()
+        pair.sql(self.TEXT)
+        assert pair.extended() == before + 1
+        assert root.entry.table_rows["metrics"] == INITIAL + BATCH + 7
+
+    def test_proactive_topn_under_limit(self):
+        pair = Pair(mode="pa")
+        try:
+            for _ in range(3):
+                pair.sql(self.TEXT)
+            extended = pair.extended()
+            for step in range(3):
+                pair.append(BATCH)
+                pair.sql(self.TEXT)
+            assert pair.extended() > extended
         finally:
             pair.close()
 

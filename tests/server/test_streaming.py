@@ -413,20 +413,37 @@ class TestDisconnects:
         """A v2 client that vanishes mid-query aborts the producer at
         the next batch boundary, and nothing lands in the cache."""
         from repro.server.protocol import write_frame
-        # an aggregate over a few million rows runs long enough (and in
-        # enough batches) to be cancelled mid-way, and its shape is one
-        # the recycler publishes when it completes
+        # an aggregate over a costly leaf is a shape the recycler
+        # publishes when it completes; the aborted one's leaf holds it
+        # mid-execution until the server, having seen the hang-up,
+        # cancels it, so no engine is fast enough to finish first
         rng = np.random.default_rng(3)
-        n = 2_000_000
-        for name in ("wide", "wide2"):  # disjoint tables, so the
-            # control's published entries cannot serve the aborted shape
-            db.register_table(name, Table(
-                Schema(["g", "v"], [INT64, FLOAT64]),
-                {"g": rng.integers(0, 64, n),
-                 "v": rng.uniform(0, 1, n)}))
-        control = ("SELECT g, sum(v) AS s FROM wide"
+        n = 200_000
+        rows = Table(Schema(["g", "v"], [INT64, FLOAT64]),
+                     {"g": rng.integers(0, 64, n),
+                      "v": rng.uniform(0, 1, n)})
+        hung_up = threading.Event()
+
+        def held() -> Table:
+            hung_up.wait(30.0)
+            return rows
+
+        # disjoint functions, so the control's published entries cannot
+        # serve the aborted shape
+        for name, function in (("free", lambda: rows), ("held", held)):
+            db.register_function(name, function, rows.schema,
+                                 invocation_cost=50_000.0)
+        cancel = db.recycler.cancel
+
+        def cancelled(token):
+            # a session's cancel trips the query's token, then this
+            cancel(token)
+            hung_up.set()
+
+        db.recycler.cancel = cancelled
+        control = ("SELECT g, sum(v) AS s FROM free()"
                    " WHERE v > 0.01 GROUP BY g")
-        aborted = ("SELECT g, avg(v) AS a FROM wide2"
+        aborted = ("SELECT g, avg(v) AS a FROM held()"
                    " WHERE v > 0.02 GROUP BY g")
         with ReproServer(db) as server:
             # control: the same shape completed normally does publish
@@ -438,10 +455,11 @@ class TestDisconnects:
             with ServerClient(*server.address) as client:
                 write_frame(client._sock, {"op": "query",
                                            "sql": aborted})
-                time.sleep(0.1)  # query is now executing
+                assert wait_for(lambda: server.stats()["in_flight"] == 1)
             assert wait_for(
                 lambda: server.stats()["cancelled"] >= 1)
             assert wait_for(lambda: server.stats()["in_flight"] == 0)
+        assert hung_up.is_set()
         # the abandoned query published nothing: a rerun is cold
         assert db.sql(aborted).record.num_reused == 0
 

@@ -13,7 +13,9 @@ twice, each time on a fresh database:
    arrays (``types.string_codes``, and ``np.unique`` on an object
    array, which the engine no longer calls) and the comparison kernels
    of ``Cmp`` on object operands — and prints their share of the pass,
-   then the counts behind the engine's per-batch floor
+   then the share of the sorting kernels (``sort_share``: key coding,
+   group ordering, ``sort_indices`` and TopN's ``top_rows``), then the
+   counts behind the engine's per-batch floor
    (``PhysicalOperator.next`` calls, ``Batch`` objects built, batches
    per statement), then the statement cache's counters and what its
    template path cost: the literal scan of every text that missed and
@@ -78,6 +80,7 @@ from bench.workloads import APPEND, SCAN, SQL, WORKLOADS  # noqa: E402
 from repro import exec_service  # noqa: E402
 from repro.columnar import types  # noqa: E402
 from repro.columnar.batch import Batch  # noqa: E402
+from repro.engine import grouping, sort, topn  # noqa: E402
 from repro.engine.base import PhysicalOperator  # noqa: E402
 from repro.expr.nodes import Cmp  # noqa: E402
 from repro.server import (HttpClient, HttpServer, ReproServer,  # noqa: E402
@@ -148,6 +151,52 @@ class StringShare(Share):
         finally:
             (types.array_nbytes, types.string_codes, np.unique,
              Cmp._FUNCS) = saved
+
+
+class SortShare(Share):
+    """The engine's sorting kernels: key coding (``types.key_codes``),
+    group ordering (``GroupedRows``), multi-key ordering
+    (``sort_indices``) and TopN selection (``top_rows``).  Each function
+    is wrapped under every name a ``repro`` module binds it to, and only
+    the outermost of nested calls (``top_rows`` sorts with
+    ``sort_indices``) is timed, so the times add up to the share."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._depth = 0
+
+    def timed(self, label: str, function, counts=lambda *a, **k: True):
+        timed = super().timed(label, function, counts)
+
+        def wrapper(*args, **kwargs):
+            self._depth += 1
+            try:
+                return (timed if self._depth == 1 else function)(
+                    *args, **kwargs)
+            finally:
+                self._depth -= 1
+        return wrapper
+
+    @contextlib.contextmanager
+    def installed(self):
+        kernels = {types.key_codes: "key_codes",
+                   sort.sort_indices: "sort_indices",
+                   topn.top_rows: "top_rows"}
+        bound = [(module, name, value)
+                 for module in list(sys.modules.values())
+                 if getattr(module, "__name__", "").startswith("repro.")
+                 for name, value in vars(module).items()
+                 if any(value is kernel for kernel in kernels)]
+        init = grouping.GroupedRows.__init__
+        for module, name, value in bound:
+            setattr(module, name, self.timed(kernels[value], value))
+        grouping.GroupedRows.__init__ = self.timed("GroupedRows", init)
+        try:
+            yield
+        finally:
+            for module, name, value in bound:
+                setattr(module, name, value)
+            grouping.GroupedRows.__init__ = init
 
 
 class TemplateShare(Share):
@@ -333,16 +382,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     share = StringShare()
+    sorting = SortShare()
     floor = BatchFloor()
     templates = TemplateShare()
     pauses = GcPauses()
-    with share.installed(), floor.installed(), templates.installed():
+    with share.installed(), sorting.installed(), floor.installed(), \
+            templates.installed():
         seconds, summary = replay(workload, ops, args.seed, args.size,
                                   args.mode, around_ops=pauses.installed)
     statement_cache = summary["service"]["statement_cache"]
     print(f"# pass: {seconds * 1e3:.1f} ms unprofiled")
     share.report("string", seconds)
     print(f"string_share {sum(share.seconds.values()) / seconds:.4f}")
+    sorting.report("sort", seconds)
+    print(f"sort_share {sum(sorting.seconds.values()) / seconds:.4f}")
     texts = {op.text for op in ops if op.kind in (SQL, SCAN)}
     queries = sum(op.kind in (SQL, SCAN) for op in ops)
     print(f"next_calls {floor.next_calls}")
