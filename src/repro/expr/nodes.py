@@ -342,7 +342,7 @@ class Cmp(Expr):
 
 
 class And(Expr):
-    """N-ary conjunction."""
+    """N-ary conjunction, short-circuit (:func:`_short_circuit`)."""
 
     __slots__ = ("args",)
 
@@ -361,10 +361,7 @@ class And(Expr):
         return t.BOOL
 
     def eval(self, batch: Batch) -> np.ndarray:
-        result = np.asarray(self.args[0].eval(batch), dtype=bool)
-        for arg in self.args[1:]:
-            result = result & np.asarray(arg.eval(batch), dtype=bool)
-        return result
+        return _short_circuit(self.args, batch, undecided=True)
 
     def children(self) -> Sequence[Expr]:
         return self.args
@@ -384,7 +381,7 @@ class And(Expr):
 
 
 class Or(Expr):
-    """N-ary disjunction."""
+    """N-ary disjunction, short-circuit (:func:`_short_circuit`)."""
 
     __slots__ = ("args",)
 
@@ -403,10 +400,7 @@ class Or(Expr):
         return t.BOOL
 
     def eval(self, batch: Batch) -> np.ndarray:
-        result = np.asarray(self.args[0].eval(batch), dtype=bool)
-        for arg in self.args[1:]:
-            result = result | np.asarray(arg.eval(batch), dtype=bool)
-        return result
+        return _short_circuit(self.args, batch, undecided=False)
 
     def children(self) -> Sequence[Expr]:
         return self.args
@@ -423,6 +417,41 @@ class Or(Expr):
 
     def __repr__(self) -> str:
         return "(" + " OR ".join(map(repr, self.args)) + ")"
+
+
+def _short_circuit(args: Sequence[Expr], batch: Batch,
+                   undecided: bool) -> np.ndarray:
+    """``AND`` (``undecided=True``) or ``OR`` (``undecided=False``) of
+    ``args`` over ``batch``, each operand after the first evaluated
+    only on the rows the ones before it left undecided — those still
+    true under ``AND``, still false under ``OR``.
+
+    The identity it rests on: a row ``AND`` has found false (``OR``
+    true) keeps that value whatever the remaining operands say, and
+    every operand is row-wise, so evaluating it on a subset of the rows
+    gives those rows' values.  An operand runs on the batch narrowed to
+    the undecided rows of just the columns it references, its result
+    scattered back into the mask; while every row is undecided it runs
+    on the whole batch, with no gather.
+    """
+    # a copy: the operands' values are written into it
+    result = np.array(args[0].eval(batch), dtype=bool)
+    for arg in args[1:]:
+        rows = np.flatnonzero(result if undecided else ~result)
+        if len(rows) == 0:
+            break
+        if len(rows) == len(result):
+            result[:] = arg.eval(batch)
+            continue
+        names = arg.columns()
+        if names:
+            narrowed = Batch._aligned({name: batch.column(name)[rows]
+                                       for name in names})
+            values = arg.eval(narrowed)
+        else:  # a literal operand: no column to narrow the batch by
+            values = np.asarray(arg.eval(batch))[rows]
+        result[rows] = values
+    return result
 
 
 class Not(Expr):

@@ -3,14 +3,22 @@
 The vectorized index must produce *exactly* the matches — and in
 exactly the order — of the per-row dict it replaced: probe-major, build
 matches in build order.  The oracle below is that dict, re-implemented
-in ten lines.
+in ten lines (``tests/property/test_join_kernel_properties.py`` holds
+the dense and the sorted lookup to it over generated keys).  A probe
+key of another type than the build key matches by value, as SQL says:
+the join and ``IN`` shapes at the bottom are checked against stdlib
+``sqlite3``.
 """
 
 from __future__ import annotations
 
+import sqlite3
+
 import numpy as np
 import pytest
 
+from repro import Database, RecyclerConfig, Table
+from repro.columnar import FLOAT64, INT64
 from repro.columnar.batch import Batch
 from repro.engine import join as join_mod
 from repro.engine.join import _BuildIndex
@@ -142,3 +150,58 @@ def test_randomized_parity(seed):
              names[rng.integers(0, 6, n_probe)],
              rng.integers(0, 5, n_probe).astype(np.float64)]
     assert_parity(build, probe, ["a", "s", "f"])
+
+
+class TestIntegerKeyAgainstFloatProbe:
+    """A float probe key equals an integer build key only where it is
+    integral: ``1.5`` must not find ``1`` (the integer path once
+    truncated probe keys to int64), whichever side builds — checked
+    against stdlib ``sqlite3``."""
+
+    A = {"k": [1, 2, 3], "av": [10, 20, 30]}
+    B = {"f": [1.5, 2.0, 2.9], "bv": [100, 200, 300]}
+    SHAPES = ["SELECT av, bv FROM b JOIN a ON f = k",
+              "SELECT av, bv FROM a JOIN b ON k = f",
+              "SELECT bv FROM b WHERE f IN (SELECT k FROM a)"]
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        db = Database(RecyclerConfig(mode="off"))
+        oracle = sqlite3.connect(":memory:")
+        for name, rows, types in (("a", self.A, (INT64, INT64)),
+                                  ("b", self.B, (FLOAT64, INT64))):
+            db.register_table(name, Table(
+                Table.from_rows(list(rows), list(types), []).schema,
+                {column: np.array(values, dtype=dtype.numpy_dtype)
+                 for (column, values), dtype in zip(rows.items(), types)}))
+            oracle.execute(f"CREATE TABLE {name} ({', '.join(rows)})")
+            oracle.executemany(
+                f"INSERT INTO {name} VALUES ({', '.join('?' * len(rows))})",
+                zip(*rows.values()))
+        yield db, oracle
+        db.close()
+        oracle.close()
+
+    @pytest.mark.parametrize("sql", SHAPES)
+    def test_matches_sqlite(self, engines, sql):
+        db, oracle = engines
+        got = sorted(db.sql(sql).table.to_rows())
+        want = sorted(oracle.execute(sql).fetchall())
+        assert got == want
+        assert len(want) == 1
+
+    @pytest.mark.parametrize("build_dtype", ["int64", "int32", "uint64"])
+    def test_index_compares_by_value(self, build_dtype):
+        # dense and sorted alike: span 3 over 3 rows is dense, span
+        # 10^6 over 3 rows is not
+        for top in (3, 10 ** 6):
+            build = Batch({"k": np.array([1, 2, top], dtype=build_dtype)})
+            probe = [np.array([1.5, 2.0, float(top), np.nan, -1.0,
+                               2.0 ** 64, float(top) + 0.5])]
+            index = _BuildIndex(build, ["k"])
+            assert index.dense == (top == 3)
+            probe_pos, build_pos = index.probe(probe)
+            assert probe_pos.tolist() == [1, 2]
+            assert build_pos.tolist() == [1, 2]
+            assert index.matched(probe).tolist() == [
+                False, True, True, False, False, False, False]

@@ -12,8 +12,9 @@ by wrapping ``exec_service.scan_literals`` and
 the alarm: it exits non-zero when texts share shapes and no template
 was hit or no plan node was matched from a template's memo, when a
 recycling pass repeats a text and no statement took the root-hit path,
-and when it appends and no cached result was extended or no
-moving-window conjunct was proved.
+when it appends and no cached result was extended or no
+moving-window conjunct was proved, and when it builds joins on integer
+keys and no join index was dense.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
     assert 0.0 < values["sort_share"] < 1.0
     sorted_by = {words[1] for words in lines if words[:1] == ["sort"]}
     assert {"key_codes", "GroupedRows", "top_rows"} <= sorted_by
+    # the dashboard's site rollup and hot sensors joined on the dense
+    # ``sensor`` key: looked up by address
+    assert 0.0 < values["join_share"] < 1.0
+    assert values["join_dense_builds"] > 0
+    joined_by = {words[1] for words in lines if words[:1] == ["join"]}
+    assert {"_BuildIndex.__init__", "_BuildIndex.matches",
+            "_BuildIndex.matched"} <= joined_by
     assert values["next_calls"] > 0 and values["batches_built"] > 0
     assert values["batches_per_op"] > 0.0
     # the dashboard: 51 texts at this size, 5 shapes — every text but
@@ -167,3 +175,21 @@ def test_tool_fails_when_windows_stop_being_proved():
     assert done.returncode == 1, done.stderr[-2000:]
     assert "no moving-window conjunct was proved" in done.stderr
     assert "conjuncts_proved 0" in done.stdout.splitlines()
+
+
+def test_tool_fails_when_join_indexes_stop_being_dense():
+    """A join index that binary-searches dense keys finds the same
+    matches, only slower — the tool is what notices."""
+    broken = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import profile_pass;"
+        " from repro.engine import join;"
+        " join._BuildIndex._index_dense = lambda self, values: False;"
+        " sys.exit(profile_pass.main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", broken, str(ROOT / "tools"),
+         "--workload", "ts_append", "--mode", "spec", "--size", "0.04",
+         "--top", "1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert "no index was dense" in done.stderr
+    assert "join_dense_builds 0" in done.stdout.splitlines()

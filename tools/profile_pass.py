@@ -15,6 +15,9 @@ twice, each time on a fresh database:
    of ``Cmp`` on object operands — and prints their share of the pass,
    then the share of the sorting kernels (``sort_share``: key coding,
    group ordering, ``sort_indices`` and TopN's ``top_rows``), then the
+   share of the hash join's kernels over the timed ops (``join_share``:
+   index build, probe, output gather) with how many indexes were built
+   dense and how many sorted, then the
    counts behind the engine's per-batch floor
    (``PhysicalOperator.next`` calls, ``Batch`` objects built, batches
    per statement), then the statement cache's counters and what its
@@ -39,9 +42,10 @@ Exits non-zero if texts of the op list share a shape (so a template
 could have served one of them) and the pass reports no template hit —
 or, recycling, no plan node matched from a template's memo — if a
 recycling pass repeats a text and reports no root hit, or if it
-appends and reports no extension or no proved conjunct: a template,
-memo, root-hit, extension or moving-window path that has silently
-stopped firing fails no test.
+appends and reports no extension or no proved conjunct, or if its ops
+build joins on integer keys and no index was dense: a template, memo,
+root-hit, extension, moving-window or direct-address join path that
+has silently stopped firing fails no test.
 
 With ``--wire`` the op list travels instead: statements through a
 ``ServerClient``, scans streamed through an ``HttpClient``, against a
@@ -80,7 +84,7 @@ from bench.workloads import APPEND, SCAN, SQL, WORKLOADS  # noqa: E402
 from repro import exec_service  # noqa: E402
 from repro.columnar import types  # noqa: E402
 from repro.columnar.batch import Batch  # noqa: E402
-from repro.engine import grouping, sort, topn  # noqa: E402
+from repro.engine import grouping, join, sort, topn  # noqa: E402
 from repro.engine.base import PhysicalOperator  # noqa: E402
 from repro.expr.nodes import Cmp  # noqa: E402
 from repro.server import (HttpClient, HttpServer, ReproServer,  # noqa: E402
@@ -197,6 +201,45 @@ class SortShare(Share):
             for module, name, value in bound:
                 setattr(module, name, value)
             grouping.GroupedRows.__init__ = init
+
+
+class JoinShare(Share):
+    """The hash join's kernels: building the index over the build side
+    (``_BuildIndex.__init__``, key packing included), probing it
+    (``matches``, and ``matched`` for semi / anti joins) and gathering
+    the output rows (``HashJoinOp._combine``); plus how many indexes
+    were built dense (a row table looked up by address: unique keys
+    only) and how many sorted (binary search), and
+    how many of them had integer keys only.  No wrapped function calls
+    another."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dense = self.sorted = self.integer_keyed = 0
+
+    @contextlib.contextmanager
+    def installed(self):
+        index, op = join._BuildIndex, join.HashJoinOp
+        saved = (index.__init__, index.matches, index.matched,
+                 op._combine)
+        build = self.timed("_BuildIndex.__init__", saved[0])
+
+        def counted_build(built, data, keys):
+            build(built, data, keys)
+            self.dense += built.dense
+            self.sorted += not built.dense
+            self.integer_keyed += all(data.column(key).dtype.kind in "iu"
+                                      for key in keys)
+
+        index.__init__ = counted_build
+        index.matches = self.timed("_BuildIndex.matches", saved[1])
+        index.matched = self.timed("_BuildIndex.matched", saved[2])
+        op._combine = self.timed("HashJoinOp._combine", saved[3])
+        try:
+            yield
+        finally:
+            (index.__init__, index.matches, index.matched,
+             op._combine) = saved
 
 
 class TemplateShare(Share):
@@ -383,19 +426,31 @@ def main(argv: list[str] | None = None) -> int:
 
     share = StringShare()
     sorting = SortShare()
+    joins = JoinShare()
     floor = BatchFloor()
     templates = TemplateShare()
     pauses = GcPauses()
+
+    @contextlib.contextmanager
+    def around_ops():
+        # the joins of the timed ops only: priming's are not the pass's
+        with pauses.installed(), joins.installed():
+            yield
+
     with share.installed(), sorting.installed(), floor.installed(), \
             templates.installed():
         seconds, summary = replay(workload, ops, args.seed, args.size,
-                                  args.mode, around_ops=pauses.installed)
+                                  args.mode, around_ops=around_ops)
     statement_cache = summary["service"]["statement_cache"]
     print(f"# pass: {seconds * 1e3:.1f} ms unprofiled")
     share.report("string", seconds)
     print(f"string_share {sum(share.seconds.values()) / seconds:.4f}")
     sorting.report("sort", seconds)
     print(f"sort_share {sum(sorting.seconds.values()) / seconds:.4f}")
+    joins.report("join", seconds)
+    print(f"join_share {sum(joins.seconds.values()) / seconds:.4f}")
+    print(f"join_dense_builds {joins.dense}")
+    print(f"join_sorted_builds {joins.sorted}")
     texts = {op.text for op in ops if op.kind in (SQL, SCAN)}
     queries = sum(op.kind in (SQL, SCAN) for op in ops)
     print(f"next_calls {floor.next_calls}")
@@ -432,6 +487,10 @@ def main(argv: list[str] | None = None) -> int:
             not optimizer["root_hits"]:
         print("error: the pass repeats texts but no statement was"
               " answered from its root-hit memo", file=sys.stderr)
+        return 1
+    if joins.integer_keyed and not joins.dense:
+        print("error: the pass built integer-keyed joins but no index"
+              " was dense", file=sys.stderr)
         return 1
     appends = any(op.kind == APPEND for op in ops)
     if args.mode != "off" and appends and not catalog["entries_extended"]:
