@@ -35,11 +35,10 @@ with dbapi.connect(database=db) as conn:
 # ----------------------------------------------------------------------
 # 3. TCP: the same database served with admission control
 # ----------------------------------------------------------------------
-with ReproServer(db, max_in_flight=8, max_queue=16,
-                 tenant_budgets={"demo": 32 * 1024 * 1024}) as server:
+with ReproServer(db, max_in_flight=8, max_queue=16) as server:
     host, port = server.address
     with ServerClient(host, port) as client:
-        result = client.query(SKY, tenant="demo")
+        result = client.query(SKY)
         print(f"TCP    (warm): {result.num_rows} rows,"
               f" reused {result.stats['num_reused']},"
               f" inserted {result.stats['num_inserted']}")

@@ -51,10 +51,8 @@ Statistics are maintained **incrementally** across appends:
 :meth:`Catalog.append_rows` merges the delta batch's per-column
 min/max/NaN-aware uniques into the existing :class:`ColumnStats`
 (exactly, via retained unique sets) instead of rescanning the merged
-table, and a per-entry staleness counter forces a periodic full
-recompute (``stats_refresh_appends``) so retained sets can never drift
-from a bug for long.  Retained sets are capped at
-``stats_uniques_limit`` distinct values — the incremental path targets
+table.  Retained sets are capped at
+:data:`STATS_UNIQUES_LIMIT` distinct values — the incremental path targets
 the low-cardinality group/selection columns the proactive rules read;
 a unique-key-like column drops its set (bounding stat memory) and then
 merges only appends whose values lie wholly outside its range (a
@@ -76,6 +74,13 @@ from .table import Schema, Table
 
 #: A table function takes literal arguments and produces a Table.
 TableFunction = Callable[..., Table]
+
+#: cardinality cap on retained unique sets: beyond this many distinct
+#: values a column's uniques are dropped (bounding stat memory) and its
+#: appends pay the full recompute unless their values lie outside the
+#: column's range — the incremental win targets the low-cardinality
+#: group/selection columns the proactive rules care about anyway.
+STATS_UNIQUES_LIMIT = 65536
 
 
 class TableBackedFunction:
@@ -130,8 +135,8 @@ class ColumnStats:
     #: retained unique values — a sorted ``np.ndarray`` for numeric/date
     #: columns, a ``frozenset`` for strings — the merge base that makes
     #: incremental append stats *exact* instead of approximate.  ``None``
-    #: when the column is empty, when its cardinality exceeds the
-    #: catalog's ``stats_uniques_limit`` (retaining a near-copy of a
+    #: when the column is empty, when its cardinality exceeds
+    #: :data:`STATS_UNIQUES_LIMIT` (retaining a near-copy of a
     #: unique-key column would double its memory; such columns merge
     #: only appends outside their value range), or when the stats were
     #: built by a legacy path.  Excluded from equality so
@@ -170,9 +175,6 @@ class TableEntry:
     table: Table
     column_stats: dict[str, ColumnStats] = field(default_factory=dict)
     binnings: dict[str, BinningSpec] = field(default_factory=dict)
-    #: incremental stat merges since the last full recompute — the
-    #: staleness counter that triggers a periodic full rescan.
-    stats_appends: int = 0
     #: the table version of the last change that was *not* an append:
     #: a result computed at a version ``>=`` this one read a prefix of
     #: today's rows (see :meth:`CatalogView.appended_since`).
@@ -406,20 +408,7 @@ class Catalog(CatalogView):
     never observe a table without its matching version bump.
     """
 
-    #: incremental stat merges allowed before an append forces a full
-    #: recompute of the merged table's statistics (the staleness bound).
-    DEFAULT_STATS_REFRESH_APPENDS = 16
-
-    #: cardinality cap on retained unique sets: beyond this many
-    #: distinct values a column's uniques are dropped (bounding stat
-    #: memory) and its appends pay the full recompute unless their
-    #: values lie outside the column's range — the
-    #: incremental win targets the low-cardinality group/selection
-    #: columns the proactive rules care about anyway.
-    DEFAULT_STATS_UNIQUES_LIMIT = 65536
-
-    def __init__(self, stats_refresh_appends: int | None = None,
-                 stats_uniques_limit: int | None = None) -> None:
+    def __init__(self) -> None:
         self._tables: dict[str, TableEntry] = {}
         self._functions: dict[str, TableFunctionEntry] = {}
         self._table_versions: dict[str, int] = {}
@@ -433,16 +422,6 @@ class Catalog(CatalogView):
         #: ``exec_service.Statement.variant`` keys its window proof and
         #: proactive rewrite on).
         self.ddl_clock = 0
-        self.stats_refresh_appends = (
-            self.DEFAULT_STATS_REFRESH_APPENDS
-            if stats_refresh_appends is None else stats_refresh_appends)
-        if self.stats_refresh_appends < 1:
-            raise CatalogError("stats_refresh_appends must be >= 1")
-        self.stats_uniques_limit = (
-            self.DEFAULT_STATS_UNIQUES_LIMIT
-            if stats_uniques_limit is None else stats_uniques_limit)
-        if self.stats_uniques_limit < 1:
-            raise CatalogError("stats_uniques_limit must be >= 1")
         #: observability: how appends maintained their statistics
         #: (mutated under the write lock, surfaced by
         #: ``Database.summary()["maintenance"]``).
@@ -480,8 +459,7 @@ class Catalog(CatalogView):
         key = name.lower()
         entry = TableEntry(name=key, table=table)
         if compute_stats:
-            entry.column_stats = _compute_stats(
-                table, uniques_limit=self.stats_uniques_limit)
+            entry.column_stats = _compute_stats(table)
         with self._lock:
             self._publish(key, entry)
             self._bump_incarnation(key)
@@ -513,10 +491,10 @@ class Catalog(CatalogView):
         per-column stats (NaN-aware, exactly as the full path computes
         them) are merged into the existing entry's retained unique sets
         instead of rescanning the merged table — O(delta + distinct)
-        instead of O(table) per append.  Every
-        ``stats_refresh_appends``-th append (or whenever the existing
-        entry lacks retained uniques for a column whose value range the
-        delta overlaps) the full recompute runs instead.
+        instead of O(table) per append.  The full recompute runs only
+        when the merge cannot be exact: the existing entry has no
+        statistics, or lacks retained uniques for a column whose value
+        range the delta overlaps.
 
         Optimistic under concurrent DDL: the merge runs outside the
         lock, and if another DDL swapped the table meanwhile the append
@@ -555,18 +533,10 @@ class Catalog(CatalogView):
                                base_version=old.base_version)
             incremental = False
             if compute_stats:
-                merged_stats = None
-                if old.stats_appends + 1 < self.stats_refresh_appends:
-                    merged_stats = _merge_stats(
-                        old.column_stats, extra,
-                        uniques_limit=self.stats_uniques_limit)
-                if merged_stats is not None:
-                    entry.column_stats = merged_stats
-                    entry.stats_appends = old.stats_appends + 1
-                    incremental = True
-                else:
-                    entry.column_stats = _compute_stats(
-                        merged, uniques_limit=self.stats_uniques_limit)
+                merged_stats = _merge_stats(old.column_stats, extra)
+                incremental = merged_stats is not None
+                entry.column_stats = merged_stats if incremental \
+                    else _compute_stats(merged)
             with self._lock:
                 if self._tables.get(key) is not old:
                     continue  # concurrent DDL swapped mid-merge; redo
@@ -617,12 +587,10 @@ class Catalog(CatalogView):
             stats = dict(old.column_stats)
             if stats:
                 stats[column] = _compute_stats(
-                    table.select([column]),
-                    uniques_limit=self.stats_uniques_limit)[column]
+                    table.select([column]))[column]
             entry = TableEntry(name=key, table=table,
                                column_stats=stats,
-                               binnings=old.binnings,
-                               stats_appends=old.stats_appends)
+                               binnings=old.binnings)
             self._publish(key, entry)
         return entry
 
@@ -652,8 +620,7 @@ class Catalog(CatalogView):
                         replace(spec, column=mapping.get(col, col))
                         for col, spec in old.binnings.items()}
             entry = TableEntry(name=key, table=old.table.rename(mapping),
-                               column_stats=stats, binnings=binnings,
-                               stats_appends=old.stats_appends)
+                               column_stats=stats, binnings=binnings)
             self._publish(key, entry)
             self._bump_incarnation(key)
         return entry
@@ -707,22 +674,19 @@ class Catalog(CatalogView):
             self.ddl_clock += 1
 
 
-def _capped(stats: ColumnStats,
-            uniques_limit: int | None) -> ColumnStats:
-    """Drop the retained unique set when it exceeds the cardinality
-    cap: the visible statistics stay exact, but the column's next
-    append that overlaps its value range pays the full recompute
-    instead of carrying a near-copy of a unique-key column around
-    forever."""
-    if uniques_limit is not None and stats.uniques is not None and \
-            stats.distinct_count > uniques_limit:
+def _capped(stats: ColumnStats) -> ColumnStats:
+    """Drop the retained unique set when it exceeds
+    :data:`STATS_UNIQUES_LIMIT`: the visible statistics stay exact, but
+    the column's next append that overlaps its value range pays the
+    full recompute instead of carrying a near-copy of a unique-key
+    column around forever."""
+    if stats.uniques is not None and \
+            stats.distinct_count > STATS_UNIQUES_LIMIT:
         stats.uniques = None
     return stats
 
 
-def _compute_stats(table: Table,
-                   uniques_limit: int | None = None
-                   ) -> dict[str, ColumnStats]:
+def _compute_stats(table: Table) -> dict[str, ColumnStats]:
     stats: dict[str, ColumnStats] = {}
     for name in table.schema.names:
         values = table.column(name)
@@ -736,7 +700,7 @@ def _compute_stats(table: Table,
                 ColumnStats(distinct_count=len(uniques),
                             min_value=min(uniques),
                             max_value=max(uniques),
-                            uniques=uniques), uniques_limit)
+                            uniques=uniques))
         else:
             if np.issubdtype(values.dtype, np.floating):
                 # np.unique counts every NaN as its own distinct value
@@ -751,13 +715,12 @@ def _compute_stats(table: Table,
                 ColumnStats(distinct_count=int(len(uniques)),
                             min_value=uniques[0].item(),
                             max_value=uniques[-1].item(),
-                            uniques=uniques), uniques_limit)
+                            uniques=uniques))
     return stats
 
 
-def _merge_stats(old: dict[str, ColumnStats], delta: Table,
-                 uniques_limit: int | None = None
-                 ) -> dict[str, ColumnStats] | None:
+def _merge_stats(old: dict[str, ColumnStats],
+                 delta: Table) -> dict[str, ColumnStats] | None:
     """Merge the delta batch's statistics into ``old`` exactly.
 
     A column whose retained set was dropped (cardinality cap) still
@@ -771,7 +734,7 @@ def _merge_stats(old: dict[str, ColumnStats], delta: Table,
     signalling the caller to fall back to a full recompute of the
     merged table.
     """
-    delta_stats = _compute_stats(delta, uniques_limit=uniques_limit)
+    delta_stats = _compute_stats(delta)
     merged: dict[str, ColumnStats] = {}
     for name, fresh in delta_stats.items():
         prior = old.get(name)
@@ -802,14 +765,14 @@ def _merge_stats(old: dict[str, ColumnStats], delta: Table,
                 ColumnStats(distinct_count=len(uniques),
                             min_value=min(uniques),
                             max_value=max(uniques),
-                            uniques=uniques), uniques_limit)
+                            uniques=uniques))
         else:
             uniques = _merge_sorted_uniques(prior.uniques, fresh.uniques)
             merged[name] = _capped(
                 ColumnStats(distinct_count=int(len(uniques)),
                             min_value=uniques[0].item(),
                             max_value=uniques[-1].item(),
-                            uniques=uniques), uniques_limit)
+                            uniques=uniques))
     return merged
 
 

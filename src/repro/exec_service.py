@@ -587,7 +587,6 @@ class ExecutionService:
                 block_on_inflight: bool = False,
                 snapshot: "CatalogSnapshot | None" = None,
                 remote: object | None = None,
-                tenant: str | None = None,
                 validate: bool = True,
                 warm_only: bool = False) -> QueryResult | None:
         """Run one query (SQL text or a prebuilt plan) end to end.
@@ -616,9 +615,7 @@ class ExecutionService:
         manage validation themselves).
 
         ``remote`` fans cold queries out to a
-        :class:`~repro.engine.shard.pool.ShardRuntime`; ``tenant``
-        attributes cache admissions to a per-tenant byte budget (see
-        :meth:`~repro.recycler.recycler.Recycler.set_tenant_budget`).
+        :class:`~repro.engine.shard.pool.ShardRuntime`.
 
         ``warm_only`` answers the query only if that takes no more than
         a statement-cache hit and a full-plan hit of the recycler
@@ -648,7 +645,7 @@ class ExecutionService:
                 query, label=label, producer_token=producer_token,
                 block_on_inflight=block_on_inflight,
                 cancel_token=cancel_token, snapshot=snapshot,
-                remote=remote, tenant=tenant, warm_only=warm_only)
+                remote=remote, warm_only=warm_only)
         except QueryTimeout:
             self._account_error(frontend, "timeouts")
             raise
@@ -672,7 +669,6 @@ class ExecutionService:
                   cancel_token: CancellationToken | None,
                   snapshot: "CatalogSnapshot | None",
                   remote: object | None,
-                  tenant: str | None,
                   warm_only: bool) -> QueryResult | None:
         """prepare → remote-or-local execute → finalize, with the
         abandon path unwinding on any failure.  This is the only copy of
@@ -682,7 +678,7 @@ class ExecutionService:
         prepared = recycler.prepare(query, producer_token=producer_token,
                                     block_on_inflight=block_on_inflight,
                                     cancel_token=cancel_token,
-                                    snapshot=snapshot, tenant=tenant,
+                                    snapshot=snapshot,
                                     warm_only=warm_only)
         if prepared is None:
             return None

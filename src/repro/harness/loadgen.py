@@ -138,7 +138,6 @@ class LoadGenerator:
                  clients: int = 4, duration: float | None = None,
                  queries_per_client: int | None = None,
                  timeout: float | None = None,
-                 tenant: str | None = None,
                  frontend: str = "tcp",
                  stream: bool = False) -> None:
         if duration is None and queries_per_client is None:
@@ -153,7 +152,6 @@ class LoadGenerator:
         self.duration = duration
         self.queries_per_client = queries_per_client
         self.timeout = timeout
-        self.tenant = tenant
         self.frontend = frontend
         self.stream = stream
 
@@ -176,13 +174,12 @@ class LoadGenerator:
             begin = time.monotonic()
             if self.stream:
                 with client.execute_stream(
-                        sql, timeout=self.timeout,
-                        tenant=self.tenant) as result:
+                        sql, timeout=self.timeout) as result:
                     first = time.monotonic() - begin
                     for _ in result:
                         pass
                 return time.monotonic() - begin, first
-            client.query(sql, timeout=self.timeout, tenant=self.tenant)
+            client.query(sql, timeout=self.timeout)
             elapsed = time.monotonic() - begin
             return elapsed, elapsed
 

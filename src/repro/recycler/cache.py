@@ -59,9 +59,6 @@ class CacheEntry:
     #: and is treated as always-current.
     table_versions: dict[str, int] | None = None
     function_versions: dict[str, int] | None = None
-    #: tenant whose byte budget this entry is charged against (``None``
-    #: = unattributed); eviction credits the bytes back.
-    tenant: str | None = None
     #: table name -> rows it held in the producing snapshot: the rows
     #: appended since are the ones from here on (``None``: untagged)
     table_rows: dict[str, int] | None = None
@@ -90,9 +87,6 @@ class CacheCounters:
     #: admissions refused because a DDL moved the catalog past the
     #: producing query's snapshot (the invalidate-then-swap race, closed)
     version_rejected: int = 0
-    #: admissions refused because they would push the producing tenant
-    #: past its byte budget (``RecyclerCache.set_tenant_budget``)
-    tenant_rejected: int = 0
     #: entries replaced by their result extended over appended rows
     #: (``RecyclerCache.republish``)
     extended: int = 0
@@ -111,27 +105,15 @@ class RecyclerCache:
         #: versions_for`; admission compares entry tags against it.
         #: ``None`` (legacy/unit-test construction) disables the check.
         self.live_versions = live_versions
+        #: bytes of the entries in the size groups: changed only under
+        #: ``_lock``, by ``_install`` and ``_unlink``
         self.used = 0
         self._groups: dict[int, list[CacheEntry]] = {}
         self.counters = CacheCounters()
-        #: reentrant: eviction happens inside admission, and the recycler
-        #: holds a rewrite stripe around most cache calls.
+        #: the one lock of the cache: reentrant, because eviction
+        #: happens inside admission and the recycler holds a rewrite
+        #: stripe around most cache calls.
         self._lock = threading.RLock()
-        #: micro-lock for the byte budget alone: the admission fast path
-        #: reserves space with a few instructions here instead of
-        #: queueing behind a full admission/eviction critical section.
-        #: Every ``used`` mutation goes through it; it is only ever
-        #: taken *inside* ``_lock`` or standalone, never the reverse.
-        self._space_lock = threading.Lock()
-        #: bytes reserved but not yet published as entries — always
-        #: ``sum(entry sizes) == used - _pending``, so invariants hold
-        #: even while a reservation waits for the structure lock.
-        self._pending = 0
-        #: per-tenant byte caps and published usage (both mutated under
-        #: ``_lock``; the budget is checked at the same point as the
-        #: version gate, immediately before publication).
-        self.tenant_limits: dict[str, int] = {}
-        self.tenant_used: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # inspection
@@ -174,75 +156,9 @@ class RecyclerCache:
                 return True
             return self._find_victims(benefit, size) is not None
 
-    def _try_reserve(self, size: int) -> bool:
-        """Atomically reserve ``size`` bytes when they fit in free space.
-
-        The admission fast path: a store completing while space lasts
-        claims its bytes with this check-and-add instead of deciding
-        under the structure lock, so the admission never *performs* a
-        victim scan and cannot be rejected once reserved.  (Publication
-        still takes ``_lock`` briefly to insert the entry and run
-        Algorithm 2.)  On budget pressure it fails and admission falls
-        back to the locked replacement path.
-        """
-        with self._space_lock:
-            if self.capacity is not None and \
-                    self.used + size > self.capacity:
-                return False
-            self.used += size
-            self._pending += size
-            return True
-
-    def _unreserve(self, size: int) -> None:
-        """Back out a reservation that will not be published."""
-        with self._space_lock:
-            self.used -= size
-            self._pending -= size
-
-    def _commit_reservation(self, size: int) -> None:
-        """A reserved entry was published: the bytes are no longer
-        pending."""
-        with self._space_lock:
-            self._pending -= size
-
-    def _release_bytes(self, size: int) -> None:
-        """Return published bytes to the budget (eviction)."""
-        with self._space_lock:
-            self.used -= size
-
-    def set_tenant_budget(self, tenant: str,
-                          limit_bytes: int | None) -> None:
-        """Cap the published bytes attributable to ``tenant`` (``None``
-        removes the cap).  Applies to future admissions; existing
-        entries keep their charge until evicted."""
-        with self._lock:
-            if limit_bytes is None:
-                self.tenant_limits.pop(tenant, None)
-            else:
-                self.tenant_limits[tenant] = limit_bytes
-
-    def tenant_usage(self) -> dict[str, int]:
-        """Published bytes per tenant (observability / tests)."""
-        with self._lock:
-            return dict(self.tenant_used)
-
-    def _tenant_over_budget(self, tenant: str | None, size: int) -> bool:
-        """Per-tenant admission gate (caller holds ``_lock``): True when
-        charging ``size`` more bytes to ``tenant`` would exceed its
-        budget."""
-        if tenant is None:
-            return False
-        limit = self.tenant_limits.get(tenant)
-        if limit is None or \
-                self.tenant_used.get(tenant, 0) + size <= limit:
-            return False
-        self.counters.tenant_rejected += 1
-        return True
-
     def admit(self, node: GraphNode, table: Table,
               table_versions: dict[str, int] | None = None,
               function_versions: dict[str, int] | None = None,
-              tenant: str | None = None,
               table_rows: dict[str, int] | None = None) -> bool:
         """Materialize ``node``'s result into the cache (atomically).
 
@@ -257,75 +173,41 @@ class RecyclerCache:
         point where it races neither a version bump nor the invalidation
         sweep (both serialize on this lock; see the module docstring).
         ``table_rows`` records the rows each of those tables held.
-
-        ``tenant`` charges the entry against that tenant's byte budget
-        (:meth:`set_tenant_budget`); an admission that would exceed it
-        is rejected at the same pre-publication point as the version
-        gate, so a throttled tenant cannot crowd out the shared cache.
         """
-        if node.entry is not None:
-            return True  # already cached (e.g. by a concurrent query)
         size = table.nbytes()
-        if self.capacity is not None and size > self.capacity:
-            with self._lock:
-                self.counters.rejected += 1
-            return False
-        tags = dict(table_versions=table_versions,
-                    function_versions=function_versions, tenant=tenant,
-                    table_rows=table_rows)
-        if self._try_reserve(size):
-            # Fast path: bytes secured, publish without a victim scan.
-            with self._lock:
-                if node.entry is not None:
-                    self._unreserve(size)
-                    return True
-                if self._versions_behind(table_versions,
-                                         function_versions) or \
-                        self._tenant_over_budget(tenant, size):
-                    self._unreserve(size)
-                    return False
-                self._publish(node, table, size, **tags)
-                return True
         with self._lock:
-            # Budget pressure: full replacement policy.
             if node.entry is not None:
-                return True
-            if self._versions_behind(table_versions, function_versions) \
-                    or self._tenant_over_budget(tenant, size):
+                return True  # already cached (e.g. by a concurrent query)
+            if self._versions_behind(table_versions, function_versions):
                 return False
             benefit = self.model.benefit(node, size_override=size)
-            if self._reserve(benefit, size):
-                self._publish(node, table, size, benefit=benefit, **tags)
-                return True
-            self.counters.rejected += 1
-            return False
+            if not self._reserve(benefit, size):
+                self.counters.rejected += 1
+                return False
+            self._install(CacheEntry(node=node, table=table, size=size,
+                                     benefit=benefit,
+                                     admitted_event=self.model.graph.event,
+                                     table_versions=table_versions,
+                                     function_versions=function_versions,
+                                     table_rows=table_rows))
+            self.counters.admitted += 1
+            adjusted = self.model.on_admit(node)
+            self._refresh_affected(node, adjusted)
+            return True
 
     def _reserve(self, benefit: float, size: int) -> bool:
-        """Reserve ``size`` bytes for a result of ``benefit``, evicting
-        a lower-benefit victim set from its size group when free space
-        is short (caller holds ``_lock``).  The victims' bytes are
-        swapped for the reservation in one atomic step, so a fast-path
-        racer can never steal the space an eviction frees — and nothing
-        is evicted unless the reservation goes through."""
-        for _ in range(8):
-            if self._try_reserve(size):
-                return True
-            victims = self._find_victims(benefit, size)
-            if victims is None:
-                return False
-            freed = sum(victim.size for victim in victims)
-            with self._space_lock:
-                fits = self.capacity is None or \
-                    self.used - freed + size <= self.capacity
-                if fits:
-                    self.used += size - freed
-                    self._pending += size
-            if not fits:
-                continue  # a racer reserved meanwhile; re-scan
-            for victim in victims:
-                self._remove_entry(victim)
+        """Make room for ``size`` bytes of a result of ``benefit``:
+        when free space is short, evict a lower-benefit victim set from
+        its size group; False, with nothing evicted, when there is none.
+        Caller holds ``_lock``."""
+        if size <= self.free:
             return True
-        return False
+        victims = self._find_victims(benefit, size)
+        if victims is None:
+            return False
+        for victim in victims:
+            self.evict(victim)
+        return True
 
     def republish(self, old: CacheEntry, table: Table,
                   table_versions: dict[str, int],
@@ -342,8 +224,8 @@ class RecyclerCache:
         sweep evicted it) or the live catalog has moved past the new
         tags (``version_rejected``; the next reader extends ``old``
         over a longer run of rows).  When the grown result does not fit
-        — no victim set in its size group, or its tenant's budget
-        spent — the node loses its entry: an ordinary eviction.
+        — no victim set in its size group — the node loses its entry:
+        an ordinary eviction.
         """
         size = table.nbytes()
         node = old.node
@@ -356,10 +238,8 @@ class RecyclerCache:
             # returned, but still the node's entry: evictions made for
             # the grown result see the node materialized, as it stays.
             self._unlink(old)
-            self._release_bytes(old.size)
             benefit = self.model.benefit(node, size_override=size)
-            if self._tenant_over_budget(old.tenant, size) or \
-                    not self._reserve(benefit, size):
+            if not self._reserve(benefit, size):
                 self._evicted(old)
                 return False
             self._install(replace(old, table=table, size=size,
@@ -386,38 +266,15 @@ class RecyclerCache:
         self.counters.version_rejected += 1
         return True
 
-    def _publish(self, node: GraphNode, table: Table, size: int,
-                 benefit: float | None = None,
-                 table_versions: dict[str, int] | None = None,
-                 function_versions: dict[str, int] | None = None,
-                 tenant: str | None = None,
-                 table_rows: dict[str, int] | None = None) -> None:
-        """Insert the (space-reserved) entry and run Algorithm 2.  Caller
-        holds ``_lock``."""
-        if benefit is None:
-            benefit = self.model.benefit(node, size_override=size)
-        self._install(CacheEntry(node=node, table=table, size=size,
-                                 benefit=benefit,
-                                 admitted_event=self.model.graph.event,
-                                 table_versions=table_versions,
-                                 function_versions=function_versions,
-                                 tenant=tenant, table_rows=table_rows))
-        self.counters.admitted += 1
-        adjusted = self.model.on_admit(node)
-        self._refresh_affected(node, adjusted)
-
     def _install(self, entry: CacheEntry) -> None:
-        """Make the space-reserved ``entry`` its node's.  Caller holds
-        ``_lock``."""
+        """Make ``entry``, whose bytes ``_reserve`` made room for, its
+        node's.  Caller holds ``_lock``."""
         # Reuse scans slice these arrays zero-copy and a full-plan hit
         # returns them as the query's result: a caller writing through
         # its result must fail, not corrupt every later hit.
         entry.table.freeze()
         entry.node.entry = entry
-        if entry.tenant is not None:
-            self.tenant_used[entry.tenant] = \
-                self.tenant_used.get(entry.tenant, 0) + entry.size
-        self._commit_reservation(entry.size)
+        self.used += entry.size
         self._insert_sorted(entry)
 
     def _find_victims(self, benefit: float,
@@ -451,31 +308,17 @@ class RecyclerCache:
     def evict(self, entry: CacheEntry) -> None:
         """Remove an entry; restores descendants' hR via Eq. 4."""
         with self._lock:
-            if self._remove_entry(entry):
-                self._release_bytes(entry.size)
-
-    def _remove_entry(self, entry: CacheEntry) -> bool:
-        """Structural eviction only — the caller (holding ``_lock``)
-        settles the byte budget (release, or atomic swap for an
-        admission under pressure)."""
-        if not self._unlink(entry):
-            return False  # already evicted by a concurrent invalidation
-        self._evicted(entry)
-        return True
+            if self._unlink(entry):  # else a concurrent sweep evicted it
+                self._evicted(entry)
 
     def _unlink(self, entry: CacheEntry) -> bool:
-        """Take ``entry`` out of its size group and its tenant's usage;
+        """Take ``entry`` out of its size group and return its bytes;
         False when it was not there.  Caller holds ``_lock``."""
         group = self._groups.get(self.group_of(entry.size), [])
         if entry not in group:
             return False
         group.remove(entry)
-        if entry.tenant is not None:
-            remaining = self.tenant_used.get(entry.tenant, 0) - entry.size
-            if remaining > 0:
-                self.tenant_used[entry.tenant] = remaining
-            else:
-                self.tenant_used.pop(entry.tenant, None)
+        self.used -= entry.size
         return True
 
     def _evicted(self, entry: CacheEntry) -> None:
@@ -586,7 +429,6 @@ class RecyclerCache:
 
     def _check_invariants(self) -> None:
         total = 0
-        per_tenant: dict[str, int] = {}
         for bucket, group in self._groups.items():
             benefits = [e.benefit for e in group]
             assert benefits == sorted(benefits), \
@@ -595,22 +437,9 @@ class RecyclerCache:
                 assert self.group_of(entry.size) == bucket
                 assert entry.node.entry is entry
                 total += entry.size
-                if entry.tenant is not None:
-                    per_tenant[entry.tenant] = \
-                        per_tenant.get(entry.tenant, 0) + entry.size
-        assert per_tenant == {t: b for t, b in self.tenant_used.items()
-                              if b}, \
-            f"tenant accounting drifted: {per_tenant} != {self.tenant_used}"
-        # Reservations waiting on the structure lock inflate ``used``
-        # and ``_pending`` in lockstep, so the published total must
-        # always equal their difference.
-        with self._space_lock:
-            used, pending = self.used, self._pending
-        assert pending >= 0, f"pending={pending}"
-        assert total == used - pending, \
-            f"used={used} pending={pending} actual={total}"
+        assert total == self.used, f"used={self.used} actual={total}"
         if self.capacity is not None:
-            assert used <= self.capacity
+            assert self.used <= self.capacity
 
 
 def _depends_on_table(node: GraphNode, table: str) -> bool:

@@ -19,11 +19,10 @@ re-match) so concurrent sessions never duplicate graph nodes.  With
 is currently producing genuinely waits — holding no locks — for the
 producer's store to complete and then reuses the materialized entry
 ("the recycler stalls all but one").  Execution never holds recycler
-locks; store callbacks admit results through the cache's reserve-then-
-publish fast path without touching any stripe.  Maintenance
-(:meth:`Recycler.truncate_idle`, driven by the
-:class:`~repro.recycler.maintenance.MaintenanceManager`) briefly takes
-*every* stripe so in-flight pins are a complete snapshot.
+locks; store callbacks admit results under the cache's one lock without
+touching any stripe.  Maintenance (:meth:`Recycler.truncate_idle`,
+driven by the :class:`~repro.recycler.maintenance.MaintenanceManager`)
+briefly takes *every* stripe so in-flight pins are a complete snapshot.
 """
 
 from __future__ import annotations
@@ -209,7 +208,6 @@ class Recycler:
                 block_on_inflight: bool = False,
                 cancel_token: CancellationToken | None = None,
                 snapshot: CatalogSnapshot | None = None,
-                tenant: str | None = None,
                 warm_only: bool = False) -> PreparedQuery | None:
         """Run the rewrite pipeline (paper Figure 1) for one
         :class:`~repro.exec_service.Statement` — the execution service's
@@ -235,9 +233,7 @@ class Recycler:
         store planning, so an abort cannot leak a registration.
         ``snapshot`` is the query's pinned catalog view (captured here
         otherwise): everything above resolves against it, and admission
-        tags entries with its versions.  ``tenant`` attributes what the
-        query materializes to a per-tenant cache budget
-        (:meth:`set_tenant_budget`).
+        tags entries with its versions.
 
         ``warm_only`` is for a caller that must not block or run for
         long (a server's event loop): the prepare is that root hit or
@@ -297,9 +293,8 @@ class Recycler:
             store_plan = self.store_planner.plan_stores(
                 outcome.plan, matches, token,
                 on_complete=lambda table, stats, node, _t=token,
-                _s=snapshot, _tn=tenant:
-                    self._on_store_complete(table, stats, node, _t, _s,
-                                            _tn),
+                _s=snapshot:
+                    self._on_store_complete(table, stats, node, _t, _s),
                 on_abort=lambda node, _t=token:
                     self._on_store_abort(node, _t),
                 snapshot=snapshot)
@@ -518,8 +513,7 @@ class Recycler:
                 block_on_inflight: bool = False,
                 cancel_token: CancellationToken | None = None,
                 snapshot: CatalogSnapshot | None = None,
-                remote: object | None = None,
-                tenant: str | None = None) -> QueryResult:
+                remote: object | None = None) -> QueryResult:
         """Prepare, execute, and finalize one query — a thin delegate to
         the shared :class:`~repro.exec_service.ExecutionService`
         pipeline (``self.service``), kept for callers that drive a
@@ -551,7 +545,7 @@ class Recycler:
             producer_token=producer_token,
             block_on_inflight=block_on_inflight,
             cancel_token=cancel_token, snapshot=snapshot, remote=remote,
-            tenant=tenant, validate=False)
+            validate=False)
 
     def _admit_remote_stores(self, prepared: PreparedQuery,
                              outcome) -> int:
@@ -686,17 +680,15 @@ class Recycler:
     def _on_store_complete(self, table: Table, stats: StoreStats,
                            graph_node: GraphNode,
                            token: object = None,
-                           snapshot: CatalogSnapshot | None = None,
-                           tenant: str | None = None) -> None:
+                           snapshot: CatalogSnapshot | None = None) -> None:
         """A store operator finished materializing: reconstruct the base
         cost (measured cost with reuse emissions swapped for the cached
         results' base costs), update the node, admit to the cache.
 
         Fires mid-execution on the producing session's thread and takes
-        **no stripe**: admission goes through the cache's reserve-then-
-        publish fast path, so a completing store never queues behind
-        another session's rewrite.  The release wakes every session
-        stalled on this node.
+        **no stripe**: admission holds only the cache's one lock, so a
+        completing store never queues behind another session's rewrite.
+        The release wakes every session stalled on this node.
 
         ``snapshot`` is the producing query's pinned catalog view: the
         entry is tagged with its versions, and admission rejects the
@@ -724,7 +716,6 @@ class Recycler:
         self.cache.admit(graph_node, table.rename(to_graph),
                          table_versions=versions[0],
                          function_versions=versions[1],
-                         tenant=tenant,
                          table_rows=view.row_counts(graph_node.tables))
         self.inflight.release(graph_node, token)
 
@@ -732,19 +723,6 @@ class Recycler:
                         token: object = None) -> None:
         """Speculation rejected the result: release any waiters."""
         self.inflight.release(graph_node, token)
-
-    # ------------------------------------------------------------------
-    # tenant budgets
-    # ------------------------------------------------------------------
-    def set_tenant_budget(self, tenant: str,
-                          limit_bytes: int | None) -> None:
-        """Cap the cache bytes attributable to ``tenant`` (queries run
-        with ``tenant=...``): admissions that would push the tenant past
-        the cap are rejected (``cache.counters.tenant_rejected``) while
-        other tenants keep admitting.  ``None`` removes the cap.
-        Eviction credits the bytes back, so a throttled tenant recovers
-        headroom as its entries age out."""
-        self.cache.set_tenant_budget(tenant, limit_bytes)
 
     # ------------------------------------------------------------------
     # maintenance entry points

@@ -95,15 +95,13 @@ class ClientDisconnected(Exception):
 class Connection:
     """Per-connection state, touched by the event loop only."""
 
-    __slots__ = ("writer", "session", "tenant")
+    __slots__ = ("writer", "session")
 
     def __init__(self, writer, session: "Session") -> None:
         self.writer = writer
         #: every query on the connection is issued, bounded and
         #: cancelled through this session
         self.session = session
-        #: default tenant of its queries (a TCP ``configure`` sets it)
-        self.tenant: str | None = None
 
 
 def query_stats_payload(record) -> dict | None:
@@ -133,7 +131,6 @@ class ServingBase:
                  port: int = 0, *, max_in_flight: int = 8,
                  max_queue: int = 16,
                  default_timeout: float | None = None,
-                 tenant_budgets: dict[str, int] | None = None,
                  drain_seconds: float = 5.0,
                  chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> None:
@@ -149,8 +146,6 @@ class ServingBase:
         #: rows / about this many encoded bytes (whichever is first).
         self.chunk_rows = chunk_rows
         self.chunk_bytes = chunk_bytes
-        for tenant, budget in (tenant_budgets or {}).items():
-            db.recycler.set_tenant_budget(tenant, budget)
 
         self._pool = ThreadPoolExecutor(
             max_workers=max_in_flight, thread_name_prefix="repro-server")
@@ -401,7 +396,7 @@ class ServingBase:
     # the one query-issuing path
     # ------------------------------------------------------------------
     async def _execute(self, connection: Connection, sql: str, *,
-                       label: str, timeout: float | None, tenant,
+                       label: str, timeout: float | None,
                        columnar: bool, reader, writer) -> bool:
         """Issue ``sql`` on the connection's session, under the
         admission slot the caller holds, and stream the reply; returns
@@ -413,8 +408,7 @@ class ServingBase:
         fall-through and the stream, and a cancel of the session
         (disconnect, drain) reaches it in every phase."""
         with connection.session.begin(timeout=timeout) as query:
-            call = partial(query.execute, sql, label=label,
-                           tenant=None if tenant is None else str(tenant))
+            call = partial(query.execute, sql, label=label)
             try:
                 result, chunks, first = await self._run_query(
                     query, call, reader=reader, columnar=columnar)

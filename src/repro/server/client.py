@@ -239,20 +239,17 @@ class ServerClient:
         return response
 
     @staticmethod
-    def _query_message(sql: str, label: str, timeout: float | None,
-                      tenant: str | None) -> dict:
+    def _query_message(sql: str, label: str,
+                       timeout: float | None) -> dict:
         message: dict = {"op": "query", "sql": sql}
         if label:
             message["label"] = label
         if timeout is not None:
             message["timeout"] = timeout
-        if tenant is not None:
-            message["tenant"] = tenant
         return message
 
     def query(self, sql: str, *, label: str = "",
-              timeout: float | None = None,
-              tenant: str | None = None) -> ClientResult:
+              timeout: float | None = None) -> ClientResult:
         """Execute ``sql`` on the server and return the decoded result.
 
         ``timeout`` is enforced server-side (maps onto the query's
@@ -260,13 +257,11 @@ class ServerClient:
         :class:`~repro.errors.QueryTimeout` here).  The reply arrives
         chunked and is reassembled here.
         """
-        stream = self.execute_stream(sql, label=label, timeout=timeout,
-                                     tenant=tenant)
-        return stream.result()
+        return self.execute_stream(sql, label=label,
+                                   timeout=timeout).result()
 
     def execute_stream(self, sql: str, *, label: str = "",
-                       timeout: float | None = None,
-                       tenant: str | None = None) -> StreamingResult:
+                       timeout: float | None = None) -> StreamingResult:
         """Execute ``sql`` and iterate the result incrementally.
 
         Returns once the ``result_header`` arrives — before any rows —
@@ -275,7 +270,7 @@ class ServerClient:
         stream until it is exhausted or closed.
         """
         response = self._request(
-            self._query_message(sql, label, timeout, tenant))
+            self._query_message(sql, label, timeout))
         if response.get("kind") != "result_header":
             raise ServerError(
                 f"expected a result_header frame, got"
@@ -291,14 +286,10 @@ class ServerClient:
         return {"server": response.get("stats", {}),
                 "service": response.get("service", {})}
 
-    def configure(self, *, deadline: float | None = None,
-                  tenant: str | None = ...) -> None:
+    def configure(self, *, deadline: float | None = None) -> None:
         """Set per-connection defaults: ``deadline`` (seconds of budget
-        shared by everything that follows on this connection) and
-        ``tenant`` (pass ``None`` explicitly to clear)."""
+        shared by everything that follows on this connection)."""
         message: dict = {"op": "configure"}
         if deadline is not None:
             message["deadline"] = deadline
-        if tenant is not ...:
-            message["tenant"] = tenant
         self._request(message)

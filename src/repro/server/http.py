@@ -1,7 +1,7 @@
 """An HTTP/1.1 JSON frontend over the same serving core as TCP.
 
 Same :class:`~repro.exec_service.ExecutionService`, same admission
-control, deadlines, tenant budgets, and graceful drain as
+control, deadlines, and graceful drain as
 :class:`~repro.server.server.ReproServer` — only the wire format
 differs, so a query is warm for HTTP clients the moment a TCP client
 (or an in-process session) ran it, and vice versa.  Hand-rolled on
@@ -9,7 +9,7 @@ asyncio streams (no framework, no new dependencies); just enough
 HTTP/1.1 for the three endpoints:
 
 ``POST /v1/query``
-    Body ``{"sql": ..., "label"?, "timeout"?, "tenant"?}``.  The reply
+    Body ``{"sql": ..., "label"?, "timeout"?}``.  The reply
     is a **chunked** stream of the TCP protocol's frames: one
     ``result_header``, then bounded ``result_chunk`` frames, then a
     ``result_end`` trailer (or an ``error`` trailer mid-stream) — a
@@ -244,8 +244,8 @@ class HttpServer(ServingBase):
         async with self._slot():
             return await self._execute(
                 connection, sql, label=str(request.get("label", "")),
-                timeout=timeout, tenant=request.get("tenant"),
-                columnar=columnar, reader=reader, writer=writer)
+                timeout=timeout, columnar=columnar, reader=reader,
+                writer=writer)
 
     async def _reply_error(self, writer, exc: BaseException) -> bool:
         return await self._respond(writer, _status_for(exc),
@@ -335,16 +335,14 @@ class HttpClient:
         return payload
 
     def query(self, sql: str, *, label: str = "",
-              timeout: float | None = None,
-              tenant: str | None = None) -> ClientResult:
+              timeout: float | None = None) -> ClientResult:
         """Execute ``sql``; the chunked reply is reassembled into one
         :class:`ClientResult` (rows identical to TCP)."""
-        return self.execute_stream(sql, label=label, timeout=timeout,
-                                   tenant=tenant).result()
+        return self.execute_stream(sql, label=label,
+                                   timeout=timeout).result()
 
     def execute_stream(self, sql: str, *, label: str = "",
-                       timeout: float | None = None,
-                       tenant: str | None = None) -> StreamingResult:
+                       timeout: float | None = None) -> StreamingResult:
         """POST the query and return once the ``result_header`` frame
         arrives — rows then stream with bounded client-side memory.
         Closing the stream before exhaustion drops the connection,
@@ -357,8 +355,6 @@ class HttpClient:
             body["label"] = label
         if timeout is not None:
             body["timeout"] = timeout
-        if tenant is not None:
-            body["tenant"] = tenant
         try:
             self._conn.request(
                 "POST", "/v1/query",

@@ -37,11 +37,6 @@ the query executes (the loop watches the socket), so an abandoned
 query stops at its next batch boundary (or wakes, if it is stalled on
 another query's in-flight result) and publishes nothing.
 
-**Tenancy.**  A connection may declare a tenant (per query or via
-``configure``); the recycler charges whatever those queries materialize
-against the tenant's cache byte budget
-(:meth:`~repro.recycler.recycler.Recycler.set_tenant_budget`).
-
 **Drain.**  ``stop()`` stops accepting, lets in-flight queries (and
 in-flight streams) finish inside ``drain_seconds``, then cancels
 stragglers — a graceful drain by default, an abort when the budget is
@@ -130,17 +125,14 @@ class ReproServer(ServingBase):
                           request: dict) -> dict:
         """Per-connection settings: ``deadline`` (seconds of budget for
         everything that follows on this connection: the session's
-        deadline, which every query's CancellationToken inherits) and
-        ``tenant`` (default tenant for subsequent queries)."""
+        deadline, which every query's CancellationToken inherits).
+        Keys the server does not read are ignored."""
         try:
             deadline = self._seconds(request.get("deadline"), "deadline")
         except ProtocolError as exc:
             return error_payload(exc)
         if deadline is not None:
             connection.session.deadline = time.monotonic() + deadline
-        if "tenant" in request:
-            tenant = request.get("tenant")
-            connection.tenant = None if tenant is None else str(tenant)
         return {"ok": True}
 
     # ------------------------------------------------------------------
@@ -166,9 +158,7 @@ class ReproServer(ServingBase):
                 return await self._send(writer, error_payload(exc))
             return await self._execute(
                 connection, sql, label=str(request.get("label", "")),
-                timeout=timeout,
-                tenant=request.get("tenant", connection.tenant),
-                columnar=True, reader=reader, writer=writer)
+                timeout=timeout, columnar=True, reader=reader, writer=writer)
 
     async def _reply_error(self, writer, exc: BaseException) -> bool:
         return await self._send(writer, error_payload(exc))

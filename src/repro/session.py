@@ -82,8 +82,7 @@ class SessionQuery:
         self.cancel_token = cancel_token
 
     def execute(self, query: str | PlanNode, *, label: str = "",
-                snapshot=None, tenant: str | None = None,
-                warm_only: bool = False) -> QueryResult | None:
+                snapshot=None, warm_only: bool = False) -> QueryResult | None:
         """Run the query through the shared
         :class:`~repro.exec_service.ExecutionService` under its tokens
         (a declined ``warm_only`` call leaves them unused, so the next
@@ -95,7 +94,7 @@ class SessionQuery:
             query, frontend=session.frontend, label=label,
             producer_token=self.token, block_on_inflight=True,
             cancel_token=self.cancel_token, snapshot=snapshot,
-            remote=session._executor, tenant=tenant, warm_only=warm_only)
+            remote=session._executor, warm_only=warm_only)
         if result is not None:
             session.records.append(result.record)
         return result

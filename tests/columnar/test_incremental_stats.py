@@ -2,13 +2,17 @@
 
 ``Catalog.append_rows`` merges the delta batch's NaN-aware
 min/max/uniques into the existing ``ColumnStats`` instead of rescanning
-the merged table; a staleness counter forces a periodic full recompute.
-The property test drives random append sequences over a mixed-type
-table and demands the incremental stats equal a from-scratch
+the merged table, and falls back to a full recompute only when the
+merge cannot be exact (no prior stats, or a column whose retained set
+the ``STATS_UNIQUES_LIMIT`` cap dropped and whose range the delta
+overlaps).  The property test drives random append sequences over a
+mixed-type table and demands the incremental stats equal a from-scratch
 ``_compute_stats`` of the final table, byte for byte.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, RecyclerConfig, Table
 from repro.columnar import DATE, FLOAT64, INT64, Schema, STRING
+from repro.columnar import catalog as catalog_module
 from repro.columnar.catalog import Catalog, _compute_stats
 
 SCHEMA = Schema(["i", "f", "s"], [INT64, FLOAT64, STRING])
@@ -39,6 +44,16 @@ ROW = st.tuples(
 BATCH = st.lists(ROW, min_size=0, max_size=6)
 
 
+@contextmanager
+def uniques_limit(cap: int):
+    """The catalog's retained-set cap set to ``cap`` (usable inside a
+    hypothesis test, unlike the function-scoped ``monkeypatch``
+    fixture)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog_module, "STATS_UNIQUES_LIMIT", cap)
+        yield
+
+
 def batch_table(rows) -> Table:
     if not rows:
         return make_table([], [], [])
@@ -50,7 +65,7 @@ class TestIncrementalEqualsFull:
     @settings(max_examples=60, deadline=None)
     @given(base=BATCH, batches=st.lists(BATCH, min_size=1, max_size=8))
     def test_random_append_sequences(self, base, batches):
-        catalog = Catalog(stats_refresh_appends=1_000_000)  # never full
+        catalog = Catalog()
         catalog.register_table("t", batch_table(base))
         for rows in batches:
             catalog.append_rows("t", batch_table(rows))
@@ -71,13 +86,13 @@ class TestIncrementalEqualsFull:
     def test_random_appends_under_a_small_cap(self, base, batches):
         """With retained sets dropped early, each append either merges
         by disjoint ranges or recomputes — exact after every one."""
-        catalog = Catalog(stats_refresh_appends=1_000_000,
-                          stats_uniques_limit=2)
-        catalog.register_table("t", batch_table(base))
-        for rows in batches:
-            catalog.append_rows("t", batch_table(rows))
-            entry = catalog.table_entry("t")
-            assert entry.column_stats == _compute_stats(entry.table)
+        with uniques_limit(2):
+            catalog = Catalog()
+            catalog.register_table("t", batch_table(base))
+            for rows in batches:
+                catalog.append_rows("t", batch_table(rows))
+                entry = catalog.table_entry("t")
+                assert entry.column_stats == _compute_stats(entry.table)
 
     def test_nan_aware_merge(self):
         catalog = Catalog()
@@ -105,17 +120,17 @@ class TestIncrementalEqualsFull:
 
 
 class TestStaleness:
-    def test_periodic_full_recompute(self):
-        catalog = Catalog(stats_refresh_appends=3)
+    """The full recompute is a fallback, taken only where a merge
+    cannot be exact."""
+
+    def test_appends_never_recompute_while_merges_are_exact(self):
+        catalog = Catalog()
         catalog.register_table("t", make_table([1], [1.0], ["a"]))
-        for k in range(1, 7):
+        for k in range(1, 21):
             catalog.append_rows("t", make_table([k], [float(k)], ["a"]))
-        # appends 1,2 merge; 3 recomputes (counter back to 0); 4,5
-        # merge; 6 recomputes
-        assert catalog.stats_counters["incremental_merges"] == 4
-        assert catalog.stats_counters["full_recomputes"] == 2
-        assert catalog.table_entry("t").stats_appends == 0
-        assert catalog.distinct_count("t", "i") == 6
+        assert catalog.stats_counters == {"incremental_merges": 20,
+                                          "full_recomputes": 0}
+        assert catalog.distinct_count("t", "i") == 20
 
     def test_no_prior_stats_forces_full_pass(self):
         catalog = Catalog()
@@ -138,20 +153,14 @@ class TestStaleness:
         assert catalog.stats_counters == {"incremental_merges": 0,
                                           "full_recomputes": 0}
 
-    def test_refresh_appends_validation(self):
-        from repro.errors import CatalogError
-        with pytest.raises(CatalogError):
-            Catalog(stats_refresh_appends=0)
-        with pytest.raises(CatalogError):
-            Catalog(stats_uniques_limit=0)
-
-    def test_uniques_cardinality_cap(self):
+    def test_uniques_cardinality_cap(self, monkeypatch):
         """A high-cardinality column drops its retained set (bounded
         stat memory); an append whose values lie wholly outside the
         prior range still merges (the distinct counts add), one that
         overlaps it falls back to the full recompute; visible
         statistics stay exact either way."""
-        catalog = Catalog(stats_uniques_limit=4)
+        monkeypatch.setattr(catalog_module, "STATS_UNIQUES_LIMIT", 4)
+        catalog = Catalog()
         catalog.register_table("t", make_table(
             [1, 2, 3, 4, 5], [1.0] * 5, ["a"] * 5))
         entry = catalog.table_entry("t")
@@ -176,8 +185,10 @@ class TestStaleness:
         entry = catalog.table_entry("t")
         assert entry.column_stats == _compute_stats(entry.table)
 
-    def test_capped_string_and_float_columns_merge_by_range(self):
-        catalog = Catalog(stats_uniques_limit=2)
+    def test_capped_string_and_float_columns_merge_by_range(
+            self, monkeypatch):
+        monkeypatch.setattr(catalog_module, "STATS_UNIQUES_LIMIT", 2)
+        catalog = Catalog()
         catalog.register_table("t", make_table(
             [1, 1, 1], [1.5, np.nan, 2.5], ["b", "c", "d"]))
         catalog.append_rows("t", make_table(
@@ -236,11 +247,14 @@ class TestExactRanges:
 
     @settings(max_examples=80, deadline=None)
     @given(steps=st.lists(DDL, min_size=1, max_size=10),
-           refresh=st.sampled_from([2, 1_000_000]),
            cap=st.sampled_from([2, 65536]))
-    def test_every_snapshot_has_exact_ranges(self, steps, refresh, cap):
-        catalog = Catalog(stats_refresh_appends=refresh,
-                          stats_uniques_limit=cap)
+    def test_every_snapshot_has_exact_ranges(self, steps, cap):
+        with uniques_limit(cap):
+            self.check_exact_ranges(steps)
+
+    @staticmethod
+    def check_exact_ranges(steps) -> None:
+        catalog = Catalog()
         schema = Schema(["i", "d", "f", "s"], [INT64, DATE, FLOAT64, STRING])
         catalog.register_table("t", typed_rows(schema, [1, 2]))
         snapshots = [catalog.snapshot()]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -86,6 +90,50 @@ class TestAdmission:
         assert cache.admit(node, table)
         assert len(cache) == 1
 
+    def test_version_gate_rejects_stale_snapshot(self, env):
+        """A result tagged with versions the live catalog has moved past
+        is refused and counted as ``version_rejected``, not ``rejected``;
+        one tagged with the live versions is admitted."""
+        graph, model, make_node = env
+        live = {"sales": 2}
+        cache = RecyclerCache(model, capacity=10000,
+                              live_versions=lambda t, f: (dict(live), {}))
+        stale = make_node(refs=10.0, bcost=1e6)
+        assert not cache.admit(stale, table_of_bytes(100),
+                               table_versions={"sales": 1})
+        assert stale.entry is None
+        assert (cache.counters.version_rejected,
+                cache.counters.rejected) == (1, 0)
+        fresh = make_node(refs=1.0, bcost=100.0)
+        assert cache.admit(fresh, table_of_bytes(100),
+                           table_versions={"sales": 2})
+        assert fresh.entry.table_versions == {"sales": 2}
+        assert cache.used == fresh.entry.size
+        cache.check_invariants()
+
+    def test_admission_checks_run_in_order(self, env):
+        """Already cached wins over the version gate, and the version
+        gate over the space check: a stale result larger than the whole
+        cache counts ``version_rejected`` only."""
+        graph, model, make_node = env
+        live = {"sales": 1}
+        cache = RecyclerCache(model, capacity=1000,
+                              live_versions=lambda t, f: (dict(live), {}))
+        cached = make_node(refs=1.0, bcost=100.0)
+        assert cache.admit(cached, table_of_bytes(100),
+                           table_versions={"sales": 1})
+        live["sales"] = 2
+        assert cache.admit(cached, table_of_bytes(100),
+                           table_versions={"sales": 1})
+        assert cache.counters.version_rejected == 0
+        oversized = make_node(refs=10.0, bcost=1e6)
+        assert not cache.admit(oversized, table_of_bytes(5000),
+                               table_versions={"sales": 1})
+        assert (cache.counters.version_rejected,
+                cache.counters.rejected) == (1, 0)
+        assert len(cache) == 1
+        cache.check_invariants()
+
 
 class TestReplacement:
     def test_evicts_lower_benefit_set(self, env):
@@ -108,6 +156,20 @@ class TestReplacement:
         newcomer = make_node(refs=1.0, bcost=100.0)
         assert not cache.admit(newcomer, table_of_bytes(1500))
         assert resident.entry is not None
+        cache.check_invariants()
+
+    def test_no_eviction_while_space_lasts(self, env):
+        """A newcomer that fits in the free space is admitted beside a
+        lower-benefit resident of its size group, which stays."""
+        graph, model, make_node = env
+        cache = RecyclerCache(model, capacity=4096)
+        low = make_node(refs=0.1, bcost=10.0)
+        assert cache.admit(low, table_of_bytes(1500))
+        high = make_node(refs=50.0, bcost=50000.0)
+        assert cache.admit(high, table_of_bytes(1500))
+        assert low.entry is not None and high.entry is not None
+        assert cache.counters.evicted == 0
+        assert cache.used == low.entry.size + high.entry.size
         cache.check_invariants()
 
     def test_replacement_only_scans_same_group_by_default(self, env):
@@ -182,3 +244,73 @@ class TestEvictionAndMaintenance:
         group = cache._groups[RecyclerCache.group_of(1000)]
         assert group[-1].node is a
         cache.check_invariants()
+
+
+class TestConcurrentAdmission:
+    def test_threads_admit_under_pressure(self, env):
+        """Eight threads released together admit distinct nodes of mixed
+        sizes into a cache that holds about a quarter of them, with
+        reuses, evictions, republications and full refreshes between:
+        the byte ledger and the size groups are consistent whenever a
+        thread can take the cache's lock, and at the end."""
+        graph, model, make_node = env
+        threads, per_thread = 8, 24
+        sizes = (700, 1000, 1600, 2500, 4000, 6000)
+        work = [[(make_node(refs=rng.uniform(0.5, 20.0),
+                            bcost=rng.uniform(100.0, 1e5)),
+                  rng.choice(sizes))
+                 for _ in range(per_thread)]
+                for rng in (random.Random(seed) for seed in range(threads))]
+        total = sum(size for jobs in work for _, size in jobs)
+        cache = RecyclerCache(model, capacity=total // 4)
+        barrier = threading.Barrier(threads)
+        errors: list[Exception] = []
+
+        def run(index: int) -> None:
+            rng = random.Random(100 + index)
+            try:
+                barrier.wait(timeout=10)
+                for step, (node, size) in enumerate(work[index]):
+                    cache.admit(node, table_of_bytes(size))
+                    entry = node.entry
+                    if entry is not None:
+                        cache.note_reuse(entry)
+                        if rng.random() < 0.2:
+                            cache.republish(entry,
+                                            table_of_bytes(size + 512),
+                                            {}, {}, {})
+                        elif rng.random() < 0.2:
+                            cache.evict(entry)
+                    if step % 8 == 7:
+                        cache.refresh_all()
+                    cache.check_invariants()
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=run, args=(index,))
+                       for index in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not errors, errors
+
+        cache.check_invariants()
+        entries = cache.entries()
+        assert cache.used == sum(e.size for e in entries) <= cache.capacity
+        counters = cache.counters
+        assert counters.admitted - counters.evicted == len(cache)
+        # the run reached every path it means to exercise
+        assert counters.rejected and counters.evicted and counters.extended
+        for jobs in work:
+            for node, _ in jobs:
+                entry = node.entry
+                assert entry is None or any(
+                    entry is resident for resident in
+                    cache._groups[RecyclerCache.group_of(entry.size)])

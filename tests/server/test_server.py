@@ -1,5 +1,5 @@
-"""Serving-layer tests: admission control, deadlines, drain, tenancy,
-and cross-frontend recycling (DBAPI client and TCP client meeting in one
+"""Serving-layer tests: admission control, deadlines, drain, and
+cross-frontend recycling (DBAPI client and TCP client meeting in one
 shared recycler)."""
 
 from __future__ import annotations
@@ -215,43 +215,6 @@ class TestGracefulDrain:
         server.start()
         server.stop()
         server.stop()
-
-
-class TestTenantBudgets:
-    def test_tenant_budget_isolation(self, db):
-        """An over-budget tenant cannot publish cache entries (its warm
-        queries rematerialize); a funded tenant recycles normally; the
-        shared graph and other tenants are unaffected."""
-        budgets = {"small": 64, "big": 64 * 1024 * 1024}
-        small_q = "SELECT g, sum(v) AS a FROM t GROUP BY g"
-        big_q = "SELECT g, min(v) AS b FROM t GROUP BY g"
-        with ReproServer(db, tenant_budgets=budgets) as server:
-            with ServerClient(*server.address) as client:
-                client.query(small_q, tenant="small")
-                warm_small = client.query(small_q, tenant="small")
-                client.query(big_q, tenant="big")
-                warm_big = client.query(big_q, tenant="big")
-        # "big" recycles: the warm run reused the cached aggregate
-        assert warm_big.stats["num_reused"] >= 1
-        assert warm_big.stats["num_inserted"] == 0
-        # "small" matched the shared graph (no re-insert) but found no
-        # cached table — its stores were rejected by the byte budget
-        assert warm_small.stats["num_inserted"] == 0
-        assert warm_small.stats["num_reused"] == 0
-        assert warm_small.stats["num_materialized"] >= 1
-        counters = db.recycler.cache.counters
-        assert counters.tenant_rejected >= 1
-        usage = db.recycler.cache.tenant_usage()
-        assert usage.get("big", 0) > 0
-        assert usage.get("small", 0) == 0
-
-    def test_configure_sets_default_tenant(self, db):
-        with ReproServer(db, tenant_budgets={"small": 64}) as server:
-            with ServerClient(*server.address) as client:
-                client.configure(tenant="small")
-                client.query(QUERY)
-        assert db.recycler.cache.tenant_usage().get("small", 0) == 0
-        assert db.recycler.cache.counters.tenant_rejected >= 1
 
 
 class TestCrossFrontendRecycling:

@@ -349,6 +349,26 @@ class TestRequestValidation:
                     client.query(QUERY, timeout="soon")
                 assert client.query(QUERY, timeout=5.0).num_rows == 8
 
+    def test_unread_keys_are_ignored(self, db):  # noqa: F811
+        """A key neither frontend reads (``tenant``, say, from a client
+        of an older server) changes nothing about the reply."""
+        with ReproServer(db) as server:
+            with ServerClient(*server.address) as client:
+                assert client._request({"op": "configure",
+                                        "tenant": "a"})["ok"]
+                assert client.query(QUERY).num_rows == 8
+        with HttpServer(db) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=5.0)
+            conn.request("POST", "/v1/query", body=json.dumps(
+                {"sql": QUERY, "tenant": "a"}).encode())
+            response = conn.getresponse()
+            lines = [json.loads(line)
+                     for line in response.read().splitlines()]
+            conn.close()
+            assert response.status == 200
+            assert lines[-1]["kind"] == "result_end"
+            assert lines[-1]["rows"] == 8
+
 
 class TestHttpClientTruncation:
     """The server vanishing after the header surfaces as
