@@ -106,9 +106,16 @@ class Table:
         return cls(Schema(names, dtypes), batch.arrays)
 
     @classmethod
-    def from_batches(cls, schema: Schema, batches: Sequence[Batch]) -> "Table":
+    def from_batches(cls, schema: Schema, batches: Sequence[Batch],
+                     nbytes: int | None = None) -> "Table":
+        """The rows of ``batches``, in order.  ``nbytes`` is their
+        summed :meth:`Batch.nbytes`, when the caller has kept it: it is
+        the table's :meth:`nbytes`, which then counts no STRING column's
+        characters again."""
         merged = concat_batches(batches, schema=schema)
-        return cls(schema, {n: merged.column(n) for n in schema.names})
+        table = cls(schema, {n: merged.column(n) for n in schema.names})
+        table._nbytes = nbytes
+        return table
 
     @classmethod
     def empty(cls, schema: Schema) -> "Table":

@@ -243,7 +243,8 @@ class StoreOp(PhysicalOperator):
             # Stream ended before a decision: decide with exact numbers.
             self._apply_decision(self._estimate(1.0, exact=True))
         if self._state == _STATE_MATERIALIZING:
-            table = Table.from_batches(self.schema, self._buffer)
+            table = Table.from_batches(self.schema, self._buffer,
+                                       nbytes=self._buffered_bytes)
             reused = [(op._handle, op.self_cost)
                       for op in self.children[0].walk()
                       if isinstance(op, ReuseScanOp)]

@@ -70,7 +70,7 @@ class Expr:
 
     def skeleton(self) -> tuple:
         """Like :meth:`key` but with every column name blanked."""
-        return _skeletonize(self.key())
+        return skeleton_of(self.key())
 
     def rename(self, mapping: NameMapping) -> "Expr":
         """A copy with referenced columns renamed via ``mapping``."""
@@ -93,13 +93,15 @@ class Expr:
         return hash(self.key())
 
 
-def _skeletonize(key: tuple) -> tuple:
+def skeleton_of(key: tuple) -> tuple:
+    """``key`` (an expression's :meth:`Expr.key`) with every column name
+    blanked: ``expr.skeleton()`` is ``skeleton_of(expr.key())``."""
     if len(key) == 2 and key[0] == "col":
         return ("col", "?")
     out = []
     for part in key:
         if isinstance(part, tuple):
-            out.append(_skeletonize(part))
+            out.append(skeleton_of(part))
         else:
             out.append(part)
     return tuple(out)

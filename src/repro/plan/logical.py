@@ -32,7 +32,7 @@ from ..columnar.catalog import Catalog
 from ..columnar.table import Schema
 from ..errors import PlanError
 from ..expr.nodes import (AggSpec, Col, Expr, all_substituted,
-                          slot_values)
+                          skeleton_of, slot_values)
 
 NameMapping = Mapping[str, str]
 
@@ -77,6 +77,12 @@ class PlanNode:
         #: memo of :func:`repro.recycler.striping.plan_fingerprint` —
         #: like the schema, fixed once the (immutable) tree is built.
         self._fingerprint_cache: int | None = None
+        #: memos of :meth:`input_columns` and :meth:`unmapped_keys`, and
+        #: whether :meth:`substituted` leaves this node's own parameters
+        #: as they are
+        self._columns_cache: frozenset[str] | None = None
+        self._keys_cache: tuple[tuple, tuple, int] | None = None
+        self._fixed_params: bool | None = None
 
     # -- structural interface -------------------------------------------
     def output_schema(self, catalog: Catalog) -> Schema:
@@ -102,17 +108,41 @@ class PlanNode:
         return []
 
     def input_columns(self) -> frozenset[str]:
-        """Input column names this node's parameters reference."""
+        """Input column names this node's parameters reference (memoized
+        like the schema)."""
+        columns = self._columns_cache
+        if columns is None:
+            columns = self._columns_cache = self._input_columns()
+        return columns
+
+    def _input_columns(self) -> frozenset[str]:
         return frozenset()
 
     def hashkey(self) -> tuple:
         """Coarse mapping-independent candidate-index key."""
         return (self.op_name, len(self.children))
 
+    def hashkey_of(self, params: tuple) -> tuple:
+        """:meth:`hashkey`, given that ``params`` is ``params_key()``:
+        read off it where the hash key is a skeleton of the same
+        expression keys, instead of walking the expressions again."""
+        return self.hashkey()
+
     def signature(self, mapping: NameMapping | None = None) -> int:
         mapping = mapping or {}
         return signature_of([mapping.get(c, c)
                              for c in self.input_columns()])
+
+    def unmapped_keys(self) -> tuple[tuple, tuple, int]:
+        """``(params_key(), hashkey(), signature())`` — the recycler's
+        matching keys under a name mapping that renames none of the
+        input columns; one walk of the expressions, memoized."""
+        keys = self._keys_cache
+        if keys is None:
+            params = self.params_key()
+            keys = self._keys_cache = (params, self.hashkey_of(params),
+                                       self.signature())
+        return keys
 
     def remapped(self, input_mapping: NameMapping,
                  assigned_mapping: NameMapping,
@@ -129,14 +159,33 @@ class PlanNode:
         value from ``values``.  Only nodes with such a literal in or
         beneath them are rebuilt, through their constructors; any other
         subtree is shared with this plan, memoized schema and
-        fingerprint included."""
+        fingerprint included.  A rebuilt node keeps this one's schema and
+        input columns — a slot's value changes, never its type or a
+        column it reads — and, if its own parameters hold no tagged
+        literal (it was rebuilt only because a child was), its
+        :meth:`unmapped_keys` too."""
         children = [child.substituted(values) for child in self.children]
         if all(new is old for new, old in zip(children, self.children)):
             children = self.children
         node = self._substituted(values, children)
-        # a slot's value changes, never its type: same output schema
+        if node is self:
+            return node
         node._schema_cache = self._schema_cache
+        node._columns_cache = self.input_columns()
+        if self._keys_cache is not None and \
+                children is not self.children and \
+                self._params_fixed(values):
+            node._keys_cache = self._keys_cache
         return node
+
+    def _params_fixed(self, values: Sequence[object]) -> bool:
+        """Whether this node's own parameters hold no tagged literal —
+        a property of the plan, not of ``values`` (memoized)."""
+        fixed = self._fixed_params
+        if fixed is None:
+            fixed = self._fixed_params = \
+                self._substituted(values, self.children) is self
+        return fixed
 
     def _substituted(self, values: Sequence[object],
                      children: "list[PlanNode]") -> "PlanNode":
@@ -201,7 +250,7 @@ class Scan(PlanNode):
         # in the root schema, so equivalent spellings still share.
         return ("scan", self.table, tuple(self.columns))
 
-    def input_columns(self) -> frozenset[str]:
+    def _input_columns(self) -> frozenset[str]:
         return frozenset(self.columns)
 
     def hashkey(self) -> tuple:
@@ -277,11 +326,14 @@ class Select(PlanNode):
     def params_key(self, mapping: NameMapping | None = None) -> tuple:
         return ("select", self.predicate.key(mapping))
 
-    def input_columns(self) -> frozenset[str]:
+    def _input_columns(self) -> frozenset[str]:
         return self.predicate.columns()
 
     def hashkey(self) -> tuple:
         return ("select", self.predicate.skeleton())
+
+    def hashkey_of(self, params: tuple) -> tuple:
+        return ("select", skeleton_of(params[1]))
 
     def remapped(self, input_mapping: NameMapping,
                  assigned_mapping: NameMapping,
@@ -328,7 +380,7 @@ class Project(PlanNode):
         return [n for n, e in self.outputs
                 if not (isinstance(e, Col) and e.name == n)]
 
-    def input_columns(self) -> frozenset[str]:
+    def _input_columns(self) -> frozenset[str]:
         out: set[str] = set()
         for _, e in self.outputs:
             out |= e.columns()
@@ -336,6 +388,9 @@ class Project(PlanNode):
 
     def hashkey(self) -> tuple:
         return ("project", tuple(e.skeleton() for _, e in self.outputs))
+
+    def hashkey_of(self, params: tuple) -> tuple:
+        return ("project", tuple(skeleton_of(key) for key in params[1]))
 
     def remapped(self, input_mapping: NameMapping,
                  assigned_mapping: NameMapping,
@@ -406,7 +461,7 @@ class Aggregate(PlanNode):
         new.extend(a.name for a in self.aggregates)
         return new
 
-    def input_columns(self) -> frozenset[str]:
+    def _input_columns(self) -> frozenset[str]:
         out: set[str] = set()
         for _, e in self.group_keys:
             out |= e.columns()
@@ -481,7 +536,7 @@ class TopN(PlanNode):
                 tuple((mapping.get(c, c), asc) for c, asc in self.sort_keys),
                 self.limit, self.offset)
 
-    def input_columns(self) -> frozenset[str]:
+    def _input_columns(self) -> frozenset[str]:
         return frozenset(c for c, _ in self.sort_keys)
 
     def hashkey(self) -> tuple:
@@ -518,7 +573,7 @@ class Sort(PlanNode):
         return ("sort",
                 tuple((mapping.get(c, c), asc) for c, asc in self.sort_keys))
 
-    def input_columns(self) -> frozenset[str]:
+    def _input_columns(self) -> frozenset[str]:
         return frozenset(c for c, _ in self.sort_keys)
 
     def hashkey(self) -> tuple:
@@ -642,7 +697,7 @@ class Join(PlanNode):
                 tuple(mapping.get(c, c) for c in self.right_keys),
                 extra_key)
 
-    def input_columns(self) -> frozenset[str]:
+    def _input_columns(self) -> frozenset[str]:
         cols = set(self.left_keys) | set(self.right_keys)
         if self.extra is not None:
             cols |= self.extra.columns()

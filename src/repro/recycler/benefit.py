@@ -43,14 +43,18 @@ class BenefitModel:
         return max(cost, 0.0)
 
     def benefit(self, node: GraphNode,
-                size_override: int | None = None) -> float:
-        """Eq. 1 for a node with known (or overridden) size."""
+                size_override: int | None = None,
+                cost: float | None = None) -> float:
+        """Eq. 1 for a node with known (or overridden) size; ``cost`` is
+        its :meth:`true_cost` when the caller has just computed it."""
         size = size_override if size_override is not None \
             else node.size_bytes
         if size is None or size < 0:
             return 0.0
         refs = self.graph.effective_refs(node)
-        return self.true_cost(node) * refs / max(size, 1)
+        if cost is None:
+            cost = self.true_cost(node)
+        return cost * refs / max(size, 1)
 
     def speculative_benefit(self, est_cost: float, est_size: int) -> float:
         """Eq. 1 with the paper's small constant importance factor."""
@@ -71,9 +75,13 @@ class BenefitModel:
         """
         credited: list[GraphNode] = []
         seen: set[int] = set()
-
-        def visit(node: PlanNode, blocked: bool) -> None:
-            match = matches.of(node)
+        by_node = matches.by_node
+        # pre-order from a stack, not a recursive closure (whose cycle
+        # would keep ``matches`` alive until a cyclic collection)
+        pending = [(plan, False)]
+        while pending:
+            node, blocked = pending.pop()
+            match = by_node[id(node)]
             if match.inserted:
                 # An inserted node starts a fresh region below: matched
                 # descendants root their own shared subtrees.
@@ -84,12 +92,9 @@ class BenefitModel:
                     seen.add(graph_node.node_id)
                     self.graph.add_refs(graph_node, 1.0)
                     credited.append(graph_node)
-                if graph_node.is_materialized:
+                if graph_node.entry is not None:
                     blocked = True
-            for child in node.children:
-                visit(child, blocked)
-
-        visit(plan, False)
+            pending += [(child, blocked) for child in reversed(node.children)]
         return credited
 
     # ------------------------------------------------------------------

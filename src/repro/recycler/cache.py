@@ -31,12 +31,16 @@ the same lock and the same version gate (see
 from __future__ import annotations
 
 import bisect
+import operator
 import threading
 from dataclasses import dataclass, replace
 
 from ..columnar.table import Table
 from .benefit import BenefitModel
 from .graph import GraphNode
+
+#: an entry's position key within its size group
+_benefit = operator.attrgetter("benefit")
 
 
 @dataclass(eq=False)
@@ -418,8 +422,8 @@ class RecyclerCache:
 
     def _insert_sorted(self, entry: CacheEntry) -> None:
         group = self._groups.setdefault(self.group_of(entry.size), [])
-        keys = [e.benefit for e in group]
-        group.insert(bisect.bisect_right(keys, entry.benefit), entry)
+        group.insert(bisect.bisect_right(group, entry.benefit,
+                                         key=_benefit), entry)
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:

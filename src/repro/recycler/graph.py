@@ -28,7 +28,7 @@ optimistic protocol sound under real threads.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..columnar.catalog import Catalog, CatalogView
 from ..columnar.table import Schema
@@ -44,8 +44,20 @@ def node_keys(node: PlanNode, mapping: NameMapping) -> NodeKeys:
     input columns read through the query->graph name ``mapping`` (a
     leaf reads none): what Algorithm-1 matching compares, and what the
     graph copy of ``node`` keeps — renaming the copy's inputs by
-    ``mapping`` leaves exactly these keys."""
-    return node.params_key(mapping), node.hashkey(), node.signature(mapping)
+    ``mapping`` leaves exactly these keys.
+
+    When ``mapping`` renames none of the node's input columns (the
+    common case) these are its :meth:`~repro.plan.logical.PlanNode.
+    unmapped_keys`: one walk of its expressions, the hash key read off
+    the parameter key, memoized — and carried, with the input columns,
+    to every plan substituted from a statement template's where the
+    node's own parameters hold no literal.  Otherwise only the hash
+    key, which no mapping changes, is read off them."""
+    keys = node.unmapped_keys()
+    if mapping and any(mapping.get(column, column) != column
+                       for column in node.input_columns()):
+        return node.params_key(mapping), keys[1], node.signature(mapping)
+    return keys
 
 
 class GraphNode:
@@ -89,13 +101,17 @@ class GraphNode:
         # so cache admission/invalidation never re-walks the plan, and
         # built from the children's sets (``plan``'s children are the
         # children's plans) so insertion does not walk it either.
-        self.tables = frozenset().union(
-            *(c.tables for c in children),
-            (plan.table,) if isinstance(plan, Scan) else ())
-        self.functions = frozenset().union(
-            *(c.functions for c in children),
-            (plan.function,) if isinstance(plan, TableFunctionScan)
-            else ())
+        if len(children) == 1:
+            self.tables = children[0].tables
+            self.functions = children[0].functions
+        else:
+            self.tables = frozenset().union(
+                *(c.tables for c in children),
+                (plan.table,) if isinstance(plan, Scan) else ())
+            self.functions = frozenset().union(
+                *(c.functions for c in children),
+                (plan.function,) if isinstance(plan, TableFunctionScan)
+                else ())
         # incarnation stamps of the inserting query's snapshot (set by
         # RecyclerGraph.insert_node): a drop or re-register bumps the
         # live incarnation past these, making the node *version-dead* —
@@ -152,6 +168,37 @@ class GraphNode:
         mat = "*" if self.is_materialized else ""
         return (f"GraphNode#{self.node_id}{mat}({self.op_name},"
                 f" refs={self.refs_raw:.2f}, bcost={self.bcost:.0f})")
+
+
+def _children(node: GraphNode) -> list[GraphNode]:
+    return node.children
+
+
+def _frontier(start: GraphNode,
+              step: Callable[[GraphNode], Iterable[GraphNode]],
+              region: bool) -> list[GraphNode]:
+    """The nodes ``step`` reaches from ``start`` (children or parents),
+    never stepping past a materialized one, in the order a recursive
+    descent meets them: the materialized ones, or with ``region`` every
+    one.  A loop over a stack of iterators, not a recursive closure: a
+    closure that calls itself is a reference cycle, and with it every
+    list it fills would wait for the cyclic collector."""
+    out: list[GraphNode] = []
+    seen: set[int] = set()
+    pending = [iter(step(start))]
+    while pending:
+        for node in pending[-1]:
+            if node.node_id in seen:
+                continue
+            seen.add(node.node_id)
+            if region or node.entry is not None:
+                out.append(node)
+            if node.entry is None:
+                pending.append(iter(step(node)))
+                break
+        else:
+            pending.pop()
+    return out
 
 
 class RecyclerGraph:
@@ -308,8 +355,17 @@ class RecyclerGraph:
             node = GraphNode(self._next_id, graph_plan, keys,
                              graph_children, assigned, schema, query_id)
             view = catalog or self.catalog
-            node.table_incarnations, node.function_incarnations = \
-                view.incarnations_for(node.tables, node.functions)
+            if catalog is not None and len(graph_children) == 1 and \
+                    graph_children[0].inserted_by == query_id:
+                # stamped from this query's snapshot a moment ago, over
+                # the same dependencies
+                node.table_incarnations = \
+                    graph_children[0].table_incarnations
+                node.function_incarnations = \
+                    graph_children[0].function_incarnations
+            else:
+                node.table_incarnations, node.function_incarnations = \
+                    view.incarnations_for(node.tables, node.functions)
             if view.ddl_clock < self.catalog.ddl_clock:
                 # stamped from a snapshot older than the live catalog: it
                 # may be dead already, behind a sweep that closed the gate
@@ -346,15 +402,15 @@ class RecyclerGraph:
         the rename is transparent to every consumer.
         """
         query_schema = query_node.output_schema(catalog or self.catalog)
-        names: list[str] = []
-        seen: set[str] = set()
-        for name in query_schema.names:
-            graph_name = assigned_mapping.get(name) \
-                or input_mapping.get(name, name)
-            while graph_name in seen:
-                graph_name = f"{graph_name}@n{node_id}"
-            seen.add(graph_name)
-            names.append(graph_name)
+        names = [assigned_mapping.get(name) or input_mapping.get(name, name)
+                 for name in query_schema.names]
+        if len(set(names)) < len(names):
+            seen: set[str] = set()
+            for index, graph_name in enumerate(names):
+                while graph_name in seen:
+                    graph_name = f"{graph_name}@n{node_id}"
+                seen.add(graph_name)
+                names[index] = graph_name
         return Schema(names, query_schema.types)
 
     # ------------------------------------------------------------------
@@ -362,60 +418,19 @@ class RecyclerGraph:
     # ------------------------------------------------------------------
     def dmds(self, node: GraphNode) -> list[GraphNode]:
         """Direct materialized descendants (paper Section III-C)."""
-        out: list[GraphNode] = []
-        seen: set[int] = set()
-
-        def descend(current: GraphNode) -> None:
-            for child in current.children:
-                if child.node_id in seen:
-                    continue
-                seen.add(child.node_id)
-                if child.is_materialized:
-                    out.append(child)
-                else:
-                    descend(child)
-
-        descend(node)
-        return out
+        return _frontier(node, _children, region=False)
 
     def materialized_frontier_region(self, node: GraphNode
                                      ) -> list[GraphNode]:
         """All descendants reachable without crossing a materialized node,
         *including* the materialized frontier itself — exactly the set
         Algorithm 2 adjusts (DMDs and potential DMDs)."""
-        out: list[GraphNode] = []
-        seen: set[int] = set()
-
-        def descend(current: GraphNode) -> None:
-            for child in current.children:
-                if child.node_id in seen:
-                    continue
-                seen.add(child.node_id)
-                out.append(child)
-                if not child.is_materialized:
-                    descend(child)
-
-        descend(node)
-        return out
+        return _frontier(node, _children, region=True)
 
     def materialized_ancestor_frontier(self, node: GraphNode
                                        ) -> list[GraphNode]:
         """Nearest materialized ancestors (stop climbing at each)."""
-        out: list[GraphNode] = []
-        seen: set[int] = set()
-
-        def climb(current: GraphNode) -> None:
-            for parent in current.parents():
-                if parent.node_id in seen:
-                    continue
-                seen.add(parent.node_id)
-                if parent.is_materialized:
-                    out.append(parent)
-                else:
-                    climb(parent)
-
-        climb(node)
-        return out
+        return _frontier(node, GraphNode.parents, region=False)
 
     # ------------------------------------------------------------------
     # truncation (paper Section II: "the recycler graph has to be

@@ -379,24 +379,16 @@ def _selects_below(agg: Aggregate):
 
 def _remove_select(root: PlanNode, target: Select) -> PlanNode | None:
     """A copy of ``root`` with ``target`` replaced by its child; ``None``
-    when ``target`` does not occur in the subtree."""
+    when ``target`` does not occur in the subtree.  Only the nodes above
+    ``target`` are copied."""
     if root is target:
         return target.children[0]
-    found = False
-
-    def rebuild(node: PlanNode) -> PlanNode:
-        nonlocal found
-        if node is target:
-            found = True
-            return node.children[0]
-        new_children = [rebuild(child) for child in node.children]
-        if all(new is old for new, old in zip(new_children,
-                                              node.children)):
-            return node
-        return node.with_children(new_children)
-
-    result = rebuild(root)
-    return result if found else None
+    children = [_remove_select(child, target) for child in root.children]
+    if all(new is None for new in children):
+        return None
+    return root.with_children([old if new is None else new
+                               for new, old in zip(children,
+                                                   root.children)])
 
 
 def _find_anchor(plan: PlanNode) -> PlanNode | None:

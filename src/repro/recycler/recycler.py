@@ -10,9 +10,10 @@ mid-execution, exactly as the paper's store operators do.
 
 Concurrency (Section V): the recycler serves many sessions at once.
 The rewrite and finalize critical sections take a *lock stripe* keyed
-by the query's plan fingerprint (root anchor hash), so identical plans
-serialize while disjoint subgraphs rewrite in parallel
-(:mod:`.striping`); Algorithm-1 matching runs outside any stripe,
+by the query's plan fingerprint (its statement template's, for a text
+served from one: :func:`.striping.stripe_key`), so identical plans
+serialize while disjoint subgraphs rewrite in parallel; Algorithm-1
+matching runs outside any stripe,
 relying on the graph's optimistic insertion (``ConcurrencyConflict`` +
 re-match) so concurrent sessions never duplicate graph nodes.  With
 ``block_on_inflight`` a query that matches a node some concurrent query
@@ -54,7 +55,7 @@ from .proactive import ProactiveRewriter
 from .rewriter import (STORE_MIN_REFS, ReuseInfo, StorePlanner,
                        appended_table, current_entry,
                        recompute_is_cheaper, substitute_reuse)
-from .striping import LockStripes, plan_fingerprint
+from .striping import LockStripes, plan_fingerprint, stripe_key
 from .subsumption import SubsumptionIndex
 
 
@@ -70,7 +71,8 @@ class RootHit(NamedTuple):
     plan: PlanNode
     root: GraphNode
     #: the distinct graph nodes the plan's nodes unified with (a repeat
-    #: match would access-stamp exactly these)
+    #: match would access-stamp exactly these), read off the matches:
+    #: they hold the plan's nodes and substitution's copies, no other
     nodes: tuple[GraphNode, ...]
     #: plan nodes — a repeat's ``num_matched``
     num_nodes: int
@@ -83,8 +85,8 @@ class RootHit(NamedTuple):
            snapshot: CatalogSnapshot) -> RootHit:
         root = matches.of(plan)
         return cls(plan, root.graph_node,
-                   tuple({matches.of(node).graph_node
-                          for node in plan.walk()}),
+                   tuple({match.graph_node
+                          for match in matches.by_node.values()}),
                    matches.matched_count + matches.inserted_count,
                    {g: q for q, g in root.mapping.items()},
                    plan.output_schema(snapshot))
@@ -103,8 +105,8 @@ class PreparedQuery:
     #: pinned on entry to ``prepare``, consulted by execution (scan
     #: operators) and by store admission (version tags).
     snapshot: CatalogSnapshot | None = None
-    #: stripe key of ``original_plan`` (computed once; finalize reuses
-    #: it to take the same stripe prepare rewrote under).
+    #: stripe key of ``original_plan`` (``striping.stripe_key``; finalize
+    #: reuses it to take the same stripe prepare rewrote under).
     fingerprint: int | None = None
     stores: dict[int, object] = field(default_factory=dict)
     reuses: list[ReuseInfo] = field(default_factory=list)
@@ -260,7 +262,7 @@ class Recycler:
                                  producer_token=token, snapshot=snapshot)
 
         self.last_activity = time.monotonic()
-        fingerprint = plan_fingerprint(plan)
+        fingerprint = stripe_key(statement, plan)
         stripe = self._stripes.for_key(fingerprint)
         if memo is not None:
             with stripe:
@@ -290,8 +292,8 @@ class Recycler:
                 with self._optimizer_lock:
                     self._optimizer_counts["reuse_cost_skips"] += \
                         outcome.cost_skips
-            store_plan = self.store_planner.plan_stores(
-                outcome.plan, matches, token,
+            stores = self.store_planner.plan_stores(
+                outcome, token,
                 on_complete=lambda table, stats, node, _t=token,
                 _s=snapshot:
                     self._on_store_complete(table, stats, node, _t, _s),
@@ -309,7 +311,7 @@ class Recycler:
             executed_plan=outcome.plan, matches=matches,
             producer_token=token, fingerprint=fingerprint,
             snapshot=snapshot,
-            stores=store_plan.requests, reuses=outcome.reuses,
+            stores=stores, reuses=outcome.reuses,
             stalls=stalls, stall_seconds=stall_seconds,
             matching_seconds=matching_seconds,
             proactive_strategies=variant.strategies,
@@ -490,6 +492,8 @@ class Recycler:
 
     def _collect_stalls(self, plan: PlanNode, matches: MatchResult,
                         token: object) -> list[GraphNode]:
+        if not self.inflight:
+            return []  # no producer: a racing one is missed either way
         stalls: list[GraphNode] = []
         seen: set[int] = set()
         for node in plan.walk():

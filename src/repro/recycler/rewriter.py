@@ -40,7 +40,7 @@ from .benefit import BenefitModel
 from .config import RecyclerConfig
 from .graph import GraphNode, RecyclerGraph
 from .inflight import InFlightRegistry
-from .matching import MatchResult
+from .matching import MatchResult, NodeMatch
 from .subsumption import SubsumptionIndex, build_compensation
 
 
@@ -62,6 +62,9 @@ class RewriteOutcome:
     #: cached entries *not* consumed because recomputing the subtree is
     #: cheaper than re-emitting the stored rows (cost-gated reuse).
     cost_skips: int = 0
+    #: the matched nodes of ``plan`` that still run, post-order, with
+    #: their matches: where :meth:`StorePlanner.plan_stores` may store
+    kept: list[tuple[PlanNode, NodeMatch]] = field(default_factory=list)
 
 
 def current_entry(graph_node: GraphNode, catalog: CatalogView):
@@ -261,12 +264,12 @@ def substitute_reuse(plan: PlanNode, matches: MatchResult,
                     return compensation
 
         new_children = [rewrite(child) for child in node.children]
-        if all(new is old for new, old in
-               zip(new_children, node.children)):
-            return node
-        replacement = node.with_children(new_children)
-        matches.register(replacement, match)
-        return replacement
+        if not all(new is old for new, old in
+                   zip(new_children, node.children)):
+            node = node.with_children(new_children)
+            matches.register(node, match)
+        outcome.kept.append((node, match))
+        return node
 
     outcome.plan = rewrite(plan)
     # ``rewrite`` refers to itself: unbound, the snapshot (and the table
@@ -291,15 +294,6 @@ STORE_OVERHEAD_FACTOR = 1.5
 _SPECULATION_ELIGIBLE = (Aggregate, TopN, Distinct, TableFunctionScan)
 
 
-@dataclass
-class StorePlan:
-    """Store requests keyed by ``id(plan node)`` plus bookkeeping."""
-
-    requests: dict[int, StoreRequest] = field(default_factory=dict)
-    history_targets: list[GraphNode] = field(default_factory=list)
-    speculative_targets: list[GraphNode] = field(default_factory=list)
-
-
 class StorePlanner:
     """Implements the final rewriting rule: inject store operators."""
 
@@ -314,11 +308,14 @@ class StorePlanner:
         self.config = config
         self.cost_model = cost_model or CostModel()
 
-    def plan_stores(self, executed_plan: PlanNode, matches: MatchResult,
-                    producer_token: object,
+    def plan_stores(self, outcome: RewriteOutcome, producer_token: object,
                     on_complete, on_abort,
-                    snapshot: CatalogView | None = None) -> StorePlan:
-        """Choose store targets in ``executed_plan``.
+                    snapshot: CatalogView | None = None
+                    ) -> dict[int, StoreRequest]:
+        """Store requests, keyed by ``id`` of the plan node, among
+        ``outcome.kept`` — the nodes of the plan to execute
+        (``outcome.plan``) substitution left, in its post-order, decided
+        after every substitution as a walk of that plan would be.
 
         ``on_complete(table, stats, graph_node)`` /
         ``on_abort(graph_node)`` are the recycler callbacks wired into
@@ -327,46 +324,45 @@ class StorePlanner:
         ``snapshot`` is the query's pinned catalog view: a store is not
         even planned on a node whose dependencies a concurrent DDL has
         already moved past the snapshot — admission would reject the
-        result anyway, so skipping avoids the materialization work and
-        spares consumers a pointless in-flight wait.
+        result anyway.  Compared only once the DDL clock moved past the
+        snapshot's: every version bump moves it.  A concurrent producer
+        is looked for only if the in-flight registry held one when
+        planning began (this query's own registrations are ``chosen``):
+        one registering later loses to, or beats, this query in
+        ``register`` — the race a look per node leaves open as well.
         """
-        plan = StorePlan()
+        requests: dict[int, StoreRequest] = {}
         chosen: set[int] = set()
-        root = executed_plan
-        for node in executed_plan.walk():
-            if isinstance(node, CachedScan) or not matches.contains(node):
-                continue  # reuse leaves / compensation nodes
-            match = matches.of(node)
+        catalog = self.graph.catalog
+        contested = bool(self.inflight)
+        for node, match in outcome.kept:
             graph_node = match.graph_node
-            if graph_node.is_materialized or \
-                    graph_node.node_id in chosen:
+            if isinstance(node, CachedScan) or graph_node.is_materialized \
+                    or graph_node.node_id in chosen:
                 continue
             if not self.graph.is_live(graph_node):
                 continue  # truncated while this query was stalled
             if snapshot is not None and \
+                    snapshot.ddl_clock != catalog.ddl_clock and \
                     self._snapshot_behind(graph_node, snapshot):
                 continue  # DDL already outran this query's snapshot
-            if self.inflight.producer_of(graph_node) is not None:
+            if contested and \
+                    self.inflight.producer_of(graph_node) is not None:
                 continue  # a concurrent query is already producing it
             request = self._history_request(match, on_complete)
             if request is None:
                 request = self._speculative_request(
-                    node, match, node is root, on_complete, on_abort)
-            if request is None:
-                continue
+                    node, match, node is outcome.plan, on_complete,
+                    on_abort)
             # First registration wins: plans on different stripes can
             # race to produce a shared node, and a cancelled (abandoned)
             # query must not plant a registration its finalize will
             # never release — either way, losing means no store.
-            if not self.inflight.register(graph_node, producer_token):
-                continue
-            plan.requests[id(node)] = request
-            chosen.add(graph_node.node_id)
-            if request.mode == MODE_MATERIALIZE:
-                plan.history_targets.append(graph_node)
-            else:
-                plan.speculative_targets.append(graph_node)
-        return plan
+            if request is not None and \
+                    self.inflight.register(graph_node, producer_token):
+                requests[id(node)] = request
+                chosen.add(graph_node.node_id)
+        return requests
 
     def _snapshot_behind(self, graph_node: GraphNode,
                          snapshot: CatalogView) -> bool:
@@ -402,10 +398,10 @@ class StorePlanner:
                     + max(graph_node.rows, 0)
                     * (self.cost_model.store_materialize_tuple
                        + self.cost_model.reuse_tuple))
-        if self.model.true_cost(graph_node) < \
-                STORE_OVERHEAD_FACTOR * overhead:
+        cost = self.model.true_cost(graph_node)
+        if cost < STORE_OVERHEAD_FACTOR * overhead:
             return None
-        benefit = self.model.benefit(graph_node)
+        benefit = self.model.benefit(graph_node, cost=cost)
         if benefit < self.config.benefit_threshold:
             return None
         if not self.cache.would_admit(benefit, graph_node.size_bytes):

@@ -116,6 +116,8 @@ class SubsumptionIndex:
     def find_cached_subsumer(self, node: GraphNode) -> GraphNode | None:
         """Breadth-first over subsumption edges: the nearest (most
         specific) subsumer with a materialized result."""
+        if not node.subsumers:
+            return None  # an edge added concurrently is missed anyway
         with self._lock:
             return self._find_cached_subsumer(node)
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Database
 from repro.columnar import types
 from repro.engine import grouping, scan, topn
 from repro.engine.sort import sort_indices
-from repro.workloads import timeseries, tpch
-from twin_replay import quiet_config, replay, table_bytes
+from twin_replay import dashboard_stream as _dashboard_stream
+from twin_replay import replay_fresh as _replay
+from twin_replay import tpch_stream as _tpch_stream
 
 
 def _sorted_top_rows(batch, sort_keys, keep):
@@ -37,46 +37,6 @@ def _sorting_references(monkeypatch):
                         lambda codes: np.argsort(codes, kind="stable"))
     monkeypatch.setattr(topn, "top_rows", _sorted_top_rows)
     monkeypatch.setattr(scan, "top_rows", _sorted_top_rows)
-
-
-def _tpch_stream():
-    streams = tpch.generate_streams(2, 0.004, seed=5)
-    ops = [query.sql for stream in streams for query in list(stream) * 2]
-    ops.insert(len(ops) // 2, lambda db: db.maintain())
-    return (lambda: Database(quiet_config(512 * 1024),
-                             catalog=tpch.build_catalog(0.004, seed=3)),
-            ops)
-
-
-def _dashboard_stream():
-    initial, batch = 3000, 120
-    ops, rows = [], initial
-    for cycle in range(3):
-        ops.append(lambda db, cycle=cycle, rows=rows: db.append_rows(
-            "metrics", timeseries._batch(rows, batch, 7 + cycle)))
-        rows += batch
-        ops.extend([timeseries.range_scan(rows - batch, rows),
-                    timeseries.sensor_rollup(),
-                    timeseries.site_rollup(rows),
-                    timeseries.alerts(rows),
-                    timeseries.alerts(10 ** 6, limit=40),
-                    timeseries.hot_sensors(rows),
-                    timeseries.site_rollup(initial)] * 2)
-    return (lambda: Database(quiet_config(64 * 1024 * 1024),
-                             catalog=timeseries.build_catalog(
-                                 initial, seed=7)),
-            ops)
-
-
-def _replay(build, ops):
-    db = build()
-    try:
-        produced, state = replay(db, ops)
-        state["tables"] = {entry.node.node_id: table_bytes(entry.table)
-                           for entry in db.recycler.cache.entries()}
-        return produced, state
-    finally:
-        db.close()
 
 
 class _Fired:

@@ -14,7 +14,8 @@ was hit or no plan node was matched from a template's memo, when a
 recycling pass repeats a text and no statement took the root-hit path,
 when it appends and no cached result was extended or no
 moving-window conjunct was proved, and when it builds joins on integer
-keys and no join index was dense.
+keys and no join index was dense — and when a recycling pass leaves
+``repro`` objects for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def test_tool_sees_string_sizing_and_prints_the_batch_floor():
     # the dashboard's repeats were answered from their root-hit memos
     assert values["root_hits"] > 0
     assert values["gc_ms"] >= 0.0 and values["gc_gen2"] >= 0
+    # every statement but the root hits was prepared the slow way, and
+    # the slow way left nothing of repro's for the cyclic collector
+    assert values["prepare_us"] >= values["prepare.match_us"] > 0.0
+    assert values["prepare.post_match_us"] > 0.0
+    assert values["cyclic_garbage_repro"] == 0
     # appends left the dashboard's stable aggregates cached, extended
     assert values["extended"] > 0 and values["ddl_evicted"] > 0
     # the dashboard's windows that cover every row ran without them
@@ -193,3 +199,55 @@ def test_tool_fails_when_join_indexes_stop_being_dense():
     assert done.returncode == 1, done.stderr[-2000:]
     assert "no index was dense" in done.stderr
     assert "join_dense_builds 0" in done.stdout.splitlines()
+
+
+#: the reference bookkeeping after matching as it once was: a closure
+#: that calls itself, a cycle per statement
+_RECURSIVE_RECORD = """
+def _recursive_record(self, plan, matches):
+    credited, seen = [], set()
+
+    def visit(node, blocked):
+        match = matches.of(node)
+        if match.inserted:
+            blocked = False
+        else:
+            graph_node = match.graph_node
+            if not blocked and graph_node.node_id not in seen:
+                seen.add(graph_node.node_id)
+                self.graph.add_refs(graph_node, 1.0)
+                credited.append(graph_node)
+            if graph_node.is_materialized:
+                blocked = True
+        for child in node.children:
+            visit(child, blocked)
+
+    visit(plan, False)
+    return credited
+"""
+
+
+def test_tool_fails_when_the_recycling_path_leaves_cyclic_garbage():
+    """A recursive closure on the recycling path returns the same
+    answers and leaves the same recycler state — and a reference cycle
+    per statement for the collector to find; the tool is what
+    notices.  The closure is compiled into the ``repro`` module it
+    would live in."""
+    broken = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import profile_pass;"
+        " from repro.recycler import benefit;"
+        " exec(sys.argv[2], vars(benefit));"
+        " benefit.BenefitModel.record_query_references ="
+        " benefit._recursive_record;"
+        " sys.exit(profile_pass.main(sys.argv[3:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", broken, str(ROOT / "tools"),
+         _RECURSIVE_RECORD,
+         "--workload", "ts_append", "--mode", "spec", "--size", "0.04",
+         "--top", "1"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert "repro objects for the cyclic garbage collector" in done.stderr
+    lines = done.stdout.splitlines()
+    assert "cyclic_garbage_repro 0" not in lines
+    assert any(line.startswith("cyclic_garbage_repro ") for line in lines)

@@ -21,7 +21,11 @@ engine's STRING kernels and under their naive references and compares.
 :class:`WireTwins` is the wire case: ``fast`` sits behind a server —
 which answers warm statements on its event loop — and ``slow`` takes
 the same texts through ``Database.sql``
-(``tests/server/test_inline_warm.py``).
+(``tests/server/test_inline_warm.py``).  :func:`tpch_stream` and
+:func:`dashboard_stream` are the two op streams the route-equivalence
+tests replay (``tests/engine/test_*_kernel_routes.py``,
+``tests/recycler/test_prepare_routes.py``), :func:`replay_fresh` one
+replay of them on a database of its own.
 """
 
 from __future__ import annotations
@@ -33,17 +37,19 @@ import numpy as np
 from repro import Database, RecyclerConfig
 from repro.server.base import query_stats_payload
 from repro.sql import sql_to_plan
+from repro.workloads import timeseries, tpch
 
 RECORD_FIELDS = ("num_reused", "num_matched", "num_inserted",
                  "num_materialized", "num_stores_injected", "total_cost",
                  "graph_nodes")
 
 
-def quiet_config(cache_bytes: int) -> RecyclerConfig:
-    """``spec`` mode with no maintenance thread and no wall-clock
-    trigger, so two replays of one stream do identical work."""
+def quiet_config(cache_bytes: int, mode: str = "spec") -> RecyclerConfig:
+    """``mode`` (``spec`` by default) with no maintenance thread and no
+    wall-clock trigger, so two replays of one stream do identical
+    work."""
     return RecyclerConfig(
-        mode="spec", cache_capacity=cache_bytes,
+        mode=mode, cache_capacity=cache_bytes,
         maintenance_interval_seconds=None,
         maintenance_idle_seconds=None)
 
@@ -93,6 +99,51 @@ def replay(db: Database, ops) -> tuple[list, dict]:
                          tuple(getattr(result.record, name)
                                for name in RECORD_FIELDS)))
     return produced, recycler_state(db)
+
+
+def tpch_stream(mode: str = "spec"):
+    """Two TPC-H qgen streams, each issued twice, a maintenance cycle
+    half way, against a cache that fills: ``(build, ops)``."""
+    streams = tpch.generate_streams(2, 0.004, seed=5)
+    ops = [query.sql for stream in streams for query in list(stream) * 2]
+    ops.insert(len(ops) // 2, lambda db: db.maintain())
+    return (lambda: Database(quiet_config(512 * 1024, mode),
+                             catalog=tpch.build_catalog(0.004, seed=3)),
+            ops)
+
+
+def dashboard_stream(mode: str = "spec"):
+    """The time-series dashboard over three appends: ``(build, ops)``."""
+    initial, batch = 3000, 120
+    ops, rows = [], initial
+    for cycle in range(3):
+        ops.append(lambda db, cycle=cycle, rows=rows: db.append_rows(
+            "metrics", timeseries._batch(rows, batch, 7 + cycle)))
+        rows += batch
+        ops.extend([timeseries.range_scan(rows - batch, rows),
+                    timeseries.sensor_rollup(),
+                    timeseries.site_rollup(rows),
+                    timeseries.alerts(rows),
+                    timeseries.alerts(10 ** 6, limit=40),
+                    timeseries.hot_sensors(rows),
+                    timeseries.site_rollup(initial)] * 2)
+    return (lambda: Database(quiet_config(64 * 1024 * 1024, mode),
+                             catalog=timeseries.build_catalog(
+                                 initial, seed=7)),
+            ops)
+
+
+def replay_fresh(build: Callable[[], Database], ops) -> tuple[list, dict]:
+    """:func:`replay` on a database ``build`` makes, closed after; the
+    state also holds the bytes of every cached table."""
+    db = build()
+    try:
+        produced, state = replay(db, ops)
+        state["tables"] = {entry.node.node_id: table_bytes(entry.table)
+                           for entry in db.recycler.cache.entries()}
+        return produced, state
+    finally:
+        db.close()
 
 
 class Twins:

@@ -6,7 +6,7 @@
 
 replays the op list of a ``bench.workloads`` workload (same seed, same
 size, same database builder as ``bench/run.py``; read-only on ``bench/``)
-twice, each time on a fresh database:
+three times, each time on a fresh database:
 
 1. plain, with wall-clock wrappers around the per-element STRING work —
    ``types.array_nbytes`` on STRING columns, key coding of object
@@ -27,10 +27,20 @@ twice, each time on a fresh database:
    templates' memos (``memo_nodes``) and the memo entries found stale
    (``memo_stale``), then the cyclic garbage collector's pauses during
    the ops (``gc_ms``, its share, and the generation-2 collections'
-   count and pause).  Timed without a profiler because cProfile charges
-   every Python call but no native loop, which inflates exactly these
-   shares;
-2. under cProfile, and prints the top functions.
+   count and pause), and what ``Recycler.prepare`` cost per statement
+   it prepared (``prepare_us``), split into matching with its
+   reference bookkeeping (``prepare.match_us``: ``Recycler._match``)
+   and the rest, the post-match walk of stall collection, reuse
+   substitution, store planning and the root-hit memo
+   (``prepare.post_match_us``).  Timed without a profiler because
+   cProfile charges every Python call but no native loop, which
+   inflates exactly these shares;
+2. with the cyclic collector off and ``gc.DEBUG_SAVEALL`` on, and
+   prints the objects the pass left for that collector
+   (``cyclic_garbage``) and how many of them are ``repro``'s
+   (``cyclic_garbage_repro``: an instance of a ``repro`` class, or a
+   ``repro`` function or class — a recursive closure leaves one);
+3. under cProfile, and prints the top functions.
 
 It also prints the pass's ``root_hits`` (repeats answered from their
 root-hit memo), ``ddl_evicted`` (cached results an invalidation sweep
@@ -45,7 +55,10 @@ recycling pass repeats a text and reports no root hit, or if it
 appends and reports no extension or no proved conjunct, or if its ops
 build joins on integer keys and no index was dense: a template, memo,
 root-hit, extension, moving-window or direct-address join path that
-has silently stopped firing fails no test.
+has silently stopped firing fails no test.  It exits non-zero, too,
+when a recycling pass leaves ``repro`` objects for the cyclic
+collector: a reference cycle on the recycling path is garbage every
+statement, and the collector's pauses are the pass's.
 
 With ``--wire`` the op list travels instead: statements through a
 ``ServerClient``, scans streamed through an ``HttpClient``, against a
@@ -87,6 +100,7 @@ from repro.columnar.batch import Batch  # noqa: E402
 from repro.engine import grouping, join, sort, topn  # noqa: E402
 from repro.engine.base import PhysicalOperator  # noqa: E402
 from repro.expr.nodes import Cmp  # noqa: E402
+from repro.recycler.recycler import Recycler  # noqa: E402
 from repro.server import (HttpClient, HttpServer, ReproServer,  # noqa: E402
                           ServerClient)
 from repro.sql import scan_literals  # noqa: E402
@@ -264,6 +278,21 @@ class TemplateShare(Share):
              template.planned) = saved
 
 
+class PrepareShare(Share):
+    """``Recycler.prepare`` and, within it, ``Recycler._match`` (so the
+    two nest: the rest of a prepare is the first minus the second)."""
+
+    @contextlib.contextmanager
+    def installed(self):
+        saved = (Recycler.prepare, Recycler._match)
+        Recycler.prepare = self.timed("prepare", saved[0])
+        Recycler._match = self.timed("match", saved[1])
+        try:
+            yield
+        finally:
+            Recycler.prepare, Recycler._match = saved
+
+
 class GcPauses:
     """The cyclic garbage collector's pauses, from ``gc.callbacks``."""
 
@@ -349,6 +378,38 @@ def replay(workload, ops, seed: int, size: float, mode: str,
         db.close()
 
 
+def is_repro(obj: object) -> bool:
+    """An instance of a ``repro`` class, or a ``repro`` function or
+    class."""
+    module = getattr(obj, "__module__", None)
+    return isinstance(module, str) and module.split(".")[0] == "repro"
+
+
+def cyclic_garbage(workload, ops, seed: int, size: float,
+                   mode: str) -> tuple[int, int]:
+    """Replay ``ops`` as :func:`replay` does with the cyclic collector
+    off and ``gc.DEBUG_SAVEALL`` on: the unreachable objects the ops
+    left for the collector, and how many of them are ``repro``'s."""
+    @contextlib.contextmanager
+    def saving_all():
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            yield
+            gc.collect()
+            counts[:] = [len(gc.garbage),
+                         sum(map(is_repro, gc.garbage))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    counts = [0, 0]
+    replay(workload, ops, seed, size, mode, around_ops=saving_all)
+    return counts[0], counts[1]
+
+
 def replay_wire(workload, ops, seed: int, size: float, mode: str,
                 sort: str, top: int) -> None:
     """Set up as the benchmark does, then send ``ops`` over the wire to
@@ -429,6 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     joins = JoinShare()
     floor = BatchFloor()
     templates = TemplateShare()
+    prepares = PrepareShare()
     pauses = GcPauses()
 
     @contextlib.contextmanager
@@ -438,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
             yield
 
     with share.installed(), sorting.installed(), floor.installed(), \
-            templates.installed():
+            templates.installed(), prepares.installed():
         seconds, summary = replay(workload, ops, args.seed, args.size,
                                   args.mode, around_ops=around_ops)
     statement_cache = summary["service"]["statement_cache"]
@@ -463,6 +525,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"root_hits {optimizer['root_hits']}")
     print(f"memo_nodes {optimizer['memo_nodes']}")
     print(f"memo_stale {optimizer['memo_stale']}")
+    prepared = max(prepares.calls.get("prepare", 0), 1)
+    prepare_s = prepares.seconds.get("prepare", 0.0)
+    match_s = prepares.seconds.get("match", 0.0)
+    print(f"prepare_us {prepare_s * 1e6 / prepared:.1f}")
+    print(f"prepare.match_us {match_s * 1e6 / prepared:.1f}")
+    print(f"prepare.post_match_us"
+          f" {(prepare_s - match_s) * 1e6 / prepared:.1f}")
     print(f"gc_ms {pauses.seconds * 1e3:.1f}")
     print(f"gc_share {pauses.seconds / seconds:.4f}")
     print(f"gc_gen2 {pauses.gen2}")
@@ -491,6 +560,14 @@ def main(argv: list[str] | None = None) -> int:
     if joins.integer_keyed and not joins.dense:
         print("error: the pass built integer-keyed joins but no index"
               " was dense", file=sys.stderr)
+        return 1
+    garbage, repro_garbage = cyclic_garbage(workload, ops, args.seed,
+                                            args.size, args.mode)
+    print(f"cyclic_garbage {garbage}")
+    print(f"cyclic_garbage_repro {repro_garbage}")
+    if args.mode != "off" and repro_garbage:
+        print(f"error: the pass left {repro_garbage} repro objects for"
+              f" the cyclic garbage collector", file=sys.stderr)
         return 1
     appends = any(op.kind == APPEND for op in ops)
     if args.mode != "off" and appends and not catalog["entries_extended"]:
