@@ -3,8 +3,7 @@
 Benchmarks run at a scaled-down default so the whole suite finishes in a
 few minutes; set ``REPRO_FULL=1`` for the paper-scale parameters
 (4..256 streams, SF 0.01, 100 SkyServer queries).  Every figure bench
-writes its rendered output to ``benchmarks/results/figN.txt`` — the
-series EXPERIMENTS.md quotes.
+writes its rendered output to ``benchmarks/results/figN.txt``.
 """
 
 from __future__ import annotations

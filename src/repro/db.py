@@ -77,9 +77,9 @@ class Database:
         #: frontend's queries meet in one recycler *and* one
         #: per-frontend statistics stream.
         self.service = self.recycler.service
-        #: background GC/truncate/refresh driver; its thread only starts
+        #: background GC-then-truncate driver; its thread only starts
         #: when ``config.maintenance_interval_seconds`` is set, but
-        #: ``maintain()`` applies the triggers on demand regardless.
+        #: ``maintain()`` runs a cycle on demand regardless.
         self.maintenance = MaintenanceManager(self.recycler)
         self.maintenance.start()
         self._session_counter = 0
@@ -299,18 +299,17 @@ class Database:
         return self.recycler.invalidate_function(name)
 
     def maintain(self) -> dict[str, int]:
-        """Run one maintenance cycle now (version-dead GC, one
-        truncation when the size or idle trigger fires, cached-benefit
-        refresh on the idle trigger) regardless of the background
-        cadence."""
+        """Run one maintenance cycle now — version-dead GC, then one
+        truncation of the subtrees idle for more than
+        ``truncate_min_idle_events`` query events — regardless of the
+        background cadence.  Returns the nodes each step removed."""
         return self.maintenance.run_once()
 
     def summary(self) -> dict:
         """Aggregate counters: the recycler view (queries, graph, cache,
         costs), background-maintenance counters under ``"maintenance"``
-        (cycles, size/idle triggers, truncate runs, nodes
-        truncated, GC nodes collected, incremental stat merges, benefit
-        refreshes),
+        (cycles, truncate runs, nodes truncated, GC nodes collected,
+        incremental stat merges),
         catalog/DDL counters under ``"catalog"`` (tables, functions, DDL
         clock, invalidation sweeps, entries evicted by DDL, entries
         extended over appended rows, in-flight producers aborted,

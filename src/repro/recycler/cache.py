@@ -80,7 +80,7 @@ class CacheEntry:
 
 @dataclass
 class CacheCounters:
-    """Observability counters (tests, reports, EXPERIMENTS.md)."""
+    """Observability counters (tests, reports, ``Database.summary()``)."""
 
     admitted: int = 0
     rejected: int = 0
@@ -389,25 +389,6 @@ class RecyclerCache:
             entry.benefit = self.model.benefit(node,
                                                size_override=entry.size)
             self._insert_sorted(entry)
-
-    def refresh_all(self, stop=None) -> int:
-        """Recompute every cached benefit (maintenance: aging moves on
-        with the event clock even while a result sits unused).  Returns
-        the number of refreshed entries.
-
-        ``stop`` is the maintenance manager's shutdown hook,
-        consulted per entry: a refresh cut short leaves the remaining
-        entries at their previous (still internally consistent)
-        benefits — they are recomputed lazily on reuse or by the next
-        cycle."""
-        with self._lock:
-            refreshed = 0
-            for entry in self.entries():
-                if stop is not None and stop():
-                    break
-                self.refresh(entry.node)
-                refreshed += 1
-            return refreshed
 
     def _refresh_affected(self, node: GraphNode,
                           adjusted: list[GraphNode]) -> None:

@@ -72,21 +72,13 @@ class RecyclerConfig:
 
     #: background maintenance cadence in seconds; ``None`` disables the
     #: :class:`~repro.recycler.maintenance.MaintenanceManager` thread
-    #: (``Database.maintain()`` still applies the triggers on demand).
+    #: (``Database.maintain()`` still runs a cycle on demand).
     maintenance_interval_seconds: float | None = None
 
-    #: size trigger: truncate the recycler graph once it exceeds this
-    #: many nodes; ``None`` disables the size trigger.
-    maintenance_graph_node_limit: int | None = 50_000
-
-    #: idle trigger: with no query activity for this many seconds, a
-    #: maintenance cycle truncates idle subtrees and refreshes cached
-    #: benefits (aging moved on); ``None`` disables the idle trigger.
-    maintenance_idle_seconds: float | None = 30.0
-
-    #: nodes idle for more than this many query events are truncation
-    #: candidates (paper Section II: "removing subtrees that have not
-    #: been accessed for some time").
+    #: every maintenance cycle removes the subtrees idle for more than
+    #: this many query events (paper Section II: "removing subtrees that
+    #: have not been accessed for some time"); materialized and
+    #: in-flight nodes and their children stay.
     truncate_min_idle_events: int = 256
 
     def __post_init__(self) -> None:

@@ -174,6 +174,16 @@ def _children(node: GraphNode) -> list[GraphNode]:
     return node.children
 
 
+def _has_parent_outside(node: GraphNode, ids: dict[int, GraphNode]) -> bool:
+    # the parent buckets are read without ``parents()``' snapshot: the
+    # caller holds the graph lock
+    for bucket in node.parent_index.values():
+        for parent in bucket:
+            if parent.node_id not in ids:
+                return True
+    return False
+
+
 def _frontier(start: GraphNode,
               step: Callable[[GraphNode], Iterable[GraphNode]],
               region: bool) -> list[GraphNode]:
@@ -224,6 +234,9 @@ class RecyclerGraph:
         #: catalog DDL clock at the last version-dead sweep that left no
         #: dead node behind (``None``: a sweep is due) — see :meth:`gc_due`.
         self._swept_clock: int | None = None
+        #: lowest ``last_access_event`` the last idle sweep kept, capped
+        #: at the event it ran at — see :meth:`truncate_due`.
+        self._truncate_floor = 0
         #: guards all mutations; matching reads stay lock-free (OCC).
         self._lock = threading.RLock()
 
@@ -453,40 +466,74 @@ class RecyclerGraph:
 
         ``stop`` is a cooperative cancellation hook (the maintenance
         manager passes its shutdown flag): it is consulted at the two
-        phase boundaries — before the keep-set scan and again before
-        the mutation is applied — and a fired stop abandons the cycle
-        with the graph untouched, so shutdown mid-maintenance is prompt
-        and never leaves a half-truncated graph.
+        phase boundaries — before the idle scan and again before the
+        mutation is applied — and a fired stop abandons the cycle with
+        the graph untouched, so shutdown mid-maintenance is prompt and
+        never leaves a half-truncated graph.
+
+        Records the floor :meth:`truncate_due` reads: the lowest stamp
+        kept, capped at the current event.
         """
         with self._lock:
             if stop is not None and stop():
                 return 0
             cutoff = self.event - min_idle_events
-            keep = self._keep_closure([
-                node for node in self.nodes
-                if node.is_materialized or
-                node.node_id in pinned or
-                node.last_access_event >= cutoff
-            ])
+            floor = self.event
+            idle: dict[int, GraphNode] = {}
+            for node in self.nodes:
+                stamp = node.last_access_event
+                if stamp >= cutoff or node.entry is not None or \
+                        node.node_id in pinned:
+                    if stamp < floor:
+                        floor = stamp
+                else:
+                    idle[node.node_id] = node
+            for node in self._rescue(idle):
+                if node.last_access_event < floor:
+                    floor = node.last_access_event
             if stop is not None and stop():
                 return 0
-            removed = [n for n in self.nodes if n.node_id not in keep]
-            return self._remove_nodes(removed)
+            self._truncate_floor = floor
+            return self._remove_nodes(list(idle.values()))
 
-    def _keep_closure(self, seeds: list[GraphNode]) -> set[int]:
-        """Ids of ``seeds`` plus every (transitive) child — the set a
-        sweep must preserve so remaining structure stays consistent
-        (a kept node's children are always kept).  Caller holds the
+    def truncate_due(self, min_idle_events: int) -> bool:
+        """Whether :meth:`truncate` with ``min_idle_events`` could
+        remove anything: False while its cutoff (``event −
+        min_idle_events``) is at or below the floor the last sweep
+        recorded — the lowest ``last_access_event`` it kept, capped at
+        its event (0 on a fresh graph).  Every node present then has a
+        stamp at or above the cutoff: a stamp is written with the
+        clock's current value, so it only rises, and a node inserted
+        after the sweep starts at the clock.  Version-dead GC and cache
+        evictions do not move the floor: removing a node cannot lower
+        the lowest stamp, and an evicted node's stamp was counted.
+
+        Lock-free (two integer reads), like :meth:`gc_due`: an idle
+        cycle costs O(1) and never takes the rewrite stripes.  A stale
+        read is harmless — a sweep skipped on it is run next cycle — and
+        so is a matched node's stamp written from a clock read that a
+        concurrent sweep overtook: it lies at most that read behind, and
+        the first sweep past the floor collects it."""
+        return self.event - min_idle_events > self._truncate_floor
+
+    def _rescue(self, doomed: dict[int, GraphNode]) -> list[GraphNode]:
+        """Take out of ``doomed`` — the nodes a sweep means to remove,
+        by id and in graph order, every other node kept — each
+        (transitive) child of a node the sweep keeps, so the survivors
+        stay child-closed; returns the nodes taken out.
+
+        ``nodes`` lists every child before its parents (a node is
+        inserted over children already in the graph, and removal keeps
+        the order), so one pass over the doomed nodes in reverse decides
+        each after all its parents: it stays doomed only when no parent
+        is kept.  Only doomed nodes are visited.  Caller holds the
         lock."""
-        keep: set[int] = set()
-        stack = list(seeds)
-        while stack:
-            node = stack.pop()
-            if node.node_id in keep:
-                continue
-            keep.add(node.node_id)
-            stack.extend(node.children)
-        return keep
+        rescued = []
+        for node in reversed(list(doomed.values())):
+            if _has_parent_outside(node, doomed):
+                del doomed[node.node_id]
+                rescued.append(node)
+        return rescued
 
     def _remove_nodes(self, removed: list[GraphNode]) -> int:
         """Detach ``removed`` from every index (caller holds the lock
@@ -569,22 +616,21 @@ class RecyclerGraph:
             if not self.gc_due():
                 return 0
             view = self.catalog.snapshot()
-            dead = {n.node_id for n in self.nodes
-                    if not n.matches_incarnations(view)}
-            keep = self._keep_closure([
-                node for node in self.nodes
-                if node.node_id not in dead or
-                node.is_materialized or
-                node.node_id in pinned
-            ])
+            dead = 0
+            doomed: dict[int, GraphNode] = {}
+            for node in self.nodes:
+                if not node.matches_incarnations(view):
+                    dead += 1
+                    if node.entry is None and node.node_id not in pinned:
+                        doomed[node.node_id] = node
+            self._rescue(doomed)
             if stop is not None and stop():
                 return 0
-            removed = [n for n in self.nodes if n.node_id not in keep]
-            if len(removed) == len(dead):
+            if len(doomed) == dead:
                 self._swept_clock = view.ddl_clock
             else:
                 self._swept_clock = None
-            return self._remove_nodes(removed)
+            return self._remove_nodes(list(doomed.values()))
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
@@ -603,14 +649,18 @@ class RecyclerGraph:
     def check_invariants(self) -> None:
         """Structural sanity checks (used by tests and debug builds),
         child-closure included: a sweep never removes a child of a node
-        it keeps."""
-        present = {node.node_id for node in self.nodes}
-        for node in self.nodes:
+        it keeps, and ``nodes`` lists every child before its parents
+        (the order :meth:`_rescue` decides in)."""
+        position = {node.node_id: at for at, node in enumerate(self.nodes)}
+        for at, node in enumerate(self.nodes):
             for child in node.children:
-                if child.node_id not in present or \
+                if child.node_id not in position or \
                         child.node_id not in self._live:
                     raise RecyclerError(
                         f"{node!r} survived its removed child {child!r}")
+                if position[child.node_id] > at:
+                    raise RecyclerError(
+                        f"{node!r} is listed before its child {child!r}")
                 bucket = child.parent_index.get(node.hashkey, [])
                 if node not in bucket:
                     raise RecyclerError(

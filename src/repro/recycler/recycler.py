@@ -21,9 +21,12 @@ is currently producing genuinely waits — holding no locks — for the
 producer's store to complete and then reuses the materialized entry
 ("the recycler stalls all but one").  Execution never holds recycler
 locks; store callbacks admit results under the cache's one lock without
-touching any stripe.  Maintenance (:meth:`Recycler.truncate_idle`,
-driven by the :class:`~repro.recycler.maintenance.MaintenanceManager`)
-briefly takes *every* stripe so in-flight pins are a complete snapshot.
+touching any stripe.  Maintenance — every
+:class:`~repro.recycler.maintenance.MaintenanceManager` cycle runs
+:meth:`Recycler.collect_version_dead` and :meth:`Recycler.truncate_idle`
+— briefly takes *every* stripe so in-flight pins are a complete
+snapshot, and only when an O(1) gate says the sweep could remove
+something.  No recycler decision reads a wall clock.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .proactive import ProactiveRewriter
 from .rewriter import (STORE_MIN_REFS, ReuseInfo, StorePlanner,
                        appended_table, current_entry,
                        recompute_is_cheaper, substitute_reuse)
-from .striping import LockStripes, plan_fingerprint, stripe_key
+from .striping import LockStripes, stripe_key
 from .subsumption import SubsumptionIndex
 
 
@@ -106,7 +109,8 @@ class PreparedQuery:
     #: operators) and by store admission (version tags).
     snapshot: CatalogSnapshot | None = None
     #: stripe key of ``original_plan`` (``striping.stripe_key``; finalize
-    #: reuses it to take the same stripe prepare rewrote under).
+    #: reuses it to take the same stripe prepare rewrote under); ``None``
+    #: under ``off``, which takes no stripe.
     fingerprint: int | None = None
     stores: dict[int, object] = field(default_factory=dict)
     reuses: list[ReuseInfo] = field(default_factory=list)
@@ -193,9 +197,6 @@ class Recycler:
         #: stripes, read anywhere).
         self.ddl_stats = {"invalidations": 0, "entries_evicted": 0,
                           "inflight_aborted": 0}
-        #: monotonic timestamp of the last query activity — the
-        #: maintenance idle trigger reads it.
-        self.last_activity = time.monotonic()
         #: the one canonical prepare→execute→record pipeline.  Every
         #: frontend — ``Database``, sessions, the DB-API, the server —
         #: shares this instance; :meth:`execute` delegates to it, so a
@@ -240,7 +241,7 @@ class Recycler:
         ``warm_only`` is for a caller that must not block or run for
         long (a server's event loop): the prepare is that root hit or
         nothing.  Otherwise it returns ``None`` having taken no query id
-        and changed no recycler state (the activity stamp aside)."""
+        and changed no recycler state."""
         if cancel_token is not None:
             cancel_token.check()
         if snapshot is None:
@@ -261,7 +262,6 @@ class Recycler:
                                  executed_plan=plan, matches=None,
                                  producer_token=token, snapshot=snapshot)
 
-        self.last_activity = time.monotonic()
         fingerprint = stripe_key(statement, plan)
         stripe = self._stripes.for_key(fingerprint)
         if memo is not None:
@@ -587,18 +587,17 @@ class Recycler:
                  label: str = "") -> QueryRecord:
         """Annotate the recycler graph with measured statistics and log
         the query (paper: 'after the query has been executed, each
-        operator annotates its equivalent node in the recycler graph')."""
-        fingerprint = prepared.fingerprint if prepared.fingerprint \
-            is not None else plan_fingerprint(prepared.original_plan)
-        stripe = self._stripes.for_key(fingerprint)
-        self.last_activity = time.monotonic()
-        with stripe:
-            if prepared.matches is not None:
+        operator annotates its equivalent node in the recycler graph').
+
+        An ``off`` query (no matches) registered nothing and has no
+        graph node to annotate, so it takes no stripe."""
+        if prepared.matches is not None:
+            with self._stripes.for_key(prepared.fingerprint):
                 if stats.physical_root is not None:
                     self._annotate(stats.physical_root, prepared.matches)
                 elif stats.remote and stats.node_stats:
                     self._annotate_remote(prepared, stats)
-            self.inflight.release_all(prepared.producer_token)
+                self.inflight.release_all(prepared.producer_token)
         record = QueryRecord(
             query_id=prepared.query_id, label=label,
             total_cost=stats.total_cost,
@@ -820,12 +819,17 @@ class Recycler:
         recency — their matched nodes were just access-stamped — and
         via the store planner's liveness re-check.
 
+        A sweep that could remove nothing — no node's stamp has fallen
+        behind the cutoff since the last sweep — is skipped without the
+        stripes (:meth:`~repro.recycler.graph.RecyclerGraph.truncate_due`).
         ``stop`` passes through to
         :meth:`~repro.recycler.graph.RecyclerGraph.truncate` — the
         maintenance manager uses it for prompt shutdown.
         """
         if min_idle_events is None:
             min_idle_events = self.config.truncate_min_idle_events
+        if not self.graph.truncate_due(min_idle_events):
+            return 0
         with self._stripes.all():
             return self.graph.truncate(
                 min_idle_events, pinned=self.inflight.active_nodes(),
@@ -848,13 +852,6 @@ class Recycler:
         with self._stripes.all():
             return self.graph.collect_version_dead(
                 pinned=self.inflight.active_nodes(), stop=stop)
-
-    def refresh_cached_benefits(self,
-                                stop: Callable[[], bool] | None = None
-                                ) -> int:
-        """Recompute every cached entry's benefit (aging moved on);
-        ``stop`` lets a maintenance cycle abandon the pass on shutdown."""
-        return self.cache.refresh_all(stop=stop)
 
     def summary(self) -> dict[str, object]:
         """Aggregate counters for reports and tests."""

@@ -35,14 +35,13 @@ def build() -> Database:
         {"k": np.arange(rows, dtype=np.int64),
          "g": rng.integers(0, 6, rows),
          "v": rng.uniform(0, 1, rows)}))
-    # a cache a few results fill, so replacement runs; maintenance
-    # triggers on graph size only (no wall-clock trigger)
+    # a cache a few results fill, so replacement runs; a short idle
+    # horizon, so maintenance truncates mid-run
     return Database(RecyclerConfig(
         mode="spec", cache_capacity=48 * 1024,
         min_store_cost=0.0, speculation_min_cost=0.0,
         maintenance_interval_seconds=None,
-        maintenance_graph_node_limit=12, truncate_min_idle_events=6,
-        maintenance_idle_seconds=None), catalog=catalog)
+        truncate_min_idle_events=6), catalog=catalog)
 
 
 OPS = st.lists(

@@ -8,21 +8,28 @@ background maintenance thread now, so its contract is load-bearing —
 * structural invariants (parent/leaf indexes, liveness set) hold after
   any interleaving of match/insert, pinning, aging, and truncation,
 * recycler-level benefit/cache accounting stays consistent when
-  truncation interleaves with real executions.
+  truncation interleaves with real executions,
+* the O(1) gate in front of a maintenance sweep
+  (``RecyclerGraph.truncate_due``) only ever skips a sweep that would
+  have removed nothing: a gated ``Recycler.truncate_idle`` removes
+  exactly what an ungated ``RecyclerGraph.truncate`` removes, also
+  after the cache evicted an old materialized node.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.columnar import Catalog, FLOAT64, INT64, Table
 from repro.expr import Cmp, Col, Lit
 from repro.plan import q
 from repro.recycler import (InFlightRegistry, Recycler, RecyclerConfig,
                             RecyclerGraph, match_tree)
+from twin_replay import rule_survivors
 
 
 def build_catalog(n: int = 400, seed: int = 11) -> Catalog:
@@ -85,8 +92,10 @@ class TestGraphTruncateProperties:
                     graph.tick()
             elif op == "truncate":
                 pinned = registry.active_nodes()
+                expected = rule_survivors(graph, arg, pinned)
                 graph.truncate(min_idle_events=arg, pinned=pinned)
                 alive = {node.node_id for node in graph.nodes}
+                assert alive == expected
                 assert pinned <= alive, "truncation evicted a pinned node"
                 graph.check_invariants()
                 assert alive == {
@@ -141,6 +150,71 @@ class TestGraphTruncateProperties:
             assert got.table.to_rows() == expected.table.to_rows()
 
 
+GATE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("execute"), st.integers(0, 9)),
+        st.tuples(st.just("tick"), st.integers(1, 6)),
+        st.tuples(st.just("evict_oldest"), st.just(0)),
+        st.tuples(st.just("truncate"), st.integers(0, 6)),
+    ),
+    min_size=1, max_size=50,
+)
+
+
+def node_ids(recycler: Recycler) -> list[int]:
+    return [node.node_id for node in recycler.graph.nodes]
+
+
+class TestTruncateGate:
+    @settings(max_examples=40, deadline=None)
+    @given(ops=GATE_OPS)
+    # a sweep keeps an old cached result; the cache then evicts it, and
+    # only its old stamp — which the floor counted — opens the gate
+    @example(ops=[("execute", 0), ("execute", 1), ("tick", 6),
+                  ("truncate", 2), ("evict_oldest", 0), ("truncate", 2)])
+    def test_gated_sweep_removes_what_an_ungated_one_would(self, ops):
+        """Twin recyclers take the same ops; at every truncation one
+        goes through the gate and the other sweeps unconditionally.
+        Their graphs never differ, and both are what the rule keeps."""
+        catalog = build_catalog()
+        gated, ungated = (
+            Recycler(catalog, RecyclerConfig(mode="spec",
+                                             cache_capacity=64 * 1024))
+            for _ in range(2))
+        for op, arg in ops:
+            if op == "execute":
+                for recycler in (gated, ungated):
+                    recycler.execute(family_plan(arg))
+            elif op == "tick":
+                for recycler in (gated, ungated):
+                    for _ in range(arg):
+                        recycler.graph.tick()
+            elif op == "evict_oldest":
+                # the materialized node accessed longest ago: once it
+                # leaves the cache only its old stamp holds it
+                for recycler in (gated, ungated):
+                    entries = recycler.cache.entries()
+                    if entries:
+                        oldest = min(entries, key=lambda e: (
+                            e.node.last_access_event, e.node.node_id))
+                        recycler.cache.evict(oldest)
+            else:
+                skipped = not gated.graph.truncate_due(arg)
+                survivors = rule_survivors(ungated.graph, arg,
+                                           ungated.inflight.active_nodes())
+                removed = gated.truncate_idle(min_idle_events=arg)
+                expected = ungated.graph.truncate(
+                    arg, pinned=ungated.inflight.active_nodes())
+                assert removed == expected
+                if skipped:
+                    assert expected == 0, "the gate skipped a sweep " \
+                        "that removes nodes"
+                assert set(node_ids(ungated)) == survivors
+            assert node_ids(gated) == node_ids(ungated)
+        gated.graph.check_invariants()
+        gated.cache.check_invariants()
+
+
 class TestTruncateUnderConcurrentMatch:
     def test_threaded_inserts_vs_truncation(self):
         """Real threads: matching/inserting while a maintenance thread
@@ -172,15 +246,28 @@ class TestTruncateUnderConcurrentMatch:
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(4)]
         chaos = threading.Thread(target=truncator)
-        for t in threads:
-            t.start()
-        chaos.start()
-        for t in threads:
-            t.join(timeout=60)
-        stop.set()
-        chaos.join(timeout=10)
+        # switch threads often, so gated sweeps and their floor land
+        # between matching's clock reads and stamps
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            chaos.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            chaos.join(timeout=10)
+            sys.setswitchinterval(interval)
 
         assert not errors, errors
+        assert not any(t.is_alive() for t in threads + [chaos])
+        # one last sweep leaves what the rule keeps
+        pinned = recycler.inflight.active_nodes()
+        survivors = rule_survivors(recycler.graph, 1, pinned)
+        recycler.graph.truncate(1, pinned=pinned)
+        assert {node.node_id for node in recycler.graph.nodes} == survivors
         recycler.graph.check_invariants()
         recycler.cache.check_invariants()
         assert len(recycler.inflight) == 0

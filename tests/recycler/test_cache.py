@@ -250,9 +250,9 @@ class TestConcurrentAdmission:
     def test_threads_admit_under_pressure(self, env):
         """Eight threads released together admit distinct nodes of mixed
         sizes into a cache that holds about a quarter of them, with
-        reuses, evictions, republications and full refreshes between:
-        the byte ledger and the size groups are consistent whenever a
-        thread can take the cache's lock, and at the end."""
+        reuses, evictions, republications and refreshes of every entry
+        between: the byte ledger and the size groups are consistent
+        whenever a thread can take the cache's lock, and at the end."""
         graph, model, make_node = env
         threads, per_thread = 8, 24
         sizes = (700, 1000, 1600, 2500, 4000, 6000)
@@ -282,7 +282,8 @@ class TestConcurrentAdmission:
                         elif rng.random() < 0.2:
                             cache.evict(entry)
                     if step % 8 == 7:
-                        cache.refresh_all()
+                        for cached in cache.entries():
+                            cache.refresh(cached.node)
                     cache.check_invariants()
             except Exception as exc:  # surfaced below
                 errors.append(exc)

@@ -1,4 +1,4 @@
-"""Pins the ``RecyclerConfig`` surface: 14 fields, each with a caller
+"""Pins the ``RecyclerConfig`` surface: 12 fields, each with a caller
 that needs it to differ (``docs/API.md`` says which).  A removed option
 must not drift back — its value is a module constant beside its reader.
 """
@@ -16,7 +16,6 @@ FIELDS = {
     "speculation_min_cost", "proactive_group_threshold",
     "proactive_benefit_steered", "min_store_cost", "benefit_threshold",
     "inflight_wait_timeout", "maintenance_interval_seconds",
-    "maintenance_graph_node_limit", "maintenance_idle_seconds",
     "truncate_min_idle_events",
 }
 
@@ -31,7 +30,7 @@ REMOVED = (
 )
 
 
-def test_exactly_the_fourteen_fields():
+def test_exactly_the_twelve_fields():
     assert {f.name for f in fields(RecyclerConfig)} == FIELDS
 
 

@@ -39,13 +39,11 @@ PRESSURE_CACHE_BYTES = 256 * 1024
 
 
 def config(cache_bytes: int) -> RecyclerConfig:
-    """No background thread and no wall-clock trigger: ``maintain()``
-    fires on graph size alone, so both twins do identical work."""
+    """No background thread, so both twins do identical work; a short
+    idle horizon, so every ``maintain()`` between repeats truncates."""
     return RecyclerConfig(
         mode="spec", cache_capacity=cache_bytes,
-        maintenance_interval_seconds=None,
-        maintenance_graph_node_limit=40, truncate_min_idle_events=12,
-        maintenance_idle_seconds=None)
+        maintenance_interval_seconds=None, truncate_min_idle_events=12)
 
 
 def sky_statements(seed: int, count: int) -> list[str]:

@@ -99,3 +99,23 @@ def test_a_window_pruned_variant_fingerprints_its_own_plan(db):
         plan_fingerprint(statement.template.plan)
     for fingerprint, plan in seen:
         assert fingerprint == plan_fingerprint(plan)
+
+
+@pytest.mark.parametrize("mode", ["off", "spec"])
+def test_only_a_recycling_pass_takes_stripes(mode, monkeypatch):
+    """An ``off`` query matches nothing and registers nothing: neither
+    prepare nor finalize takes a stripe, so a whole ``off`` pass hashes
+    no plan for one."""
+    from repro.recycler import recycler, striping
+    from twin_replay import replay_fresh, tpch_stream
+
+    calls = []
+
+    def counted(plan):
+        calls.append(plan)
+        return plan_fingerprint(plan)
+    monkeypatch.setattr(striping, "plan_fingerprint", counted)
+    monkeypatch.setattr(recycler, "plan_fingerprint", counted,
+                        raising=False)
+    replay_fresh(*tpch_stream(mode))
+    assert (len(calls) > 0) == (mode != "off")

@@ -37,8 +37,7 @@ QUERIES = [f"SELECT g, sum(v) AS s FROM t WHERE v > {i / 10:.1f} GROUP BY g"
 
 class TestVersionDeadSweep:
     def test_drop_reregister_leaves_zero_dead_after_one_cycle(self):
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         for sql in QUERIES:
             db.sql(sql)
         graph = db.recycler.graph
@@ -61,8 +60,7 @@ class TestVersionDeadSweep:
         db.close()
 
     def test_append_keeps_history_alive(self):
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         for sql in QUERIES:
             db.sql(sql)
         graph = db.recycler.graph
@@ -83,8 +81,7 @@ class TestVersionDeadSweep:
         """After drop/re-register a repeat query must insert a fresh
         subtree (never match old-incarnation nodes), while the stale
         twins sit dead until GC."""
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         result = db.sql(QUERIES[0])
         inserted_first = result.record.graph_nodes
         db.drop_table("t")
@@ -103,8 +100,7 @@ class TestVersionDeadSweep:
     def test_function_reregister_kills_function_history(self):
         from repro.columnar import Schema
         b_schema = Schema(["x"], [INT64])
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         db.register_function("f", lambda: Table(
             b_schema, {"x": np.arange(8)}), b_schema)
         db.sql("SELECT sum(x) AS s FROM f()")
@@ -131,8 +127,7 @@ class TestPinningAndIsolation:
         stale nodes (PR 4), so deadness is created here at the catalog
         level — the incarnation bump without the sweep — leaving the
         producer registered when GC runs."""
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         recycler = db.recycler
         prepared = recycler.prepare(db.plan(QUERIES[0]),
                                     producer_token="pinned")
@@ -155,8 +150,7 @@ class TestPinningAndIsolation:
         """Snapshot isolation extends to matching: a query pinned before
         the DDL unifies with the old-incarnation subtree (and owes the
         old answer), even while new-snapshot queries get fresh nodes."""
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         db.sql(QUERIES[0])
         nodes_after_first = len(db.recycler.graph.nodes)
         old_snapshot = db.catalog.snapshot()
@@ -170,8 +164,7 @@ class TestPinningAndIsolation:
         db.close()
 
     def test_results_correct_across_generations(self):
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         first = db.sql(QUERIES[1]).table.to_rows()
         assert db.sql(QUERIES[1]).table.to_rows() == first
         db.drop_table("t")
@@ -192,8 +185,7 @@ class TestGcGate:
     below must still be swept once that gate is closed."""
 
     def test_ddl_free_cycle_checks_no_incarnation(self, monkeypatch):
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         for sql in QUERIES:
             db.sql(sql)
         populated = len(db.recycler.graph.nodes)
@@ -215,8 +207,7 @@ class TestGcGate:
     def test_materialized_dead_node_is_swept_after_its_eviction(self):
         """A dead node the cache still holds survives its sweep; the
         DDL eviction frees it later without moving the DDL clock."""
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         recycler = db.recycler
         for sql in QUERIES[:1] * 2:
             db.sql(sql)
@@ -239,9 +230,7 @@ class TestGcGate:
         """A query pinned before a drop inserts old-incarnation nodes
         after the sweep that followed the drop: the insert reopens the
         gate."""
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None,
-                     speculation_min_cost=1e18)
+        db = make_db(speculation_min_cost=1e18)
         old_snapshot = db.catalog.snapshot()
         old_plan = db.plan(QUERIES[2], snapshot=old_snapshot)
         db.drop_table("t")
@@ -261,8 +250,7 @@ class TestGcGate:
         """An append moves the DDL clock without orphaning history: the
         next cycle sweeps, finds every node live, and closes the gate
         again."""
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         for sql in QUERIES:
             db.sql(sql)
         graph = db.recycler.graph
@@ -289,8 +277,7 @@ class TestGcGate:
         """A sweep that must keep an in-flight dead node does not close
         the gate, so the cycle after the producer lets go collects it
         with no further DDL."""
-        db = make_db(maintenance_idle_seconds=None,
-                     maintenance_graph_node_limit=None)
+        db = make_db()
         recycler = db.recycler
         graph = recycler.graph
         prepared = recycler.prepare(db.plan(QUERIES[0]),

@@ -165,9 +165,7 @@ class TestDdlChaosReplay:
     def test_replay_with_background_maintenance(self, ddl_setup):
         """DDL chaos *and* aggressive truncation racing the traffic."""
         streams, reference = ddl_setup
-        db = build_db(maintenance_idle_seconds=0.0,
-                      maintenance_graph_node_limit=32,
-                      truncate_min_idle_events=8)
+        db = build_db(truncate_min_idle_events=8)
         stop = threading.Event()
         errors: list[BaseException] = []
 

@@ -94,10 +94,7 @@ class TestSkyServer64Sessions:
         """Maintenance racing 64 sessions (aggressive truncation every
         cycle) must not change a single byte."""
         catalog_rows, streams, reference = sky_setup
-        db = fresh_sky_db(catalog_rows,
-                          maintenance_idle_seconds=0.0,
-                          maintenance_graph_node_limit=32,
-                          truncate_min_idle_events=8)
+        db = fresh_sky_db(catalog_rows, truncate_min_idle_events=8)
         stop = threading.Event()
         errors: list[BaseException] = []
 

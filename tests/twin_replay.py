@@ -25,7 +25,9 @@ the same texts through ``Database.sql``
 :func:`dashboard_stream` are the two op streams the route-equivalence
 tests replay (``tests/engine/test_*_kernel_routes.py``,
 ``tests/recycler/test_prepare_routes.py``), :func:`replay_fresh` one
-replay of them on a database of its own.
+replay of them on a database of its own.  :func:`rule_survivors` is the
+truncation rule stated directly, which the maintenance tests hold the
+graph's sweep to.
 """
 
 from __future__ import annotations
@@ -45,13 +47,11 @@ RECORD_FIELDS = ("num_reused", "num_matched", "num_inserted",
 
 
 def quiet_config(cache_bytes: int, mode: str = "spec") -> RecyclerConfig:
-    """``mode`` (``spec`` by default) with no maintenance thread and no
-    wall-clock trigger, so two replays of one stream do identical
-    work."""
+    """``mode`` (``spec`` by default) with no maintenance thread, so two
+    replays of one stream do identical work."""
     return RecyclerConfig(
         mode=mode, cache_capacity=cache_bytes,
-        maintenance_interval_seconds=None,
-        maintenance_idle_seconds=None)
+        maintenance_interval_seconds=None)
 
 
 def table_bytes(table) -> list:
@@ -63,6 +63,24 @@ def table_bytes(table) -> list:
             else np.ascontiguousarray(column).tobytes()
         out.append((name, dtype.name, payload))
     return out
+
+
+def rule_survivors(graph, min_idle_events: int,
+                   pinned=frozenset()) -> set[int]:
+    """Ids of the nodes the truncation rule keeps, computed from the
+    rule's statement rather than the graph's sweep: the child-closure of
+    the materialized, pinned and recently accessed nodes."""
+    cutoff = graph.event - min_idle_events
+    stack = [node for node in graph.nodes
+             if node.is_materialized or node.node_id in pinned or
+             node.last_access_event >= cutoff]
+    keep: set[int] = set()
+    while stack:
+        node = stack.pop()
+        if node.node_id not in keep:
+            keep.add(node.node_id)
+            stack.extend(node.children)
+    return keep
 
 
 def recycler_state(db: Database) -> dict:
