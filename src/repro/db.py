@@ -11,7 +11,7 @@ Ties the catalog, SQL front end, pipelined engine and recycler together::
     print(db.summary())
 
 Concurrency: ``db.sql`` may be called from any number of OS threads —
-the recycler coordinates them internally.  For per-connection query logs
+the recycler coordinates them internally.  For per-connection counters
 and in-flight result sharing (a query blocking on, then reusing, a
 result a concurrent query is materializing) open explicit sessions::
 

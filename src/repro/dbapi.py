@@ -52,6 +52,7 @@ from .db import Database
 from .errors import (CatalogError, ExpressionError, PlanError, QueryAborted,
                      RecyclerError, ReproError, SchemaError, SqlError,
                      TypeError_)
+from .recycler.recycler import CLIENT_COUNTERS, QueryTotals
 
 apilevel = "2.0"
 #: threads may share the module and connections (a session runs
@@ -342,14 +343,7 @@ class Cursor:
         #: stays at the ``fetchmany`` size however large the result —
         #: only ``fetchall`` materializes everything.
         self.max_buffered_rows = 0
-        #: per-cursor statistics, aggregated over every ``execute`` on
-        #: this cursor from the recycler's
-        #: :class:`~repro.recycler.recycler.QueryRecord` entries.
-        self.statistics: dict[str, float] = {
-            "queries": 0, "num_reused": 0, "num_materialized": 0,
-            "num_matched": 0, "num_inserted": 0, "total_cost": 0.0,
-            "stall_seconds": 0.0,
-        }
+        self._totals = QueryTotals()
 
     # -- internal ------------------------------------------------------
     def _check_open(self) -> None:
@@ -374,11 +368,12 @@ class Cursor:
             (name, dtype, None, None, None, None, None)
             for name, dtype in zip(table.schema.names,
                                    table.schema.types)]
-        stats = self.statistics
-        stats["queries"] += 1
-        for key in ("num_reused", "num_materialized", "num_matched",
-                    "num_inserted", "total_cost", "stall_seconds"):
-            stats[key] += getattr(result.record, key)
+        self._totals.add(result.record)
+
+    @property
+    def statistics(self) -> dict[str, float]:
+        """Running totals over every ``execute`` on this cursor."""
+        return self._totals.as_dict("queries", *CLIENT_COUNTERS)
 
     # -- PEP 249: execution --------------------------------------------
     def execute(self, operation: str, parameters: Sequence | None = None,

@@ -64,8 +64,8 @@ class QueryResult:
     row-tuple view).  ``stats`` carries deterministic cost units, wall
     time, and per-plan-node measurements; ``result.record`` — attached
     by the recycler after finalize — is the
-    :class:`~repro.recycler.recycler.QueryRecord` log entry with reuse
-    and stall counters.
+    :class:`~repro.recycler.recycler.QueryRecord` with the query's reuse
+    and stall counters (the one place it is kept).
     """
 
     table: Table

@@ -24,6 +24,7 @@ from typing import Sequence
 from ..db import Database
 from ..engine.executor import QueryResult
 from ..plan.logical import PlanNode
+from ..recycler.recycler import QueryRecord
 
 
 @dataclass
@@ -35,10 +36,8 @@ class ThreadedQueryTrace:
     label: str
     t_start: float        # seconds since run start, slot acquired
     t_finish: float
-    stall_seconds: float  # blocked on an in-flight shared result
-    cost: float
-    num_reused: int
-    num_materialized: int
+    #: the query's figures (``stall_seconds``: blocked in flight)
+    record: QueryRecord
     rows: int
     #: retained only when the runner keeps results (tests, verification).
     result: QueryResult | None = None
@@ -68,13 +67,13 @@ class ConcurrentRunResult:
         return self.queries / self.wall_seconds
 
     def total_cost(self) -> float:
-        return sum(t.cost for t in self.traces)
+        return sum(t.record.total_cost for t in self.traces)
 
     def total_stall_seconds(self) -> float:
-        return sum(t.stall_seconds for t in self.traces)
+        return sum(t.record.stall_seconds for t in self.traces)
 
     def num_reused(self) -> int:
-        return sum(t.num_reused for t in self.traces)
+        return sum(t.record.num_reused for t in self.traces)
 
     def rows_by_query(self) -> dict[tuple[int, int], int]:
         return {(t.stream, t.index): t.rows for t in self.traces}
@@ -140,14 +139,10 @@ class ConcurrentStreamRunner:
                         t_start = time.perf_counter() - t0
                         query_result = session.execute(plan, label=label)
                         t_finish = time.perf_counter() - t0
-                    record = session.records[-1]
                     trace = ThreadedQueryTrace(
                         stream=stream_id, index=index, label=label,
                         t_start=t_start, t_finish=t_finish,
-                        stall_seconds=record.stall_seconds,
-                        cost=record.total_cost,
-                        num_reused=record.num_reused,
-                        num_materialized=record.num_materialized,
+                        record=query_result.record,
                         rows=query_result.table.num_rows,
                         result=query_result if self.keep_results
                         else None)

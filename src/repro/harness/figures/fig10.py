@@ -107,7 +107,8 @@ def run_fig10(num_streams: int = 256, scale_factor: float = 0.01,
     setup = setup or make_setup(scale_factor=scale_factor)
     run = run_throughput(setup, num_streams, mode)
     result = Fig10Result()
-    for number, record in enumerate(run.recycler.records, start=1):
+    for number, trace in enumerate(run.sim.traces, start=1):
+        record = trace.record
         result.samples.append(MatchingSample(
             query_number=number, label=record.label,
             matching_ms=record.matching_seconds * 1000.0,

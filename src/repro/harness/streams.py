@@ -29,7 +29,7 @@ from ..columnar.batch import VECTOR_SIZE
 from ..columnar.catalog import Catalog
 from ..engine.executor import execute_plan
 from ..plan.logical import PlanNode
-from ..recycler.recycler import Recycler
+from ..recycler.recycler import QueryRecord, Recycler
 from ..sql import sql_to_plan
 
 #: deterministic cost units per virtual millisecond.
@@ -49,11 +49,12 @@ class QueryTrace:
     stall: float        # waited for an in-flight shared result
     duration: float     # pure execution time (cost / speed)
     cost: float
-    matching_seconds: float
     num_reused: int
     num_materialized: int
     reused_nodes: tuple[int, ...] = ()
     materialized_nodes: tuple[int, ...] = ()
+    #: what ``Recycler.finalize`` returned for the query
+    record: QueryRecord | None = None
 
     @property
     def wait(self) -> float:
@@ -192,7 +193,8 @@ class StreamSimulator:
             vector_size=VECTOR_SIZE,
             cost_model=self.recycler.cost_model,
             query_id=prepared.query_id)
-        self.recycler.finalize(prepared, exec_result.stats, label=label)
+        record = self.recycler.finalize(prepared, exec_result.stats,
+                                        label=label)
 
         stall_until = now
         reused_nodes = []
@@ -216,8 +218,7 @@ class StreamSimulator:
             t_enqueue=t_enqueue, t_start=now, t_finish=finish,
             stall=stall_until - now, duration=duration,
             cost=exec_result.stats.total_cost,
-            matching_seconds=prepared.matching_seconds,
             num_reused=len(prepared.reuses),
             num_materialized=len(materialized),
             reused_nodes=tuple(reused_nodes),
-            materialized_nodes=tuple(materialized))
+            materialized_nodes=tuple(materialized), record=record)

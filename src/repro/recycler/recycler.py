@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from ..columnar.catalog import Catalog, CatalogSnapshot
@@ -127,7 +127,7 @@ class PreparedQuery:
 
 @dataclass
 class QueryRecord:
-    """Per-query log entry kept by the recycler (figures, tests)."""
+    """One query's figures, kept on its result only (``result.record``)."""
 
     query_id: int
     label: str
@@ -145,6 +145,43 @@ class QueryRecord:
     #: (``summary()["optimizer"]["match_rate"]``) aggregates these.
     num_matched: int = 0
     num_inserted: int = 0
+
+
+#: the per-query counters a client sees: a served statement's ``stats``
+#: (beside its ``query_id``) and, summed, a DB-API cursor's ``statistics``
+CLIENT_COUNTERS = ("num_reused", "num_materialized", "num_matched",
+                   "num_inserted", "total_cost", "stall_seconds")
+
+
+@dataclass(slots=True)
+class QueryTotals:
+    """Running sums over queries, added from ``0`` in order as ``sum``
+    over a log would; a thread-shared owner adds and reads under a lock."""
+
+    queries: int = 0
+    total_cost: float = 0
+    matching_seconds: float = 0
+    stall_seconds: float = 0
+    num_reused: int = 0
+    num_materialized: int = 0
+    num_matched: int = 0
+    num_inserted: int = 0
+    full_plan_hits: int = 0
+
+    def add(self, record: QueryRecord) -> None:
+        self.queries += 1
+        self.total_cost += record.total_cost
+        self.matching_seconds += record.matching_seconds
+        self.stall_seconds += record.stall_seconds
+        self.num_reused += record.num_reused
+        self.num_materialized += record.num_materialized
+        self.num_matched += record.num_matched
+        self.num_inserted += record.num_inserted
+        if record.num_matched > 0 and record.num_inserted == 0:
+            self.full_plan_hits += 1
+
+    def as_dict(self, *names: str) -> dict[str, float]:
+        return {name: getattr(self, name) for name in names}
 
 
 class Recycler:
@@ -165,9 +202,10 @@ class Recycler:
             if self.config.subsumption else None
         self.inflight = InFlightRegistry()
         #: the canonicalizing pre-match pass; stateless — per-query
-        #: rewrite counts aggregate into ``_optimizer_counts`` under
-        #: ``_optimizer_lock``.
+        #: rewrite counts aggregate into ``_optimizer_counts``.
         self.optimizer = PlanOptimizer()
+        #: guards every counter below; the summaries copy them in O(1)
+        self._counters_lock = threading.Lock()
         self._optimizer_counts: Counter = Counter()
         #: prepares answered by :meth:`_prepare_root_hit`
         self._root_hits = 0
@@ -176,22 +214,20 @@ class Recycler:
         self._memo_nodes = 0
         self._memo_stale = 0
         #: window conjuncts dropped because the snapshot proved them
-        #: (under ``_id_lock``: counted by :meth:`_new_query`)
+        #: (counted by :meth:`_new_query`)
         self._conjuncts_proved = 0
-        self._optimizer_lock = threading.Lock()
+        self._query_counter = 0
+        #: every finalized query, summed by :meth:`finalize`
+        self._totals = QueryTotals()
         self.store_planner = StorePlanner(self.graph, self.model,
                                           self.cache, self.inflight,
                                           self.config,
                                           cost_model=cost_model)
-        self.records: list[QueryRecord] = []
-        self._query_counter = 0
         #: striped locks for the rewrite/finalize critical sections:
         #: stripe = hash(plan fingerprint) % n, so disjoint plan shapes
         #: never contend.  Matching, execution, and store callbacks run
         #: outside every stripe.
         self._stripes = LockStripes()
-        self._id_lock = threading.Lock()
-        self._records_lock = threading.Lock()
         #: DDL observability: invalidation sweeps, entries they evicted,
         #: and in-flight producers they aborted (mutated under all
         #: stripes, read anywhere).
@@ -289,7 +325,7 @@ class Recycler:
                                        self.config, snapshot,
                                        self.cost_model)
             if outcome.cost_skips:
-                with self._optimizer_lock:
+                with self._counters_lock:
                     self._optimizer_counts["reuse_cost_skips"] += \
                         outcome.cost_skips
             stores = self.store_planner.plan_stores(
@@ -339,7 +375,7 @@ class Recycler:
                                  subsumption_hook=hook, memo=subtrees)
             seconds += time.perf_counter() - started
             if matches.memo_nodes or matches.memo_stale:
-                with self._optimizer_lock:
+                with self._counters_lock:
                     self._memo_nodes += matches.memo_nodes
                     self._memo_stale += matches.memo_stale
             with stripe:
@@ -408,7 +444,7 @@ class Recycler:
         also for a plan substituted from a statement template's, which
         counts the rewrites that template's plan took."""
         if rewrites:
-            with self._optimizer_lock:
+            with self._counters_lock:
                 self._optimizer_counts.update(rewrites)
 
     def _new_query(self, producer_token: object | None, proved: int
@@ -417,7 +453,7 @@ class Recycler:
         registrations go under: the caller's, else that id.  ``proved``
         is the query's proved windows, counted here — once the prepare
         is committed to the query."""
-        with self._id_lock:
+        with self._counters_lock:
             self._query_counter += 1
             query_id = self._query_counter
             if proved:
@@ -467,7 +503,7 @@ class Recycler:
             node.last_access_event = event
         self.graph.add_refs(root, 1.0)
         self.cache.note_reuse(entry)
-        with self._optimizer_lock:
+        with self._counters_lock:
             self._root_hits += 1
         return PreparedQuery(
             query_id=query_id, original_plan=variant.plan,
@@ -585,7 +621,7 @@ class Recycler:
 
     def finalize(self, prepared: PreparedQuery, stats: ExecutionStats,
                  label: str = "") -> QueryRecord:
-        """Annotate the recycler graph with measured statistics and log
+        """Annotate the recycler graph with measured statistics and count
         the query (paper: 'after the query has been executed, each
         operator annotates its equivalent node in the recycler graph').
 
@@ -613,8 +649,8 @@ class Recycler:
             if prepared.matches is not None else 0,
             num_inserted=prepared.matches.inserted_count
             if prepared.matches is not None else 0)
-        with self._records_lock:
-            self.records.append(record)
+        with self._counters_lock:
+            self._totals.add(record)
         return record
 
     def abandon(self, prepared: PreparedQuery) -> None:
@@ -855,19 +891,17 @@ class Recycler:
 
     def summary(self) -> dict[str, object]:
         """Aggregate counters for reports and tests."""
-        with self._records_lock:
-            records = list(self.records)
+        with self._counters_lock:
+            totals = replace(self._totals)
         return {
-            "queries": len(records),
+            "queries": totals.queries,
             "graph": self.graph.stats(),
             "cache_entries": len(self.cache),
             "cache_used_bytes": self.cache.used,
             "cache": self.cache.counters,
-            "total_cost": sum(r.total_cost for r in records),
-            "total_matching_seconds": sum(r.matching_seconds
-                                          for r in records),
-            "total_stall_seconds": sum(r.stall_seconds
-                                       for r in records),
+            "total_cost": totals.total_cost,
+            "total_matching_seconds": totals.matching_seconds,
+            "total_stall_seconds": totals.stall_seconds,
         }
 
     def optimizer_summary(self) -> dict[str, object]:
@@ -892,19 +926,14 @@ class Recycler:
         counts, over all prepares, the range conjuncts dropped because
         the query's snapshot proved them true of every row (moving
         windows: ``exec_service.Window``)."""
-        with self._optimizer_lock:
+        with self._counters_lock:
             counts = dict(self._optimizer_counts)
+            totals = replace(self._totals)
             root_hits = self._root_hits
             memo_nodes, memo_stale = self._memo_nodes, self._memo_stale
-        with self._id_lock:
             conjuncts_proved = self._conjuncts_proved
         cost_skips = counts.pop("reuse_cost_skips", 0)
-        with self._records_lock:
-            matched = sum(r.num_matched for r in self.records)
-            inserted = sum(r.num_inserted for r in self.records)
-            full_hits = sum(1 for r in self.records
-                            if r.num_matched > 0 and r.num_inserted == 0)
-            queries = len(self.records)
+        matched, inserted = totals.num_matched, totals.num_inserted
         total = matched + inserted
         return {
             "rewrites": dict(sorted(counts.items())),
@@ -912,7 +941,8 @@ class Recycler:
             "nodes_matched": matched,
             "nodes_inserted": inserted,
             "match_rate": matched / total if total else 0.0,
-            "plan_hit_rate": full_hits / queries if queries else 0.0,
+            "plan_hit_rate": totals.full_plan_hits / totals.queries
+            if totals.queries else 0.0,
             "root_hits": root_hits,
             "memo_nodes": memo_nodes,
             "memo_stale": memo_stale,

@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING
 from ..columnar.types import STRING
 from ..errors import (QueryCancelled, QueryTimeout, ReproError,
                       ServerOverloaded, ServerUnavailable)
+from ..recycler.recycler import CLIENT_COUNTERS
 from ..session import cancel_sessions
 from .protocol import (DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_ROWS,
                        ProtocolError, encode_json, encode_result_chunk,
@@ -109,15 +110,8 @@ def query_stats_payload(record) -> dict | None:
     ``stats`` of a ``result_header``)."""
     if record is None:
         return None
-    return {
-        "query_id": record.query_id,
-        "num_reused": record.num_reused,
-        "num_materialized": record.num_materialized,
-        "num_matched": record.num_matched,
-        "num_inserted": record.num_inserted,
-        "total_cost": record.total_cost,
-        "stall_seconds": record.stall_seconds,
-    }
+    return {"query_id": record.query_id,
+            **{name: getattr(record, name) for name in CLIENT_COUNTERS}}
 
 
 class ServingBase:

@@ -7,7 +7,7 @@ real-threads counterpart of that setup:
 * :class:`Session` — one logical connection.  Each query it issues
   carries a session-unique producer token, *blocks* when its rewrite
   matches a result some concurrent session is currently producing
-  (in-flight sharing), and is logged in a per-session record list.
+  (in-flight sharing), and is counted in the session's running totals.
 * :class:`SessionPool` — a fixed-size pool of worker threads, one
   session per worker, with ``submit``/``run`` for issuing SQL from the
   application thread.
@@ -55,10 +55,14 @@ from .engine.cancellation import CancellationToken
 from .engine.executor import QueryResult
 from .errors import ReproError
 from .plan.logical import PlanNode
-from .recycler.recycler import QueryRecord
+from .recycler.recycler import QueryTotals
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .db import Database
+
+#: the :class:`QueryTotals` fields a session's and a pool's summary report
+_SUMMED = ("queries", "total_cost", "num_reused", "num_materialized",
+           "stall_seconds")
 
 
 class SessionError(ReproError):
@@ -96,7 +100,8 @@ class SessionQuery:
             cancel_token=self.cancel_token, snapshot=snapshot,
             remote=session._executor, warm_only=warm_only)
         if result is not None:
-            session.records.append(result.record)
+            with session._lock:
+                session._totals.add(result.record)
         return result
 
     def cancel(self) -> None:
@@ -151,17 +156,15 @@ class Session:
         #: absolute :func:`time.monotonic` deadline every query on this
         #: session inherits (a TCP connection's ``configure`` sets it).
         self.deadline: float | None = None
-        #: per-session query log in completion order (the recycler keeps
-        #: the merged log).
-        self.records: list[QueryRecord] = []
         self._closed = False
-        #: guards the query sequence, :attr:`_active` and the
-        #: :meth:`cancel_all` order, so a query is either registered
-        #: before a cancel sweep or born cancelled after it.
+        #: guards the query sequence, :attr:`_active`, :attr:`_totals`
+        #: and the :meth:`cancel_all` order, so a query is either
+        #: registered before a cancel sweep or born cancelled after it.
         self._lock = threading.Lock()
         self._seq = 0
         self._active: set[SessionQuery] = set()
         self._cancel_all = False
+        self._totals = QueryTotals()
 
     # ------------------------------------------------------------------
     def sql(self, text: str, label: str = "",
@@ -204,7 +207,7 @@ class Session:
         Raises :class:`~repro.errors.QueryCancelled` when
         :meth:`cancel` interrupts the query and
         :class:`~repro.errors.QueryTimeout` past the deadline; aborted
-        queries do not append to :attr:`records`.
+        queries are not counted in :meth:`summary`.
         """
         return self.run(plan, label=label, timeout=timeout,
                         deadline=deadline, snapshot=snapshot)
@@ -264,18 +267,10 @@ class Session:
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, object]:
-        """Counters for the queries this session issued."""
-        return {
-            "session_id": self.session_id,
-            "queries": len(self.records),
-            "total_cost": sum(r.total_cost for r in self.records),
-            "num_reused": sum(r.num_reused for r in self.records),
-            "num_materialized": sum(r.num_materialized
-                                    for r in self.records),
-            "stall_seconds": sum(r.stall_seconds for r in self.records),
-            "matching_seconds": sum(r.matching_seconds
-                                    for r in self.records),
-        }
+        """Running totals of the queries this session finished."""
+        with self._lock:
+            return {"session_id": self.session_id,
+                    **self._totals.as_dict(*_SUMMED, "matching_seconds")}
 
     @property
     def closed(self) -> bool:
@@ -291,7 +286,7 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else f"{len(self.records)} queries"
+        state = "closed" if self._closed else f"{self._totals.queries} queries"
         return f"Session#{self.session_id}({state})"
 
 
@@ -300,7 +295,7 @@ class SessionPool:
 
     Work is submitted from the application thread; every worker thread
     lazily opens its own :class:`Session` (so each session's
-    :attr:`~Session.records` is one worker's log), and up to
+    :meth:`~Session.summary` counts one worker's queries), and up to
     ``workers`` queries run truly concurrently against the shared
     recycler.
     """
@@ -378,23 +373,11 @@ class SessionPool:
             return list(self._sessions)
 
     def summary(self) -> dict[str, object]:
-        """Merged per-session counters plus the shared recycler view."""
-        sessions = self.sessions()
-        merged = {
-            "sessions": len(sessions),
-            "queries": sum(len(s.records) for s in sessions),
-            "total_cost": sum(r.total_cost
-                              for s in sessions for r in s.records),
-            "num_reused": sum(r.num_reused
-                              for s in sessions for r in s.records),
-            "num_materialized": sum(r.num_materialized
-                                    for s in sessions for r in s.records),
-            "stall_seconds": sum(r.stall_seconds
-                                 for s in sessions for r in s.records),
-            "per_session": [s.summary() for s in sessions],
-        }
-        merged["recycler"] = self._db.summary()
-        return merged
+        """Each session's summary, their sums and the recycler's view."""
+        sessions = [session.summary() for session in self.sessions()]
+        return {"sessions": len(sessions),
+                **{key: sum(s[key] for s in sessions) for key in _SUMMED},
+                "per_session": sessions, "recycler": self._db.summary()}
 
     def close(self, wait: bool = True, cancel_pending: bool = False) -> None:
         """Shut the pool down.

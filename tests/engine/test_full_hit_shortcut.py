@@ -200,12 +200,12 @@ def test_abort_in_the_shortcut_abandons_like_the_compiled_path(
 
     monkeypatch.setattr(db.recycler, "prepare", prepare_then_cancel)
     monkeypatch.setattr(db.recycler, "abandon", recording_abandon)
-    queries = len(db.recycler.records)
+    queries = db.summary()["queries"]
     with pytest.raises(QueryCancelled):
         db.service.execute(SQL, cancel_token=token)
     assert len(abandoned) == 1
     assert isinstance(abandoned[0].executed_plan, CachedScan)
-    assert len(db.recycler.records) == queries  # never finalized
+    assert db.summary()["queries"] == queries  # never finalized
     assert len(db.recycler.inflight) == 0
     monkeypatch.undo()
     assert db.sql(SQL).record.num_reused == 1

@@ -59,13 +59,13 @@ class TestBlockingInFlight:
         def produce():
             with db.connect() as session:
                 outcome["producer"] = session.sql(sql)
-                outcome["producer_record"] = session.records[-1]
+                outcome["producer_record"] = outcome["producer"].record
 
         def wait_and_reuse():
             entered.wait(timeout=10)
             with db.connect() as session:
                 outcome["waiter"] = session.sql(sql)
-                outcome["waiter_record"] = session.records[-1]
+                outcome["waiter_record"] = outcome["waiter"].record
 
         producer = threading.Thread(target=produce)
         waiter = threading.Thread(target=wait_and_reuse)

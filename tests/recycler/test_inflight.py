@@ -135,12 +135,12 @@ class TestPrepareStalls:
 
     def test_query_record_written(self, catalog):
         recycler = Recycler(catalog, RecyclerConfig(mode="spec"))
-        recycler.execute(plan(), label="alpha")
-        recycler.execute(plan(), label="beta")
-        labels = [r.label for r in recycler.records]
-        assert labels == ["alpha", "beta"]
-        assert recycler.records[1].num_reused == 1
-        assert recycler.records[0].matching_seconds > 0
+        records = [recycler.execute(plan(), label=label).record
+                   for label in ("alpha", "beta")]
+        assert [r.label for r in records] == ["alpha", "beta"]
+        assert records[1].num_reused == 1
+        assert records[0].matching_seconds > 0
+        assert recycler.summary()["queries"] == 2
 
 
 class TestAbandonedConsumer:

@@ -374,11 +374,11 @@ class TestStalledConsumerCancel:
                 stall.gate.set()
                 producer.join(10)
                 assert not producer.is_alive()
-                assert stall.outcome == [db.sql(STALL_QUERY).table
-                                         .to_rows()]
+                repeat = db.sql(STALL_QUERY)
+                assert stall.outcome == [repeat.table.to_rows()]
                 assert len(db.recycler.inflight) == 0
             # A published its result: the repeat above reused it
-            assert db.recycler.records[-1].num_reused >= 1
+            assert repeat.record.num_reused >= 1
         finally:
             stall.gate.set()
 

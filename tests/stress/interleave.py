@@ -108,7 +108,7 @@ class DeterministicInterleaver:
                             query_result = session.sql(unit)
                     else:
                         query_result = session.sql(unit)
-                    record = session.records[-1]
+                    record = query_result.record
                     with result_lock:
                         result.rows[(stream_id, index)] = \
                             query_result.table.to_rows()

@@ -163,9 +163,12 @@ class TestDdlChaosReplay:
         db.close()
 
     def test_replay_with_background_maintenance(self, ddl_setup):
-        """DDL chaos *and* aggressive truncation racing the traffic."""
+        """DDL chaos *and* aggressive truncation racing the traffic.
+        A 256-byte cache evicts and rejects results mid-run, so the rule
+        has idle subtrees to truncate (a few nodes a run) while queries and
+        DDL race it."""
         streams, reference = ddl_setup
-        db = build_db(truncate_min_idle_events=8)
+        db = build_db(truncate_min_idle_events=8, cache_capacity=256)
         stop = threading.Event()
         errors: list[BaseException] = []
 
@@ -187,6 +190,7 @@ class TestDdlChaosReplay:
         assert not errors, errors
         for key, rows in result.rows.items():
             assert rows == reference[key], key
+        assert db.summary()["maintenance"]["nodes_truncated"] > 0
         db.recycler.graph.check_invariants()
         db.recycler.cache.check_invariants()
         assert len(db.recycler.inflight) == 0

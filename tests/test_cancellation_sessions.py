@@ -87,10 +87,10 @@ class TestTimeouts:
             with pytest.raises(QueryTimeout):
                 session.execute(db.plan(QUERY),
                                 deadline=time.monotonic() - 1.0)
-            # aborted queries leave no record; the session still works
-            assert len(session.records) == 0
+            # aborted queries are not counted; the session still works
+            assert session.summary()["queries"] == 0
             assert session.sql(QUERY).table.num_rows == 8
-            assert len(session.records) == 1
+            assert session.summary()["queries"] == 1
 
     def test_deadline_fires_while_stalled_on_producer(self):
         db, gate = make_db()
@@ -145,8 +145,8 @@ class TestCancelMidExecution:
         producer.join(timeout=10)
         assert not producer.is_alive()
         assert isinstance(outcome[0], QueryCancelled)
-        # no record, no cache entry, no stale in-flight registration
-        assert session.records == []
+        # not counted, no cache entry, no stale in-flight registration
+        assert session.summary()["queries"] == 0
         assert len(db.recycler.cache) == 0
         assert len(db.recycler.inflight) == 0
         session.close()

@@ -76,14 +76,13 @@ class TestAddColumn:
         db = build_db()
         with db.connect() as session:
             warm(session, ROLLUP)
-            session.sql(ROLLUP)
-            assert session.records[-1].num_reused > 0
+            assert session.sql(ROLLUP).record.num_reused > 0
             before = session.sql(ROLLUP).table.to_rows()
 
             db.alter_table_add_column("t", "extra", FLOAT64, default=2.0)
 
             after = session.sql(ROLLUP)
-            record = session.records[-1]
+            record = after.record
             # the cached rollup predates the DDL: recomputed, not served
             assert record.num_reused == 0
             # additive DDL: identical rows, freshly computed
@@ -93,8 +92,7 @@ class TestAddColumn:
 
             # the re-warmed result is reusable again post-DDL
             session.sql(ROLLUP)
-            session.sql(ROLLUP)
-            assert session.records[-1].num_reused > 0
+            assert session.sql(ROLLUP).record.num_reused > 0
         db.close()
 
     def test_new_column_joins_old_data(self):
@@ -137,8 +135,7 @@ class TestRenameColumn:
         db = build_db()
         with db.connect() as session:
             warm(session, ROLLUP)
-            session.sql(ROLLUP)
-            assert session.records[-1].num_reused > 0
+            assert session.sql(ROLLUP).record.num_reused > 0
             before = session.sql(ROLLUP).table.to_rows()
 
             db.rename_column("t", "k", "key_col")
@@ -146,7 +143,7 @@ class TestRenameColumn:
             # the rollup doesn't mention ``k``; it must still recompute
             # (its cached result is version-dead) and match exactly
             after = session.sql(ROLLUP)
-            assert session.records[-1].num_reused == 0
+            assert after.record.num_reused == 0
             assert after.table.to_rows() == before
         db.close()
 
@@ -175,11 +172,10 @@ class TestEvolutionUnderCache:
                 if expected is not None:
                     assert rows == expected
                 expected = rows
-                assert session.records[-1].num_reused > 0
+                assert result.record.num_reused > 0
                 db.alter_table_add_column("t", f"c{step}", INT64,
                                           default=step)
-                session.sql(sql)
-                assert session.records[-1].num_reused == 0
+                assert session.sql(sql).record.num_reused == 0
             # cache invariants after the DDL storm
             db.recycler.graph.check_invariants()
             db.recycler.cache.check_invariants()

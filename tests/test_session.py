@@ -32,8 +32,8 @@ class TestSession:
         with db.connect() as session:
             result = session.sql(QUERY, label="first")
             assert result.table.num_rows > 0
-            assert len(session.records) == 1
-            assert session.records[0].label == "first"
+            assert session.summary()["queries"] == 1
+            assert result.record.label == "first"
         assert session.closed
         with pytest.raises(SessionError):
             session.sql(QUERY)
@@ -44,9 +44,10 @@ class TestSession:
             first = one.sql(QUERY)
             second = two.sql(QUERY)
             assert second.table.to_rows() == first.table.to_rows()
-            assert two.records[-1].num_reused >= 1
-            # per-session logs stay separate; the recycler log merges
-            assert len(one.records) == len(two.records) == 1
+            assert second.record.num_reused >= 1
+            # per-session totals stay separate; the recycler's merge
+            assert one.summary()["queries"] == 1
+            assert two.summary()["queries"] == 1
             assert db.summary()["queries"] == 2
 
     def test_session_summary(self, db):
@@ -146,8 +147,9 @@ class TestPoolShutdownMidQuery:
         # aborted queries leave no record
         summary = pool.summary()
         assert summary["queries"] == len(completed)
-        records = [r for s in pool.sessions() for r in s.records]
-        assert len(records) == len(completed)
+        assert sum(s.summary()["queries"]
+                   for s in pool.sessions()) == len(completed)
+        records = [f.result().record for f in completed]
         assert all(r.stall_seconds >= 0.0 for r in records)
         # a cancelled shutdown leaves no in-flight registrations behind
         assert len(db.recycler.inflight) == 0
@@ -175,9 +177,9 @@ class TestPoolShutdownMidQuery:
         kind, rows = outcome[0]
         if kind == "ok":  # the query won the race and finished
             assert rows == expected
-            assert len(session.records) == 1
-        else:  # aborted mid-execution: no record, no side effects
-            assert len(session.records) == 0
+            assert session.summary()["queries"] == 1
+        else:  # aborted mid-execution: not counted, no side effects
+            assert session.summary()["queries"] == 0
         assert len(db.recycler.inflight) == 0
         session.close()
 
@@ -189,11 +191,10 @@ class TestPoolShutdownMidQuery:
         # overlapping identical queries force in-flight sharing, so some
         # session blocks; its stall seconds must survive the shutdown
         with db.pool(workers=4) as pool:
-            pool.run([QUERY] * 12)
+            results = pool.run([QUERY] * 12)
             summary = pool.summary()
         assert summary["queries"] == 12
-        total = sum(r.stall_seconds
-                    for s in pool.sessions() for r in s.records)
+        total = sum(r.record.stall_seconds for r in results)
         assert summary["stall_seconds"] == pytest.approx(total)
         assert summary["recycler"]["total_stall_seconds"] == \
             pytest.approx(total)

@@ -125,8 +125,8 @@ class TestHits:
 class TestInvalidation:
     def test_append_keeps_the_statement_and_next_read_is_cold(self, db):
         for _ in range(3):
-            db.sql(ROLLUP)
-        assert db.recycler.records[-1].num_reused == 1
+            result = db.sql(ROLLUP)
+        assert result.record.num_reused == 1
         statement = cached(db, ROLLUP)
         before = db.sql(ROLLUP).table.to_rows()
 

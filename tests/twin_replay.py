@@ -271,6 +271,16 @@ class WireTwins(Twins):
     def __init__(self, build: Callable[[], Database]) -> None:
         super().__init__(build)
         self.query = None
+        #: the record of the last query ``fast`` finalized: the server
+        #: sends only part of it
+        self.fast_record = None
+        finalize = self.fast.recycler.finalize
+
+        def keep_record(*args, **kwargs):
+            self.fast_record = finalize(*args, **kwargs)
+            return self.fast_record
+
+        self.fast.recycler.finalize = keep_record
 
     def sql(self, text: str):
         served = self.query(text)
@@ -278,7 +288,7 @@ class WireTwins(Twins):
         self.statements += 1
         assert served.rows == wire_rows(local.table), text
         assert served.stats == query_stats_payload(local.record), text
-        record = self.fast.recycler.records[-1]
+        record = self.fast_record
         for name in ("query_id",) + RECORD_FIELDS:
             assert getattr(record, name) == \
                 getattr(local.record, name), (name, text)

@@ -74,12 +74,11 @@ class TestSustainedIngest:
                     "metrics", ts._batch(total, 64, 7000 + i))
                 total += 64
                 result = session.sql(sql)
-                assert session.records[-1].num_reused == 0
+                assert result.record.num_reused == 0
                 counted = sum(r[1] for r in result.table.to_rows())
                 assert counted == total
             # no append between these two: now reuse is allowed again
-            session.sql(sql)
-            assert session.records[-1].num_reused > 0
+            assert session.sql(sql).record.num_reused > 0
         db.close()
 
     def test_static_dimension_keeps_recycling(self):
@@ -97,8 +96,7 @@ class TestSustainedIngest:
             for i in range(4):
                 db.append_rows("metrics", ts._batch(5000 + 64 * i, 64,
                                                     8000 + i))
-                session.sql(sql)
-                assert session.records[-1].num_reused > 0
+                assert session.sql(sql).record.num_reused > 0
         db.close()
 
     def test_incremental_stats_engage(self):
