@@ -36,8 +36,9 @@ history (reference counts, recurring-plan structure) computed against it
 stays meaningful, while a replace/drop starts a dataset the old
 statistics say nothing about.  The recycler stamps every graph node with
 the incarnations its inserting snapshot read; nodes whose stamps can
-never match the live catalog again are *version-dead* and are swept by
-maintenance GC (see :mod:`repro.recycler.graph`).
+never match the live catalog again are *version-dead*: no new query
+matches them, so they age out under maintenance's idle truncation (see
+:mod:`repro.recycler.maintenance`).
 
 Between the two sits each table's **base version**
 (:attr:`TableEntry.base_version`): the version of its last change that
@@ -293,7 +294,7 @@ class CatalogView:
                          functions: Iterable[str] = ()
                          ) -> tuple[dict[str, int], dict[str, int]]:
         """Incarnation stamps for a dependency set — what graph nodes
-        record at insertion and version-dead GC compares against."""
+        record at insertion and matching compares against."""
         return ({name: self.table_incarnation(name) for name in tables},
                 {name: self.function_incarnation(name)
                  for name in functions})

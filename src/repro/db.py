@@ -77,7 +77,7 @@ class Database:
         #: frontend's queries meet in one recycler *and* one
         #: per-frontend statistics stream.
         self.service = self.recycler.service
-        #: background GC-then-truncate driver; its thread only starts
+        #: background idle-truncation driver; its thread only starts
         #: when ``config.maintenance_interval_seconds`` is set, but
         #: ``maintain()`` runs a cycle on demand regardless.
         self.maintenance = MaintenanceManager(self.recycler)
@@ -299,17 +299,16 @@ class Database:
         return self.recycler.invalidate_function(name)
 
     def maintain(self) -> dict[str, int]:
-        """Run one maintenance cycle now — version-dead GC, then one
-        truncation of the subtrees idle for more than
-        ``truncate_min_idle_events`` query events — regardless of the
-        background cadence.  Returns the nodes each step removed."""
+        """Run one maintenance cycle now — one truncation of the
+        subtrees idle for more than ``truncate_min_idle_events`` query
+        events, version-dead ones included — regardless of the
+        background cadence.  Returns the nodes it removed."""
         return self.maintenance.run_once()
 
     def summary(self) -> dict:
         """Aggregate counters: the recycler view (queries, graph, cache,
         costs), background-maintenance counters under ``"maintenance"``
-        (cycles, truncate runs, nodes truncated, GC nodes collected,
-        incremental stat merges),
+        (cycles, truncate runs, nodes truncated, incremental stat merges),
         catalog/DDL counters under ``"catalog"`` (tables, functions, DDL
         clock, invalidation sweeps, entries evicted by DDL, entries
         extended over appended rows, in-flight producers aborted,

@@ -115,7 +115,7 @@ class GraphNode:
         # incarnation stamps of the inserting query's snapshot (set by
         # RecyclerGraph.insert_node): a drop or re-register bumps the
         # live incarnation past these, making the node *version-dead* —
-        # unmatchable by new snapshots and collectable by GC.
+        # unmatchable by new snapshots, so it ages out under truncation.
         self.table_incarnations: dict[str, int] = {}
         self.function_incarnations: dict[str, int] = {}
 
@@ -231,9 +231,6 @@ class RecyclerGraph:
         #: store planning can skip nodes truncated while the planning
         #: query was blocked on an in-flight producer.
         self._live: set[int] = set()
-        #: catalog DDL clock at the last version-dead sweep that left no
-        #: dead node behind (``None``: a sweep is due) — see :meth:`gc_due`.
-        self._swept_clock: int | None = None
         #: lowest ``last_access_event`` the last idle sweep kept, capped
         #: at the event it ran at — see :meth:`truncate_due`.
         self._truncate_floor = 0
@@ -337,8 +334,10 @@ class RecyclerGraph:
         ``expected_versions`` carries the versions of the anchor children
         observed during matching; ``expected_leaf_version`` carries the
         leaf bucket's insertion counter for leaf inserts.  A mismatch
-        means a concurrent insertion changed the neighbourhood and the
-        caller must re-match (:class:`ConcurrencyConflict`).
+        means a concurrent insertion changed the neighbourhood, and a
+        child no longer live means a concurrent truncation removed it
+        (removal does not bump the removed node's own version): either
+        way the caller must re-match (:class:`ConcurrencyConflict`).
 
         ``catalog`` is the inserting query's pinned snapshot (schema
         resolution must agree with what the query was bound against);
@@ -348,7 +347,8 @@ class RecyclerGraph:
             if expected_versions is not None:
                 for child, version in zip(graph_children,
                                           expected_versions):
-                    if child.version != version:
+                    if child.version != version or \
+                            child.node_id not in self._live:
                         raise ConcurrencyConflict(
                             f"node {child.node_id} changed during"
                             f" matching")
@@ -379,10 +379,6 @@ class RecyclerGraph:
             else:
                 node.table_incarnations, node.function_incarnations = \
                     view.incarnations_for(node.tables, node.functions)
-            if view.ddl_clock < self.catalog.ddl_clock:
-                # stamped from a snapshot older than the live catalog: it
-                # may be dead already, behind a sweep that closed the gate
-                self._swept_clock = None
             self._next_id += 1
             node.age_event = self.event
             # A fresh node counts as accessed *now*: its inserting query
@@ -488,9 +484,14 @@ class RecyclerGraph:
                         floor = stamp
                 else:
                     idle[node.node_id] = node
-            for node in self._rescue(idle):
-                if node.last_access_event < floor:
-                    floor = node.last_access_event
+            # ``nodes`` lists every child before its parents, so one pass
+            # over the idle nodes in reverse decides each after all its
+            # parents: a child of a kept node is kept too
+            for node in reversed(list(idle.values())):
+                if _has_parent_outside(node, idle):
+                    del idle[node.node_id]
+                    if node.last_access_event < floor:
+                        floor = node.last_access_event
             if stop is not None and stop():
                 return 0
             self._truncate_floor = floor
@@ -504,36 +505,16 @@ class RecyclerGraph:
         its event (0 on a fresh graph).  Every node present then has a
         stamp at or above the cutoff: a stamp is written with the
         clock's current value, so it only rises, and a node inserted
-        after the sweep starts at the clock.  Version-dead GC and cache
-        evictions do not move the floor: removing a node cannot lower
-        the lowest stamp, and an evicted node's stamp was counted.
+        after the sweep starts at the clock.  Cache evictions do not move
+        the floor: an evicted node's stamp was counted.
 
-        Lock-free (two integer reads), like :meth:`gc_due`: an idle
-        cycle costs O(1) and never takes the rewrite stripes.  A stale
-        read is harmless — a sweep skipped on it is run next cycle — and
-        so is a matched node's stamp written from a clock read that a
-        concurrent sweep overtook: it lies at most that read behind, and
-        the first sweep past the floor collects it."""
+        Lock-free (two integer reads): an idle cycle costs O(1) and
+        never takes the rewrite stripes.  A stale read is harmless — a
+        sweep skipped on it is run next cycle — and so is a matched
+        node's stamp written from a clock read that a concurrent sweep
+        overtook: it lies at most that read behind, and the first sweep
+        past the floor collects it."""
         return self.event - min_idle_events > self._truncate_floor
-
-    def _rescue(self, doomed: dict[int, GraphNode]) -> list[GraphNode]:
-        """Take out of ``doomed`` — the nodes a sweep means to remove,
-        by id and in graph order, every other node kept — each
-        (transitive) child of a node the sweep keeps, so the survivors
-        stay child-closed; returns the nodes taken out.
-
-        ``nodes`` lists every child before its parents (a node is
-        inserted over children already in the graph, and removal keeps
-        the order), so one pass over the doomed nodes in reverse decides
-        each after all its parents: it stays doomed only when no parent
-        is kept.  Only doomed nodes are visited.  Caller holds the
-        lock."""
-        rescued = []
-        for node in reversed(list(doomed.values())):
-            if _has_parent_outside(node, doomed):
-                del doomed[node.node_id]
-                rescued.append(node)
-        return rescued
 
     def _remove_nodes(self, removed: list[GraphNode]) -> int:
         """Detach ``removed`` from every index (caller holds the lock
@@ -564,75 +545,6 @@ class RecyclerGraph:
         return len(removed)
 
     # ------------------------------------------------------------------
-    # version-dead GC (online DDL follow-up): a drop or re-register
-    # bumps a table's *incarnation*, so nodes stamped with the old
-    # incarnation can never be matched by a new snapshot again — pure
-    # bookkeeping waste whatever their benefit says.
-    # ------------------------------------------------------------------
-    def is_version_dead(self, node: GraphNode) -> bool:
-        """Whether ``node``'s incarnation stamps can never match the
-        live catalog again (incarnations only grow)."""
-        return not node.matches_incarnations(self.catalog)
-
-    def version_dead_count(self) -> int:
-        """How many nodes are version-dead right now (tests, reports)."""
-        with self._lock:
-            return sum(1 for n in self.nodes if self.is_version_dead(n))
-
-    def gc_due(self) -> bool:
-        """Whether a version-dead sweep could find anything: False only
-        while the catalog's DDL clock still reads what it read at the
-        last sweep that left no dead node behind, and no node was
-        inserted since from a snapshot older than the live catalog.
-
-        Lock-free (two integer reads), so a DDL-free maintenance cycle
-        costs O(1) and never acquires the rewrite stripes.  A stale read
-        is harmless: the DDL or insert it missed is seen next cycle."""
-        return self._swept_clock != self.catalog.ddl_clock
-
-    def collect_version_dead(self,
-                             pinned: set[int] | frozenset[int] = frozenset(),
-                             stop: Callable[[], bool] | None = None) -> int:
-        """Sweep every version-dead subtree, pinning in-flight nodes.
-
-        Keeps a dead node when it is **pinned** (an in-flight producer
-        holds a direct reference it will annotate) or **materialized**
-        (its entry is owned by the cache; the DDL invalidation sweep
-        evicts those, after which the next GC cycle collects the node),
-        plus the children of anything kept — the same child-closure rule
-        as :meth:`truncate`.  Idle age is irrelevant here: dead nodes
-        are collected however recently they were accessed, because no
-        future snapshot can reference them.
-
-        Deadness is judged against one catalog snapshot, so a DDL half
-        applied while the sweep runs (clock moved, incarnation not yet)
-        is never recorded as swept.  A sweep that leaves no dead node
-        behind records the snapshot's DDL clock, closing
-        :meth:`gc_due` until the clock moves again.
-        """
-        with self._lock:
-            if stop is not None and stop():
-                return 0
-            if not self.gc_due():
-                return 0
-            view = self.catalog.snapshot()
-            dead = 0
-            doomed: dict[int, GraphNode] = {}
-            for node in self.nodes:
-                if not node.matches_incarnations(view):
-                    dead += 1
-                    if node.entry is None and node.node_id not in pinned:
-                        doomed[node.node_id] = node
-            self._rescue(doomed)
-            if stop is not None and stop():
-                return 0
-            if len(doomed) == dead:
-                self._swept_clock = view.ddl_clock
-            else:
-                self._swept_clock = None
-            return self._remove_nodes(list(doomed.values()))
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
         """Summary counters (tests, reports).  Locked: a monitoring
         thread may call this mid-insertion, and iterating the leaf
@@ -641,8 +553,6 @@ class RecyclerGraph:
             return {
                 "nodes": len(self.nodes),
                 "leaves": sum(len(v) for v in self.leaf_index.values()),
-                "materialized": sum(1 for n in self.nodes
-                                    if n.is_materialized),
                 "event": self.event,
             }
 
@@ -650,7 +560,7 @@ class RecyclerGraph:
         """Structural sanity checks (used by tests and debug builds),
         child-closure included: a sweep never removes a child of a node
         it keeps, and ``nodes`` lists every child before its parents
-        (the order :meth:`_rescue` decides in)."""
+        (the order :meth:`truncate` decides in)."""
         position = {node.node_id: at for at, node in enumerate(self.nodes)}
         for at, node in enumerate(self.nodes):
             for child in node.children:

@@ -42,10 +42,10 @@ MAX_CANCELLED_TOKENS = 4096
 
 
 class InFlightRegistry:
-    """graph node id -> opaque producer token (e.g. a query/stream id)."""
+    """graph node -> opaque producer token (e.g. a query/stream id)."""
 
     def __init__(self) -> None:
-        self._producers: dict[int, object] = {}
+        self._producers: dict[GraphNode, object] = {}
         self._cancelled: OrderedDict[object, None] = OrderedDict()
         self._cond = threading.Condition(threading.Lock())
 
@@ -56,7 +56,7 @@ class InFlightRegistry:
         with self._cond:
             if token in self._cancelled:
                 return False
-            current = self._producers.setdefault(node.node_id, token)
+            current = self._producers.setdefault(node, token)
             return current == token
 
     def release(self, node: GraphNode, token: object = None) -> bool:
@@ -64,36 +64,45 @@ class InFlightRegistry:
         registration is removed.  Returns True when an entry was
         dropped."""
         with self._cond:
-            current = self._producers.get(node.node_id)
+            current = self._producers.get(node)
             if current is None:
                 return False
             if token is not None and current != token:
                 return False
-            del self._producers[node.node_id]
+            del self._producers[node]
             self._cond.notify_all()
             return True
 
     def producer_of(self, node: GraphNode) -> object | None:
         with self._cond:
-            return self._producers.get(node.node_id)
+            return self._producers.get(node)
+
+    def producers(self) -> list[tuple[GraphNode, object]]:
+        """Every ``(node, producer token)`` registration right now."""
+        with self._cond:
+            return list(self._producers.items())
 
     def active_nodes(self) -> set[int]:
         """Ids of every node currently being produced — the pin set for
         graph truncation (an in-flight node must survive maintenance)."""
         with self._cond:
-            return set(self._producers)
+            return {node.node_id for node in self._producers}
 
     def release_all(self, token: object) -> list[int]:
         """Drop every registration owned by ``token`` (query finished or
         aborted); returns the released node ids."""
         with self._cond:
-            released = [node_id for node_id, t in self._producers.items()
-                        if t == token]
-            for node_id in released:
-                del self._producers[node_id]
-            if released:
-                self._cond.notify_all()
-            return released
+            return self._drop(token)
+
+    def _drop(self, token: object) -> list[int]:
+        """Drop ``token``'s registrations and wake every waiter (caller
+        holds the condition); returns the released node ids."""
+        released = [node for node, t in self._producers.items()
+                    if t == token]
+        for node in released:
+            del self._producers[node]
+        self._cond.notify_all()
+        return [node.node_id for node in released]
 
     # ------------------------------------------------------------------
     # cancellation
@@ -112,12 +121,7 @@ class InFlightRegistry:
                 self._cancelled[token] = None
                 while len(self._cancelled) > MAX_CANCELLED_TOKENS:
                     self._cancelled.popitem(last=False)
-            released = [node_id for node_id, t in self._producers.items()
-                        if t == token]
-            for node_id in released:
-                del self._producers[node_id]
-            self._cond.notify_all()
-            return released
+            return self._drop(token)
 
     def is_cancelled(self, token: object) -> bool:
         with self._cond:
@@ -139,7 +143,7 @@ class InFlightRegistry:
         deadline = None if timeout is None else started + timeout
         with self._cond:
             while True:
-                producer = self._producers.get(node.node_id)
+                producer = self._producers.get(node)
                 if producer is None or producer == token:
                     return time.monotonic() - started
                 if token in self._cancelled:

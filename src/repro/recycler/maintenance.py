@@ -4,34 +4,30 @@ The paper notes the recycler graph "has to be truncated periodically,
 e.g. by periodically removing subtrees that have not been accessed for
 some time".  The :class:`MaintenanceManager` is that caller — a daemon
 thread owned by :class:`~repro.db.Database` that wakes on a configurable
-cadence — and each cycle is the same two steps:
+cadence — and each cycle is that one rule: one
+:meth:`~repro.recycler.recycler.Recycler.truncate_idle` call removes
+every subtree idle for more than ``truncate_min_idle_events`` query
+events (materialized and in-flight nodes and their children stay).  A
+cycle whose cutoff has not passed the oldest stamp the last sweep kept
+costs two integer reads
+(:meth:`~repro.recycler.graph.RecyclerGraph.truncate_due`).
 
-1. **Version-dead GC** — graph subtrees whose incarnation stamps a
-   ``drop_table``/re-register left permanently behind the live catalog
-   are unmatchable by any new snapshot, so they are collected whatever
-   their idle age
-   (:meth:`~repro.recycler.recycler.Recycler.collect_version_dead`,
-   with in-flight pinning).  A cycle with no DDL since a sweep that
-   left nothing dead behind costs two integer reads.
-2. **Truncation** — one
-   :meth:`~repro.recycler.recycler.Recycler.truncate_idle` call removes
-   every subtree idle for more than ``truncate_min_idle_events`` query
-   events (materialized and in-flight nodes and their children stay).
-   A cycle whose cutoff has not passed the oldest stamp the last sweep
-   kept costs two integer reads
-   (:meth:`~repro.recycler.graph.RecyclerGraph.truncate_due`).
+The rule also removes the history a ``drop_table`` or re-register
+leaves behind: those *version-dead* subtrees are unmatchable by any new
+snapshot, so once the queries pinned before the DDL finish, nothing
+stamps them again and they age out like any other idle subtree.
 
-Both steps read query events, never a wall clock, so a cycle is a pure
+The rule reads query events, never a wall clock, so a cycle is a pure
 function of the graph.  ``Database.close()`` (or the manager's
 :meth:`stop`) shuts the thread down cleanly; :meth:`run_once` applies
 one cycle synchronously for deterministic tests and for deployments
 that prefer an external cron.
 
 Shutdown is cooperative all the way down: a cycle in progress passes
-the manager's stop flag to the ``stop`` hooks of
-:meth:`Recycler.collect_version_dead` / :meth:`Recycler.truncate_idle`,
-which consult it at their phase boundaries — so ``stop()`` returns
-promptly instead of waiting out a large sweep, mirroring the query-side
+the manager's stop flag to the ``stop`` hook of
+:meth:`Recycler.truncate_idle`, which consults it at its phase
+boundaries — so ``stop()`` returns promptly instead of waiting out a
+large sweep, mirroring the query-side
 :class:`~repro.engine.cancellation.CancellationToken`.
 """
 
@@ -58,16 +54,13 @@ class MaintenanceStats:
     #: nothing idle enough; that is not a run).
     truncate_runs: int = 0
     nodes_truncated: int = 0
-    #: version-dead subtrees swept by GC (drop/re-register made their
-    #: incarnation stamps permanently unmatchable).
-    gc_nodes_collected: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
 
 
 class MaintenanceManager:
-    """GC-then-truncate driver for one recycler."""
+    """Idle-truncation driver for one recycler."""
 
     def __init__(self, recycler: Recycler) -> None:
         self.recycler = recycler
@@ -117,9 +110,8 @@ class MaintenanceManager:
     # ------------------------------------------------------------------
     def run_once(self, stop: Callable[[], bool] | None = None
                  ) -> dict[str, int]:
-        """Run one maintenance cycle: (1) version-dead GC, then (2) one
-        idle-subtree truncation by event age.  Returns the nodes each
-        step removed.
+        """Run one maintenance cycle: one idle-subtree truncation by
+        event age.  Returns the nodes it removed.
 
         Safe from any thread (a sweep that is due takes every rewrite
         stripe); callable directly even when the background thread is
@@ -129,13 +121,9 @@ class MaintenanceManager:
         callers (``Database.maintain()``) omit it — explicit maintenance
         keeps working after ``Database.close()``.
         """
-        recycler = self.recycler
         stopping = stop if stop is not None else _never_stop
-
-        gc_removed = 0 if stopping() else \
-            recycler.collect_version_dead(stop=stopping)
         removed = 0 if stopping() else \
-            recycler.truncate_idle(stop=stopping)
+            self.recycler.truncate_idle(stop=stopping)
 
         with self._lock:
             # the background thread and Database.maintain() callers may
@@ -144,6 +132,4 @@ class MaintenanceManager:
             self.stats.cycles += 1
             self.stats.truncate_runs += int(removed > 0)
             self.stats.nodes_truncated += removed
-            self.stats.gc_nodes_collected += gc_removed
-        return {"nodes_truncated": removed,
-                "gc_nodes_collected": gc_removed}
+        return {"nodes_truncated": removed}

@@ -126,6 +126,13 @@ def _match_node(node: PlanNode, graph: RecyclerGraph, catalog: CatalogView,
             result.conflicts += 1
             if attempt == MAX_INSERT_RETRIES - 1:
                 raise
+            if not all(graph.is_live(m.graph_node) for m in child_matches):
+                # a concurrent truncation removed a child matched a
+                # moment ago: the children are matched again
+                child_matches = [
+                    _match_node(child, graph, catalog, query_id, result,
+                                subsumption_hook, memo)
+                    for child in node.children]
     result.register(node, match)
     if match.inserted:
         result.inserted_count += 1
@@ -214,8 +221,8 @@ def _match_or_insert(node: PlanNode, child_matches: list[NodeMatch],
             # leaf was stamped with: its history describes a different
             # dataset, so the query inserts a fresh leaf instead — the
             # stale subtree above it becomes unreachable to matching
-            # (interior candidates require child identity) and is
-            # collected by version-dead GC.  Appends bump versions but
+            # (interior candidates require child identity) and ages out
+            # under idle truncation.  Appends bump versions but
             # not incarnations, so update history still unifies.
             continue
         # Exact match found; there is at most one (paper: identical

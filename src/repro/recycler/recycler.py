@@ -23,10 +23,9 @@ producer's store to complete and then reuses the materialized entry
 locks; store callbacks admit results under the cache's one lock without
 touching any stripe.  Maintenance — every
 :class:`~repro.recycler.maintenance.MaintenanceManager` cycle runs
-:meth:`Recycler.collect_version_dead` and :meth:`Recycler.truncate_idle`
-— briefly takes *every* stripe so in-flight pins are a complete
-snapshot, and only when an O(1) gate says the sweep could remove
-something.  No recycler decision reads a wall clock.
+:meth:`Recycler.truncate_idle` — briefly takes *every* stripe so
+in-flight pins are a complete snapshot, and only when an O(1) gate says
+the sweep could remove something.  No recycler decision reads a wall clock.
 """
 
 from __future__ import annotations
@@ -834,12 +833,8 @@ class Recycler:
         store racing this sweep cannot be clobbered after a consumer
         re-registers the node."""
         tokens = set()
-        for node in list(self.graph.nodes):
-            if not depends(node):
-                continue
-            producer = self.inflight.producer_of(node)
-            if producer is not None and \
-                    self.inflight.release(node, producer):
+        for node, producer in self.inflight.producers():
+            if depends(node) and self.inflight.release(node, producer):
                 tokens.add(producer)
         return len(tokens)
 
@@ -870,24 +865,6 @@ class Recycler:
             return self.graph.truncate(
                 min_idle_events, pinned=self.inflight.active_nodes(),
                 stop=stop)
-
-    def collect_version_dead(self, stop: Callable[[], bool] | None = None
-                             ) -> int:
-        """Sweep graph subtrees whose incarnation stamps a drop or full
-        re-register left permanently behind the live catalog
-        (:meth:`~repro.recycler.graph.RecyclerGraph.collect_version_dead`).
-
-        Holds **all** stripes for the same reason :meth:`truncate_idle`
-        does: the in-flight pin snapshot must be complete — no rewrite
-        can register a new producer while dead nodes are collected, so
-        a producer's node can never be swept out from under it.  A cycle
-        with no DDL since a clean sweep skips the stripes entirely
-        (:meth:`~repro.recycler.graph.RecyclerGraph.gc_due`)."""
-        if not self.graph.gc_due():
-            return 0
-        with self._stripes.all():
-            return self.graph.collect_version_dead(
-                pinned=self.inflight.active_nodes(), stop=stop)
 
     def summary(self) -> dict[str, object]:
         """Aggregate counters for reports and tests."""

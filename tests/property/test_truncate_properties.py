@@ -216,6 +216,37 @@ class TestTruncateGate:
 
 
 class TestTruncateUnderConcurrentMatch:
+    def test_insert_over_a_truncated_child_rematches(self, monkeypatch):
+        """The race the threaded test below hunts, made deterministic: a
+        truncation removes the scan leaf between its match and the
+        insertion of the filter over it.  The insertion conflicts, and
+        the children are matched again — no node is inserted over a
+        removed child."""
+        catalog = build_catalog()
+        graph = RecyclerGraph(catalog)
+        graph.tick()
+        match_tree(family_plan(0), graph, catalog, 1)
+        insert = RecyclerGraph.insert_node
+        truncated: list[int] = []
+
+        def truncate_first(self, query_node, keys, graph_children,
+                           *args, **kwargs):
+            if graph_children and not truncated:
+                self.tick()
+                truncated.append(self.truncate(0))
+            return insert(self, query_node, keys, graph_children,
+                          *args, **kwargs)
+
+        monkeypatch.setattr(RecyclerGraph, "insert_node", truncate_first)
+        graph.tick()
+        plan = family_plan(1)
+        result = match_tree(plan, graph, catalog, 2)
+        assert truncated == [3]     # family 0's subtree, the leaf with it
+        assert result.conflicts == 1
+        assert all(graph.is_live(result.of(node).graph_node)
+                   for node in plan.walk())
+        graph.check_invariants()
+
     def test_threaded_inserts_vs_truncation(self):
         """Real threads: matching/inserting while a maintenance thread
         truncates must leave a duplicate-free, invariant-clean graph."""

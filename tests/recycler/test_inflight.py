@@ -7,10 +7,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.columnar import Catalog, FLOAT64, INT64, Table
+from repro.columnar import Catalog, FLOAT64, INT64, Schema, Table
 from repro.engine import execute_plan
 from repro.expr import Cmp, Col, Lit
 from repro.plan import q
+from repro import Database
 from repro.recycler import InFlightRegistry, Recycler, RecyclerConfig
 
 
@@ -214,4 +215,53 @@ class TestAbandonedConsumer:
         assert recycler.inflight.active_nodes() <= {
             node.node_id for node in recycler.graph.nodes}
         recycler.abandon(producer)
+        assert len(recycler.inflight) == 0
+
+
+class UnwalkedNodes(list):
+    """A ``graph.nodes`` that fails the test when walked."""
+
+    def __iter__(self):
+        raise AssertionError("walked every graph node")
+
+
+class TestInvalidationReadsTheRegistry:
+    """An append or DDL aborts the in-flight producers of the changed
+    table's nodes, found in the registry: the graph is not walked."""
+
+    def test_invalidation_without_producers_walks_no_node(self, catalog):
+        db = Database(RecyclerConfig(mode="spec"), catalog=catalog)
+        text = "SELECT g, sum(v) AS s FROM t WHERE v > 0.5 GROUP BY g"
+        db.sql(text)
+        db.sql(text)
+        recycler = db.recycler
+        assert len(recycler.cache) > 0
+        assert len(recycler.inflight) == 0
+        recycler.graph.nodes = UnwalkedNodes(recycler.graph.nodes)
+        db.append_rows("t", [(1, 0.75)])
+        db.register_table("t", catalog.snapshot().table_entry("t").table)
+        db.register_function("f", lambda: None, Schema(["x"], [INT64]))
+        assert recycler.ddl_stats["invalidations"] == 3
+        assert recycler.ddl_stats["entries_evicted"] > 0
+        assert recycler.ddl_stats["inflight_aborted"] == 0
+        db.close()
+
+    def test_invalidation_aborts_only_dependent_producers(self, catalog):
+        catalog.register_table("u", catalog.snapshot().table_entry("t")
+                               .table)
+        recycler = Recycler(catalog, RecyclerConfig(mode="spec"))
+        over_t = recycler.prepare(plan(), producer_token="over-t")
+        over_u = recycler.prepare(
+            q.scan("u", ["g", "v"]).filter(Cmp(">", Col("v"), Lit(0.5)))
+             .aggregate(keys=["g"], aggs=[("sum", Col("v"), "s")])
+             .build(), producer_token="over-u")
+        producing_t = recycler.inflight.active_nodes()
+        assert over_t.stores and over_u.stores
+        recycler.invalidate_table("u")
+        assert recycler.ddl_stats["inflight_aborted"] == 1
+        assert {token for _, token in recycler.inflight.producers()} == \
+            {"over-t"}
+        assert recycler.inflight.active_nodes() < producing_t
+        recycler.abandon(over_t)
+        recycler.abandon(over_u)
         assert len(recycler.inflight) == 0

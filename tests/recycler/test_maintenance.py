@@ -1,8 +1,8 @@
 """Tests for background maintenance (MaintenanceManager / Database).
 
-Every cycle is the paper's one rule (Section II): version-dead GC, then
-one truncation of the subtrees idle for more than
-``truncate_min_idle_events`` query events."""
+Every cycle is the paper's one rule (Section II): one truncation of the
+subtrees idle for more than ``truncate_min_idle_events`` query
+events."""
 
 from __future__ import annotations
 
@@ -47,8 +47,7 @@ class TestOneRule:
         survivors = rule_survivors(graph, 2)
         assert len(survivors) < before
         outcome = db.maintain()
-        assert outcome == {"nodes_truncated": before - len(survivors),
-                           "gc_nodes_collected": 0}
+        assert outcome == {"nodes_truncated": before - len(survivors)}
         assert {node.node_id for node in graph.nodes} == survivors
         graph.check_invariants()
         db.close()
@@ -58,7 +57,7 @@ class TestOneRule:
         db.sql(distinct_queries(1)[0])
         before = len(db.recycler.graph.nodes)
         outcome = db.maintain()
-        assert outcome == {"nodes_truncated": 0, "gc_nodes_collected": 0}
+        assert outcome == {"nodes_truncated": 0}
         assert len(db.recycler.graph.nodes) == before
         assert db.summary()["maintenance"]["truncate_runs"] == 0
         db.close()
@@ -135,8 +134,7 @@ class TestGate:
             raise AssertionError("a gated cycle took the stripes")
         recycler._stripes.all = no_stripes
         # no query since the sweep: its cutoff has not passed the floor
-        assert db.maintain() == {"nodes_truncated": 0,
-                                 "gc_nodes_collected": 0}
+        assert db.maintain() == {"nodes_truncated": 0}
         db.close()
 
     def test_a_fresh_graph_has_floor_zero(self, db_factory):
@@ -174,8 +172,7 @@ class TestPureFunction:
         assert first_outcomes == second_outcomes
         assert first_state == second_state
         assert first_outcomes[0]["nodes_truncated"] > 0
-        assert first_outcomes[1:] == [{"nodes_truncated": 0,
-                                       "gc_nodes_collected": 0}] * 2
+        assert first_outcomes[1:] == [{"nodes_truncated": 0}] * 2
 
 
 class TestBackgroundThread:
@@ -225,10 +222,9 @@ class TestStats:
         db.maintain()
         stats = db.summary()["maintenance"]
         assert sorted(stats) == [
-            "cycles", "gc_nodes_collected", "nodes_truncated",
-            "stats_incremental_merges", "truncate_runs"]
-        for key in ("gc_nodes_collected", "stats_incremental_merges"):
-            assert stats[key] == 0
+            "cycles", "nodes_truncated", "stats_incremental_merges",
+            "truncate_runs"]
+        assert stats["stats_incremental_merges"] == 0
         db.close()
 
 

@@ -194,10 +194,17 @@ class TestDdlChaosReplay:
         db.recycler.graph.check_invariants()
         db.recycler.cache.check_invariants()
         assert len(db.recycler.inflight) == 0
-        # the GC gate must not have closed over a dead node: a sweep
-        # racing a DDL or a stale-snapshot insert would leave one behind
+        # no dead node outlives the idle window: once every snapshot
+        # pinned before a DDL is gone, nothing stamps old-incarnation
+        # history, and the first cycle past the window removes it
+        statements = db.config.truncate_min_idle_events + 1
+        for index in range(statements):
+            db.sql(BASE_QUERIES[index % len(BASE_QUERIES)])
         db.maintain()
-        assert db.recycler.graph.version_dead_count() == 0
+        graph = db.recycler.graph
+        assert not [node for node in graph.nodes
+                    if not node.matches_incarnations(db.catalog)]
+        graph.check_invariants()
         db.close()
 
 

@@ -87,3 +87,26 @@ def test_totals_sum_like_a_log():
         **{name: sum(getattr(r, name) for r in records) for name in names}}
     assert totals.full_plan_hits == sum(
         1 for r in records if r.num_matched > 0 and r.num_inserted == 0)
+
+
+class UnwalkedNodes(list):
+    """A ``graph.nodes`` that fails the test when walked."""
+
+    def __iter__(self):
+        raise AssertionError("walked every graph node")
+
+
+def test_summary_walks_no_graph_node():
+    """A summary (so every ``/metrics`` scrape) reads counters: it never
+    walks the graph, whose size grows with the workload."""
+    db = Database(RecyclerConfig(mode="spec"),
+                  catalog=skyserver.build_catalog(num_rows=2000))
+    for text in warm_texts() * 2:
+        db.sql(text)
+    graph = db.recycler.graph
+    nodes = len(graph.nodes)
+    graph.nodes = UnwalkedNodes(graph.nodes)
+    summary = db.summary()
+    assert summary["graph"]["nodes"] == nodes
+    assert summary["cache_entries"] > 0
+    db.close()
