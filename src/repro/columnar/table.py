@@ -118,6 +118,21 @@ class Table:
         return table
 
     @classmethod
+    def _validated(cls, schema: Schema, columns: dict[str, np.ndarray],
+                   rows: int) -> "Table":
+        """A table over ``columns``, which are already another table's
+        arrays of ``schema``'s types, keyed in ``schema``'s order and
+        ``rows`` long: no coercion and no length check — how a
+        transform that keeps columns whole (:meth:`select`,
+        :meth:`rename`, :meth:`project`) builds its result."""
+        table = object.__new__(cls)
+        table.schema = schema
+        table._columns = columns
+        table._nrows = rows if columns else 0
+        table._nbytes = None
+        return table
+
+    @classmethod
     def empty(cls, schema: Schema) -> "Table":
         return cls(schema, {n: schema.type_of(n).empty(0)
                             for n in schema.names})
@@ -165,13 +180,15 @@ class Table:
     # transformation / iteration
     # ------------------------------------------------------------------
     def select(self, names: Sequence[str]) -> "Table":
-        return Table(self.schema.select(names),
-                     {n: self._columns[n] for n in names})
+        return Table._validated(self.schema.select(names),
+                                {n: self._columns[n] for n in names},
+                                self._nrows)
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
-        renamed = Table(self.schema.rename(mapping),
-                        {mapping.get(n, n): a
-                         for n, a in self._columns.items()})
+        renamed = Table._validated(self.schema.rename(mapping),
+                                   {mapping.get(n, n): a
+                                    for n, a in self._columns.items()},
+                                   self._nrows)
         renamed._nbytes = self._nbytes  # same columns, same payload
         return renamed
 
@@ -181,10 +198,12 @@ class Table:
         ``rename`` maps names here to names there (absent names are
         kept), columns ``schema`` does not list are dropped.  The
         arrays are shared, not copied — how a cached result reaches the
-        query that reuses it."""
+        query that reuses it — so ``schema`` gives each column the type
+        it has here."""
         source = {rename.get(name, name): name for name in self._columns}
-        projected = Table(schema, {name: self._columns[source[name]]
-                                   for name in schema.names})
+        projected = Table._validated(
+            schema, {name: self._columns[source[name]]
+                     for name in schema.names}, self._nrows)
         if len(schema) == len(self._columns):
             projected._nbytes = self._nbytes  # same columns, same payload
         return projected

@@ -36,11 +36,24 @@ class BenefitModel:
     # ------------------------------------------------------------------
     def true_cost(self, node: GraphNode) -> float:
         """Base cost minus the base costs of direct materialized
-        descendants (Eq. 2)."""
+        descendants (Eq. 2).
+
+        Memoized on the node, tagged with the graph's cost epoch: the
+        walk to the DMDs runs only after a ``bcost`` write or an entry
+        change anywhere (:attr:`RecyclerGraph.cost_epoch`).  The epoch
+        is read *before* the walk, so a change that lands during it —
+        and bumps the epoch only afterwards — leaves a memo that is
+        already stale, never one that looks current."""
+        epoch = self.graph.cost_epoch
+        memo = node.cost_memo
+        if memo[0] == epoch:
+            return memo[1]
         cost = node.bcost
         for dmd in self.graph.dmds(node):
             cost -= dmd.bcost
-        return max(cost, 0.0)
+        cost = max(cost, 0.0)
+        node.cost_memo = (epoch, cost)
+        return cost
 
     def benefit(self, node: GraphNode,
                 size_override: int | None = None,

@@ -48,8 +48,8 @@ class CacheEntry:
     """One materialized result in the recycler cache.
 
     Compared by identity (``eq=False``): a node has at most one entry,
-    and ``refresh`` finds it in its size group on every reuse — a
-    field-by-field ``__eq__`` per probed entry dominated that scan."""
+    and the cache finds it in its size group by bisecting on
+    ``benefit`` and comparing identities (``RecyclerCache._locate``)."""
 
     node: GraphNode
     table: Table
@@ -278,6 +278,7 @@ class RecyclerCache:
         # its result must fail, not corrupt every later hit.
         entry.table.freeze()
         entry.node.entry = entry
+        self.model.graph.costs_moved()
         self.used += entry.size
         self._insert_sorted(entry)
 
@@ -318,10 +319,10 @@ class RecyclerCache:
     def _unlink(self, entry: CacheEntry) -> bool:
         """Take ``entry`` out of its size group and return its bytes;
         False when it was not there.  Caller holds ``_lock``."""
-        group = self._groups.get(self.group_of(entry.size), [])
-        if entry not in group:
+        group, at = self._locate(entry)
+        if group is None:
             return False
-        group.remove(entry)
+        del group[at]
         self.used -= entry.size
         return True
 
@@ -329,6 +330,7 @@ class RecyclerCache:
         """``entry``'s node is no longer materialized: Eq. 4.  Caller
         holds ``_lock``."""
         entry.node.entry = None
+        self.model.graph.costs_moved()
         self.counters.evicted += 1
         adjusted = self.model.on_evict(entry.node)
         self._refresh_affected(entry.node, adjusted)
@@ -382,10 +384,10 @@ class RecyclerCache:
             entry = node.entry
             if entry is None:
                 return
-            group = self._groups.get(self.group_of(entry.size), [])
-            if entry not in group:
+            group, at = self._locate(entry)
+            if group is None:
                 return  # unlinked while ``republish`` replaces it
-            group.remove(entry)
+            del group[at]
             entry.benefit = self.model.benefit(node,
                                                size_override=entry.size)
             self._insert_sorted(entry)
@@ -400,6 +402,24 @@ class RecyclerCache:
         for ancestor in self.model.graph.materialized_ancestor_frontier(
                 node):
             self.refresh(ancestor)
+
+    def _locate(self, entry: CacheEntry
+                ) -> tuple[list[CacheEntry] | None, int]:
+        """``entry``'s size group and its index there, or ``(None, 0)``
+        when it is not in the group.  A group is in ``benefit`` order
+        and an entry's ``benefit`` changes only while it is out of its
+        group, so the entry sits in the run of equal benefits that
+        starts where a bisection on its benefit lands: the scan for it
+        (by identity: ``eq=False``) starts there.  Caller holds
+        ``_lock``."""
+        group = self._groups.get(self.group_of(entry.size))
+        if group:
+            at = bisect.bisect_left(group, entry.benefit, key=_benefit)
+            try:
+                return group, group.index(entry, at)
+            except ValueError:
+                pass
+        return None, 0
 
     def _insert_sorted(self, entry: CacheEntry) -> None:
         group = self._groups.setdefault(self.group_of(entry.size), [])

@@ -69,7 +69,8 @@ class GraphNode:
         "refs_raw", "age_event", "bcost", "rows", "size_bytes",
         "exec_count", "inserted_by", "last_access_event",
         "entry", "subsumers", "version", "tables", "functions",
-        "table_incarnations", "function_incarnations", "__weakref__",
+        "table_incarnations", "function_incarnations", "cost_memo",
+        "__weakref__",
     )
 
     def __init__(self, node_id: int, plan: PlanNode, keys: NodeKeys,
@@ -118,6 +119,10 @@ class GraphNode:
         # unmatchable by new snapshots, so it ages out under truncation.
         self.table_incarnations: dict[str, int] = {}
         self.function_incarnations: dict[str, int] = {}
+        #: ``(cost epoch, Eq. 2 true cost)`` the benefit model last
+        #: computed (``BenefitModel.true_cost``); valid while the graph's
+        #: :attr:`RecyclerGraph.cost_epoch` still reads that epoch
+        self.cost_memo: tuple[int, float] = (-1, 0.0)
 
     # ------------------------------------------------------------------
     @property
@@ -234,16 +239,26 @@ class RecyclerGraph:
         #: lowest ``last_access_event`` the last idle sweep kept, capped
         #: at the event it ran at — see :meth:`truncate_due`.
         self._truncate_floor = 0
+        #: moves after every change that can move a node's Eq. 2 true
+        #: cost — a ``bcost`` write, a node gaining or losing its cache
+        #: entry — once the change has landed; a true-cost memo tagged
+        #: with an older epoch is stale (see :meth:`costs_moved`)
+        self.cost_epoch = 0
         #: guards all mutations; matching reads stay lock-free (OCC).
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # events & aging
     # ------------------------------------------------------------------
-    def tick(self) -> int:
-        """Advance the aging clock by one query event."""
+    def tick(self, referenced: GraphNode | None = None) -> int:
+        """Advance the aging clock by one query event; with
+        ``referenced``, then add one reference to that node at the new
+        event (:meth:`add_refs`) under the same lock acquisition."""
         with self._lock:
             self.event += 1
+            if referenced is not None:
+                self._age(referenced)
+                referenced.refs_raw += 1.0
             return self.event
 
     def effective_refs(self, node: GraphNode) -> float:
@@ -277,6 +292,7 @@ class RecyclerGraph:
             node.size_bytes = size_bytes
             node.exec_count += 1
             node.last_access_event = self.event
+            self.cost_epoch += 1
 
     def record_measurement(self, node: GraphNode, bcost: float, rows: int,
                            size_bytes: int) -> None:
@@ -287,6 +303,16 @@ class RecyclerGraph:
             node.bcost = bcost
             node.rows = rows
             node.size_bytes = size_bytes
+            self.cost_epoch += 1
+
+    def costs_moved(self) -> None:
+        """Invalidate every true-cost memo: a node gained or lost its
+        cache entry, which moves the true cost of its ancestors.  The
+        epoch is written under the graph lock alone (the cache calls
+        this under its own lock, which it takes before this one
+        anyway), so no bump is lost to a concurrent one."""
+        with self._lock:
+            self.cost_epoch += 1
 
     # ------------------------------------------------------------------
     # lookup

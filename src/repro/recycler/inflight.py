@@ -92,16 +92,20 @@ class InFlightRegistry:
         """Drop every registration owned by ``token`` (query finished or
         aborted); returns the released node ids."""
         with self._cond:
-            return self._drop(token)
+            return self._drop(token, wake=False)
 
-    def _drop(self, token: object) -> list[int]:
-        """Drop ``token``'s registrations and wake every waiter (caller
-        holds the condition); returns the released node ids."""
+    def _drop(self, token: object, wake: bool) -> list[int]:
+        """Drop ``token``'s registrations (caller holds the condition);
+        returns the released node ids.  Waiters are woken when a
+        registration went, or when ``wake`` says their condition
+        changed otherwise (a token just cancelled) — not to re-check a
+        registry nothing changed in."""
         released = [node for node, t in self._producers.items()
                     if t == token]
         for node in released:
             del self._producers[node]
-        self._cond.notify_all()
+        if released or wake:
+            self._cond.notify_all()
         return [node.node_id for node in released]
 
     # ------------------------------------------------------------------
@@ -117,11 +121,12 @@ class InFlightRegistry:
         time the cancel lands it is planning stores, and only the
         cancelled-token check keeps those registrations out."""
         with self._cond:
-            if token not in self._cancelled:
+            marked = token not in self._cancelled
+            if marked:
                 self._cancelled[token] = None
                 while len(self._cancelled) > MAX_CANCELLED_TOKENS:
                     self._cancelled.popitem(last=False)
-            return self._drop(token)
+            return self._drop(token, wake=marked)
 
     def is_cancelled(self, token: object) -> bool:
         with self._cond:

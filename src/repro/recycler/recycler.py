@@ -446,17 +446,19 @@ class Recycler:
             with self._counters_lock:
                 self._optimizer_counts.update(rewrites)
 
-    def _new_query(self, producer_token: object | None, proved: int
-                   ) -> tuple[int, object]:
+    def _new_query(self, producer_token: object | None, proved: int,
+                   root_hit: bool = False) -> tuple[int, object]:
         """The next query id, and the token the query's in-flight
         registrations go under: the caller's, else that id.  ``proved``
         is the query's proved windows, counted here — once the prepare
-        is committed to the query."""
+        is committed to the query — and so is a ``root_hit``."""
         with self._counters_lock:
             self._query_counter += 1
             query_id = self._query_counter
             if proved:
                 self._conjuncts_proved += proved.bit_count()
+            if root_hit:
+                self._root_hits += 1
         return query_id, \
             query_id if producer_token is None else producer_token
 
@@ -486,7 +488,12 @@ class Recycler:
         and one noted reuse, whose refresh re-positions the entry), and
         the query record reads the same (``num_matched`` = plan nodes,
         ``num_inserted`` = 0, one exact reuse, the variant's proactive
-        strategies).
+        strategies).  None of it walks the graph or scans the cache:
+        the refresh reads the root's memoized true cost
+        (:meth:`~repro.recycler.benefit.BenefitModel.true_cost`) and
+        finds the entry by bisection; the counters lock and the graph
+        lock are taken once each, and the access stamps are one
+        attribute write per matched node.
 
         One intended difference: with ``block_on_inflight`` the slow
         path would wait on an in-flight *descendant* of the root even
@@ -496,14 +503,12 @@ class Recycler:
         entry = current_entry(root, snapshot)
         if entry is None or recompute_is_cheaper(root, self.cost_model):
             return None
-        query_id, token = self._new_query(producer_token, variant.proved)
-        event = self.graph.tick()
+        query_id, token = self._new_query(producer_token, variant.proved,
+                                          root_hit=True)
+        event = self.graph.tick(referenced=root)
         for node in memo.nodes:
             node.last_access_event = event
-        self.graph.add_refs(root, 1.0)
         self.cache.note_reuse(entry)
-        with self._counters_lock:
-            self._root_hits += 1
         return PreparedQuery(
             query_id=query_id, original_plan=variant.plan,
             executed_plan=CachedScan(entry, memo.schema,
@@ -624,9 +629,15 @@ class Recycler:
         the query (paper: 'after the query has been executed, each
         operator annotates its equivalent node in the recycler graph').
 
-        An ``off`` query (no matches) registered nothing and has no
-        graph node to annotate, so it takes no stripe."""
-        if prepared.matches is not None:
+        A query with no physical tree or shipped statistics to annotate
+        that planned no store — an ``off`` query, a full-plan hit —
+        registered nothing in the in-flight registry, so it takes no
+        stripe and releases nothing: a producer token several queries
+        share keeps the registrations of those that did, until their
+        own finalize."""
+        if prepared.matches is not None and (
+                stats.physical_root is not None or prepared.stores or
+                (stats.remote and stats.node_stats)):
             with self._stripes.for_key(prepared.fingerprint):
                 if stats.physical_root is not None:
                     self._annotate(stats.physical_root, prepared.matches)

@@ -89,6 +89,46 @@ class TestRegistry:
         waited = registry.wait_for(wanted, "victim", timeout=5.0)
         assert waited < 1.0
 
+    def test_only_a_release_or_a_cancel_wakes_waiters(self):
+        """``notify_all`` runs when a registration is dropped or a token
+        is newly cancelled — never for a finalize that releases nothing
+        — and a waiter parked on a producer wakes on the release."""
+        class FakeNode:
+            node_id = 5
+        registry = InFlightRegistry()
+        node = FakeNode()
+        wakeups = []
+        notify_all = registry._cond.notify_all
+        registry._cond.notify_all = \
+            lambda: (wakeups.append(1), notify_all())
+        registry.register(node, "producer")
+        assert registry.release_all("bystander") == []
+        assert registry.release(node, "impostor") is False
+        assert wakeups == []
+        parked = threading.Event()
+        waited: list[float] = []
+        wait = registry._cond.wait
+
+        def parking_wait(timeout=None):
+            parked.set()
+            return wait(timeout)
+
+        registry._cond.wait = parking_wait
+        waiter = threading.Thread(target=lambda: waited.append(
+            registry.wait_for(node, "consumer", timeout=30.0)))
+        waiter.start()
+        assert parked.wait(timeout=5)
+        assert registry.release_all("producer") == [5]
+        waiter.join(timeout=5)
+        assert not waiter.is_alive() and waited[0] < 30.0
+        assert wakeups == [1]
+        # a cancel with nothing registered still wakes: the cancelled
+        # token may be the one waiting; cancelling it again does not
+        assert registry.cancel("consumer") == []
+        assert wakeups == [1, 1]
+        assert registry.cancel("consumer") == []
+        assert wakeups == [1, 1]
+
     def test_active_nodes_snapshot(self):
         class FakeNode:
             def __init__(self, node_id):
@@ -133,6 +173,32 @@ class TestPrepareStalls:
         follow_up = recycler.prepare(plan(), producer_token="s2")
         assert not follow_up.stalls
         assert follow_up.reuses  # the result is cached now
+
+    def test_root_hit_leaves_a_shared_tokens_registrations(self, catalog):
+        """A full-plan hit registers nothing, so its finalize releases
+        nothing — not even the registrations another query made under
+        the same producer token, which its own finalize releases."""
+        db = Database(RecyclerConfig(mode="spec"), catalog=catalog)
+        recycler = db.recycler
+        text = "SELECT g, sum(v) AS s FROM t WHERE v > 0.5 GROUP BY g"
+        db.sql(text)
+        db.sql(text)
+        cold = recycler.prepare(
+            q.scan("t", ["g", "v"]).filter(Cmp("<", Col("v"), Lit(0.25)))
+             .aggregate(keys=["g"], aggs=[("max", Col("v"), "m")])
+             .build(), producer_token="shared")
+        assert cold.stores
+        producing = recycler.inflight.active_nodes()
+        hits = recycler.optimizer_summary()["root_hits"]
+        result = recycler.service.execute(text, producer_token="shared")
+        assert recycler.optimizer_summary()["root_hits"] == hits + 1
+        assert result.record.num_reused == 1
+        assert recycler.inflight.active_nodes() == producing
+        stats = execute_plan(cold.executed_plan, catalog,
+                             stores=cold.stores).stats
+        recycler.finalize(cold, stats)
+        assert len(recycler.inflight) == 0
+        db.close()
 
     def test_query_record_written(self, catalog):
         recycler = Recycler(catalog, RecyclerConfig(mode="spec"))

@@ -16,12 +16,15 @@ unrewritten plan, so it always takes the slow path.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import Database, RecyclerConfig
+from repro.columnar import types as column_types
+from repro.recycler import graph as graph_module
 from repro.workloads import skyserver, timeseries, tpch
 from repro.workloads.skyserver import queries as sky_queries
 from twin_replay import Twins, quiet_config
@@ -120,6 +123,66 @@ class TestSkyServerMix:
         assert hit.record.num_reused == 1
         assert warm.record.num_matched == hit.record.num_matched
         assert sky_twins.root_hits()[0] >= 1
+
+
+def test_repeated_hit_walks_coerces_locks_and_wakes_nothing(monkeypatch):
+    """A primed SkyServer replay: a hit that repeats a hit costs O(1)
+    in the plan, the root's subtree and the cache — no DMD walk
+    (its true cost is memoized: no ``bcost`` or entry changed since
+    the last hit), no column re-coerced into the served table, no plan
+    stripe taken in ``finalize`` and no in-flight waiter woken."""
+    db = Database(config(64 * 1024 * 1024),
+                  catalog=skyserver.build_catalog(4000, seed=3))
+    recycler = db.recycler
+    statements = sky_statements(11, 120)
+    for text in statements:
+        db.sql(text)
+    calls: Counter = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    finalizing = []
+    for_key = recycler._stripes.for_key
+    finalize = recycler.finalize
+
+    def finalize_flagged(*args, **kwargs):
+        finalizing.append(True)
+        try:
+            return finalize(*args, **kwargs)
+        finally:
+            finalizing.pop()
+
+    def for_key_counted(key):
+        if finalizing:
+            calls["finalize stripe"] += 1
+        return for_key(key)
+
+    monkeypatch.setattr(graph_module, "_frontier",
+                        counted("_frontier", graph_module._frontier))
+    monkeypatch.setattr(column_types, "coerce_array",
+                        counted("coerce_array", column_types.coerce_array))
+    monkeypatch.setattr(recycler._stripes, "for_key", for_key_counted)
+    monkeypatch.setattr(recycler, "finalize", finalize_flagged)
+    monkeypatch.setattr(
+        recycler.inflight._cond, "notify_all",
+        counted("notify_all", recycler.inflight._cond.notify_all))
+    repeated = 0
+    for text in dict.fromkeys(statements):
+        db.sql(text)
+        hits = recycler.optimizer_summary()["root_hits"]
+        calls.clear()
+        result = db.sql(text)
+        if recycler.optimizer_summary()["root_hits"] == hits + 1:
+            repeated += 1
+            assert calls == Counter(), text
+            assert result.stats.physical_root is None
+    # premise: the mix's statements are cached and repeat as hits
+    assert repeated >= 5
+    db.close()
 
 
 class TestTpchUnderPressure:

@@ -32,9 +32,12 @@ three times, each time on a fresh database:
    reference bookkeeping (``prepare.match_us``: ``Recycler._match``)
    and the rest, the post-match walk of stall collection, reuse
    substitution, store planning and the root-hit memo
-   (``prepare.post_match_us``).  Timed without a profiler because
-   cProfile charges every Python call but no native loop, which
-   inflates exactly these shares;
+   (``prepare.post_match_us``), and what a full-plan hit cost per hit
+   (``root_hit_us``), split into its prepare, the engine serving the
+   cached table and its finalize (``root_hit.prepare_us``,
+   ``root_hit.serve_us``, ``root_hit.finalize_us``).  Timed without a
+   profiler because cProfile charges every Python call but no native
+   loop, which inflates exactly these shares;
 2. with the cyclic collector off and ``gc.DEBUG_SAVEALL`` on, and
    prints the objects the pass left for that collector
    (``cyclic_garbage``) and how many of them are ``repro``'s
@@ -97,7 +100,7 @@ from bench.workloads import APPEND, SCAN, SQL, WORKLOADS  # noqa: E402
 from repro import exec_service  # noqa: E402
 from repro.columnar import types  # noqa: E402
 from repro.columnar.batch import Batch  # noqa: E402
-from repro.engine import grouping, join, sort, topn  # noqa: E402
+from repro.engine import executor, grouping, join, sort, topn  # noqa: E402
 from repro.engine.base import PhysicalOperator  # noqa: E402
 from repro.expr.nodes import Cmp  # noqa: E402
 from repro.recycler.recycler import Recycler  # noqa: E402
@@ -291,6 +294,81 @@ class PrepareShare(Share):
             yield
         finally:
             Recycler.prepare, Recycler._match = saved
+
+
+class RootHitShare:
+    """What a full-plan hit costs, per hit, in its three steps:
+    ``Recycler.prepare`` of the prepares ``Recycler._prepare_root_hit``
+    answered, ``executor._serve_cached`` handing their cached table
+    over, and ``Recycler.finalize`` of the same queries (the replay is
+    one thread: a hit is finalized before the next prepare)."""
+
+    STEPS = ("prepare", "serve", "finalize")
+
+    def __init__(self) -> None:
+        self.seconds = dict.fromkeys(self.STEPS, 0.0)
+        self.hits = 0
+        self._hit = None        # the hit prepared last, until finalized
+
+    @contextlib.contextmanager
+    def installed(self):
+        saved = (Recycler.prepare, Recycler._prepare_root_hit,
+                 Recycler.finalize, executor._serve_cached)
+        prepare, root_hit, finalize, serve = saved
+        answered: list = []
+
+        def timed(step: str, function, *args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self.seconds[step] += time.perf_counter() - started
+
+        def noted_root_hit(*args, **kwargs):
+            prepared = root_hit(*args, **kwargs)
+            if prepared is not None:
+                answered.append(prepared)
+            return prepared
+
+        def timed_prepare(*args, **kwargs):
+            answered.clear()
+            started = time.perf_counter()
+            prepared = prepare(*args, **kwargs)
+            if answered and prepared is answered[0]:
+                self.seconds["prepare"] += time.perf_counter() - started
+                self.hits += 1
+                self._hit = prepared
+            return prepared
+
+        def timed_serve(plan, *args, **kwargs):
+            if self._hit is None or plan is not self._hit.executed_plan:
+                return serve(plan, *args, **kwargs)
+            return timed("serve", serve, plan, *args, **kwargs)
+
+        def timed_finalize(recycler, prepared, *args, **kwargs):
+            if prepared is not self._hit:
+                return finalize(recycler, prepared, *args, **kwargs)
+            self._hit = None
+            return timed("finalize", finalize, recycler, prepared,
+                         *args, **kwargs)
+
+        Recycler.prepare = timed_prepare
+        Recycler._prepare_root_hit = noted_root_hit
+        Recycler.finalize = timed_finalize
+        executor._serve_cached = timed_serve
+        try:
+            yield
+        finally:
+            (Recycler.prepare, Recycler._prepare_root_hit,
+             Recycler.finalize, executor._serve_cached) = saved
+
+    def report(self) -> None:
+        hits = max(self.hits, 1)
+        print(f"root_hits_timed {self.hits}")
+        print(f"root_hit_us {sum(self.seconds.values()) * 1e6 / hits:.1f}")
+        for step in self.STEPS:
+            print(f"root_hit.{step}_us"
+                  f" {self.seconds[step] * 1e6 / hits:.1f}")
 
 
 class GcPauses:
@@ -491,6 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     floor = BatchFloor()
     templates = TemplateShare()
     prepares = PrepareShare()
+    root_hits = RootHitShare()
     pauses = GcPauses()
 
     @contextlib.contextmanager
@@ -500,7 +579,8 @@ def main(argv: list[str] | None = None) -> int:
             yield
 
     with share.installed(), sorting.installed(), floor.installed(), \
-            templates.installed(), prepares.installed():
+            templates.installed(), prepares.installed(), \
+            root_hits.installed():
         seconds, summary = replay(workload, ops, args.seed, args.size,
                                   args.mode, around_ops=around_ops)
     statement_cache = summary["service"]["statement_cache"]
@@ -532,6 +612,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"prepare.match_us {match_s * 1e6 / prepared:.1f}")
     print(f"prepare.post_match_us"
           f" {(prepare_s - match_s) * 1e6 / prepared:.1f}")
+    root_hits.report()
     print(f"gc_ms {pauses.seconds * 1e3:.1f}")
     print(f"gc_share {pauses.seconds / seconds:.4f}")
     print(f"gc_gen2 {pauses.gen2}")
