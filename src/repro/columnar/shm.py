@@ -15,9 +15,12 @@ between processes without pickling a single batch:
   parent copies fixed-width payloads out of the ring (one memcpy, no
   pickle) so ring slots recycle immediately.
 
-The same encoding is the serving layer's ``result_chunk`` frame
-(:mod:`repro.server.protocol`, specified in ``docs/PROTOCOL.md``), so
-:func:`decode_table` treats its input as untrusted.
+The value sections of the encoding (:func:`encode_sections` /
+:func:`decode_sections`: a table's columns without their names and
+dtypes) are what the serving layer's result frames carry after a
+header that holds the schema once (:mod:`repro.server.protocol`,
+specified in ``docs/PROTOCOL.md``), so every decoder here treats its
+input as untrusted.
 
 Layout (every integer and fixed-width value little-endian; all
 sections 8-byte aligned so int64/float64 views over the buffer are
@@ -45,6 +48,7 @@ to skip the redundant re-register outright.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -89,6 +93,12 @@ def encoded_nbytes(table: Table) -> int:
 _WIRE_DTYPES = {dtype: np.dtype(dtype.numpy_dtype).newbyteorder("<")
                 for dtype in t.ALL_TYPES if dtype is not t.STRING}
 
+#: the same types' ``struct`` codes: a short column decodes to Python
+#: values faster through ``struct`` than through numpy.
+_CODES = {t.INT64: "q", t.FLOAT64: "d", t.BOOL: "?", t.DATE: "i"}
+assert all(struct.calcsize("<" + code) == _WIRE_DTYPES[dtype].itemsize
+           for dtype, code in _CODES.items())
+
 
 def _padded(raw: bytes) -> bytes:
     return raw + bytes(-len(raw) % 8) if len(raw) % 8 else raw
@@ -99,6 +109,24 @@ def _text(text: str) -> bytes:
     return _INT.pack(len(raw)) + _padded(raw)
 
 
+def encode_sections(columns, dtypes) -> list[bytes]:
+    """The value sections of ``columns`` (arrays of one row count,
+    typed ``dtypes``), in the layout of the module docstring but
+    without the names and dtypes: what the wire's result frames and
+    chunks carry after their own header, which holds the schema."""
+    sections = []
+    for column, dtype in zip(columns, dtypes):
+        if dtype is t.STRING:
+            encoded = [v.encode("utf-8") for v in column]
+            sections.append(struct.pack(f"<{len(encoded) + 1}q", 0,
+                                        *accumulate(map(len, encoded))))
+            sections.append(_padded(b"".join(encoded)))
+        else:
+            sections.append(_padded(np.ascontiguousarray(
+                column, dtype=_WIRE_DTYPES[dtype]).tobytes()))
+    return sections
+
+
 def _sections(table: Table) -> list[bytes]:
     """The encoding of ``table`` as consecutive byte sections (see the
     layout in the module docstring)."""
@@ -106,17 +134,7 @@ def _sections(table: Table) -> list[bytes]:
     sections = [struct.pack("<3q", _MAGIC, len(schema), table.num_rows)]
     for name, dtype in zip(schema.names, schema.types):
         sections.append(_text(name) + _text(dtype.name))
-        column = table.column(name)
-        if dtype is t.STRING:
-            encoded = [v.encode("utf-8") for v in column]
-            offsets = np.zeros(len(encoded) + 1, dtype="<i8")
-            if encoded:
-                np.cumsum([len(e) for e in encoded], out=offsets[1:])
-            sections.append(offsets.tobytes())
-            sections.append(_padded(b"".join(encoded)))
-        else:
-            sections.append(_padded(np.ascontiguousarray(
-                column, dtype=_WIRE_DTYPES[dtype]).tobytes()))
+        sections += encode_sections([table.column(name)], [dtype])
     return sections
 
 
@@ -132,28 +150,13 @@ def encode_table(table: Table, buf, offset: int = 0) -> int:
     return pos
 
 
-def encode_bytes(table: Table) -> bytes:
-    """``table`` encoded into a fresh ``bytes`` (the wire's chunk
-    frames): one pass, no sizing walk beforehand."""
-    return b"".join(_sections(table))
-
-
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------
 def decode_table(buf, offset: int = 0,
                  copy: bool = True) -> tuple[Table, int]:
     """Decode one table from ``buf`` at ``offset``; returns ``(table,
-    end_offset)``; see :func:`decode_columns`."""
-    names, dtypes, columns, end = decode_columns(buf, offset, copy)
-    return Table(Schema(names, dtypes), dict(zip(names, columns))), end
-
-
-def decode_columns(buf, offset: int = 0, copy: bool = True,
-                   ) -> tuple[list[str], list[t.DataType],
-                              list[np.ndarray], int]:
-    """Decode one table from ``buf`` at ``offset`` as ``(names, dtypes,
-    column arrays, end_offset)``.
+    end_offset)``.
 
     With ``copy=False`` fixed-width columns are zero-copy
     ``np.frombuffer`` views into ``buf`` — the caller must keep the
@@ -162,10 +165,10 @@ def decode_columns(buf, offset: int = 0, copy: bool = True,
     (parent-side ring decode: the slot recycles immediately).  STRING
     columns are always materialized as fresh object arrays.
 
-    The buffer may come from outside the process (a wire frame): every
-    count and offset in it is checked against the bytes actually
-    present *before* anything is sized from it, and a buffer that does
-    not hold what its header promises raises :class:`SchemaError`.
+    The buffer may come from outside the process: every count and
+    offset in it is checked against the bytes actually present
+    *before* anything is sized from it, and a buffer that does not
+    hold what its header promises raises :class:`SchemaError`.
     """
     buf = memoryview(buf)
     pos = offset
@@ -182,7 +185,7 @@ def decode_columns(buf, offset: int = 0, copy: bool = True,
         raise SchemaError(f"bad row count {nrows}")
     names: list[str] = []
     dtypes: list[t.DataType] = []
-    columns: list[np.ndarray] = []
+    columns: dict[str, np.ndarray] = {}
     for _ in range(ncols):
         name, pos = _get_str(buf, pos)
         dtype_name, pos = _get_str(buf, pos)
@@ -193,30 +196,64 @@ def decode_columns(buf, offset: int = 0, copy: bool = True,
         names.append(name)
         dtypes.append(dtype)
         if dtype is t.STRING:
-            offsets = _view(buf, pos, np.dtype("<i8"), nrows + 1)
-            pos += 8 * (nrows + 1)
-            blob_len = int(offsets[-1])
-            if offsets[0] != 0 or (np.diff(offsets) < 0).any() \
-                    or blob_len > len(buf) - pos:
-                raise SchemaError(
-                    f"string offsets of column {name!r} point outside"
-                    f" the buffer")
-            blob = bytes(buf[pos:pos + blob_len])
-            pos += _align8(blob_len)
-            bounds = offsets.tolist()
+            strings, pos = _strings(buf, pos, nrows, f"column {name!r}")
             values = np.empty(nrows, dtype=object)
-            try:
-                values[:] = [blob[a:b].decode("utf-8")
-                             for a, b in zip(bounds, bounds[1:])]
-            except UnicodeDecodeError as exc:
-                raise SchemaError(
-                    f"column {name!r} is not UTF-8: {exc}") from None
-            columns.append(values)
+            values[:] = strings
         else:
-            arr = _view(buf, pos, _WIRE_DTYPES[dtype], nrows)
-            columns.append(arr.copy() if copy else arr)
-            pos += _align8(arr.nbytes)
-    return names, dtypes, columns, pos
+            values = _view(buf, pos, _WIRE_DTYPES[dtype], nrows)
+            pos += _align8(values.nbytes)
+            if copy:
+                values = values.copy()
+        columns[name] = values
+    return Table(Schema(names, dtypes), columns), pos
+
+
+def decode_sections(buf, pos: int, dtypes, nrows: int,
+                    ) -> tuple[list[tuple], int]:
+    """The inverse of :func:`encode_sections`: ``nrows`` values per
+    column of ``dtypes`` from ``buf`` at ``pos``, each column a
+    sequence of plain Python values, and the end offset.  ``buf`` is
+    untrusted, checked as :func:`decode_table` checks; whether the
+    sections end where the buffer does is the caller's to check."""
+    if nrows < 0 or (nrows and not dtypes):
+        raise SchemaError(f"bad row count {nrows}")
+    columns = []
+    for index, dtype in enumerate(dtypes):
+        if dtype is t.STRING:
+            values, pos = _strings(buf, pos, nrows, f"column {index}")
+        else:
+            code = _CODES[dtype]
+            size = nrows * struct.calcsize(code)
+            if size > len(buf) - pos:
+                raise SchemaError(f"{nrows} {dtype.name} values do not"
+                                  f" fit the buffer")
+            values = struct.unpack_from(f"<{nrows}{code}", buf, pos)
+            pos += _align8(size)
+        columns.append(values)
+    return columns, pos
+
+
+def _strings(buf, pos: int, nrows: int, what: str) -> tuple[list, int]:
+    """A STRING column's section at ``pos``: its ``nrows`` values and
+    the end offset."""
+    size = 8 * (nrows + 1)
+    if size > len(buf) - pos:
+        raise SchemaError(f"{nrows + 1} string offsets do not fit the"
+                          f" buffer")
+    bounds = struct.unpack_from(f"<{nrows + 1}q", buf, pos)
+    pos += size
+    # sorted() of sorted input is one C pass: the monotone check
+    if bounds[0] != 0 or bounds[-1] > len(buf) - pos \
+            or list(bounds) != sorted(bounds):
+        raise SchemaError(f"string offsets of {what} point outside the"
+                          f" buffer")
+    blob = bytes(buf[pos:pos + bounds[-1]])
+    try:
+        strings = [blob[a:b].decode("utf-8")
+                   for a, b in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{what} is not UTF-8: {exc}") from None
+    return strings, pos + _align8(bounds[-1])
 
 
 def _view(buf: memoryview, pos: int, dtype: np.dtype,

@@ -34,6 +34,7 @@ import bisect
 import operator
 import threading
 from dataclasses import dataclass, replace
+from typing import Collection
 
 from ..columnar.table import Table
 from .benefit import BenefitModel
@@ -76,6 +77,28 @@ class CacheEntry:
                 or (self.table_versions == table_versions
                     and (self.function_versions or {})
                     == function_versions))
+
+    def current_in(self, catalog, tables: Collection[str],
+                   functions: Collection[str]) -> bool:
+        """:meth:`versions_match` against ``catalog``'s versions of the
+        dependency sets ``tables`` / ``functions`` (a node's: no name
+        twice), read in place — the reuse gate of every hit, which
+        builds no dicts."""
+        tags = self.table_versions
+        if tags is None:
+            return True
+        if len(tags) != len(tables):
+            return False
+        for name in tables:
+            if tags.get(name) != catalog.table_version(name):
+                return False
+        tags = self.function_versions or {}
+        if len(tags) != len(functions):
+            return False
+        for name in functions:
+            if tags.get(name) != catalog.function_version(name):
+                return False
+        return True
 
 
 @dataclass

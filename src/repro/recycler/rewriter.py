@@ -72,8 +72,8 @@ def current_entry(graph_node: GraphNode, catalog: CatalogView):
     consume it — its version tags equal the snapshot's versions of the
     same tables/functions, in either direction — else ``None``."""
     entry = graph_node.entry
-    if entry is not None and entry.versions_match(*catalog.versions_for(
-            graph_node.tables, graph_node.functions)):
+    if entry is not None and entry.current_in(
+            catalog, graph_node.tables, graph_node.functions):
         return entry
     return None  # nothing cached for this catalog incarnation
 

@@ -34,7 +34,8 @@ everything that must behave identically whichever port a client picks:
   next batch boundary, a query stalled on another's in-flight result
   wakes at once, and the recycler's abandon path guarantees no cache
   entry is published for it;
-* **streaming** — one driver turns a materialized result into a
+* **streaming** — one driver turns a materialized result into one
+  ``result`` frame when its rows fit in one columnar chunk, else a
   ``result_header`` / ``result_chunk``* / ``result_end`` sequence:
   chunks are serialized on the worker pool (the first by the thread
   that ran the query — unless that is the loop and the chunk is not
@@ -67,10 +68,11 @@ from ..errors import (QueryCancelled, QueryTimeout, ReproError,
 from ..recycler.recycler import CLIENT_COUNTERS
 from ..session import cancel_sessions
 from .protocol import (DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_ROWS,
-                       ProtocolError, encode_json, encode_result_chunk,
-                       error_payload, iter_columnar_chunks,
-                       iter_result_chunks, result_end_payload,
-                       result_header_payload)
+                       ProtocolError, columnar_chunk, encode_json,
+                       encode_result_chunk, error_payload,
+                       iter_columnar_chunks, iter_result_chunks,
+                       result_end_payload, result_header_payload,
+                       result_parts)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..db import Database
@@ -522,40 +524,48 @@ class ServingBase:
     # ------------------------------------------------------------------
     async def _stream_result(self, query, result, chunks, first, *,
                              writer, columnar: bool) -> None:
-        """Drive one streamed reply: ``result_header``, bounded
-        ``result_chunk`` frames, ``result_end`` (or an ``error``
-        trailer if the query's token cancels mid-stream).
+        """Drive one reply: a single ``result`` frame when ``first``
+        holds every row and the client reads columnar frames, else a
+        stream — ``result_header``, bounded ``result_chunk`` frames,
+        ``result_end`` (or an ``error`` trailer if the query's token
+        cancels mid-stream).
 
-        :meth:`_framing`'s ``frame`` wraps one payload for the transport (length prefix on
-        TCP, an HTTP chunk around a frame or an NDJSON line on HTTP);
-        ``head`` and ``tail`` are the transport's own bytes before the
-        first and after the last frame.  Whatever is ready goes out in
-        one ``write``: the header with the first chunk — and with the
-        trailer when that chunk was the whole result, so a small reply
-        is one write and one drain.  Between chunks the ``drain()`` is
-        the backpressure (a slow consumer throttles the producer
-        instead of growing a server-side buffer), the token is checked
-        before every chunk, and each further chunk is serialized on the
-        worker pool only once the previous one has drained, so at most
-        one encoded chunk exists at a time.  A ConnectionError from
-        the writer propagates to the caller (client gone mid-stream).
+        :meth:`_framing`'s ``frame`` wraps the parts of one payload
+        for the transport (length prefix on TCP, an HTTP chunk around a
+        frame or an NDJSON line on HTTP), as parts too; ``head`` and
+        ``tail`` are the transport's own bytes before the first and
+        after the last frame.  Whatever is ready goes out in one
+        ``write``, its parts joined once: the one-frame reply, or a
+        stream's header with its first chunk.  Between chunks the
+        ``drain()`` is the backpressure (a slow consumer throttles the
+        producer instead of growing a server-side buffer), the token is
+        checked before every chunk, and each further chunk is
+        serialized on the worker pool only once the previous one has
+        drained, so at most one encoded chunk exists at a time.  A
+        ConnectionError from the writer propagates to the caller
+        (client gone mid-stream).
         """
         token, stream_id = query.cancel_token, query.seq
         frame, head, tail = self._framing(columnar)
         table = result.table
-        out = [head, frame(encode_json(result_header_payload(
-            stream_id, table, query_stats_payload(result.record))))]
+        header = result_header_payload(
+            stream_id, table, query_stats_payload(result.record))
+        aborted = None if first is None else _aborted(token)
+        if columnar and aborted is None \
+                and (first is None or first[1] == table.num_rows):
+            chunk = columnar_chunk(table, 0, 0) if first is None \
+                else first[0]
+            writer.write(b"".join(
+                [head, *frame(result_parts(header, chunk)), tail]))
+            await writer.drain()
+            self._streamed(0 if first is None else 1)
+            return
+        out = [head, *frame([encode_json(header)])]
         sent_chunks = sent_rows = 0
         piece = first
-        aborted = None
-        while piece is not None:
-            if token.cancelled or token.expired:
-                aborted = QueryTimeout("stream deadline expired") \
-                    if token.expired \
-                    else QueryCancelled("stream cancelled")
-                break
+        while piece is not None and aborted is None:
             payload, count = piece
-            out.append(frame(payload))
+            out += frame([payload])
             sent_chunks += 1
             sent_rows += count
             piece = None
@@ -565,15 +575,30 @@ class ServingBase:
                 out = []
                 piece = await self._loop.run_in_executor(
                     self._pool, next, chunks, None)
+                aborted = _aborted(token)
         trailer = dict(error_payload(aborted), stream=stream_id) \
             if aborted is not None \
             else result_end_payload(stream_id, chunks=sent_chunks,
                                     rows=sent_rows)
-        writer.write(b"".join(out + [frame(encode_json(trailer)), tail]))
+        writer.write(b"".join(out + frame([encode_json(trailer)])
+                              + [tail]))
         await writer.drain()
         if aborted is not None:
             self._count("stream_aborted")
             return
+        self._streamed(sent_chunks)
+
+    def _streamed(self, chunks: int) -> None:
+        """Count one completed reply of ``chunks`` chunks."""
         self._count("streams")
-        self._count("stream_chunks", sent_chunks)
-        self.service.account_stream(self.frontend, chunks=sent_chunks)
+        self._count("stream_chunks", chunks)
+        self.service.account_stream(self.frontend, chunks=chunks)
+
+
+def _aborted(token) -> Exception | None:
+    """The error that ends a reply whose token has tripped, or None."""
+    if token.expired:
+        return QueryTimeout("stream deadline expired")
+    if token.cancelled:
+        return QueryCancelled("stream cancelled")
+    return None

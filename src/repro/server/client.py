@@ -11,7 +11,8 @@ would in process, and an admission reject raises
 On connect the client sends a ``hello``, which fails typed
 (:class:`~repro.errors.ProtocolError`) if the server speaks
 another protocol version.  :meth:`ServerClient.query` returns the
-fully assembled :class:`ClientResult` — chunking is invisible.
+fully assembled :class:`ClientResult` — whether the rows came in one
+``result`` frame or streamed in chunks is invisible.
 :meth:`ServerClient.execute_stream` instead exposes the stream as an
 iterator of rows (:class:`StreamingResult`), so a 100 MB result can be
 consumed with bounded client-side memory, or abandoned mid-way (closing
@@ -26,18 +27,20 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ..errors import ServerError, ServerUnavailable
-from .protocol import (PROTOCOL_VERSION, raise_error, read_frame,
-                       write_frame)
+from .protocol import (PROTOCOL_VERSION, header_types, raise_error,
+                       read_frame, write_frame)
 
 
 def read_reply_frame(read: Callable[[int], bytes],
-                     close: Callable[[], None], peer: str) -> dict:
+                     close: Callable[[], None], peer: str,
+                     types=None) -> dict:
     """The next reply frame through ``read`` (see
-    :func:`~repro.server.protocol.read_frame`) — the one frame reader
-    of both clients.  A connection that breaks or ends inside a reply
-    is closed and surfaces as :class:`ServerUnavailable`."""
+    :func:`~repro.server.protocol.read_frame`; ``types`` decode a
+    stream's columnar chunks) — the one frame reader of both clients.
+    A connection that breaks or ends inside a reply is closed and
+    surfaces as :class:`ServerUnavailable`."""
     try:
-        return read_frame(read)
+        return read_frame(read, types)
     except (OSError, EOFError) as exc:
         close()
         raise ServerUnavailable(
@@ -53,8 +56,9 @@ class ClientResult:
     types: list[str]
     rows: list[tuple]
     stats: dict = field(default_factory=dict)
-    #: how many ``result_chunk`` frames carried the rows —
-    #: observability for tests and benchmarks.
+    #: how many chunks carried the rows (a one-frame reply counts as
+    #: one chunk, or none when it is empty) — observability for tests
+    #: and benchmarks.
     chunks: int = 0
 
     @property
@@ -63,13 +67,15 @@ class ClientResult:
 
 
 class StreamingResult:
-    """An iterator over a streamed query result.
+    """An iterator over a query result.
 
     Yields one row tuple at a time; at any moment the client buffers at
-    most one ``result_chunk`` worth of rows.  Schema (``columns`` /
-    ``types``), ``rowcount``, and the recycler ``stats`` are available
-    immediately (they travel in the ``result_header``), so time to
-    first row does not depend on result size.
+    most one chunk worth of rows.  Schema (``columns`` / ``types``),
+    ``rowcount``, and the recycler ``stats`` are available immediately
+    (they travel in the reply's first frame), so time to first row
+    does not depend on result size.  A result that fits in one chunk
+    arrived whole in that first frame, a ``result``; a larger one
+    follows its ``result_header`` in chunks.
 
     The stream must be consumed or closed; it is a context manager::
 
@@ -80,18 +86,23 @@ class StreamingResult:
     Closing before exhaustion abandons the stream by closing the
     underlying connection — the server notices and stops producing
     chunks.  A truncated stream can never be mistaken for a complete
-    one: the trailer's chunk/row totals are checked against what
-    arrived, and a missing trailer raises.
+    one: the totals of the trailer (or of the one ``result`` frame) are
+    checked against what arrived, and a missing trailer raises.
 
-    The frame source is a callable returning decoded frames
-    (:func:`~repro.server.protocol.decode_frame`: a chunk's ``rows``
-    are tuples when it travelled columnar, lists when as JSON), so the
-    same class drives the TCP socket and the HTTP response body.
+    The frame source ``next_frame(types)`` returns the next decoded
+    frame (:func:`~repro.server.protocol.decode_frame`: a chunk's
+    ``rows`` are tuples when it travelled columnar, lists when as
+    JSON), given the column types the header names, so the same class
+    drives the TCP socket and the HTTP response body.
     """
 
-    def __init__(self, header: dict, next_frame: Callable[[], dict],
+    def __init__(self, header: dict, next_frame: Callable[[list], dict],
                  on_abort: Callable[[], None],
                  on_finish: Callable[[], None] | None = None) -> None:
+        kind = header.get("kind")
+        if kind not in ("result", "result_header"):
+            raise ServerError(f"expected a result or result_header"
+                              f" frame, got {kind!r}")
         self.columns: list[str] = list(header.get("columns", []))
         self.types: list[str] = list(header.get("types", []))
         self.rowcount: int = int(header.get("rowcount", 0))
@@ -99,6 +110,10 @@ class StreamingResult:
         self.stream_id = header.get("stream")
         #: chunk count, filled in once the trailer arrives.
         self.chunks: int = 0
+        #: a one-frame reply: the frame, whose rows are all there is
+        self._whole = header if kind == "result" else None
+        self._dtypes = None if self._whole is not None \
+            else header_types(header)
         self._next_frame = next_frame
         self._on_abort = on_abort
         self._on_finish = on_finish
@@ -106,10 +121,15 @@ class StreamingResult:
         self._closed = False
 
     def __iter__(self) -> Iterator[tuple]:
+        if self._whole is not None and not self._exhausted:
+            rows = self._whole["data"]
+            self._finish(self._whole, 1 if rows else 0, len(rows))
+            yield from rows
+            return
         chunks = 0
         rows = 0
         while not self._exhausted:
-            frame = self._next_frame()
+            frame = self._next_frame(self._dtypes)
             kind = frame.get("kind")
             if kind == "result_chunk":
                 chunks += 1
@@ -119,17 +139,7 @@ class StreamingResult:
                 rows += len(chunk)
                 yield from chunk
             elif kind == "result_end":
-                self._exhausted = True
-                self.chunks = chunks
-                if self._on_finish is not None:
-                    self._on_finish()
-                if (frame.get("chunks") != chunks
-                        or frame.get("rows") != rows):
-                    raise ServerError(
-                        f"truncated stream: trailer promises"
-                        f" {frame.get('chunks')} chunks /"
-                        f" {frame.get('rows')} rows, received"
-                        f" {chunks} / {rows}")
+                self._finish(frame, chunks, rows)
             elif not frame.get("ok"):
                 # terminal error trailer: the stream is over
                 self._exhausted = True
@@ -140,6 +150,20 @@ class StreamingResult:
                 self._exhausted = True
                 raise ServerError(
                     f"unexpected frame mid-stream: {kind!r}")
+
+    def _finish(self, totals: dict, chunks: int, rows: int) -> None:
+        """End the stream: ``chunks`` chunks of ``rows`` rows arrived,
+        which must be the ``totals`` frame's count."""
+        self._exhausted = True
+        self.chunks = chunks
+        if self._on_finish is not None:
+            self._on_finish()
+        if totals.get("chunks") != chunks or totals.get("rows") != rows:
+            raise ServerError(
+                f"truncated stream: trailer promises"
+                f" {totals.get('chunks')} chunks /"
+                f" {totals.get('rows')} rows, received"
+                f" {chunks} / {rows}")
 
     def fetchall(self) -> list[tuple]:
         """Drain the remainder into a list (convenience for tests)."""
@@ -158,7 +182,12 @@ class StreamingResult:
         if self._closed:
             return
         self._closed = True
-        if not self._exhausted:
+        if self._whole is not None and not self._exhausted:
+            # every row arrived: nothing is left to stop
+            self._exhausted = True
+            if self._on_finish is not None:
+                self._on_finish()
+        elif not self._exhausted:
             self._on_abort()
 
     def __enter__(self) -> "StreamingResult":
@@ -219,9 +248,9 @@ class ServerClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _read(self) -> dict:
+    def _read(self, types=None) -> dict:
         return read_reply_frame(self._reader.read, self.close,
-                                f"{self.host}:{self.port}")
+                                f"{self.host}:{self.port}", types)
 
     def _request(self, message: dict) -> dict:
         if self._closed:
@@ -264,17 +293,15 @@ class ServerClient:
                        timeout: float | None = None) -> StreamingResult:
         """Execute ``sql`` and iterate the result incrementally.
 
-        Returns once the ``result_header`` arrives — before any rows —
-        so large results start flowing immediately and the client never
-        holds more than one chunk.  The connection is dedicated to the
+        Returns once the reply's first frame arrives — a
+        ``result_header`` before any rows, or the one ``result`` frame
+        of a result that fits in a chunk — so large results start
+        flowing immediately and the client never holds more than one
+        chunk.  The connection is dedicated to the
         stream until it is exhausted or closed.
         """
         response = self._request(
             self._query_message(sql, label, timeout))
-        if response.get("kind") != "result_header":
-            raise ServerError(
-                f"expected a result_header frame, got"
-                f" {response.get('kind')!r}")
         return StreamingResult(response, self._read, self.close)
 
     def ping(self) -> bool:

@@ -10,15 +10,16 @@ HTTP/1.1 for the three endpoints:
 
 ``POST /v1/query``
     Body ``{"sql": ..., "label"?, "timeout"?}``.  The reply
-    is a **chunked** stream of the TCP protocol's frames: one
-    ``result_header``, then bounded ``result_chunk`` frames, then a
-    ``result_end`` trailer (or an ``error`` trailer mid-stream) — a
-    100 MB result never exists as one buffer on either side.  The
-    request's ``Accept`` header picks the encoding: a client that
-    accepts ``application/x-repro-frames`` (:class:`HttpClient`) gets
-    the length-prefixed frames themselves, columnar chunks included;
-    anyone else gets ``application/x-ndjson``, one JSON payload per
-    line, so ``curl -N`` shows rows as they ship.
+    is a **chunked** HTTP body.  The request's ``Accept`` header picks
+    the encoding: a client that accepts ``application/x-repro-frames``
+    (:class:`HttpClient`) gets the TCP protocol's frames themselves —
+    one ``result`` frame for a result that fits in a chunk, else a
+    ``result_header``, bounded columnar ``result_chunk`` frames and a
+    ``result_end`` trailer (or an ``error`` trailer mid-stream), so a
+    100 MB result never exists as one buffer on either side; anyone
+    else gets ``application/x-ndjson``, one JSON payload per line —
+    header, JSON chunks, trailer, whatever the result's size — so
+    ``curl -N`` shows rows as they ship.
     Errors *before* the stream starts map onto status codes:
     503 (overloaded / draining), 504 (server-side query timeout), 400
     (bad SQL or malformed request), 500 (anything else), each with the
@@ -51,7 +52,7 @@ from ..errors import (QueryTimeout, ReproError, ServerError,
 from .base import Connection, ServingBase
 from .client import ClientResult, StreamingResult, read_reply_frame
 from .protocol import (FRAMES_MEDIA_TYPE, MAX_FRAME_BYTES, ProtocolError,
-                       encode_json, encode_raw_frame, error_payload,
+                       encode_json, error_payload, frame_parts,
                        raise_error)
 
 #: request header block cap — nothing legitimate comes close.
@@ -262,18 +263,19 @@ class HttpServer(ServingBase):
             b"0\r\n\r\n"
 
 
-def _http_chunk(data: bytes) -> bytes:
-    return b"%x\r\n%b\r\n" % (len(data), data)
+def _http_chunk(parts: list) -> list:
+    """``parts`` (bytes-like) as the data of one HTTP chunk."""
+    return [b"%x\r\n" % sum(map(len, parts)), *parts, b"\r\n"]
 
 
-def _frame_chunk(payload: bytes) -> bytes:
+def _frame_chunk(parts: list) -> list:
     """One payload as a length-prefixed frame inside one HTTP chunk."""
-    return _http_chunk(encode_raw_frame(payload))
+    return _http_chunk(frame_parts(parts))
 
 
-def _ndjson_chunk(payload: bytes) -> bytes:
+def _ndjson_chunk(parts: list) -> list:
     """One JSON payload as one NDJSON line inside one HTTP chunk."""
-    return _http_chunk(payload + b"\n")
+    return _http_chunk([*parts, b"\n"])
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +345,9 @@ class HttpClient:
 
     def execute_stream(self, sql: str, *, label: str = "",
                        timeout: float | None = None) -> StreamingResult:
-        """POST the query and return once the ``result_header`` frame
-        arrives — rows then stream with bounded client-side memory.
+        """POST the query and return once the reply's first frame
+        arrives (the ``result_header``, or the whole ``result``) —
+        rows then stream with bounded client-side memory.
         Closing the stream before exhaustion drops the connection,
         which cancels the server-side producer."""
         from http.client import HTTPException  # loaded by __init__
@@ -380,17 +383,13 @@ class HttpClient:
                 raise ConnectionError(f"truncated response: {exc!r}") \
                     from exc
 
-        def next_frame() -> dict:
+        def next_frame(types=None) -> dict:
             return read_reply_frame(read, self._conn.close,
-                                    f"{self.host}:{self.port}")
+                                    f"{self.host}:{self.port}", types)
 
         header = next_frame()
         if not header.get("ok"):
             raise_error(header.get("error") or {})
-        if header.get("kind") != "result_header":
-            raise ServerError(
-                f"expected a result_header frame, got"
-                f" {header.get('kind')!r}")
         # on_finish drains the chunked-body terminator so http.client
         # marks the response complete and keep-alive reuse works.
         return StreamingResult(header, next_frame, self._conn.close,

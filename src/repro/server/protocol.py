@@ -1,40 +1,44 @@
-"""The wire protocol: length-prefixed frames, results streamed in
-columnar chunks.
+"""The wire protocol: length-prefixed frames; a result is one frame,
+or a stream of schema-free columnar chunks.
 
 One frame = a 4-byte big-endian payload length followed by that many
 payload bytes.  A payload is UTF-8 JSON (first byte ``{``) except for
-one kind: a ``result_chunk`` between this library's client and server
-is a *columnar* frame — the table encoding of
-:mod:`repro.columnar.shm` for a row slice of the result, recognisable
-by its magic.  Requests are JSON objects with an ``"op"`` key
+two binary kinds between this library's client and server, each
+recognisable by its magic: a ``result`` frame and a columnar
+``result_chunk``.  Requests are JSON objects with an ``"op"`` key
 (``hello`` / ``query`` / ``ping`` / ``stats`` / ``configure``);
 responses carry ``"ok": true`` plus op-specific fields, or
 ``"ok": false`` with a typed error (``{"type": "QueryTimeout",
 "message": ...}``) that the client maps back onto the
 :mod:`repro.errors` hierarchy.  The normative specification (frame
-grammar, the columnar chunk layout, the streaming state machine, a
-worked byte-level example) lives in ``docs/PROTOCOL.md``.
+grammar, the binary layouts, the streaming state machine, a worked
+byte-level example) lives in ``docs/PROTOCOL.md``.
 
-A query result is a ``result_header`` frame (schema, rowcount, stream
-id, and ``stats`` — the recycler's
-:class:`~repro.recycler.recycler.QueryRecord` counters, so clients can
-observe reuse: a warm query shows ``num_inserted == 0``), zero or more
-bounded ``result_chunk`` frames (at most ``chunk_rows`` rows and about
-``chunk_bytes`` encoded bytes each — both far under the frame cap, so
-a 100 MB result streams without ever building a 100 MB buffer), and a
-``result_end`` trailer — or an ``error`` trailer if the stream aborts
-mid-way.
+A query result whose rows fit in one chunk — every short statement —
+is a single ``result`` frame (:func:`encode_result`): a JSON header
+(schema, rowcount, stream id, the chunk / row totals, and ``stats`` —
+the recycler's :class:`~repro.recycler.recycler.QueryRecord`
+counters, so clients can observe reuse: a warm query shows
+``num_inserted == 0``) followed by the column values, decoded against
+that header.  A larger result streams: a ``result_header`` frame, one
+or more bounded ``result_chunk`` frames (at most ``chunk_rows`` rows
+and about ``chunk_bytes`` encoded bytes each — both far under the
+frame cap, so a 100 MB result streams without ever building a 100 MB
+buffer), and a ``result_end`` trailer — or an ``error`` trailer if the
+stream aborts mid-way.
 
 Chunks come in two encodings of the same rows.  *Columnar*
 (:func:`iter_columnar_chunks` / :func:`decode_columnar_chunk`): column
-slices copied as raw buffers, never touching a Python value; what TCP
-always sends and what HTTP sends to a client that asks for
+slices copied as raw buffers, never touching a Python value, and no
+schema — the stream header carries it once; what TCP always sends and
+what HTTP sends to a client that asks for
 ``application/x-repro-frames``.  *JSON lines*
 (:func:`iter_result_chunks` / :func:`encode_result_chunk`): what HTTP
-sends everyone else (``curl``, other languages), one ``tolist()`` per
-column and one encoder call per chunk.  Python's JSON handles
-non-finite floats natively (``NaN`` / ``Infinity``), so both preserve
-FLOAT64 results exactly.
+sends everyone else (``curl``, other languages) — header, chunks and
+trailer whatever the result's size — one ``tolist()`` per column and
+one encoder call per chunk.  Python's JSON handles non-finite floats
+natively (``NaN`` / ``Infinity``), so both preserve FLOAT64 results
+exactly.
 
 The framing functions here are transport-agnostic: the asyncio server
 reads frames with :func:`read_frame_async`, and both blocking clients
@@ -50,6 +54,7 @@ import struct
 from typing import Callable, Iterator
 
 from ..columnar import shm
+from ..columnar import types as t
 from ..columnar.table import Table
 from ..errors import ProtocolError, ReproError, SchemaError, ServerError
 
@@ -62,8 +67,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: the one protocol version this build speaks; ``hello`` refuses any
 #: other with a :class:`ProtocolError`.  (1 was single-frame JSON
-#: results, 2 streamed JSON chunks; 3 streams columnar chunks.)
-PROTOCOL_VERSION = 3
+#: results, 2 streamed JSON chunks, 3 streamed self-describing
+#: columnar chunks; 4 answers a one-chunk result in one frame and
+#: streams schema-free chunks.)
+PROTOCOL_VERSION = 4
 
 #: default streaming bounds: every ``result_chunk`` frame holds at most
 #: this many rows / about this many encoded bytes (whichever is hit
@@ -75,6 +82,17 @@ DEFAULT_CHUNK_BYTES = 4 * 1024 * 1024
 #: the HTTP media type of a length-prefixed frame stream (what
 #: :class:`~repro.server.http.HttpClient` asks for in ``Accept``).
 FRAMES_MEDIA_TYPE = "application/x-repro-frames"
+
+#: the two binary payloads start with two little-endian int64s: a
+#: ``result`` frame's magic and the byte length of its JSON header, a
+#: columnar ``result_chunk``'s magic and its row count.
+BINARY_PREFIX = struct.Struct("<2q")
+RESULT_MAGIC = 0x34534552   # "RES4"
+CHUNK_MAGIC = 0x344B4843    # "CHK4"
+_RESULT_TAG = RESULT_MAGIC.to_bytes(8, "little")
+
+#: the column types a header may name, by their exact wire names
+_TYPES = {dtype.name: dtype for dtype in t.ALL_TYPES}
 
 #: compact JSON, one encoder for every frame (``json.dumps`` with
 #: ``separators`` builds a fresh ``JSONEncoder`` per call).
@@ -89,13 +107,24 @@ def encode_json(message: dict) -> bytes:
     return _dumps(message).encode("utf-8")
 
 
+def _length_prefix(length: int) -> bytes:
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame of {length} bytes exceeds the"
+            f" {MAX_FRAME_BYTES}-byte limit")
+    return HEADER.pack(length)
+
+
 def encode_raw_frame(payload: bytes) -> bytes:
     """Length-prefix an already-encoded payload."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {len(payload)} bytes exceeds the"
-            f" {MAX_FRAME_BYTES}-byte limit")
-    return HEADER.pack(len(payload)) + payload
+    return _length_prefix(len(payload)) + payload
+
+
+def frame_parts(parts: list) -> list:
+    """The frame of a payload given as consecutive bytes-like
+    ``parts``, as parts too: a writer joins what one ``write`` sends
+    once, instead of every layer copying the payload again."""
+    return [_length_prefix(sum(map(len, parts))), *parts]
 
 
 def encode_frame(message: dict) -> bytes:
@@ -114,12 +143,24 @@ def decode_payload(payload: bytes) -> dict:
     return message
 
 
-def decode_frame(payload: bytes) -> dict:
-    """Any frame payload as a message: JSON as it is, a columnar chunk
-    as ``{"kind": "result_chunk", "rows": [tuple, ...]}``."""
+def decode_frame(payload: bytes, types=None) -> dict:
+    """Any frame payload as a message: JSON as it is, a ``result``
+    frame as its header with the decoded row tuples under ``"data"``
+    (:func:`decode_result`), and a columnar chunk as ``{"kind":
+    "result_chunk", "rows": [tuple, ...]}`` — decoded against
+    ``types``, the stream header's column types
+    (:func:`header_types`); a chunk outside a stream is refused."""
     if payload[:1] == b"{":
         return decode_payload(payload)
-    return {"kind": "result_chunk", "rows": decode_columnar_chunk(payload)}
+    if payload[:8] == _RESULT_TAG:
+        header, rows = decode_result(payload)
+        header["data"] = rows
+        return header
+    if types is None:
+        raise ProtocolError("malformed frame: not JSON, not a result"
+                            " frame, and no stream header before it")
+    return {"kind": "result_chunk",
+            "rows": decode_columnar_chunk(payload, types)}
 
 
 def error_payload(exc: BaseException) -> dict:
@@ -184,37 +225,116 @@ def _bounded_slices(num_rows: int, chunk_rows: int, chunk_bytes: int,
         start = stop
 
 
+def columnar_chunk(table: Table, start: int, stop: int) -> bytes:
+    """Rows ``start:stop`` of ``table`` as one columnar
+    ``result_chunk`` payload: the magic, the row count and the column
+    values (:func:`repro.columnar.shm.encode_sections`) — no schema,
+    which the stream header carries."""
+    columns = [table.column(name) for name in table.schema.names]
+    if stop - start != table.num_rows:
+        columns = [column[start:stop] for column in columns]
+    return b"".join([BINARY_PREFIX.pack(CHUNK_MAGIC, stop - start)]
+                    + shm.encode_sections(columns, table.schema.types))
+
+
 def iter_columnar_chunks(table: Table, *,
                          chunk_rows: int = DEFAULT_CHUNK_ROWS,
                          chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                          ) -> Iterator[tuple[bytes, int]]:
-    """The result as bounded columnar ``result_chunk`` payloads, each
-    with its row count: the :mod:`repro.columnar.shm` encoding of a
-    row slice, built from column slices."""
-    names = table.schema.names
-
-    def encode(start: int, stop: int) -> bytes:
-        if stop - start == table.num_rows:
-            return shm.encode_bytes(table)
-        return shm.encode_bytes(Table(table.schema, {
-            name: table.column(name)[start:stop] for name in names}))
-
-    return _bounded_slices(table.num_rows, chunk_rows, chunk_bytes, encode)
+    """The result as bounded columnar ``result_chunk`` payloads
+    (:func:`columnar_chunk`), each with its row count."""
+    return _bounded_slices(table.num_rows, chunk_rows, chunk_bytes,
+                           lambda start, stop:
+                           columnar_chunk(table, start, stop))
 
 
-def decode_columnar_chunk(payload: bytes) -> list[tuple]:
-    """The rows of one columnar ``result_chunk`` payload, as tuples of
-    plain Python values.  The payload is untrusted: anything that is
-    not exactly one well-formed table raises :class:`ProtocolError`."""
+def result_parts(header: dict, chunk: bytes) -> list:
+    """The one-frame reply to a query, as consecutive parts (see
+    :func:`frame_parts`): ``header`` (a :func:`result_header_payload`)
+    as ``kind: "result"`` with the chunk / row totals a ``result_end``
+    would carry, then the column values of ``chunk``, the columnar
+    chunk that holds every row — a view that cuts off the chunk's own
+    prefix, so the values are not copied here."""
+    rows = BINARY_PREFIX.unpack_from(chunk)[1]
+    text = encode_json(dict(header, kind="result",
+                            chunks=1 if rows else 0, rows=rows))
+    return [BINARY_PREFIX.pack(RESULT_MAGIC, len(text)), text,
+            bytes(-len(text) % 8), memoryview(chunk)[BINARY_PREFIX.size:]]
+
+
+def encode_result(header: dict, chunk: bytes) -> bytes:
+    """The payload of :func:`result_parts` as one ``bytes``."""
+    return b"".join(result_parts(header, chunk))
+
+
+def header_types(header: dict) -> list[t.DataType]:
+    """The column types a result header names, refused typed unless
+    they are a list of known type names as many as its columns."""
+    names = header.get("types")
+    columns = header.get("columns")
+    if not isinstance(names, list) or not isinstance(columns, list) \
+            or len(names) != len(columns):
+        raise ProtocolError("malformed result header: 'columns' and"
+                            " 'types' must be lists of one length")
     try:
-        _, _, columns, end = shm.decode_columns(payload, copy=False)
+        return [_TYPES[name] for name in names]
+    except (KeyError, TypeError):
+        raise ProtocolError(f"malformed result header: unknown column"
+                            f" type in {names!r}") from None
+
+
+def _values(payload, pos: int, types, nrows: int,
+            what: str) -> list[tuple]:
+    """The rows of the column values from ``pos`` to the end of
+    ``payload``; anything else there is refused."""
+    try:
+        columns, end = shm.decode_sections(payload, pos, types, nrows)
     except SchemaError as exc:
-        raise ProtocolError(f"malformed columnar chunk: {exc}") from exc
+        raise ProtocolError(f"malformed {what}: {exc}") from exc
     if end != len(payload):
         raise ProtocolError(
-            f"malformed columnar chunk: {len(payload)} bytes where the"
-            f" table ends at {end}")
-    return list(zip(*[column.tolist() for column in columns]))
+            f"malformed {what}: {len(payload)} bytes where the"
+            f" columns end at {end}")
+    return list(zip(*columns))
+
+
+def decode_result(payload: bytes) -> tuple[dict, list[tuple]]:
+    """A ``result`` frame as ``(header, rows)``: the rows are tuples of
+    plain Python values, ``header["rowcount"]`` of them.  The payload is
+    untrusted: the header's length, its types and its rowcount are
+    checked against the bytes present before anything is sized from
+    them, and the column values must end where the payload does."""
+    if len(payload) < BINARY_PREFIX.size:
+        raise ProtocolError("malformed result frame: truncated prefix")
+    magic, length = BINARY_PREFIX.unpack_from(payload)
+    if magic != RESULT_MAGIC:
+        raise ProtocolError(f"malformed result frame: magic {magic:#x}")
+    start = BINARY_PREFIX.size
+    if not 0 <= length <= len(payload) - start:
+        raise ProtocolError(f"malformed result frame: a header of"
+                            f" {length} bytes does not fit the payload")
+    header = decode_payload(payload[start:start + length])
+    types = header_types(header)
+    nrows = header.get("rowcount")
+    if type(nrows) is not int:
+        raise ProtocolError(f"malformed result frame: rowcount {nrows!r}")
+    pos = start + length + (-length % 8)
+    return header, _values(payload, pos, types, nrows, "result frame")
+
+
+def decode_columnar_chunk(payload: bytes, types) -> list[tuple]:
+    """The rows of one columnar ``result_chunk`` payload, decoded
+    against ``types`` (the stream header's, :func:`header_types`), as
+    tuples of plain Python values.  The payload is untrusted: anything
+    that is not exactly the magic, a row count and that many values of
+    each column raises :class:`ProtocolError`."""
+    if len(payload) < BINARY_PREFIX.size:
+        raise ProtocolError("malformed columnar chunk: truncated prefix")
+    magic, nrows = BINARY_PREFIX.unpack_from(payload)
+    if magic != CHUNK_MAGIC:
+        raise ProtocolError(f"malformed columnar chunk: magic {magic:#x}")
+    return _values(payload, BINARY_PREFIX.size, types, nrows,
+                   "columnar chunk")
 
 
 class EncodedRows:
@@ -302,11 +422,13 @@ def _check_length(header: bytes) -> int:
     return length
 
 
-def read_frame(read: Callable[[int], bytes]) -> dict:
+def read_frame(read: Callable[[int], bytes], types=None) -> dict:
     """Read and decode one frame through ``read(n)``, a blocking
     file-style read that returns ``n`` bytes, or fewer only when the
-    stream has ended (a buffered socket file, an HTTP response body).
-    A stream that ends inside a frame raises ``ConnectionError``."""
+    stream has ended (a buffered socket file, an HTTP response body);
+    ``types`` are the column types of the stream the frame belongs to,
+    if any (:func:`decode_frame`).  A stream that ends inside a frame
+    raises ``ConnectionError``."""
     header = read(HEADER.size)
     if len(header) < HEADER.size:
         raise ConnectionError("server closed the connection")
@@ -314,7 +436,7 @@ def read_frame(read: Callable[[int], bytes]) -> dict:
     payload = read(length)
     if len(payload) < length:
         raise ConnectionError("server closed the connection mid-frame")
-    return decode_frame(payload)
+    return decode_frame(payload, types)
 
 
 # ----------------------------------------------------------------------

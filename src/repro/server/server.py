@@ -50,7 +50,7 @@ import time
 
 from .base import Connection, ServingBase
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError,
-                       encode_frame, encode_raw_frame, error_payload,
+                       encode_frame, error_payload, frame_parts,
                        read_frame_async)
 
 
@@ -164,5 +164,5 @@ class ReproServer(ServingBase):
         return await self._send(writer, error_payload(exc))
 
     def _framing(self, columnar: bool) -> tuple:
-        return encode_raw_frame, b"", b""
+        return frame_parts, b"", b""
 

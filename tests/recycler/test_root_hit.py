@@ -22,8 +22,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from repro import Database, RecyclerConfig
+from repro.columnar import INT64, Schema, Table
 from repro.columnar import types as column_types
+from repro.columnar.catalog import Catalog, CatalogView
+from repro.recycler.cache import CacheEntry
 from repro.recycler import graph as graph_module
 from repro.workloads import skyserver, timeseries, tpch
 from repro.workloads.skyserver import queries as sky_queries
@@ -183,6 +188,85 @@ def test_repeated_hit_walks_coerces_locks_and_wakes_nothing(monkeypatch):
     # premise: the mix's statements are cached and repeat as hits
     assert repeated >= 5
     db.close()
+
+
+def test_repeated_hit_builds_no_version_dicts(monkeypatch):
+    """The reuse gate of a full-plan hit compares the entry's version
+    tags with the snapshot in place: no ``versions_for`` call."""
+    db = Database(config(64 * 1024 * 1024),
+                  catalog=skyserver.build_catalog(4000, seed=3))
+    recycler = db.recycler
+    statements = sky_statements(11, 120)
+    for text in statements:
+        db.sql(text)
+    calls = []
+    versions_for = CatalogView.versions_for
+
+    def counted(view, *args):
+        calls.append(args)
+        return versions_for(view, *args)
+
+    monkeypatch.setattr(CatalogView, "versions_for", counted)
+    repeated = 0
+    for text in dict.fromkeys(statements):
+        db.sql(text)
+        hits = recycler.optimizer_summary()["root_hits"]
+        del calls[:]
+        db.sql(text)
+        if recycler.optimizer_summary()["root_hits"] == hits + 1:
+            repeated += 1
+            assert calls == [], text
+    assert repeated >= 5
+    db.close()
+
+
+def test_a_stale_version_refuses_the_entry():
+    """The in-place gate says what comparing ``versions_for``'s dicts
+    says: untagged entries match, key sets must be equal, a missing
+    function tag set is empty, and a table or function version moved
+    either way refuses the entry."""
+    schema = Schema(["x"], [INT64])
+    table = Table(schema, {"x": np.array([1], dtype=np.int64)})
+    catalog = Catalog()
+    catalog.register_table("t", table)
+    catalog.register_table("u", table)
+    catalog.register_function("f", lambda: table, schema)
+    old = catalog.snapshot()
+    catalog.register_table("t", table)
+    catalog.register_function("f", lambda: table, schema)
+
+    def entry(tables, functions) -> CacheEntry:
+        return CacheEntry(node=None, table=table, size=0, benefit=0.0,
+                          admitted_event=0, table_versions=tables,
+                          function_versions=functions)
+
+    entries = [entry(None, None), entry({"t": 2}, None),
+               entry({"t": 2}, {}), entry({"t": 2}, {"f": 2}),
+               entry({"t": 1}, {"f": 1}), entry({"t": 1, "u": 1}, None),
+               entry({"u": 1}, None), entry({"u": 1}, {"f": 2}),
+               entry({"t": 2, "u": 1}, {"f": 2}), entry({}, None)]
+    dependencies = [(frozenset(), frozenset()),
+                    (frozenset({"t"}), frozenset()),
+                    (frozenset({"t"}), frozenset({"f"})),
+                    (frozenset({"u"}), frozenset()),
+                    (frozenset({"u"}), frozenset({"f"})),
+                    (frozenset({"t", "u"}), frozenset({"f"}))]
+    verdicts = []
+    for view in (catalog, old):
+        for tables, functions in dependencies:
+            for cached in entries:
+                expected = cached.versions_match(
+                    *view.versions_for(tables, functions))
+                assert cached.current_in(view, tables, functions) \
+                    == expected, (cached, tables, functions)
+                verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+    # a stale table version, then a stale function version, refuses
+    t_only, t_and_f = dependencies[1], dependencies[2]
+    assert entry({"t": 2}, None).current_in(catalog, *t_only)
+    assert not entry({"t": 2}, None).current_in(old, *t_only)
+    assert entry({"t": 2}, {"f": 2}).current_in(catalog, *t_and_f)
+    assert not entry({"t": 2}, {"f": 1}).current_in(catalog, *t_and_f)
 
 
 class TestTpchUnderPressure:

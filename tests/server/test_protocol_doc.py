@@ -19,7 +19,7 @@ import numpy as np
 from repro import Database, RecyclerConfig, Table
 from repro.columnar import INT64, STRING, Schema
 from repro.server import PROTOCOL_VERSION, ReproServer
-from repro.server.protocol import HEADER, encode_frame
+from repro.server.protocol import BINARY_PREFIX, HEADER, encode_frame
 
 SPEC = Path(__file__).resolve().parents[2] / "docs" / "PROTOCOL.md"
 BEGIN = "<!-- worked-example:begin (tests/server/test_protocol_doc.py) -->"
@@ -31,20 +31,34 @@ def _hex(data: bytes) -> str:
     return " ".join(f"{byte:02x}" for byte in data)
 
 
+def _hexdump(data: bytes, start: int = 0) -> list[str]:
+    lines = []
+    for offset in range(0, len(data), 16):
+        row = data[offset:offset + 16]
+        text = "".join(chr(b) if 32 <= b < 127 else "." for b in row)
+        lines.append(f"     {start + offset:04x}  {_hex(row):<47}  {text}")
+    return lines
+
+
+def _wrapped(text: str) -> list[str]:
+    return ["     " + text[i:i + 64] for i in range(0, len(text), 64)]
+
+
 def _render(direction: str, frame: bytes) -> list[str]:
     """One frame: the 4 header bytes, then the payload — JSON as text
-    (wrapped at 64 characters), a columnar chunk as a hex dump."""
+    (wrapped at 64 characters); a ``result`` frame as a hex dump of its
+    prefix, its JSON header as text and its column values as a hex
+    dump."""
     payload = frame[HEADER.size:]
     lines = [f"{direction}  {_hex(frame[:HEADER.size])}"]
     if payload[:1] == b"{":
-        text = payload.decode("utf-8")
-        lines += ["     " + text[i:i + 64] for i in range(0, len(text), 64)]
-    else:
-        for offset in range(0, len(payload), 16):
-            row = payload[offset:offset + 16]
-            text = "".join(chr(b) if 32 <= b < 127 else "." for b in row)
-            lines.append(f"     {offset:04x}  {_hex(row):<47}  {text}")
-    return lines
+        return lines + _wrapped(payload.decode("utf-8"))
+    prefix = BINARY_PREFIX.size
+    length = BINARY_PREFIX.unpack_from(payload)[1]
+    values = prefix + length + (-length % 8)
+    return (lines + _hexdump(payload[:prefix])
+            + _wrapped(payload[prefix:prefix + length].decode("utf-8"))
+            + _hexdump(payload[values:], values))
 
 
 def _read_frame(reader) -> bytes:
@@ -66,7 +80,7 @@ def worked_example() -> str:
             reader = sock.makefile("rb")
             for request, replies in (
                     ({"op": "hello", "version": PROTOCOL_VERSION}, 1),
-                    ({"op": "query", "sql": QUERY}, 3)):
+                    ({"op": "query", "sql": QUERY}, 1)):
                 frame = encode_frame(request)
                 sock.sendall(frame)
                 lines += _render("C→S", frame)

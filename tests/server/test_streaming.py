@@ -1,8 +1,9 @@
 """Streaming-protocol and HTTP-frontend tests: the hello version check,
-chunk determinism, over-the-frame-cap results, one write per small
-reply, backpressure and the mid-stream error trailer, mid-stream
-disconnects (no cache publish), request validation, and the HTTP
-endpoints sharing one recycler with TCP."""
+chunk determinism, over-the-frame-cap results, one frame in one write
+per small reply, the header / chunks / trailer of a larger one,
+backpressure and the mid-stream error trailer, mid-stream disconnects
+(no cache publish), request validation, and the HTTP endpoints sharing
+one recycler with TCP."""
 
 from __future__ import annotations
 
@@ -17,16 +18,17 @@ import pytest
 
 from repro import Database, RecyclerConfig, Table
 from repro.columnar import FLOAT64, INT64, STRING, Schema
-from repro.errors import (QueryTimeout, ServerError, ServerUnavailable,
-                          SqlError)
+from repro.errors import (QueryCancelled, QueryTimeout, ServerError,
+                          ServerUnavailable, SqlError)
 from repro.server import (HttpClient, HttpServer, MAX_FRAME_BYTES,
                           PROTOCOL_VERSION, ProtocolError, ReproServer,
                           ServerClient, StreamingResult)
+from repro.server import client as client_module
 from repro.server.protocol import (FRAMES_MEDIA_TYPE, decode_columnar_chunk,
                                    decode_frame, encode_frame,
-                                   encode_result_chunk, iter_columnar_chunks,
-                                   iter_result_chunks, read_frame,
-                                   write_frame)
+                                   encode_result_chunk, header_types,
+                                   iter_columnar_chunks, iter_result_chunks,
+                                   read_frame, write_frame)
 
 from test_server import QUERY, db, wait_for  # noqa: F401  (shared fixture)
 
@@ -82,10 +84,21 @@ class TestHello:
                 assert client.server_limits["max_frame_bytes"] \
                     == MAX_FRAME_BYTES
 
+    def test_version_3_is_refused_typed(self, db):  # noqa: F811
+        """A client of the self-describing-chunk protocol learns at
+        hello that this server answers in frames it cannot read."""
+        with ReproServer(db) as server:
+            with ServerClient(*server.address) as client:
+                with pytest.raises(ProtocolError,
+                                   match="speaks protocol version 4,"
+                                         " not 3"):
+                    client._request({"op": "hello", "version": 3})
+                assert client.query(QUERY).num_rows == 8
+
     def test_other_versions_are_refused_typed(self, db):  # noqa: F811
         with ReproServer(db) as server:
             with ServerClient(*server.address) as client:
-                for version in (1, 2, 99, "3", True, None):
+                for version in (1, 2, 3, 5, 99, "4", True, None):
                     with pytest.raises(ProtocolError, match="version"):
                         client._request({"op": "hello",
                                          "version": version})
@@ -99,10 +112,9 @@ class TestHello:
             with socket.create_connection(server.address) as sock:
                 write_frame(sock, {"op": "query", "sql": QUERY})
                 reader = sock.makefile("rb")
-                kinds = []
-                while not kinds or kinds[-1] != "result_end":
-                    kinds.append(read_frame(reader.read)["kind"])
-        assert kinds == ["result_header", "result_chunk", "result_end"]
+                reply = read_frame(reader.read)
+        assert reply["kind"] == "result"
+        assert len(reply["data"]) == reply["rows"] == 8
 
 
 class TestChunkDeterminism:
@@ -152,7 +164,7 @@ class TestChunkDeterminism:
                                            chunk_bytes=1 << 20))
         assert all(count <= 7 for _, count in chunks)
         assert [row for payload, _ in chunks
-                for row in decode_columnar_chunk(payload)] \
+                for row in decode_columnar_chunk(payload, [INT64, STRING])] \
             == wire_rows(table)
         # the byte bound cuts where the rows are wide, never below a row
         bounded = list(iter_columnar_chunks(table, chunk_rows=100,
@@ -175,7 +187,7 @@ class TestChunkDeterminism:
         (columnar, _), = iter_columnar_chunks(table)
         (encoded,) = iter_result_chunks(table)
         json_frame = decode_frame(encode_result_chunk(1, 0, encoded))
-        columnar_frame = decode_frame(columnar)
+        columnar_frame = decode_frame(columnar, [INT64, STRING])
         assert type(json_frame["rows"][0]) is list
         for frame in (json_frame, columnar_frame):
             frames = iter([frame, {"ok": True, "kind": "result_end",
@@ -184,7 +196,7 @@ class TestChunkDeterminism:
                 {"ok": True, "kind": "result_header", "stream": 1,
                  "columns": ["a", "s"], "types": ["INT64", "STRING"],
                  "rowcount": 5},
-                lambda: next(frames), lambda: None)
+                lambda types: next(frames), lambda: None)
             rows = list(stream)
             assert rows == wire_rows(table)
             assert all(type(row) is tuple for row in rows)
@@ -201,9 +213,21 @@ class TestChunkDeterminism:
         stream = StreamingResult(
             {"ok": True, "kind": "result_header", "stream": 1,
              "columns": ["a"], "types": ["INT64"], "rowcount": 4},
-            lambda: next(frames), lambda: None)
+            lambda types: next(frames), lambda: None)
         with pytest.raises(ServerError, match="truncated"):
             list(stream)
+
+    def test_a_chunk_needs_its_stream_header(self, db):  # noqa: F811
+        """A columnar chunk carries no schema: read outside a stream it
+        is refused typed, read with the header's types it decodes."""
+        table = db.sql(QUERY).table
+        (payload, count), = iter_columnar_chunks(table)
+        with pytest.raises(ProtocolError, match="no stream header"):
+            decode_frame(payload)
+        types = header_types({"columns": list(table.schema.names),
+                              "types": [t.name for t
+                                        in table.schema.types]})
+        assert decode_frame(payload, types)["rows"] == wire_rows(table)
 
 
 class TestLargeResults:
@@ -235,26 +259,44 @@ class TestLargeResults:
         assert last[0] == (BIG_ROWS - 1) * 1_234_567_890_123
 
 
-class TestOneWrite:
-    """A reply of one chunk reaches the transport as a single write:
-    header, chunk and trailer together."""
+def count_frame_reads(monkeypatch) -> list:
+    """Log the kind of every frame a client reads."""
+    kinds = []
+    read = client_module.read_frame
 
-    def test_tcp_single_chunk_reply_is_one_write(self, db):  # noqa: F811
+    def counted(*args):
+        frame = read(*args)
+        kinds.append(frame.get("kind"))
+        return frame
+
+    monkeypatch.setattr(client_module, "read_frame", counted)
+    return kinds
+
+
+class TestOneWrite:
+    """A reply whose rows fit in one chunk is one ``result`` frame,
+    written once and read once; a larger one is a header, chunks and a
+    trailer whose totals the client checks."""
+
+    def test_tcp_single_chunk_reply_is_one_frame(self, db,  # noqa: F811
+                                                 monkeypatch):
         with ReproServer(db) as server:
             writes = record_writes(server)
             with ServerClient(*server.address) as client:
                 del writes[:]  # the hello reply
+                reads = count_frame_reads(monkeypatch)
                 result = client.query(QUERY)
         assert result.chunks == 1
+        assert reads == ["result"]
         assert len(writes) == 1
         frames = iter(writes[0])
         read = lambda n: bytes(next(frames) for _ in range(n))  # noqa: E731
-        header, chunk, end = (read_frame(read) for _ in range(3))
-        assert next(frames, None) is None  # nothing after the trailer
-        assert header["kind"] == "result_header"
-        assert chunk["rows"] == result.rows
-        assert (end["kind"], end["chunks"], end["rows"]) \
-            == ("result_end", 1, result.num_rows)
+        reply = read_frame(read)
+        assert next(frames, None) is None  # nothing after the frame
+        assert (reply["kind"], reply["chunks"], reply["rows"],
+                reply["rowcount"]) == ("result", 1, 8, 8)
+        assert reply["data"] == result.rows
+        assert reply["stats"] == result.stats
 
     @pytest.mark.parametrize("accept", [FRAMES_MEDIA_TYPE, "*/*"])
     def test_http_single_chunk_reply_is_one_write(self, db, accept):  # noqa: F811
@@ -271,27 +313,87 @@ class TestOneWrite:
         assert len(writes) == 1
         assert writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
         assert writes[0].endswith(b"0\r\n\r\n")
-        assert body.count(b"result_end") == 1
+        if accept == FRAMES_MEDIA_TYPE:
+            frames = iter(body)
+            read = lambda n: bytes(next(frames, 0)  # noqa: E731
+                                   for _ in range(n))
+            assert read_frame(read)["kind"] == "result"
+            assert next(frames, None) is None
+        else:
+            assert [json.loads(line)["kind"] for line in body.splitlines()] \
+                == ["result_header", "result_chunk", "result_end"]
 
-    def test_an_empty_result_is_one_write_without_chunks(self, db):  # noqa: F811
+    def test_http_client_reads_one_frame(self, db, monkeypatch):  # noqa: F811
+        with HttpServer(db) as server:
+            with HttpClient(*server.address) as client:
+                reads = count_frame_reads(monkeypatch)
+                result = client.query(QUERY)
+                assert (result.num_rows, result.chunks) == (8, 1)
+                assert reads == ["result"]
+                # the body was read to its end: the connection is reused
+                assert client.query(QUERY).rows == result.rows
+
+    def test_an_empty_result_is_one_write_without_chunks(self, db,  # noqa: F811
+                                                         monkeypatch):
         with ReproServer(db) as server:
             writes = record_writes(server)
             with ServerClient(*server.address) as client:
                 del writes[:]
+                reads = count_frame_reads(monkeypatch)
                 result = client.query("SELECT g FROM t WHERE g < 0")
         assert (result.rows, result.chunks) == ([], 0)
+        assert reads == ["result"]
         assert len(writes) == 1
 
-    def test_every_further_chunk_is_its_own_write(self, db):  # noqa: F811
+    def test_every_further_chunk_is_its_own_write(self, db,  # noqa: F811
+                                                  monkeypatch):
         """Beyond the first, each chunk waits for the previous drain:
-        n chunks are n writes (the last one carries the trailer)."""
+        n chunks are n writes (the last one carries the trailer), and
+        the client reads the header, every chunk and the trailer."""
         with ReproServer(db, chunk_rows=3) as server:
             writes = record_writes(server)
             with ServerClient(*server.address) as client:
                 del writes[:]
+                reads = count_frame_reads(monkeypatch)
                 result = client.query(QUERY)
         assert result.chunks == 3
         assert len(writes) == 3
+        assert reads == ["result_header"] + ["result_chunk"] * 3 \
+            + ["result_end"]
+        frames = iter(b"".join(writes))
+        read = lambda n: bytes(next(frames) for _ in range(n))  # noqa: E731
+        header = read_frame(read)
+        types = header_types(header)
+        chunks = [read_frame(read, types) for _ in range(3)]
+        end = read_frame(read)
+        assert [len(chunk["rows"]) for chunk in chunks] == [3, 3, 2]
+        assert (end["kind"], end["chunks"], end["rows"]) \
+            == ("result_end", 3, 8)
+
+    def test_a_short_trailer_is_refused(self):
+        """The totals of a multi-chunk stream are checked: a trailer
+        that counts other chunks or rows than arrived raises."""
+        for totals in ({"chunks": 1, "rows": 3}, {"chunks": 2, "rows": 2}):
+            frames = iter([{"kind": "result_chunk", "rows": [(1,)]},
+                           {"kind": "result_chunk", "rows": [(2,), (3,)]},
+                           dict(totals, ok=True, kind="result_end")])
+            stream = StreamingResult(
+                {"ok": True, "kind": "result_header", "stream": 1,
+                 "columns": ["a"], "types": ["INT64"], "rowcount": 3},
+                lambda types: next(frames), lambda: None)
+            with pytest.raises(ServerError, match="truncated"):
+                list(stream)
+
+    def test_a_result_frame_with_wrong_totals_is_refused(self):
+        for totals in ({"chunks": 0, "rows": 2}, {"chunks": 1, "rows": 3}):
+            stream = StreamingResult(
+                dict(totals, ok=True, kind="result", stream=1,
+                     columns=["a"], types=["INT64"], rowcount=2,
+                     data=[(1,), (2,)]),
+                lambda types: pytest.fail("a result frame is whole"),
+                lambda: None)
+            with pytest.raises(ServerError, match="truncated"):
+                list(stream)
 
 
 class TestBackpressure:
@@ -312,6 +414,31 @@ class TestBackpressure:
                 with pytest.raises(QueryTimeout, match="stream deadline"):
                     list(stream)
                 assert server.stats()["stream_aborted"] == 1
+                assert client.ping()
+
+
+class TestCancelMidStream:
+    def test_cancel_between_chunks_ends_with_the_error_trailer(self,
+                                                               big_db):
+        """A session cancelled while its multi-chunk reply waits on a
+        slow reader ends the stream with a typed ``error`` trailer
+        before the next chunk; the connection stays usable."""
+        with ReproServer(big_db) as server:
+            writes = record_writes(server)
+            with ServerClient(*server.address) as client:
+                client.query(BIG_QUERY)  # warm: the next run is quick
+                del writes[:]
+                stream = client.execute_stream(BIG_QUERY)
+                assert wait_for(lambda: len(writes) >= 1)
+                connection, = server._connections
+                connection.session.cancel()
+                rows = 0
+                with pytest.raises(QueryCancelled, match="stream cancelled"):
+                    for _ in stream:
+                        rows += 1
+                assert 0 < rows < BIG_ROWS
+                assert wait_for(
+                    lambda: server.stats()["stream_aborted"] == 1)
                 assert client.ping()
 
 
@@ -533,9 +660,10 @@ class TestHttpEndpoints:
                          headers={"Accept": FRAMES_MEDIA_TYPE})
             response = conn.getresponse()
             assert response.getheader("Content-Type") == FRAMES_MEDIA_TYPE
-            frames = []
-            while not frames or frames[-1]["kind"] != "result_end":
-                frames.append(read_frame(response.read))
+            frames = [read_frame(response.read)]
+            types = header_types(frames[0])
+            while frames[-1]["kind"] != "result_end":
+                frames.append(read_frame(response.read, types))
             assert response.read() == b""
             conn.close()
         for messages in (lines, frames):
