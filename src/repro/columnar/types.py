@@ -28,12 +28,13 @@ from ..errors import TypeError_
 _EPOCH = _dt.date(1970, 1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataType:
     """A scalar column type.
 
-    Instances are interned module-level constants (:data:`INT64` etc.);
-    compare them with ``is`` or ``==`` interchangeably.
+    Instances are interned module-level constants (:data:`INT64` etc.)
+    and the only instances: they compare and hash by identity, so ``is``
+    and ``==`` agree and a dict or set lookup by type hashes nothing.
     """
 
     name: str

@@ -40,8 +40,10 @@ from ..columnar.table import Table
 from .benefit import BenefitModel
 from .graph import GraphNode
 
-#: an entry's position key within its size group
+#: an entry's position key within its size group is ``(benefit,
+#: seq)``: its benefit, ties broken by the order of insertion
 _benefit = operator.attrgetter("benefit")
+_seq = operator.attrgetter("seq")
 
 
 @dataclass(eq=False)
@@ -50,7 +52,8 @@ class CacheEntry:
 
     Compared by identity (``eq=False``): a node has at most one entry,
     and the cache finds it in its size group by bisecting on
-    ``benefit`` and comparing identities (``RecyclerCache._locate``)."""
+    ``(benefit, seq)``, a key no other entry of the group shares
+    (``RecyclerCache._locate``)."""
 
     node: GraphNode
     table: Table
@@ -67,6 +70,9 @@ class CacheEntry:
     #: table name -> rows it held in the producing snapshot: the rows
     #: appended since are the ones from here on (``None``: untagged)
     table_rows: dict[str, int] | None = None
+    #: when the entry last entered its size group, in the cache's
+    #: insertion order: the tie-break of its position key
+    seq: int = 0
 
     def versions_match(self, table_versions: dict[str, int],
                        function_versions: dict[str, int]) -> bool:
@@ -136,6 +142,8 @@ class RecyclerCache:
         #: ``_lock``, by ``_install`` and ``_unlink``
         self.used = 0
         self._groups: dict[int, list[CacheEntry]] = {}
+        #: the last ``CacheEntry.seq`` handed out (under ``_lock``)
+        self._seq = 0
         self.counters = CacheCounters()
         #: the one lock of the cache: reentrant, because eviction
         #: happens inside admission and the recycler holds a rewrite
@@ -429,22 +437,31 @@ class RecyclerCache:
     def _locate(self, entry: CacheEntry
                 ) -> tuple[list[CacheEntry] | None, int]:
         """``entry``'s size group and its index there, or ``(None, 0)``
-        when it is not in the group.  A group is in ``benefit`` order
-        and an entry's ``benefit`` changes only while it is out of its
-        group, so the entry sits in the run of equal benefits that
-        starts where a bisection on its benefit lands: the scan for it
-        (by identity: ``eq=False``) starts there.  Caller holds
-        ``_lock``."""
+        when it is not in the group.  A group is in ``(benefit, seq)``
+        order, no two entries share that key, and it changes only while
+        the entry is out of its group, so a bisection on it lands on
+        the entry itself: on the benefit, and on ``seq`` only inside a
+        run of tied benefits.  Caller holds ``_lock``."""
         group = self._groups.get(self.group_of(entry.size))
         if group:
-            at = bisect.bisect_left(group, entry.benefit, key=_benefit)
-            try:
-                return group, group.index(entry, at)
-            except ValueError:
-                pass
+            benefit = entry.benefit
+            at = bisect.bisect_left(group, benefit, key=_benefit)
+            if at < len(group) and group[at] is not entry:
+                # inside a run of tied benefits: bisect it on ``seq``
+                end = bisect.bisect_right(group, benefit, lo=at,
+                                          key=_benefit)
+                at = bisect.bisect_left(group, entry.seq, lo=at, hi=end,
+                                        key=_seq)
+            if at < len(group) and group[at] is entry:
+                return group, at
         return None, 0
 
     def _insert_sorted(self, entry: CacheEntry) -> None:
+        """Put ``entry`` in its size group under a fresh ``seq``: last
+        among the entries of its benefit, where a bisection on the
+        benefit alone would put it.  Caller holds ``_lock``."""
+        self._seq += 1
+        entry.seq = self._seq
         group = self._groups.setdefault(self.group_of(entry.size), [])
         group.insert(bisect.bisect_right(group, entry.benefit,
                                          key=_benefit), entry)
@@ -458,12 +475,14 @@ class RecyclerCache:
     def _check_invariants(self) -> None:
         total = 0
         for bucket, group in self._groups.items():
-            benefits = [e.benefit for e in group]
-            assert benefits == sorted(benefits), \
-                f"group {bucket} not benefit-ordered"
-            for entry in group:
+            keys = [(e.benefit, e.seq) for e in group]
+            assert all(a < b for a, b in zip(keys, keys[1:])), \
+                f"group {bucket} not in strict (benefit, seq) order"
+            for at, entry in enumerate(group):
                 assert self.group_of(entry.size) == bucket
                 assert entry.node.entry is entry
+                assert 0 < entry.seq <= self._seq
+                assert self._locate(entry) == (group, at)
                 total += entry.size
         assert total == self.used, f"used={self.used} actual={total}"
         if self.capacity is not None:

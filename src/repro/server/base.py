@@ -1,19 +1,25 @@
-"""The shared serving core: lifecycle, admission, drain, streaming.
+"""The shared serving core: connections, lifecycle, admission, drain,
+streaming.
 
 The TCP frontend (:class:`~repro.server.server.ReproServer`) and the
 HTTP/JSON frontend (:class:`~repro.server.http.HttpServer`) are two
 wire formats over the same machinery; :class:`ServingBase` owns
 everything that must behave identically whichever port a client picks:
 
-* **lifecycle** — an asyncio accept loop on a dedicated thread, a
-  worker thread pool for the blocking execution calls, and the
-  graceful-drain shutdown sequence (stop accepting, bounded wait for
-  in-flight work, cancel stragglers, await every connection's close);
+* **connections** — every accepted socket is one :class:`Connection`
+  (an :class:`asyncio.Protocol`) whose buffer the frontend's parser
+  takes requests off, in order; a request is answered in
+  ``data_received`` with one ``write`` when it can be, else by one task
+  that owns the connection until its reply is written;
+* **lifecycle** — the accept loop on a dedicated thread, a worker
+  thread pool for the blocking execution calls, and the graceful-drain
+  shutdown sequence (stop accepting, bounded wait for in-flight work,
+  cancel stragglers, await every connection's close);
 * **admission control** — at most ``max_in_flight`` queries execute at
-  once, up to ``max_queue`` more wait; beyond that a typed
-  :class:`~repro.errors.ServerOverloaded` reject, and during drain a
-  typed :class:`~repro.errors.ServerUnavailable`.  A streaming reply
-  holds its admission slot until the trailer is written, so drain
+  once, up to ``max_queue`` more wait in arrival order; beyond that a
+  typed :class:`~repro.errors.ServerOverloaded` reject, and during
+  drain a typed :class:`~repro.errors.ServerUnavailable`.  A streaming
+  reply holds its slot until the trailer is written, so drain
   accounting covers bytes-in-flight, not just queries-in-flight;
 * **warm statements stay on the loop** — a query the statement cache
   and a full-plan hit of the recycler can answer
@@ -22,18 +28,16 @@ everything that must behave identically whichever port a client picks:
   slot it holds; everything else goes to the worker pool;
 * **one query-issuing path** — each connection owns a
   :class:`~repro.session.Session`, and both frontends issue every query
-  through :meth:`ServingBase._execute`, which begins it on that session
+  through :meth:`ServingBase._query`, which begins it on that session
   (producer token, cancellation token from the request's ``timeout``
   and the connection's deadline), runs it and streams the reply;
-* **disconnect-aware execution** — while a query executes on the
-  worker pool, the event loop watches the connection for EOF (no
-  frontend allows pipelining, so any inbound byte mid-query is a
-  protocol violation); a vanished client — or drain running out of
-  time — cancels the connection's session
-  (:meth:`~repro.session.Session.cancel`): the producer aborts at its
+* **disconnect-aware execution** — no frontend allows pipelining, so
+  any byte or EOF while a query executes on the pool means the client
+  hung up or broke protocol: it cancels the connection's session
+  (:meth:`~repro.session.Session.cancel`) — the producer aborts at its
   next batch boundary, a query stalled on another's in-flight result
   wakes at once, and the recycler's abandon path guarantees no cache
-  entry is published for it;
+  entry is published for it — and the connection closes;
 * **streaming** — one driver turns a materialized result into one
   ``result`` frame when its rows fit in one columnar chunk, else a
   ``result_header`` / ``result_chunk``* / ``result_end`` sequence:
@@ -41,12 +45,11 @@ everything that must behave identically whichever port a client picks:
   that ran the query — unless that is the loop and the chunk is not
   cheap, :data:`INLINE_ENCODE_BYTES` — so a reply of one chunk is one
   ``write``), in the columnar or the JSON-lines encoding as the client
-  can read, with backpressure via the transport's ``drain()`` between
-  chunks;
+  can read, with the transport's flow control between chunks;
 * **request validation** — client-supplied durations (``timeout``,
   ``deadline``) are checked once, here, and refused typed.
 
-Subclasses implement ``_handle_connection``, ``_reply_error`` and
+Subclasses implement ``_parse``, ``_dispatch``, ``_error_reply`` and
 ``_framing`` (their wire format) and set ``frontend`` (the
 :class:`~repro.exec_service.ExecutionService` statistics label).
 """
@@ -54,6 +57,7 @@ Subclasses implement ``_handle_connection``, ``_reply_error`` and
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import gc
 import math
@@ -76,7 +80,6 @@ from .protocol import (DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_ROWS,
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..db import Database
-    from ..session import Session
 
 
 #: the largest result, in payload bytes (``Table.nbytes()``), whose
@@ -89,22 +92,154 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: is encoded inline whatever its size.
 INLINE_ENCODE_BYTES = 4096
 
+#: while a task owns a connection or its transport is paused for
+#: writing, callbacks only buffer, and past this many bytes the
+#: transport stops reading until the parser wants more: a client that
+#: talks out of turn or never reads its replies grows no buffer.
+PAUSE_READING_BYTES = 256 * 1024
 
-class ClientDisconnected(Exception):
-    """Internal: the client vanished (or spoke out of turn) while its
-    query executed or streamed — the handler closes the connection."""
+#: a warm result's first chunk the loop left to the pool to encode
+_PENDING = object()
 
 
-class Connection:
-    """Per-connection state, touched by the event loop only."""
+class Connection(asyncio.Protocol):
+    """One client connection, touched by the event loop only: the
+    inbound buffer the frontend parses, the session every query of the
+    connection is issued on, write flow control, and the task that owns
+    the connection while a request cannot be answered in a callback."""
 
-    __slots__ = ("writer", "session")
+    def __init__(self, server: "ServingBase") -> None:
+        self.server = server
+        self.transport = self.session = self.closed = None
+        self.buffer = bytearray()
+        #: the frontend parser's state between calls
+        self.state = None
+        #: the task answering a request; while set, callbacks buffer
+        self.task = None
+        #: while a query runs on the pool: the future a byte or EOF wakes
+        self.busy = None
+        #: close once the request in hand is answered
+        self.close_after = False
+        self.eof = self.lost = self.done = False
+        self._reading = self.writing = True
+        self._drained = None
 
-    def __init__(self, writer, session: "Session") -> None:
-        self.writer = writer
-        #: every query on the connection is issued, bounded and
-        #: cancelled through this session
-        self.session = session
+    def connection_made(self, transport) -> None:
+        server = self.server
+        self.transport = transport
+        self.closed = server._loop.create_future()
+        self.session = server.db.connect(frontend=server.frontend)
+        server._connections.add(self)
+        server._count("connections_total")
+
+    def data_received(self, data) -> None:
+        self.buffer += data
+        if self.task is None and self.writing:
+            self.server._pump(self)
+        elif self.busy is not None:
+            self._wake()
+        elif len(self.buffer) > PAUSE_READING_BYTES and self._reading:
+            self._reading = False
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.task is None:
+            self.server._pump(self)
+        else:
+            self._wake()
+        return True  # keep the transport open to answer what arrived
+
+    def connection_lost(self, exc) -> None:
+        self.lost = self.eof = True
+        self._wake()
+        self.resume_writing()
+        self.closed.set_result(None)
+        if self.task is None:
+            self.close()
+
+    def pause_writing(self) -> None:
+        self.writing = False
+
+    def resume_writing(self) -> None:
+        self.writing = True
+        if self._drained is not None and not self._drained.done():
+            self._drained.set_result(None)
+        if self.task is None and not self.lost:
+            # not from inside the transport's write callback: a close
+            # there would end the transport twice
+            self.server._loop.call_soon(self.server._pump, self)
+
+    def want_bytes(self) -> None:
+        """The parser needs more bytes: read again if paused."""
+        if not self._reading:
+            self._reading = True
+            self.transport.resume_reading()
+
+    def _wake(self) -> None:
+        if self.busy is not None and not self.busy.done():
+            self.busy.set_result(None)
+
+    async def drain(self) -> None:
+        """Wait while the transport is over its high-water mark (no
+        wait when it is not); ``ConnectionResetError`` once lost."""
+        if self.transport.is_closing():
+            await asyncio.sleep(0)  # let a pending connection_lost land
+        while not self.writing:
+            self._drained = self.server._loop.create_future()
+            await self._drained
+        if self.lost:
+            raise ConnectionResetError("Connection lost")
+
+    async def watch(self, future) -> bool:
+        """Wait for the pool's ``future`` with the connection busy;
+        False when a byte or EOF came first (no frontend pipelines, so
+        the client hung up or broke protocol)."""
+        if not self.eof:
+            self.busy = self.server._loop.create_future()
+            future.add_done_callback(lambda _: self._wake())
+            try:
+                await self.busy
+            finally:
+                self.busy = None
+        return future.done()
+
+    def run(self, work) -> None:
+        """Hand the connection to a task awaiting ``work``, a coroutine
+        that returns False when the connection should close."""
+        self.task = self.server._loop.create_task(self._own(work))
+
+    async def _own(self, work) -> None:
+        keep = False
+        try:
+            keep = await work
+        except Exception as exc:  # noqa: BLE001 - reported, then closed
+            self.failed(exc)
+        finally:
+            self.task = None
+            if keep and not self.lost and not self.close_after:
+                self.server._pump(self)
+            else:
+                self.close()
+
+    def failed(self, exc: Exception) -> None:
+        """Report a request that failed unexpectedly, and close."""
+        self.server._loop.call_exception_handler({
+            "message": "serving a request failed", "exception": exc,
+            "protocol": self})
+        self.close()
+
+    def close(self) -> None:
+        """Drop the connection (idempotent): abort whatever its session
+        still executes, so a dropped connection never pins an execution
+        slot, and close the session and the transport."""
+        if self.done:
+            return
+        self.done = True
+        self.server._connections.discard(self)
+        self.session.cancel()
+        self.session.close()
+        self.transport.close()
 
 
 def query_stats_payload(record) -> dict | None:
@@ -117,7 +252,8 @@ def query_stats_payload(record) -> dict | None:
 
 
 class ServingBase:
-    """Shared lifecycle + admission + streaming for serving frontends."""
+    """Shared connections + lifecycle + admission + streaming for
+    serving frontends."""
 
     #: the per-frontend statistics label in
     #: ``Database.summary()["service"]["frontends"]``.
@@ -154,12 +290,12 @@ class ServingBase:
         self._draining = False
         self._closed = False
 
-        # admission state (single-threaded: only the loop mutates it)
-        self._slots: asyncio.Semaphore | None = None
-        self._waiters = 0
+        # admission state (only the loop touches it): the slots taken,
+        # and a future per query waiting for one, in arrival order
         self._active = 0
+        self._waiters: collections.deque = collections.deque()
         self._idle = asyncio.Event()  # set while nothing executes
-        self._connections: set[object] = set()
+        self._connections: set[Connection] = set()
 
         self._stats_lock = threading.Lock()
         self._counters = {
@@ -200,12 +336,12 @@ class ServingBase:
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._slots = asyncio.Semaphore(self.max_in_flight)
         self._idle.set()
         self._shutdown = asyncio.Event()
         try:
-            self._server = await asyncio.start_server(
-                self._accept, self.host, self.port)
+            # looked up per connection, so a test can wrap it
+            self._server = await self._loop.create_server(
+                lambda: self._make_connection(), self.host, self.port)
         except OSError as exc:
             self._startup_error = exc
             self._started.set()
@@ -215,10 +351,10 @@ class ServingBase:
         await self._shutdown.wait()
         # Flush in-flight accepts before closing the listener: a socket
         # the kernel handed over in this very iteration only gets its
-        # transport (and our handler) on later ticks, and closing the
+        # transport (and its Connection) on later ticks, and closing the
         # server first would strand it half-built — never read, never
-        # closed.  A few ticks land those connections in handlers,
-        # which then reject queries with a typed drain error.
+        # closed.  A few ticks land those connections, whose queries
+        # are then rejected with a typed drain error.
         for _ in range(8):
             await asyncio.sleep(0)
         # stop accepting; existing connections stay up for the drain
@@ -233,35 +369,18 @@ class ServingBase:
         connections = list(self._connections)
         cancel_sessions([connection.session for connection in connections])
         for connection in connections:
-            connection.writer.close()
+            connection.transport.close()
         # close() only *schedules* connection_lost; if the loop exits
         # first, the accepted fd outlives it inside this process and a
         # client blocked on recv() for a reply never unblocks.  Await
         # the closes so no socket survives the loop.
-        waiters = [connection.writer.wait_closed()
-                   for connection in list(self._connections)]
-        if waiters:
-            try:
-                await asyncio.wait_for(
-                    asyncio.gather(*waiters, return_exceptions=True),
-                    timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                pass
-        self._stopped.set()
-
-    async def _accept(self, reader, writer) -> None:
-        connection = self._make_connection(writer)
-        self._connections.add(connection)
-        self._count("connections_total")
         try:
-            await self._handle_connection(connection, reader, writer)
-        finally:
-            self._connections.discard(connection)
-            # client gone: abort whatever it still has executing, so a
-            # dropped connection never pins an execution slot
-            connection.session.cancel()
-            connection.session.close()
-            writer.close()
+            await asyncio.wait_for(asyncio.gather(
+                *(connection.closed for connection in connections)),
+                timeout=5.0)
+        except asyncio.TimeoutError:  # pragma: no cover - defensive
+            pass
+        self._stopped.set()
 
     def stop(self) -> None:
         """Graceful drain: stop accepting, reject new queries, let
@@ -294,23 +413,57 @@ class ServingBase:
     # ------------------------------------------------------------------
     # what subclasses provide
     # ------------------------------------------------------------------
-    def _make_connection(self, writer) -> Connection:
-        return Connection(writer, self.db.connect(frontend=self.frontend))
+    def _make_connection(self) -> Connection:
+        return Connection(self)
 
-    async def _handle_connection(self, connection, reader,
-                                 writer) -> None:
-        """The wire format: read requests, dispatch, write replies."""
+    def _parse(self, connection: Connection):
+        """Take the next complete request off ``connection.buffer``, or
+        return None until it has arrived; ``ProtocolError`` for framing
+        that is malformed or past its limits."""
         raise NotImplementedError
 
-    async def _reply_error(self, writer, exc: BaseException) -> bool:
-        """Answer a query with ``exc`` before its stream started;
-        returns False when the connection should drop."""
+    def _dispatch(self, connection: Connection, request) -> None:
+        """Write ``request``'s reply, or :meth:`Connection.run` a task
+        that will."""
+        raise NotImplementedError
+
+    def _error_reply(self, exc: BaseException, close: bool = False) -> bytes:
+        """The reply to a request refused with ``exc`` before any reply
+        stream started (``close``: the connection closes after it)."""
         raise NotImplementedError
 
     def _framing(self, columnar: bool) -> tuple:
         """``(frame, head, tail)`` of a streamed reply (see
         :meth:`_stream_result`)."""
         raise NotImplementedError
+
+    def _pump(self, connection: Connection) -> None:
+        """Answer the requests complete in ``connection``'s buffer, in
+        order, until one needs a task or the transport pauses writing
+        (the backpressure of replies written here: ``resume_writing``
+        pumps again); close the connection on a framing error, at EOF,
+        or when its request asked to."""
+        while connection.task is None and not connection.done \
+                and connection.writing:
+            try:
+                request = self._parse(connection)
+            except ProtocolError as exc:
+                connection.transport.write(self._error_reply(exc, close=True))
+                connection.close()
+                return
+            if request is None:
+                if connection.eof:
+                    connection.close()
+                else:
+                    connection.want_bytes()
+                return
+            try:
+                self._dispatch(connection, request)
+            except Exception as exc:  # noqa: BLE001 - reported, closed
+                connection.failed(exc)
+                return
+            if connection.task is None and connection.close_after:
+                connection.close()
 
     # ------------------------------------------------------------------
     # observability
@@ -348,29 +501,24 @@ class ServingBase:
         if self._draining:
             return ServerUnavailable(
                 "server is draining and accepts no new queries")
-        if self._slots.locked() and self._waiters >= self.max_queue:
+        if (self._waiters or self._active >= self.max_in_flight) \
+                and len(self._waiters) >= self.max_queue:
             return ServerOverloaded(
                 f"server at capacity ({self.max_in_flight} in flight,"
-                f" {self._waiters} queued)")
+                f" {len(self._waiters)} queued)")
         return None
 
-    @contextlib.asynccontextmanager
-    async def _slot(self):
-        """Hold one execution slot; the ``_idle`` event drives drain."""
-        self._waiters += 1
-        try:
-            await self._slots.acquire()
-        finally:
-            self._waiters -= 1
-        self._active += 1
-        self._idle.clear()
-        try:
-            yield
-        finally:
-            self._active -= 1
-            if self._active == 0:
-                self._idle.set()
-            self._slots.release()
+    def _release_slot(self) -> None:
+        """Hand the slot to the first waiter, or free it; the ``_idle``
+        event drives drain."""
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+        self._active -= 1
+        if self._active == 0:
+            self._idle.set()
 
     # ------------------------------------------------------------------
     # request validation
@@ -391,47 +539,140 @@ class ServingBase:
     # ------------------------------------------------------------------
     # the one query-issuing path
     # ------------------------------------------------------------------
-    async def _execute(self, connection: Connection, sql: str, *,
-                       label: str, timeout: float | None,
-                       columnar: bool, reader, writer) -> bool:
-        """Issue ``sql`` on the connection's session, under the
-        admission slot the caller holds, and stream the reply; returns
-        False when the connection should drop.
+    def _query(self, connection: Connection, sql: str, **request) -> None:
+        """Admit ``sql`` (``request``: its ``label``, ``timeout`` and
+        ``columnar``) and answer it — in this callback when a slot is
+        free with nobody waiting and the reply is a warm statement's one
+        cheap frame, else in a task."""
+        rejected = self._admission_error()
+        if rejected is not None:
+            self._count("rejected")
+            connection.transport.write(self._error_reply(rejected))
+        elif self._waiters or self._active >= self.max_in_flight:
+            waiter = self._loop.create_future()
+            self._waiters.append(waiter)
+            connection.run(self._queued(connection, waiter, sql, request))
+        else:
+            self._active += 1
+            self._idle.clear()
+            rest = self._issue(connection, sql, **request)
+            if rest is not None:
+                connection.run(rest)
 
-        The query is registered with the session from before its warm
-        attempt until its trailer is written, so one producer token and
-        one cancellation token cover the warm attempt, the pool
-        fall-through and the stream, and a cancel of the session
-        (disconnect, drain) reaches it in every phase."""
-        with connection.session.begin(timeout=timeout) as query:
-            call = partial(query.execute, sql, label=label)
+    async def _queued(self, connection: Connection, waiter, sql: str,
+                      request: dict) -> bool:
+        try:
+            await waiter  # the slot, handed over by _release_slot
+        except BaseException:
+            if waiter.cancelled():
+                self._waiters.remove(waiter)
+            else:  # handed a slot, but cancelled before taking it
+                self._release_slot()
+            raise
+        rest = self._issue(connection, sql, **request)
+        return rest is None or await rest
+
+    def _issue(self, connection: Connection, sql: str, *, label: str,
+               timeout: float | None, columnar: bool):
+        """Under the slot the caller holds, issue ``sql`` on the
+        connection's session and try it warm, on the loop.  Returns None
+        when the reply is written (slot freed, query ended), else the
+        coroutine that finishes it (:meth:`_execute`).  The query is
+        registered with the session until its trailer is written, so a
+        cancel of the session (disconnect, drain) reaches every phase."""
+        issued = connection.session.begin(timeout=timeout)
+        query = issued.__enter__()
+        call = partial(query.execute, sql, label=label)
+        warm = None
+        try:
+            result = call(warm_only=True)
+            if result is not None:
+                table, first = result.table, _PENDING
+                chunks = self._chunks(table, columnar=columnar,
+                                      stream_id=query.seq)
+                if (columnar and STRING not in table.schema.types) \
+                        or table.nbytes() <= INLINE_ENCODE_BYTES:
+                    first = next(chunks, None)
+                    reply = self._single_reply(query, result, first,
+                                               columnar)
+                    if reply is not None:
+                        # counted first: a client that reads the reply
+                        # and then the stats sees it
+                        self._replied(0 if first is None else 1,
+                                      served=1)
+                        connection.transport.write(reply)
+                        self._end(issued)
+                        return None
+                warm = result, chunks, first
+        except ReproError as exc:
+            self._count_query_error(exc)
+            connection.transport.write(self._error_reply(exc))
+            self._end(issued)
+            return None
+        except BaseException:
+            self._end(issued)
+            raise
+        return self._execute(connection, issued, query, call, warm,
+                             columnar=columnar)
+
+    def _end(self, issued) -> None:
+        """End a query :meth:`_issue` began, and free its slot."""
+        issued.__exit__(None, None, None)
+        self._release_slot()
+
+    async def _execute(self, connection: Connection, issued, query, call,
+                       warm, *, columnar: bool) -> bool:
+        """The rest of a query :meth:`_issue` began — ``warm`` is its
+        ``(result, chunks, first)`` when the loop answered it (``first``
+        :data:`_PENDING` when the pool encodes it), else None — and its
+        reply stream; False when the connection should drop.
+
+        A query that is not warm runs on the worker pool, which also
+        encodes its first chunk.  Meanwhile the connection is busy
+        (:meth:`Connection.watch`): a client that hangs up or speaks out
+        of turn has its query's session cancelled, and the producer
+        unwinds through the recycler's abandon path (no cache publish)."""
+        try:
             try:
-                result, chunks, first = await self._run_query(
-                    query, call, reader=reader, columnar=columnar)
-            except ClientDisconnected:
-                return False
+                if warm is None:
+                    future = self._loop.run_in_executor(
+                        self._pool, self._work, call, columnar, query.seq)
+                    if not await connection.watch(future):
+                        query.session.cancel()
+                        with contextlib.suppress(Exception):
+                            await future
+                        self._count("cancelled")
+                        return False
+                    result, chunks, first = future.result()
+                else:
+                    self._count("inline")
+                    result, chunks, first = warm
+                    if first is _PENDING:
+                        first = await self._loop.run_in_executor(
+                            self._pool, next, chunks, None)
             except ReproError as exc:
                 self._count_query_error(exc)
-                return await self._reply_error(writer, exc)
+                connection.transport.write(self._error_reply(exc))
+                return not connection.lost
             except RuntimeError as exc:
                 # pool shut down mid-drain: the query never started
                 self._count("rejected")
-                return await self._reply_error(
-                    writer, ServerUnavailable(str(exc)))
+                connection.transport.write(self._error_reply(
+                    ServerUnavailable(str(exc))))
+                return not connection.lost
             self._count("served")
             try:
-                await self._stream_result(query, result, chunks, first,
-                                          writer=writer, columnar=columnar)
+                await self._stream_result(connection, query, result,
+                                          chunks, first, columnar=columnar)
             except (ConnectionError, RuntimeError):
                 # client gone mid-stream: stop producing chunks
                 self._count("stream_aborted")
                 query.cancel()
                 return False
             return True
+        finally:
+            self._end(issued)
 
-    # ------------------------------------------------------------------
-    # disconnect-aware execution
-    # ------------------------------------------------------------------
     def _chunks(self, table, *, columnar: bool, stream_id: int):
         """The result as ``(result_chunk payload, row count)`` pieces in
         the encoding the client can read."""
@@ -443,89 +684,34 @@ class ServingBase:
                     table, chunk_rows=self.chunk_rows,
                     chunk_bytes=self.chunk_bytes)))
 
-    async def _run_query(self, query, call, *, reader, columnar: bool):
-        """Run ``query`` through ``call`` and return ``(result, chunks,
-        first)``: ``first`` is the result's first encoded chunk (None
-        for an empty result), ``chunks`` yields the rest.
-
-        A warm statement is answered here, on the loop: ``call`` is
-        tried ``warm_only`` first, which either returns at once having
-        recorded nothing, or is the query's whole execution — no
-        binding, matching, waiting or operator.  The loop also encodes
-        the first chunk when that is cheap (:data:`INLINE_ENCODE_BYTES`)
-        and fetches it from the pool, like every later chunk, when it
-        is not.
-
-        Any other query blocks, so it runs on the worker pool, and the
-        worker that executed it also encodes its first chunk: a small
-        reply needs no second trip to the pool.  Meanwhile the event
-        loop watches the connection (no frontend allows pipelining):
-        any inbound event while the query runs means the client hung
-        up (EOF) or broke protocol, so the query's session is
-        cancelled — the query wakes if it is stalled on another's
-        in-flight result, the producer unwinds through the recycler's
-        abandon path (no cache publish) — and
-        :class:`ClientDisconnected` tells the handler to drop the
-        connection.
-        """
-        stream_id = query.seq
-        result = call(warm_only=True)
-        if result is not None:
-            self._count("inline")
-            table = result.table
-            chunks = self._chunks(table, columnar=columnar,
-                                  stream_id=stream_id)
-            if (columnar and STRING not in table.schema.types) \
-                    or table.nbytes() <= INLINE_ENCODE_BYTES:
-                first = next(chunks, None)
-            else:
-                first = await self._loop.run_in_executor(
-                    self._pool, next, chunks, None)
-            return result, chunks, first
-
-        def work():
-            result = call()
-            chunks = self._chunks(result.table, columnar=columnar,
-                                  stream_id=stream_id)
-            return result, chunks, next(chunks, None)
-
-        future = asyncio.ensure_future(
-            self._loop.run_in_executor(self._pool, work))
-        watcher = self._loop.create_task(self._watch_disconnect(reader))
-        try:
-            await asyncio.wait({future, watcher},
-                               return_when=asyncio.FIRST_COMPLETED)
-            if future.done():
-                return future.result()
-            # the client vanished mid-execution: stop the producer
-            query.session.cancel()
-            try:
-                await future
-            except Exception:
-                pass
-            self._count("cancelled")
-            raise ClientDisconnected
-        finally:
-            # await the cancellation: until it lands, the watcher still
-            # owns the reader and the next frame read would collide
-            watcher.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await watcher
-
-    @staticmethod
-    async def _watch_disconnect(reader) -> bytes:
-        try:
-            return await reader.read(1)
-        except (ConnectionError, OSError):
-            return b""
+    def _work(self, call, columnar: bool, stream_id: int):
+        """On a pool thread: execute, and encode the first chunk."""
+        result = call()
+        chunks = self._chunks(result.table, columnar=columnar,
+                              stream_id=stream_id)
+        return result, chunks, next(chunks, None)
 
     # ------------------------------------------------------------------
     # streaming
     # ------------------------------------------------------------------
-    async def _stream_result(self, query, result, chunks, first, *,
-                             writer, columnar: bool) -> None:
-        """Drive one reply: a single ``result`` frame when ``first``
-        holds every row and the client reads columnar frames, else a
+    def _single_reply(self, query, result, first, columnar: bool):
+        """The whole reply as one ``result`` frame's bytes, or None for
+        a stream: a client of NDJSON, a ``first`` chunk without every
+        row, or a query whose token has tripped."""
+        table = result.table
+        if not columnar or (first is not None
+                            and (first[1] != table.num_rows
+                                 or _aborted(query.cancel_token))):
+            return None
+        frame, head, tail = self._framing(columnar)
+        header = result_header_payload(
+            query.seq, table, query_stats_payload(result.record))
+        chunk = columnar_chunk(table, 0, 0) if first is None else first[0]
+        return b"".join([head, *frame(result_parts(header, chunk)), tail])
+
+    async def _stream_result(self, connection: Connection, query, result,
+                             chunks, first, *, columnar: bool) -> None:
+        """Drive one reply: the :meth:`_single_reply` frame, else a
         stream — ``result_header``, bounded ``result_chunk`` frames,
         ``result_end`` (or an ``error`` trailer if the query's token
         cancels mid-stream).
@@ -542,24 +728,21 @@ class ServingBase:
         checked before every chunk, and each further chunk is
         serialized on the worker pool only once the previous one has
         drained, so at most one encoded chunk exists at a time.  A
-        ConnectionError from the writer propagates to the caller
-        (client gone mid-stream).
+        ConnectionError from :meth:`Connection.drain` propagates to the
+        caller (client gone mid-stream).
         """
+        reply = self._single_reply(query, result, first, columnar)
+        if reply is not None:
+            connection.transport.write(reply)
+            await connection.drain()
+            self._replied(0 if first is None else 1)
+            return
         token, stream_id = query.cancel_token, query.seq
         frame, head, tail = self._framing(columnar)
         table = result.table
         header = result_header_payload(
             stream_id, table, query_stats_payload(result.record))
         aborted = None if first is None else _aborted(token)
-        if columnar and aborted is None \
-                and (first is None or first[1] == table.num_rows):
-            chunk = columnar_chunk(table, 0, 0) if first is None \
-                else first[0]
-            writer.write(b"".join(
-                [head, *frame(result_parts(header, chunk)), tail]))
-            await writer.drain()
-            self._streamed(0 if first is None else 1)
-            return
         out = [head, *frame([encode_json(header)])]
         sent_chunks = sent_rows = 0
         piece = first
@@ -570,8 +753,8 @@ class ServingBase:
             sent_rows += count
             piece = None
             if sent_rows < table.num_rows:
-                writer.write(b"".join(out))
-                await writer.drain()
+                connection.transport.write(b"".join(out))
+                await connection.drain()
                 out = []
                 piece = await self._loop.run_in_executor(
                     self._pool, next, chunks, None)
@@ -580,18 +763,24 @@ class ServingBase:
             if aborted is not None \
             else result_end_payload(stream_id, chunks=sent_chunks,
                                     rows=sent_rows)
-        writer.write(b"".join(out + frame([encode_json(trailer)])
-                              + [tail]))
-        await writer.drain()
+        connection.transport.write(b"".join(out + frame([encode_json(trailer)])
+                                  + [tail]))
+        await connection.drain()
         if aborted is not None:
             self._count("stream_aborted")
             return
-        self._streamed(sent_chunks)
+        self._replied(sent_chunks)
 
-    def _streamed(self, chunks: int) -> None:
-        """Count one completed reply of ``chunks`` chunks."""
-        self._count("streams")
-        self._count("stream_chunks", chunks)
+    def _replied(self, chunks: int, *, served: int = 0) -> None:
+        """Count one completed reply of ``chunks`` chunks — with its
+        query as served inline when ``served`` (a reply written in its
+        callback) — in one update."""
+        with self._stats_lock:
+            counters = self._counters
+            counters["served"] += served
+            counters["inline"] += served
+            counters["streams"] += 1
+            counters["stream_chunks"] += chunks
         self.service.account_stream(self.frontend, chunks=chunks)
 
 

@@ -5,8 +5,9 @@ control, deadlines, and graceful drain as
 :class:`~repro.server.server.ReproServer` — only the wire format
 differs, so a query is warm for HTTP clients the moment a TCP client
 (or an in-process session) ran it, and vice versa.  Hand-rolled on
-asyncio streams (no framework, no new dependencies); just enough
-HTTP/1.1 for the three endpoints:
+the serving core's asyncio protocol (no framework, no new
+dependencies), with an incremental request parser; just enough HTTP/1.1
+for the three endpoints:
 
 ``POST /v1/query``
     Body ``{"sql": ..., "label"?, "timeout"?}``.  The reply
@@ -34,17 +35,17 @@ HTTP/1.1 for the three endpoints:
     per-frontend service counters (queries, reuse, streams).
 
 Disconnect behaviour matches the TCP path (both issue queries through
-``ServingBase._execute`` on the connection's
-:class:`~repro.session.Session`): while a query executes, the loop
-watches the connection; a vanished client cancels the session, the
+``ServingBase._query`` on the connection's
+:class:`~repro.session.Session`): while a query executes on the worker
+pool, any byte or EOF from the client cancels the session, the
 producer stops at the next batch boundary and nothing is published to
 the cache.  Pipelining is not supported (send one request per
-connection at a time, as every mainstream HTTP client does).
+connection at a time, as every mainstream HTTP client does); requests
+already buffered when an answer starts are answered in order.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 from ..errors import (QueryTimeout, ReproError, ServerError,
@@ -57,6 +58,9 @@ from .protocol import (FRAMES_MEDIA_TYPE, MAX_FRAME_BYTES, ProtocolError,
 
 #: request header block cap — nothing legitimate comes close.
 _MAX_HEADER_BYTES = 64 * 1024
+
+#: the endpoints and the one method each answers
+_ENDPOINTS = {"/v1/query": "POST", "/healthz": "GET", "/metrics": "GET"}
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -97,8 +101,17 @@ def _status_for(exc: BaseException) -> int:
     return 500
 
 
-class _BadRequest(Exception):
-    """Malformed HTTP framing; the connection is answered 400/closed."""
+class _Head:
+    """An HTTP request head parsed across ``data_received`` calls: the
+    buffer offset of its first unread line, what its lines said, and —
+    once its blank line arrived — its body's length."""
+
+    __slots__ = ("pos", "method", "path", "headers", "total", "length")
+
+    def __init__(self) -> None:
+        self.pos = self.total = 0
+        self.method = self.path = self.length = None
+        self.headers: dict[str, str] = {}
 
 
 class HttpServer(ServingBase):
@@ -109,120 +122,97 @@ class HttpServer(ServingBase):
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(self, connection: Connection,
-                                 reader, writer) -> None:
-        while True:
-            try:
-                request = await self._read_request(reader)
-            except _BadRequest as exc:
-                await self._respond(writer, 400,
-                                    error_payload(ProtocolError(str(exc))),
-                                    close=True)
-                return
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    ValueError):
-                return
-            if request is None:
-                return
-            method, path, headers, body = request
-            keep_alive = headers.get("connection", "").lower() != "close"
-            if not await self._route(connection, method, path, headers,
-                                     body, reader, writer):
-                return
-            if not keep_alive:
-                return
-
-    async def _read_request(self, reader):
-        """Parse one request head + body; None on a clean EOF between
-        requests (keep-alive connection closed by the client)."""
-        line = await reader.readline()
-        if not line:
+    def _parse(self, connection: Connection):
+        """One request's ``(method, path, headers, body)`` once its head
+        and ``Content-Length`` body are in the buffer.  Lines are read
+        as they complete; a line cut by EOF is read as it stands."""
+        buffer = connection.buffer
+        head = connection.state
+        if head is None:
+            if not buffer:
+                return None
+            head = connection.state = _Head()
+        while head.length is None:
+            end = buffer.find(b"\n", head.pos)
+            if end >= 0:
+                line = buffer[head.pos:end + 1]
+                head.pos = end + 1
+            elif connection.eof:
+                line = buffer[head.pos:]
+                head.pos = len(buffer)
+                if not line and head.method is not None:
+                    raise ProtocolError("truncated header block")
+            else:
+                if head.total + len(buffer) - head.pos > _MAX_HEADER_BYTES:
+                    raise ProtocolError("header block too large")
+                return None
+            if head.method is None:
+                parts = line.decode("latin-1").split()
+                if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+                    raise ProtocolError("malformed request line")
+                head.method, head.path = parts[0].upper(), parts[1]
+            elif line in (b"\r\n", b"\n"):
+                head.length = _content_length(head.headers)
+            else:
+                head.total += len(line)
+                if head.total > _MAX_HEADER_BYTES:
+                    raise ProtocolError("header block too large")
+                name, sep, value = line.decode("latin-1").partition(":")
+                if not sep:
+                    raise ProtocolError("malformed header line")
+                head.headers[name.strip().lower()] = value.strip()
+        end = head.pos + head.length
+        if len(buffer) < end:
             return None
-        parts = line.decode("latin-1").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise _BadRequest("malformed request line")
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        total = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise _BadRequest("truncated header block")
-            total += len(line)
-            if total > _MAX_HEADER_BYTES:
-                raise _BadRequest("header block too large")
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise _BadRequest("malformed header line")
-            headers[name.strip().lower()] = value.strip()
-        length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise _BadRequest("bad Content-Length") from None
-        if length < 0 or length > MAX_FRAME_BYTES:
-            raise _BadRequest("unreasonable Content-Length")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        body = bytes(buffer[head.pos:end])
+        del buffer[:end]
+        connection.state = None
+        return head.method, head.path, head.headers, body
 
-    async def _route(self, connection, method: str, path: str,
-                     headers: dict[str, str], body: bytes, reader,
-                     writer) -> bool:
+    def _dispatch(self, connection: Connection, request) -> None:
+        method, path, headers, body = request
+        connection.close_after = \
+            headers.get("connection", "").lower() == "close"
         path = path.split("?", 1)[0]
-        if path == "/v1/query":
-            if method != "POST":
-                return await self._respond(
-                    writer, 405,
-                    error_payload(ProtocolError("use POST /v1/query")))
-            columnar = FRAMES_MEDIA_TYPE in headers.get("accept", "")
-            return await self._handle_query(connection, body, columnar,
-                                            reader, writer)
-        if path == "/healthz":
-            if method != "GET":
-                return await self._respond(
-                    writer, 405,
-                    error_payload(ProtocolError("use GET /healthz")))
-            status = 503 if self._draining else 200
-            return await self._respond(writer, status, {
-                "ok": not self._draining, "draining": self._draining,
-                "frontend": self.frontend})
-        if path == "/metrics":
-            if method != "GET":
-                return await self._respond(
-                    writer, 405,
-                    error_payload(ProtocolError("use GET /metrics")))
-            summary = await self._loop.run_in_executor(
-                self._pool, lambda: jsonable(self.db.summary()))
-            return await self._respond(writer, 200, summary)
-        return await self._respond(
-            writer, 404,
-            error_payload(ProtocolError(f"no such endpoint: {path}")))
+        allowed = _ENDPOINTS.get(path)
+        if allowed is None:
+            connection.transport.write(self._response(404, error_payload(
+                ProtocolError(f"no such endpoint: {path}"))))
+        elif method != allowed:
+            connection.transport.write(self._response(405, error_payload(
+                ProtocolError(f"use {allowed} {path}"))))
+        elif path == "/v1/query":
+            self._handle_query(connection, body, columnar=FRAMES_MEDIA_TYPE
+                               in headers.get("accept", ""))
+        elif path == "/healthz":
+            connection.transport.write(self._response(
+                503 if self._draining else 200,
+                {"ok": not self._draining, "draining": self._draining,
+                 "frontend": self.frontend}))
+        else:
+            connection.run(self._metrics(connection))
 
-    async def _respond(self, writer, status: int, payload: dict,
-                       close: bool = False) -> bool:
-        """One complete (non-streamed) JSON response; returns False when
-        the connection should drop."""
+    async def _metrics(self, connection: Connection) -> bool:
+        summary = await self._loop.run_in_executor(
+            self._pool, lambda: jsonable(self.db.summary()))
+        connection.transport.write(self._response(200, summary))
+        return True
+
+    @staticmethod
+    def _response(status: int, payload: dict, close: bool = False) -> bytes:
+        """One complete (non-streamed) JSON response."""
         body = encode_json(payload)
-        head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        return (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 + ("Connection: close\r\n" if close else "")
-                + "\r\n").encode("latin-1")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionError, RuntimeError):
-            return False
-        return not close
+                + "\r\n").encode("latin-1") + body
 
     # ------------------------------------------------------------------
     # the query endpoint
     # ------------------------------------------------------------------
-    async def _handle_query(self, connection: Connection,
-                            body: bytes, columnar: bool, reader,
-                            writer) -> bool:
+    def _handle_query(self, connection: Connection, body: bytes,
+                      columnar: bool) -> None:
         try:
             request = json.loads(body.decode("utf-8"))
             if not isinstance(request, dict):
@@ -234,23 +224,14 @@ class HttpServer(ServingBase):
                 request.get("timeout", self.default_timeout), "timeout")
         except (ValueError, KeyError, UnicodeDecodeError,
                 ProtocolError) as exc:
-            return await self._respond(
-                writer, 400,
-                error_payload(ProtocolError(f"bad query body: {exc}")))
-        rejected = self._admission_error()
-        if rejected is not None:
-            self._count("rejected")
-            return await self._respond(writer, _status_for(rejected),
-                                       error_payload(rejected))
-        async with self._slot():
-            return await self._execute(
-                connection, sql, label=str(request.get("label", "")),
-                timeout=timeout, columnar=columnar, reader=reader,
-                writer=writer)
+            connection.transport.write(self._response(400, error_payload(
+                ProtocolError(f"bad query body: {exc}"))))
+            return
+        self._query(connection, sql, label=str(request.get("label", "")),
+                    timeout=timeout, columnar=columnar)
 
-    async def _reply_error(self, writer, exc: BaseException) -> bool:
-        return await self._respond(writer, _status_for(exc),
-                                   error_payload(exc))
+    def _error_reply(self, exc: BaseException, close: bool = False) -> bytes:
+        return self._response(_status_for(exc), error_payload(exc), close)
 
     def _framing(self, columnar: bool) -> tuple:
         media_type = FRAMES_MEDIA_TYPE if columnar \
@@ -261,6 +242,17 @@ class HttpServer(ServingBase):
                 f"\r\n").encode("latin-1")
         return (_frame_chunk if columnar else _ndjson_chunk), head, \
             b"0\r\n\r\n"
+
+
+def _content_length(headers: dict[str, str]) -> int:
+    """A request's body length, refused unless it is a sane integer."""
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError:
+        raise ProtocolError("bad Content-Length") from None
+    if length < 0 or length > MAX_FRAME_BYTES:
+        raise ProtocolError("unreasonable Content-Length")
+    return length
 
 
 def _http_chunk(parts: list) -> list:

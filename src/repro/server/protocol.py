@@ -41,9 +41,10 @@ natively (``NaN`` / ``Infinity``), so both preserve FLOAT64 results
 exactly.
 
 The framing functions here are transport-agnostic: the asyncio server
-reads frames with :func:`read_frame_async`, and both blocking clients
-read theirs with :func:`read_frame` — from the socket on TCP, from the
-chunked response body on HTTP.
+parses its connections' buffers with :func:`frame_length` and
+:func:`decode_payload`, and both blocking clients read theirs with
+:func:`read_frame` — from the socket on TCP, from the chunked response
+body on HTTP.
 """
 
 from __future__ import annotations
@@ -414,8 +415,10 @@ def write_frame(sock: socket.socket, message: dict) -> None:
     sock.sendall(encode_frame(message))
 
 
-def _check_length(header: bytes) -> int:
-    (length,) = HEADER.unpack(header)
+def frame_length(header) -> int:
+    """The payload length a frame's ``header`` (at least its first
+    :data:`HEADER` bytes) announces, refused past the frame cap."""
+    (length,) = HEADER.unpack_from(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds the"
                             f" {MAX_FRAME_BYTES}-byte limit")
@@ -432,16 +435,8 @@ def read_frame(read: Callable[[int], bytes], types=None) -> dict:
     header = read(HEADER.size)
     if len(header) < HEADER.size:
         raise ConnectionError("server closed the connection")
-    length = _check_length(header)
+    length = frame_length(header)
     payload = read(length)
     if len(payload) < length:
         raise ConnectionError("server closed the connection mid-frame")
     return decode_frame(payload, types)
-
-
-# ----------------------------------------------------------------------
-# asyncio framing (server)
-# ----------------------------------------------------------------------
-async def read_frame_async(reader) -> dict:
-    length = _check_length(await reader.readexactly(HEADER.size))
-    return decode_payload(await reader.readexactly(length))

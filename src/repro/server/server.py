@@ -11,12 +11,13 @@ control, drain, and the streaming driver live in
 :class:`~repro.server.base.ServingBase`, shared with the HTTP frontend
 (:mod:`repro.server.http`); this module is only the TCP wire format.
 
-**One reply path.**  Every query reply is a ``result_header`` /
-``result_chunk``* / ``result_end`` stream of bounded frames (see
-``docs/PROTOCOL.md``) whose chunks are columnar, with backpressure via
-``drain()`` and disconnect detection while the query executes.  The
-``hello`` op only checks that client and server speak the same
-protocol version and advertises the streaming bounds.
+**Frames.**  A request is a 4-byte length prefix (refused at once,
+typed, past ``MAX_FRAME_BYTES``) and a JSON object, answered in arrival
+order.  A result that fits in one chunk is one ``result`` frame, a
+larger one a ``result_header`` / ``result_chunk``* / ``result_end``
+stream of bounded columnar frames (see ``docs/PROTOCOL.md``).  ``hello``
+only checks that client and server speak the same protocol version and
+advertises the streaming bounds.
 
 **Admission control and backpressure.**  At most ``max_in_flight``
 queries execute at once; up to ``max_queue`` more may wait for a slot.
@@ -33,9 +34,10 @@ everything that follows: the session's ``deadline``) map onto one
 :class:`~repro.engine.cancellation.CancellationToken` — the earlier
 bound wins, exactly the session semantics.  Client disconnect cancels
 the session's in-flight queries — the disconnect is noticed *while*
-the query executes (the loop watches the socket), so an abandoned
-query stops at its next batch boundary (or wakes, if it is stalled on
-another query's in-flight result) and publishes nothing.
+the query executes on the worker pool (any byte or EOF then is a
+hang-up), so an abandoned query stops at its next batch boundary (or
+wakes, if it is stalled on another query's in-flight result) and
+publishes nothing.
 
 **Drain.**  ``stop()`` stops accepting, lets in-flight queries (and
 in-flight streams) finish inside ``drain_seconds``, then cancels
@@ -45,13 +47,12 @@ zero.
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 from .base import Connection, ServingBase
-from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError,
-                       encode_frame, error_payload, frame_parts,
-                       read_frame_async)
+from .protocol import (HEADER, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+                       ProtocolError, decode_payload, encode_frame,
+                       error_payload, frame_length, frame_parts)
 
 
 class ReproServer(ServingBase):
@@ -62,49 +63,45 @@ class ReproServer(ServingBase):
     # ------------------------------------------------------------------
     # connection handling (event-loop thread)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, connection: Connection,
-                                 reader, writer) -> None:
-        while True:
-            try:
-                request = await read_frame_async(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                break
-            except ProtocolError as exc:
-                await self._send(writer, error_payload(exc))
-                break
-            if not await self._dispatch(connection, request, reader,
-                                        writer):
-                break
+    def _parse(self, connection: Connection) -> dict | None:
+        buffer = connection.buffer
+        if len(buffer) < HEADER.size:
+            return None
+        end = HEADER.size + frame_length(buffer)
+        if len(buffer) < end:
+            return None
+        payload = buffer[HEADER.size:end]
+        del buffer[:end]
+        return decode_payload(payload)
 
-    async def _send(self, writer, message: dict) -> bool:
-        try:
-            writer.write(encode_frame(message))
-            await writer.drain()
-            return True
-        except (ConnectionError, RuntimeError):
-            return False
-
-    async def _dispatch(self, connection: Connection, request: dict,
-                        reader, writer) -> bool:
-        """Handle one request; returns False to drop the connection."""
+    def _dispatch(self, connection: Connection, request: dict) -> None:
         op = request.get("op")
         if op == "query":
-            return await self._handle_query(connection, request, reader,
-                                            writer)
-        if op == "hello":
-            return await self._send(writer, self._handle_hello(request))
+            sql = request.get("sql")
+            try:
+                if not isinstance(sql, str):
+                    raise ProtocolError("query needs 'sql' text")
+                timeout = self._seconds(
+                    request.get("timeout", self.default_timeout),
+                    "timeout")
+            except ProtocolError as exc:
+                connection.transport.write(self._error_reply(exc))
+                return
+            self._query(connection, sql, label=str(request.get("label", "")),
+                        timeout=timeout, columnar=True)
+            return
         if op == "ping":
-            return await self._send(writer, {
-                "ok": True, "pong": True, "draining": self._draining})
-        if op == "stats":
-            return await self._send(writer, {
-                "ok": True, "stats": self.stats(),
-                "service": self.service.summary()})
-        if op == "configure":
-            return await self._send(
-                writer, self._handle_configure(connection, request))
-        return await self._send(
-            writer, error_payload(ProtocolError(f"unknown op: {op!r}")))
+            reply = {"ok": True, "pong": True, "draining": self._draining}
+        elif op == "hello":
+            reply = self._handle_hello(request)
+        elif op == "stats":
+            reply = {"ok": True, "stats": self.stats(),
+                     "service": self.service.summary()}
+        elif op == "configure":
+            reply = self._handle_configure(connection, request)
+        else:
+            reply = error_payload(ProtocolError(f"unknown op: {op!r}"))
+        connection.transport.write(encode_frame(reply))
 
     def _handle_hello(self, request: dict) -> dict:
         """The version check: this build speaks exactly
@@ -135,34 +132,8 @@ class ReproServer(ServingBase):
             connection.session.deadline = time.monotonic() + deadline
         return {"ok": True}
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    async def _handle_query(self, connection: Connection,
-                            request: dict, reader, writer) -> bool:
-        # Admission control: a free slot admits immediately; a full
-        # server with queue headroom waits; beyond that, typed reject.
-        rejected = self._admission_error()
-        if rejected is not None:
-            self._count("rejected")
-            return await self._send(writer, error_payload(rejected))
-        async with self._slot():
-            sql = request.get("sql")
-            try:
-                if not isinstance(sql, str):
-                    raise ProtocolError("query needs 'sql' text")
-                timeout = self._seconds(
-                    request.get("timeout", self.default_timeout),
-                    "timeout")
-            except ProtocolError as exc:
-                return await self._send(writer, error_payload(exc))
-            return await self._execute(
-                connection, sql, label=str(request.get("label", "")),
-                timeout=timeout, columnar=True, reader=reader, writer=writer)
-
-    async def _reply_error(self, writer, exc: BaseException) -> bool:
-        return await self._send(writer, error_payload(exc))
+    def _error_reply(self, exc: BaseException, close: bool = False) -> bytes:
+        return encode_frame(error_payload(exc))
 
     def _framing(self, columnar: bool) -> tuple:
         return frame_parts, b"", b""
-

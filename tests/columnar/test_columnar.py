@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,28 @@ class TestTypes:
         assert type_from_name("DATE") is DATE
         with pytest.raises(TypeError_):
             type_from_name("decimal")
+
+    @pytest.mark.parametrize("dtype", t.ALL_TYPES, ids=str)
+    def test_copies_are_the_interned_constant(self, dtype):
+        """Pickling (plans cross process boundaries) and deep copies
+        return the interned object itself, so identity checks and
+        identity hashing hold on the far side."""
+        assert pickle.loads(pickle.dumps(dtype)) is dtype
+        assert copy.deepcopy(dtype) is dtype
+        assert copy.copy(dtype) is dtype
+        schema = copy.deepcopy(Schema(["x"], [dtype]))
+        assert schema.types[0] is dtype
+
+    def test_types_key_dicts_and_sets_by_identity(self):
+        codes = {dtype: dtype.name for dtype in t.ALL_TYPES}
+        assert all(codes[type_from_name(name)] == name
+                   for name in ("INT64", "FLOAT64", "BOOL", "STRING",
+                                "DATE"))
+        assert codes[pickle.loads(pickle.dumps(STRING))] == "STRING"
+        assert STRING in {STRING, INT64} and DATE not in {STRING, INT64}
+        assert INT64 == INT64 and INT64 != FLOAT64
+        assert all(hash(dtype) == object.__hash__(dtype)
+                   for dtype in t.ALL_TYPES)
 
     def test_infer_type(self):
         assert infer_type(np.zeros(3, dtype=np.int64)) is INT64

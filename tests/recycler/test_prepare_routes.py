@@ -301,6 +301,10 @@ def _old_find_cached_subsumer(self, node):
 
 
 def _old_insert_sorted(self, entry):
+    # the insertion sequence is the cache's position tie-break
+    # (``_locate`` bisects on it); the route is the benefit-only one
+    self._seq += 1
+    entry.seq = self._seq
     group = self._groups.setdefault(self.group_of(entry.size), [])
     keys = [e.benefit for e in group]
     group.insert(bisect.bisect_right(keys, entry.benefit), entry)

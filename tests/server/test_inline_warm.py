@@ -2,7 +2,7 @@
 
 A query that a statement-cache hit and a full-plan hit of the recycler
 can answer never leaves the loop thread
-(``ServingBase._run_query`` → ``ExecutionService.execute(warm_only=True)``);
+(``ServingBase._issue`` → ``ExecutionService.execute(warm_only=True)``);
 everything else takes the worker pool as before.  Pinned here: the
 inline path is invisible to the recycler and the statement cache
 (``tests/twin_replay.py``, wire case), it answers nothing it should not
@@ -275,7 +275,7 @@ class TestLimitsStillApply:
             # both slots taken: a warm statement queues like any other
             queued = threading.Thread(target=ask, args=("warm", SCAN))
             queued.start()
-            assert wait_for(lambda: server._waiters == 1)
+            assert wait_for(lambda: len(server._waiters) == 1)
             # slots and queue full: rejected, warm or not
             with ServerClient(host, port) as client:
                 with pytest.raises(ServerOverloaded):

@@ -17,7 +17,10 @@ from repro import Database, RecyclerConfig, Table
 from repro.columnar import FLOAT64, INT64, Schema
 from repro.errors import (QueryTimeout, ServerOverloaded, ServerUnavailable)
 from repro.server import HttpClient, HttpServer, ReproServer, ServerClient
-from repro.server.protocol import write_frame
+from repro.server.base import PAUSE_READING_BYTES
+from repro.server.protocol import (HEADER, MAX_FRAME_BYTES,
+                                   PROTOCOL_VERSION, encode_frame,
+                                   read_frame, write_frame)
 from repro.workloads.skyserver import build_catalog, primary_pattern
 
 SLOW_SCHEMA = Schema(["x"], [INT64])
@@ -84,6 +87,195 @@ class TestProtocolBasics:
                 # the connection survives a failed query
                 assert client.ping()
 
+
+
+def read_reply(sock: socket.socket) -> dict:
+    """One reply frame from ``sock`` (a blocking socket)."""
+    return read_frame(sock.makefile("rb").read)
+
+
+def closed_by_server(sock: socket.socket, timeout: float = 5.0) -> bool:
+    """True once the server has closed ``sock`` (EOF or a reset)."""
+    sock.settimeout(timeout)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionError:
+        return True
+
+
+class TestWireFraming:
+    """How the server reads frames off a TCP connection: limits are
+    checked as soon as the length prefix arrives, a request may arrive
+    in any number of pieces, several frames may arrive in one piece,
+    and a stray byte while a query runs on the pool is a hang-up."""
+
+    def test_oversized_prefix_is_refused_before_its_payload(self, db):
+        with ReproServer(db) as server:
+            with socket.create_connection(server.address) as sock:
+                # the prefix alone: a server that waited for the
+                # payload would never answer
+                sock.sendall(HEADER.pack(MAX_FRAME_BYTES + 1))
+                sock.settimeout(5.0)
+                reply = read_reply(sock)
+                assert reply["ok"] is False
+                assert reply["error"]["type"] == "ProtocolError"
+                assert "exceeds" in reply["error"]["message"]
+                assert closed_by_server(sock)
+
+    def test_a_request_sent_one_byte_at_a_time_is_answered(self, db):
+        frame = encode_frame({"op": "query", "sql": QUERY})
+        with ReproServer(db) as server:
+            with socket.create_connection(server.address) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for i in range(len(frame)):
+                    sock.send(frame[i:i + 1])
+                    if i < 8:
+                        time.sleep(0.002)
+                sock.settimeout(5.0)
+                reply = read_reply(sock)
+        assert reply["kind"] == "result"
+        assert reply["rows"] == 8
+
+    def test_frames_sent_together_are_answered_in_order(self, db):
+        frames = b"".join(encode_frame(message) for message in (
+            {"op": "ping"}, {"op": "hello", "version": PROTOCOL_VERSION},
+            {"op": "ping"}, {"op": "query", "sql": QUERY}))
+        with ReproServer(db) as server:
+            with socket.create_connection(server.address) as sock:
+                sock.sendall(frames)
+                sock.settimeout(5.0)
+                read = sock.makefile("rb").read
+                replies = [read_frame(read) for _ in range(4)]
+        assert replies[0] == replies[2] == {"ok": True, "pong": True,
+                                            "draining": False}
+        assert replies[1]["version"] == PROTOCOL_VERSION
+        assert replies[3]["kind"] == "result"
+        assert replies[3]["rows"] == 8
+
+    def test_a_frame_behind_a_pool_query_waits_its_turn(self, db):
+        """Frames already buffered when a query goes to the pool are
+        not a hang-up: they are answered after its reply."""
+        frames = b"".join(encode_frame(message) for message in (
+            {"op": "query", "sql": "SELECT x FROM slow_rows(0.05, 7)"},
+            {"op": "ping"}))
+        with ReproServer(db) as server:
+            with socket.create_connection(server.address) as sock:
+                sock.sendall(frames)
+                sock.settimeout(5.0)
+                read = sock.makefile("rb").read
+                replies = [read_frame(read) for _ in range(2)]
+            assert server.stats()["cancelled"] == 0
+        assert replies[0]["data"] == [(7,)]
+        assert replies[1]["pong"]
+
+    def test_talking_out_of_turn_mid_stream_is_bounded(self, db):
+        """Bytes sent while a reply streams to a client that does not
+        read it are buffered only up to PAUSE_READING_BYTES (plus one
+        read), and the hang-up still ends the stream."""
+        rows = 500_000  # 8 MB: more than the socket buffers hold
+        db.register_table("wide", Table(
+            Table.from_rows(["a", "b"], [INT64, INT64], []).schema,
+            {"a": np.arange(rows), "b": np.arange(rows)}))
+        with ReproServer(db) as server:
+            sock = socket.create_connection(server.address)
+            write_frame(sock, {"op": "query", "sql": "SELECT * FROM wide"})
+            assert wait_for(lambda: server.stats()["in_flight"] == 1)
+            connection, = server._connections
+            sock.setblocking(False)
+            junk, sent = b"j" * 65536, 0
+            while sent < 4 * PAUSE_READING_BYTES:
+                try:
+                    sent += sock.send(junk)
+                except BlockingIOError:
+                    break
+            time.sleep(0.2)
+            assert len(connection.buffer) <= 2 * PAUSE_READING_BYTES
+            sock.close()
+            assert wait_for(lambda: server.stats()["stream_aborted"] == 1)
+            assert wait_for(lambda: server.stats()["in_flight"] == 0)
+
+    def test_pipelined_warm_queries_to_a_client_that_never_reads(self, db):
+        """Warm replies written in the read callback have backpressure:
+        a client that pipelines requests for larger replies and never
+        reads them leaves the server's write buffer and inbound buffer
+        bounded, and once it reads, every request is answered."""
+        groups = 1000  # a 16 KB reply to a 2 KB request
+        db.register_table("wide", Table(
+            Table.from_rows(["a", "b"], [INT64, INT64], []).schema,
+            {"a": np.arange(groups), "b": np.arange(groups)}))
+        sql = "SELECT a, sum(b) AS s FROM wide GROUP BY a"
+        frame = encode_frame({"op": "query", "sql": sql,
+                              "label": "x" * 2000})
+        with ReproServer(db) as server:
+            with ServerClient(*server.address) as client:
+                client.query(sql)
+                client.query(sql)
+            assert server.stats()["inline"] == 1  # the statement is warm
+            assert wait_for(lambda: not server._connections)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+            sock.connect(server.address)
+            assert wait_for(lambda: len(server._connections) == 1)
+            connection, = server._connections
+            sock.setblocking(False)
+            # unbounded, the server would buffer 8 reply bytes per
+            # request byte
+            frames, sent, stalls = frame * 16, 0, 0
+            while stalls < 5 and sent < 8 * 1024 * 1024:
+                try:
+                    sent += sock.send(frames[sent % len(frame):])
+                    stalls = 0
+                except BlockingIOError:
+                    stalls += 1
+                    time.sleep(0.05)
+            time.sleep(0.2)
+            # asyncio's high-water mark, plus the reply that crossed it
+            assert connection.transport.get_write_buffer_size() \
+                <= 64 * 1024 + 2 * groups * 16
+            assert len(connection.buffer) <= 2 * PAUSE_READING_BYTES
+            # finish the frame cut short, then read every reply
+            sock.setblocking(True)
+            rest = -sent % len(frame)
+            sock.sendall(frame[len(frame) - rest:] if rest else b"")
+            sock.sendall(encode_frame({"op": "ping"}))
+            sock.settimeout(30.0)
+            read = sock.makefile("rb").read
+            count = -(-sent // len(frame))
+            for _ in range(count):
+                assert read_frame(read)["rows"] == groups
+            assert read_frame(read)["pong"]
+            sock.close()
+            assert server.stats()["inline"] == 1 + count
+
+    def test_a_stray_byte_cancels_the_pool_query(self, db):
+        """One byte while a query runs on the pool is a protocol
+        violation: the query is cancelled, publishes nothing, and the
+        connection closes."""
+        stall = Stall(db)
+        cancel = db.recycler.cancel
+
+        def cancelled(token):
+            cancel(token)
+            stall.gate.set()
+
+        db.recycler.cancel = cancelled
+        try:
+            with ReproServer(db) as server:
+                with socket.create_connection(server.address) as sock:
+                    write_frame(sock, {"op": "query", "sql": STALL_QUERY})
+                    assert stall.entered.wait(10)
+                    assert wait_for(
+                        lambda: server.stats()["in_flight"] == 1)
+                    sock.sendall(b"x")
+                    assert closed_by_server(sock)
+                assert wait_for(lambda: server.stats()["cancelled"] == 1)
+                assert wait_for(lambda: server.stats()["in_flight"] == 0)
+                assert server.stats()["served"] == 0
+        finally:
+            stall.gate.set()
+        # the cancelled query published nothing: a rerun is cold
+        assert db.sql(STALL_QUERY).record.num_reused == 0
 
 class TestResultsMatchInProcess:
     def test_rows_and_schema_identical(self, db):

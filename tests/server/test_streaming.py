@@ -61,15 +61,22 @@ def record_writes(server):
     writes = []
     make_connection = server._make_connection
 
-    def recording(writer):
-        write = writer.write
+    def recording():
+        connection = make_connection()
+        made = connection.connection_made
 
-        def logged(data):
-            writes.append(bytes(data))
-            write(data)
+        def logging_made(transport):
+            write = transport.write
 
-        writer.write = logged
-        return make_connection(writer)
+            def logged(data):
+                writes.append(bytes(data))
+                write(data)
+
+            transport.write = logged
+            made(transport)
+
+        connection.connection_made = logging_made
+        return connection
 
     server._make_connection = recording
     return writes
@@ -741,6 +748,126 @@ class TestHttpEndpoints:
             payload = json.loads(response.read())
             assert payload["error"]["type"] == "QueryTimeout"
             conn.close()
+
+
+def http_exchange(address, request: bytes, *, half_close: bool = False
+                  ) -> bytes:
+    """Send ``request`` on a fresh connection (then shut down the
+    sending side, if ``half_close``) and read until the server closes
+    it."""
+    with socket.create_connection(address) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        sock.settimeout(5.0)
+        received = b""
+        while True:
+            try:
+                data = sock.recv(65536)
+            except ConnectionError:
+                break
+            if not data:
+                break
+            received += data
+    return received
+
+
+class TestHttpFraming:
+    """How the HTTP frontend reads requests: limits are refused with a
+    400 before the server buffers past them, and keep-alive and
+    ``Connection: close`` are honoured."""
+
+    @staticmethod
+    def status_of(reply: bytes) -> int:
+        return int(reply.split(b" ", 2)[1])
+
+    def test_a_malformed_request_line_is_400(self, db):  # noqa: F811
+        with HttpServer(db) as server:
+            for line in (b"GARBAGE\r\n\r\n", b"GET /healthz\r\n\r\n",
+                         b"GET /healthz FTP/1.0\r\n\r\n"):
+                reply = http_exchange(server.address, line)
+                assert self.status_of(reply) == 400
+                assert b"malformed request line" in reply
+
+    def test_an_oversized_header_block_is_400(self, db):  # noqa: F811
+        """65 header lines of 1 KiB and no blank line: the server
+        answers once the block passes 64 KiB, without waiting for its
+        end."""
+        lines = b"".join(b"X-Pad-%04d: %s\r\n" % (i, b"p" * 1010)
+                         for i in range(65))
+        assert all(len(line) == 1024 for line in lines.splitlines(True))
+        with HttpServer(db) as server:
+            reply = http_exchange(
+                server.address, b"GET /healthz HTTP/1.1\r\n" + lines)
+        assert self.status_of(reply) == 400
+        assert b"header block too large" in reply
+
+    @pytest.mark.parametrize("length", [b"-1", b"ten", b"1.5",
+                                        str(MAX_FRAME_BYTES + 1).encode()])
+    def test_a_bad_content_length_is_400(self, db, length):  # noqa: F811
+        with HttpServer(db) as server:
+            reply = http_exchange(
+                server.address, b"POST /v1/query HTTP/1.1\r\n"
+                b"Content-Length: %b\r\n\r\n" % length)
+        assert self.status_of(reply) == 400
+        assert b"Content-Length" in reply
+
+    def test_eof_inside_the_head_is_400(self, db):  # noqa: F811
+        """A head cut short by the client's EOF is answered 400 on the
+        half-closed connection, which then closes."""
+        with HttpServer(db) as server:
+            for head, reason in (
+                    (b"POST /v1/q", b"malformed request line"),
+                    (b"POST /v1/query HTTP/1.1\r\nContent-Le",
+                     b"malformed header line"),
+                    (b"POST /v1/query HTTP/1.1\r\nContent-Length: 3",
+                     b"truncated header block"),
+                    (b"POST /v1/query HTTP/1.1\r\nHost: x\r\n",
+                     b"truncated header block")):
+                reply = http_exchange(server.address, head,
+                                      half_close=True)
+                assert self.status_of(reply) == 400
+                assert reason in reply
+                assert b"Connection: close" in reply
+
+    def test_eof_inside_the_body_closes_without_a_reply(self, db):  # noqa: F811
+        with HttpServer(db) as server:
+            assert http_exchange(
+                server.address, b"POST /v1/query HTTP/1.1\r\n"
+                b"Content-Length: 50\r\n\r\n{\"sql\"", half_close=True) \
+                == b""
+            # an EOF between requests is a clean close, no reply either
+            assert http_exchange(server.address, b"", half_close=True) \
+                == b""
+            assert server.stats()["errors"] == 0
+
+    def test_keep_alive_serves_requests_in_turn(self, db):  # noqa: F811
+        with HttpServer(db) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=5.0)
+            for _ in range(2):
+                conn.request("POST", "/v1/query",
+                             body=json.dumps({"sql": QUERY}).encode())
+                response = conn.getresponse()
+                lines = response.read().splitlines()
+                assert response.status == 200
+                assert json.loads(lines[-1])["rows"] == 8
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert json.loads(response.read())["ok"]
+            conn.close()
+            assert server.stats()["connections_total"] == 1
+
+    def test_connection_close_is_honoured(self, db):  # noqa: F811
+        body = json.dumps({"sql": QUERY}).encode()
+        with HttpServer(db) as server:
+            # the server closes after the reply: reading to EOF ends
+            reply = http_exchange(
+                server.address, b"POST /v1/query HTTP/1.1\r\n"
+                b"Connection: close\r\nContent-Length: %d\r\n\r\n%b"
+                % (len(body), body))
+        assert self.status_of(reply) == 200
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.endswith(b"0\r\n\r\n")
 
 
 class TestServiceCounters:

@@ -19,8 +19,20 @@ over TCP ``--repeat`` times and prints, per statement:
 
 the same three for as many ``ping`` round trips (``ping.*``: the
 socket, the event loop's read and the hand-over between the two
-processes, with no statement behind them), and, timed in this process
-on the rows the statements returned:
+processes, with no statement behind them); then, with the workload's
+database built and primed the same way in this process:
+
+* ``short.inprocess_cpu_us`` — CPU time (``time.thread_time``) of the
+  same statements issued as the server issues them, without a wire:
+  ``Session.begin()`` and ``execute(warm_only=True)`` (a full
+  ``execute`` when that declines);
+* ``short.serving_glue_us`` — ``short.server_cpu_us`` less
+  ``ping.server_cpu_us`` and ``short.inprocess_cpu_us``: what the
+  server spends on a statement beyond a request's floor and the
+  statement itself (parsing the frame, admission, encoding and
+  writing the reply);
+
+and, timed in this process on the rows the statements returned:
 
 * ``reply.encode_us`` — building a reply's frame from its result table
   as the server does for a result that fits in one chunk (the column
@@ -93,6 +105,25 @@ def decode_reply(frame: bytes) -> list[tuple]:
     return stream.result().rows
 
 
+def inprocess_cpu(workload, args, ops, short: list[str]) -> float:
+    """Thread CPU seconds of ``short`` issued on one session of the
+    workload's database, built and primed here as the server child
+    builds and is primed."""
+    db = workload.build(args.seed, args.size, args.mode)
+    try:
+        session = db.connect()
+        for statement in workload.priming(ops):
+            session.sql(statement)
+        started = time.thread_time()
+        for text in short:
+            with session.begin() as query:
+                if query.execute(text, warm_only=True) is None:
+                    query.execute(text)
+        return time.thread_time() - started
+    finally:
+        db.close()
+
+
 def timed_per_call(function, args: list) -> float:
     started = time.perf_counter()
     for arg in args:
@@ -162,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label}.round_trip_us {wall / count * 1e6:.1f}")
         print(f"{label}.client_cpu_us {client_cpu / count * 1e6:.1f}")
         print(f"{label}.server_cpu_us {server_cpu / count * 1e6:.1f}")
+    inprocess = inprocess_cpu(workload, args, ops, short) / count
+    glue = (statements[2] - ping[2]) / count - inprocess
+    print(f"short.inprocess_cpu_us {inprocess * 1e6:.1f}")
+    print(f"short.serving_glue_us {glue * 1e6:.1f}")
     rounds = max(1, 2000 // max(len(replies), 1))
     encode = timed_per_call(encode_reply, replies * rounds)
     decode = timed_per_call(decode_reply, frames * rounds)
